@@ -4,14 +4,11 @@ Each kernel times one stage of the compression hot path the SFM store /
 load paths exercise millions of times per experiment: full codec
 round-trips on 4 KiB pages, the LZ77 tokenizer stage, the Huffman
 entropy stage, and one end-to-end emulator window. Kernels measure
-*what the codecs actually use* — when the packed-token fast path exists
-it is timed, because that is the code the store path runs.
-
-The harness is deliberately version-agnostic: it runs unmodified against
-the pre-overhaul kernels (bit-serial Huffman, per-token objects), which
-is how the pinned ``reference`` section of ``BENCH_perf.json`` was
-produced, and against the current tree, which produces the ``baseline``
-section CI compares against.
+*what the codecs actually use*, because that is the code the store path
+runs. A fresh run produces the ``baseline`` section of
+``BENCH_perf.json`` that CI compares against; the pinned ``reference``
+section is a historical measurement of the pre-overhaul kernels and is
+never re-run.
 
 Timing protocol: every kernel is measured as ``repeats`` timed batches
 of ``inner`` operations each; the *best* batch (minimum wall-clock per
@@ -27,7 +24,7 @@ from typing import Callable, Dict, List, Tuple
 from repro.compression.bitio import BitReader, BitWriter
 from repro.compression.deflate import DeflateCodec
 from repro.compression.huffman import HuffmanTable
-from repro.compression.lz77 import Lz77Matcher, detokenize
+from repro.compression.lz77 import Lz77Matcher
 from repro.compression.lzfast import LzFastCodec
 from repro.compression.zstd_like import ZstdLikeCodec
 from repro.workloads.corpus import corpus_pages
@@ -74,25 +71,10 @@ def _kernel_lzfast_roundtrip() -> Callable[[], None]:
 def _kernel_lz77_tokenize() -> Callable[[], None]:
     matcher = Lz77Matcher(window_size=4096)
     pages = _bench_pages()
-    # Time the entry point the codecs drive: the packed fast path when
-    # present, the seed token-object path otherwise.
-    tokenize = getattr(matcher, "tokenize_packed", matcher.tokenize)
 
     def op() -> None:
         for page in pages:
-            tokenize(page)
-
-    return op
-
-
-def _kernel_lz77_tokenize_batch() -> Callable[[], None]:
-    """The page-batch tokenizer entry the batch codec API drives: one
-    call amortizes scratch allocation and dispatch over all pages."""
-    matcher = Lz77Matcher(window_size=4096)
-    pages = _bench_pages()
-
-    def op() -> None:
-        matcher.tokenize_packed_batch(pages)
+            matcher.tokenize_packed(page)
 
     return op
 
@@ -113,27 +95,6 @@ def _kernel_deflate_static_table() -> Callable[[], None]:
         blobs = codec.compress_batch(pages)
         if codec.decompress_batch(blobs) != pages:
             raise AssertionError("static-table round-trip mismatch")
-
-    return op
-
-
-def _kernel_lz77_detokenize() -> Callable[[], None]:
-    import repro.compression.lz77 as lz77mod
-
-    matcher = Lz77Matcher(window_size=4096)
-    pages = _bench_pages()
-    packed_fn = getattr(lz77mod, "detokenize_packed", None)
-    if packed_fn is not None:
-        streams = [matcher.tokenize_packed(page) for page in pages]
-        rebuild = packed_fn
-    else:
-        streams = [matcher.tokenize(page) for page in pages]
-        rebuild = detokenize
-
-    def op() -> None:
-        for page, stream in zip(pages, streams):
-            if rebuild(stream) != page:
-                raise AssertionError("detokenize mismatch")
 
     return op
 
@@ -304,6 +265,17 @@ def _kernel_tier_demote_batch() -> Callable[[], None]:
     return op
 
 
+def _best_of(op: Callable[[], None], repeats: int) -> float:
+    """Minimum wall-clock seconds of ``op`` over ``repeats`` timed calls."""
+    op()  # warm up
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        op()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def telemetry_overhead_ratio(repeats: int = 5) -> float:
     """Cost of the *disabled* telemetry guards on the deflate round-trip.
 
@@ -338,17 +310,8 @@ def telemetry_overhead_ratio(repeats: int = 5) -> float:
                 )
             codec.decompress(blob)
 
-    def best_of(op: Callable[[], None]) -> float:
-        op()  # warm up
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            op()
-            best = min(best, time.perf_counter() - start)
-        return best
-
     assert not _trace.tracing_enabled(), "guard must measure the off path"
-    return best_of(guarded) / best_of(plain)
+    return _best_of(guarded, repeats) / _best_of(plain, repeats)
 
 
 def span_overhead_ratio(repeats: int = 5) -> float:
@@ -401,20 +364,11 @@ def span_overhead_ratio(repeats: int = 5) -> float:
                 codec.decompress(blob)
         _flightrec.trigger(_flightrec.REASON_POISON)
 
-    def best_of(op: Callable[[], None]) -> float:
-        op()  # warm up
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            op()
-            best = min(best, time.perf_counter() - start)
-        return best
-
     assert not _trace.tracing_enabled(), "guard must measure the off path"
     assert _flightrec.current_recorder() is None, (
         "guard must measure the uninstalled flight-recorder path"
     )
-    return best_of(guarded) / best_of(plain)
+    return _best_of(guarded, repeats) / _best_of(plain, repeats)
 
 
 def tier_overhead_ratio(repeats: int = 5) -> float:
@@ -460,16 +414,9 @@ def tier_overhead_ratio(repeats: int = 5) -> float:
 
         return op
 
-    def best_of(op: Callable[[], None]) -> float:
-        op()  # warm up
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            op()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    return best_of(loop(piped_frontend)) / best_of(loop(plain_frontend))
+    return _best_of(loop(piped_frontend), repeats) / _best_of(
+        loop(plain_frontend), repeats
+    )
 
 
 #: name -> (setup, default inner iterations per timed batch).
@@ -478,9 +425,7 @@ KERNELS: Dict[str, Tuple[Callable[[], Callable[[], None]], int]] = {
     "zstd_like_roundtrip_4k": (_kernel_zstd_like_roundtrip, 1),
     "lzfast_roundtrip_4k": (_kernel_lzfast_roundtrip, 2),
     "lz77_tokenize_4k": (_kernel_lz77_tokenize, 2),
-    "lz77_tokenize_batch_4k": (_kernel_lz77_tokenize_batch, 2),
     "deflate_static_table_4k": (_kernel_deflate_static_table, 2),
-    "lz77_detokenize_4k": (_kernel_lz77_detokenize, 5),
     "huffman_encode_4k": (_kernel_huffman_encode, 2),
     "huffman_decode_4k": (_kernel_huffman_decode, 1),
     "emulator_window": (_kernel_emulator_window, 1),

@@ -13,10 +13,11 @@ Modes:
     Re-measure with reduced iterations (CI smoke mode) and compare each
     kernel against the committed baseline. Exits non-zero when any
     kernel is more than ``--max-slowdown`` times slower than its
-    committed number. The threshold is deliberately loose (2.5x) because
-    CI machines differ from the baseline machine; the gate catches
-    algorithmic regressions (accidentally reverting to a bit-serial
-    loop), not percent-level noise.
+    committed number, or when the baseline and ``microbench.KERNELS``
+    do not name the same kernels. The threshold is deliberately loose
+    (2.5x) because CI machines differ from the baseline machine; the
+    gate catches algorithmic regressions (accidentally reverting to a
+    bit-serial loop), not percent-level noise.
 
 ``telemetry-guard``
     Assert that the *disabled* telemetry guards cost < ``--max-overhead``
@@ -160,15 +161,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     doc = _load(Path(args.baseline))
     committed = doc["baseline"]["kernels"]
+    mismatched = sorted(set(committed) ^ set(microbench.KERNELS))
+    if mismatched:
+        print(
+            f"kernels not in both {args.baseline} and microbench.KERNELS: "
+            + ", ".join(mismatched)
+        )
+        return 1
     fresh = _measure(args)
     failures = []
     width = max(len(name) for name in fresh)
     print(f"{'kernel'.ljust(width)}  committed(s/op)  fresh(s/op)  ratio")
     for name, record in sorted(fresh.items()):
-        base = committed.get(name)
-        if base is None:
-            print(f"{name.ljust(width)}  (no committed baseline — skipped)")
-            continue
+        base = committed[name]
         ratio = record["seconds_per_op"] / base["seconds_per_op"]
         flag = "  FAIL" if ratio > args.max_slowdown else ""
         print(
@@ -248,81 +253,6 @@ def cmd_tier_guard(args: argparse.Namespace) -> int:
         )
         return 1
     print("tier guard passed")
-    return 0
-
-
-def cmd_batch_guard(args: argparse.Namespace) -> int:
-    """Assert the page-batch codec API is genuinely batched end to end.
-
-    Three checks, all on the process-wide ``batch_stats`` telemetry:
-    every registered hot-path codec's ``compress_batch``/
-    ``decompress_batch`` must be a real batched implementation (zero
-    trips through the base-class scalar adapter); the multi-channel
-    backend's swap path must route stripes through it (``multichannel``
-    site); and the tier pipeline's demotion cascade must route victim
-    batches through it (``tier_demote`` site)."""
-    from repro.compression import DeflateCodec, LzFastCodec, ZstdLikeCodec
-    from repro.compression.base import batch_stats
-
-    pages = microbench._bench_pages()
-    failures = []
-    for codec in (DeflateCodec(window_size=4096), LzFastCodec(), ZstdLikeCodec()):
-        batch_stats.reset()
-        blobs = codec.compress_batch(pages)
-        if codec.decompress_batch(blobs) != pages:
-            failures.append(f"{codec.name}: batch round-trip mismatch")
-        if (
-            batch_stats.compress_scalar_fallback_calls
-            or not batch_stats.compress_batch_calls
-        ):
-            failures.append(
-                f"{codec.name}: compress_batch fell back to the scalar "
-                "adapter"
-            )
-        if (
-            batch_stats.decompress_scalar_fallback_calls
-            or not batch_stats.decompress_batch_calls
-        ):
-            failures.append(
-                f"{codec.name}: decompress_batch fell back to the scalar "
-                "adapter"
-            )
-
-    from repro.sfm.page import PAGE_SIZE, Page
-    from repro.tiering.factory import make_tier
-
-    batch_stats.reset()
-    mc = make_tier("xfm-mc")
-    for i, data in enumerate(pages):
-        page = Page(vaddr=i * PAGE_SIZE, data=data)
-        if mc.swap_out(page).accepted:
-            mc.swap_in(page)
-    mc_pages = batch_stats.site_pages.get("multichannel", 0)
-    if not mc_pages:
-        failures.append(
-            "multichannel swap path recorded no batched pages "
-            "(site 'multichannel' empty)"
-        )
-
-    batch_stats.reset()
-    microbench.KERNELS["tier_demote_batch"][0]()()
-    demote_pages = batch_stats.site_pages.get("tier_demote", 0)
-    if not demote_pages:
-        failures.append(
-            "tier demotion cascade recorded no batched pages "
-            "(site 'tier_demote' empty)"
-        )
-
-    print(
-        f"batch sites: multichannel={mc_pages} pages, "
-        f"tier_demote={demote_pages} pages"
-    )
-    if failures:
-        print(f"batch guard FAILED ({len(failures)} problem(s)):")
-        for failure in failures:
-            print(f"  {failure}")
-        return 1
-    print("batch guard passed: no scalar fallbacks on the batch API")
     return 0
 
 
@@ -414,12 +344,6 @@ def main(argv=None) -> int:
     tier_guard.add_argument("--repeats", type=int, default=3)
     tier_guard.add_argument("--trials", type=int, default=3)
     tier_guard.set_defaults(func=cmd_tier_guard)
-
-    batch_guard = sub.add_parser(
-        "batch-guard",
-        help="assert the page-batch codec API never falls back to scalar",
-    )
-    batch_guard.set_defaults(func=cmd_batch_guard)
 
     sim_guard = sub.add_parser(
         "sim-guard",

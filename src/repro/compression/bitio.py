@@ -168,3 +168,28 @@ class BitReader:
     def bits_remaining(self) -> int:
         """Upper bound on the number of unread bits."""
         return (len(self._data) - self._pos) * 8 + self._nbits
+
+
+def write_varint_bits(writer: BitWriter, value: int) -> None:
+    """Varint without byte alignment: 7-bit groups with a continue bit."""
+    while True:
+        chunk = value & 0x7F
+        value >>= 7
+        writer.write_bits(1 if value else 0, 1)
+        writer.write_bits(chunk, 7)
+        if not value:
+            return
+
+
+def read_varint_bits(reader: BitReader) -> int:
+    """Inverse of :func:`write_varint_bits`."""
+    value = 0
+    shift = 0
+    while True:
+        more = reader.read_bits(1)
+        value |= reader.read_bits(7) << shift
+        if not more:
+            return value
+        shift += 7
+        if shift > 35:
+            raise CorruptStreamError("varint too long")

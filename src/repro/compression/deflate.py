@@ -45,8 +45,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compression import _native
-from repro.compression.base import Codec, CodecSpec, batch_stats, register_codec
-from repro.compression.bitio import BitReader, BitWriter
+from repro.compression.base import Codec, CodecSpec, register_codec
+from repro.compression.bitio import (
+    BitReader,
+    BitWriter,
+    read_varint_bits,
+    write_varint_bits,
+)
 from repro.compression.huffman import MAX_CODE_LENGTH, HuffmanTable
 from repro.compression.lz77 import (
     PACKED_LENGTH_BITS,
@@ -229,16 +234,6 @@ def _rle_code_lengths(lengths: Sequence[int]) -> List[Tuple[int, int]]:
 _CL_EXTRA_BITS = {16: 2, 17: 3, 18: 7}
 
 
-def _varint_bits(value: int) -> int:
-    """Bit cost of ``_write_varint_bits(value)``: 8 bits per 7-bit group."""
-    bits = 8
-    value >>= 7
-    while value:
-        bits += 8
-        value >>= 7
-    return bits
-
-
 def _fixed_litlen_lengths() -> List[int]:
     """RFC 1951 fixed literal/length code lengths (3.2.6)."""
     lengths = [8] * 144 + [9] * 112 + [7] * 24 + [8] * 8
@@ -347,7 +342,7 @@ def _render_table_header(
     cl_table = _table_from_frequencies(cl_freq, max_length=7)
     for length in cl_table.lengths:
         writer.write_bits(length, 3)
-    _write_varint_bits(writer, len(rle))
+    write_varint_bits(writer, len(rle))
     for symbol, extra in rle:
         cl_table.encode(writer, symbol)
         extra_bits = _CL_EXTRA_BITS.get(symbol, 0)
@@ -492,9 +487,9 @@ def train_static_tables(
     )
     ll_freq = np.zeros(_NUM_LITLEN, dtype=np.int64)
     dist_freq = np.zeros(_NUM_DIST, dtype=np.int64)
-    for tokens in matcher.tokenize_packed_batch(corpus):
+    for page in corpus:
         page_ll, page_dist, _ = _token_stats(
-            np.frombuffer(tokens, dtype=np.int64)
+            np.frombuffer(matcher.tokenize_packed(page), dtype=np.int64)
         )
         ll_freq += page_ll
         dist_freq += page_dist
@@ -545,33 +540,10 @@ class DeflateCodec(Codec):
     # -- encode ----------------------------------------------------------
 
     def compress(self, data: bytes) -> bytes:
-        packed = self._matcher.tokenize_packed(data) if data else None
-        return self._blob(data, packed)
-
-    def compress_batch(self, pages: Sequence[bytes]) -> List[bytes]:
-        """Compress a batch of pages in one call.
-
-        The LZ77 stage runs as one batched tokenize (shared numpy
-        working set / one native call per page), and table, header and
-        scratch caches stay hot across the whole batch.
-        """
-        pages = list(pages)
-        if not pages:
-            return []
-        token_iter = iter(
-            self._matcher.tokenize_packed_batch([p for p in pages if p])
-        )
-        blobs = [
-            self._blob(page, next(token_iter) if page else None)
-            for page in pages
-        ]
-        batch_stats.compress_batch_calls += 1
-        batch_stats.compress_batch_pages += len(pages)
-        return blobs
-
-    def _blob(self, data: bytes, packed) -> bytes:
         if data:
-            mode, body = self._encode_body(data, packed)
+            mode, body = self._encode_body(
+                data, self._matcher.tokenize_packed(data)
+            )
         else:
             mode, body = _MODE_STORED, data
         writer = BitWriter()
@@ -730,14 +702,6 @@ class DeflateCodec(Codec):
         if out is not None:
             return out
         return self._decompress_python(blob)
-
-    def decompress_batch(self, blobs: Sequence[bytes]) -> List[bytes]:
-        """Decompress a batch of blobs in one call (shared decode scratch)."""
-        blobs = list(blobs)
-        pages = [self.decompress(blob) for blob in blobs]
-        batch_stats.decompress_batch_calls += 1
-        batch_stats.decompress_batch_pages += len(blobs)
-        return pages
 
     def _decompress_native(self, blob: bytes) -> Optional[bytes]:
         """Native fast path; ``None`` means "re-run the Python decoder".
@@ -950,7 +914,7 @@ def _read_dynamic_tables(reader: BitReader):
     """Parse the code-length header; returns (litlen, dist) decoders."""
     cl_lengths = [reader.read_bits(3) for _ in range(_NUM_CODELEN)]
     cl_decoder = HuffmanTable.from_lengths(cl_lengths).build_decoder()
-    rle_count = _read_varint_bits(reader)
+    rle_count = read_varint_bits(reader)
     combined: List[int] = []
     for _ in range(rle_count):
         symbol = cl_decoder.decode(reader)
@@ -1068,27 +1032,3 @@ def _decode_block_native(
     if decoded != orig_len:
         return None
     return out[:orig_len].tobytes()
-
-
-def _write_varint_bits(writer: BitWriter, value: int) -> None:
-    """Varint without byte alignment: 7-bit groups with a continue bit."""
-    while True:
-        chunk = value & 0x7F
-        value >>= 7
-        writer.write_bits(1 if value else 0, 1)
-        writer.write_bits(chunk, 7)
-        if not value:
-            return
-
-
-def _read_varint_bits(reader: BitReader) -> int:
-    value = 0
-    shift = 0
-    while True:
-        more = reader.read_bits(1)
-        value |= reader.read_bits(7) << shift
-        if not more:
-            return value
-        shift += 7
-        if shift > 35:
-            raise CorruptStreamError("varint too long")

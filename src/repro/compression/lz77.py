@@ -1,33 +1,34 @@
 """LZ77 string matching shared by the Deflate-style and zstd-style codecs.
 
 The tokenizer slides over the input keeping a hash-chain index of 3-byte
-prefixes (the classic zlib structure). Three engines produce bit-identical
+prefixes (the classic zlib structure). Two engines produce bit-identical
 token streams:
 
-* the **scalar engine** (:meth:`Lz77Matcher._tokenize_packed_scalar`) — the
-  seed's fully inlined hash-chain walk, kept as the reference and as the
-  fallback for tiny inputs where numpy setup costs more than it saves;
-* the **vectorized engine** (:func:`_tokenize_pages_vec`) — a numpy
-  formulation that evaluates the whole buffer (or a whole *batch* of
-  pages) at once, HDL-deflate-FAST style: build every hash chain with one
-  stable argsort, compute candidate match lengths with unaligned-uint64
-  XOR compares, and prune candidates with the same one-byte quick-reject
-  the scalar walk uses;
-* the **native engine** (``lz77_tokenize`` in ``_hotpath.c``, loaded via
+* the **scalar reference** (:meth:`Lz77Matcher._tokenize_packed_scalar`) —
+  the seed's fully inlined hash-chain walk: the readable definition of
+  the matcher, the oracle the kernel is tested against, and the engine
+  that runs when no kernel loads (``REPRO_NO_NATIVE``, no compiler);
+* the **native kernel** (``lz77_tokenize`` in ``_hotpath.c``, loaded via
   :mod:`repro.compression._native`) — a statement-for-statement C
-  translation of the scalar walk, preferred whenever the host compiler
-  produced it; any load failure silently falls back to the other two.
+  translation of the scalar walk (same chains, same quick-reject, same
+  budget and lazy rules), used whenever the host compiler produced it.
 
-The equivalence argument is structural, not statistical: the scalar
-``best_match(pos)`` depends only on the finished chain structure (chains
-only point backwards), its quick-reject and early-break are pure
-optimisations that never change the selected token, and the greedy/lazy
-scan is memoryless over per-position best matches. The vectorized engine
-replays exactly those decisions, so the token sequence — and therefore
-every compressed byte downstream — is identical. The test suite enforces
-this against a verbatim copy of the seed tokenizer.
+Variants are parameters of that one datapath (``window_size``,
+``max_chain``, ``lazy``), not parallel implementations. A numpy engine
+used to sit between the two and did not earn its ~380 lines: it only ran
+where the kernel could not, and measured on 256 pages (16 per corpus,
+default matcher, best of 3):
 
-Packed token encoding (``PACKED`` prefix helpers below):
+    scalar reference            3 384 us/page
+    numpy, one page per call    3 756   (slower than the reference)
+    numpy, batches of 8         2 600   (1.3x)
+    native ``lz77_tokenize``      ~80   (40x)
+
+The suite enforces native == reference on page-sized inputs, and
+reference == a verbatim copy of the seed tokenizer.
+
+Packed token encoding (one ``array('q')`` element per token;
+:func:`detokenize_packed` is its executable definition):
 
 * ``0 <= t <= 255`` — a literal byte ``t``.
 * ``t >= 512`` — a match: ``t = (distance << 9) | length``. Lengths are
@@ -42,8 +43,7 @@ shrinks from 4 KiB to 1 KiB as pages are split across DIMMs.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -62,78 +62,9 @@ _HASH_MASK = (1 << _HASH_BITS) - 1
 PACKED_LENGTH_BITS = 9
 PACKED_LENGTH_MASK = (1 << PACKED_LENGTH_BITS) - 1
 
-#: Below this many bytes the numpy engine's fixed setup cost exceeds the
-#: scalar walk; the scalar engine handles the page. Both are exact, so
-#: the cutover is purely a performance knob.
-_VECTOR_MIN_BYTES = 1024
-
-#: Once the step-synchronised walker population drops below this, finish
-#: the stragglers with the scalar walk instead of paying per-step numpy
-#: dispatch overhead on near-empty arrays.
-_SCALAR_TAIL_WALKERS = 192
-
-#: Chain hops evaluated per wide iteration of the vectorized walk. Larger
-#: blocks amortise numpy dispatch overhead; the hop results inside a block
-#: are replayed in step order so selection semantics are unchanged.
-_CHAIN_BLOCK = 8
-
-#: Right-dilation applied to small demand-loop fix-up sets: evaluating a
-#: few extra positions past each changed one collapses the geometric
-#: tail of one-position repair rounds (extra exactness never hurts).
-_DILATE = np.arange(1, 33, dtype=np.int64)
-
 #: Head-table scratch for the native tokenizer (the kernel re-memsets it
 #: per call); allocated lazily, shared process-wide (single-threaded).
 _NATIVE_HEAD_SCRATCH = None
-
-
-def pack_literal(byte: int) -> int:
-    """Pack a literal byte into a token int."""
-    return byte
-
-
-def pack_match(length: int, distance: int) -> int:
-    """Pack a match into a token int."""
-    return (distance << PACKED_LENGTH_BITS) | length
-
-
-def packed_is_literal(token: int) -> bool:
-    """True when a packed token is a literal byte."""
-    return token < 256
-
-
-@dataclass(frozen=True)
-class Literal:
-    """A single uncompressed byte."""
-
-    byte: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.byte <= 255:
-            raise ValueError(f"literal byte out of range: {self.byte}")
-
-
-@dataclass(frozen=True)
-class Match:
-    """A back-reference: copy ``length`` bytes from ``distance`` back."""
-
-    length: int
-    distance: int
-
-    def __post_init__(self) -> None:
-        if not MIN_MATCH <= self.length <= MAX_MATCH:
-            raise ValueError(f"match length out of range: {self.length}")
-        if self.distance < 1:
-            raise ValueError(f"match distance out of range: {self.distance}")
-
-
-Token = Union[Literal, Match]
-
-
-def _hash3(data: bytes, i: int) -> int:
-    """Hash the 3 bytes at ``data[i:i+3]`` into the chain-table index."""
-    key = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16)
-    return ((key * _HASH_MULT) >> _HASH_SHIFT) & _HASH_MASK
 
 
 class Lz77Matcher:
@@ -166,48 +97,17 @@ class Lz77Matcher:
     def tokenize_packed(self, data: bytes) -> array:
         """Convert ``data`` into a packed LZ77 token stream.
 
-        Dispatches to the native kernel when available, else to the
-        vectorized engine for page-sized inputs and the scalar walk for
-        small ones; all emit the identical token sequence (the
+        Runs the native kernel when it is loaded, else the scalar
+        reference; both emit the identical token sequence (the
         compressed formats depend on it).
         """
-        if _native.load() is not None:
-            tokens = self._tokenize_packed_native(data)
-            if tokens is not None:
-                return tokens
-        if len(data) < _VECTOR_MIN_BYTES:
-            return self._tokenize_packed_scalar(data)
-        return self.tokenize_packed_batch([data])[0]
-
-    def tokenize_packed_batch(self, pages: Sequence[bytes]) -> List[array]:
-        """Tokenize a batch of buffers in one vectorized pass.
-
-        All pages share a single numpy working set — hash chains, match
-        candidates and length computations are evaluated across the whole
-        batch so per-page setup is paid once. Chains never cross page
-        boundaries (each page's window floor is clamped to its own start),
-        so the per-page token streams are identical to tokenizing each
-        page alone.
-        """
-        if not pages:
-            return []
-        if _native.load() is not None:
-            native = [self._tokenize_packed_native(p) for p in pages]
-            if all(t is not None for t in native):
-                return native
-        big = [p for p in pages if len(p) >= _VECTOR_MIN_BYTES]
-        out: List[array] = [None] * len(pages)  # type: ignore[list-item]
-        if big:
-            vec_iter = iter(_tokenize_pages_vec(self, big))
-        for i, page in enumerate(pages):
-            if len(page) >= _VECTOR_MIN_BYTES:
-                out[i] = next(vec_iter)
-            else:
-                out[i] = self._tokenize_packed_scalar(page)
-        return out
+        tokens = self._tokenize_packed_native(data)
+        if tokens is not None:
+            return tokens
+        return self._tokenize_packed_scalar(data)
 
     def _tokenize_packed_native(self, data: bytes):
-        """Tokenize via the C kernel; ``None`` means "use a Python engine".
+        """Tokenize via the C kernel; ``None`` means "use the reference".
 
         The kernel is a direct translation of
         :meth:`_tokenize_packed_scalar` — same chains, same quick-reject,
@@ -377,408 +277,6 @@ class Lz77Matcher:
             pos += match & PACKED_LENGTH_MASK
         return tokens
 
-    def tokenize(self, data: bytes) -> List[Token]:
-        """Convert ``data`` into a list of LZ77 tokens.
-
-        Thin adapter over :meth:`tokenize_packed`, kept for tests and any
-        consumer that wants the readable object form.
-        """
-        mask = PACKED_LENGTH_MASK
-        return [
-            Literal(t)
-            if t < 256
-            else Match(length=t & mask, distance=t >> PACKED_LENGTH_BITS)
-            for t in self.tokenize_packed(data)
-        ]
-
-
-# ---------------------------------------------------------------------------
-# Vectorized matching engine
-# ---------------------------------------------------------------------------
-
-
-def _page_arrays(pages: Sequence[bytes]) -> List[np.ndarray]:
-    """uint8 views of each page (no copies)."""
-    return [np.frombuffer(p, dtype=np.uint8) for p in pages]
-
-
-def _first_diff_byte(x: np.ndarray) -> np.ndarray:
-    """Index of the lowest-order nonzero byte of each uint64 (8 if zero).
-
-    ``x`` holds XORs of little-endian 8-byte windows, so the lowest
-    nonzero byte is the first differing byte of the two windows.  The
-    count-trailing-zeros is done by isolating the lowest set bit and
-    reading its float64 exponent — powers of two convert exactly, so
-    this is branch-free and touches each element a constant number of
-    times (no (n, 8) byte matrix).
-    """
-    lsb = x & (np.uint64(0) - x)
-    exp = lsb.astype(np.float64).view(np.uint64) >> np.uint64(52)
-    byte = ((exp - np.uint64(1023)) >> np.uint64(3)).astype(np.int64)
-    return np.where(x == np.uint64(0), np.int64(8), byte)
-
-
-def _tokenize_pages_vec(
-    matcher: Lz77Matcher, pages: Sequence[bytes]
-) -> List[array]:
-    """Tokenize every page with the vectorized demand-driven engine.
-
-    Emits exactly the scalar engine's packed token streams:
-
-    1. Build every hash chain with a vectorized rolling hash plus one
-       stable argsort (grouping equal hashes preserves position order,
-       so ``prev`` comes out identical to the scalar insertion pass).
-    2. Evaluate each position's **first** candidate with full unaligned
-       uint64 XOR compares — a lower bound on the final match; walkers
-       whose first candidate already reaches ``max_len`` are final (the
-       scalar early break, which also absorbs byte-run explosions).
-    3. Demand loop: pointer-double the greedy/lazy scan over current
-       bounds, then finish the exact chain walk — step-synchronised
-       blocks with the scalar's running-best quick-reject, improvements
-       replayed in chain order (strict ``>`` = first-maximal), budget
-       consumed by visited candidates, stragglers finished by a scalar
-       tail — for just the scan-visited positions, until a fixed point.
-    4. Emit the token stream straight off the fixed-point walk: the
-       scan's path only ever reads positions it visits, and those are
-       exact, so the stream equals full per-position evaluation.
-    """
-    starts: List[int] = []
-    off = 0
-    for page in pages:
-        starts.append(off)
-        off += len(page)
-    total = off
-    min_match = matcher.min_match
-    max_match = matcher.max_match
-
-    def all_literals() -> List[array]:
-        outs = []
-        for page in pages:
-            a = array("q")
-            a.frombytes(
-                np.frombuffer(page, dtype=np.uint8)
-                .astype(np.int64)
-                .tobytes()
-            )
-            outs.append(a)
-        return outs
-
-    if total < 3:
-        return all_literals()
-
-    pad = np.zeros(total + max_match + 16, dtype=np.uint8)
-    for page, s in zip(pages, starts):
-        if page:
-            pad[s : s + len(page)] = np.frombuffer(page, dtype=np.uint8)
-    data_np = pad[:total]
-
-    # --- hash chains ------------------------------------------------------
-    # prev[i] = nearest j < i with the same 3-byte hash. Positions whose
-    # trigram crosses a page boundary get inserted with a garbage hash,
-    # but they can only ever be *candidates* for positions in later pages,
-    # and those walkers stop at their own page floor first — so the
-    # per-page chain structure is exactly the scalar one.
-    d64 = data_np.astype(np.uint64)
-    key = d64[:-2] | (d64[1:-1] << np.uint64(8)) | (d64[2:] << np.uint64(16))
-    h = (
-        ((key * np.uint64(_HASH_MULT)) >> np.uint64(_HASH_SHIFT))
-        & np.uint64(_HASH_MASK)
-    ).astype(np.uint16)
-    order = np.argsort(h, kind="stable").astype(np.int64)
-    hs = h[order]
-    same = np.empty(len(order), dtype=bool)
-    same[0] = False
-    same[1:] = hs[1:] == hs[:-1]
-    prev = np.full(total, -1, dtype=np.int32)
-    prev[order[1:][same[1:]]] = order[:-1][same[1:]]
-
-    # Unaligned little-endian uint64 window at every byte offset.
-    sw = np.lib.stride_tricks.sliding_window_view(pad, 8)
-    u8win = np.ascontiguousarray(sw).view(np.uint64).ravel()
-
-    pos_all = np.arange(total, dtype=np.int32)
-    page_start = np.empty(total, dtype=np.int32)
-    page_end = np.empty(total, dtype=np.int32)
-    for page, s in zip(pages, starts):
-        page_start[s : s + len(page)] = s
-        page_end[s : s + len(page)] = s + len(page)
-    floors = np.maximum(pos_all - matcher.window_size, page_start).astype(
-        np.int32
-    )
-    ml_full = np.minimum(max_match, page_end - pos_all).astype(np.int32)
-
-    def lce(cands: np.ndarray, poss: np.ndarray) -> np.ndarray:
-        """Common extension length of each (candidate, position) pair."""
-        x = u8win[cands] ^ u8win[poss]
-        out = _first_diff_byte(x)
-        ext = np.flatnonzero(x == 0)
-        offv = 8
-        while len(ext) and offv <= max_match:
-            x2 = u8win[cands[ext] + offv] ^ u8win[poss[ext] + offv]
-            nz2 = x2 != 0
-            if nz2.any():
-                out[ext[nz2]] = offv + _first_diff_byte(x2[nz2])
-                ext = ext[~nz2]
-            offv += 8
-        if len(ext):
-            out[ext] = offv
-        return out
-
-    # --- step 0: every walker's first candidate ---------------------------
-    # One full LCE against the nearest chain entry seeds a *lower bound*
-    # on each position's final match. Positions the greedy/lazy scan
-    # never visits keep this bound (it is a real, decodable match); the
-    # demand loop below refines exactly the positions the scan reads.
-    wmask = (prev >= 0) & (pos_all + min_match <= page_end)
-    idx = pos_all[wmask]
-    best_len = np.full(total, min_match - 1, dtype=np.int32)
-    best_dist = np.zeros(total, dtype=np.int32)
-    if len(idx):
-        cand = prev[idx]
-        keep = cand >= floors[idx]
-        idx = idx[keep]
-        cand = cand[keep]
-    if len(idx) == 0:
-        return all_literals()
-    ml = ml_full[idx]
-    lce0 = np.minimum(lce(cand, idx), ml)
-    improved = lce0 > (min_match - 1)
-    best_len[idx] = np.where(improved, lce0, min_match - 1)
-    best_dist[idx] = np.where(improved, idx - cand, 0)
-
-    # `evaluated` marks positions whose token is already final: literals
-    # without a chain, and walkers whose first candidate reached max_len
-    # (the scalar early break — nothing can strictly beat it).
-    evaluated = np.ones(total, dtype=bool)
-    evaluated[idx[best_len[idx] < ml]] = False
-
-    max_chain = matcher.max_chain
-    tail_state: List = []  # lazily materialised once, shared by all calls
-
-    def evaluate(sub: np.ndarray) -> None:
-        """Finish the exact chain walk (steps 1+) for positions ``sub``."""
-        widx = sub.astype(np.int32)
-        wcand = prev[prev[widx]]
-        wfl = floors[widx]
-        wlb = best_len[widx]
-        wtb = pad[widx + wlb]
-
-        pair_pk: List[np.ndarray] = []
-        pair_ck: List[np.ndarray] = []
-        pair_ord: List[np.ndarray] = []
-        step = 1
-        while step < max_chain and len(widx) > _SCALAR_TAIL_WALKERS:
-            hops = min(_CHAIN_BLOCK, max_chain - step)
-            # Materialise the next `hops` chain candidates per walker:
-            # row r of `cands` holds each walker's candidate at step+r.
-            w = len(widx)
-            cands = np.empty((hops, w), dtype=np.int32)
-            cands[0] = wcand
-            for r in range(1, hops):
-                cands[r] = prev[cands[r - 1]]
-            # A walker is alive at hop r only if it was alive at every
-            # hop before it (chains strictly decrease, so once below the
-            # floor a walker never revives — cumulative AND replicates
-            # the scalar loop exit exactly).
-            alive = np.logical_and.accumulate(cands >= wfl, axis=0)
-            # Quick-reject against the step-0 lower bound. The scalar
-            # strengthens its target as the best improves; the weaker
-            # static bound only lets *more* candidates through to the
-            # full evaluation — never fewer — so results are unchanged.
-            ok = alive & (pad[cands + wlb] == wtb)
-            rs, ws = np.nonzero(ok)  # row-major == chain-step order
-            if len(ws):
-                pair_pk.append(widx[ws])
-                pair_ck.append(cands[rs, ws])
-                pair_ord.append(rs.astype(np.int32) + np.int32(step))
-            step += hops
-            live_mask = alive[-1]
-            wcand = prev[cands[-1]]
-            if not live_mask.all():
-                widx = widx[live_mask]
-                wcand = wcand[live_mask]
-                wfl = wfl[live_mask]
-                wlb = wlb[live_mask]
-                wtb = wtb[live_mask]
-
-        # Resolve every recorded pair at once. The sequential strict-``>``
-        # replay keeps, per position, the pair with the maximal length
-        # and the earliest chain step among maximals (a position is one
-        # walker, so steps never tie) — exactly the first row per
-        # position after sorting by (position, -length, step).
-        if pair_pk:
-            pk = np.concatenate(pair_pk)
-            ck = np.concatenate(pair_ck)
-            orda = np.concatenate(pair_ord)
-            lk = np.minimum(lce(ck, pk), ml_full[pk])
-            srt = np.lexsort((orda, -lk, pk))
-            pks = pk[srt]
-            first = np.empty(len(pks), dtype=bool)
-            first[0] = True
-            first[1:] = pks[1:] != pks[:-1]
-            wsel = srt[first]
-            wpk = pk[wsel]
-            wlk = lk[wsel]
-            better = wlk > best_len[wpk]
-            if better.any():
-                wpki = wpk[better]
-                best_len[wpki] = wlk[better]
-                best_dist[wpki] = wpki - ck[wsel][better]
-
-        # Scalar tail: finish straggler walkers with the exact walk.
-        if len(widx) and step < max_chain:
-            if not tail_state:
-                tail_state.append(prev.tolist())
-                tail_state.append(pad.tobytes())
-            prev_l, pad_b = tail_state
-            budget_left = max_chain - step
-            wl = widx.tolist()
-            cl = wcand.tolist()
-            fll = wfl.tolist()
-            bll = best_len[widx].tolist()
-            bdl = best_dist[widx].tolist()
-            mll = ml_full[widx].tolist()
-            for i, pos in enumerate(wl):
-                candidate = cl[i]
-                floor = fll[i]
-                bl = bll[i]
-                bd = bdl[i]
-                max_len = mll[i]
-                budget = budget_left
-                target = pad_b[pos + bl]
-                while candidate >= floor and budget > 0:
-                    budget -= 1
-                    if pad_b[candidate + bl] != target:
-                        candidate = prev_l[candidate]
-                        continue
-                    length = 0
-                    while (
-                        length + 32 <= max_len
-                        and pad_b[candidate + length : candidate + length + 32]
-                        == pad_b[pos + length : pos + length + 32]
-                    ):
-                        length += 32
-                    while (
-                        length < max_len
-                        and pad_b[candidate + length] == pad_b[pos + length]
-                    ):
-                        length += 1
-                    if length > bl:
-                        bl = length
-                        bd = pos - candidate
-                        if length >= max_len:
-                            break
-                        target = pad_b[pos + bl]
-                    candidate = prev_l[candidate]
-                best_len[pos] = bl
-                best_dist[pos] = bd
-
-    # --- demand loop: evaluate only what the scan actually reads ----------
-    # The greedy/lazy scan visits ~a quarter of all positions (matches
-    # skip the rest). Walk the scan against the current bounds, exactly
-    # evaluate every visited-but-unfinished position (plus its +1
-    # neighbour, which the lazy probe reads), and re-walk. Bounds only
-    # ever grow, so when a walk touches only evaluated positions it is
-    # *the* exact scan — identical to evaluating every position.
-    lazy = matcher.lazy
-    starts_arr = np.array(starts, dtype=np.int32)
-    if lazy:
-        page_len = page_end - page_start
-        lp = pos_all - page_start
-        defer_ok = (lp <= page_len - min_match - 1) & (lp <= page_len - 2)
-    else:
-        defer_ok = np.zeros(total, dtype=bool)
-
-    def scan_visited() -> Tuple[np.ndarray, np.ndarray]:
-        """Pointer-double the greedy/lazy scan over the current bounds.
-
-        Returns (visited positions mask, literal-step mask): after k
-        doubling rounds the frontier covers the first 2^k scan steps of
-        every page, so total work is O(path * log n) for the batch.
-        """
-        lengths = np.where(best_len >= min_match, best_len, np.int32(0))
-        ln_next = np.empty(total, dtype=np.int32)
-        ln_next[:-1] = lengths[1:]
-        ln_next[-1] = 0
-        defer = defer_ok & (lengths > 0) & (ln_next > lengths)
-        literal_step = (lengths == 0) | defer
-        nxt = np.where(literal_step, pos_all + np.int32(1), pos_all + lengths)
-        np.minimum(nxt, page_end, out=nxt)
-        # Page ends absorb into the shared sentinel so walks never leak
-        # into the next page of the batch.
-        nxt[nxt == page_end] = total
-        jump = np.empty(total + 1, dtype=np.int32)
-        jump[:total] = nxt
-        jump[total] = total
-        visited = np.zeros(total + 1, dtype=bool)
-        frontier = starts_arr
-        visited[frontier] = True
-        while True:
-            nx = jump[frontier]
-            nx = nx[~visited[nx]]
-            if len(nx) == 0:
-                break
-            visited[nx] = True
-            frontier = np.concatenate([frontier, nx])
-            jump = jump[jump]
-        return visited[:total], literal_step
-
-    rounds = 0
-    while True:
-        vis, literal_step = scan_visited()
-        if evaluated.all():
-            break
-        need = vis.copy()
-        need[1:] |= vis[:-1]  # the lazy probe reads position + 1
-        need &= ~evaluated
-        sub = np.flatnonzero(need)
-        if len(sub) == 0:
-            break
-        rounds += 1
-        if rounds > 12:  # safety net: finish everything in one pass
-            sub = np.flatnonzero(~evaluated)
-        elif rounds > 1 and len(sub) < 4096:
-            # Path repair after an improved match usually resyncs within
-            # a few bytes; evaluating a short right-dilation of the
-            # changed set (extra exactness never hurts) collapses the
-            # geometric tail of tiny fix-up rounds into one.
-            ext = (sub[:, None] + _DILATE).ravel()
-            grow = need
-            grow[ext[ext < total]] = True
-            grow &= ~evaluated
-            sub = np.flatnonzero(grow)
-        evaluate(sub)
-        evaluated[sub] = True
-
-    # --- emission straight off the fixed-point walk -----------------------
-    vis_idx = np.flatnonzero(vis)
-    bl = best_len[vis_idx].astype(np.int64)
-    bd = best_dist[vis_idx].astype(np.int64)
-    packed = (bd << PACKED_LENGTH_BITS) | bl
-    emitted = np.where(
-        literal_step[vis_idx], data_np[vis_idx].astype(np.int64), packed
-    )
-    bounds = np.searchsorted(vis_idx, starts_arr)
-    outs: List[array] = []
-    for i in range(len(pages)):
-        o = bounds[i]
-        e = bounds[i + 1] if i + 1 < len(pages) else len(vis_idx)
-        a = array("q")
-        a.frombytes(emitted[o:e].tobytes())
-        outs.append(a)
-    return outs
-
-
-def pack_tokens(tokens: Iterable[Token]) -> array:
-    """Convert object tokens to the packed representation."""
-    out = array("q")
-    for token in tokens:
-        if isinstance(token, Literal):
-            out.append(token.byte)
-        else:
-            out.append((token.distance << PACKED_LENGTH_BITS) | token.length)
-    return out
-
 
 def extend_match(out: bytearray, start: int, length: int) -> None:
     """Append ``length`` bytes copied from ``out[start:]`` (may overlap).
@@ -797,34 +295,9 @@ def extend_match(out: bytearray, start: int, length: int) -> None:
     out += chunk[:length]
 
 
-def detokenize(tokens: Iterable[Token]) -> bytes:
-    """Reconstruct the original bytes from an LZ77 token stream."""
-    out = bytearray()
-    for token in tokens:
-        if isinstance(token, Literal):
-            out.append(token.byte)
-        else:
-            start = len(out) - token.distance
-            if start < 0:
-                raise ValueError(
-                    f"match distance {token.distance} exceeds output "
-                    f"length {len(out)}"
-                )
-            extend_match(out, start, token.length)
-    return bytes(out)
-
-
 def detokenize_packed(tokens: Iterable[int]) -> bytes:
-    """Reconstruct the original bytes from a packed token stream.
-
-    Literal *runs* are appended in bulk (one slice assignment per run)
-    instead of byte-by-byte; matches keep the doubling copy of
-    :func:`extend_match`.
-    """
-    if isinstance(tokens, array) and tokens.typecode == "q":
-        return _detokenize_packed_fast(tokens)
+    """Reconstruct the original bytes from a packed token stream."""
     out = bytearray()
-    mask = PACKED_LENGTH_MASK
     for token in tokens:
         if token < 256:
             out.append(token)
@@ -836,58 +309,5 @@ def detokenize_packed(tokens: Iterable[int]) -> bytes:
                     f"match distance {distance} exceeds output "
                     f"length {len(out)}"
                 )
-            extend_match(out, start, token & mask)
+            extend_match(out, start, token & PACKED_LENGTH_MASK)
     return bytes(out)
-
-
-def _detokenize_packed_fast(tokens: array) -> bytes:
-    """Bulk detokenizer for packed ``array('q')`` streams.
-
-    Vectorizes the literal fills: consecutive literal tokens become one
-    ``bytes`` conversion + slice append, and matches are located up front
-    with numpy so the Python loop only runs once per match.
-    """
-    ntok = len(tokens)
-    if ntok == 0:
-        return b""
-    tok_np = np.frombuffer(tokens, dtype=np.int64)
-    match_idx = np.flatnonzero(tok_np >= 256)
-    if len(match_idx) == 0:
-        return tok_np.astype(np.uint8).tobytes()
-    out = bytearray()
-    mask = PACKED_LENGTH_MASK
-    lit8 = tok_np.astype(np.uint8)  # match slots hold garbage, never read
-    cursor = 0
-    for mi in match_idx.tolist():
-        if mi > cursor:
-            out += lit8[cursor:mi].tobytes()
-        token = tokens[mi]
-        distance = token >> PACKED_LENGTH_BITS
-        start = len(out) - distance
-        if start < 0:
-            raise ValueError(
-                f"match distance {distance} exceeds output "
-                f"length {len(out)}"
-            )
-        extend_match(out, start, token & mask)
-        cursor = mi + 1
-    if cursor < ntok:
-        out += lit8[cursor:].tobytes()
-    return bytes(out)
-
-
-def token_stream_cost(tokens: Iterable[Token]) -> int:
-    """Total decoded length implied by a token stream, in bytes."""
-    total = 0
-    for token in tokens:
-        total += 1 if isinstance(token, Literal) else token.length
-    return total
-
-
-def token_stream_cost_packed(tokens: Iterable[int]) -> int:
-    """Total decoded length implied by a packed token stream, in bytes."""
-    total = 0
-    mask = PACKED_LENGTH_MASK
-    for token in tokens:
-        total += 1 if token < 256 else token & mask
-    return total

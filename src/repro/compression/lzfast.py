@@ -14,12 +14,12 @@ Token stream (after the ``magic | mode | varint(orig_len)`` header):
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.compression import _native
-from repro.compression.base import Codec, CodecSpec, batch_stats, register_codec
+from repro.compression.base import Codec, CodecSpec, register_codec
 from repro.compression.lz77 import extend_match
 from repro.errors import ConfigError, CorruptStreamError
 
@@ -38,16 +38,6 @@ _HASH_MULT = 2654435761
 
 #: Hash-table scratch for the native compressor (re-memset per call).
 _NATIVE_TABLE_SCRATCH = None
-
-
-def _hash4(data: bytes, i: int) -> int:
-    key = (
-        data[i]
-        | (data[i + 1] << 8)
-        | (data[i + 2] << 16)
-        | (data[i + 3] << 24)
-    )
-    return ((key * _HASH_MULT) >> 16) & _HASH_MASK
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -185,19 +175,6 @@ class LzFastCodec(Codec):
             stored.extend(data)
             return bytes(stored)
         return bytes(out)
-
-    def compress_batch(self, pages: Sequence[bytes]) -> List[bytes]:
-        """Batched compress: the table scratch is reused across pages."""
-        blobs = [self.compress(page) for page in pages]
-        batch_stats.compress_batch_calls += 1
-        batch_stats.compress_batch_pages += len(blobs)
-        return blobs
-
-    def decompress_batch(self, blobs: Sequence[bytes]) -> List[bytes]:
-        pages = [self.decompress(blob) for blob in blobs]
-        batch_stats.decompress_batch_calls += 1
-        batch_stats.decompress_batch_pages += len(blobs)
-        return pages
 
     def _compress_native(self, data: bytes) -> Optional[bytes]:
         """C token emitter; ``None`` falls back to the Python loop."""

@@ -17,10 +17,15 @@ Blob layout::
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.compression.base import Codec, CodecSpec, batch_stats, register_codec
-from repro.compression.bitio import BitReader, BitWriter
+from repro.compression.base import Codec, CodecSpec, register_codec
+from repro.compression.bitio import (
+    BitReader,
+    BitWriter,
+    read_varint_bits,
+    write_varint_bits,
+)
 from repro.compression.huffman import HuffmanTable
 from repro.compression.lz77 import (
     PACKED_LENGTH_BITS,
@@ -35,29 +40,6 @@ _MODE_STORED = 0
 _MODE_COMPRESSED = 1
 
 _MIN_MATCH = 3
-
-
-def _write_varint_bits(writer: BitWriter, value: int) -> None:
-    while True:
-        chunk = value & 0x7F
-        value >>= 7
-        writer.write_bits(1 if value else 0, 1)
-        writer.write_bits(chunk, 7)
-        if not value:
-            return
-
-
-def _read_varint_bits(reader: BitReader) -> int:
-    value = 0
-    shift = 0
-    while True:
-        more = reader.read_bits(1)
-        value |= reader.read_bits(7) << shift
-        if not more:
-            return value
-        shift += 7
-        if shift > 35:
-            raise CorruptStreamError("varint too long")
 
 
 @register_codec
@@ -89,52 +71,26 @@ class ZstdLikeCodec(Codec):
         self.window_size = window_size
 
     def compress(self, data: bytes) -> bytes:
-        return self._compress_one(data, None)
-
-    def compress_batch(self, pages: Sequence[bytes]) -> List[bytes]:
-        """Batched compress: one batched tokenize feeds every page."""
-        pages = list(pages)
-        if not pages:
-            return []
-        token_iter = iter(
-            self._matcher.tokenize_packed_batch([p for p in pages if p])
-        )
-        blobs = [
-            self._compress_one(page, next(token_iter) if page else None)
-            for page in pages
-        ]
-        batch_stats.compress_batch_calls += 1
-        batch_stats.compress_batch_pages += len(pages)
-        return blobs
-
-    def decompress_batch(self, blobs: Sequence[bytes]) -> List[bytes]:
-        pages = [self.decompress(blob) for blob in blobs]
-        batch_stats.decompress_batch_calls += 1
-        batch_stats.decompress_batch_pages += len(blobs)
-        return pages
-
-    def _compress_one(self, data: bytes, packed) -> bytes:
-        body = self._compress_body(data, packed) if data else b""
+        body = self._compress_body(data) if data else b""
         writer = BitWriter()
         if not data or len(body) + 3 >= len(data):
             writer.write_bits(_MAGIC, 8)
             writer.write_bits(_MODE_STORED, 8)
-            _write_varint_bits(writer, len(data))
+            write_varint_bits(writer, len(data))
             writer.write_bits(zlib.crc32(data), 32)
             writer.align_to_byte()
             writer.write_bytes(data)
             return writer.getvalue()
         writer.write_bits(_MAGIC, 8)
         writer.write_bits(_MODE_COMPRESSED, 8)
-        _write_varint_bits(writer, len(data))
+        write_varint_bits(writer, len(data))
         writer.write_bits(zlib.crc32(data), 32)
         writer.align_to_byte()
         writer.write_bytes(body)
         return writer.getvalue()
 
-    def _compress_body(self, data: bytes, packed=None) -> bytes:
-        if packed is None:
-            packed = self._matcher.tokenize_packed(data)
+    def _compress_body(self, data: bytes) -> bytes:
+        packed = self._matcher.tokenize_packed(data)
         literals = bytearray()
         append_literal = literals.append
         # Sequence: (literal_run, match_length, offset); a trailing run of
@@ -156,7 +112,7 @@ class ZstdLikeCodec(Codec):
             sequences.append((run, 0, 0))
 
         writer = BitWriter()
-        _write_varint_bits(writer, len(literals))
+        write_varint_bits(writer, len(literals))
         if literals:
             freq = [0] * 256
             for byte in literals:
@@ -172,12 +128,12 @@ class ZstdLikeCodec(Codec):
             write_bits = writer.write_bits
             for byte in literals:
                 write_bits(codes_lsb[byte], lengths[byte])
-        _write_varint_bits(writer, len(sequences))
+        write_varint_bits(writer, len(sequences))
         for lit_run, match_len, offset in sequences:
-            _write_varint_bits(writer, lit_run)
-            _write_varint_bits(writer, match_len)
+            write_varint_bits(writer, lit_run)
+            write_varint_bits(writer, match_len)
             if match_len:
-                _write_varint_bits(writer, offset)
+                write_varint_bits(writer, offset)
         return writer.getvalue()
 
     def decompress(self, blob: bytes) -> bytes:
@@ -185,7 +141,7 @@ class ZstdLikeCodec(Codec):
         if reader.read_bits(8) != _MAGIC:
             raise CorruptStreamError("bad zstd-like magic")
         mode = reader.read_bits(8)
-        orig_len = _read_varint_bits(reader)
+        orig_len = read_varint_bits(reader)
         checksum = reader.read_bits(32)
         reader.align_to_byte()
         if mode == _MODE_STORED:
@@ -196,7 +152,7 @@ class ZstdLikeCodec(Codec):
         if mode != _MODE_COMPRESSED:
             raise CorruptStreamError(f"unknown zstd-like mode {mode}")
 
-        lit_count = _read_varint_bits(reader)
+        lit_count = read_varint_bits(reader)
         literals = bytearray()
         if lit_count:
             lengths = [reader.read_bits(4) for _ in range(256)]
@@ -205,19 +161,19 @@ class ZstdLikeCodec(Codec):
             append = literals.append
             for _ in range(lit_count):
                 append(decode(reader))
-        seq_count = _read_varint_bits(reader)
+        seq_count = read_varint_bits(reader)
 
         out = bytearray()
         lit_pos = 0
         for _ in range(seq_count):
-            lit_run = _read_varint_bits(reader)
-            match_len = _read_varint_bits(reader)
+            lit_run = read_varint_bits(reader)
+            match_len = read_varint_bits(reader)
             if lit_pos + lit_run > len(literals):
                 raise CorruptStreamError("literal section overrun")
             out += literals[lit_pos : lit_pos + lit_run]
             lit_pos += lit_run
             if match_len:
-                offset = _read_varint_bits(reader)
+                offset = read_varint_bits(reader)
                 start = len(out) - offset
                 if start < 0 or offset == 0 or match_len < _MIN_MATCH:
                     raise CorruptStreamError("invalid sequence")

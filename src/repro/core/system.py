@@ -174,13 +174,12 @@ class MultiChannelXfmBackend:
             raise SfmError(f"page 0x{page.vaddr:x} has no resident data")
 
         stripes = self.layout.split(page.data)
-        # All stripes compress under the same codec config, so they run
-        # as ONE batched call (shared tokenizer working set, warm table
-        # caches) — the per-DIMM device model below still accounts each
-        # stripe's offload individually. Compression is pure, so the
-        # blobs are bit-identical to per-stripe calls. Fault-injection
-        # runs fire per-NMA inside compress_page, so batching is only
-        # taken when injection is off (the hot path).
+        # All stripes compress under the same codec config, so they go
+        # to the codec as ONE batch — the per-DIMM device model below
+        # still accounts each stripe's offload individually. Compression
+        # is pure, so the blobs are bit-identical to per-stripe calls.
+        # Fault-injection runs fire per-NMA inside compress_page, so
+        # batching is only taken when injection is off (the hot path).
         precomputed: Optional[List[bytes]] = None
         if not _faults.injection_enabled():
             precomputed = self.dimms[0].nma.codec.compress_batch(stripes)

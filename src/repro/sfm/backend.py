@@ -209,17 +209,16 @@ class SfmBackend:
         return self.codec.compress(data)
 
     def swap_out_batch(self, pages: Sequence[Page]) -> List[SwapOutcome]:
-        """Swap out many pages, batching the compressor hot path.
+        """Swap out many pages, handing the codec one batch per call.
 
         Pages whose content will miss the digest cache are compressed in a
         single :meth:`~repro.compression.base.Codec.compress_batch` call
         up front; each page then takes the exact scalar :meth:`swap_out`
         path with its blob precomputed. Compression happens before every
         accept/reject decision in ``swap_out``, so outcomes, statistics,
-        traces, and stored bytes are byte-identical to a sequential loop —
-        batching is purely a host-performance optimisation. Duplicate
-        contents inside one batch are compressed once; later copies hit
-        the digest cache exactly as they would sequentially.
+        traces, and stored bytes are byte-identical to a sequential loop.
+        Duplicate contents inside one batch are compressed once; later
+        copies hit the digest cache exactly as they would sequentially.
 
         Subclasses that replace the scalar path (e.g. the NMA offload in
         ``XfmBackend``) keep their per-page semantics: the batch defers to

@@ -109,8 +109,8 @@ class PipelineStats(StatsFacade):
 FAILURE_REASONS = frozenset({"link-error", "device-fault"})
 
 #: Victims gathered per demotion round before batch placement. Bounded so
-#: the batch codec's scratch buffers stay cache-resident and a cascade
-#: cannot swap in an unbounded amount of data before placing any of it.
+#: a cascade cannot swap in an unbounded amount of data before placing
+#: any of it.
 DEMOTE_BATCH_PAGES = 8
 
 

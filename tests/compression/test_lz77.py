@@ -5,65 +5,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.lz77 import (
-    Literal,
+    PACKED_LENGTH_BITS,
+    PACKED_LENGTH_MASK,
     Lz77Matcher,
-    Match,
-    detokenize,
-    token_stream_cost,
+    detokenize_packed,
 )
 from repro.errors import ConfigError
 
 
-class TestTokens:
-    def test_literal_range_checked(self):
-        with pytest.raises(ValueError):
-            Literal(300)
+def _tokens(data, **config):
+    return list(Lz77Matcher(**config).tokenize_packed(data))
 
-    def test_match_length_bounds(self):
-        with pytest.raises(ValueError):
-            Match(length=2, distance=1)
-        with pytest.raises(ValueError):
-            Match(length=300, distance=1)
 
-    def test_match_distance_positive(self):
-        with pytest.raises(ValueError):
-            Match(length=3, distance=0)
+def _matches(tokens):
+    return [t for t in tokens if t >= 256]
 
 
 class TestMatcher:
     def test_empty_input(self):
-        assert Lz77Matcher().tokenize(b"") == []
+        assert _tokens(b"") == []
 
     def test_incompressible_is_all_literals(self):
         data = bytes(range(64))
-        tokens = Lz77Matcher().tokenize(data)
-        assert all(isinstance(t, Literal) for t in tokens)
-        assert detokenize(tokens) == data
+        tokens = _tokens(data)
+        assert tokens == list(data)
+        assert detokenize_packed(tokens) == data
 
     def test_repetition_produces_matches(self):
         data = b"abcabcabcabcabcabc"
-        tokens = Lz77Matcher().tokenize(data)
-        assert any(isinstance(t, Match) for t in tokens)
-        assert detokenize(tokens) == data
+        tokens = _tokens(data)
+        assert _matches(tokens)
+        assert detokenize_packed(tokens) == data
 
     def test_overlapping_match(self):
         # Run-length case: distance < length requires overlapped copy.
         data = b"a" * 100
-        tokens = Lz77Matcher().tokenize(data)
-        matches = [t for t in tokens if isinstance(t, Match)]
-        assert matches and matches[0].distance == 1
-        assert detokenize(tokens) == data
+        tokens = _tokens(data)
+        matches = _matches(tokens)
+        assert matches and matches[0] >> PACKED_LENGTH_BITS == 1
+        assert detokenize_packed(tokens) == data
 
     def test_window_limits_match_distance(self):
         window = 64
-        matcher = Lz77Matcher(window_size=window, lazy=False)
         pattern = bytes(range(32))
         data = pattern + bytes(200) + pattern
-        tokens = matcher.tokenize(data)
-        for token in tokens:
-            if isinstance(token, Match):
-                assert token.distance <= window
-        assert detokenize(tokens) == data
+        tokens = _tokens(data, window_size=window, lazy=False)
+        for token in _matches(tokens):
+            assert token >> PACKED_LENGTH_BITS <= window
+        assert detokenize_packed(tokens) == data
 
     def test_small_window_rejected(self):
         with pytest.raises(ConfigError):
@@ -75,29 +64,31 @@ class TestMatcher:
 
     def test_lazy_never_worse_than_greedy(self, json_pages):
         data = json_pages[0]
-        lazy = Lz77Matcher(lazy=True).tokenize(data)
-        greedy = Lz77Matcher(lazy=False).tokenize(data)
-        assert detokenize(lazy) == data
-        assert detokenize(greedy) == data
+        lazy = _tokens(data, lazy=True)
+        greedy = _tokens(data, lazy=False)
+        assert detokenize_packed(lazy) == data
+        assert detokenize_packed(greedy) == data
         # Lazy matching should not produce a longer token stream.
         assert len(lazy) <= len(greedy) * 1.05
 
     def test_token_stream_cost_equals_length(self, text_pages):
         data = text_pages[0]
-        tokens = Lz77Matcher().tokenize(data)
-        assert token_stream_cost(tokens) == len(data)
+        cost = sum(
+            1 if t < 256 else t & PACKED_LENGTH_MASK for t in _tokens(data)
+        )
+        assert cost == len(data)
 
 
 def test_detokenize_rejects_bad_distance():
     with pytest.raises(ValueError):
-        detokenize([Match(length=3, distance=5)])
+        detokenize_packed([(5 << PACKED_LENGTH_BITS) | 3])
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.binary(max_size=2048))
 def test_lz77_round_trip_property(data):
-    matcher = Lz77Matcher(window_size=1024, max_chain=16)
-    assert detokenize(matcher.tokenize(data)) == data
+    tokens = _tokens(data, window_size=1024, max_chain=16)
+    assert detokenize_packed(tokens) == data
 
 
 @settings(deadline=None, max_examples=20)
@@ -108,4 +99,4 @@ def test_lz77_round_trip_property(data):
 def test_lz77_round_trip_repetitive_property(chunk, repeats):
     """Highly repetitive inputs (the SFM-relevant case) round-trip."""
     data = chunk * repeats
-    assert detokenize(Lz77Matcher().tokenize(data)) == data
+    assert detokenize_packed(_tokens(data)) == data

@@ -5,26 +5,28 @@ the window does not bind.
 
 from repro.compression.lz77 import (
     MAX_MATCH,
+    PACKED_LENGTH_MASK,
     Lz77Matcher,
-    Match,
-    detokenize,
+    detokenize_packed,
 )
 from repro.compression.deflate import DeflateCodec
 
 PAGE = 4096
 
 
+def _match_lengths(tokens):
+    return [t & PACKED_LENGTH_MASK for t in tokens if t >= 256]
+
+
 class TestMaxMatchAtPageBoundary:
     def test_full_page_run_round_trips(self):
         data = b"x" * PAGE
-        tokens = Lz77Matcher().tokenize(data)
-        matches = [t for t in tokens if isinstance(t, Match)]
+        tokens = Lz77Matcher().tokenize_packed(data)
         # A page-long run must be carved into MAX_MATCH copies, and the
         # final copy must stop exactly at the boundary — not read past
         # it, not leave a tail literal the detokenizer can't place.
-        assert matches
-        assert max(m.length for m in matches) == MAX_MATCH
-        assert detokenize(tokens) == data
+        assert max(_match_lengths(tokens)) == MAX_MATCH
+        assert detokenize_packed(tokens) == data
 
     def test_run_ending_exactly_at_boundary(self):
         # Literal prefix, then a run sized so the *last* match ends at
@@ -33,32 +35,16 @@ class TestMaxMatchAtPageBoundary:
         data = (prefix + b"y" * (PAGE - len(prefix)))[:PAGE]
         assert len(data) == PAGE
         for lazy in (False, True):
-            tokens = Lz77Matcher(lazy=lazy).tokenize(data)
-            assert detokenize(tokens) == data
+            tokens = Lz77Matcher(lazy=lazy).tokenize_packed(data)
+            assert detokenize_packed(tokens) == data
 
     def test_run_one_byte_short_of_max_match(self):
         # length MAX_MATCH-1 and MAX_MATCH+1 straddle the cap.
         for run in (MAX_MATCH - 1, MAX_MATCH, MAX_MATCH + 1):
             data = b"ab" + b"z" * run + b"cd"
-            tokens = Lz77Matcher().tokenize(data)
-            assert detokenize(tokens) == data
-            assert all(
-                t.length <= MAX_MATCH
-                for t in tokens
-                if isinstance(t, Match)
-            )
-
-    def test_batch_tokenizer_agrees_on_boundary_runs(self):
-        matcher = Lz77Matcher(window_size=4096)
-        pages = [
-            b"x" * PAGE,
-            bytes(range(37)) + b"y" * (PAGE - 37),
-            b"\x00" * PAGE,
-            b"",
-        ]
-        batch = matcher.tokenize_packed_batch(pages)
-        for page, packed in zip(pages, batch):
-            assert list(packed) == list(matcher.tokenize_packed(page))
+            tokens = Lz77Matcher().tokenize_packed(data)
+            assert detokenize_packed(tokens) == data
+            assert max(_match_lengths(tokens)) <= MAX_MATCH
 
 
 class TestWindowEquivalence:

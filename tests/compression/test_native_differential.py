@@ -1,4 +1,4 @@
-"""Native C hot-path kernels vs the pure-Python/numpy reference.
+"""Native C hot-path kernels vs the pure-Python reference.
 
 The accelerator contract is byte-identity: ``_hotpath.c`` is a
 decision-for-decision translation, so flipping ``REPRO_NO_NATIVE`` must
@@ -14,7 +14,9 @@ import pytest
 
 from repro.compression import _native
 from repro.compression.deflate import DeflateCodec, train_static_tables
+from repro.compression.lz77 import Lz77Matcher
 from repro.compression.lzfast import LzFastCodec
+from repro.compression.tuning import DEFAULT_GRID
 from repro.workloads.corpus import CORPUS_NAMES, corpus_pages
 
 
@@ -73,3 +75,21 @@ class TestNativeVsPython:
         # Cross-engine decode: native decoder reads python-encoded
         # blobs (and the plain codec reads mode-3 registry-free).
         assert DeflateCodec().decompress_batch(python_blobs) == pages
+
+
+@pytest.mark.skipif(
+    not _native.available(), reason="no native kernels on this host"
+)
+class TestNativeMatcherVsScalarReference:
+    """The matcher link of the oracle chain, on page-sized input: the C
+    kernel against the declared reference, token for token."""
+
+    @pytest.mark.parametrize("window_size,max_chain,lazy", DEFAULT_GRID)
+    def test_tokens_identical(self, window_size, max_chain, lazy):
+        matcher = Lz77Matcher(
+            window_size=window_size, max_chain=max_chain, lazy=lazy
+        )
+        for page in _corpus() + [bytes(range(37)) + b"y" * (4096 - 37)]:
+            native = matcher._tokenize_packed_native(page)
+            assert native is not None
+            assert list(native) == list(matcher._tokenize_packed_scalar(page))

@@ -2,11 +2,12 @@
 
 Two layers of pinning:
 
-* **Token-sequence equivalence** — a verbatim copy of the seed
-  (pre-overhaul) object-based tokenizer lives in this file as the
-  reference; the packed tokenizer must emit the identical token sequence
-  on every corpus class, every adversarial buffer, and seeded fuzz pages
-  from the PR-1 generators.
+* **Token-sequence equivalence** — a copy of the seed (pre-overhaul)
+  tokenizer lives in this file as the oracle, verbatim except that it
+  emits packed ints instead of token objects; the scalar reference
+  engine (and whichever engine ``tokenize_packed`` dispatches to) must
+  emit the identical token sequence on every corpus class, every
+  adversarial buffer, and seeded fuzz pages from the PR-1 generators.
 
 * **Compressed-byte identity** — CRC32s of the blobs the *seed*
   implementation produced (captured at commit 5beed81, before any hot
@@ -24,14 +25,10 @@ from hypothesis import strategies as st
 from repro.compression.deflate import DeflateCodec
 from repro.compression.lz77 import (
     MIN_MATCH,
-    Literal,
+    PACKED_LENGTH_BITS,
+    PACKED_LENGTH_MASK,
     Lz77Matcher,
-    Match,
-    detokenize,
     detokenize_packed,
-    pack_tokens,
-    token_stream_cost,
-    token_stream_cost_packed,
 )
 from repro.compression.lzfast import LzFastCodec
 from repro.compression.zstd_like import ZstdLikeCodec
@@ -79,12 +76,12 @@ def _reference_best_match(m, data, pos, head, prev):
                 break
         candidate = prev[candidate]
     if best_len >= m.min_match:
-        return Match(length=best_len, distance=best_dist)
+        return (best_dist << PACKED_LENGTH_BITS) | best_len
     return None
 
 
 def reference_tokenize(m, data):
-    """The seed ``Lz77Matcher.tokenize``, object allocation and all."""
+    """The seed ``Lz77Matcher.tokenize``, emitting packed ints."""
     n = len(data)
     tokens = []
     if n == 0:
@@ -102,38 +99,37 @@ def reference_tokenize(m, data):
     while pos < n:
         match = _reference_best_match(m, data, pos, head, prev)
         if match is None:
-            tokens.append(Literal(data[pos]))
+            tokens.append(data[pos])
             insert(pos)
             pos += 1
             continue
         if m.lazy and pos + 1 + m.min_match <= n:
             insert(pos)
             next_match = _reference_best_match(m, data, pos + 1, head, prev)
-            if next_match is not None and next_match.length > match.length:
-                tokens.append(Literal(data[pos]))
+            if next_match is not None and (
+                next_match & PACKED_LENGTH_MASK
+            ) > (match & PACKED_LENGTH_MASK):
+                tokens.append(data[pos])
                 pos += 1
                 continue
             tokens.append(match)
-            for i in range(pos + 1, pos + match.length):
+            for i in range(pos + 1, pos + (match & PACKED_LENGTH_MASK)):
                 insert(i)
-            pos += match.length
+            pos += match & PACKED_LENGTH_MASK
             continue
         tokens.append(match)
-        for i in range(pos, pos + match.length):
+        for i in range(pos, pos + (match & PACKED_LENGTH_MASK)):
             insert(i)
-        pos += match.length
+        pos += match & PACKED_LENGTH_MASK
     return tokens
 
 
 def _assert_equivalent(matcher, data):
     reference = reference_tokenize(matcher, data)
-    packed = matcher.tokenize_packed(data)
-    adapted = matcher.tokenize(data)
-    assert adapted == reference
-    assert list(packed) == list(pack_tokens(reference))
-    assert detokenize_packed(packed) == data
-    assert detokenize(adapted) == data
-    assert token_stream_cost_packed(packed) == token_stream_cost(reference)
+    scalar = matcher._tokenize_packed_scalar(data)
+    assert list(scalar) == reference
+    assert list(matcher.tokenize_packed(data)) == reference
+    assert detokenize_packed(scalar) == data
 
 
 _MATCHER_CONFIGS = (

@@ -44,7 +44,6 @@ class TestEquivalence:
         backend.swap_out_batch(_pages(6))
         assert batch_stats.compress_batch_calls == 1
         assert batch_stats.compress_batch_pages == 6
-        assert batch_stats.compress_scalar_fallback_calls == 0
 
     def test_empty_batch(self):
         backend = SfmBackend(capacity_bytes=CAP)

@@ -68,7 +68,6 @@ class TestDemoteColdest:
         assert batch_stats.site_pages.get("tier_demote", 0) == moved
         assert batch_stats.compress_batch_calls == 2
         assert batch_stats.compress_batch_pages == moved
-        assert batch_stats.compress_scalar_fallback_calls == 0
 
 
 class TestRebalanceBatching:

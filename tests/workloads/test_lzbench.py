@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compression import DeflateCodec, LzFastCodec, _native
 from repro.errors import ConfigError
 from repro.workloads.lzbench import (
     format_lzbench,
@@ -59,8 +60,17 @@ class TestReporting:
         for stats in summary.values():
             assert stats["geomean_ratio"] >= 0.9
             assert stats["mean_compress_mbps"] > 0
-        # The byte-aligned codec compresses fastest (its design point).
+        # The byte-aligned codec compresses fastest (its design point):
+        # always in the modelled cost, and in wall-clock time when the
+        # kernels run (130 vs 6-18 MB/s). On the Python reference engines
+        # scalar deflate beats pure-Python lzfast on zero and random
+        # pages, so the host ordering over these 6 pages is a coin toss.
         assert (
-            summary["lzfast"]["mean_compress_mbps"]
-            > summary["deflate"]["mean_compress_mbps"]
+            LzFastCodec.spec.compress_cycles_per_byte
+            < DeflateCodec.spec.compress_cycles_per_byte
         )
+        if _native.available():
+            assert (
+                summary["lzfast"]["mean_compress_mbps"]
+                > summary["deflate"]["mean_compress_mbps"]
+            )
