@@ -376,10 +376,11 @@ def tier_overhead_ratio(repeats: int = 5) -> float:
 
     Times a zswap store/load loop over a bare ``SfmBackend`` against the
     identical loop over a single-CPU-tier ``TierPipeline`` wrapping the
-    same backend class. Both loops are codec-dominated, so the ratio
-    isolates the pipeline's placement/LRU/accounting bookkeeping; CI
-    gates it at < 5% (``run_perf.py tier-guard``). Measured in-process
-    (same machine, same run) like :func:`telemetry_overhead_ratio`.
+    same backend class. The ratio isolates the pipeline's
+    placement/LRU/accounting bookkeeping (~4 us per op over a ~40 us
+    loop of digest-cache-hit stores and native decodes); CI gates it at
+    < 25% (``run_perf.py tier-guard``). Measured in-process (same
+    machine, same run) like :func:`telemetry_overhead_ratio`.
     """
     from repro.sfm.backend import SfmBackend
     from repro.sfm.zswap import ZswapFrontend
@@ -402,15 +403,17 @@ def tier_overhead_ratio(repeats: int = 5) -> float:
 
     def loop(frontend: ZswapFrontend) -> Callable[[], None]:
         def op() -> None:
-            # Exclusive loads empty the pool, so every batch is a full
-            # store-all / load-all cycle — the single-tier store path
-            # the gate protects.
-            for offset, data in enumerate(pages):
-                if not frontend.store(0, offset, data):
-                    raise AssertionError("zswap store rejected")
-            for offset, data in enumerate(pages):
-                if frontend.load(0, offset) != data:
-                    raise AssertionError("zswap load mismatch")
+            # Exclusive loads empty the pool, so every cycle is a full
+            # store-all / load-all — the single-tier store path the
+            # gate protects. 25 cycles per timed call: one is ~0.4 ms,
+            # too short to time.
+            for _ in range(25):
+                for offset, data in enumerate(pages):
+                    if not frontend.store(0, offset, data):
+                        raise AssertionError("zswap store rejected")
+                for offset, data in enumerate(pages):
+                    if frontend.load(0, offset) != data:
+                        raise AssertionError("zswap load mismatch")
 
         return op
 
@@ -432,7 +435,8 @@ KERNELS: Dict[str, Tuple[Callable[[], Callable[[], None]], int]] = {
     "swap_telemetry_off": (_kernel_swap_telemetry_off, 1),
     "swap_telemetry_on": (_kernel_swap_telemetry_on, 1),
     "tier_pipeline_store": (_kernel_tier_pipeline_store, 20),
-    "tier_pipeline_load": (_kernel_tier_pipeline_load, 2),
+    # 20: a batch is ~0.5 ms, and sim-guard gates this kernel at 5 %.
+    "tier_pipeline_load": (_kernel_tier_pipeline_load, 20),
     "tier_demote_batch": (_kernel_tier_demote_batch, 1),
 }
 

@@ -1,20 +1,22 @@
-/* Native hot-path kernels for the LZ77/Deflate codec stack.
+/* Native hot-path kernels for the LZ77/Deflate/zstd-like codec stack.
  *
  * Compiled on demand by repro.compression._native with the host C
  * compiler and loaded through ctypes; every entry point is a direct,
  * bit-exact translation of the corresponding pure-Python routine (the
- * scalar tokenizer in lz77.py, the symbol encoder/decoder in
- * deflate.py).  The Python side treats any failure — no compiler, bad
- * load, any negative return — as "fall back to the Python engine", so
- * this file can assume nothing about availability and must never be
+ * scalar tokenizer in lz77.py, the code-length builder in huffman.py,
+ * the symbol encoder/decoder in deflate.py, the body encoder/decoder
+ * in zstd_like.py).  The Python side treats any failure — no compiler,
+ * bad load, any negative return — as "fall back to the Python engine",
+ * so this file can assume nothing about availability and must never be
  * required for correctness.
  *
  * Exactness contract: token selection must match
- * Lz77Matcher._tokenize_packed_scalar decision-for-decision, and the
- * encoder must emit the same bit stream as BitWriter-based
- * _write_symbols (LSB-first, fused per-token writes).  The decoder only
- * has to be exact on *valid* streams: on any malformed input it returns
- * a negative error and the caller re-runs the Python decoder so error
+ * Lz77Matcher._tokenize_packed_scalar decision-for-decision, Huffman
+ * code lengths must match code_lengths_from_frequencies symbol for
+ * symbol, and the encoders must emit the same bit stream as their
+ * BitWriter-based Python paths (LSB-first).  The decoders only have to
+ * be exact on *valid* streams: on any malformed input they return a
+ * negative error and the caller re-runs the Python decoder so error
  * semantics (exception type and message) stay Python's.
  */
 
@@ -183,9 +185,56 @@ static inline int br_read(BitRd *r, int n, uint32_t *v)
     return 0;
 }
 
+/* bitio.read_varint_bits: 7-bit groups behind a continue bit, at most
+ * six groups (the Python reader raises once shift passes 35). */
+static inline int br_varint(BitRd *r, int64_t *value)
+{
+    int64_t v = 0;
+    int shift = 0;
+    for (;;) {
+        uint32_t more, chunk;
+        if (br_read(r, 1, &more) || br_read(r, 7, &chunk))
+            return -1;
+        v |= (int64_t)chunk << shift;
+        if (!more)
+            break;
+        shift += 7;
+        if (shift > 35)
+            return -1;
+    }
+    *value = v;
+    return 0;
+}
+
 /* ------------------------------------------------------------------ */
 /* Canonical Huffman decode table (full-width, LSB-indexed)            */
 /* ------------------------------------------------------------------ */
+
+/* huffman.canonical_codes with each code bit-reversed over its length:
+ * the LSB-first form HuffmanTable.codes_lsb holds and the bit stream
+ * carries.  Lengths are <= MAX_CODE_LEN and not oversubscribed. */
+static void canonical_codes_lsb(
+    const uint8_t *lengths, int nsym, uint16_t *codes)
+{
+    int bl_count[MAX_CODE_LEN + 1] = {0};
+    int next_code[MAX_CODE_LEN + 1] = {0};
+    for (int s = 0; s < nsym; s++)
+        if (lengths[s])
+            bl_count[lengths[s]]++;
+    int code = 0;
+    for (int bits = 1; bits <= MAX_CODE_LEN; bits++) {
+        code = (code + bl_count[bits - 1]) << 1;
+        next_code[bits] = code;
+    }
+    for (int s = 0; s < nsym; s++) {
+        int l = lengths[s];
+        int c = l ? next_code[l]++ : 0;
+        uint16_t rev = 0;
+        for (int bit = 0; bit < l; bit++)
+            rev |= (uint16_t)(((c >> bit) & 1) << (l - 1 - bit));
+        codes[s] = rev;
+    }
+}
 
 /* Entries pack (code_length << 16) | symbol; 0 marks invalid.  Unlike
  * the Python decoder's 10-bit root table + slow path, the table spans
@@ -194,39 +243,33 @@ static inline int br_read(BitRd *r, int n, uint32_t *v)
  * code. */
 static int build_decoder(const uint8_t *lengths, int nsym, uint32_t *table)
 {
-    int bl_count[MAX_CODE_LEN + 1] = {0};
     int max_len = 0;
+    int64_t kraft = 0;
+    if (nsym > NUM_LITLEN)
+        return -1;
     for (int s = 0; s < nsym; s++) {
         int l = lengths[s];
         if (l > MAX_CODE_LEN)
             return -1;
         if (l) {
-            bl_count[l]++;
+            kraft += (int64_t)1 << (MAX_CODE_LEN - l);
             if (l > max_len)
                 max_len = l;
         }
     }
     if (!max_len)
         return 0;
-    int next_code[MAX_CODE_LEN + 1] = {0};
-    int code = 0;
-    for (int bits = 1; bits <= max_len; bits++) {
-        code = (code + bl_count[bits - 1]) << 1;
-        next_code[bits] = code;
-    }
+    if (kraft > ((int64_t)1 << MAX_CODE_LEN))
+        return -1; /* oversubscribed lengths; let Python diagnose */
+    uint16_t codes[NUM_LITLEN];
+    canonical_codes_lsb(lengths, nsym, codes);
     memset(table, 0, sizeof(uint32_t) << max_len);
     for (int s = 0; s < nsym; s++) {
         int l = lengths[s];
         if (!l)
             continue;
-        int c = next_code[l]++;
-        uint32_t rev = 0;
-        for (int bit = 0; bit < l; bit++)
-            rev |= (uint32_t)((c >> bit) & 1) << (l - 1 - bit);
-        if (rev >= (1u << max_len))
-            return -1; /* oversubscribed lengths; let Python diagnose */
         uint32_t entry = ((uint32_t)l << 16) | (uint32_t)s;
-        for (uint32_t idx = rev; idx < (1u << max_len); idx += (1u << l))
+        for (uint32_t idx = codes[s]; idx < (1u << max_len); idx += (1u << l))
             table[idx] = entry;
     }
     return max_len;
@@ -276,19 +319,9 @@ int64_t deflate_decode_block(
             return -2;
         uint32_t cl_mask = (1u << cl_width) - 1;
 
-        int64_t rle_count = 0;
-        int shift = 0;
-        for (;;) {
-            uint32_t more, chunk;
-            if (br_read(&br, 1, &more) || br_read(&br, 7, &chunk))
-                return -3;
-            rle_count |= (int64_t)chunk << shift;
-            if (!more)
-                break;
-            shift += 7;
-            if (shift > 35)
-                return -3;
-        }
+        int64_t rle_count;
+        if (br_varint(&br, &rle_count))
+            return -3;
 
         const int total = NUM_LITLEN + NUM_DIST;
         uint8_t combined[NUM_LITLEN + NUM_DIST];
@@ -641,4 +674,346 @@ int64_t lzfast_decompress(
         }
     }
     return olen;
+}
+
+/* ------------------------------------------------------------------ */
+/* Huffman code lengths                                                */
+/* ------------------------------------------------------------------ */
+
+/* Largest alphabet the kernel takes (deflate's litlen is 286) and the
+ * largest single frequency, so summed weights stay far inside int64.
+ * Anything beyond either is left to Python's unbounded integers. */
+#define HUFF_MAX_SYMBOLS 512
+#define HUFF_MAX_FREQ ((int64_t)1 << 48)
+
+/* heapq over (weight, insertion id) tuples: ids are unique, so the
+ * order is total and any correct binary heap pops the same sequence. */
+typedef struct {
+    int64_t weight;
+    int32_t id;
+} HeapItem;
+
+static inline int heap_less(HeapItem a, HeapItem b)
+{
+    return a.weight < b.weight || (a.weight == b.weight && a.id < b.id);
+}
+
+static void heap_push(HeapItem *heap, int *size, HeapItem item)
+{
+    int i = (*size)++;
+    while (i > 0) {
+        int parent = (i - 1) >> 1;
+        if (!heap_less(item, heap[parent]))
+            break;
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = item;
+}
+
+static HeapItem heap_pop(HeapItem *heap, int *size)
+{
+    HeapItem top = heap[0];
+    HeapItem last = heap[--(*size)];
+    int i = 0;
+    for (;;) {
+        int child = 2 * i + 1;
+        if (child >= *size)
+            break;
+        if (child + 1 < *size && heap_less(heap[child + 1], heap[child]))
+            child++;
+        if (!heap_less(heap[child], last))
+            break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = last;
+    return top;
+}
+
+/* Translation of huffman.code_lengths_from_frequencies: Huffman tree
+ * over the symbols with non-zero frequency (a symbol's depth is the
+ * number of merges above its leaf), lengths clamped to max_length,
+ * then the Kraft sum repaired by lengthening codes round-robin over
+ * the stable (length, -frequency) order.  Returns 0 with `lengths`
+ * filled, or a negative code when the input is outside what the
+ * kernel handles (the caller runs the Python builder, which also owns
+ * the error for more used symbols than 2**max_length codes). */
+int64_t huffman_code_lengths(
+    const int64_t *freq, int64_t n, int64_t max_length, uint8_t *lengths)
+{
+    if (n < 0 || n > HUFF_MAX_SYMBOLS
+        || max_length < 1 || max_length > MAX_CODE_LEN)
+        return -1;
+    int32_t used[HUFF_MAX_SYMBOLS];
+    int m = 0;
+    memset(lengths, 0, (size_t)n);
+    for (int s = 0; s < n; s++) {
+        if (freq[s] <= 0)
+            continue;
+        if (freq[s] > HUFF_MAX_FREQ)
+            return -1;
+        used[m++] = s;
+    }
+    if (m == 0)
+        return 0;
+    if (m == 1) {
+        /* A single-symbol alphabet still needs a 1-bit code. */
+        lengths[used[0]] = 1;
+        return 0;
+    }
+    if (m > ((int64_t)1 << max_length))
+        return -2;
+
+    /* Leaves take ids 0..m-1 in symbol order, each merge the next id,
+     * exactly the tiebreak counter of the Python heap. */
+    HeapItem heap[HUFF_MAX_SYMBOLS];
+    int32_t parent[2 * HUFF_MAX_SYMBOLS];
+    int32_t depth[2 * HUFF_MAX_SYMBOLS];
+    int size = 0;
+    for (int i = 0; i < m; i++)
+        heap_push(heap, &size, (HeapItem){freq[used[i]], i});
+    int next = m;
+    while (size > 1) {
+        HeapItem a = heap_pop(heap, &size);
+        HeapItem b = heap_pop(heap, &size);
+        parent[a.id] = parent[b.id] = next;
+        heap_push(heap, &size, (HeapItem){a.weight + b.weight, next});
+        next++;
+    }
+    depth[next - 1] = 0;
+    for (int id = next - 2; id >= 0; id--)
+        depth[id] = depth[parent[id]] + 1; /* parent[id] > id */
+
+    int64_t kraft = 0;
+    for (int i = 0; i < m; i++) {
+        int l = depth[i] < max_length ? depth[i] : (int)max_length;
+        lengths[used[i]] = (uint8_t)l;
+        kraft += (int64_t)1 << (max_length - l);
+    }
+    int64_t budget = (int64_t)1 << max_length;
+    if (kraft > budget) {
+        /* sorted(used, key=(length, -frequency)): insertion sort keeps
+         * symbol order on ties, as Python's stable sort does. */
+        int32_t order[HUFF_MAX_SYMBOLS];
+        for (int i = 0; i < m; i++) {
+            int s = used[i];
+            int j = i;
+            while (j > 0) {
+                int t = order[j - 1];
+                if (lengths[t] < lengths[s]
+                    || (lengths[t] == lengths[s] && freq[t] >= freq[s]))
+                    break;
+                order[j] = t;
+                j--;
+            }
+            order[j] = s;
+        }
+        for (int64_t idx = 0; kraft > budget; idx++) {
+            int s = order[idx % m];
+            if (lengths[s] < max_length) {
+                kraft -= (int64_t)1 << (max_length - lengths[s]);
+                lengths[s]++;
+                kraft += (int64_t)1 << (max_length - lengths[s]);
+            }
+        }
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* zstd-like body encode                                               */
+/* ------------------------------------------------------------------ */
+
+/* Bit writer (LSB-first, matches repro.compression.bitio.BitWriter). */
+typedef struct {
+    uint8_t *out;
+    int64_t cap;
+    int64_t len;
+    uint64_t acc;
+    int nbits;
+} BitWr;
+
+/* nbits <= 16 per call; fewer than 8 bits are ever left pending. */
+static inline int bw_write(BitWr *w, uint64_t value, int nbits)
+{
+    w->acc |= value << w->nbits;
+    w->nbits += nbits;
+    while (w->nbits >= 8) {
+        if (w->len >= w->cap)
+            return -1;
+        w->out[w->len++] = (uint8_t)(w->acc & 0xFF);
+        w->acc >>= 8;
+        w->nbits -= 8;
+    }
+    return 0;
+}
+
+/* bitio.write_varint_bits: continue bit then a 7-bit group. */
+static inline int bw_varint(BitWr *w, uint64_t value)
+{
+    for (;;) {
+        uint64_t chunk = value & 0x7F;
+        value >>= 7;
+        if (bw_write(w, (value ? 1 : 0) | (chunk << 1), 8))
+            return -1;
+        if (!value)
+            return 0;
+    }
+}
+
+/* The body ZstdLikeCodec._compress_body returns for one packed token
+ * array: literal count, 256 x 4-bit literal code lengths and the
+ * Huffman-coded literals (both only when there are literals), sequence
+ * count, then (literal_run, match_length[, offset]) bit-varints — a
+ * trailing literal run is a sequence with match_length 0 — padded to a
+ * byte.  Returns the body length, negative on a bad token or when
+ * `out_cap` is too small. */
+int64_t zstdlike_encode_body(
+    const int64_t *tokens, int64_t ntok, uint8_t *out, int64_t out_cap)
+{
+    int64_t freq[256] = {0};
+    int64_t nlit = 0, nseq = 0;
+    for (int64_t t = 0; t < ntok; t++) {
+        int64_t tok = tokens[t];
+        if (tok < 0)
+            return -1;
+        if (tok < 256) {
+            freq[tok]++;
+            nlit++;
+        } else {
+            nseq++;
+        }
+    }
+    if (ntok && tokens[ntok - 1] < 256)
+        nseq++; /* trailing literal run */
+
+    BitWr w = {out, out_cap, 0, 0, 0};
+    if (bw_varint(&w, (uint64_t)nlit))
+        return -2;
+    if (nlit) {
+        uint8_t lengths[256];
+        if (huffman_code_lengths(freq, 256, MAX_CODE_LEN, lengths))
+            return -3;
+        uint16_t codes[256];
+        canonical_codes_lsb(lengths, 256, codes);
+        for (int s = 0; s < 256; s++)
+            if (bw_write(&w, lengths[s], 4))
+                return -2;
+        for (int64_t t = 0; t < ntok; t++) {
+            int64_t tok = tokens[t];
+            if (tok < 256 && bw_write(&w, codes[tok], lengths[tok]))
+                return -2;
+        }
+    }
+    if (bw_varint(&w, (uint64_t)nseq))
+        return -2;
+    int64_t run = 0;
+    for (int64_t t = 0; t < ntok; t++) {
+        int64_t tok = tokens[t];
+        if (tok < 256) {
+            run++;
+            continue;
+        }
+        int64_t match_len = tok & PACKED_LENGTH_MASK;
+        if (bw_varint(&w, (uint64_t)run)
+            || bw_varint(&w, (uint64_t)match_len)
+            || (match_len
+                && bw_varint(&w, (uint64_t)(tok >> PACKED_LENGTH_BITS))))
+            return -2;
+        run = 0;
+    }
+    if (run && (bw_varint(&w, (uint64_t)run) || bw_varint(&w, 0)))
+        return -2;
+    if (w.nbits && bw_write(&w, 0, 8 - w.nbits))
+        return -2;
+    return w.len;
+}
+
+/* ------------------------------------------------------------------ */
+/* zstd-like body decode                                               */
+/* ------------------------------------------------------------------ */
+
+/* Decode a compressed-mode body starting at byte offset `start` (the
+ * header is a whole number of bytes).  `table` is 1<<15 uint32 scratch
+ * and `literals` out_cap bytes of scratch.  Every check of the Python
+ * decoder is kept; a literal count above out_cap is also refused (no
+ * encoder emits one, Python decides what it means).  Returns the
+ * decoded length, or a negative code on any anomaly — the caller
+ * re-runs the Python decoder, which raises what it always raised. */
+int64_t zstdlike_decode_body(
+    const uint8_t *data, int64_t data_len, int64_t start,
+    uint32_t *table, uint8_t *literals, uint8_t *out, int64_t out_cap)
+{
+    if (start < 0 || start > data_len)
+        return -1;
+    BitRd br = {data, data_len, start, 0, 0};
+    int64_t lit_count;
+    if (br_varint(&br, &lit_count))
+        return -1;
+    if (lit_count > out_cap)
+        return -2;
+    if (lit_count) {
+        uint8_t lengths[256];
+        uint32_t v;
+        for (int s = 0; s < 256; s++) {
+            if (br_read(&br, 4, &v))
+                return -3;
+            lengths[s] = (uint8_t)v;
+        }
+        int width = build_decoder(lengths, 256, table);
+        if (width <= 0)
+            return -4;
+        uint32_t mask = (1u << width) - 1;
+        for (int64_t i = 0; i < lit_count; i++) {
+            if (br.nbits < width)
+                br_refill(&br);
+            uint32_t entry = table[br.acc & mask];
+            if (!entry)
+                return -5;
+            int clen = (int)(entry >> 16);
+            if (clen > br.nbits)
+                return -5;
+            br.acc >>= clen;
+            br.nbits -= clen;
+            literals[i] = (uint8_t)(entry & 0xFF);
+        }
+    }
+    int64_t seq_count;
+    if (br_varint(&br, &seq_count))
+        return -6;
+    int64_t out_len = 0, lit_pos = 0;
+    for (int64_t q = 0; q < seq_count; q++) {
+        int64_t lit_run, match_len;
+        if (br_varint(&br, &lit_run) || br_varint(&br, &match_len))
+            return -6;
+        if (lit_pos + lit_run > lit_count)
+            return -7;
+        if (out_len + lit_run > out_cap)
+            return -8;
+        memcpy(out + out_len, literals + lit_pos, (size_t)lit_run);
+        out_len += lit_run;
+        lit_pos += lit_run;
+        if (!match_len)
+            continue;
+        int64_t offset;
+        if (br_varint(&br, &offset))
+            return -6;
+        if (offset == 0 || offset > out_len || match_len < 3)
+            return -9;
+        if (out_len + match_len > out_cap)
+            return -8;
+        const uint8_t *src = out + out_len - offset;
+        uint8_t *dst = out + out_len;
+        if (offset >= match_len) {
+            memcpy(dst, src, (size_t)match_len);
+        } else {
+            /* Byte-forward copy replicates the periodic seed, the same
+             * bytes extend_match produces by doubling. */
+            for (int64_t i = 0; i < match_len; i++)
+                dst[i] = src[i];
+        }
+        out_len += match_len;
+    }
+    return out_len;
 }

@@ -9,10 +9,12 @@ compiles at most once per machine.
 
 Availability is strictly best-effort: if ``REPRO_NO_NATIVE`` is set, no
 compiler is present, compilation fails, or the library will not load,
-:func:`load` returns ``None`` and every caller silently stays on the
-pure-Python/numpy engines.  Correctness never depends on this module —
-the native kernels are bit-exact translations, and the test suite runs
-the differential checks both with and without it.
+:func:`load` returns ``None`` and every caller silently stays on its
+pure-Python reference path (the scalar matcher, the heap-built Huffman
+lengths, the ``BitWriter``/``BitReader`` encoders and decoders).
+Correctness never depends on this module — the native kernels are
+bit-exact translations, and the test suite runs the differential checks
+both with and without it.
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.lzfast_compress.restype = i64
     lib.lzfast_decompress.argtypes = [p, i64, i64, p, i64]
     lib.lzfast_decompress.restype = i64
+    lib.huffman_code_lengths.argtypes = [p, i64, i64, p]
+    lib.huffman_code_lengths.restype = i64
+    lib.zstdlike_encode_body.argtypes = [p, i64, p, i64]
+    lib.zstdlike_encode_body.restype = i64
+    lib.zstdlike_decode_body.argtypes = [p, i64, i64, p, p, p, i64]
+    lib.zstdlike_decode_body.restype = i64
 
 
 def _compile(src: Path, out: Path) -> bool:

@@ -20,10 +20,13 @@ reused table object) builds the lookup table once.
 
 from __future__ import annotations
 
+import ctypes
 import heapq
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.compression import _native
 from repro.compression.bitio import BitReader, BitWriter
 from repro.errors import ConfigError, CorruptStreamError
 
@@ -66,14 +69,27 @@ def code_lengths_from_frequencies(
     then, if any depth exceeds ``max_length``, clamps the lengths and
     repairs the Kraft inequality by lengthening the cheapest codes until
     the code is feasible again (the classic zlib-style fixup).
+
+    Runs the native kernel when it is loaded, else the Python builder
+    below; both assign the identical lengths (the compressed formats
+    depend on it).
     """
     if max_length < 1:
         raise ConfigError(f"max_length must be >= 1, got {max_length}")
+    native = _code_lengths_native(frequencies, max_length)
+    if native is not None:
+        return native
     n = len(frequencies)
     used = [s for s in range(n) if frequencies[s] > 0]
     lengths = [0] * n
     if not used:
         return lengths
+    if len(used) > 1 << max_length:
+        # No prefix code exists; the Kraft repair below would never end.
+        raise ConfigError(
+            f"{len(used)} symbols in use but only {1 << max_length} "
+            f"codes of length <= {max_length}"
+        )
     if len(used) == 1:
         # A single-symbol alphabet still needs a 1-bit code so the decoder
         # can consume something.
@@ -117,6 +133,31 @@ def code_lengths_from_frequencies(
                 kraft += 1 << (max_length - lengths[s])
             idx += 1
     return lengths
+
+
+def _code_lengths_native(
+    frequencies: Sequence[int], max_length: int
+) -> Optional[List[int]]:
+    """Code lengths via the C kernel; ``None`` means "use the builder
+    in :func:`code_lengths_from_frequencies`" — no kernel, input the
+    kernel does not take (non-integer or > int64 frequencies, alphabets
+    past 512 symbols), or more used symbols than codes, which the
+    Python builder reports."""
+    lib = _native.load()
+    if lib is None or max_length > MAX_CODE_LENGTH:
+        return None
+    try:
+        freq = array("q", frequencies)
+    except (TypeError, OverflowError):
+        return None
+    n = len(freq)
+    lengths = (ctypes.c_uint8 * n)()
+    status = lib.huffman_code_lengths(
+        freq.buffer_info()[0], n, max_length, lengths
+    )
+    if status < 0:
+        return None
+    return list(lengths)
 
 
 def canonical_codes(lengths: Sequence[int]) -> List[int]:

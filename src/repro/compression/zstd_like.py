@@ -12,13 +12,22 @@ Blob layout::
     magic(1) | mode(1) | orig_len(varint) | payload
     payload = lit_count(varint) lit_lengths(4b x 256) lit_codes...
               seq_count(varint) sequences...
+
+The payload's encoder and decoder each have a bit-exact C kernel in
+:mod:`repro.compression._native`; the ``BitWriter``/``BitReader`` code
+below is the reference they are tested against and what runs when the
+kernels are not loaded. Header, checksum and the stored-vs-compressed
+decision are Python on both paths.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
+import numpy as np
+
+from repro.compression import _native
 from repro.compression.base import Codec, CodecSpec, register_codec
 from repro.compression.bitio import (
     BitReader,
@@ -26,7 +35,7 @@ from repro.compression.bitio import (
     read_varint_bits,
     write_varint_bits,
 )
-from repro.compression.huffman import HuffmanTable
+from repro.compression.huffman import MAX_CODE_LENGTH, HuffmanTable
 from repro.compression.lz77 import (
     PACKED_LENGTH_BITS,
     PACKED_LENGTH_MASK,
@@ -40,6 +49,17 @@ _MODE_STORED = 0
 _MODE_COMPRESSED = 1
 
 _MIN_MATCH = 3
+
+#: Decode-table scratch for the native decoder (full-width table, rebuilt
+#: per call); allocated lazily, shared process-wide (single-threaded).
+_NATIVE_TABLE_SCRATCH = None
+
+#: Upper bound on decoded bytes per blob byte for anything this encoder
+#: emits: a literal costs at least one bit (8x), a match at least three
+#: varint bytes for at most 511 bytes (PACKED_LENGTH_MASK). The native
+#: decoder sizes its buffers from the header's ``orig_len``, so a blob
+#: claiming more than this is left to the Python decoder.
+_NATIVE_MAX_EXPANSION = 256
 
 
 @register_codec
@@ -91,6 +111,9 @@ class ZstdLikeCodec(Codec):
 
     def _compress_body(self, data: bytes) -> bytes:
         packed = self._matcher.tokenize_packed(data)
+        body = _encode_body_native(packed)
+        if body is not None:
+            return body
         literals = bytearray()
         append_literal = literals.append
         # Sequence: (literal_run, match_length, offset); a trailing run of
@@ -137,6 +160,70 @@ class ZstdLikeCodec(Codec):
         return writer.getvalue()
 
     def decompress(self, blob: bytes) -> bytes:
+        out = self._decompress_native(blob)
+        if out is not None:
+            return out
+        return self._decompress_python(blob)
+
+    def _decompress_native(self, blob: bytes) -> Optional[bytes]:
+        """Native fast path; ``None`` means "re-run the Python decoder".
+
+        Success is only claimed for fully valid compressed-mode blobs
+        (crc verified), so every malformed input takes the Python path
+        and raises exactly the error it always raised. Stored mode is
+        already just a slice + crc there.
+        """
+        lib = _native.load()
+        if (
+            lib is None
+            or len(blob) < 7
+            or blob[0] != _MAGIC
+            or blob[1] != _MODE_COMPRESSED
+        ):
+            return None
+        value = 0
+        shift = 0
+        pos = 2
+        while True:
+            if pos >= len(blob) or shift > 35:
+                return None
+            byte = blob[pos]
+            pos += 1
+            # Bit-varint group: continue flag in the low bit.
+            value |= (byte >> 1) << shift
+            if not byte & 1:
+                break
+            shift += 7
+        orig_len = value
+        if pos + 4 > len(blob) or orig_len > _NATIVE_MAX_EXPANSION * len(blob):
+            return None
+        checksum = int.from_bytes(blob[pos : pos + 4], "little")
+        pos += 4
+        global _NATIVE_TABLE_SCRATCH
+        if _NATIVE_TABLE_SCRATCH is None:
+            _NATIVE_TABLE_SCRATCH = np.empty(
+                1 << MAX_CODE_LENGTH, dtype=np.uint32
+            )
+        literals = np.empty(max(orig_len, 1), dtype=np.uint8)
+        out = np.empty(max(orig_len, 1), dtype=np.uint8)
+        blob_np = np.frombuffer(blob, dtype=np.uint8)  # keeps `blob` alive
+        decoded = lib.zstdlike_decode_body(
+            blob_np.ctypes.data,
+            len(blob),
+            pos,
+            _NATIVE_TABLE_SCRATCH.ctypes.data,
+            literals.ctypes.data,
+            out.ctypes.data,
+            orig_len,
+        )
+        if decoded != orig_len:
+            return None
+        page = out[:orig_len].tobytes()
+        if zlib.crc32(page) != checksum:
+            return None
+        return page
+
+    def _decompress_python(self, blob: bytes) -> bytes:
         reader = BitReader(blob)
         if reader.read_bits(8) != _MAGIC:
             raise CorruptStreamError("bad zstd-like magic")
@@ -185,3 +272,21 @@ class ZstdLikeCodec(Codec):
         if zlib.crc32(bytes(out)) != checksum:
             raise CorruptStreamError("content checksum mismatch")
         return bytes(out)
+
+
+def _encode_body_native(packed) -> Optional[bytes]:
+    """The payload for one packed token array via the C kernel; ``None``
+    means "encode with the BitWriter path in ``_compress_body``"."""
+    lib = _native.load()
+    if lib is None:
+        return None
+    tok_np = np.frombuffer(packed, dtype=np.int64)
+    # Generous: two varints (<= 10 groups each), the 128-byte length
+    # header, and per token at most a 15-bit code or three varints.
+    out = np.empty(len(tok_np) * 30 + 192, dtype=np.uint8)
+    body_len = lib.zstdlike_encode_body(
+        tok_np.ctypes.data, len(tok_np), out.ctypes.data, len(out)
+    )
+    if body_len < 0:
+        return None
+    return out[:body_len].tobytes()

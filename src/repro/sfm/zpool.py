@@ -34,12 +34,27 @@ class ZpoolEntry:
 class _Slab:
     """One encapsulating OS page holding packed compressed objects."""
 
-    __slots__ = ("buffer", "entries")
+    __slots__ = ("buffer", "entries", "largest_gap")
 
     def __init__(self, size: int) -> None:
         self.buffer = bytearray(size)
         #: handle -> (offset, length), kept sorted by offset on demand.
+        #: Change it only through :meth:`insert` / :meth:`remove` /
+        #: :meth:`shift_compact`, which keep ``largest_gap`` honest.
         self.entries: Dict[int, Tuple[int, int]] = {}
+        #: Longest free interval, or ``None`` when ``entries`` changed
+        #: since it was last measured. An index over :meth:`gaps`, not a
+        #: policy: it only lets :meth:`first_fit` skip a slab that
+        #: cannot hold the request without sorting its entries.
+        self.largest_gap: Optional[int] = size
+
+    def insert(self, handle: int, offset: int, length: int) -> None:
+        self.entries[handle] = (offset, length)
+        self.largest_gap = None
+
+    def remove(self, handle: int) -> None:
+        del self.entries[handle]
+        self.largest_gap = None
 
     def used_bytes(self) -> int:
         return sum(length for _, length in self.entries.values())
@@ -59,7 +74,13 @@ class _Slab:
 
     def first_fit(self, length: int, size: int) -> Optional[int]:
         """Offset of the first gap that fits ``length`` bytes, or None."""
-        for offset, gap in self.gaps(size):
+        largest = self.largest_gap
+        if largest is not None and largest < length:
+            return None
+        gaps = self.gaps(size)
+        if largest is None:
+            self.largest_gap = max((gap for _, gap in gaps), default=0)
+        for offset, gap in gaps:
             if gap >= length:
                 return offset
         return None
@@ -78,6 +99,7 @@ class _Slab:
                 self.entries[handle] = (cursor, length)
                 moved += length
             cursor += length
+        self.largest_gap = len(self.buffer) - cursor
         return moved
 
 
@@ -94,6 +116,10 @@ class Zpool:
         self._slabs: List[Optional[_Slab]] = []
         self._locator: Dict[int, Tuple[int, int, int]] = {}
         self._next_handle = 1
+        #: Live slabs and payload bytes, maintained where slabs and
+        #: entries come and go (both are read on every swap).
+        self._used_slabs = 0
+        self._stored_bytes = 0
         self.compaction_memcpy_bytes = 0
         self.compactions = 0
         self.stores = 0
@@ -106,11 +132,11 @@ class Zpool:
         return self.max_slabs * self.slab_size
 
     def used_slabs(self) -> int:
-        return sum(1 for slab in self._slabs if slab is not None)
+        return self._used_slabs
 
     def stored_bytes(self) -> int:
         """Total payload bytes currently stored."""
-        return sum(length for _, _, length in self._locator.values())
+        return self._stored_bytes
 
     def occupancy(self) -> float:
         """Stored payload over the pool's slab footprint."""
@@ -161,8 +187,9 @@ class Zpool:
         slab.buffer[offset : offset + len(blob)] = blob
         handle = self._next_handle
         self._next_handle += 1
-        slab.entries[handle] = (offset, len(blob))
+        slab.insert(handle, offset, len(blob))
         self._locator[handle] = (slab_index, offset, len(blob))
+        self._stored_bytes += len(blob)
         self.stores += 1
         checkpoint(self)
         return handle
@@ -178,9 +205,11 @@ class Zpool:
         for index, slab in enumerate(self._slabs):
             if slab is None:
                 self._slabs[index] = _Slab(self.slab_size)
+                self._used_slabs += 1
                 return index, 0
         if len(self._slabs) < self.max_slabs:
             self._slabs.append(_Slab(self.slab_size))
+            self._used_slabs += 1
             return len(self._slabs) - 1, 0
         return None
 
@@ -215,12 +244,17 @@ class Zpool:
         slab_index, offset, length = self._lookup(handle)
         slab = self._slabs[slab_index]
         assert slab is not None
-        del slab.entries[handle]
+        slab.remove(handle)
         del self._locator[handle]
+        self._stored_bytes -= length
         if not slab.entries:
-            self._slabs[slab_index] = None
+            self._release_slab(slab_index)
         checkpoint(self)
         return length
+
+    def _release_slab(self, index: int) -> None:
+        self._slabs[index] = None
+        self._used_slabs -= 1
 
     def entry(self, handle: int) -> ZpoolEntry:
         slab_index, offset, length = self._lookup(handle)
@@ -271,12 +305,12 @@ class Zpool:
                 target_slab.buffer[
                     target_offset : target_offset + length
                 ] = blob
-                target_slab.entries[handle] = (target_offset, length)
-                del source.entries[handle]
+                target_slab.insert(handle, target_offset, length)
+                source.remove(handle)
                 self._locator[handle] = (target_index, target_offset, length)
                 moved += length
             if not source.entries:
-                self._slabs[source_index] = None
+                self._release_slab(source_index)
         self.compaction_memcpy_bytes += moved
         checkpoint(self)
         return moved

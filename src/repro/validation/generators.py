@@ -3,7 +3,8 @@
 Every generator is a pure function of the ``random.Random`` it is given,
 so a case regenerates exactly from the single case seed the framework
 prints on failure. Generators cover the surfaces the validation suite
-fuzzes: raw pages and corpus mixes (codec round-trips), red-black tree
+fuzzes: raw pages and corpus mixes (codec round-trips), damaged
+zstd-like blobs (decoder error parity), red-black tree
 and zpool operation scripts (invariant churn), swap traces (emulator
 input), MMIO register programs (driver protocol), and offload batches
 (the emulator-vs-module differential oracle).
@@ -12,9 +13,22 @@ input), MMIO register programs (driver protocol), and offload batches
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.compression.bitio import BitWriter, write_varint_bits
+from repro.compression.huffman import HuffmanTable
+from repro.compression.lz77 import (
+    PACKED_LENGTH_BITS,
+    PACKED_LENGTH_MASK,
+    Lz77Matcher,
+)
+from repro.compression.zstd_like import (
+    _MAGIC as _ZSTD_LIKE_MAGIC,
+    _MODE_COMPRESSED as _ZSTD_LIKE_COMPRESSED,
+    ZstdLikeCodec,
+)
 from repro.workloads.corpus import CORPUS_NAMES, PAGE_SIZE, generate_corpus
 
 #: Byte-level adversarial shapes every codec must survive (satellite
@@ -79,6 +93,104 @@ def gen_corpus_mix(
         else:
             out.append(gen_page(rng, page_size))
     return out
+
+
+# -- damaged blobs -----------------------------------------------------------
+
+
+def _zstd_like_blob(
+    page: bytes,
+    literals: bytes,
+    sequences: Sequence[Tuple[int, int, int]],
+    lit_count: Optional[int] = None,
+    seq_count: Optional[int] = None,
+    orig_len: Optional[int] = None,
+) -> bytes:
+    """Serialise a compressed-mode zstd-like blob field by field, with
+    any of the three counts overridden (see the layout in
+    :mod:`repro.compression.zstd_like`)."""
+    writer = BitWriter()
+    writer.write_bits(_ZSTD_LIKE_MAGIC, 8)
+    writer.write_bits(_ZSTD_LIKE_COMPRESSED, 8)
+    write_varint_bits(writer, len(page) if orig_len is None else orig_len)
+    writer.write_bits(zlib.crc32(page), 32)
+    write_varint_bits(writer, len(literals) if lit_count is None else lit_count)
+    if literals:
+        freq = [0] * 256
+        for byte in literals:
+            freq[byte] += 1
+        table = HuffmanTable.from_frequencies(freq)
+        for length in table.lengths:
+            writer.write_bits(length, 4)
+        for byte in literals:
+            table.encode(writer, byte)
+    write_varint_bits(
+        writer, len(sequences) if seq_count is None else seq_count
+    )
+    for lit_run, match_len, offset in sequences:
+        write_varint_bits(writer, lit_run)
+        write_varint_bits(writer, match_len)
+        if match_len:
+            write_varint_bits(writer, offset)
+    return writer.getvalue()
+
+
+def gen_zstd_like_mutation(rng: random.Random) -> bytes:
+    """A zstd-like blob damaged in one way its decoder must diagnose:
+    flipped bits or a truncation of a real blob, a wrong ``orig_len`` /
+    ``lit_count`` / ``seq_count``, or one sequence with a zero or
+    too-far offset, a match shorter than 3, or an overlong literal run.
+    Some cases come out valid (a flip in padding, a +0 bump)."""
+    page = gen_page(rng)
+    window = rng.choice((4096, 128 * 1024))
+    style = rng.randrange(9)
+    if style < 2:
+        blob = bytearray(ZstdLikeCodec(window_size=window).compress(page))
+        if style == 0:
+            for _ in range(rng.randint(1, 3)):
+                bit = rng.randrange(len(blob) * 8)
+                blob[bit >> 3] ^= 1 << (bit & 7)
+        else:
+            del blob[rng.randrange(len(blob)):]
+        return bytes(blob)
+
+    literals = bytearray()
+    sequences: List[Tuple[int, int, int]] = []
+    run = 0
+    for token in Lz77Matcher(window_size=window).tokenize_packed(page):
+        if token < 256:
+            literals.append(token)
+            run += 1
+        else:
+            sequences.append(
+                (run, token & PACKED_LENGTH_MASK, token >> PACKED_LENGTH_BITS)
+            )
+            run = 0
+    if run:
+        sequences.append((run, 0, 0))
+    bump = rng.choice((-3, -1, 0, 1, 2, 17, 1 << 12, 1 << 30))
+    counts = {}
+    if style == 2:
+        counts["orig_len"] = max(0, len(page) + bump)
+    elif style == 3:
+        counts["lit_count"] = max(0, len(literals) + bump)
+    elif style == 4:
+        counts["seq_count"] = max(0, len(sequences) + bump)
+    else:
+        if not sequences:
+            sequences.append((0, 3, 1))
+        index = rng.randrange(len(sequences))
+        lit_run, match_len, offset = sequences[index]
+        if style == 5:
+            match_len, offset = match_len or 3, 0
+        elif style == 6:
+            match_len, offset = rng.randint(1, 2), max(offset, 1)
+        elif style == 7:
+            match_len, offset = match_len or 3, offset + len(page) + bump
+        else:
+            lit_run += max(1, bump)
+        sequences[index] = (lit_run, match_len, max(0, offset))
+    return _zstd_like_blob(page, bytes(literals), sequences, **counts)
 
 
 # -- data-structure operation scripts ---------------------------------------

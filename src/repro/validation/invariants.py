@@ -86,9 +86,12 @@ def check_zpool(pool: Zpool) -> None:
         f"zpool: {len(pool._slabs)} slab slots exceed max {pool.max_slabs}",
     )
     seen_handles = set()
+    live_slabs = 0
+    live_payload = 0
     for index, slab in enumerate(pool._slabs):
         if slab is None:
             continue
+        live_slabs += 1
         _require(
             bool(slab.entries),
             f"zpool: slab {index} is empty but not released",
@@ -112,12 +115,20 @@ def check_zpool(pool: Zpool) -> None:
             )
             cursor = offset + length
             payload += length
-        gap_bytes = sum(length for _, length in slab.gaps(pool.slab_size))
+        gaps = slab.gaps(pool.slab_size)
+        gap_bytes = sum(length for _, length in gaps)
         _require(
             payload + gap_bytes == pool.slab_size,
             f"zpool: slab {index} payload {payload} + gaps {gap_bytes} "
             f"!= slab size {pool.slab_size}",
         )
+        largest = max((length for _, length in gaps), default=0)
+        _require(
+            slab.largest_gap is None or slab.largest_gap == largest,
+            f"zpool: slab {index} caches largest gap {slab.largest_gap} "
+            f"but its largest gap is {largest}",
+        )
+        live_payload += payload
         for handle, (offset, length) in slab.entries.items():
             _require(
                 handle not in seen_handles,
@@ -133,6 +144,16 @@ def check_zpool(pool: Zpool) -> None:
         seen_handles == set(pool._locator),
         "zpool: locator handles and slab handles differ: "
         f"{sorted(seen_handles.symmetric_difference(pool._locator))[:8]}",
+    )
+    _require(
+        pool.used_slabs() == live_slabs,
+        f"zpool: used_slabs() says {pool.used_slabs()} but "
+        f"{live_slabs} slabs are live",
+    )
+    _require(
+        pool.stored_bytes() == live_payload,
+        f"zpool: stored_bytes() says {pool.stored_bytes()} but entries "
+        f"sum to {live_payload}",
     )
     _require(
         pool.stored_bytes() <= pool.capacity_bytes,

@@ -69,6 +69,16 @@ def check_roundtrip(codec: Codec, data: bytes) -> bytes:
     return blob
 
 
+def decode_outcome(decompress, blob: bytes) -> Tuple:
+    """What ``decompress(blob)`` did, as a comparable value: the bytes,
+    or the exception's type and message. Two decoders of one format
+    agree on a blob when their outcomes are equal."""
+    try:
+        return ("ok", decompress(blob))
+    except Exception as exc:  # the outcome under comparison, not handled
+        return (type(exc).__name__, str(exc))
+
+
 def crosscheck_vs_zlib(
     codec: Codec,
     data: bytes,

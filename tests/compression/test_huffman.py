@@ -12,7 +12,7 @@ from repro.compression.huffman import (
     read_code_lengths,
     write_code_lengths,
 )
-from repro.errors import CorruptStreamError
+from repro.errors import ConfigError, CorruptStreamError
 
 
 class TestCodeLengths:
@@ -46,6 +46,13 @@ class TestCodeLengths:
         assert max(lengths) <= 15
         kraft = sum(2.0 ** -l for l in lengths if l)
         assert kraft <= 1.0 + 1e-12
+
+    def test_more_symbols_than_codes_is_refused(self):
+        # Used to spin forever in the Kraft repair: nine symbols cannot
+        # share the eight codes of length <= 3.
+        with pytest.raises(ConfigError, match="9 symbols in use"):
+            code_lengths_from_frequencies([1] * 9, 3)
+        assert code_lengths_from_frequencies([1] * 8, 3) == [3] * 8
 
 
 class TestCanonicalCodes:

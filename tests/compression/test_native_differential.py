@@ -9,14 +9,23 @@ to a single answer regardless of which engine a CI host loads.
 """
 
 import os
+import random
 
+import numpy as np
 import pytest
 
 from repro.compression import _native
+from repro.compression.bitio import BitReader, read_varint_bits
 from repro.compression.deflate import DeflateCodec, train_static_tables
+from repro.compression.huffman import code_lengths_from_frequencies
 from repro.compression.lz77 import Lz77Matcher
 from repro.compression.lzfast import LzFastCodec
 from repro.compression.tuning import DEFAULT_GRID
+from repro.compression.zstd_like import _NATIVE_MAX_EXPANSION, ZstdLikeCodec
+from repro.errors import ConfigError, CorruptStreamError
+from repro.validation.fuzz import case_seed
+from repro.validation.generators import gen_zstd_like_mutation
+from repro.validation.oracles import decode_outcome
 from repro.workloads.corpus import CORPUS_NAMES, corpus_pages
 
 
@@ -38,11 +47,112 @@ def _corpus():
     ] + [b"", b"\x00" * 4096, b"a" * 4096]
 
 
+def _zstd_like_boundary_pages():
+    rng = random.Random(5)
+    return [
+        b"q" * 5,  # one distinct literal; stored (too short to pay off)
+        bytes([3]) * 2 + bytes([9]) * 4094,  # two literals' worth of table
+        bytes(range(256)) * 16,  # all 256 byte values as literals
+        bytes(rng.getrandbits(8) for _ in range(4096)),  # incompressible
+    ]
+
+
+def _frequency_vectors():
+    """Seeded frequency vectors per alphabet: empty, single-symbol, flat,
+    random, and Fibonacci-weighted (the shape that drives tree depth
+    past any clamp and forces the Kraft repair)."""
+    rng = random.Random(20)
+    fib = [1, 1]
+    while len(fib) < 40:
+        fib.append(fib[-1] + fib[-2])
+    for n in (19, 30, 256, 286):
+        yield [0] * n
+        yield [0] * (n - 1) + [5]
+        yield [1] * n
+        for _ in range(12):
+            used = rng.randint(2, n)
+            for weights in (
+                [rng.randint(1, 4096) for _ in range(used)],
+                [rng.choice(fib) for _ in range(used)],
+                fib[: min(used, len(fib))],
+            ):
+                yield rng.sample(weights + [0] * (n - len(weights)), n)
+
+
+def _lengths_or_error(frequencies, max_length):
+    try:
+        return code_lengths_from_frequencies(frequencies, max_length)
+    except ConfigError as exc:
+        return str(exc)
+
+
+def _mutated_blobs(count=600):
+    return [
+        gen_zstd_like_mutation(random.Random(case_seed(20, index)))
+        for index in range(count)
+    ]
+
+
 @pytest.mark.skipif(
     not _native.available() and not os.environ.get("REPRO_NO_NATIVE"),
     reason="no native kernels on this host; differential is vacuous",
 )
 class TestNativeVsPython:
+    @pytest.mark.parametrize("window_size", [4096, 128 * 1024])
+    def test_zstd_like_blobs_byte_identical(self, no_native, window_size):
+        pages = _corpus() + _zstd_like_boundary_pages()
+        python_codec = ZstdLikeCodec(window_size=window_size)
+        python_blobs = python_codec.compress_batch(pages)
+        _native.reset_for_tests()
+        del os.environ["REPRO_NO_NATIVE"]
+        native_codec = ZstdLikeCodec(window_size=window_size)
+        native_blobs = native_codec.compress_batch(pages)
+        assert native_blobs == python_blobs
+        assert {blob[1] for blob in native_blobs} == {0, 1}  # both modes
+        assert native_codec.decompress_batch(python_blobs) == pages
+        os.environ["REPRO_NO_NATIVE"] = "1"
+        _native.reset_for_tests()
+        assert python_codec.decompress_batch(native_blobs) == pages
+
+    def test_huffman_lengths_identical(self, no_native):
+        cases = [
+            (freq, max_length)
+            for freq in _frequency_vectors()
+            for max_length in (7, 9, 15)
+        ]
+        python = [_lengths_or_error(*case) for case in cases]
+        _native.reset_for_tests()
+        del os.environ["REPRO_NO_NATIVE"]
+        native = [_lengths_or_error(*case) for case in cases]
+        assert native == python
+        clamped = sum(
+            1 for (_, max_length), lengths in zip(cases, python)
+            if not isinstance(lengths, str) and lengths.count(max_length) > 2
+        )
+        refused = sum(1 for lengths in python if isinstance(lengths, str))
+        assert clamped > 50 and refused > 10  # the repair and the refusal ran
+
+    def test_zstd_like_decode_errors_identical(
+        self, no_native, bounded_match_copy
+    ):
+        """Damaged blobs: same bytes, or same exception type and message."""
+        # Native first: the generator compresses one page per case.
+        del os.environ["REPRO_NO_NATIVE"]
+        _native.reset_for_tests()
+        blobs = _mutated_blobs()
+        native = [
+            decode_outcome(ZstdLikeCodec().decompress, blob) for blob in blobs
+        ]
+        os.environ["REPRO_NO_NATIVE"] = "1"
+        _native.reset_for_tests()
+        python = [
+            decode_outcome(ZstdLikeCodec().decompress, blob) for blob in blobs
+        ]
+        assert native == python
+        kinds = {outcome[:2] for outcome in python if outcome[0] != "ok"}
+        assert len(kinds) >= 8  # the mutations reach many distinct checks
+        assert any(outcome[0] == "ok" for outcome in python)
+
     def test_deflate_blobs_byte_identical(self, no_native):
         pages = _corpus()
         python_blobs = DeflateCodec().compress_batch(pages)
@@ -93,3 +203,44 @@ class TestNativeMatcherVsScalarReference:
             native = matcher._tokenize_packed_native(page)
             assert native is not None
             assert list(native) == list(matcher._tokenize_packed_scalar(page))
+
+
+@pytest.mark.skipif(
+    not _native.available(), reason="no native kernels on this host"
+)
+def test_zstd_like_native_decoder_writes_inside_its_buffers():
+    """Hand the kernel guarded buffers for every damaged blob: whatever
+    it returns, the bytes either side of ``out``, ``literals`` and the
+    table scratch are untouched."""
+    lib = _native.load()
+    guard = 64
+    table = np.full((1 << 15) + 2 * guard, 0xA5A5A5A5, dtype=np.uint32)
+    checked = 0
+    for blob in _mutated_blobs():
+        reader = BitReader(blob)
+        try:
+            reader.read_bits(16)
+            orig_len = read_varint_bits(reader)
+            reader.read_bits(32)
+        except CorruptStreamError:
+            continue
+        if orig_len > _NATIVE_MAX_EXPANSION * len(blob):
+            continue
+        start = len(blob) - reader.bits_remaining // 8
+        out = np.full(orig_len + 2 * guard, 0xA5, dtype=np.uint8)
+        literals = np.full(orig_len + 2 * guard, 0xA5, dtype=np.uint8)
+        blob_np = np.frombuffer(blob, dtype=np.uint8)
+        decoded = lib.zstdlike_decode_body(
+            blob_np.ctypes.data, len(blob), start,
+            table.ctypes.data + 4 * guard,
+            literals.ctypes.data + guard,
+            out.ctypes.data + guard,
+            orig_len,
+        )
+        assert decoded <= orig_len
+        for buf in (out, literals):
+            assert (buf[:guard] == 0xA5).all() and (buf[-guard:] == 0xA5).all()
+        assert (table[:guard] == 0xA5A5A5A5).all()
+        assert (table[-guard:] == 0xA5A5A5A5).all()
+        checked += 1
+    assert checked > 400

@@ -26,12 +26,17 @@ from repro.validation.generators import (
     gen_rbtree_ops,
     gen_register_program,
     gen_zpool_ops,
+    gen_zstd_like_mutation,
 )
 from repro.validation.hooks import validation
-from repro.validation.oracles import check_roundtrip, differential_offload_check
+from repro.validation.oracles import (
+    check_roundtrip,
+    decode_outcome,
+    differential_offload_check,
+)
 
 ROOT_SEED = 20260806
-_NUM_TARGETS = 6
+_NUM_TARGETS = 7
 _TOTAL_BUDGET_S = float(os.environ.get("FUZZ_TIME_BUDGET_S", "6"))
 
 
@@ -53,6 +58,22 @@ def test_fuzz_codec_roundtrips(codec):
     report = _fuzzer(hash(codec.name) % 1000).run(
         gen_page, lambda page: check_roundtrip(codec, page)
     )
+    assert report.cases_run > 0
+
+
+@pytest.mark.fuzz
+def test_fuzz_zstd_like_decode_error_parity(bounded_match_copy):
+    """Damaged blobs through ``decompress`` (native kernel, Python on
+    any anomaly) and through the Python decoder alone: same bytes, or
+    the same exception type and message."""
+    codec = ZstdLikeCodec()
+
+    def check(blob):
+        assert decode_outcome(codec.decompress, blob) == decode_outcome(
+            codec._decompress_python, blob
+        )
+
+    report = _fuzzer(6, runs=500).run(gen_zstd_like_mutation, check)
     assert report.cases_run > 0
 
 
