@@ -264,6 +264,12 @@ class ZstdLikeCodec(Codec):
                 start = len(out) - offset
                 if start < 0 or offset == 0 or match_len < _MIN_MATCH:
                     raise CorruptStreamError("invalid sequence")
+                if len(out) + match_len > orig_len:
+                    # Checked before the copy: a garbage varint must not
+                    # be able to size an allocation.
+                    raise CorruptStreamError(
+                        f"match overruns the {orig_len}-byte output"
+                    )
                 extend_match(out, start, match_len)
         if len(out) != orig_len:
             raise CorruptStreamError(

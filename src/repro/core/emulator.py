@@ -170,6 +170,11 @@ class XfmEmulator:
     def __init__(self, config: EmulatorConfig) -> None:
         if not 0.0 < config.promotion_rate <= 1.0:
             raise ConfigError("promotion_rate must be in (0, 1]")
+        if config.compression_ratio < 1.0:
+            # A blob larger than the 4 KiB writeback group could never
+            # be grouped and would hold its SPM page for the whole run;
+            # a page that does not compress is not an offload candidate.
+            raise ConfigError("compression_ratio must be >= 1")
         self.config = config
         self.timings = config.resolved_timings()
         self.device = config.device
@@ -295,9 +300,14 @@ class XfmEmulator:
         blob = cfg.blob_bytes
         group_limit = PAGE_SIZE
         trace_on = _trace.tracing_enabled()
-        policy = self.refresh.policy
-        banked = policy.windows_per_trefi > 1
-        num_banks = policy.windows_per_trefi
+        scheduler = self.scheduler
+        per_trefi = self.refresh.policy.windows_per_trefi
+        banked = per_trefi > 1
+        num_banks = per_trefi
+        nma_access_j = self.energy_model.nma_page_access_j
+        #: nbytes -> (random, conditional) access energy; a run moves a
+        #: handful of distinct sizes (page, blob, blob groups).
+        access_energy: Dict[int, tuple] = {}
 
         def inject_arrivals(ref: int) -> None:
             """Admit this tREFI interval's offload arrivals (SPM + CRQ
@@ -359,7 +369,7 @@ class XfmEmulator:
                             int(rng.integers(0, num_banks)) if banked else None
                         )
                         nbytes = blob
-                    request = self.scheduler.submit(
+                    request = scheduler.submit(
                         AccessKind.READ, row, ref, nbytes=nbytes, bank=bank
                     )
                     read_of[request.request_id] = op.op_id
@@ -378,38 +388,40 @@ class XfmEmulator:
 
         last_bin = -1
 
-        def process_window(window) -> None:
+        def process_window(window) -> Optional[int]:
             """One refresh window fired by the event core: admit the new
             tREFI bin's arrivals (first window of the bin), drain the
             window, coalesce writebacks, checkpoint invariants — the
-            exact sequence the legacy per-REF loop ran inline."""
+            exact sequence the legacy per-REF loop ran inline. Returns
+            the next window index this run needs (None = the next one)."""
             nonlocal last_bin, spm_used, crq_used, flex_buffer_bytes
             nonlocal completed, conditional, random_count, moved_bytes
             nonlocal energy, energy_all_random, energy_all_conditional
             nonlocal latency_refs_sum
-            ref = policy.trefi_bin(window.ref_index)
+            ref = window.ref_index // per_trefi
             if ref != last_bin:
                 last_bin = ref
                 inject_arrivals(ref)
             # -- drain one refresh window ----------------------------------
             pressure = spm_used / spm_capacity >= cfg.pressure_threshold
-            executed = self.scheduler.drain_window(window, pressure=pressure)
+            executed = scheduler.drain_window(window, pressure=pressure)
             for access in executed:
                 nbytes = access.request.nbytes
                 moved_bytes += nbytes
-                op_energy = self.energy_model.nma_page_access_j(
-                    nbytes, conditional=access.conditional
-                )
-                energy += op_energy
-                energy_all_random += self.energy_model.nma_page_access_j(
-                    nbytes, conditional=False
-                )
-                energy_all_conditional += self.energy_model.nma_page_access_j(
-                    nbytes, conditional=True
-                )
+                joules = access_energy.get(nbytes)
+                if joules is None:
+                    joules = access_energy[nbytes] = (
+                        nma_access_j(nbytes, conditional=False),
+                        nma_access_j(nbytes, conditional=True),
+                    )
+                random_j, conditional_j = joules
+                energy_all_random += random_j
+                energy_all_conditional += conditional_j
                 if access.conditional:
+                    energy += conditional_j
                     conditional += 1
                 else:
+                    energy += random_j
                     random_count += 1
 
                 rid = access.request.request_id
@@ -424,7 +436,7 @@ class XfmEmulator:
                     else:
                         # The promoted page lands in a freshly allocated
                         # frame: placement-flexible writeback.
-                        wreq = self.scheduler.submit(
+                        wreq = scheduler.submit(
                             AccessKind.WRITE, None, ref, nbytes=PAGE_SIZE
                         )
                         write_of[wreq.request_id] = [op.op_id]
@@ -460,7 +472,7 @@ class XfmEmulator:
                 if not group:
                     break
                 flex_buffer_bytes -= group_bytes
-                wreq = self.scheduler.submit(
+                wreq = scheduler.submit(
                     AccessKind.WRITE, None, ref, nbytes=group_bytes
                 )
                 write_of[wreq.request_id] = group
@@ -474,6 +486,20 @@ class XfmEmulator:
                     ops=ops,
                     ref=ref,
                 )
+
+            # -- next-event time advance -----------------------------------
+            # With nothing queued, no window before the next arrival can
+            # change state: arrivals enter only on a bin's first window,
+            # SPM occupancy (hence ``pressure``) only rises there, and
+            # the coalesce loop above has already run to its fixed point.
+            if scheduler.pending_count:
+                return None
+            ref += 1
+            while ref < num_refs and not (
+                comp_arrivals[ref] or decomp_arrivals[ref]
+            ):
+                ref += 1
+            return ref * per_trefi
 
         # -- event loop: windows arrive as scheduled events --------------
         # The refresh policy publishes its window stream onto the shared

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import enum
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.dram.refresh import RefreshScheduler, RefreshWindow
 from repro.errors import ConfigError
@@ -48,6 +49,9 @@ class AccessRequest:
     #: bank-agnostic (all-bank windows serve any bank; per-bank windows
     #: serve conditional matches only in the refreshing bank).
     bank: Optional[int] = None
+    #: Set when the access executes; its ``_age_heap`` entry, if one is
+    #: still queued, is dropped lazily when it reaches the top.
+    served: bool = False
 
 
 @dataclass
@@ -85,8 +89,7 @@ class WindowScheduler:
     _age_heap: List[Tuple[int, int, AccessRequest]] = field(
         default_factory=list, init=False
     )
-    _flexible: List[AccessRequest] = field(default_factory=list, init=False)
-    _done: set = field(default_factory=set, init=False)
+    _flexible: Deque[AccessRequest] = field(default_factory=deque, init=False)
     _next_id: int = field(default=1, init=False)
     pending_count: int = field(default=0, init=False)
 
@@ -166,7 +169,8 @@ class WindowScheduler:
 
         # (1) flexible writebacks ride the current refresh rows.
         while budget and self._flexible:
-            request = self._flexible.pop(0)
+            request = self._flexible.popleft()
+            request.served = True
             executed.append(
                 ExecutedAccess(request=request, ref_index=ref_index, conditional=True)
             )
@@ -183,7 +187,7 @@ class WindowScheduler:
             if window.bank is None:
                 while budget and bucket:
                     request = bucket.pop(0)
-                    self._done.add(request.request_id)
+                    request.served = True
                     executed.append(
                         ExecutedAccess(
                             request=request, ref_index=ref_index, conditional=True
@@ -200,7 +204,7 @@ class WindowScheduler:
                         position += 1
                         continue
                     bucket.pop(position)
-                    self._done.add(request.request_id)
+                    request.served = True
                     executed.append(
                         ExecutedAccess(
                             request=request, ref_index=ref_index, conditional=True
@@ -213,7 +217,7 @@ class WindowScheduler:
         # (3) randoms for the oldest requests, subarray conflicts avoided.
         while budget and random_budget and self._age_heap:
             enqueued_ref, _, request = self._age_heap[0]
-            if request.request_id in self._done:
+            if request.served:
                 heapq.heappop(self._age_heap)
                 continue
             old_enough = ref_index - enqueued_ref >= self.random_age_refs
@@ -226,7 +230,7 @@ class WindowScheduler:
                 break
             heapq.heappop(self._age_heap)
             self._remove_from_bucket(request)
-            self._done.add(request.request_id)
+            request.served = True
             executed.append(
                 ExecutedAccess(
                     request=request, ref_index=ref_index, conditional=False
@@ -257,16 +261,21 @@ class WindowScheduler:
         assert request.row is not None
         slot = self.refresh.ref_slot_for_row(request.row)
         bucket = self._slot_buckets.get(slot)
-        if bucket and request in bucket:
-            bucket.remove(request)
-            if not bucket:
-                del self._slot_buckets[slot]
+        if not bucket:
+            return
+        # By identity: the dataclass ``__eq__`` compares every field.
+        for position, queued in enumerate(bucket):
+            if queued is request:
+                del bucket[position]
+                break
+        if not bucket:
+            del self._slot_buckets[slot]
 
     # -- introspection --------------------------------------------------------
 
     def oldest_wait_refs(self, ref_index: int) -> int:
         """Age (in REFs) of the oldest pending fixed-row request."""
-        while self._age_heap and self._age_heap[0][2].request_id in self._done:
+        while self._age_heap and self._age_heap[0][2].served:
             heapq.heappop(self._age_heap)
         if not self._age_heap:
             return 0

@@ -148,9 +148,19 @@ class RefreshScheduler:
         subarrays are exactly the window's refreshing rows (identical
         for all-bank windows; per-bank windows only occupy one bank's
         subarrays, but the conservative rank-wide rule is kept so the
-        reorder logic never depends on bank mapping)."""
-        busy = {self.device.subarray_of_row(r) for r in window.rows}
-        return self.device.subarray_of_row(row) not in busy
+        reorder logic never depends on bank mapping). A window's rows
+        are contiguous, so its busy subarrays are the range from its
+        first row's subarray to its last row's."""
+        subarray = self.device.subarray_of_row(row)
+        rows = window.rows
+        if not rows:
+            return True
+        per_subarray = self.device.rows_per_subarray
+        return not (
+            rows.start // per_subarray
+            <= subarray
+            <= (rows.stop - 1) // per_subarray
+        )
 
     # -- stateful iteration --------------------------------------------------
 
@@ -206,44 +216,69 @@ class RefreshScheduler:
         self,
         events: EventScheduler,
         until_ns: float,
-        on_window: Callable[[RefreshWindow], None],
+        on_window: Callable[[RefreshWindow], Optional[int]],
         start_index: int = 0,
         channel: int = 0,
     ) -> int:
-        """Publish the window stream onto ``events``: each window fires as
-        a scheduled event at its exact tick start, traces itself, and
-        hands the :class:`RefreshWindow` to ``on_window``. Windows chain
-        lazily (each event schedules its successor) so the heap stays
-        O(1) regardless of horizon length. Returns the number of windows
-        that will fire in ``[start, until_ns)``."""
-        policy = self.policy
-        end_ticks = ns_to_ticks(until_ns)
-        if policy.start_ticks(start_index) >= end_ticks:
-            return 0
+        """Publish the window stream onto ``events`` and return the
+        number of windows in the horizon ``[start, until_ns)``.
 
-        def fire(index: int) -> None:
+        Next-event time advance (DESIGN.md §11): a window fires as a
+        scheduled event at its exact tick start, traces itself, and
+        hands the :class:`RefreshWindow` to ``on_window``, whose return
+        value names the earliest window index the consumer needs next.
+        ``None`` (or any index not past this one) means the next
+        window. A later index promises that the windows in between
+        would change nothing the consumer can observe; they fire no
+        event and build no window, but still count towards the return
+        value and still emit their ``ref_window`` span, in index order.
+        An index at or beyond the horizon ends the stream. Windows
+        chain lazily (each event schedules its successor), so the heap
+        stays O(1) regardless of horizon length.
+        """
+        policy = self.policy
+        end_index = policy.first_index_at_or_after_ticks(ns_to_ticks(until_ns))
+        if end_index <= start_index:
+            return 0
+        start_ticks = policy.start_ticks
+        window_of = policy.window
+        schedule = events.schedule_at_ticks
+        tracing_enabled = _trace.tracing_enabled
+        index = start_index
+
+        def fire() -> None:
+            nonlocal index
+            window = window_of(index)
             # Chain the successor *before* running the consumer: the
             # refresh stream owns this timeline, so even if the consumer
             # advances the shared clock past the next window start (span
             # emission inside the body), the already-scheduled event
             # snaps the clock back to the exact window tick.
-            succ = index + 1
-            succ_ticks = policy.start_ticks(succ)
-            if succ_ticks < end_ticks:
-                events.schedule_at_ticks(succ_ticks, lambda: fire(succ))
-            window = policy.window(index)
-            self.trace_window(window=window, channel=channel)
-            on_window(window)
-
-        events.schedule_at_ticks(
-            policy.start_ticks(start_index), lambda: fire(start_index)
-        )
-        count = 0
-        index = start_index
-        while policy.start_ticks(index) < end_ticks:
-            count += 1
             index += 1
-        return count
+            successor = (
+                schedule(start_ticks(index), fire)
+                if index < end_index
+                else None
+            )
+            if tracing_enabled():
+                self.trace_window(window=window, channel=channel)
+            wanted = on_window(window)
+            if wanted is None or wanted <= index:
+                return
+            # The consumer skips ahead: account the windows in between,
+            # then re-aim the chain.
+            wanted = min(wanted, end_index)
+            if tracing_enabled():
+                for skipped in range(index, wanted):
+                    self.trace_window(skipped, channel)
+            index = wanted
+            if successor is not None:
+                events.cancel(successor)
+                if wanted < end_index:
+                    schedule(start_ticks(wanted), fire)
+
+        schedule(start_ticks(start_index), fire)
+        return end_index - start_index
 
     # -- aggregate refresh math ----------------------------------------------
 
@@ -270,10 +305,10 @@ class RefreshScheduler:
     ) -> List[RefreshWindow]:
         """All refresh windows starting in ``[start_ns, end_ns)``."""
         policy = self.policy
-        index = policy.first_index_at_or_after(max(0.0, start_ns))
-        end_ticks = ns_to_ticks(end_ns)
-        out: List[RefreshWindow] = []
-        while policy.start_ticks(index) < end_ticks:
-            out.append(policy.window(index))
-            index += 1
-        return out
+        return [
+            policy.window(index)
+            for index in range(
+                policy.first_index_at_or_after(max(0.0, start_ns)),
+                policy.first_index_at_or_after(end_ns),
+            )
+        ]

@@ -38,7 +38,7 @@ from typing import Optional
 from repro.dram.device import DramDeviceConfig
 from repro.dram.timing import REF_COMMANDS_PER_RETENTION, DramTimings
 from repro.errors import ConfigError
-from repro.sim.clock import ns_to_ticks, ticks_to_ns
+from repro.sim.clock import TICKS_PER_NS, ns_to_ticks, ticks_to_ns
 
 POLICY_ALL_BANK = "all-bank"
 POLICY_PER_BANK = "per-bank"
@@ -98,9 +98,10 @@ class RefreshWindow:
 class RefreshPolicy:
     """Base policy: integer-tick window cadence over one rank.
 
-    Subclasses define the window multiplicity per tREFI, the per-window
-    duration and bank scope; the shared math (exact tick starts, slot
-    rows, horizon iteration) lives here. The plug points the rest of the
+    Subclasses fix the window multiplicity per tREFI
+    (``windows_per_trefi``), the per-window duration (``duration_ns``)
+    and the bank scope; the shared math (exact tick starts, slot rows,
+    horizon iteration) lives here. The plug points the rest of the
     stack relies on: :meth:`window`, :meth:`start_ticks`,
     :meth:`trefi_bin`, :meth:`access_budget`.
     """
@@ -109,23 +110,26 @@ class RefreshPolicy:
     name = "base"
 
     def __init__(
-        self, device: DramDeviceConfig, timings: DramTimings
+        self,
+        device: DramDeviceConfig,
+        timings: DramTimings,
+        windows_per_trefi: int,
+        duration_ns: float,
     ) -> None:
         self.device = device
         self.timings = timings
         #: Exact tREFI in integer ticks — every window start derives
         #: from this by integer multiplication, never float accumulation.
         self.trefi_ticks = ns_to_ticks(timings.trefi_ns)
+        #: Windows per tREFI interval and the length of each. Plain
+        #: attributes, like the two below: :meth:`window` runs once per
+        #: fired window and reads all of them.
+        self.windows_per_trefi = windows_per_trefi
+        self.duration_ns = duration_ns
+        self.rows_per_ref = device.rows_refreshed_per_trfc
+        self.refs_per_retention = REF_COMMANDS_PER_RETENTION
 
     # -- subclass API --------------------------------------------------------
-
-    @property
-    def windows_per_trefi(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def duration_ns(self) -> float:
-        raise NotImplementedError
 
     def bank_of(self, index: int) -> Optional[int]:
         raise NotImplementedError
@@ -136,19 +140,18 @@ class RefreshPolicy:
 
     # -- shared math ---------------------------------------------------------
 
-    @property
-    def rows_per_ref(self) -> int:
-        return self.device.rows_refreshed_per_trfc
-
-    @property
-    def refs_per_retention(self) -> int:
-        return REF_COMMANDS_PER_RETENTION
-
     def start_ticks(self, index: int) -> int:
         """Exact start of window ``index`` in integer ticks."""
         # Distributes tREFI over windows_per_trefi without accumulating
         # error: window k*W starts exactly at k * trefi_ticks.
         return (index * self.trefi_ticks) // self.windows_per_trefi
+
+    def first_index_at_or_after_ticks(self, ticks: int) -> int:
+        """Smallest window index starting at or after ``ticks``, in
+        closed form: ``floor(i * T / W) < t``  iff  ``i < ceil(t * W / T)``."""
+        return max(
+            0, -((-ticks * self.windows_per_trefi) // self.trefi_ticks)
+        )
 
     def trefi_bin(self, index: int) -> int:
         """Which tREFI interval window ``index`` falls in."""
@@ -164,30 +167,25 @@ class RefreshPolicy:
         return range(start, start + self.rows_per_ref)
 
     def window(self, index: int) -> RefreshWindow:
-        """Full description of window ``index``."""
-        ticks = self.start_ticks(index)
-        slot = self.slot_of(index)
+        """Full description of window ``index`` (:meth:`start_ticks`,
+        :meth:`slot_of` and :meth:`rows_for_slot` spelled out)."""
+        per_trefi = self.windows_per_trefi
+        ticks = (index * self.trefi_ticks) // per_trefi
+        slot = (index // per_trefi) % self.refs_per_retention
+        first_row = slot * self.rows_per_ref
         return RefreshWindow(
-            ref_index=index,
-            start_ns=ticks_to_ns(ticks),
-            rows=self.rows_for_slot(slot),
-            start_ticks=ticks,
-            duration_ns=self.duration_ns,
-            bank=self.bank_of(index),
-            slot=slot,
+            index,
+            ticks / TICKS_PER_NS,
+            range(first_row, first_row + self.rows_per_ref),
+            ticks,
+            self.duration_ns,
+            self.bank_of(index),
+            slot,
         )
 
     def first_index_at_or_after(self, t_ns: float) -> int:
         """Smallest window index starting at or after ``t_ns``."""
-        target = ns_to_ticks(t_ns)
-        if target <= 0:
-            return 0
-        index = max(0, (target * self.windows_per_trefi) // self.trefi_ticks)
-        while index > 0 and self.start_ticks(index - 1) >= target:
-            index -= 1
-        while self.start_ticks(index) < target:
-            index += 1
-        return index
+        return self.first_index_at_or_after_ticks(ns_to_ticks(t_ns))
 
 
 class AllBankRefreshPolicy(RefreshPolicy):
@@ -195,13 +193,10 @@ class AllBankRefreshPolicy(RefreshPolicy):
 
     name = POLICY_ALL_BANK
 
-    @property
-    def windows_per_trefi(self) -> int:
-        return 1
-
-    @property
-    def duration_ns(self) -> float:
-        return self.timings.trfc_ns
+    def __init__(
+        self, device: DramDeviceConfig, timings: DramTimings
+    ) -> None:
+        super().__init__(device, timings, 1, timings.trfc_ns)
 
     def bank_of(self, index: int) -> Optional[int]:
         return None
@@ -224,24 +219,21 @@ class PerBankRefreshPolicy(RefreshPolicy):
         timings: DramTimings,
         trfc_fraction: float = PER_BANK_TRFC_FRACTION,
     ) -> None:
-        super().__init__(device, timings)
         if not 0.0 < trfc_fraction <= 1.0:
             raise ConfigError("trfc_fraction must be in (0, 1]")
+        super().__init__(
+            device,
+            timings,
+            device.banks_per_chip,
+            timings.trfc_ns * trfc_fraction,
+        )
         self.trfc_fraction = trfc_fraction
         per_window_ns = ticks_to_ns(self.trefi_ticks // self.windows_per_trefi)
-        if timings.trfc_ns * trfc_fraction > per_window_ns:
+        if self.duration_ns > per_window_ns:
             raise ConfigError(
-                f"per-bank window of {timings.trfc_ns * trfc_fraction} ns "
+                f"per-bank window of {self.duration_ns} ns "
                 f"does not fit the {per_window_ns} ns inter-window gap"
             )
-
-    @property
-    def windows_per_trefi(self) -> int:
-        return self.device.banks_per_chip
-
-    @property
-    def duration_ns(self) -> float:
-        return self.timings.trfc_ns * self.trfc_fraction
 
     def bank_of(self, index: int) -> Optional[int]:
         return index % self.windows_per_trefi

@@ -238,7 +238,7 @@ def check_window_scheduler(scheduler: WindowScheduler) -> None:
         1
         for bucket in scheduler._slot_buckets.values()
         for request in bucket
-        if request.request_id not in scheduler._done
+        if not request.served
     )
     _require(
         scheduler.pending_count == queued,

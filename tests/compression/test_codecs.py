@@ -11,6 +11,8 @@ from repro.compression import (
     get_codec,
     space_savings,
 )
+from repro.compression import zstd_like
+from repro.compression.bitio import BitWriter, write_varint_bits
 from repro.errors import ConfigError, CorruptStreamError
 from repro.sfm.page import PAGE_SIZE
 
@@ -54,6 +56,29 @@ class TestCorruption:
         blob = codec.compress(json_pages[0])
         with pytest.raises(CorruptStreamError):
             codec.decompress(blob[: len(blob) // 2])
+
+    @pytest.mark.parametrize("engine", ["decompress", "_decompress_python"])
+    def test_zstd_like_match_cannot_outgrow_the_header(self, engine):
+        """A sequence naming a 512 MiB match in a 4 KiB page is refused
+        before the copy (it used to allocate the half gigabyte and only
+        then fail the length check)."""
+        writer = BitWriter()
+        writer.write_bits(zstd_like._MAGIC, 8)
+        writer.write_bits(zstd_like._MODE_COMPRESSED, 8)
+        write_varint_bits(writer, PAGE_SIZE)
+        writer.write_bits(0, 32)
+        writer.align_to_byte()
+        write_varint_bits(writer, 2)  # literals "ab": two 1-bit codes
+        for symbol in range(256):
+            writer.write_bits(1 if symbol in b"ab" else 0, 4)
+        writer.write_bits(0b10, 2)
+        write_varint_bits(writer, 1)  # one sequence
+        write_varint_bits(writer, 2)  # literal run
+        write_varint_bits(writer, 1 << 29)  # match length
+        write_varint_bits(writer, 1)  # offset
+        decode = getattr(ZstdLikeCodec(), engine)
+        with pytest.raises(CorruptStreamError, match="match overruns"):
+            decode(writer.getvalue())
 
 
 class TestRatios:

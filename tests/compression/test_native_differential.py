@@ -132,9 +132,7 @@ class TestNativeVsPython:
         refused = sum(1 for lengths in python if isinstance(lengths, str))
         assert clamped > 50 and refused > 10  # the repair and the refusal ran
 
-    def test_zstd_like_decode_errors_identical(
-        self, no_native, bounded_match_copy
-    ):
+    def test_zstd_like_decode_errors_identical(self, no_native):
         """Damaged blobs: same bytes, or same exception type and message."""
         # Native first: the generator compresses one page per case.
         del os.environ["REPRO_NO_NATIVE"]

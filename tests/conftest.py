@@ -18,8 +18,6 @@ from __future__ import annotations
 import pytest
 
 from repro.compression import DeflateCodec, LzFastCodec, ZstdLikeCodec
-from repro.compression import zstd_like
-from repro.errors import CorruptStreamError
 from repro.sfm.page import PAGE_SIZE
 from repro.validation.hooks import set_validation
 from repro.workloads.corpus import corpus_pages
@@ -97,23 +95,3 @@ def codec(request):
         "lzfast": LzFastCodec(),
         "zstd-like": ZstdLikeCodec(),
     }[request.param]
-
-
-@pytest.fixture
-def bounded_match_copy(monkeypatch):
-    """Cap the zstd-like reference decoder's match copy for tests that
-    feed it damaged blobs.
-
-    That decoder copies a match of whatever length the stream names, so
-    one garbage varint can ask for gigabytes before a later check
-    rejects the blob. The cap is the same for both engines: the native
-    decoder refuses such a blob and re-runs this Python path.
-    """
-    copy = zstd_like.extend_match
-
-    def bounded(out, start, length):
-        if length > 1 << 20:
-            raise CorruptStreamError("match longer than any test page")
-        copy(out, start, length)
-
-    monkeypatch.setattr(zstd_like, "extend_match", bounded)

@@ -31,6 +31,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             XfmEmulator(EmulatorConfig(promotion_rate=0.0))
 
+    def test_expanding_pages_rejected(self):
+        """A blob above the 4 KiB writeback group was never grouped: it
+        sat in the flex buffer holding its SPM page for the whole run
+        (ratio 0.9 completed 507 of 1538 ops and reported no fallback)."""
+        with pytest.raises(ConfigError, match="compression_ratio"):
+            XfmEmulator(EmulatorConfig(compression_ratio=0.9))
+        report = XfmEmulator(
+            EmulatorConfig(
+                compression_ratio=1.0, sim_time_s=0.02, promotion_rate=0.2
+            )
+        ).run()
+        assert report.completed_ops >= report.total_ops - 10
+        assert report.spm_peak_bytes < 64 * 4096
+
 
 class TestFig12Behaviours:
     def test_three_accesses_eliminate_fallbacks(self):

@@ -146,3 +146,40 @@ class TestBookkeeping:
             _scheduler(accesses_per_ref=0)
         with pytest.raises(ConfigError):
             _scheduler(accesses_per_ref=1, random_per_ref=2)
+
+
+class TestBookkeepingStaysBounded:
+    def test_served_requests_leave_no_residue(self):
+        """Served fixed-row requests used to leave their id in a set for
+        the whole run; now the request carries the flag and the only
+        residue is a heap entry dropped when it reaches the top."""
+        from repro.validation.invariants import check_window_scheduler
+
+        scheduler = _scheduler(accesses_per_ref=3, random_per_ref=1)
+        served = []
+        for ref in range(3000):
+            for _ in range(2):
+                scheduler.submit(
+                    AccessKind.READ, _row_for_slot(ref % 8192), current_ref=ref
+                )
+            scheduler.submit(AccessKind.WRITE, None, current_ref=ref)
+            served.extend(scheduler.drain(ref))
+            check_window_scheduler(scheduler)
+        assert len(served) == 9000 and scheduler.pending_count == 0
+        assert all(access.request.served for access in served)
+        assert not hasattr(scheduler, "_done")
+        assert scheduler.oldest_wait_refs(3000) == 0
+        assert not scheduler._age_heap and not scheduler._slot_buckets
+
+    def test_random_service_removes_the_request_it_serves(self):
+        """Two equal-looking requests in one bucket: removal is by
+        identity, so the younger twin stays queued."""
+        scheduler = _scheduler(accesses_per_ref=1, random_per_ref=1)
+        first = scheduler.submit(AccessKind.READ, _row_for_slot(9), 0)
+        second = scheduler.submit(AccessKind.READ, _row_for_slot(9), 0)
+        # Window 1000 refreshes another subarray: a random access.
+        executed = scheduler.drain(1000)
+        assert len(executed) == 1 and executed[0].request is first
+        assert not executed[0].conditional
+        assert scheduler._slot_buckets[9] == [second]
+        assert scheduler._slot_buckets[9][0] is second

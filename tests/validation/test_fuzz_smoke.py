@@ -62,7 +62,7 @@ def test_fuzz_codec_roundtrips(codec):
 
 
 @pytest.mark.fuzz
-def test_fuzz_zstd_like_decode_error_parity(bounded_match_copy):
+def test_fuzz_zstd_like_decode_error_parity():
     """Damaged blobs through ``decompress`` (native kernel, Python on
     any anomaly) and through the Python decoder alone: same bytes, or
     the same exception type and message."""
