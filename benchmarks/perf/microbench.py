@@ -283,7 +283,7 @@ def telemetry_overhead_ratio(repeats: int = 5) -> float:
     the hot path's guard pattern (``tracing_enabled()`` check + early
     out) at the same emission-site density as the real swap path. The
     ratio is measured in-process so it is machine-independent; CI gates
-    it at < 3% (``run_perf.py telemetry-guard``).
+    it at < 3% (``run_perf.py guard telemetry``).
     """
     from repro.telemetry import trace as _trace
 
@@ -324,7 +324,7 @@ def span_overhead_ratio(repeats: int = 5) -> float:
     loop carrying that full guard pattern — span dispatch branch per op
     plus the flight-recorder's no-op module read on the (rare) failure
     path — at the pipeline's real site density. CI gates the off-path
-    cost at < 3% (``run_perf.py span-guard``), same in-process-ratio
+    cost at < 3% (``run_perf.py guard span``), same in-process-ratio
     protocol as :func:`telemetry_overhead_ratio`.
     """
     from repro.telemetry import flightrec as _flightrec
@@ -379,7 +379,7 @@ def tier_overhead_ratio(repeats: int = 5) -> float:
     same backend class. The ratio isolates the pipeline's
     placement/LRU/accounting bookkeeping (~4 us per op over a ~40 us
     loop of digest-cache-hit stores and native decodes); CI gates it at
-    < 25% (``run_perf.py tier-guard``). Measured in-process (same
+    < 25% (``run_perf.py guard tier``). Measured in-process (same
     machine, same run) like :func:`telemetry_overhead_ratio`.
     """
     from repro.sfm.backend import SfmBackend
@@ -435,7 +435,7 @@ KERNELS: Dict[str, Tuple[Callable[[], Callable[[], None]], int]] = {
     "swap_telemetry_off": (_kernel_swap_telemetry_off, 1),
     "swap_telemetry_on": (_kernel_swap_telemetry_on, 1),
     "tier_pipeline_store": (_kernel_tier_pipeline_store, 20),
-    # 20: a batch is ~0.5 ms, and sim-guard gates this kernel at 5 %.
+    # 20: a batch is ~0.5 ms, and `guard sim` gates this kernel at 5 %.
     "tier_pipeline_load": (_kernel_tier_pipeline_load, 20),
     "tier_demote_batch": (_kernel_tier_demote_batch, 1),
 }

@@ -19,38 +19,35 @@ Modes:
     gate catches algorithmic regressions (accidentally reverting to a
     bit-serial loop), not percent-level noise.
 
-``telemetry-guard``
-    Assert that the *disabled* telemetry guards cost < ``--max-overhead``
-    (default 3%) on the deflate round-trip kernel. Unlike ``check`` this
-    is an in-process ratio (guarded loop vs plain loop on the same
-    machine, same run), so the gate can afford to be tight.
+``guard <name>``
+    Assert that one overhead stays under ``--max-overhead`` (each guard
+    has its own default). All but ``sim`` are in-process ratios (guarded
+    loop vs plain loop on the same machine, same run), so unlike
+    ``check`` the gate can afford to be tight:
 
-``span-guard``
-    Assert that the *disabled* span/quantile/flight-recorder guards cost
-    < ``--max-overhead`` (default 3%) at the pipeline's real
-    instrumentation-site density. Same in-process-ratio protocol as
-    ``telemetry-guard``.
-
-``tier-guard``
-    Assert that routing the zswap store/load path through a single-tier
-    ``TierPipeline`` costs < ``--max-overhead`` (default 25%) over the
-    same path on a bare ``SfmBackend``. Same in-process-ratio protocol
-    as ``telemetry-guard``. The bookkeeping is ~4 us per op over a
-    ~40 us loop (digest-cache-hit stores, native decodes), hence 25%.
-
-``sim-guard``
-    Assert that the shared simulated-clock/event core added <
-    ``--max-overhead`` (default 5%) to the ``tier_pipeline_store`` /
-    ``tier_pipeline_load`` kernels, best-of-``--trials`` against their
-    committed ``BENCH_perf.json`` baselines.
+    ``telemetry`` (3%)  the *disabled* telemetry guards on the deflate
+        round-trip kernel.
+    ``span`` (3%)  the *disabled* span/quantile/flight-recorder guards at
+        the pipeline's real instrumentation-site density.
+    ``tier`` (25%)  the zswap store/load path through a single-tier
+        ``TierPipeline`` over the same path on a bare ``SfmBackend``. The
+        bookkeeping is ~4 us per op over a ~40 us loop (digest-cache-hit
+        stores, native decodes), hence 25%.
+    ``sim`` (5%)  the ``tier_pipeline_store`` / ``tier_pipeline_load``
+        kernels, best-of-``--trials``, against their committed
+        ``BENCH_perf.json`` baselines. They route every operation through
+        the pieces the shared simulated-clock/event core touched (span
+        clock reads, breaker checks, latency accounting) and the
+        baselines were recorded with it in place, so the gate bounds
+        drift from that record.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/perf/run_perf.py run
     PYTHONPATH=src python benchmarks/perf/run_perf.py run --update-baseline
     PYTHONPATH=src python benchmarks/perf/run_perf.py check --inner-scale 0.5
-    PYTHONPATH=src python benchmarks/perf/run_perf.py telemetry-guard
-    PYTHONPATH=src python benchmarks/perf/run_perf.py tier-guard
+    PYTHONPATH=src python benchmarks/perf/run_perf.py guard telemetry
+    PYTHONPATH=src python benchmarks/perf/run_perf.py guard sim
 """
 
 from __future__ import annotations
@@ -195,84 +192,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_telemetry_guard(args: argparse.Namespace) -> int:
-    # Best-of-N both ways; take the minimum over trials so a single
-    # noisy plain-loop batch can't fail the gate spuriously.
-    ratio = min(
-        microbench.telemetry_overhead_ratio(repeats=args.repeats)
-        for _ in range(args.trials)
+def _best_ratio(ratio_fn):
+    """Best-of-``--trials`` of an in-process ratio, so a single noisy
+    plain-loop batch can't fail the gate spuriously."""
+    return lambda args: min(
+        ratio_fn(repeats=args.repeats) for _ in range(args.trials)
     )
-    overhead = ratio - 1.0
-    print(
-        f"disabled-telemetry overhead on deflate round-trip: "
-        f"{overhead * 100:+.2f}% (gate: < {args.max_overhead * 100:.0f}%)"
-    )
-    if overhead > args.max_overhead:
-        print(
-            "telemetry guard FAILED: the tracing_enabled() fast path must "
-            "stay free when tracing is off"
-        )
-        return 1
-    print("telemetry guard passed")
-    return 0
 
 
-def cmd_span_guard(args: argparse.Namespace) -> int:
-    ratio = min(
-        microbench.span_overhead_ratio(repeats=args.repeats)
-        for _ in range(args.trials)
-    )
-    overhead = ratio - 1.0
-    print(
-        f"disabled span/quantile instrumentation overhead: "
-        f"{overhead * 100:+.2f}% (gate: < {args.max_overhead * 100:.0f}%)"
-    )
-    if overhead > args.max_overhead:
-        print(
-            "span guard FAILED: the span/quantile/flight-recorder guards "
-            "must stay free when tracing is off"
-        )
-        return 1
-    print("span guard passed")
-    return 0
-
-
-def cmd_tier_guard(args: argparse.Namespace) -> int:
-    ratio = min(
-        microbench.tier_overhead_ratio(repeats=args.repeats)
-        for _ in range(args.trials)
-    )
-    overhead = ratio - 1.0
-    print(
-        f"single-tier pipeline overhead on zswap store/load: "
-        f"{overhead * 100:+.2f}% (gate: < {args.max_overhead * 100:.0f}%)"
-    )
-    if overhead > args.max_overhead:
-        print(
-            "tier guard FAILED: TierPipeline bookkeeping must stay "
-            "negligible next to the codec on the single-tier store path"
-        )
-        return 1
-    print("tier guard passed")
-    return 0
-
-
-def cmd_sim_guard(args: argparse.Namespace) -> int:
-    """Assert the repro.sim clock/event core added < ``--max-overhead``
-    to the tier pipeline hot path.
-
-    The tier store/load kernels route every operation through the
-    pieces the simulation-core refactor touched (span clock reads,
-    breaker checks, latency accounting), so they are the canary: each
-    is re-measured (best-of-``--trials`` full kernel runs) and compared
-    against its committed ``BENCH_perf.json`` baseline. The baselines
-    were recorded with the shared clock in place, so the gate bounds
-    drift from that record."""
-    doc = _load(Path(args.baseline))
-    committed = doc["baseline"]["kernels"]
-    kernels = ("tier_pipeline_store", "tier_pipeline_load")
-    failures = []
-    for name in kernels:
+def _sim_ratio(args: argparse.Namespace) -> float:
+    """Worst tier kernel, each best-of-``--trials`` full kernel runs
+    against its committed baseline."""
+    committed = _load(Path(args.baseline))["baseline"]["kernels"]
+    worst = 0.0
+    for name in ("tier_pipeline_store", "tier_pipeline_load"):
         fresh = min(
             microbench.run_kernel(name, args.inner_scale, args.repeats)[
                 "seconds_per_op"
@@ -280,23 +213,52 @@ def cmd_sim_guard(args: argparse.Namespace) -> int:
             for _ in range(args.trials)
         )
         base = committed[name]["seconds_per_op"]
-        overhead = fresh / base - 1.0
-        print(
-            f"{name}: committed {base:.6f} s/op, fresh {fresh:.6f} s/op "
-            f"({overhead * 100:+.2f}%, gate: < {args.max_overhead * 100:.0f}%)"
-        )
-        if overhead > args.max_overhead:
-            failures.append((name, overhead))
-    if failures:
-        print(f"\nsim guard FAILED ({len(failures)} kernel(s)):")
-        for name, overhead in failures:
-            print(
-                f"  {name}: {overhead * 100:+.2f}% over the committed "
-                "baseline — scheduler/clock bookkeeping leaked into the "
-                "hot path"
-            )
+        print(f"{name}: committed {base:.6f} s/op, fresh {fresh:.6f} s/op")
+        worst = max(worst, fresh / base)
+    return worst
+
+
+#: name -> (default gate, ratio measurement, what it measures, what a
+#: failure means).
+GUARDS = {
+    "telemetry": (
+        0.03,
+        _best_ratio(microbench.telemetry_overhead_ratio),
+        "disabled-telemetry overhead on deflate round-trip",
+        "the tracing_enabled() fast path must stay free when tracing is off",
+    ),
+    "span": (
+        0.03,
+        _best_ratio(microbench.span_overhead_ratio),
+        "disabled span/quantile instrumentation overhead",
+        "the span/quantile/flight-recorder guards must stay free when "
+        "tracing is off",
+    ),
+    "tier": (
+        0.25,
+        _best_ratio(microbench.tier_overhead_ratio),
+        "single-tier pipeline overhead on zswap store/load",
+        "TierPipeline bookkeeping must stay negligible next to the codec "
+        "on the single-tier store path",
+    ),
+    "sim": (
+        0.05,
+        _sim_ratio,
+        "tier kernels over the committed baseline",
+        "scheduler/clock bookkeeping leaked into the hot path",
+    ),
+}
+
+
+def cmd_guard(args: argparse.Namespace) -> int:
+    default_gate, measure, what, meaning = GUARDS[args.name]
+    gate = default_gate if args.max_overhead is None else args.max_overhead
+    overhead = measure(args) - 1.0
+    print(f"{what}: {overhead * 100:+.2f}% (gate: < {gate * 100:.0f}%)")
+    if overhead > gate:
+        print(f"{args.name} guard FAILED: {meaning}")
         return 1
-    print("sim guard passed: event-core overhead within the gate")
+    print(f"{args.name} guard passed")
     return 0
 
 
@@ -320,45 +282,14 @@ def main(argv=None) -> int:
     check.add_argument("--trace-dir", default=None)
     check.set_defaults(func=cmd_check)
 
-    guard = sub.add_parser(
-        "telemetry-guard",
-        help="assert disabled telemetry costs < --max-overhead",
-    )
-    guard.add_argument("--max-overhead", type=float, default=0.03)
+    guard = sub.add_parser("guard", help="assert one overhead stays bounded")
+    guard.add_argument("name", choices=sorted(GUARDS))
+    guard.add_argument("--max-overhead", type=float, default=None)
     guard.add_argument("--repeats", type=int, default=3)
     guard.add_argument("--trials", type=int, default=3)
-    guard.set_defaults(func=cmd_telemetry_guard)
-
-    span_guard = sub.add_parser(
-        "span-guard",
-        help="assert disabled span/quantile guards cost < --max-overhead",
-    )
-    span_guard.add_argument("--max-overhead", type=float, default=0.03)
-    span_guard.add_argument("--repeats", type=int, default=3)
-    span_guard.add_argument("--trials", type=int, default=3)
-    span_guard.set_defaults(func=cmd_span_guard)
-
-    tier_guard = sub.add_parser(
-        "tier-guard",
-        help="assert single-tier pipeline overhead < --max-overhead",
-    )
-    tier_guard.add_argument("--max-overhead", type=float, default=0.25)
-    tier_guard.add_argument("--repeats", type=int, default=3)
-    tier_guard.add_argument("--trials", type=int, default=3)
-    tier_guard.set_defaults(func=cmd_tier_guard)
-
-    sim_guard = sub.add_parser(
-        "sim-guard",
-        help="assert the sim clock/event core overhead on the tier "
-        "pipeline kernels stays < --max-overhead vs the committed "
-        "baseline",
-    )
-    sim_guard.add_argument("--baseline", default=str(DEFAULT_BASELINE))
-    sim_guard.add_argument("--max-overhead", type=float, default=0.05)
-    sim_guard.add_argument("--inner-scale", type=float, default=1.0)
-    sim_guard.add_argument("--repeats", type=int, default=3)
-    sim_guard.add_argument("--trials", type=int, default=3)
-    sim_guard.set_defaults(func=cmd_sim_guard)
+    guard.add_argument("--baseline", default=str(DEFAULT_BASELINE))
+    guard.add_argument("--inner-scale", type=float, default=1.0)
+    guard.set_defaults(func=cmd_guard)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -1,20 +1,27 @@
-"""Command-line entry point: regenerate the paper's figures and tables.
+"""Command-line entry point: regenerate the paper's figures and tables,
+and drive the campaigns built on the stack.
 
 Usage::
 
-    python -m repro list                 # enumerate experiments
-    python -m repro table1 table2 fig3   # run specific ones
+    python -m repro list                 # experiments + every command's usage
+    python -m repro table1 table2 fig3   # run specific experiments
     python -m repro all                  # everything (a few minutes)
+    python -m repro <command> [options]  # see COMMANDS; options follow it
 
 Each experiment prints the same rendered rows/series its benchmark emits;
-the benchmarks add timing and shape assertions on top of these.
+the benchmarks add timing and shape assertions on top of these. Each
+command owns its options: one entry in :data:`COMMANDS` holds its help
+line, the function that declares its arguments on its own parser, and
+the function that runs it and returns the exit code (0 clean, 1 when
+the run's verdict fails, 2 on usage errors).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List
+from pathlib import Path
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 
 def _fig1() -> str:
@@ -184,45 +191,252 @@ _DESCRIPTIONS = {
 }
 
 
-def _cmd_replay(targets: List[str], args) -> int:
-    """``python -m repro replay <scenario|--trace-file>``: replay a swap
-    trace against a backend config. Exit 0 clean, 1 on digest mismatches
-    or missing pages, 2 on usage errors."""
-    from pathlib import Path
+# -- arguments: each declared once; a command lists the ones it owns --------
 
+
+def _one_of(kind: str, names: Sequence[str]) -> Dict[str, object]:
+    """``add_argument`` keywords for a value that must be one of
+    ``names``; the error says ``unknown <kind>`` and lists them."""
+
+    def parse(value: str) -> str:
+        if value not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind} {value!r} (have: {', '.join(names)})"
+            )
+        return value
+
+    return {"type": parse, "metavar": "{" + ",".join(names) + "}"}
+
+
+def _scenario_names() -> List[str]:
+    from repro.scenarios.zoo import SCENARIOS
+
+    return sorted(SCENARIOS)
+
+
+def _arguments() -> Dict[str, Dict[str, object]]:
+    """``add_argument`` keywords of every argument of every command, by
+    name. A function because naming the choices imports the packages
+    that define them."""
+    from repro.resilience.chaos import PROFILES
+    from repro.telemetry.runner import WORKLOADS
+    from repro.tiering.factory import TIER_KINDS
+
+    scenario = _one_of("scenario name", _scenario_names())
+    profile = _one_of("fault profile", sorted(PROFILES))
+
+    def flag(help: str) -> Dict[str, object]:
+        return {"action": "store_true", "help": help}
+
+    return {
+        "directory": dict(nargs="?", default="figure-data"),
+        "workloads": dict(
+            nargs="*", default=["zswap"],
+            help="default zswap; several get one sub-directory of --out each",
+            **_one_of("trace workload", sorted(WORKLOADS)),
+        ),
+        "scenario": dict(nargs="?", help="a shipped scenario", **scenario),
+        "root": dict(
+            nargs="*", help="a file tree (codectune: or an ingested corpus "
+            "directory; default: this package's own source tree)",
+        ),
+        "--out": dict(
+            help="output directory (codectune: the tables file); trace and "
+            "record default to trace-out, ingest to corpus-out",
+        ),
+        "--seed": dict(type=int, default=0, help="campaign/builder seed"),
+        "--validation": flag("run with the validation checkers on"),
+        "--ops": dict(type=int, default=400, help="operation count"),
+        "--profile": dict(
+            default="transient", help="fault profile", **profile
+        ),
+        "--fail-on-loss": flag(
+            "exit nonzero on explicit data loss or poison pages too"
+        ),
+        "--trace-file": dict(
+            metavar="PATH", help="replay: a trace artifact to replay "
+            "instead of a shipped scenario; record: where to save it",
+        ),
+        "--backend": dict(
+            default="pipeline", help="target tier config",
+            **_one_of("backend", TIER_KINDS),
+        ),
+        "--fault-profile": dict(
+            help="replay under a chaos fault profile", **profile
+        ),
+        "--fault-seed": dict(
+            type=int, default=0, help="fault-plan seed for --fault-profile"
+        ),
+        "--scenario": dict(
+            dest="scenario_option", help="the scenario, as an option",
+            **scenario,
+        ),
+        "--window-ns": dict(
+            type=float, default=15000.0, help="simulated-time window size"
+        ),
+        "--fail-on-violation": flag(
+            "exit nonzero when an objective misses its target"
+        ),
+        "--max-file-kib": dict(
+            type=int, default=512, help="skip files larger than this"
+        ),
+        "--fleet-shards": dict(type=int, default=4, help="pipeline shards"),
+        "--rate-rps": dict(
+            type=float, default=35000.0,
+            help="steady-state offered arrival rate (requests/s)",
+        ),
+        "--spike-multiplier": dict(
+            type=float, default=5.0,
+            help="arrival-rate multiplier during the spike phase",
+        ),
+        "--duration-scale": dict(
+            type=float, default=1.0,
+            help="scale all phase durations (1.0 = 160 ms simulated)",
+        ),
+        "--kill-shard-at-ms": dict(
+            type=float, help="chaos-kill shard-0 at this simulated millisecond"
+        ),
+        "--expect-shed": flag(
+            "fail unless the spike sheds, recovery is clean, and admitted "
+            "spike p99 <= 3x steady p99"
+        ),
+        "--expect-no-shed": flag(
+            "fail if any request was shed (steady campaigns)"
+        ),
+        "--fail-on-slo-violation": flag(
+            "exit nonzero when an SLO misses its target"
+        ),
+    }
+
+
+def _usage_error(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 2
+
+
+def _out_dir(args, default: Optional[str] = None) -> Optional[Path]:
+    out = args.out or default
+    return Path(out) if out else None
+
+
+def _print_wrote(out_dir: Optional[Path], *names: str) -> None:
+    if out_dir is not None:
+        for name in names:
+            print(f"  wrote {out_dir / name}")
+
+
+def _print_summary(summary: Dict[str, object]) -> None:
+    for key, value in summary.items():
+        if not key.startswith("_"):
+            print(f"  {key:24s}: {value}")
+
+
+# -- commands ---------------------------------------------------------------
+
+
+def _cmd_list(args) -> int:
+    print("available experiments:")
+    for name, description in _DESCRIPTIONS.items():
+        print(f"  {name:8s} {description}")
+    print("run: python -m repro <name> [<name> ...] | all")
+    print("commands (options follow the command; --help describes them):")
+    for name, command in COMMANDS.items():
+        usage = command_parser(name).format_usage().rstrip()
+        print(f"  {name}: {command.help}")
+        print("    " + usage.replace("\n", "\n    "))
+    return 0
+
+
+def _cmd_export(args) -> int:
+    from repro.analysis.export import EXPORTERS
+
+    target = Path(args.directory)
+    target.mkdir(parents=True, exist_ok=True)
+    for filename, exporter in EXPORTERS.items():
+        (target / filename).write_text(exporter(), encoding="utf-8")
+        print(f"wrote {target / filename}")
+    return 0
+
+
+def _cmd_trace(args) -> int:
+    from repro.telemetry.runner import run_traced
+
+    for name in args.workloads:
+        out_dir = _out_dir(args, "trace-out")
+        if len(args.workloads) > 1:
+            out_dir = out_dir / name
+        session, summary = run_traced(name, out_dir)
+        print(f"trace workload: {name}")
+        _print_summary(summary)
+        _print_wrote(out_dir, "trace.json", "metrics.json")
+    return 0
+
+
+def _cmd_tiers(args) -> int:
+    from repro.analysis.report import format_tier_stats
+    from repro.telemetry.runner import run_traced
+
+    session, summary = run_traced("tiers", _out_dir(args))
+    print("tier pipeline demo: cpu-zswap -> xfm -> dfm")
+    _print_summary(summary)
+    print()
+    print(format_tier_stats(summary["_pipeline"], title="per-tier counters"))
+    _print_wrote(_out_dir(args), "trace.json", "metrics.json")
+    return 0
+
+
+def _cmd_chaos(args) -> int:
+    """Exit 1 on :func:`repro.resilience.chaos.campaign_ok`'s verdict."""
+    from repro.errors import ConfigError
+    from repro.resilience import chaos
+
+    try:
+        config = chaos.ChaosConfig(
+            args.seed, args.ops, args.profile, validate=args.validation
+        )
+    except ConfigError as exc:
+        return _usage_error(f"bad chaos config: {exc}")
+    report = chaos.run_chaos(config, _out_dir(args))
+    print(chaos.format_report(report))
+    _print_wrote(
+        _out_dir(args), "chaos_report.json", "trace.json", "metrics.json"
+    )
+    return 0 if chaos.campaign_ok(report, args.fail_on_loss) else 1
+
+
+def _load_trace(command: str, args):
+    """The trace ``replay``/``slo`` asked for, or the usage-error exit
+    code after saying why there is none."""
     from repro.errors import ScenarioError
     from repro.scenarios.format import ScenarioTrace
+    from repro.scenarios.zoo import load_scenario
+
+    trace_file = getattr(args, "trace_file", None)
+    if trace_file is None and args.scenario is None:
+        return _usage_error(
+            f"{command} needs one scenario name "
+            f"(have: {', '.join(_scenario_names())})"
+            + (" or --trace-file PATH" if command == "replay" else "")
+        )
+    try:
+        if trace_file is not None:
+            return ScenarioTrace.load(trace_file)
+        return load_scenario(args.scenario)
+    except ScenarioError as exc:
+        return _usage_error(f"unusable trace: {exc}")
+
+
+def _cmd_replay(args) -> int:
+    """Exit 0 clean, 1 on digest mismatches or missing pages."""
     from repro.scenarios.replayer import TraceReplayer, format_report
-    from repro.scenarios.zoo import SCENARIOS, load_scenario
     from repro.telemetry.session import TelemetrySession
-    from repro.tiering.factory import TIER_KINDS, make_tier
+    from repro.tiering.factory import make_tier
     from repro.validation.hooks import validation
 
-    if args.backend not in TIER_KINDS:
-        print(
-            f"unknown backend {args.backend!r} "
-            f"(have: {', '.join(TIER_KINDS)})",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        if args.trace_file is not None:
-            trace = ScenarioTrace.load(args.trace_file)
-        else:
-            if len(targets) != 1 or targets[0] not in SCENARIOS:
-                print(
-                    "replay needs one scenario name "
-                    f"(have: {', '.join(sorted(SCENARIOS))}) "
-                    "or --trace-file PATH",
-                    file=sys.stderr,
-                )
-                return 2
-            trace = load_scenario(targets[0])
-    except ScenarioError as exc:
-        print(f"unusable trace: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out) if args.out else None
-    session = TelemetrySession(out_dir=out_dir)
+    trace = _load_trace("replay", args)
+    if isinstance(trace, int):
+        return trace
+    session = TelemetrySession(out_dir=_out_dir(args))
     with session, validation(args.validation):
         target = make_tier(args.backend, registry=session.registry)
         report = TraceReplayer(
@@ -234,9 +448,7 @@ def _cmd_replay(targets: List[str], args) -> int:
             session=session,
         ).run()
     print(format_report(report))
-    if out_dir is not None:
-        print(f"  wrote {out_dir / 'trace.json'}")
-        print(f"  wrote {out_dir / 'metrics.json'}")
+    _print_wrote(_out_dir(args), "trace.json", "metrics.json")
     return 0 if report.clean else 1
 
 
@@ -253,25 +465,24 @@ def _default_objectives(target) -> List[object]:
     from repro.telemetry.slo import AvailabilityObjective, LatencyObjective
 
     tiers = getattr(target, "tiers", None)
-    if tiers is not None:
-        store_budget_ns = 2.0 * tiers[0].swap_latency_s("out") * 1e9
+    if tiers is None:
+        tier_name = getattr(target, "tier_name", "?")
+        store_ns = 2.0 * target.swap_latency_s("out") * 1e9
+        load_ns = 2.0 * target.swap_latency_s("in") * 1e9
+    else:
+        tier_name = "pipeline"
+        store_ns = 2.0 * tiers[0].swap_latency_s("out") * 1e9
         mid = tiers[1] if len(tiers) > 1 else tiers[0]
-        load_budget_ns = 1.5 * mid.swap_latency_s("in") * 1e9
-        return [
-            LatencyObjective(
-                "store-latency",
-                op="store",
-                tier="pipeline",
-                threshold_ns=store_budget_ns,
-                target=0.95,
-            ),
-            LatencyObjective(
-                "load-latency",
-                op="load",
-                tier="pipeline",
-                threshold_ns=load_budget_ns,
-                target=0.95,
-            ),
+        load_ns = 1.5 * mid.swap_latency_s("in") * 1e9
+    objectives: List[object] = [
+        LatencyObjective(
+            f"{op}-latency", op=op, tier=tier_name, threshold_ns=budget_ns,
+            target=0.95,
+        )
+        for op, budget_ns in (("store", store_ns), ("load", load_ns))
+    ]
+    if tiers is not None:
+        objectives.append(
             AvailabilityObjective(
                 "availability",
                 target=0.999,
@@ -284,66 +495,28 @@ def _default_objectives(target) -> List[object]:
                     "tier_pipeline.loads",
                     "tier_pipeline.prefetch_loads",
                 ),
-            ),
-        ]
-    tier_name = getattr(target, "tier_name", "?")
-    return [
-        LatencyObjective(
-            "store-latency",
-            op="store",
-            tier=tier_name,
-            threshold_ns=2.0 * target.swap_latency_s("out") * 1e9,
-            target=0.95,
-        ),
-        LatencyObjective(
-            "load-latency",
-            op="load",
-            tier=tier_name,
-            threshold_ns=2.0 * target.swap_latency_s("in") * 1e9,
-            target=0.95,
-        ),
-    ]
+            )
+        )
+    return objectives
 
 
-def _cmd_slo(targets: List[str], args) -> int:
-    """``python -m repro slo <scenario>``: replay a zoo scenario under
-    tracing and evaluate latency/availability SLOs over simulated-time
-    windows. Exit 0 unless ``--fail-on-violation`` is set and an
-    objective missed its target."""
+def _cmd_slo(args) -> int:
+    """Exit 0 unless ``--fail-on-violation`` is set and an objective
+    missed its target."""
     import json
-    from pathlib import Path
 
     from repro.analysis.report import format_latency_table
-    from repro.errors import ScenarioError
     from repro.scenarios.replayer import TraceReplayer
-    from repro.scenarios.zoo import SCENARIOS, load_scenario
     from repro.sfm.page import PAGE_SIZE
     from repro.telemetry.session import TelemetrySession
     from repro.telemetry.slo import SloEngine
-    from repro.tiering.factory import TIER_KINDS, make_tier
+    from repro.tiering.factory import make_tier
 
-    if args.backend not in TIER_KINDS:
-        print(
-            f"unknown backend {args.backend!r} "
-            f"(have: {', '.join(TIER_KINDS)})",
-            file=sys.stderr,
-        )
-        return 2
-    if not targets and args.scenario:
-        targets = [args.scenario]
-    if len(targets) != 1 or targets[0] not in SCENARIOS:
-        print(
-            "slo needs one scenario name "
-            f"(have: {', '.join(sorted(SCENARIOS))})",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        trace = load_scenario(targets[0])
-    except ScenarioError as exc:
-        print(f"unusable trace: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out) if args.out else None
+    args.scenario = args.scenario or args.scenario_option
+    trace = _load_trace("slo", args)
+    if isinstance(trace, int):
+        return trace
+    out_dir = _out_dir(args)
     session = TelemetrySession(out_dir=out_dir)
     with session:
         # The goldens' 40-page pipeline split: small upper tiers force
@@ -397,46 +570,31 @@ def _cmd_slo(targets: List[str], args) -> int:
             "latency_percentiles": report.latency_percentiles,
             "slo": engine.as_dict(),
         }
-        path = out_dir / "slo_report.json"
-        path.write_text(
+        (out_dir / "slo_report.json").write_text(
             json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8"
         )
-        print(f"  wrote {path}")
-        print(f"  wrote {out_dir / 'trace.json'}")
-        print(f"  wrote {out_dir / 'metrics.json'}")
+        _print_wrote(out_dir, "slo_report.json", "trace.json", "metrics.json")
     if args.fail_on_violation and not all_met:
         return 1
     return 0
 
 
-def _cmd_record(targets: List[str], args) -> int:
-    """``python -m repro record <scenario>``: re-record a zoo scenario
-    from a live pipeline run and save the trace artifact."""
-    from pathlib import Path
-
+def _cmd_record(args) -> int:
     from repro.scenarios.format import trace_fingerprint
-    from repro.scenarios.zoo import (
-        ARTIFACT_SUFFIX,
-        SCENARIOS,
-        build_scenario,
-    )
+    from repro.scenarios.zoo import ARTIFACT_SUFFIX, build_scenario
 
-    if len(targets) != 1 or targets[0] not in SCENARIOS:
-        print(
+    if args.scenario is None:
+        return _usage_error(
             "record needs one scenario name "
-            f"(have: {', '.join(sorted(SCENARIOS))})",
-            file=sys.stderr,
+            f"(have: {', '.join(_scenario_names())})"
         )
-        return 2
-    name = targets[0]
-    trace = build_scenario(name, seed=args.seed)
+    trace = build_scenario(args.scenario, seed=args.seed)
     if args.trace_file is not None:
         path = Path(args.trace_file)
     else:
-        out_base = Path(args.out) if args.out else Path("trace-out")
-        path = out_base / (name + ARTIFACT_SUFFIX)
+        path = _out_dir(args, "trace-out") / (args.scenario + ARTIFACT_SUFFIX)
     trace.save(path)
-    print(f"recorded scenario: {name}")
+    print(f"recorded scenario: {args.scenario}")
     print(f"  events      : {len(trace)}")
     print(f"  unique pages: {len(trace.pages)}")
     print(f"  fingerprint : {trace_fingerprint(trace)}")
@@ -444,27 +602,21 @@ def _cmd_record(targets: List[str], args) -> int:
     return 0
 
 
-def _cmd_ingest(targets: List[str], args) -> int:
-    """``python -m repro ingest <dir>``: page-ify a file tree into a
-    digest-verified per-domain corpus."""
-    from pathlib import Path
-
+def _cmd_ingest(args) -> int:
     from repro.errors import ConfigError
     from repro.scenarios.ingest import IngestConfig, ingest_tree
 
-    if len(targets) != 1:
-        print("ingest needs exactly one root directory", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out) if args.out else Path("corpus-out")
+    if len(args.root) != 1:
+        return _usage_error("ingest needs exactly one root directory")
+    out_dir = _out_dir(args, "corpus-out")
     try:
         manifest = ingest_tree(
-            targets[0],
+            args.root[0],
             out_dir,
             IngestConfig(max_file_bytes=args.max_file_kib * 1024),
         )
     except ConfigError as exc:
-        print(f"ingest failed: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(f"ingest failed: {exc}")
     print(f"ingested corpus: {manifest.root_label}")
     for domain, pages in manifest.summary().items():
         print(f"  {domain:10s}: {pages} pages")
@@ -474,17 +626,11 @@ def _cmd_ingest(targets: List[str], args) -> int:
     return 0
 
 
-def _cmd_codectune(targets: List[str], args) -> int:
-    """``python -m repro codectune [<dir>]``: train per-domain static
-    Huffman tables (auto-tuned matcher parameters) and persist them.
-
-    ``<dir>`` is either an already-ingested corpus directory (containing
-    ``manifest.json``) or a raw file tree, which is ingested into a
-    temporary directory first. Defaults to this repository's own
-    ``src/`` tree — the first corpus the paper-style static tables are
-    trained on."""
+def _cmd_codectune(args) -> int:
+    """Train per-domain static Huffman tables (auto-tuned matcher
+    parameters) and persist them; a raw file tree is ingested into a
+    temporary directory first."""
     import tempfile
-    from pathlib import Path
 
     from repro.compression.static_tables import (
         DEFAULT_TABLES_PATH,
@@ -499,10 +645,12 @@ def _cmd_codectune(targets: List[str], args) -> int:
         ingest_tree,
     )
 
-    if len(targets) > 1:
-        print("codectune takes at most one corpus directory", file=sys.stderr)
-        return 2
-    root = Path(targets[0]) if targets else Path(__file__).resolve().parents[1]
+    if len(args.root) > 1:
+        return _usage_error("codectune takes at most one corpus directory")
+    root = (
+        Path(args.root[0]) if args.root
+        else Path(__file__).resolve().parents[1]
+    )
     out_path = Path(args.out) if args.out else DEFAULT_TABLES_PATH
     choices: dict = {}
     registry = StaticTableRegistry()
@@ -525,11 +673,9 @@ def _cmd_codectune(targets: List[str], args) -> int:
                 manifest, tuner=make_tuner(record=choices)
             )
     except (ConfigError, ManifestError) as exc:
-        print(f"codectune failed: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(f"codectune failed: {exc}")
     if not len(registry):
-        print(f"no corpus domains found under {root}", file=sys.stderr)
-        return 2
+        return _usage_error(f"no corpus domains found under {root}")
     registry.save(out_path)
     print(f"trained static tables: {len(registry)} domain(s) from {root}")
     for domain in registry.domains():
@@ -546,31 +692,16 @@ def _cmd_codectune(targets: List[str], args) -> int:
     return 0
 
 
-def _cmd_fleet(targets: List[str], args) -> int:
-    """``python -m repro fleet``: run the deterministic overload campaign
-    (steady -> spike -> drain -> recovery) through the sharded frontend.
-
-    Exit 0 on a clean run, 1 when data integrity or an explicit
-    expectation fails, 2 on usage errors. ``--expect-shed`` asserts the
-    overload contract (the spike sheds, recovery is shed-free, and the
-    admitted-request spike p99 stays within 3x the steady p99);
-    ``--expect-no-shed`` asserts a steady campaign sheds nothing;
-    ``--fail-on-slo-violation`` additionally requires every SLO met.
-    """
-    from pathlib import Path
-
+def _cmd_fleet(args) -> int:
+    """Exit 1 on :func:`repro.fleet.harness.campaign_ok`'s verdict."""
     from repro.errors import ConfigError
-    from repro.fleet.harness import FleetConfig, format_report, run_fleet
+    from repro.fleet import harness
 
-    if targets:
-        print("fleet takes no positional arguments", file=sys.stderr)
-        return 2
     if args.expect_shed and args.expect_no_shed:
-        print("--expect-shed and --expect-no-shed conflict", file=sys.stderr)
-        return 2
+        return _usage_error("--expect-shed and --expect-no-shed conflict")
     scale = args.duration_scale
     try:
-        config = FleetConfig(
+        config = harness.FleetConfig(
             seed=args.seed,
             shards=args.fleet_shards,
             steady_rate_rps=args.rate_rps,
@@ -586,309 +717,127 @@ def _cmd_fleet(targets: List[str], args) -> int:
             ),
         )
     except ConfigError as exc:
-        print(f"bad fleet config: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out) if args.out else None
-    report = run_fleet(config, out_dir)
-    print(format_report(report))
-    if out_dir is not None:
-        print(f"  wrote {out_dir / 'fleet_report.json'}")
-        print(f"  wrote {out_dir / 'trace.json'}")
-        print(f"  wrote {out_dir / 'metrics.json'}")
-        for name in report["flight_records"]:
-            print(f"  wrote {out_dir / name}")
-    verdict = report["verdict"]
-    ok = verdict["acked_data_lost"] == 0
-    ok = ok and verdict["silent_corruptions"] == 0
-    if args.expect_shed:
-        steady_p99 = report["phases"]["steady"]["latency_ns"]["p99"]
-        spike_p99 = report["phases"]["spike"]["latency_ns"]["p99"]
-        ok = ok and verdict["spike_shed"] and verdict["recovery_clean"]
-        ok = ok and spike_p99 <= 3 * steady_p99
-    if args.expect_no_shed:
-        total_shed = sum(
-            report["phases"][p]["shed"] for p in report["phases"]
-        )
-        ok = ok and total_shed == 0
-    if args.fail_on_slo_violation:
-        ok = ok and all(verdict["slo_met"].values())
+        return _usage_error(f"bad fleet config: {exc}")
+    report = harness.run_fleet(config, _out_dir(args))
+    print(harness.format_report(report))
+    _print_wrote(
+        _out_dir(args), "fleet_report.json", "trace.json", "metrics.json",
+        *report["flight_records"],
+    )
+    ok = harness.campaign_ok(
+        report,
+        expect_shed=args.expect_shed,
+        expect_no_shed=args.expect_no_shed,
+        fail_on_slo_violation=args.fail_on_slo_violation,
+    )
     return 0 if ok else 1
 
 
-def main(argv: List[str] = None) -> int:
+class Command(NamedTuple):
+    """One CLI command: its help line, the arguments it owns (names in
+    :func:`_arguments`, in usage order), and the function that runs the
+    parsed arguments and returns the exit code."""
+
+    help: str
+    arguments: Sequence[str]
+    run: Callable[[argparse.Namespace], int]
+
+
+_REPLAY_TARGET = ("--backend", "--fault-profile", "--fault-seed")
+_FLEET_ARGUMENTS = (
+    "--seed", "--fleet-shards", "--rate-rps", "--spike-multiplier",
+    "--duration-scale", "--kill-shard-at-ms", "--expect-shed",
+    "--expect-no-shed", "--fail-on-slo-violation", "--out",
+)
+
+COMMANDS: Dict[str, Command] = {
+    "list": Command(
+        "enumerate the experiments and every command's usage", (), _cmd_list
+    ),
+    "export": Command(
+        "write the figures' CSV/JSON series", ("directory",), _cmd_export
+    ),
+    "trace": Command(
+        "run reference workloads under tracing: Perfetto trace + metrics",
+        ("workloads", "--out"), _cmd_trace,
+    ),
+    "tiers": Command(
+        "3-tier demotion/promotion demo, traced", ("--out",), _cmd_tiers
+    ),
+    "chaos": Command(
+        "seeded fault campaign over the tier pipeline",
+        ("--seed", "--ops", "--profile", "--validation", "--fail-on-loss",
+         "--out"),
+        _cmd_chaos,
+    ),
+    "replay": Command(
+        "replay a swap trace against a backend config",
+        ("scenario", "--trace-file", *_REPLAY_TARGET, "--validation", "--out"),
+        _cmd_replay,
+    ),
+    "slo": Command(
+        "replay a scenario under tracing and evaluate latency/availability "
+        "SLOs over simulated-time windows",
+        ("scenario", "--scenario", *_REPLAY_TARGET, "--window-ns",
+         "--fail-on-violation", "--out"),
+        _cmd_slo,
+    ),
+    "record": Command(
+        "re-record a zoo scenario from a live pipeline run",
+        ("scenario", "--seed", "--trace-file", "--out"), _cmd_record,
+    ),
+    "ingest": Command(
+        "page-ify a file tree into a digest-verified per-domain corpus",
+        ("root", "--out", "--max-file-kib"), _cmd_ingest,
+    ),
+    "codectune": Command(
+        "train and persist per-domain static Huffman tables",
+        ("root", "--out", "--max-file-kib"), _cmd_codectune,
+    ),
+    "fleet": Command(
+        "deterministic overload campaign (steady -> spike -> drain -> "
+        "recovery) through the sharded frontend",
+        _FLEET_ARGUMENTS, _cmd_fleet,
+    ),
+}
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    command = COMMANDS[name]
     parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Regenerate figures/tables of the XFM paper.",
+        prog=f"python -m repro {name}", description=command.help
     )
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        default=["list"],
-        help="experiment names, 'list', 'all', 'export <dir>', "
-        "'trace <workload>', 'tiers', 'chaos', 'replay <scenario>', "
-        "'slo <scenario>', 'record <scenario>', 'ingest <dir>', "
-        "'codectune [<dir>]', or 'fleet'",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="output directory for 'trace'/'chaos' (default: trace-out)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="campaign seed for 'chaos'"
-    )
-    parser.add_argument(
-        "--ops", type=int, default=400, help="operation count for 'chaos'"
-    )
-    parser.add_argument(
-        "--profile",
-        default="transient",
-        help="fault profile for 'chaos' (transient|full)",
-    )
-    parser.add_argument(
-        "--validation",
-        action="store_true",
-        help="run 'chaos'/'replay' with the validation checkers on",
-    )
-    parser.add_argument(
-        "--backend",
-        default="pipeline",
-        help="replay target config (cpu|xfm|xfm-mc|dfm|pipeline)",
-    )
-    parser.add_argument(
-        "--fault-profile",
-        default=None,
-        help="replay under a chaos fault profile (transient|full)",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="fault-plan seed for --fault-profile",
-    )
-    parser.add_argument(
-        "--trace-file",
-        default=None,
-        help="replay/record: explicit trace artifact path "
-        "(default: the shipped zoo artifact / <out>/<name>.trace.jsonl.gz)",
-    )
-    parser.add_argument(
-        "--max-file-kib",
-        type=int,
-        default=512,
-        help="ingest: skip files larger than this (KiB)",
-    )
-    parser.add_argument(
-        "--scenario",
-        default=None,
-        help="slo: scenario name (alternative to the positional form)",
-    )
-    parser.add_argument(
-        "--fail-on-violation",
-        action="store_true",
-        help="slo: exit nonzero when an objective misses its target",
-    )
-    parser.add_argument(
-        "--window-ns",
-        type=float,
-        default=15000.0,
-        help="slo: simulated-time window size in ns",
-    )
-    parser.add_argument(
-        "--fail-on-loss",
-        action="store_true",
-        help="exit nonzero if the chaos campaign lost or corrupted data",
-    )
-    parser.add_argument(
-        "--fleet-shards",
-        type=int,
-        default=4,
-        help="fleet: number of pipeline shards",
-    )
-    parser.add_argument(
-        "--rate-rps",
-        type=float,
-        default=35000.0,
-        help="fleet: steady-state offered arrival rate (requests/s)",
-    )
-    parser.add_argument(
-        "--spike-multiplier",
-        type=float,
-        default=5.0,
-        help="fleet: arrival-rate multiplier during the spike phase",
-    )
-    parser.add_argument(
-        "--duration-scale",
-        type=float,
-        default=1.0,
-        help="fleet: scale all phase durations (1.0 = 160 ms simulated)",
-    )
-    parser.add_argument(
-        "--kill-shard-at-ms",
-        type=float,
-        default=None,
-        help="fleet: chaos-kill shard-0 at this simulated millisecond",
-    )
-    parser.add_argument(
-        "--expect-shed",
-        action="store_true",
-        help="fleet: fail unless the spike sheds, recovery is clean, and "
-        "admitted spike p99 <= 3x steady p99",
-    )
-    parser.add_argument(
-        "--expect-no-shed",
-        action="store_true",
-        help="fleet: fail if any request was shed (steady campaigns)",
-    )
-    parser.add_argument(
-        "--fail-on-slo-violation",
-        action="store_true",
-        help="fleet: exit nonzero when an SLO misses its target",
-    )
-    args = parser.parse_args(argv)
-    names = args.experiments or ["list"]
+    known = _arguments()
+    for argument in command.arguments:
+        parser.add_argument(argument, **known[argument])
+    return parser
 
-    if names == ["list"]:
-        print("available experiments:")
-        for name, description in _DESCRIPTIONS.items():
-            print(f"  {name:8s} {description}")
-        print("run: python -m repro <name> [<name> ...] | all")
-        print("     python -m repro export <dir>   # CSV/JSON figure data")
-        print("     python -m repro trace <workload> [--out DIR]"
-              "   # Perfetto trace + metrics")
-        from repro.telemetry.runner import WORKLOADS
 
-        print(f"     trace workloads: {', '.join(sorted(WORKLOADS))}")
-        print("     python -m repro tiers [--out DIR]"
-              "   # 3-tier demotion/promotion demo")
-        print("     python -m repro chaos [--seed N] [--ops N]"
-              " [--profile P] [--out DIR]   # seeded fault campaign")
-        from repro.scenarios.zoo import SCENARIOS
-
-        print("     python -m repro replay <scenario> [--backend B]"
-              " [--fault-profile P] [--out DIR]   # replay a swap trace")
-        print(f"     replay scenarios: {', '.join(sorted(SCENARIOS))}"
-              " (or --trace-file PATH)")
-        print("     python -m repro slo <scenario> [--backend B]"
-              " [--window-ns N] [--out DIR]   # latency/availability SLOs")
-        print("     python -m repro record <scenario> [--seed N]"
-              " [--out DIR]   # re-record a zoo trace artifact")
-        print("     python -m repro ingest <dir> [--out DIR]"
-              " [--max-file-kib N]   # page-ify a file tree")
-        print("     python -m repro codectune [<dir>] [--out PATH]"
-              "   # train+tune static Huffman tables per domain")
-        print("     python -m repro fleet [--fleet-shards N] [--rate-rps R]"
-              " [--spike-multiplier M] [--kill-shard-at-ms T] [--out DIR]"
-              "   # overload campaign")
-        return 0
-    if names and names[0] == "replay":
-        return _cmd_replay(names[1:], args)
-    if names and names[0] == "slo":
-        return _cmd_slo(names[1:], args)
-    if names and names[0] == "record":
-        return _cmd_record(names[1:], args)
-    if names and names[0] == "ingest":
-        return _cmd_ingest(names[1:], args)
-    if names and names[0] == "codectune":
-        return _cmd_codectune(names[1:], args)
-    if names and names[0] == "fleet":
-        return _cmd_fleet(names[1:], args)
-    if names and names[0] == "chaos":
-        from pathlib import Path
-
-        from repro.resilience.chaos import (
-            ChaosConfig,
-            format_report,
-            run_chaos,
-        )
-
-        config = ChaosConfig(
-            seed=args.seed,
-            ops=args.ops,
-            profile=args.profile,
-            validate=args.validation,
-        )
-        out_dir = Path(args.out) if args.out else None
-        report = run_chaos(config, out_dir)
-        print(format_report(report))
-        if out_dir is not None:
-            print(f"  wrote {out_dir / 'chaos_report.json'}")
-            print(f"  wrote {out_dir / 'trace.json'}")
-            print(f"  wrote {out_dir / 'metrics.json'}")
-        verdict = report["verdict"]
-        clean = verdict["clean"] and verdict["all_detections_accounted"]
-        if args.fail_on_loss:
-            recovery = report["recovery"]
-            clean = clean and not recovery["data_loss_events"]
-            clean = clean and not recovery["poison_pages"]
-        return 0 if clean else 1
-    if names and names[0] == "tiers":
-        from pathlib import Path
-
-        from repro.analysis.report import format_tier_stats
-        from repro.telemetry.runner import run_traced
-
-        out_dir = Path(args.out) if args.out else None
-        session, summary = run_traced("tiers", out_dir)
-        pipeline = summary.pop("_pipeline", None)
-        print("tier pipeline demo: cpu-zswap -> xfm -> dfm")
-        for key, value in summary.items():
-            print(f"  {key:24s}: {value}")
-        if pipeline is not None:
-            print()
-            print(format_tier_stats(pipeline, title="per-tier counters"))
-        if out_dir is not None:
-            print(f"  wrote {out_dir / 'trace.json'}")
-            print(f"  wrote {out_dir / 'metrics.json'}")
-        return 0
-    if names and names[0] == "trace":
-        from pathlib import Path
-
-        from repro.telemetry.runner import WORKLOADS, run_traced
-
-        targets = names[1:] or ["zswap"]
-        unknown = [name for name in targets if name not in WORKLOADS]
-        if unknown:
-            print(
-                f"unknown trace workload(s): {', '.join(unknown)} "
-                f"(have: {', '.join(sorted(WORKLOADS))})",
-                file=sys.stderr,
-            )
-            return 2
-        out_base = Path(args.out) if args.out else Path("trace-out")
-        for name in targets:
-            out_dir = out_base / name if len(targets) > 1 else out_base
-            session, summary = run_traced(name, out_dir)
-            print(f"trace workload: {name}")
-            for key, value in summary.items():
-                if key.startswith("_"):
-                    continue
-                print(f"  {key:24s}: {value}")
-            print(f"  wrote {out_dir / 'trace.json'}")
-            print(f"  wrote {out_dir / 'metrics.json'}")
-        return 0
-    if names and names[0] == "export":
-        from pathlib import Path
-
-        from repro.analysis.export import EXPORTERS
-
-        target = Path(names[1]) if len(names) > 1 else Path("figure-data")
-        target.mkdir(parents=True, exist_ok=True)
-        for filename, exporter in EXPORTERS.items():
-            (target / filename).write_text(exporter(), encoding="utf-8")
-            print(f"wrote {target / filename}")
-        return 0
+def _run_experiments(names: List[str]) -> int:
     if names == ["all"]:
         names = list(EXPERIMENTS)
-
     unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
+        return _usage_error(f"unknown experiment(s): {', '.join(unknown)}")
     for name in names:
         print(EXPERIMENTS[name]())
         print()
     return 0
+
+
+def main(argv: List[str] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    name = argv[0] if argv else "list"
+    if name in ("-h", "--help"):
+        name = "list"
+    if name not in COMMANDS:
+        return _run_experiments(argv)
+    try:
+        args = command_parser(name).parse_args(argv[1:])
+    except SystemExit as exc:
+        # argparse reports usage errors (2) and --help (0) by exiting.
+        return exc.code
+    return COMMANDS[name].run(args)
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CorruptStreamError
 
 
 @dataclass
@@ -161,6 +161,57 @@ def get_codec(name: str, **kwargs) -> Codec:
 def available_codecs() -> List[str]:
     """Names of all registered codecs, sorted."""
     return sorted(_REGISTRY)
+
+
+#: Decoded bytes one blob byte can stand for in the lzfast and
+#: zstd-like formats (a match of at most 130 resp. 511 bytes costs three
+#: bytes) and in every deflate blob of a 4 KiB page. The native decoders
+#: size their output buffer from the header's ``orig_len``, so a blob
+#: claiming more is left to the Python decoder.
+MAX_EXPANSION = 256
+
+
+def refuse_overclaim(
+    orig_len: int, blob_len: int, expansion: int = MAX_EXPANSION
+) -> None:
+    """Raise unless ``blob_len`` bytes can decode to a header's
+    ``orig_len``: a damaged varint must not size anything."""
+    if orig_len > expansion * blob_len:
+        raise CorruptStreamError(
+            f"header claims {orig_len} bytes from a {blob_len}-byte blob"
+        )
+
+
+def native_header(
+    blob: bytes, magic: int, low_bit_continue: bool = False
+) -> Optional[Tuple[int, int, int, int]]:
+    """Parse ``magic | mode | varint(orig_len) | crc32`` for a native
+    decoder: ``(mode, orig_len, checksum, payload offset)``, or ``None``
+    when the header is short, foreign or overclaims — the Python decoder
+    then diagnoses it. ``low_bit_continue`` selects the bit-stream
+    varint (continue flag in bit 0) over the byte one (bit 7)."""
+    if len(blob) < 7 or blob[0] != magic:
+        return None
+    value = shift = 0
+    pos = 2
+    while True:
+        if pos >= len(blob) or shift > 35:
+            return None
+        byte = blob[pos]
+        pos += 1
+        if low_bit_continue:
+            value |= (byte >> 1) << shift
+            more = byte & 1
+        else:
+            value |= (byte & 0x7F) << shift
+            more = byte & 0x80
+        if not more:
+            break
+        shift += 7
+    if pos + 4 > len(blob) or value > MAX_EXPANSION * len(blob):
+        return None
+    checksum = int.from_bytes(blob[pos : pos + 4], "little")
+    return blob[1], value, checksum, pos + 4
 
 
 def compression_ratio(data: bytes, codec: Codec) -> float:

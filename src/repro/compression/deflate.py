@@ -45,7 +45,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compression import _native
-from repro.compression.base import Codec, CodecSpec, register_codec
+from repro.compression.base import (
+    Codec,
+    CodecSpec,
+    native_header,
+    refuse_overclaim,
+    register_codec,
+)
 from repro.compression.bitio import (
     BitReader,
     BitWriter,
@@ -74,6 +80,10 @@ _MODE_HUFFMAN_STATIC = 3
 
 #: Version byte leading every mode-3 payload.
 _STATIC_FORMAT_VERSION = 1
+
+#: Decoded bytes per blob byte this format can reach: a 258-byte match
+#: in a one-bit length code plus a one-bit distance code.
+_MAX_EXPANSION = 258 * 8 // 2
 
 _EOB = 256
 _NUM_LITLEN = 286
@@ -711,26 +721,12 @@ class DeflateCodec(Codec):
         the error it always raised.
         """
         lib = _native.load()
-        if lib is None or len(blob) < 7 or blob[0] != _MAGIC:
+        if lib is None:
             return None
-        mode = blob[1]
-        value = 0
-        shift = 0
-        pos = 2
-        while True:
-            if pos >= len(blob) or shift > 35:
-                return None
-            byte = blob[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        orig_len = value
-        if pos + 4 > len(blob):
+        header = native_header(blob, _MAGIC)
+        if header is None:
             return None
-        checksum = int.from_bytes(blob[pos : pos + 4], "little")
-        pos += 4
+        mode, orig_len, checksum, pos = header
         if mode == _MODE_STORED:
             if pos + orig_len > len(blob):
                 return None
@@ -771,6 +767,7 @@ class DeflateCodec(Codec):
             raise CorruptStreamError(f"bad magic byte 0x{magic:02x}")
         mode = reader.read_bits(8)
         orig_len = _read_varint(reader)
+        refuse_overclaim(orig_len, len(blob), _MAX_EXPANSION)
         checksum = reader.read_bits(32)
         if mode == _MODE_STORED:
             out = reader.read_bytes(orig_len)

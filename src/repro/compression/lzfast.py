@@ -19,7 +19,13 @@ from typing import Optional
 import numpy as np
 
 from repro.compression import _native
-from repro.compression.base import Codec, CodecSpec, register_codec
+from repro.compression.base import (
+    Codec,
+    CodecSpec,
+    native_header,
+    refuse_overclaim,
+    register_codec,
+)
 from repro.compression.lz77 import extend_match
 from repro.errors import ConfigError, CorruptStreamError
 
@@ -218,27 +224,14 @@ class LzFastCodec(Codec):
     def _decompress_native(self, blob: bytes) -> Optional[bytes]:
         """C decode, claimed only for fully valid blobs (crc verified)."""
         lib = _native.load()
-        if lib is None or len(blob) < 7 or blob[0] != _MAGIC:
+        if lib is None:
             return None
-        if blob[1] != _MODE_COMPRESSED:
+        header = native_header(blob, _MAGIC)
+        if header is None:
+            return None
+        mode, orig_len, checksum, pos = header
+        if mode != _MODE_COMPRESSED:
             return None  # stored mode is already just a slice + crc
-        value = 0
-        shift = 0
-        pos = 2
-        while True:
-            if pos >= len(blob) or shift > 35:
-                return None
-            byte = blob[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        orig_len = value
-        if pos + 4 > len(blob):
-            return None
-        checksum = int.from_bytes(blob[pos : pos + 4], "little")
-        pos += 4
         out = np.empty(max(orig_len, 1), dtype=np.uint8)
         blob_np = np.frombuffer(blob, dtype=np.uint8)
         decoded = lib.lzfast_decompress(
@@ -256,6 +249,7 @@ class LzFastCodec(Codec):
             raise CorruptStreamError("bad lzfast header")
         mode = blob[1]
         orig_len, pos = _read_varint(blob, 2)
+        refuse_overclaim(orig_len, len(blob))
         if pos + 4 > len(blob):
             raise CorruptStreamError("checksum field truncated")
         checksum = int.from_bytes(blob[pos : pos + 4], "little")

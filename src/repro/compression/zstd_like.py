@@ -28,7 +28,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.compression import _native
-from repro.compression.base import Codec, CodecSpec, register_codec
+from repro.compression.base import (
+    Codec,
+    CodecSpec,
+    native_header,
+    refuse_overclaim,
+    register_codec,
+)
 from repro.compression.bitio import (
     BitReader,
     BitWriter,
@@ -53,13 +59,6 @@ _MIN_MATCH = 3
 #: Decode-table scratch for the native decoder (full-width table, rebuilt
 #: per call); allocated lazily, shared process-wide (single-threaded).
 _NATIVE_TABLE_SCRATCH = None
-
-#: Upper bound on decoded bytes per blob byte for anything this encoder
-#: emits: a literal costs at least one bit (8x), a match at least three
-#: varint bytes for at most 511 bytes (PACKED_LENGTH_MASK). The native
-#: decoder sizes its buffers from the header's ``orig_len``, so a blob
-#: claiming more than this is left to the Python decoder.
-_NATIVE_MAX_EXPANSION = 256
 
 
 @register_codec
@@ -174,31 +173,12 @@ class ZstdLikeCodec(Codec):
         already just a slice + crc there.
         """
         lib = _native.load()
-        if (
-            lib is None
-            or len(blob) < 7
-            or blob[0] != _MAGIC
-            or blob[1] != _MODE_COMPRESSED
-        ):
+        if lib is None:
             return None
-        value = 0
-        shift = 0
-        pos = 2
-        while True:
-            if pos >= len(blob) or shift > 35:
-                return None
-            byte = blob[pos]
-            pos += 1
-            # Bit-varint group: continue flag in the low bit.
-            value |= (byte >> 1) << shift
-            if not byte & 1:
-                break
-            shift += 7
-        orig_len = value
-        if pos + 4 > len(blob) or orig_len > _NATIVE_MAX_EXPANSION * len(blob):
+        header = native_header(blob, _MAGIC, low_bit_continue=True)
+        if header is None or header[0] != _MODE_COMPRESSED:
             return None
-        checksum = int.from_bytes(blob[pos : pos + 4], "little")
-        pos += 4
+        _, orig_len, checksum, pos = header
         global _NATIVE_TABLE_SCRATCH
         if _NATIVE_TABLE_SCRATCH is None:
             _NATIVE_TABLE_SCRATCH = np.empty(
@@ -229,6 +209,7 @@ class ZstdLikeCodec(Codec):
             raise CorruptStreamError("bad zstd-like magic")
         mode = reader.read_bits(8)
         orig_len = read_varint_bits(reader)
+        refuse_overclaim(orig_len, len(blob))
         checksum = reader.read_bits(32)
         reader.align_to_byte()
         if mode == _MODE_STORED:

@@ -26,7 +26,6 @@ from repro.fleet.admission import AdmissionController, TenantQuota
 from repro.fleet.brownout import TRACK_FLEET, BrownoutConfig, BrownoutController
 from repro.fleet.retrybudget import RetryBudget
 from repro.fleet.shard import FleetRequest, FleetShard
-from repro.resilience.breaker import BreakerConfig
 from repro.sim import CLOCK as _sim_clock
 from repro.sim.events import EventScheduler
 from repro.telemetry import trace as _trace
@@ -50,13 +49,7 @@ class FleetFrontend:
         quotas: Tuple[TenantQuota, ...],
         scheduler: EventScheduler,
         registry: Optional[MetricsRegistry] = None,
-        cpu_capacity_bytes: int = 4 * 1024 * 1024,
-        xfm_capacity_bytes: int = 4 * 1024 * 1024,
-        dfm_capacity_bytes: int = 64 * 1024 * 1024,
         queue_depth: int = 8,
-        breaker_config: Optional[BreakerConfig] = None,
-        brownout_config: Optional[BrownoutConfig] = None,
-        retry_budget: Optional[RetryBudget] = None,
     ) -> None:
         if len(set(shard_names)) != len(shard_names) or not shard_names:
             raise ConfigError("frontend needs uniquely named shards")
@@ -67,27 +60,16 @@ class FleetFrontend:
         self.spill: Dict[int, bytes] = {}
         self.shards: Dict[str, FleetShard] = {
             name: FleetShard(
-                name,
-                scheduler,
-                cpu_capacity_bytes=cpu_capacity_bytes,
-                xfm_capacity_bytes=xfm_capacity_bytes,
-                dfm_capacity_bytes=dfm_capacity_bytes,
-                queue_depth=queue_depth,
-                breaker_config=breaker_config,
-                spill=self.spill,
+                name, scheduler, queue_depth=queue_depth, spill=self.spill
             )
             for name in shard_names
         }
         for shard in self.shards.values():
             shard.on_complete = self._on_shard_complete
         self.admission = AdmissionController(quotas, registry=self.registry)
-        self.retry_budget = (
-            retry_budget
-            if retry_budget is not None
-            else RetryBudget(registry=self.registry)
-        )
+        self.retry_budget = RetryBudget(registry=self.registry)
         self.brownout = BrownoutController(
-            brownout_config if brownout_config is not None else BrownoutConfig(),
+            BrownoutConfig(),
             on_enter=self._enter_brownout,
             on_exit=self._exit_brownout,
             registry=self.registry,

@@ -12,9 +12,10 @@ the instants after the spike ends is not charged against recovery —
 the acceptance bar is "spike sheds, recovery is shed-free, admitted
 p99 stays bounded".
 
-A shadow dict of every acknowledged store is ground truth: served loads
-are byte-compared on the spot and a final sweep proves zero
-acknowledged-data loss (including across a chaos shard kill). SLOs are
+Every served store is acknowledged to a
+:class:`~repro.validation.shadow.ShadowOracle`: served loads are checked
+against it on the spot and a final sweep proves zero acknowledged-data
+loss (including across a chaos shard kill). SLOs are
 evaluated in simulated-time windows during the run; the first violated
 window per objective triggers a flight-recorder black-box dump
 (``flight_slo_burn*.json``). Everything — arrivals, admission, service
@@ -32,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, OverloadError, RetryBudgetExhausted
 from repro.fleet.admission import TenantQuota
-from repro.fleet.brownout import BrownoutConfig
 from repro.fleet.frontend import FleetFrontend
 from repro.fleet.shard import FleetRequest
 from repro.fleet.traffic import (
@@ -50,8 +50,28 @@ from repro.telemetry.slo import (
     LatencyObjective,
     SloEngine,
 )
+from repro.validation.shadow import ShadowOracle
 
 PHASES = ("steady", "spike", "drain", "recovery")
+
+TENANTS = 3
+QUEUE_DEPTH = 8
+#: Per-request completion deadline. Loose enough that steady-state
+#: Poisson bursts never trip it, tight enough that under overload
+#: deadline shedding — not unbounded queueing — bounds the tail of
+#: what the fleet *does* serve.
+DEADLINE_NS = 200_000.0
+DIURNAL_AMPLITUDE = 0.1
+STORE_FRACTION = 0.55
+#: Tenant rate quota = fair share * headroom. 4x lets enough of a
+#: 5x spike through admission to saturate the shards, so all three
+#: shed layers fire: rate quotas at the edge, then queue-full and
+#: deadline sheds at the overloaded shards.
+QUOTA_HEADROOM = 4.0
+SLO_WINDOW_NS = 5e6
+SLO_STORE_NS = 400_000.0
+SLO_LOAD_NS = 250_000.0
+SLO_TARGET = 0.95
 
 
 @dataclass(frozen=True)
@@ -60,42 +80,18 @@ class FleetConfig:
 
     seed: int = 0
     shards: int = 4
-    tenants: int = 3
-    queue_depth: int = 8
-    #: Per-request completion deadline. Loose enough that steady-state
-    #: Poisson bursts never trip it, tight enough that under overload
-    #: deadline shedding — not unbounded queueing — bounds the tail of
-    #: what the fleet *does* serve.
-    deadline_ns: float = 200_000.0
     steady_rate_rps: float = 35_000.0
     spike_multiplier: float = 5.0
     steady_ns: float = 60e6
     spike_ns: float = 30e6
     drain_guard_ns: float = 10e6
     recovery_ns: float = 60e6
-    diurnal_amplitude: float = 0.1
-    store_fraction: float = 0.55
-    #: Tenant rate quota = fair share * headroom. 4x lets enough of a
-    #: 5x spike through admission to saturate the shards, so all three
-    #: shed layers fire: rate quotas at the edge, then queue-full and
-    #: deadline sheds at the overloaded shards.
-    quota_headroom: float = 4.0
-    retries: bool = True
-    brownout: bool = True
     #: Simulated instant to chaos-kill shard 0 (None = no kill).
     kill_shard_at_ns: Optional[float] = None
-    cpu_capacity_bytes: int = 4 * 1024 * 1024
-    xfm_capacity_bytes: int = 4 * 1024 * 1024
-    dfm_capacity_bytes: int = 64 * 1024 * 1024
-    slo_window_ns: float = 5e6
-    slo_store_ns: float = 400_000.0
-    slo_load_ns: float = 250_000.0
-    slo_latency_target: float = 0.95
-    slo_availability_target: float = 0.95
 
     def __post_init__(self) -> None:
-        if self.shards < 1 or self.tenants < 1:
-            raise ConfigError("need at least one shard and one tenant")
+        if self.shards < 1:
+            raise ConfigError("need at least one shard")
         if self.spike_multiplier < 1.0:
             raise ConfigError("spike_multiplier must be >= 1")
         if min(self.steady_ns, self.spike_ns, self.drain_guard_ns,
@@ -139,44 +135,27 @@ class _Campaign:
         self.config = config
         self.session = session
         self.scheduler = EventScheduler()
-        self.tenant_names = tuple(
-            f"tenant-{i}" for i in range(config.tenants)
-        )
+        self.tenant_names = tuple(f"tenant-{i}" for i in range(TENANTS))
+        fair_share_rps = config.steady_rate_rps / TENANTS
         quotas = tuple(
             TenantQuota(
                 name=name,
-                rate_per_s=(
-                    config.steady_rate_rps / config.tenants
-                    * config.quota_headroom
-                ),
-                burst=max(
-                    8.0,
-                    config.steady_rate_rps / config.tenants * 0.002,
-                ),
+                rate_per_s=fair_share_rps * QUOTA_HEADROOM,
+                burst=max(8.0, fair_share_rps * 0.002),
                 qos="premium" if i == 0 else "standard",
             )
             for i, name in enumerate(self.tenant_names)
-        )
-        brownout_cfg = (
-            BrownoutConfig()
-            if config.brownout
-            # Effectively unreachable entry threshold: brownout off.
-            else BrownoutConfig(enter_windows=1_000_000_000)
         )
         self.frontend = FleetFrontend(
             tuple(f"shard-{i}" for i in range(config.shards)),
             quotas,
             self.scheduler,
             registry=session.registry,
-            cpu_capacity_bytes=config.cpu_capacity_bytes,
-            xfm_capacity_bytes=config.xfm_capacity_bytes,
-            dfm_capacity_bytes=config.dfm_capacity_bytes,
-            queue_depth=config.queue_depth,
-            brownout_config=brownout_cfg,
+            queue_depth=QUEUE_DEPTH,
         )
         self.frontend.on_complete = self._finish
-        #: Ground truth: acknowledged stores awaiting load-back.
-        self.shadow: Dict[int, bytes] = {}
+        #: Acknowledged stores awaiting load-back.
+        self.oracle = ShadowOracle()
         #: Per-tenant keys resident and not claimed by an in-flight load
         #: (append order = store order, so the tail is hottest).
         self.live_keys: Dict[str, List[int]] = {
@@ -188,8 +167,6 @@ class _Campaign:
         self.key_rng = random.Random(config.seed + 1)
         self.retry_rng = random.Random(config.seed + 2)
         self.next_rid = 0
-        self.silent_corruptions = 0
-        self.data_loss = 0
         self.retry_fast_fails = 0
         self.retries_scheduled = 0
         self.phase_tallies: Dict[str, Dict[str, int]] = {
@@ -210,22 +187,20 @@ class _Campaign:
             [
                 LatencyObjective(
                     name="fleet-store-latency", op="store", tier="fleet",
-                    threshold_ns=config.slo_store_ns,
-                    target=config.slo_latency_target,
+                    threshold_ns=SLO_STORE_NS, target=SLO_TARGET,
                 ),
                 LatencyObjective(
                     name="fleet-load-latency", op="load", tier="fleet",
-                    threshold_ns=config.slo_load_ns,
-                    target=config.slo_latency_target,
+                    threshold_ns=SLO_LOAD_NS, target=SLO_TARGET,
                 ),
                 AvailabilityObjective(
                     name="fleet-availability",
-                    target=config.slo_availability_target,
+                    target=SLO_TARGET,
                     bad_metrics=("fleet.shed",),
                     total_metrics=("fleet.requests",),
                 ),
             ],
-            window_ns=config.slo_window_ns,
+            window_ns=SLO_WINDOW_NS,
         )
         self._slo_burned: set = set()
         self._seen_windows = 0
@@ -265,7 +240,7 @@ class _Campaign:
             op=op,
             key=key,
             arrival_ns=now,
-            deadline_ns=now + self.config.deadline_ns,
+            deadline_ns=now + DEADLINE_NS,
             data=page_for(self.config.seed, key) if op == "store" else None,
         )
         self.next_rid += 1
@@ -290,16 +265,10 @@ class _Campaign:
             self.tenant_tallies[req.tenant]["served"] += 1
             self.phase_latencies[phase].append(req.latency_ns)
             if req.op == "store":
-                self.shadow[req.key] = req.data
+                self.oracle.ack(req.key, req.data)
                 self._release_key(req.tenant, req.key)
             else:
-                expect = self.shadow.pop(req.key, None)
-                if expect != req.result:
-                    self.silent_corruptions += 1
-                    _flightrec.trigger(
-                        _flightrec.REASON_CHAOS_LOSS,
-                        {"key": req.key, "phase": phase},
-                    )
+                self.oracle.check(req.key, req.result, phase)
         elif req.status == "shed":
             tally["shed"] += 1
             self.tenant_tallies[req.tenant]["shed"] += 1
@@ -313,14 +282,13 @@ class _Campaign:
             tally["failed"] += 1
             if req.op == "load":
                 if req.reason in ("missing", "corrupted"):
-                    if self.shadow.pop(req.key, None) is not None:
-                        self.data_loss += 1
+                    self.oracle.lost(req.key)
                 else:
                     # Transient (tier-unavailable): still resident.
                     self._release_key(req.tenant, req.key)
 
     def _maybe_retry(self, req: FleetRequest) -> None:
-        if not self.config.retries or req.attempt > 0:
+        if req.attempt > 0:
             return
         retry_after = max(req.retry_after_ns, 10_000.0)
         try:
@@ -343,7 +311,7 @@ class _Campaign:
         now = _sim_clock.now_ns()
         req.attempt += 1
         req.arrival_ns = now
-        req.deadline_ns = now + self.config.deadline_ns
+        req.deadline_ns = now + DEADLINE_NS
         req.status = "pending"
         req.reason = ""
         req.shard = ""
@@ -353,7 +321,7 @@ class _Campaign:
 
     def tick(self) -> None:
         now = _sim_clock.now_ns()
-        horizon = self.config.total_ns + 2 * self.config.slo_window_ns
+        horizon = self.config.total_ns + 2 * SLO_WINDOW_NS
         if now < horizon:
             # Chain the successor before doing any work (scheduler rule).
             self.scheduler.schedule_after(
@@ -381,21 +349,6 @@ class _Campaign:
                     },
                 )
         self._seen_windows = len(self.engine.windows)
-
-    # -- final sweep ---------------------------------------------------------
-
-    def sweep(self) -> Dict[str, int]:
-        """Prove zero acknowledged-data loss: every shadow page must
-        come back byte-identical through the (post-failover) fleet."""
-        checked = lost = corrupt = 0
-        for key in sorted(self.shadow):
-            checked += 1
-            data = self.frontend.lookup(key)
-            if data is None:
-                lost += 1
-            elif data != self.shadow[key]:
-                corrupt += 1
-        return {"checked": checked, "lost": lost, "corrupt": corrupt}
 
 
 def run_fleet(
@@ -432,9 +385,9 @@ def _drive(config: FleetConfig, session: TelemetrySession) -> Dict[str, object]:
         ),
         base_rate_rps=config.steady_rate_rps,
         tenant_shares={name: 1.0 for name in campaign.tenant_names},
-        store_fraction=config.store_fraction,
+        store_fraction=STORE_FRACTION,
         seed=config.seed,
-        diurnal_amplitude=config.diurnal_amplitude,
+        diurnal_amplitude=DIURNAL_AMPLITUDE,
     )
     for arrival in arrivals:
         scheduler.schedule(
@@ -458,7 +411,9 @@ def _drive(config: FleetConfig, session: TelemetrySession) -> Dict[str, object]:
     now = _sim_clock.now_ns()
     campaign.engine.finalize(now)
     campaign._check_burn()
-    sweep = campaign.sweep()
+    # Every acknowledged page must still come back byte-identical
+    # through the (post-failover) fleet.
+    sweep = campaign.oracle.sweep(campaign.frontend.lookup)
     return _build_report(config, campaign, sweep, failover_stats, arrivals)
 
 
@@ -469,7 +424,7 @@ def _build_report(
     failover_stats: Dict[str, int],
     arrivals: List[object],
 ) -> Dict[str, object]:
-    frontend = campaign.frontend
+    frontend, oracle = campaign.frontend, campaign.oracle
     phases: Dict[str, object] = {}
     for phase in PHASES:
         tally = campaign.phase_tallies[phase]
@@ -502,9 +457,9 @@ def _build_report(
         "config": {
             "seed": config.seed,
             "shards": config.shards,
-            "tenants": config.tenants,
-            "queue_depth": config.queue_depth,
-            "deadline_ns": config.deadline_ns,
+            "tenants": TENANTS,
+            "queue_depth": QUEUE_DEPTH,
+            "deadline_ns": DEADLINE_NS,
             "steady_rate_rps": config.steady_rate_rps,
             "spike_multiplier": config.spike_multiplier,
             "phase_ns": {
@@ -513,8 +468,8 @@ def _build_report(
                 "drain": config.drain_guard_ns,
                 "recovery": config.recovery_ns,
             },
-            "retries": config.retries,
-            "brownout": config.brownout,
+            "retries": True,
+            "brownout": True,
             "kill_shard_at_ns": config.kill_shard_at_ns,
         },
         "arrivals": len(arrivals),
@@ -547,8 +502,8 @@ def _build_report(
         "verdict": {
             "spike_shed": bool(spike_sheds > 0),
             "recovery_clean": bool(recovery_sheds == 0),
-            "acked_data_lost": sweep["lost"] + campaign.data_loss,
-            "silent_corruptions": campaign.silent_corruptions,
+            "acked_data_lost": sweep["lost"] + oracle.explicit_losses,
+            "silent_corruptions": oracle.silent_corruptions,
             "slo_met": {
                 name: summary["met"]
                 for name, summary in campaign.engine.summary().items()
@@ -557,6 +512,33 @@ def _build_report(
         "flight_records": list(campaign.session.flight.dump_names),
     }
     return report
+
+
+def campaign_ok(
+    report: Dict[str, object],
+    expect_shed: bool = False,
+    expect_no_shed: bool = False,
+    fail_on_slo_violation: bool = False,
+) -> bool:
+    """The CLI's exit verdict on a report. Data integrity always;
+    ``expect_shed`` asserts the overload contract (the spike sheds,
+    recovery is shed-free, admitted spike p99 within 3x the steady p99);
+    ``expect_no_shed`` asserts a steady campaign sheds nothing;
+    ``fail_on_slo_violation`` requires every SLO met."""
+    verdict, phases = report["verdict"], report["phases"]
+    ok = verdict["acked_data_lost"] == 0
+    ok = ok and verdict["silent_corruptions"] == 0
+    if expect_shed:
+        ok = ok and verdict["spike_shed"] and verdict["recovery_clean"]
+        ok = ok and (
+            phases["spike"]["latency_ns"]["p99"]
+            <= 3 * phases["steady"]["latency_ns"]["p99"]
+        )
+    if expect_no_shed:
+        ok = ok and sum(phases[p]["shed"] for p in phases) == 0
+    if fail_on_slo_violation:
+        ok = ok and all(verdict["slo_met"].values())
+    return bool(ok)
 
 
 def format_report(report: Dict[str, object]) -> str:

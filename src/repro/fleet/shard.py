@@ -28,7 +28,6 @@ from repro.errors import (
     SfmError,
     TierUnavailableError,
 )
-from repro.resilience.breaker import BreakerConfig
 from repro.sfm.page import PAGE_SIZE
 from repro.sim import CLOCK as _sim_clock
 from repro.sim.events import EventScheduler
@@ -40,6 +39,10 @@ from repro.tiering.policy import LruDemotion, NeverDemote
 #: advancing even for requests whose pipeline work is cache-hit cheap
 #: (and keeps bare, non-traced unit tests from looping at one tick).
 MIN_SERVICE_NS = 200.0
+
+#: Per-shard tier capacities (cpu-zswap and xfm; dfm).
+UPPER_TIER_BYTES = 4 * 1024 * 1024
+DFM_BYTES = 64 * 1024 * 1024
 
 #: Modeled cost of the brownout codec: static Huffman tables skip the
 #: per-page dynamic table build, trading ratio for cycles (PR 7's
@@ -102,11 +105,7 @@ class FleetShard:
         self,
         name: str,
         scheduler: EventScheduler,
-        cpu_capacity_bytes: int,
-        xfm_capacity_bytes: int,
-        dfm_capacity_bytes: int,
         queue_depth: int = 8,
-        breaker_config: Optional[BreakerConfig] = None,
         spill: Optional[Dict[int, bytes]] = None,
     ) -> None:
         if queue_depth < 1:
@@ -127,7 +126,7 @@ class FleetShard:
         self._codec_normal = DeflateCodec()
         self._codec_degraded = make_degraded_codec()
         tier0 = SfmBackend(
-            capacity_bytes=cpu_capacity_bytes,
+            capacity_bytes=UPPER_TIER_BYTES,
             codec=self._codec_normal,
             registry=self.registry,
             tier="cpu-zswap",
@@ -136,19 +135,18 @@ class FleetShard:
             [
                 tier0,
                 XfmBackend(
-                    capacity_bytes=xfm_capacity_bytes,
+                    capacity_bytes=UPPER_TIER_BYTES,
                     registry=self.registry,
                     tier="xfm",
                 ),
                 DfmBackend(
-                    capacity_bytes=dfm_capacity_bytes,
+                    capacity_bytes=DFM_BYTES,
                     registry=self.registry,
                     tier="dfm",
                 ),
             ],
             registry=self.registry,
             demotion=LruDemotion(watermark_fraction=0.75),
-            breaker_config=breaker_config,
             spill=self._spill_page,
             trace_labels={"shard": name},
         )

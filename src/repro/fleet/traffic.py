@@ -23,7 +23,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError
-from repro.sfm.page import PAGE_SIZE
+
+# The harness calls page_for through its own module global, which it
+# binds from here; benchmarks/e2e/layers.py patches both names.
+from repro.workloads.corpus import page_for  # noqa: F401
 
 #: Key-space stride separating tenants (keys stay globally unique).
 TENANT_KEY_STRIDE = 1 << 24
@@ -50,22 +53,6 @@ class Arrival:
     tenant: str
     op: str
     phase: str
-
-
-def page_for(seed: int, key: int) -> bytes:
-    """Deterministic page content keyed by (seed, key); every 5th page
-    is incompressible noise so stores exercise tier fall-through."""
-    if key % 5 == 4:
-        state = ((seed * 1_000_003 + key) * 2654435761 + 1) & 0xFFFFFFFF
-        out = bytearray(PAGE_SIZE)
-        for i in range(PAGE_SIZE):
-            state ^= (state << 13) & 0xFFFFFFFF
-            state ^= state >> 17
-            state ^= (state << 5) & 0xFFFFFFFF
-            out[i] = state & 0xFF
-        return bytes(out)
-    unit = bytes([(seed + key * 7 + j) % 251 for j in range(64)])
-    return (unit * (PAGE_SIZE // len(unit)))[:PAGE_SIZE]
 
 
 def generate_arrivals(

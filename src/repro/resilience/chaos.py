@@ -3,11 +3,12 @@
 ``python -m repro chaos`` drives the canonical CPU-zswap -> XFM -> DFM
 :class:`~repro.tiering.pipeline.TierPipeline` through a store/load/
 promote mix while a :class:`~repro.resilience.faults.FaultInjector`
-fires faults at every device-model injection site. A shadow copy of
-every stored page is kept host-side, so the campaign can prove the
-resilience layer's core claim: **no silent corruption** — every
-injected corruption is either detected-and-recovered or surfaced as an
-explicit poison/data-loss event, never returned as wrong bytes.
+fires faults at every device-model injection site. Every accepted page
+is acknowledged to a :class:`~repro.validation.shadow.ShadowOracle`, so
+the campaign can prove the resilience layer's core claim: **no silent
+corruption** — every injected corruption is either
+detected-and-recovered or surfaced as an explicit poison/data-loss
+event, never returned as wrong bytes.
 
 Everything is deterministic in the campaign seed (op mix, page
 contents, fault schedule, simulated clock), so the emitted
@@ -31,19 +32,26 @@ from repro.errors import (
 )
 from repro.resilience import faults as _faults
 from repro.resilience.breaker import BreakerConfig
-from repro.telemetry import flightrec as _flightrec
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sfm.page import PAGE_SIZE
 from repro.sim import CLOCK as _sim_clock
-from repro.telemetry import trace as _trace
 from repro.telemetry.session import TelemetrySession
 from repro.tiering.pipeline import TierPipeline
 from repro.tiering.policy import LruDemotion
 from repro.validation.hooks import validation
+from repro.validation.shadow import ShadowOracle
+from repro.workloads.corpus import page_for
 
 #: Simulated nanoseconds between workload operations (keeps trace
 #: timestamps, and therefore reports, deterministic).
 _OP_TICK_NS = 1_000.0
+
+#: Tier capacities sized so demotion cascades + DFM traffic happen.
+_UPPER_TIER_BYTES = 16 * 1024
+_DFM_BYTES = 256 * 1024
+
+#: Check breaker states / drain quarantined tiers every N ops.
+_HEALTH_CHECK_EVERY = 32
 
 #: Recoverable-only schedule: every fault here must be healed by
 #: retry/fallback with zero data loss (the CI smoke gate).
@@ -89,12 +97,6 @@ class ChaosConfig:
     seed: int = 0
     ops: int = 400
     profile: str = "transient"
-    #: Tier capacities sized so demotion cascades + DFM traffic happen.
-    cpu_capacity_bytes: int = 16 * 1024
-    xfm_capacity_bytes: int = 16 * 1024
-    dfm_capacity_bytes: int = 256 * 1024
-    #: Check breaker states / drain quarantined tiers every N ops.
-    health_check_every: int = 32
     validate: bool = False
 
     def __post_init__(self) -> None:
@@ -105,23 +107,6 @@ class ChaosConfig:
             )
         if self.ops <= 0:
             raise ConfigError("ops must be positive")
-
-
-def _page_for(seed: int, key: int) -> bytes:
-    """Deterministic page content: compressible pattern keyed by
-    (seed, key), with every 5th page incompressible noise so stores
-    exercise the fall-through path."""
-    if key % 5 == 4:
-        state = ((seed * 1_000_003 + key) * 2654435761 + 1) & 0xFFFFFFFF
-        out = bytearray(PAGE_SIZE)
-        for i in range(PAGE_SIZE):
-            state ^= (state << 13) & 0xFFFFFFFF
-            state ^= state >> 17
-            state ^= (state << 5) & 0xFFFFFFFF
-            out[i] = state & 0xFF
-        return bytes(out)
-    unit = bytes([(seed + key * 7 + j) % 251 for j in range(64)])
-    return (unit * (PAGE_SIZE // len(unit)))[:PAGE_SIZE]
 
 
 def run_chaos(
@@ -158,18 +143,16 @@ def _drive_campaign(
     swap_device: Dict[int, bytes] = {}
 
     pipeline = TierPipeline.build(
-        cpu_capacity_bytes=config.cpu_capacity_bytes,
-        xfm_capacity_bytes=config.xfm_capacity_bytes,
-        dfm_capacity_bytes=config.dfm_capacity_bytes,
+        cpu_capacity_bytes=_UPPER_TIER_BYTES,
+        xfm_capacity_bytes=_UPPER_TIER_BYTES,
+        dfm_capacity_bytes=_DFM_BYTES,
         registry=session.registry,
         demotion=LruDemotion(watermark_fraction=0.5),
         spill=lambda vaddr, data: swap_device.__setitem__(vaddr, data),
         breaker_config=BreakerConfig(),
     )
 
-    #: Host-side shadow of every page the pipeline accepted — ground
-    #: truth for the silent-corruption check.
-    shadow: Dict[int, bytes] = {}
+    oracle = ShadowOracle()
     rng = random.Random(config.seed)
 
     counters = {
@@ -177,12 +160,9 @@ def _drive_campaign(
         "stores_accepted": 0,
         "stores_rejected": 0,
         "loads": 0,
-        "loads_ok": 0,
         "loads_from_spill": 0,
         "promotes": 0,
         "tier_unavailable_errors": 0,
-        "data_loss_errors": 0,
-        "silent_corruptions": 0,
         "drains_triggered": 0,
     }
     next_key = 0
@@ -191,93 +171,64 @@ def _drive_campaign(
         nonlocal next_key
         key = next_key
         next_key += 1
-        data = _page_for(config.seed, key)
+        data = page_for(config.seed, key)
         counters["stores"] += 1
         if pipeline.store(key, data):
-            shadow[key] = data
+            oracle.ack(key, data)
             counters["stores_accepted"] += 1
         else:
             counters["stores_rejected"] += 1
 
-    def do_load() -> None:
-        if not shadow:
-            return
-        key = rng.choice(sorted(shadow))
-        expect = shadow.pop(key)
+    def load_and_check(key: int, phase: str) -> None:
+        """One acknowledged page back through the pipeline: intact, or
+        failing *loudly*."""
         counters["loads"] += 1
         try:
             data = pipeline.load(key)
         except TierUnavailableError:
             # Transient: the key is still mapped; retry next time.
-            shadow[key] = expect
             counters["tier_unavailable_errors"] += 1
             return
         except CorruptedBlobError:
             # Explicit, detected loss — the opposite of silent.
-            counters["data_loss_errors"] += 1
+            oracle.lost(key)
             return
         except SfmError:
             # The page was spilled to the backing device mid-cascade.
             data = swap_device.get(key * PAGE_SIZE)
             counters["loads_from_spill"] += 1
-        if data == expect:
-            counters["loads_ok"] += 1
-        else:
-            counters["silent_corruptions"] += 1
-            _flightrec.trigger(
-                _flightrec.REASON_CHAOS_LOSS, {"key": key, "phase": "load"}
-            )
+        oracle.check(key, data, phase)
 
-    def do_promote() -> None:
-        if not shadow:
-            return
-        key = rng.choice(sorted(shadow))
+    def do_promote(key: int) -> None:
         counters["promotes"] += 1
         try:
             pipeline.promote_key(key)
         except CorruptedBlobError:
-            shadow.pop(key, None)
-            counters["data_loss_errors"] += 1
+            oracle.lost(key)
 
     for op in range(config.ops):
         _sim_clock.advance_ns(_OP_TICK_NS)
         roll = rng.random()
         if roll < 0.55:
             do_store()
-        elif roll < 0.9:
-            do_load()
-        else:
-            do_promote()
-        if (op + 1) % config.health_check_every == 0:
+        elif oracle:
+            key = rng.choice(oracle.keys())
+            if roll < 0.9:
+                load_and_check(key, "load")
+            else:
+                do_promote(key)
+        if (op + 1) % _HEALTH_CHECK_EVERY == 0:
             for name, state in pipeline.breaker_states().items():
                 if state == "open":
                     counters["drains_triggered"] += 1
                     pipeline.drain_tier(name, limit=8)
 
-    # Final sweep: everything the shadow says we own must come back
-    # intact or fail *loudly*.
-    for key in sorted(shadow):
-        expect = shadow[key]
-        counters["loads"] += 1
-        try:
-            data = pipeline.load(key)
-        except TierUnavailableError:
-            counters["tier_unavailable_errors"] += 1
-            continue
-        except CorruptedBlobError:
-            counters["data_loss_errors"] += 1
-            continue
-        except SfmError:
-            data = swap_device.get(key * PAGE_SIZE)
-            counters["loads_from_spill"] += 1
-        if data == expect:
-            counters["loads_ok"] += 1
-        else:
-            counters["silent_corruptions"] += 1
-            _flightrec.trigger(
-                _flightrec.REASON_CHAOS_LOSS,
-                {"key": key, "phase": "final_sweep"},
-            )
+    for key in oracle.keys():
+        load_and_check(key, "final_sweep")
+    # The oracle's verdicts under the report's names.
+    counters["loads_ok"] = oracle.verified
+    counters["data_loss_errors"] = oracle.explicit_losses
+    counters["silent_corruptions"] = oracle.silent_corruptions
 
     for name, tier in pipeline.tiers_by_name().items():
         session.add_stats(f"tier.{name}", tier.stats)
@@ -333,6 +284,19 @@ def _drive_campaign(
         "flight_records": list(session.flight.dump_names),
     }
     return report
+
+
+def campaign_ok(report: Dict[str, object], fail_on_loss: bool = False) -> bool:
+    """The CLI's exit verdict on a report: nothing silent and every
+    detection accounted for; ``fail_on_loss`` (the transient-profile
+    gate) also refuses explicit losses and poisoned pages."""
+    verdict = report["verdict"]
+    ok = verdict["clean"] and verdict["all_detections_accounted"]
+    if fail_on_loss:
+        recovery = report["recovery"]
+        ok = ok and not recovery["data_loss_events"]
+        ok = ok and not recovery["poison_pages"]
+    return bool(ok)
 
 
 def format_report(report: Dict[str, object]) -> str:

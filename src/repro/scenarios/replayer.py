@@ -11,12 +11,14 @@ to pin behavior across all four backends plus the pipeline.
 Semantics per event (see :mod:`repro.scenarios.format`):
 
 * ``store``       — place the page (re-store drops any stale copy
-  first); a page every tier rejects falls back to a host-side shadow
+  first); a page every tier rejects falls back to a host-side spill
   dict (the replay analogue of the real swap device), so later loads
   remain verifiable no matter how small the target is.
-* ``load``        — demand-fetch from the target (or the shadow) and
-  verify the returned bytes hash to the recorded digest. A mismatch is
-  counted, never silently ignored.
+* ``load``        — demand-fetch from the target (or the spill) and
+  verify the returned bytes hash to the recorded digest: the trace is
+  this harness's oracle, so no
+  :class:`~repro.validation.shadow.ShadowOracle` is kept. A mismatch
+  is counted, never silently ignored.
 * ``promote``     — ``origin="upward"`` raises the blob toward tier 0
   (``promote_up`` on pipelines; emulated as exclusive-load + re-store on
   flat tiers); any other origin is the tier protocol's exclusive
@@ -74,7 +76,7 @@ class ReplayReport:
     #: Loads whose bytes did not hash to the recorded digest — the
     #: differential suite asserts this stays zero.
     digest_mismatches: int = 0
-    #: Loads of pages neither the target nor the shadow held.
+    #: Loads of pages neither the target nor the spill held.
     missing_pages: int = 0
     tier_unavailable_errors: int = 0
     data_loss_events: int = 0
@@ -149,7 +151,7 @@ class TraceReplayer:
         self.session = session
         self.slo_engine = slo_engine
         #: Pages the target rejected — the replay-side swap device.
-        self.shadow: Dict[int, bytes] = {}
+        self.spill: Dict[int, bytes] = {}
 
     # -- fault plan -----------------------------------------------------------
 
@@ -204,7 +206,7 @@ class TraceReplayer:
                 self.target.invalidate(event.vaddr)
             except TierUnavailableError:
                 report.tier_unavailable_errors += 1
-        self.shadow.pop(event.vaddr, None)
+        self.spill.pop(event.vaddr, None)
         try:
             outcome = self.target.swap_out(Page(vaddr=event.vaddr, data=data))
         except TierUnavailableError:
@@ -214,10 +216,10 @@ class TraceReplayer:
             report.stores_accepted += 1
         else:
             report.stores_rejected += 1
-            self.shadow[event.vaddr] = data
+            self.spill[event.vaddr] = data
 
     def _fetch(self, event, report: ReplayReport, demand: bool):
-        """Shared load path: target first, shadow fallback; returns the
+        """Shared load path: target first, spill fallback; returns the
         bytes or None (already counted)."""
         if self.target.contains(event.vaddr):
             # swapped=True: the fetch paths reject pages that do not
@@ -240,9 +242,9 @@ class TraceReplayer:
                 # (only reachable under fault injection).
                 report.missing_pages += 1
                 return None
-        if event.vaddr in self.shadow:
+        if event.vaddr in self.spill:
             report.loads_from_shadow += 1
-            return self.shadow.pop(event.vaddr)
+            return self.spill.pop(event.vaddr)
         report.missing_pages += 1
         return None
 
@@ -288,11 +290,11 @@ class TraceReplayer:
             report.tier_unavailable_errors += 1
             outcome = None
         if outcome is None or not outcome.accepted:
-            self.shadow[event.vaddr] = data
+            self.spill[event.vaddr] = data
 
     def _replay_invalidate(self, event, report: ReplayReport) -> None:
         report.invalidates += 1
-        self.shadow.pop(event.vaddr, None)
+        self.spill.pop(event.vaddr, None)
         try:
             self.target.invalidate(event.vaddr)
         except TierUnavailableError:

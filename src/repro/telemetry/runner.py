@@ -27,9 +27,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.sim import EventScheduler
 from repro.telemetry.session import TelemetrySession
-
-#: Bytes per page, kept local to avoid importing the stack at module load.
-_PAGE = 4096
+from repro.validation.shadow import ShadowOracle
+from repro.workloads.corpus import PAGE_SIZE as _PAGE
+from repro.workloads.corpus import xorshift_bytes
 
 
 def _patterned_page(index: int) -> bytes:
@@ -39,15 +39,8 @@ def _patterned_page(index: int) -> bytes:
 
 
 def _noise_page(seed: int) -> bytes:
-    """Incompressible page from a fixed xorshift stream (no RNG deps)."""
-    state = (seed * 2654435761 + 1) & 0xFFFFFFFF
-    out = bytearray(_PAGE)
-    for i in range(_PAGE):
-        state ^= (state << 13) & 0xFFFFFFFF
-        state ^= state >> 17
-        state ^= (state << 5) & 0xFFFFFFFF
-        out[i] = state & 0xFF
-    return bytes(out)
+    """Incompressible page; the trace goldens pin this seeding."""
+    return xorshift_bytes((seed * 2654435761 + 1) & 0xFFFFFFFF)
 
 
 # -- zswap workload ---------------------------------------------------------
@@ -72,16 +65,14 @@ def _zswap_workload(session: TelemetrySession) -> Dict[str, object]:
     refresh = RefreshScheduler(DDR5_32GB, timings_for_device(DDR5_32GB))
     trefi_ns = refresh.trefi_ns
 
-    stored: Dict[int, bytes] = {}
+    oracle = ShadowOracle()
     offset = 0
 
-    def store(data: bytes) -> bool:
+    def store(data: bytes) -> None:
         nonlocal offset
         offset += 1
         if zswap.store(0, offset, data):
-            stored[offset] = data
-            return True
-        return False
+            oracle.ack(offset, data)
 
     #: In-flight prefetch staging: (SPM entry ids) held across a window to
     #: create the resource pressure that forces CPU fallbacks.
@@ -135,17 +126,15 @@ def _zswap_workload(session: TelemetrySession) -> Dict[str, object]:
             release_prefetches(queued=4)
         elif ref < 10:
             # Demand faults: each load is a CPU decompression by design.
-            for key in sorted(stored)[:4]:
-                data = zswap.load(0, key)
-                expect = stored.pop(key)
-                if data != expect:
+            for key in oracle.keys()[:4]:
+                if not oracle.check(key, zswap.load(0, key), "zswap"):
                     raise AssertionError(
                         f"round-trip mismatch at offset {key}"
                     )
         elif ref == 10:
-            for key in sorted(stored)[:2]:
+            for key in oracle.keys()[:2]:
                 zswap.invalidate_page(0, key)
-                stored.pop(key)
+                oracle.forget(key)
         else:
             backend.xfm_compact()
 
@@ -244,24 +233,22 @@ def _tiers_workload(session: TelemetrySession) -> Dict[str, object]:
         return (_patterned_page(key)[: _PAGE // 2]
                 + _noise_page(key)[: _PAGE // 2])
 
-    stored: Dict[int, bytes] = {}
+    oracle = ShadowOracle()
     for key in range(40):
         # Every 5th page is noise: incompressible at both compressed
         # tiers, so it falls through straight to DFM.
         data = _noise_page(key) if key % 5 == 4 else _half_page(key)
         if pipeline.store(key, data):
-            stored[key] = data
+            oracle.ack(key, data)
 
     # Hot-set promotion: the oldest keys sank during the cascade; pull
     # a few back toward tier 0.
     promoted = sum(
-        1 for key in list(stored)[:4] if pipeline.promote_key(key)
+        1 for key in oracle.keys()[:4] if pipeline.promote_key(key)
     )
 
-    mismatches = 0
-    for key, expect in list(stored.items()):
-        if pipeline.load(key) != expect:
-            mismatches += 1
+    swept = oracle.sweep(pipeline.load)
+    mismatches = swept["lost"] + swept["corrupt"]
     if mismatches:
         raise AssertionError(f"{mismatches} tier round-trip mismatches")
 

@@ -873,7 +873,7 @@ class TierPipeline:
     def promote_up(self, vaddr: int) -> Optional[str]:
         """Raise a hot blob toward the promotion policy's target tier
         without bringing it to DRAM; returns the tier it landed in (or
-        None when it is not held / already at the target)."""
+        None when it is not held, or had to be spilled)."""
         index = self._where.get(vaddr)
         if index is None:
             return None
@@ -883,7 +883,7 @@ class TierPipeline:
             return self.tier_names[index]
         page = self._lru[index][vaddr]
         try:
-            self.tiers[index].swap_in(page)
+            data = self.tiers[index].swap_in(page)
         except TierUnavailableError:
             # Holding tier unreachable: the blob stays put; the
             # promotion is merely blocked, not an error for the caller.
@@ -901,9 +901,16 @@ class TierPipeline:
         self._forget(page, index)
         outcome, new_index = self._place(page, start=target)
         if not outcome.accepted:
-            raise SfmError(
-                f"page 0x{vaddr:x} rejected by every tier during promotion"
-            )
+            # Even its old tier refused it back (a device fault): spill,
+            # as demotion and drain do, rather than drop the page.
+            if self.spill is None:
+                raise SfmError(
+                    f"page 0x{vaddr:x} rejected by every tier during "
+                    "promotion and no spill callback is set"
+                )
+            self._spill_page(vaddr, data)
+            checkpoint(self)
+            return None
         if new_index < index:
             self.pipeline_stats.promotions += 1
             if _trace.tracing_enabled():

@@ -168,7 +168,7 @@ def gen_zstd_like_mutation(rng: random.Random) -> bytes:
             run = 0
     if run:
         sequences.append((run, 0, 0))
-    bump = rng.choice((-3, -1, 0, 1, 2, 17, 1 << 12, 1 << 30))
+    bump = rng.choice((-3, -1, 0, 1, 2, 17, 1 << 12, 1 << 30, 1 << 42))
     counts = {}
     if style == 2:
         counts["orig_len"] = max(0, len(page) + bump)

@@ -307,12 +307,6 @@ def check_tier_pipeline(pipeline: TierPipeline) -> None:
                 f"pipeline: tier {index} LRU lists vaddr 0x{vaddr:x} but "
                 f"the placement map says {pipeline._where.get(vaddr)}",
             )
-    for key, page in pipeline._keyed.items():
-        _require(
-            page.vaddr in pipeline._where,
-            f"pipeline: keyed entry {key} points at vaddr "
-            f"0x{page.vaddr:x} which no tier holds",
-        )
     for name, tier in zip(pipeline.tier_names, pipeline.tiers):
         _require(
             tier.used_bytes() <= tier.capacity_bytes,

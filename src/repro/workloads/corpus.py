@@ -368,6 +368,31 @@ def corpus_pages(
     ]
 
 
+def xorshift_bytes(state: int, size: int = PAGE_SIZE) -> bytes:
+    """``size`` incompressible bytes: the low byte of each step of a
+    32-bit xorshift stream started from ``state`` (no RNG deps)."""
+    out = bytearray(size)
+    for i in range(size):
+        state ^= (state << 13) & 0xFFFFFFFF
+        state ^= state >> 17
+        state ^= (state << 5) & 0xFFFFFFFF
+        out[i] = state & 0xFF
+    return bytes(out)
+
+
+def page_for(seed: int, key: int) -> bytes:
+    """The campaign page for ``(seed, key)``: a compressible 64-byte
+    unit repeated, with every 5th page incompressible noise so stores
+    exercise tier fall-through. Part of the seeded contract of the
+    chaos and fleet campaigns (``tests/workloads`` pins its CRCs)."""
+    if key % 5 == 4:
+        return xorshift_bytes(
+            ((seed * 1_000_003 + key) * 2654435761 + 1) & 0xFFFFFFFF
+        )
+    unit = bytes([(seed + key * 7 + j) % 251 for j in range(64)])
+    return (unit * (PAGE_SIZE // len(unit)))[:PAGE_SIZE]
+
+
 def tunable_page(
     target_ratio: float, page_size: int = PAGE_SIZE, seed: int = 0
 ) -> bytes:

@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 from repro.compression import _native
+from repro.compression.base import MAX_EXPANSION
 from repro.compression.bitio import BitReader, read_varint_bits
 from repro.compression.deflate import DeflateCodec, train_static_tables
 from repro.compression.huffman import code_lengths_from_frequencies
 from repro.compression.lz77 import Lz77Matcher
 from repro.compression.lzfast import LzFastCodec
 from repro.compression.tuning import DEFAULT_GRID
-from repro.compression.zstd_like import _NATIVE_MAX_EXPANSION, ZstdLikeCodec
+from repro.compression.zstd_like import ZstdLikeCodec
 from repro.errors import ConfigError, CorruptStreamError
 from repro.validation.fuzz import case_seed
 from repro.validation.generators import gen_zstd_like_mutation
@@ -222,7 +223,7 @@ def test_zstd_like_native_decoder_writes_inside_its_buffers():
             reader.read_bits(32)
         except CorruptStreamError:
             continue
-        if orig_len > _NATIVE_MAX_EXPANSION * len(blob):
+        if orig_len > MAX_EXPANSION * len(blob):
             continue
         start = len(blob) - reader.bits_remaining // 8
         out = np.full(orig_len + 2 * guard, 0xA5, dtype=np.uint8)
@@ -242,3 +243,59 @@ def test_zstd_like_native_decoder_writes_inside_its_buffers():
         assert (table[-guard:] == 0xA5A5A5A5).all()
         checked += 1
     assert checked > 400
+
+
+#: ``orig_len`` = 2**42 - 1 in each header's varint flavour (byte groups
+#: with the continue flag in the high bit; bit groups with it in the low).
+_HUGE_ORIG_LEN = {
+    DeflateCodec: "ffffffffff7f",
+    LzFastCodec: "ffffffffff7f",
+    ZstdLikeCodec: "fffffffffffe",
+}
+
+
+@pytest.fixture(params=["native", "python"])
+def engine(request, monkeypatch):
+    """Both decode paths; the native one only where a kernel loads."""
+    if request.param == "python":
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    elif os.environ.get("REPRO_NO_NATIVE"):
+        pytest.skip("native kernels are switched off for this run")
+    _native.reset_for_tests()
+    if request.param == "native" and not _native.available():
+        pytest.skip("no native kernels on this host")
+    yield request.param
+    monkeypatch.undo()
+    _native.reset_for_tests()
+
+
+@pytest.mark.parametrize("codec_cls", sorted(_HUGE_ORIG_LEN, key=repr))
+def test_damaged_header_length_is_corrupt_not_an_allocation(codec_cls, engine):
+    """A garbage ``orig_len`` varint used to reach ``np.empty`` in the
+    native adapters (``MemoryError: Unable to allocate 4.00 TiB``) and
+    was unbounded in the Python decoders."""
+    import tracemalloc
+
+    page = corpus_pages("json-records", 1, seed=22)[0]
+    blob = codec_cls().compress(page)
+    assert blob[1] != 0 and len(blob) < len(page)  # a compressed mode
+    damaged = blob[:2] + bytes.fromhex(_HUGE_ORIG_LEN[codec_cls]) + blob[4:]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError, match="header claims"):
+            codec_cls().decompress(damaged)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * len(damaged)
+    assert codec_cls().decompress(blob) == page
+
+
+def test_deflate_blob_denser_than_the_native_bound_still_decodes(engine):
+    """A valid deflate blob can stand for more than 256 bytes per byte
+    (258-byte matches in two bits); the native adapter leaves those to
+    Python, which must not mistake them for damage."""
+    data = bytes(1 << 16)
+    blob = DeflateCodec().compress(data)
+    assert len(data) > MAX_EXPANSION * len(blob)
+    assert DeflateCodec().decompress(blob) == data

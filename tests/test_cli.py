@@ -262,3 +262,90 @@ class TestSloCli:
     def test_list_mentions_slo(self, capsys):
         assert main([]) == 0
         assert "repro slo" in capsys.readouterr().out
+
+
+#: Every ``python -m repro`` line of ``.github/workflows/ci.yml``.
+CI_INVOCATIONS = [
+    "chaos --seed 3 --ops 400 --profile transient --validation "
+    "--fail-on-loss --out chaos-out",
+    "chaos --seed 7 --ops 400 --profile full --validation "
+    "--out chaos-out-full",
+    "tiers --out tiers-out",
+    "record kv-cache --trace-file replay-out/kv.trace.jsonl.gz",
+    "replay --trace-file replay-out/kv.trace.jsonl.gz --backend pipeline "
+    "--validation --out replay-out/pipeline",
+    "replay --trace-file replay-out/kv.trace.jsonl.gz --backend dfm "
+    "--validation --out replay-out/dfm",
+    "replay chaos-soak --fault-profile transient --fault-seed 3",
+    "ingest src --out replay-out/corpus",
+    "slo --scenario web-session --out replay-out/slo",
+    "fleet --fleet-shards 2 --rate-rps 17500 --spike-multiplier 1.0 "
+    "--duration-scale 0.5 --expect-no-shed --fail-on-slo-violation "
+    "--out fleet-out/steady",
+    "fleet --fleet-shards 2 --rate-rps 17500 --duration-scale 0.5 "
+    "--expect-shed --out fleet-out/spike",
+    "fleet --fleet-shards 3 --rate-rps 17500 --duration-scale 0.5 "
+    "--kill-shard-at-ms 37.5 --expect-shed --out fleet-out/failover",
+    "trace zswap --out trace-out",
+]
+
+
+class TestCommandsOwnTheirOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "--ops", "5"],
+            ["chaos", "--rate-rps", "9"],
+            ["replay", "kv-cache", "--window-ns", "5"],
+            ["slo", "web-session", "--validation"],
+            ["tiers", "--seed", "1"],
+            ["trace", "zswap", "--backend", "dfm"],
+            ["record", "kv-cache", "--fault-seed", "2"],
+        ],
+    )
+    def test_foreign_option_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"python -m repro {argv[0]}: error:" in err
+        assert argv[-2] in err
+
+    @pytest.mark.parametrize(
+        "command,own,foreign",
+        [
+            ("fleet", ["--rate-rps", "--expect-shed"], ["--ops", "--backend"]),
+            ("chaos", ["--ops", "--fail-on-loss"], ["--rate-rps", "--backend"]),
+            ("replay", ["--backend", "--trace-file"], ["--ops", "--seed"]),
+            ("slo", ["--window-ns", "--scenario"], ["--validation", "--ops"]),
+            ("tiers", ["--out"], ["--seed", "--backend"]),
+        ],
+    )
+    def test_help_lists_only_its_own_options(
+        self, command, own, foreign, capsys
+    ):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert f"python -m repro {command}" in out
+        assert all(option in out for option in own)
+        assert not any(option in out for option in foreign)
+
+    @pytest.mark.parametrize("line", CI_INVOCATIONS)
+    def test_every_ci_invocation_parses(self, line):
+        from repro.__main__ import COMMANDS, command_parser
+
+        command, *rest = line.split()
+        assert command in COMMANDS
+        command_parser(command).parse_args(rest)  # SystemExit = rejected
+
+    def test_ci_table_is_current(self):
+        from pathlib import Path
+
+        text = (
+            Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml"
+        ).read_text(encoding="utf-8").replace("\\\n", " ")
+        found = [
+            " ".join(line.split("python -m repro ", 1)[1].split())
+            for line in text.splitlines()
+            if "python -m repro " in line and not line.lstrip().startswith("#")
+        ]
+        found = [line.split(" |")[0].strip() for line in found]
+        assert sorted(found) == sorted(CI_INVOCATIONS)

@@ -1,14 +1,18 @@
 """Synthetic corpus generator tests."""
 
+import zlib
+
 import pytest
 
 from repro.compression import DeflateCodec, compression_ratio
 from repro.errors import ConfigError
 from repro.workloads.corpus import (
     CORPUS_NAMES,
+    PAGE_SIZE,
     corpus_pages,
     describe_corpus,
     generate_corpus,
+    page_for,
 )
 
 
@@ -86,3 +90,35 @@ class TestCompressibilitySpectrum:
     def test_descriptions_exist(self):
         for name in CORPUS_NAMES:
             assert describe_corpus(name)
+
+
+class TestCampaignPage:
+    """``page_for`` is part of the seeded contract of the chaos and fleet
+    campaigns (reports and ``sim_digest``s hang off its bytes): this
+    table is the pin to hold while anyone memoises or vectorises it."""
+
+    #: Fleet tenants own disjoint key ranges 2**24 apart.
+    KEYS = (0, 4, 9, 64, (1 << 24) + 4, 2 * (1 << 24) + 3)
+    CRC32 = {
+        0: (648706121, 2428246337, 3286207478, 2611799635, 2087633166,
+            3212603815),
+        11: (3992487531, 3935699692, 1250023475, 1382045429, 2621120883,
+             321475285),
+        23: (2444636837, 4179044543, 175710403, 2176586392, 3123689542,
+             4077194958),
+        29: (3636597234, 2975263020, 1141755741, 4071311831, 3927948106,
+             409647255),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(CRC32))
+    def test_bytes_are_pinned(self, seed):
+        pages = [page_for(seed, key) for key in self.KEYS]
+        assert all(len(page) == PAGE_SIZE for page in pages)
+        assert tuple(zlib.crc32(page) for page in pages) == self.CRC32[seed]
+
+    def test_campaigns_share_the_one_generator(self):
+        from repro.fleet import harness, traffic
+        from repro.resilience import chaos
+
+        assert harness.page_for is traffic.page_for is chaos.page_for
+        assert traffic.page_for is page_for
