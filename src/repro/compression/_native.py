@@ -3,18 +3,26 @@
 Loads ``_hotpath.c`` (shipped next to this module) as a shared library,
 compiling it on first use with the host C compiler — the Python analog
 of the paper's point that the deflate family is what you bolt an
-accelerator onto.  The compiled object is cached in the system temp
-directory keyed by a hash of the source, so each source revision
-compiles at most once per machine.
+accelerator onto.  The compiled object is cached per user
+(``<tempdir>/repro-native-<uid>``, or ``REPRO_NATIVE_CACHE``) keyed by
+a hash of the source, so each source revision compiles at most once per
+user and machine.
+
+The cache is only trusted when nobody else could have written it: the
+directory and the ``.so`` must belong to the current uid and be neither
+group- nor world-writable.  Anything else — a directory another user
+created first under the predictable name, a planted library — is left
+alone and the kernels are built into a fresh private directory for this
+process instead.
 
 Availability is strictly best-effort: if ``REPRO_NO_NATIVE`` is set, no
 compiler is present, compilation fails, or the library will not load,
 :func:`load` returns ``None`` and every caller silently stays on its
-pure-Python reference path (the scalar matcher, the heap-built Huffman
-lengths, the ``BitWriter``/``BitReader`` encoders and decoders).
-Correctness never depends on this module — the native kernels are
-bit-exact translations, and the test suite runs the differential checks
-both with and without it.
+Python reference (the scalar matcher, the heap-built Huffman lengths,
+the ``BitWriter``/``BitReader`` encoders and decoders).  Correctness
+never depends on this module — the native kernels are bit-exact
+translations, and the test suite runs the differential checks both with
+and without it.
 """
 
 from __future__ import annotations
@@ -22,8 +30,10 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import stat
 import subprocess
 import tempfile
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Optional
 
@@ -40,29 +50,25 @@ def _declare(lib: ctypes.CDLL) -> None:
     """Attach argtypes/restypes; pointers travel as raw addresses."""
     p = ctypes.c_void_p
     i64 = ctypes.c_int64
-    lib.lz77_tokenize.argtypes = [p, i64, i64, i64, i64, i64, i64, p, p, p]
-    lib.lz77_tokenize.restype = i64
-    lib.deflate_decode_block.argtypes = [
-        p, i64, i64, i64, p, p, p, p, p, p, p, p, p, i64,
-    ]
-    lib.deflate_decode_block.restype = i64
-    lib.deflate_encode_symbols.argtypes = [
-        p, i64, p, p, p, p, p, p, p, p, p, p, p,
-        ctypes.POINTER(ctypes.c_uint64),
-        ctypes.POINTER(ctypes.c_int64),
-        p, i64,
-    ]
-    lib.deflate_encode_symbols.restype = i64
-    lib.lzfast_compress.argtypes = [p, i64, i64, p, p, i64]
-    lib.lzfast_compress.restype = i64
-    lib.lzfast_decompress.argtypes = [p, i64, i64, p, i64]
-    lib.lzfast_decompress.restype = i64
+    mode_out = ctypes.POINTER(ctypes.c_int64)
+    matcher = [i64, i64, i64, i64, i64]  # window, min, max, chain, lazy
+    lib.lz77_tokenize.argtypes = [p, i64, *matcher, p, p, p]
     lib.huffman_code_lengths.argtypes = [p, i64, i64, p]
-    lib.huffman_code_lengths.restype = i64
-    lib.zstdlike_encode_body.argtypes = [p, i64, p, i64]
-    lib.zstdlike_encode_body.restype = i64
+    lib.deflate_compress.argtypes = [
+        p, i64, *matcher, p, p, p, i64, p, i64, mode_out,
+    ]
+    lib.deflate_decompress.argtypes = [p, i64, i64, i64, p, i64]
+    lib.lzfast_compress.argtypes = [p, i64, i64, p, p, i64]
+    lib.lzfast_decompress.argtypes = [p, i64, i64, p, i64]
+    lib.zstdlike_compress.argtypes = [p, i64, *matcher, p, i64, mode_out]
     lib.zstdlike_decode_body.argtypes = [p, i64, i64, p, p, p, i64]
-    lib.zstdlike_decode_body.restype = i64
+    for name in (
+        "lz77_tokenize", "huffman_code_lengths",
+        "deflate_compress", "deflate_decompress",
+        "lzfast_compress", "lzfast_decompress",
+        "zstdlike_compress", "zstdlike_decode_body",
+    ):
+        getattr(lib, name).restype = i64
 
 
 def _compile(src: Path, out: Path) -> bool:
@@ -78,6 +84,7 @@ def _compile(src: Path, out: Path) -> bool:
         except (OSError, subprocess.SubprocessError):
             continue
         if proc.returncode == 0 and tmp.exists():
+            tmp.chmod(0o700)  # whatever the umask: ours alone, see _private
             os.replace(tmp, out)  # atomic: concurrent builders converge
             return True
     if tmp.exists():
@@ -86,6 +93,32 @@ def _compile(src: Path, out: Path) -> bool:
         except OSError:
             pass
     return False
+
+
+def _private(path: Path) -> bool:
+    """True when ``path`` exists, belongs to this user, and neither its
+    group nor anyone else can write it."""
+    try:
+        status = path.stat()
+    except OSError:
+        return False
+    return status.st_uid == os.getuid() and not status.st_mode & (
+        stat.S_IWGRP | stat.S_IWOTH
+    )
+
+
+def _cache_dir() -> Optional[Path]:
+    """The per-user kernel cache (created ``0o700`` when missing), or
+    ``None`` when what is there cannot be trusted."""
+    path = Path(
+        os.environ.get("REPRO_NATIVE_CACHE")
+        or Path(tempfile.gettempdir()) / f"repro-native-{os.getuid()}"
+    )
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    except OSError:
+        return None
+    return path if _private(path) else None
 
 
 def load() -> Optional[ctypes.CDLL]:
@@ -99,15 +132,19 @@ def load() -> Optional[ctypes.CDLL]:
     try:
         source = _SOURCE.read_bytes()
         digest = hashlib.blake2b(source, digest_size=12).hexdigest()
-        cache_dir = Path(
-            os.environ.get("REPRO_NATIVE_CACHE")
-            or Path(tempfile.gettempdir()) / "repro-native"
-        )
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        so_path = cache_dir / f"hotpath-{digest}.so"
-        if not so_path.exists() and not _compile(_SOURCE, so_path):
-            return None
-        lib = ctypes.CDLL(str(so_path))
+        with ExitStack() as scratch:
+            cache_dir = _cache_dir()
+            if cache_dir is None:
+                # Gone again once the library is mapped into the process.
+                cache_dir = Path(
+                    scratch.enter_context(
+                        tempfile.TemporaryDirectory(prefix="repro-native-")
+                    )
+                )
+            so_path = cache_dir / f"hotpath-{digest}.so"
+            if not _private(so_path) and not _compile(_SOURCE, so_path):
+                return None
+            lib = ctypes.CDLL(str(so_path))
         _declare(lib)
         _lib = lib
     except Exception:

@@ -182,15 +182,27 @@ def refuse_overclaim(
         )
 
 
+def byte_varint(value: int) -> bytes:
+    """LEB128: 7-bit groups, low first, continue flag in the high bit —
+    the ``orig_len`` field of the deflate and lzfast headers."""
+    out = bytearray()
+    while True:
+        out.append((value & 0x7F) | (0x80 if value >> 7 else 0))
+        value >>= 7
+        if not value:
+            return bytes(out)
+
+
 def native_header(
     blob: bytes, magic: int, low_bit_continue: bool = False
 ) -> Optional[Tuple[int, int, int, int]]:
     """Parse ``magic | mode | varint(orig_len) | crc32`` for a native
     decoder: ``(mode, orig_len, checksum, payload offset)``, or ``None``
-    when the header is short, foreign or overclaims — the Python decoder
-    then diagnoses it. ``low_bit_continue`` selects the bit-stream
-    varint (continue flag in bit 0) over the byte one (bit 7)."""
-    if len(blob) < 7 or blob[0] != magic:
+    when the header is short, foreign or overclaims, or the blob is not
+    a ``bytes`` object a kernel can take by pointer — the Python decoder
+    then reads or diagnoses it. ``low_bit_continue`` selects the
+    bit-stream varint (continue flag in bit 0) over the byte one (bit 7)."""
+    if type(blob) is not bytes or len(blob) < 7 or blob[0] != magic:
         return None
     value = shift = 0
     pos = 2

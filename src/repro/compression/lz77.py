@@ -14,15 +14,14 @@ token streams:
   budget and lazy rules), used whenever the host compiler produced it.
 
 Variants are parameters of that one datapath (``window_size``,
-``max_chain``, ``lazy``), not parallel implementations. A numpy engine
-used to sit between the two and did not earn its ~380 lines: it only ran
-where the kernel could not, and measured on 256 pages (16 per corpus,
-default matcher, best of 3):
-
-    scalar reference            3 384 us/page
-    numpy, one page per call    3 756   (slower than the reference)
-    numpy, batches of 8         2 600   (1.3x)
-    native ``lz77_tokenize``      ~80   (40x)
+``max_chain``, ``lazy``), not parallel implementations, and there is no
+third engine between the two: measured on 256 pages (16 per corpus,
+default matcher, best of 3) the reference takes 3 384 us/page and
+``lz77_tokenize`` ~80 (EXPERIMENTS.md, "The no-native fallback").
+The codecs' own kernels (``deflate_compress``, ``zstdlike_compress``)
+call ``lz77_tokenize`` from C, so a page crosses ctypes once;
+:meth:`Lz77Matcher.tokenize_packed` is the dispatch for everyone else
+(table training, the reference encoders, tests).
 
 The suite enforces native == reference on page-sized inputs, and
 reference == a verbatim copy of the seed tokenizer.
@@ -42,10 +41,9 @@ shrinks from 4 KiB to 1 KiB as pages are split across DIMMs.
 
 from __future__ import annotations
 
+import ctypes
 from array import array
 from typing import Iterable
-
-import numpy as np
 
 from repro.compression import _native
 from repro.errors import ConfigError
@@ -63,8 +61,8 @@ PACKED_LENGTH_BITS = 9
 PACKED_LENGTH_MASK = (1 << PACKED_LENGTH_BITS) - 1
 
 #: Head-table scratch for the native tokenizer (the kernel re-memsets it
-#: per call); allocated lazily, shared process-wide (single-threaded).
-_NATIVE_HEAD_SCRATCH = None
+#: per call), shared process-wide: the harness is single-threaded.
+_HEAD_SCRATCH = (ctypes.c_int32 * (1 << _HASH_BITS))()
 
 
 class Lz77Matcher:
@@ -94,6 +92,18 @@ class Lz77Matcher:
         self.max_chain = max_chain
         self.lazy = lazy
 
+    @property
+    def kernel_args(self) -> tuple:
+        """The matcher parameters, in the order every kernel that
+        tokenises takes them."""
+        return (
+            self.window_size,
+            self.min_match,
+            self.max_match,
+            self.max_chain,
+            bool(self.lazy),
+        )
+
     def tokenize_packed(self, data: bytes) -> array:
         """Convert ``data`` into a packed LZ77 token stream.
 
@@ -114,33 +124,24 @@ class Lz77Matcher:
         same budget and lazy rules — so its token stream is identical.
         """
         n = len(data)
-        tokens = array("q")
         if n == 0:
-            return tokens
+            return array("q")
         lib = _native.load()
-        if lib is None:
+        if lib is None or type(data) is not bytes:
             return None
-        global _NATIVE_HEAD_SCRATCH
-        if _NATIVE_HEAD_SCRATCH is None:
-            _NATIVE_HEAD_SCRATCH = np.empty(1 << _HASH_BITS, dtype=np.int32)
-        data_np = np.frombuffer(data, dtype=np.uint8)  # keeps `data` alive
-        prev = np.empty(n, dtype=np.int32)
-        out = np.empty(n, dtype=np.int64)  # every token consumes >= 1 byte
+        tokens = array("q", bytes(8 * n))  # every token consumes >= 1 byte
+        prev = (ctypes.c_int32 * n)()
         ntok = lib.lz77_tokenize(
-            data_np.ctypes.data,
+            data,
             n,
-            self.window_size,
-            self.min_match,
-            self.max_match,
-            self.max_chain,
-            1 if self.lazy else 0,
-            _NATIVE_HEAD_SCRATCH.ctypes.data,
-            prev.ctypes.data,
-            out.ctypes.data,
+            *self.kernel_args,
+            _HEAD_SCRATCH,
+            prev,
+            tokens.buffer_info()[0],
         )
         if ntok < 0:
             return None
-        tokens.frombytes(out[:ntok].tobytes())
+        del tokens[ntok:]
         return tokens
 
     def _tokenize_packed_scalar(self, data: bytes) -> array:

@@ -13,15 +13,15 @@ Token stream (after the ``magic | mode | varint(orig_len)`` header):
 
 from __future__ import annotations
 
+import ctypes
 import zlib
 from typing import Optional
-
-import numpy as np
 
 from repro.compression import _native
 from repro.compression.base import (
     Codec,
     CodecSpec,
+    byte_varint,
     native_header,
     refuse_overclaim,
     register_codec,
@@ -42,17 +42,9 @@ _HASH_BITS = 13
 _HASH_MASK = (1 << _HASH_BITS) - 1
 _HASH_MULT = 2654435761
 
-#: Hash-table scratch for the native compressor (re-memset per call).
-_NATIVE_TABLE_SCRATCH = None
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    while True:
-        chunk = value & 0x7F
-        value >>= 7
-        out.append(chunk | (0x80 if value else 0))
-        if not value:
-            return
+#: Hash-table scratch for the native compressor (re-memset per call),
+#: shared process-wide: the harness is single-threaded.
+_TABLE_SCRATCH = (ctypes.c_int32 * (1 << _HASH_BITS))()
 
 
 def _read_varint(data: bytes, pos: int) -> tuple:
@@ -91,12 +83,41 @@ class LzFastCodec(Codec):
         self.window_size = window_size
 
     def compress(self, data: bytes) -> bytes:
-        native = self._compress_native(data)
-        if native is not None:
-            return native
-        out = bytearray([_MAGIC, _MODE_COMPRESSED])
-        _write_varint(out, len(data))
-        out += zlib.crc32(data).to_bytes(4, "little")
+        body = self._encode_native(data)
+        if body is None:
+            body = self._encode_python(data)
+        header = bytearray((_MAGIC, _MODE_COMPRESSED)) + byte_varint(len(data))
+        header += zlib.crc32(data).to_bytes(4, "little")
+        if len(header) + len(body) >= len(data) + 2:
+            header[1] = _MODE_STORED
+            body = data
+        return bytes(header) + body
+
+    def _encode_native(self, data: bytes) -> Optional[bytes]:
+        """The token body from one kernel call; ``None`` means "run the
+        reference encoder"."""
+        lib = _native.load()
+        if lib is None or type(data) is not bytes:
+            return None
+        n = len(data)
+        # Worst case: one control byte per 128-byte literal run.
+        out = ctypes.create_string_buffer(n + n // _MAX_LITERAL_RUN + 16)
+        written = lib.lzfast_compress(
+            data,
+            n,
+            min(self.window_size, _MAX_DISTANCE),
+            _TABLE_SCRATCH,
+            out,
+            len(out),
+        )
+        if written < 0:
+            return None
+        return ctypes.string_at(out, written)
+
+    def _encode_python(self, data: bytes) -> bytes:
+        """The reference encoder: greedy single-probe matching into a
+        byte-aligned token body."""
+        out = bytearray()
         n = len(data)
         table = [-1] * (1 << _HASH_BITS)
         literal_start = 0
@@ -172,48 +193,7 @@ class LzFastCodec(Codec):
             else:
                 pos += 1
         flush_literals(n)
-        literal_start = n
-
-        if len(out) >= n + 2:
-            stored = bytearray([_MAGIC, _MODE_STORED])
-            _write_varint(stored, n)
-            stored += zlib.crc32(data).to_bytes(4, "little")
-            stored.extend(data)
-            return bytes(stored)
         return bytes(out)
-
-    def _compress_native(self, data: bytes) -> Optional[bytes]:
-        """C token emitter; ``None`` falls back to the Python loop."""
-        lib = _native.load()
-        n = len(data)
-        if lib is None or n == 0:
-            return None
-        global _NATIVE_TABLE_SCRATCH
-        if _NATIVE_TABLE_SCRATCH is None:
-            _NATIVE_TABLE_SCRATCH = np.empty(1 << _HASH_BITS, dtype=np.int32)
-        header = bytearray([_MAGIC, _MODE_COMPRESSED])
-        _write_varint(header, n)
-        header += zlib.crc32(data).to_bytes(4, "little")
-        data_np = np.frombuffer(data, dtype=np.uint8)  # keeps `data` alive
-        # Worst case: one control byte per 128-byte literal run.
-        body = np.empty(n + n // _MAX_LITERAL_RUN + 16, dtype=np.uint8)
-        body_len = lib.lzfast_compress(
-            data_np.ctypes.data,
-            n,
-            min(self.window_size, _MAX_DISTANCE),
-            _NATIVE_TABLE_SCRATCH.ctypes.data,
-            body.ctypes.data,
-            len(body),
-        )
-        if body_len < 0:
-            return None
-        if len(header) + body_len >= n + 2:
-            stored = bytearray([_MAGIC, _MODE_STORED])
-            _write_varint(stored, n)
-            stored += zlib.crc32(data).to_bytes(4, "little")
-            stored.extend(data)
-            return bytes(stored)
-        return bytes(header) + body[:body_len].tobytes()
 
     def decompress(self, blob: bytes) -> bytes:
         native = self._decompress_native(blob)
@@ -232,14 +212,11 @@ class LzFastCodec(Codec):
         mode, orig_len, checksum, pos = header
         if mode != _MODE_COMPRESSED:
             return None  # stored mode is already just a slice + crc
-        out = np.empty(max(orig_len, 1), dtype=np.uint8)
-        blob_np = np.frombuffer(blob, dtype=np.uint8)
-        decoded = lib.lzfast_decompress(
-            blob_np.ctypes.data, len(blob), pos, out.ctypes.data, orig_len
-        )
+        out = ctypes.create_string_buffer(orig_len)
+        decoded = lib.lzfast_decompress(blob, len(blob), pos, out, orig_len)
         if decoded != orig_len:
             return None
-        page = out[:orig_len].tobytes()
+        page = ctypes.string_at(out, orig_len)
         if zlib.crc32(page) != checksum:
             return None
         return page

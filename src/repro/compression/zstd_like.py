@@ -13,19 +13,21 @@ Blob layout::
     payload = lit_count(varint) lit_lengths(4b x 256) lit_codes...
               seq_count(varint) sequences...
 
-The payload's encoder and decoder each have a bit-exact C kernel in
-:mod:`repro.compression._native`; the ``BitWriter``/``BitReader`` code
-below is the reference they are tested against and what runs when the
-kernels are not loaded. Header, checksum and the stored-vs-compressed
-decision are Python on both paths.
+The codec has exactly two implementations. ``compress`` and
+``decompress`` make one call into :mod:`repro.compression._native`
+(``zstdlike_compress`` takes the page and returns the payload and its
+mode, ``zstdlike_decode_body`` takes the blob and returns the page); the
+``BitWriter``/``BitReader`` code below is the reference those kernels
+are tested against, what runs when they are not loaded, and the decoder
+that re-reads every blob the native one will not vouch for. Header and
+checksum are Python on both paths.
 """
 
 from __future__ import annotations
 
+import ctypes
 import zlib
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from repro.compression import _native
 from repro.compression.base import (
@@ -57,8 +59,8 @@ _MODE_COMPRESSED = 1
 _MIN_MATCH = 3
 
 #: Decode-table scratch for the native decoder (full-width table, rebuilt
-#: per call); allocated lazily, shared process-wide (single-threaded).
-_NATIVE_TABLE_SCRATCH = None
+#: per call), shared process-wide: the harness is single-threaded.
+_TABLE_SCRATCH = (ctypes.c_uint32 * (1 << MAX_CODE_LENGTH))()
 
 
 @register_codec
@@ -90,45 +92,58 @@ class ZstdLikeCodec(Codec):
         self.window_size = window_size
 
     def compress(self, data: bytes) -> bytes:
-        body = self._compress_body(data) if data else b""
+        encoded = self._encode_native(data)
+        if encoded is None:
+            encoded = self._encode_python(data)
+        mode, payload = encoded
         writer = BitWriter()
-        if not data or len(body) + 3 >= len(data):
-            writer.write_bits(_MAGIC, 8)
-            writer.write_bits(_MODE_STORED, 8)
-            write_varint_bits(writer, len(data))
-            writer.write_bits(zlib.crc32(data), 32)
-            writer.align_to_byte()
-            writer.write_bytes(data)
-            return writer.getvalue()
         writer.write_bits(_MAGIC, 8)
-        writer.write_bits(_MODE_COMPRESSED, 8)
+        writer.write_bits(mode, 8)
         write_varint_bits(writer, len(data))
         writer.write_bits(zlib.crc32(data), 32)
         writer.align_to_byte()
-        writer.write_bytes(body)
+        writer.write_bytes(payload)
         return writer.getvalue()
 
-    def _compress_body(self, data: bytes) -> bytes:
-        packed = self._matcher.tokenize_packed(data)
-        body = _encode_body_native(packed)
-        if body is not None:
-            return body
+    def _encode_native(self, data: bytes) -> Optional[Tuple[int, bytes]]:
+        """``(mode, payload)`` from one kernel call; ``None`` means "run
+        the reference encoder"."""
+        lib = _native.load()
+        if lib is None or type(data) is not bytes:
+            return None
+        # A payload is only kept when it is shorter than the page.
+        out = ctypes.create_string_buffer(len(data))
+        mode = ctypes.c_int64()
+        written = lib.zstdlike_compress(
+            data,
+            len(data),
+            *self._matcher.kernel_args,
+            out,
+            len(data),
+            ctypes.byref(mode),
+        )
+        if written < 0:
+            return None
+        if mode.value == _MODE_STORED:
+            return _MODE_STORED, data
+        return mode.value, ctypes.string_at(out, written)
+
+    def _encode_python(self, data: bytes) -> Tuple[int, bytes]:
+        """The reference encoder: split the token stream into literals
+        and sequences, Huffman-code the former, varint the latter; keep
+        the payload only if it saves more than three bytes."""
         literals = bytearray()
-        append_literal = literals.append
         # Sequence: (literal_run, match_length, offset); a trailing run of
         # literals is encoded as a sequence with match_length == 0.
         sequences: List[Tuple[int, int, int]] = []
-        append_seq = sequences.append
-        len_mask = PACKED_LENGTH_MASK
         run = 0
-        for token in packed.tolist():
+        for token in self._matcher.tokenize_packed(data):
             if token < 256:
-                append_literal(token)
+                literals.append(token)
                 run += 1
             else:
-                append_seq(
-                    (run, token & len_mask, token >> PACKED_LENGTH_BITS)
-                )
+                offset = token >> PACKED_LENGTH_BITS
+                sequences.append((run, token & PACKED_LENGTH_MASK, offset))
                 run = 0
         if run:
             sequences.append((run, 0, 0))
@@ -142,21 +157,18 @@ class ZstdLikeCodec(Codec):
             table = HuffmanTable.from_frequencies(freq)
             for length in table.lengths:
                 writer.write_bits(length, 4)
-            # Every byte present in ``literals`` has non-zero frequency and
-            # therefore a code; index the tables directly instead of paying
-            # HuffmanTable.encode's zero-length check per byte.
-            codes_lsb = table.codes_lsb
-            lengths = table.lengths
-            write_bits = writer.write_bits
             for byte in literals:
-                write_bits(codes_lsb[byte], lengths[byte])
+                table.encode(writer, byte)
         write_varint_bits(writer, len(sequences))
         for lit_run, match_len, offset in sequences:
             write_varint_bits(writer, lit_run)
             write_varint_bits(writer, match_len)
             if match_len:
                 write_varint_bits(writer, offset)
-        return writer.getvalue()
+        payload = writer.getvalue()
+        if len(payload) + 3 >= len(data):
+            return _MODE_STORED, data
+        return _MODE_COMPRESSED, payload
 
     def decompress(self, blob: bytes) -> bytes:
         out = self._decompress_native(blob)
@@ -179,26 +191,14 @@ class ZstdLikeCodec(Codec):
         if header is None or header[0] != _MODE_COMPRESSED:
             return None
         _, orig_len, checksum, pos = header
-        global _NATIVE_TABLE_SCRATCH
-        if _NATIVE_TABLE_SCRATCH is None:
-            _NATIVE_TABLE_SCRATCH = np.empty(
-                1 << MAX_CODE_LENGTH, dtype=np.uint32
-            )
-        literals = np.empty(max(orig_len, 1), dtype=np.uint8)
-        out = np.empty(max(orig_len, 1), dtype=np.uint8)
-        blob_np = np.frombuffer(blob, dtype=np.uint8)  # keeps `blob` alive
+        literals = ctypes.create_string_buffer(orig_len)
+        out = ctypes.create_string_buffer(orig_len)
         decoded = lib.zstdlike_decode_body(
-            blob_np.ctypes.data,
-            len(blob),
-            pos,
-            _NATIVE_TABLE_SCRATCH.ctypes.data,
-            literals.ctypes.data,
-            out.ctypes.data,
-            orig_len,
+            blob, len(blob), pos, _TABLE_SCRATCH, literals, out, orig_len
         )
         if decoded != orig_len:
             return None
-        page = out[:orig_len].tobytes()
+        page = ctypes.string_at(out, orig_len)
         if zlib.crc32(page) != checksum:
             return None
         return page
@@ -259,21 +259,3 @@ class ZstdLikeCodec(Codec):
         if zlib.crc32(bytes(out)) != checksum:
             raise CorruptStreamError("content checksum mismatch")
         return bytes(out)
-
-
-def _encode_body_native(packed) -> Optional[bytes]:
-    """The payload for one packed token array via the C kernel; ``None``
-    means "encode with the BitWriter path in ``_compress_body``"."""
-    lib = _native.load()
-    if lib is None:
-        return None
-    tok_np = np.frombuffer(packed, dtype=np.int64)
-    # Generous: two varints (<= 10 groups each), the 128-byte length
-    # header, and per token at most a 15-bit code or three varints.
-    out = np.empty(len(tok_np) * 30 + 192, dtype=np.uint8)
-    body_len = lib.zstdlike_encode_body(
-        tok_np.ctypes.data, len(tok_np), out.ctypes.data, len(out)
-    )
-    if body_len < 0:
-        return None
-    return out[:body_len].tobytes()

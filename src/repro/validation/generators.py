@@ -4,7 +4,7 @@ Every generator is a pure function of the ``random.Random`` it is given,
 so a case regenerates exactly from the single case seed the framework
 prints on failure. Generators cover the surfaces the validation suite
 fuzzes: raw pages and corpus mixes (codec round-trips), damaged
-zstd-like blobs (decoder error parity), red-black tree
+codec blobs (decoder error parity), red-black tree
 and zpool operation scripts (invariant churn), swap traces (emulator
 input), MMIO register programs (driver protocol), and offload batches
 (the emulator-vs-module differential oracle).
@@ -17,6 +17,7 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.compression.base import byte_varint
 from repro.compression.bitio import BitWriter, write_varint_bits
 from repro.compression.huffman import HuffmanTable
 from repro.compression.lz77 import (
@@ -135,17 +136,23 @@ def _zstd_like_blob(
     return writer.getvalue()
 
 
-def gen_zstd_like_mutation(rng: random.Random) -> bytes:
-    """A zstd-like blob damaged in one way its decoder must diagnose:
-    flipped bits or a truncation of a real blob, a wrong ``orig_len`` /
-    ``lit_count`` / ``seq_count``, or one sequence with a zero or
+def gen_blob_mutation(rng: random.Random, codec_cls=ZstdLikeCodec) -> bytes:
+    """A ``codec_cls`` blob damaged in one way its decoder must
+    diagnose. Every codec: flipped bits or a truncation of a real blob,
+    or a wrong ``orig_len`` in the header. The zstd-like format adds a
+    wrong ``lit_count`` / ``seq_count``, or one sequence with a zero or
     too-far offset, a match shorter than 3, or an overlong literal run.
     Some cases come out valid (a flip in padding, a +0 bump)."""
     page = gen_page(rng)
-    window = rng.choice((4096, 128 * 1024))
-    style = rng.randrange(9)
+    if codec_cls is ZstdLikeCodec:
+        window = rng.choice((4096, 128 * 1024))
+        codec = ZstdLikeCodec(window_size=window)
+        style = rng.randrange(9)
+    else:
+        codec = codec_cls()
+        style = rng.randrange(3)
     if style < 2:
-        blob = bytearray(ZstdLikeCodec(window_size=window).compress(page))
+        blob = bytearray(codec.compress(page))
         if style == 0:
             for _ in range(rng.randint(1, 3)):
                 bit = rng.randrange(len(blob) * 8)
@@ -153,6 +160,16 @@ def gen_zstd_like_mutation(rng: random.Random) -> bytes:
         else:
             del blob[rng.randrange(len(blob)):]
         return bytes(blob)
+    bump = rng.choice((-3, -1, 0, 1, 2, 17, 1 << 12, 1 << 30, 1 << 42))
+    if codec_cls is not ZstdLikeCodec:
+        # deflate / lzfast: ``magic | mode | orig_len`` with a byte-wise
+        # varint (continue flag in the high bit) — re-write it in place.
+        blob = codec.compress(page)
+        end = 3
+        while blob[end - 1] & 0x80:
+            end += 1
+        orig_len = byte_varint(max(0, len(page) + bump))
+        return blob[:2] + orig_len + blob[end:]
 
     literals = bytearray()
     sequences: List[Tuple[int, int, int]] = []
@@ -168,7 +185,6 @@ def gen_zstd_like_mutation(rng: random.Random) -> bytes:
             run = 0
     if run:
         sequences.append((run, 0, 0))
-    bump = rng.choice((-3, -1, 0, 1, 2, 17, 1 << 12, 1 << 30, 1 << 42))
     counts = {}
     if style == 2:
         counts["orig_len"] = max(0, len(page) + bump)
@@ -191,6 +207,10 @@ def gen_zstd_like_mutation(rng: random.Random) -> bytes:
             lit_run += max(1, bump)
         sequences[index] = (lit_run, match_len, max(0, offset))
     return _zstd_like_blob(page, bytes(literals), sequences, **counts)
+
+
+#: The name the zstd-like decode-parity tests were written against.
+gen_zstd_like_mutation = gen_blob_mutation
 
 
 # -- data-structure operation scripts ---------------------------------------
