@@ -79,7 +79,7 @@ def test_a3_codec_comparison(once, emit):
 def _measure_ingested():
     """Codec sweep over *real* pages (this repo's ingested tree or
     $REPRO_CORPUS_DIR), including the corpus-trained static-table deflate
-    variant, all through the page-batch API."""
+    variant, one page per codec call."""
     registry = StaticTableRegistry.load_default()
     rows = []
     for domain in ingested_domains():
@@ -96,9 +96,9 @@ def _measure_ingested():
             )
         for label, codec in candidates:
             start = time.perf_counter()
-            blobs = codec.compress_batch(pages)
+            blobs = [codec.compress(page) for page in pages]
             compress_s = time.perf_counter() - start
-            assert codec.decompress_batch(blobs) == pages
+            assert [codec.decompress(blob) for blob in blobs] == pages
             rows.append(
                 {
                     "domain": domain,

@@ -80,11 +80,11 @@ def _kernel_lz77_tokenize() -> Callable[[], None]:
 
 
 def _kernel_deflate_static_table() -> Callable[[], None]:
-    """Mode-3 deflate: corpus-trained tables, batch compress + decode.
+    """Mode-3 deflate: corpus-trained tables, compress + decode per page.
 
     This is the static-table store path end to end — no per-page table
-    build, pre-rendered header, batch API — against the same page mix
-    the dynamic round-trip kernel times."""
+    build, pre-rendered header — against the same page mix the dynamic
+    round-trip kernel times."""
     from repro.compression.deflate import train_static_tables
 
     pages = _bench_pages()
@@ -92,8 +92,8 @@ def _kernel_deflate_static_table() -> Callable[[], None]:
     codec = DeflateCodec(window_size=4096, static_tables=tables)
 
     def op() -> None:
-        blobs = codec.compress_batch(pages)
-        if codec.decompress_batch(blobs) != pages:
+        blobs = [codec.compress(page) for page in pages]
+        if [codec.decompress(blob) for blob in blobs] != pages:
             raise AssertionError("static-table round-trip mismatch")
 
     return op
@@ -239,9 +239,9 @@ def _kernel_tier_pipeline_load() -> Callable[[], None]:
 
 
 def _kernel_tier_demote_batch() -> Callable[[], None]:
-    """Demotion cascade with batched placement: fill a top tier, then
-    sink every page one tier down via ``demote_coldest`` — the path that
-    routes whole victim batches through the codec's batch API."""
+    """Demotion cascade: fill a top tier, then sink every page one tier
+    down via ``demote_coldest`` — victims swapped in a round at a time
+    and placed page by page."""
     from repro.sfm.backend import SfmBackend
     from repro.sfm.page import Page
     from repro.tiering import TierPipeline

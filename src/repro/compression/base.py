@@ -12,43 +12,10 @@ software speeds into its first-order equations.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.errors import ConfigError, CorruptStreamError
-
-
-@dataclass
-class BatchStats:
-    """Process-wide telemetry for the page-batch codec API.
-
-    ``*_batch_calls``/``*_batch_pages`` count invocations of
-    :meth:`Codec.compress_batch` / :meth:`Codec.decompress_batch` and the
-    pages they carried; the swap-path tests assert on them to pin which
-    pages a call site batches (digest-cache precompression, demotion
-    rounds). ``site_pages`` attributes pages to the call site that
-    batched them (``"multichannel"``, ``"tier_demote"``, ...).
-    """
-
-    compress_batch_calls: int = 0
-    compress_batch_pages: int = 0
-    decompress_batch_calls: int = 0
-    decompress_batch_pages: int = 0
-    site_pages: Dict[str, int] = field(default_factory=dict)
-
-    def record_site(self, site: str, pages: int) -> None:
-        self.site_pages[site] = self.site_pages.get(site, 0) + pages
-
-    def reset(self) -> None:
-        self.compress_batch_calls = 0
-        self.compress_batch_pages = 0
-        self.decompress_batch_calls = 0
-        self.decompress_batch_pages = 0
-        self.site_pages.clear()
-
-
-#: Shared counter instance (the harness is single-threaded).
-batch_stats = BatchStats()
 
 
 @dataclass(frozen=True)
@@ -106,26 +73,6 @@ class Codec(ABC):
     @abstractmethod
     def decompress(self, blob: bytes) -> bytes:
         """Decode a blob produced by :meth:`compress`."""
-
-    def compress_batch(self, pages: Sequence[bytes]) -> List[bytes]:
-        """Compress many pages in one call.
-
-        Blob ``i`` equals ``compress(pages[i])`` byte-for-byte. Batching
-        is a call-site concept — a swap path hands over the pages of one
-        modelled round — not a codec fast path: this loop is the only
-        implementation, and the one place the batch counters move.
-        """
-        blobs = [self.compress(page) for page in pages]
-        batch_stats.compress_batch_calls += 1
-        batch_stats.compress_batch_pages += len(blobs)
-        return blobs
-
-    def decompress_batch(self, blobs: Sequence[bytes]) -> List[bytes]:
-        """Decompress many blobs in one call; see :meth:`compress_batch`."""
-        pages = [self.decompress(blob) for blob in blobs]
-        batch_stats.decompress_batch_calls += 1
-        batch_stats.decompress_batch_pages += len(pages)
-        return pages
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -78,8 +78,8 @@ def tune_domain(
     """Score every grid point on a sample of ``pages`` and pick a winner.
 
     Each candidate is evaluated end-to-end the way it would actually run:
-    tables trained on the sample with that matcher tuning, then the sample
-    batch-compressed with those tables. The score is total compressed
+    tables trained on the sample with that matcher tuning, then every
+    sample page compressed with those tables. The score is total compressed
     bytes; ties prefer ``(max_chain, window_size, lazy)`` ascending.
     """
     if not pages:
@@ -106,7 +106,7 @@ def tune_domain(
             lazy=lazy,
             static_tables=tables,
         )
-        total = sum(len(blob) for blob in codec.compress_batch(sample))
+        total = sum(len(codec.compress(page)) for page in sample)
         key = (total, max_chain, window_size, lazy)
         if best_key is None or key < best_key:
             best_key = key

@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.compression.base import Codec, batch_stats
+from repro.compression.base import Codec
 from repro.core.driver import XfmDriver
-from repro.resilience import faults as _faults
 from repro.core.multichannel import MultiChannelLayout
 from repro.core.nma import NearMemoryAccelerator, NmaConfig
 from repro.errors import (
@@ -174,30 +173,14 @@ class MultiChannelXfmBackend:
             raise SfmError(f"page 0x{page.vaddr:x} has no resident data")
 
         stripes = self.layout.split(page.data)
-        # All stripes compress under the same codec config, so they go
-        # to the codec as ONE batch — the per-DIMM device model below
-        # still accounts each stripe's offload individually. Compression
-        # is pure, so the blobs are bit-identical to per-stripe calls.
-        # Fault-injection runs fire per-NMA inside compress_page, so
-        # batching is only taken when injection is off (the hot path).
-        precomputed: Optional[List[bytes]] = None
-        if not _faults.injection_enabled():
-            precomputed = self.dimms[0].nma.codec.compress_batch(stripes)
-            batch_stats.record_site("multichannel", len(stripes))
         segments: List[bytes] = []
-        for stripe_index, (dimm, stripe) in enumerate(
-            zip(self.dimms, stripes)
-        ):
+        for dimm, stripe in zip(self.dimms, stripes):
             try:
                 dimm.driver.submit_compress(
                     source_row=page.vaddr >> 13, input_bytes=len(stripe)
                 )
                 dimm.nma.pop_request()
-                segments.append(
-                    precomputed[stripe_index]
-                    if precomputed is not None
-                    else dimm.nma.compress_page(stripe)
-                )
+                segments.append(dimm.nma.compress_page(stripe))
                 self.ledger.record("nma", "read", len(stripe))
                 dimm.driver.notify_release(len(stripe))
             except (SpmFullError, QueueFullError, DeviceFault) as exc:
@@ -219,11 +202,7 @@ class MultiChannelXfmBackend:
                         reason, "compress", vaddr=page.vaddr, dimm=dimm.index
                     )
                 codec = dimm.nma.codec
-                segments.append(
-                    precomputed[stripe_index]
-                    if precomputed is not None
-                    else codec.compress(stripe)
-                )
+                segments.append(codec.compress(stripe))
                 self.stats.cpu_compress_cycles += (
                     codec.spec.compress_cycles_per_byte * len(stripe)
                 )
@@ -277,17 +256,14 @@ class MultiChannelXfmBackend:
         entry: _StripeEntry = self.index.lookup(page.vaddr)
         stripes: List[bytes] = []
         if not do_offload:
-            # Host gather path: every stripe decodes on the CPU with the
-            # same codec, so the decode runs as one batched call; the
-            # per-stripe accounting below is unchanged.
-            blobs = [
-                dimm.region.load(handle)[:length]
+            # Host gather path: each stripe decodes on the CPU with its
+            # own DIMM's codec; accounting starts once every stripe did.
+            stripes = [
+                dimm.nma.codec.decompress(dimm.region.load(handle)[:length])
                 for dimm, handle, length in zip(
                     self.dimms, entry.handles, entry.segment_lengths
                 )
             ]
-            stripes = self.dimms[0].nma.codec.decompress_batch(blobs)
-            batch_stats.record_site("multichannel", len(blobs))
             for dimm, length in zip(self.dimms, entry.segment_lengths):
                 codec = dimm.nma.codec
                 self.stats.cpu_decompress_cycles += (

@@ -20,7 +20,7 @@ the machinery that decides viability under pressure:
   budget fast-fails instead of amplifying).
 * :mod:`repro.fleet.brownout` — degraded-mode controller with
   hysteresis (cheaper static-table codec for degradable tenants,
-  demotion-cascade bypass, shrunk demotion batches).
+  demotion-cascade bypass).
 * :mod:`repro.fleet.traffic` — open-loop arrival generation
   (Poisson/Zipf mixes, diurnal curves, overload spikes) scheduled as
   events.

@@ -2,9 +2,9 @@
 
 Under sustained pressure the fleet trades fidelity for headroom instead
 of falling over: degradable tenants switch to the cheaper static-table
-codec, demotion cascades are bypassed, and demotion batch windows
-shrink. The controller watches the shed rate over fixed simulated-time
-windows and drives a two-state machine::
+codec and demotion cascades are bypassed. The controller watches the
+shed rate over fixed simulated-time windows and drives a two-state
+machine::
 
       shed rate > enter_shed_rate for enter_windows consecutive windows
     NORMAL ----------------------------------------------------------> BROWNOUT

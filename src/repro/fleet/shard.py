@@ -286,21 +286,17 @@ class FleetShard:
     # -- degraded mode --------------------------------------------------------
 
     def enter_brownout(self, tenants: FrozenSet[str]) -> None:
-        """Degrade: static-table codec for ``tenants``, demotion-cascade
-        bypass, and shrunk demotion batches."""
+        """Degrade: static-table codec for ``tenants`` and
+        demotion-cascade bypass."""
         self.degraded = True
         self.degraded_tenants = tenants
         self.pipeline.demotion = NeverDemote()
-        self.pipeline.demote_batch_pages = 2
         self.registry.counter("fleet.shard_brownout", shard=self.name).inc()
 
     def exit_brownout(self) -> None:
         self.degraded = False
         self.degraded_tenants = frozenset()
         self.pipeline.demotion = self._normal_demotion
-        from repro.tiering.pipeline import DEMOTE_BATCH_PAGES
-
-        self.pipeline.demote_batch_pages = DEMOTE_BATCH_PAGES
 
     # -- failure --------------------------------------------------------------
 

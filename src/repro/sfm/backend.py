@@ -126,20 +126,14 @@ class SfmBackend:
 
     # -- swap-out path (compression) -------------------------------------------
 
-    def swap_out(
-        self, page: Page, _precompressed: Optional[bytes] = None
-    ) -> SwapOutcome:
-        """Compress ``page`` into far memory.
+    def swap_out(self, page: Page) -> SwapOutcome:
+        """Compress ``page`` into far memory, one page per call.
 
-        Returns a rejected :class:`SwapOutcome` (rather than raising) when
-        the page is incompressible or the pool is full — both are normal
+        A digest-cache hit reuses an earlier blob of identical content
+        and charges only the hash. Returns a rejected
+        :class:`SwapOutcome` (rather than raising) when the page is
+        incompressible or the pool is full — both are normal
         control-plane signals, not errors.
-
-        ``_precompressed`` is the private hand-off from
-        :meth:`swap_out_batch`: the blob for ``page.data`` computed by the
-        codec's batch API. It only short-circuits the compressor call —
-        every accept/reject decision, cycle charge, and cache update below
-        is unchanged.
         """
         if page.swapped:
             raise SfmError(f"page 0x{page.vaddr:x} already swapped")
@@ -158,10 +152,7 @@ class SfmBackend:
         else:
             if self.page_cache is not None:
                 self.stats.digest_cache_misses += 1
-            if _precompressed is not None:
-                blob = _precompressed
-            else:
-                blob = self._compress(page.data)
+            blob = self._compress(page.data)
             cycles = self.codec.spec.compress_cycles_per_byte * PAGE_SIZE
             if self.page_cache is not None:
                 self.page_cache.put(digest, blob)
@@ -209,48 +200,8 @@ class SfmBackend:
         return self.codec.compress(data)
 
     def swap_out_batch(self, pages: Sequence[Page]) -> List[SwapOutcome]:
-        """Swap out many pages, handing the codec one batch per call.
-
-        Pages whose content will miss the digest cache are compressed in a
-        single :meth:`~repro.compression.base.Codec.compress_batch` call
-        up front; each page then takes the exact scalar :meth:`swap_out`
-        path with its blob precomputed. Compression happens before every
-        accept/reject decision in ``swap_out``, so outcomes, statistics,
-        traces, and stored bytes are byte-identical to a sequential loop.
-        Duplicate contents inside one batch are compressed once; later
-        copies hit the digest cache exactly as they would sequentially.
-
-        Subclasses that replace the scalar path (e.g. the NMA offload in
-        ``XfmBackend``) keep their per-page semantics: the batch defers to
-        their ``swap_out`` page by page.
-        """
-        pages = list(pages)
-        if type(self).swap_out is not SfmBackend.swap_out:
-            return [self.swap_out(page) for page in pages]
-        precomputed: List[Optional[bytes]] = [None] * len(pages)
-        to_compress: List[int] = []
-        seen_digests = set()
-        for i, page in enumerate(pages):
-            if page.swapped or page.data is None:
-                continue  # scalar swap_out raises its usual error
-            if self.page_cache is not None:
-                # __contains__ deliberately does not refresh LRU order, so
-                # probing here leaves the cache exactly as swap_out finds it.
-                digest = page_digest(page.data)
-                if digest in self.page_cache or digest in seen_digests:
-                    continue
-                seen_digests.add(digest)
-            to_compress.append(i)
-        if to_compress:
-            blobs = self.codec.compress_batch(
-                [pages[i].data for i in to_compress]
-            )
-            for i, blob in zip(to_compress, blobs):
-                precomputed[i] = blob
-        return [
-            self.swap_out(page, _precompressed=precomputed[i])
-            for i, page in enumerate(pages)
-        ]
+        # Kept only as a patch point of benchmarks/e2e/layers.py.
+        return [self.swap_out(page) for page in pages]
 
     # -- verified recovery -------------------------------------------------------
 

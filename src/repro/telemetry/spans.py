@@ -4,7 +4,7 @@ The flat :mod:`repro.telemetry.trace` events answer *what happened
 when*; spans answer *why*. A span is a Chrome ``X`` (complete) event
 carrying two extra args — ``span`` (its own id) and ``parent`` (the id
 of the span that was open when it began) — so one pipeline ``store``
-exports with its tier rejects, batched demotion rounds, NMA offload
+exports with its tier rejects, demotion rounds, NMA offload
 windows, and CPU fallbacks hanging off it as a tree. Perfetto renders
 the nesting by timestamp on each track; the ids make the causality
 exact even across tracks (a ``cpu_compress`` on the ``cpu`` track knows

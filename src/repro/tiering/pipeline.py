@@ -46,7 +46,6 @@ from repro.resilience.breaker import (
     BreakerState,
     CircuitBreaker,
 )
-from repro.compression.base import batch_stats
 from repro.sfm.metrics import BandwidthLedger, SwapStats
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.telemetry import flightrec as _flightrec
@@ -108,9 +107,11 @@ class PipelineStats(StatsFacade):
 #: capacity control flow).
 FAILURE_REASONS = frozenset({"link-error", "device-fault"})
 
-#: Victims gathered per demotion round before batch placement. Bounded so
-#: a cascade cannot swap in an unbounded amount of data before placing
-#: any of it.
+#: Victims swapped in per demotion round before any is placed. The round
+#: is the unit of the ``demote_round`` span, of the ``op=demote``
+#: latency quantile and of stop-after-bounce; placement inside it is per
+#: page. Changing it moves SLO and chaos reports, so it is a model
+#: constant, not a knob.
 DEMOTE_BATCH_PAGES = 8
 
 
@@ -167,10 +168,6 @@ class TierPipeline:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.spill = spill
         self.trace_labels: Dict[str, str] = dict(trace_labels or {})
-        #: Victims gathered per demotion round; starts at the module
-        #: default, shrunk by degraded-mode controllers (brownout) to
-        #: bound how much a cascade swaps in before placing anything.
-        self.demote_batch_pages = DEMOTE_BATCH_PAGES
         self.pipeline_stats = PipelineStats(registry=self.registry)
         #: Per-tier health breakers; an OPEN breaker quarantines its
         #: tier (stores route around it, cool-down ticks per skipped
@@ -568,12 +565,10 @@ class TierPipeline:
 
     def _rebalance(self) -> int:
         """Apply the demotion policy: while a tier (other than the last)
-        is over pressure, sink batches of its LRU victims one-or-more
-        tiers down. Victims are gathered up to :data:`DEMOTE_BATCH_PAGES`
-        at a time (re-checking the policy between each swap-in, which is
-        what frees source-tier space) and placed through the batched
-        store path so the receiving tier's codec sees one
-        ``compress_batch`` call per round instead of a page at a time."""
+        is over pressure, sink its LRU victims one-or-more tiers down in
+        rounds of up to :data:`DEMOTE_BATCH_PAGES`, re-checking the
+        policy between each swap-in (which is what frees source-tier
+        space)."""
         demoted = 0
         for index in range(len(self.tiers) - 1):
             tier = self.tiers[index]
@@ -585,7 +580,7 @@ class TierPipeline:
             ):
                 victims, poisoned, placed, stop = self._demote_round(
                     index,
-                    self.demote_batch_pages,
+                    DEMOTE_BATCH_PAGES,
                     lambda t=tier, i=index: bool(self._lru[i])
                     and self.demotion.should_demote(t),
                 )
@@ -597,9 +592,10 @@ class TierPipeline:
     def _demote_round(
         self, index: int, limit: int, keep_going
     ) -> Tuple[List[Tuple[int, Page, bytes]], int, int, bool]:
-        """One batched demotion round (collect + place) under a
-        ``demote_round`` span, observing the round's end-to-end latency.
-        Returns ``(victims, poisoned, placed, stop)``."""
+        """One demotion round under a ``demote_round`` span: swap in up
+        to ``limit`` victims, then place them one by one, observing the
+        round's end-to-end latency. Returns ``(victims, poisoned, placed,
+        stop)``."""
         trace_on = _trace.tracing_enabled()
         handle = None
         if trace_on:
@@ -682,21 +678,20 @@ class TierPipeline:
     def _place_victims(
         self, index: int, victims: List[Tuple[int, Page, bytes]]
     ) -> Tuple[int, bool]:
-        """Batch-place swapped-in victims into the tiers below ``index``.
+        """Place each swapped-in victim, coldest first, through the same
+        :meth:`_place` every store takes, starting one tier below
+        ``index``: breaker, admission, fall-through counters and
+        ``tier_store`` instants all see one page at a time.
 
-        Returns ``(placed, stop)``: pages successfully demoted, and
-        whether this tier's cascade must halt (a victim bounced back into
-        its source tier or had to be spilled — the signal the scalar
-        cascade stopped on)."""
-        results = self._place_batch(
-            [page for _, page, _ in victims], start=index + 1
-        )
+        A victim nothing below takes goes back where it was (space was
+        just freed there), else to the spill callback. Returns
+        ``(placed, stop)``: pages demoted, and whether this tier's
+        cascade must halt (a victim bounced back or was spilled)."""
         placed = 0
         stop = False
         trace_on = _trace.tracing_enabled()
-        for (vaddr, page, data), (outcome, new_index) in zip(
-            victims, results
-        ):
+        for vaddr, page, data in victims:
+            outcome, new_index = self._place(page, start=index + 1)
             if outcome.accepted:
                 self.pipeline_stats.demotions += 1
                 placed += 1
@@ -708,11 +703,8 @@ class TierPipeline:
                               "vaddr": vaddr},
                     )
                 continue
-            # Nothing below would take it: put it back where it was
-            # (space was just freed there), else spill to the backing
-            # device — and stop cascading from this tier.
             self.pipeline_stats.demotion_failures += 1
-            retry, _retry_index = self._place(page, start=index)
+            retry, _ = self._place(page, start=index)
             if retry.accepted:
                 stop = True
                 continue
@@ -725,121 +717,6 @@ class TierPipeline:
                 "and no spill callback is set"
             )
         return placed, stop
-
-    def _place_batch(
-        self, pages: List[Page], start: int
-    ) -> List[Tuple[SwapOutcome, int]]:
-        """Batched :meth:`_place`: route ``pages`` through tiers
-        ``start..N``, handing each tier its whole remaining set via
-        ``swap_out_batch`` when it implements one.
-
-        Per-page bookkeeping (breaker success/failure, fall-through
-        counters, trace events) matches the scalar path. The one
-        deliberate difference: the breaker and admission checks are
-        consulted once per tier per batch rather than between every
-        page — admission decisions within one demotion round share the
-        tier state observed at the round's start."""
-        results: List[Optional[Tuple[SwapOutcome, int]]] = [None] * len(pages)
-        last: List[SwapOutcome] = [
-            SwapOutcome(accepted=False, reason="all-tiers-rejected")
-            for _ in pages
-        ]
-        remaining = list(enumerate(pages))
-        trace_on = _trace.tracing_enabled()
-        for index in range(start, len(self.tiers)):
-            if not remaining:
-                break
-            tier = self.tiers[index]
-            name = self.tier_names[index]
-            if not self.breakers[index].allow():
-                for _, page in remaining:
-                    self.pipeline_stats.quarantine_skips += 1
-                    self.pipeline_stats.store_fallthroughs += 1
-                    if trace_on:
-                        _trace.instant(
-                            "tier_store", TRACK_TIER,
-                            args={"tier": name, "outcome": "quarantined",
-                                  "vaddr": page.vaddr},
-                        )
-                continue
-            if not self.admission.admit(tier):
-                for _, page in remaining:
-                    self.pipeline_stats.store_fallthroughs += 1
-                    if trace_on:
-                        _trace.instant(
-                            "tier_store", TRACK_TIER,
-                            args={"tier": name,
-                                  "outcome": "admission_denied",
-                                  "vaddr": page.vaddr},
-                        )
-                continue
-            page_list = [page for _, page in remaining]
-            batch_fn = getattr(tier, "swap_out_batch", None)
-            if batch_fn is not None:
-                batch_stats.record_site("tier_demote", len(page_list))
-                try:
-                    outcomes = batch_fn(page_list)
-                except TierUnavailableError:
-                    self._record_tier_error(index)
-                    # Pages the batch had already committed before the
-                    # fault are recognisable by their swapped flag.
-                    outcomes = [
-                        SwapOutcome(accepted=True) if p.swapped
-                        else SwapOutcome(
-                            accepted=False, reason="device-fault"
-                        )
-                        for p in page_list
-                    ]
-            else:
-                outcomes = []
-                for p in page_list:
-                    try:
-                        outcomes.append(tier.swap_out(p))
-                    except TierUnavailableError:
-                        self._record_tier_error(index)
-                        outcomes.append(
-                            SwapOutcome(
-                                accepted=False, reason="device-fault"
-                            )
-                        )
-            next_remaining = []
-            for (pos, page), tier_outcome in zip(remaining, outcomes):
-                if tier_outcome.accepted:
-                    self.breakers[index].record_success()
-                    self._where[page.vaddr] = index
-                    self._lru[index][page.vaddr] = page
-                    if trace_on:
-                        _trace.instant(
-                            "tier_store", TRACK_TIER,
-                            args={
-                                "tier": name, "outcome": "stored",
-                                "vaddr": page.vaddr,
-                                "compressed_len":
-                                    tier_outcome.compressed_len,
-                            },
-                        )
-                    results[pos] = (tier_outcome, index)
-                    continue
-                if tier_outcome.reason in FAILURE_REASONS:
-                    self.breakers[index].record_failure()
-                self.pipeline_stats.store_fallthroughs += 1
-                if trace_on:
-                    _trace.instant(
-                        "tier_store", TRACK_TIER,
-                        args={"tier": name,
-                              "outcome": f"reject_{tier_outcome.reason}",
-                              "vaddr": page.vaddr},
-                    )
-                last[pos] = tier_outcome
-                next_remaining.append((pos, page))
-            remaining = next_remaining
-        for pos, _page in remaining:
-            results[pos] = (
-                SwapOutcome(accepted=False, reason="all-tiers-rejected",
-                            cpu_cycles=last[pos].cpu_cycles),
-                -1,
-            )
-        return results  # type: ignore[return-value]
 
     def _spill_page(self, vaddr: int, data: bytes) -> None:
         """Hand a page to the spill callback; a callback that raises is
@@ -859,7 +736,7 @@ class TierPipeline:
         demoted = 0
         stop = False
         while not stop and demoted < count and self._lru[from_tier]:
-            want = min(count - demoted, self.demote_batch_pages)
+            want = min(count - demoted, DEMOTE_BATCH_PAGES)
             victims, poisoned, placed, stop = self._demote_round(
                 from_tier, want,
                 lambda i=from_tier: bool(self._lru[i]),

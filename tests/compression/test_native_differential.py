@@ -103,17 +103,17 @@ class TestNativeVsPython:
     def test_zstd_like_blobs_byte_identical(self, no_native, window_size):
         pages = _corpus() + _zstd_like_boundary_pages()
         python_codec = ZstdLikeCodec(window_size=window_size)
-        python_blobs = python_codec.compress_batch(pages)
+        python_blobs = [python_codec.compress(page) for page in pages]
         _native.reset_for_tests()
         del os.environ["REPRO_NO_NATIVE"]
         native_codec = ZstdLikeCodec(window_size=window_size)
-        native_blobs = native_codec.compress_batch(pages)
+        native_blobs = [native_codec.compress(page) for page in pages]
         assert native_blobs == python_blobs
         assert {blob[1] for blob in native_blobs} == {0, 1}  # both modes
-        assert native_codec.decompress_batch(python_blobs) == pages
+        assert [native_codec.decompress(blob) for blob in python_blobs] == pages
         os.environ["REPRO_NO_NATIVE"] = "1"
         _native.reset_for_tests()
-        assert python_codec.decompress_batch(native_blobs) == pages
+        assert [python_codec.decompress(blob) for blob in native_blobs] == pages
 
     def test_huffman_lengths_identical(self, no_native):
         cases = [
@@ -154,36 +154,39 @@ class TestNativeVsPython:
 
     def test_deflate_blobs_byte_identical(self, no_native):
         pages = _corpus()
-        python_blobs = DeflateCodec().compress_batch(pages)
+        python_codec = DeflateCodec()
+        python_blobs = [python_codec.compress(page) for page in pages]
         _native.reset_for_tests()
         del os.environ["REPRO_NO_NATIVE"]
         native_codec = DeflateCodec()
-        assert native_codec.compress_batch(pages) == python_blobs
-        assert native_codec.decompress_batch(python_blobs) == pages
+        assert [native_codec.compress(page) for page in pages] == python_blobs
+        assert [native_codec.decompress(blob) for blob in python_blobs] == pages
 
     def test_lzfast_blobs_byte_identical(self, no_native):
         pages = _corpus()
-        python_blobs = LzFastCodec().compress_batch(pages)
+        python_codec = LzFastCodec()
+        python_blobs = [python_codec.compress(page) for page in pages]
         _native.reset_for_tests()
         del os.environ["REPRO_NO_NATIVE"]
         native_codec = LzFastCodec()
-        assert native_codec.compress_batch(pages) == python_blobs
-        assert native_codec.decompress_batch(python_blobs) == pages
+        assert [native_codec.compress(page) for page in pages] == python_blobs
+        assert [native_codec.decompress(blob) for blob in python_blobs] == pages
 
     def test_static_mode_blobs_byte_identical(self, no_native):
         pages = [p for p in _corpus() if p]
         tables = train_static_tables(pages, domain="diff")
         static = DeflateCodec(window_size=4096, static_tables=tables)
-        python_blobs = static.compress_batch(pages)
+        python_blobs = [static.compress(page) for page in pages]
         _native.reset_for_tests()
         del os.environ["REPRO_NO_NATIVE"]
         tables2 = train_static_tables(pages, domain="diff")
         assert tables2.table_id == tables.table_id
         static2 = DeflateCodec(window_size=4096, static_tables=tables2)
-        assert static2.compress_batch(pages) == python_blobs
+        assert [static2.compress(page) for page in pages] == python_blobs
         # Cross-engine decode: native decoder reads python-encoded
         # blobs (and the plain codec reads mode-3 registry-free).
-        assert DeflateCodec().decompress_batch(python_blobs) == pages
+        plain = DeflateCodec()
+        assert [plain.decompress(blob) for blob in python_blobs] == pages
 
 
 @pytest.mark.skipif(

@@ -96,8 +96,8 @@ class TestRegistryPersistence:
         loaded = StaticTableRegistry.load(path)
         original = trained.codec_for("json-test")
         restored = loaded.codec_for("json-test")
-        assert restored.compress_batch(json_pages) == (
-            original.compress_batch(json_pages)
+        assert [restored.compress(page) for page in json_pages] == (
+            [original.compress(page) for page in json_pages]
         )
 
     def test_tampered_table_id_rejected(self, trained, tmp_path):
@@ -139,7 +139,7 @@ class TestRegistryPersistence:
         from repro.workloads.ingested import ingested_corpus_pages
 
         pages = ingested_corpus_pages("source", 12)
-        blobs = codec.compress_batch(pages)
+        blobs = [codec.compress(page) for page in pages]
         assert any(blob[1] == 3 for blob in blobs)
         plain = DeflateCodec()
         assert [plain.decompress(blob) for blob in blobs] == pages

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.compression.base import batch_stats
 from repro.core.nma import NmaConfig
 from repro.core.system import MultiChannelXfmBackend, XfmDimm
 from repro.errors import ConfigError, SfmError
 from repro.sfm.page import PAGE_SIZE, Page
-from repro.tiering.factory import make_tier
 from repro.workloads.corpus import corpus_pages
 
 
@@ -40,17 +38,6 @@ class TestStripedSwap:
         for page, original in zip(pages, json_pages):
             assert backend.swap_in(page, do_offload=True) == original
         assert backend.stats.offloaded_decompressions == 4 * len(pages)
-
-    def test_stripes_route_through_the_batch_codec_api(self, json_pages):
-        backend = make_tier("xfm-mc")
-        page = _pages(json_pages)[0]
-        batch_stats.reset()
-        assert backend.swap_out(page).accepted
-        backend.swap_in(page)
-        # One batch of stripes out, one batch of blobs in.
-        assert batch_stats.site_pages["multichannel"] == 2 * len(backend.dimms)
-        assert batch_stats.compress_batch_calls == 1
-        assert batch_stats.decompress_batch_calls == 1
 
     def test_segments_land_on_every_dimm(self, backend, json_pages):
         backend.swap_out(_pages(json_pages)[0])

@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.dfm.backend import DfmBackend
 from repro.errors import CorruptedBlobError, SfmError, TierUnavailableError
 from repro.resilience import faults
 from repro.resilience.breaker import BreakerConfig
 from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
+from repro.sfm.backend import SfmBackend
+from repro.sfm.metrics import BandwidthLedger, SwapStats
 from repro.sfm.page import PAGE_SIZE
+from repro.tiering import SwapOutcome
 from repro.tiering.pipeline import FAILURE_REASONS, TierPipeline
 
 
@@ -29,7 +33,72 @@ def _pipeline(**kwargs):
     return TierPipeline.build(**defaults)
 
 
+class _LinkDownTier:
+    """Protocol-shaped stub whose every store fails with ``link-error``;
+    counts how many pages it was offered."""
+
+    tier_name = "flaky"
+    capacity_bytes = 64 * PAGE_SIZE
+
+    def __init__(self):
+        self.stats = SwapStats()
+        self.ledger = BandwidthLedger()
+        self.offers = 0
+
+    def swap_out(self, page):
+        self.offers += 1
+        return SwapOutcome(accepted=False, reason="link-error")
+
+    def swap_in(self, page):
+        raise AssertionError("the stub never holds a page")
+
+    promote = swap_in
+
+    def invalidate(self, vaddr):
+        return False
+
+    def contains(self, vaddr):
+        return False
+
+    def stored_pages(self):
+        return 0
+
+    def used_bytes(self):
+        return 0
+
+    def effective_bytes_freed(self):
+        return 0
+
+    def compact(self):
+        return 0
+
+    def swap_latency_s(self, direction):
+        return 0.0
+
+
 class TestBreakerIntegration:
+    def test_breaker_trips_mid_demotion_round(self):
+        """A tier failing every store is offered demotion victims only
+        until its breaker opens, even inside one round; the rest of the
+        round routes around it."""
+        flaky = _LinkDownTier()
+        pipeline = TierPipeline([
+            ("cpu-zswap", SfmBackend(capacity_bytes=64 * PAGE_SIZE)),
+            ("flaky", flaky),
+            ("dfm", DfmBackend(capacity_bytes=64 * PAGE_SIZE)),
+        ])
+        for key in range(16):
+            assert pipeline.store(key, _page(key))
+        assert flaky.offers == 0
+        assert pipeline.demote_coldest(8) == 8
+        threshold = BreakerConfig().failure_threshold
+        assert flaky.offers == threshold
+        assert pipeline.pipeline_stats.quarantine_skips == 8 - threshold == 5
+        assert pipeline.breaker_states()["flaky"] == "open"
+        for key in range(8):
+            assert pipeline.tier_of_key(key) == "dfm"
+            assert pipeline.load(key) == _page(key)
+
     def test_link_failures_trip_dfm_breaker_and_stores_route_around(self):
         pipeline = _pipeline(
             # Tiny upper tiers: stores fall through to DFM quickly.

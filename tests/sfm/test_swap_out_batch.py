@@ -1,10 +1,9 @@
-"""``swap_out_batch`` semantics on the flat backend: outcome-for-outcome
-equivalence with the scalar path, digest-cache dedup behaviour, and the
-deferral rule for subclasses that override scalar ``swap_out``."""
+"""``swap_out_batch`` on the flat backend is a loop over ``swap_out``:
+outcome-for-outcome equivalence with the scalar path, with and without
+the digest cache, and subclasses' scalar ``swap_out`` overrides honoured."""
 
 import pytest
 
-from repro.compression.base import batch_stats
 from repro.core.backend import XfmBackend
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE, Page
@@ -38,35 +37,12 @@ class TestEquivalence:
             batched.swap_in(page)
             assert page.data == original.data
 
-    def test_batch_uses_codec_batch_path(self):
-        backend = SfmBackend(capacity_bytes=CAP, page_cache_entries=0)
-        batch_stats.reset()
-        backend.swap_out_batch(_pages(6))
-        assert batch_stats.compress_batch_calls == 1
-        assert batch_stats.compress_batch_pages == 6
-
     def test_empty_batch(self):
         backend = SfmBackend(capacity_bytes=CAP)
         assert backend.swap_out_batch([]) == []
 
 
 class TestDigestDedup:
-    def test_duplicate_pages_within_batch_hit_cache(self):
-        backend = SfmBackend(capacity_bytes=CAP, page_cache_entries=64)
-        data = corpus_pages("json-records", 1, seed=5)[0]
-        pages = [
-            Page(vaddr=i * PAGE_SIZE, data=data) for i in range(4)
-        ]
-        batch_stats.reset()
-        outcomes = backend.swap_out_batch(pages)
-        assert all(o.accepted for o in outcomes)
-        # Only the first duplicate is compressed; the other three dedupe
-        # against it (in-batch or via the digest cache).
-        assert batch_stats.compress_batch_pages == 1
-        for page in pages:
-            backend.swap_in(page)
-            assert page.data == data
-
     def test_batch_probe_does_not_perturb_scalar_equivalence(self):
         """A batch over pages already resident in the digest cache must
         produce the same outcomes as scalar swap_out would."""
@@ -95,11 +71,8 @@ class TestSubclassDeferral:
         assert XfmBackend.swap_out is not SfmBackend.swap_out
         backend = XfmBackend(capacity_bytes=CAP)
         pages = _pages(5)
-        batch_stats.reset()
         outcomes = backend.swap_out_batch(pages)
         assert all(o.accepted for o in outcomes)
-        # Deferral means no base-batch precompression happened here.
-        assert batch_stats.compress_batch_calls == 0
         for page in pages:
             backend.swap_in(page)
             assert page.data is not None

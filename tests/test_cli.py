@@ -349,3 +349,57 @@ class TestCommandsOwnTheirOptions:
         ]
         found = [line.split(" |")[0].strip() for line in found]
         assert sorted(found) == sorted(CI_INVOCATIONS)
+
+
+#: SHA-256 of the report each chaos-smoke / fleet-smoke line of
+#: ``ci.yml`` writes, keyed by that line's ``--out``. A refactor leaves
+#: every byte of them alone; only a model change (one that moves
+#: simulated behaviour on purpose and says so) regenerates them, by
+#: rerunning the lines and hashing the reports.
+PINNED_CI_REPORTS = {
+    "chaos-out":
+        "cae2adce94c48c855354b5dcf4c508ea65da5dabedade986f35cb3fb4ea08a56",
+    "chaos-out-full":
+        "43ca943b6ba3ddeb43ec950bf1250577a254957f28a4eb830f34400c0454a8d2",
+    "fleet-out/steady":
+        "a22e99bad62fa14a6046c90692795f6576fa56fc09b7dfdfe91e6aa73eb38269",
+    "fleet-out/spike":
+        "6777cf25037c05cf72639db56c188b0a8da45288a968f4346dd42ccc503fcae3",
+    "fleet-out/failover":
+        "3eaf4dae888654f29d3931cc1d772bc7a003616cfe3f49521fc8b9b44d593c6f",
+}
+
+
+@pytest.fixture(scope="module")
+def ci_reports(tmp_path_factory):
+    """Run every chaos / fleet line of :data:`CI_INVOCATIONS` in-process
+    once: ``--out`` -> (exit code, SHA-256 of the report it wrote)."""
+    import contextlib
+    import hashlib
+    import io
+
+    root = tmp_path_factory.mktemp("ci")
+    reports = {}
+    for line in CI_INVOCATIONS:
+        command, *rest = line.split()
+        if command not in ("chaos", "fleet"):
+            continue
+        at = rest.index("--out") + 1
+        out = rest[at]
+        rest[at] = str(root / out)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, *rest])
+        report = root / out / f"{command}_report.json"
+        reports[out] = (code, hashlib.sha256(report.read_bytes()).hexdigest())
+    return reports
+
+
+class TestCiReportsPinned:
+    def test_every_pinned_report_is_a_ci_line(self, ci_reports):
+        assert sorted(ci_reports) == sorted(PINNED_CI_REPORTS)
+
+    @pytest.mark.parametrize("out", sorted(PINNED_CI_REPORTS))
+    def test_report_is_byte_identical(self, ci_reports, out):
+        code, digest = ci_reports[out]
+        assert code == 0
+        assert digest == PINNED_CI_REPORTS[out]

@@ -1,10 +1,8 @@
-"""Batched demotion cascades: ``DEMOTE_BATCH_PAGES``-sized victim
-rounds through the receiving tier's ``swap_out_batch``, with the scalar
-cascade's bookkeeping preserved."""
+"""Demotion cascades in ``DEMOTE_BATCH_PAGES``-sized victim rounds, each
+victim placed through the per-page store path."""
 
 import pytest
 
-from repro.compression.base import batch_stats
 from repro.core.backend import XfmBackend
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE, Page
@@ -59,30 +57,8 @@ class TestDemoteColdest:
         for key, data in enumerate(pages):
             assert pipeline.load(key) == data
 
-    def test_uses_batch_codec_path_and_records_site(self):
-        pipeline = _two_tier(top_cap=BOT_CAP)
-        _fill(pipeline, DEMOTE_BATCH_PAGES * 2)
-        batch_stats.reset()
-        moved = pipeline.demote_coldest(count=DEMOTE_BATCH_PAGES * 2)
-        assert moved == DEMOTE_BATCH_PAGES * 2
-        assert batch_stats.site_pages.get("tier_demote", 0) == moved
-        assert batch_stats.compress_batch_calls == 2
-        assert batch_stats.compress_batch_pages == moved
-
 
 class TestRebalanceBatching:
-    def test_pressure_demotions_route_through_batch_site(self):
-        """Filling a small top tier triggers the demotion policy; the
-        resulting cascade must batch its victims (the ISSUE 7 telemetry
-        acceptance check for the pipeline call site)."""
-        batch_stats.reset()
-        pipeline = _two_tier()  # 16-page top tier
-        _fill(pipeline, 64)
-        assert pipeline.pipeline_stats.demotions > 0
-        assert batch_stats.site_pages.get("tier_demote", 0) >= (
-            pipeline.pipeline_stats.demotions
-        )
-
     def test_scalar_override_tier_still_accepts_batches(self):
         """XfmBackend overrides scalar swap_out, so its swap_out_batch
         defers — the cascade must still demote correctly through it."""
@@ -112,3 +88,31 @@ class TestBatchConstant:
         # The cascade's policy re-check granularity: > 1 or the batching
         # is vacuous, bounded so policy reaction lag stays small.
         assert 2 <= DEMOTE_BATCH_PAGES <= 64
+
+
+class TestRoundTrace:
+    def test_tier_store_instants_carry_each_pages_own_time(self):
+        """Inside one round, each victim's ``tier_store`` instant is
+        stamped when the receiving tier took that page, not when the
+        round ended. The receiving ``SfmBackend`` charges every store as
+        a ``cpu_compress`` span and advances the clock by its duration,
+        so the clock right after a page's store is the span's end."""
+        from repro.telemetry.session import TelemetrySession
+
+        pipeline = _two_tier(top_cap=BOT_CAP)
+        _fill(pipeline, DEMOTE_BATCH_PAGES)
+        session = TelemetrySession()
+        with session:
+            moved = pipeline.demote_coldest(count=DEMOTE_BATCH_PAGES)
+        assert moved == DEMOTE_BATCH_PAGES
+        events = session.ring.events()
+        stored_at = [
+            e.ts_ns + e.dur_ns for e in events if e.name == "cpu_compress"
+        ]
+        stamps = [
+            e.ts_ns for e in events
+            if e.name == "tier_store" and e.args["outcome"] == "stored"
+        ]
+        assert len(stamps) == DEMOTE_BATCH_PAGES
+        assert stamps == pytest.approx(stored_at, abs=1e-3)  # fs clock
+        assert all(a < b for a, b in zip(stamps, stamps[1:]))
