@@ -29,7 +29,7 @@ from repro.sim import EventScheduler
 from repro.telemetry.session import TelemetrySession
 from repro.validation.shadow import ShadowOracle
 from repro.workloads.corpus import PAGE_SIZE as _PAGE
-from repro.workloads.corpus import xorshift_bytes
+from repro.workloads.corpus import noise_page
 
 
 def _patterned_page(index: int) -> bytes:
@@ -40,7 +40,7 @@ def _patterned_page(index: int) -> bytes:
 
 def _noise_page(seed: int) -> bytes:
     """Incompressible page; the trace goldens pin this seeding."""
-    return xorshift_bytes((seed * 2654435761 + 1) & 0xFFFFFFFF)
+    return noise_page((seed * 2654435761 + 1) & 0xFFFFFFFF)
 
 
 # -- zswap workload ---------------------------------------------------------

@@ -370,7 +370,10 @@ def corpus_pages(
 
 def xorshift_bytes(state: int, size: int = PAGE_SIZE) -> bytes:
     """``size`` incompressible bytes: the low byte of each step of a
-    32-bit xorshift stream started from ``state`` (no RNG deps)."""
+    32-bit xorshift stream started from ``state`` (no RNG deps).
+
+    This loop is the stream's definition; :func:`noise_page` is the fast
+    path for whole pages and is tested against it."""
     out = bytearray(size)
     for i in range(size):
         state ^= (state << 13) & 0xFFFFFFFF
@@ -380,17 +383,52 @@ def xorshift_bytes(state: int, size: int = PAGE_SIZE) -> bytes:
     return bytes(out)
 
 
+#: ``xorshift_bytes(1 << b)`` for b = 0..31, each as one little-endian
+#: int; filled by the first :func:`noise_page` call, not at import.
+_BASIS: List[int] = []
+
+
+def noise_page(state: int) -> bytes:
+    """``xorshift_bytes(state)`` for a 32-bit ``state``, without the loop.
+
+    Each xorshift step (shift-XORs masked to 32 bits) is linear over
+    GF(2), so every output byte is a GF(2)-linear function of ``state``:
+    the page for ``state`` is the XOR of the pages for its set bits. The
+    32 basis pages are built once, from the reference loop."""
+    if not 0 <= state <= 0xFFFFFFFF:
+        raise ValueError(f"xorshift state must be 32-bit, got {state}")
+    if not _BASIS:
+        _BASIS.extend(
+            int.from_bytes(xorshift_bytes(1 << bit), "little")
+            for bit in range(32)
+        )
+    page = 0
+    for bit, basis_page in enumerate(_BASIS):
+        if state >> bit & 1:
+            page ^= basis_page
+    return page.to_bytes(PAGE_SIZE, "little")
+
+
+#: ``j % 251`` for j < 251 + 64: every 64-byte window of the 251-cycle.
+_RAMP = bytes(j % 251 for j in range(251 + 64))
+
+
 def page_for(seed: int, key: int) -> bytes:
     """The campaign page for ``(seed, key)``: a compressible 64-byte
     unit repeated, with every 5th page incompressible noise so stores
     exercise tier fall-through. Part of the seeded contract of the
-    chaos and fleet campaigns (``tests/workloads`` pins its CRCs)."""
+    chaos and fleet campaigns (``tests/workloads`` pins its CRCs).
+
+    The bytes are the contract, not the construction: a noise page is
+    ``xorshift_bytes`` of a 32-bit hash of ``(seed, key)``, built by
+    :func:`noise_page`, and the unit is ``(seed + key * 7 + j) % 251``
+    for j < 64, sliced from ``_RAMP``."""
     if key % 5 == 4:
-        return xorshift_bytes(
+        return noise_page(
             ((seed * 1_000_003 + key) * 2654435761 + 1) & 0xFFFFFFFF
         )
-    unit = bytes([(seed + key * 7 + j) % 251 for j in range(64)])
-    return (unit * (PAGE_SIZE // len(unit)))[:PAGE_SIZE]
+    start = (seed + key * 7) % 251
+    return _RAMP[start : start + 64] * (PAGE_SIZE // 64)
 
 
 def tunable_page(

@@ -22,18 +22,11 @@ from repro.tiering import (
 )
 from repro.validation import hooks
 from repro.validation.invariants import check_tier_pipeline
-from repro.workloads.corpus import corpus_pages
+from repro.workloads.corpus import corpus_pages, noise_page
 
 
 def _noise_page(seed: int) -> bytes:
-    state = (seed * 2654435761 + 1) & 0xFFFFFFFF
-    out = bytearray(PAGE_SIZE)
-    for i in range(PAGE_SIZE):
-        state ^= (state << 13) & 0xFFFFFFFF
-        state ^= state >> 17
-        state ^= (state << 5) & 0xFFFFFFFF
-        out[i] = state & 0xFF
-    return bytes(out)
+    return noise_page((seed * 2654435761 + 1) & 0xFFFFFFFF)
 
 
 def _pipeline(**kwargs) -> TierPipeline:

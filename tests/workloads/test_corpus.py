@@ -1,18 +1,26 @@
 """Synthetic corpus generator tests."""
 
+import os
+import subprocess
+import sys
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compression import DeflateCodec, compression_ratio
 from repro.errors import ConfigError
+from repro.workloads import corpus
 from repro.workloads.corpus import (
     CORPUS_NAMES,
     PAGE_SIZE,
     corpus_pages,
     describe_corpus,
     generate_corpus,
+    noise_page,
     page_for,
+    xorshift_bytes,
 )
 
 
@@ -122,3 +130,113 @@ class TestCampaignPage:
 
         assert harness.page_for is traffic.page_for is chaos.page_for
         assert traffic.page_for is page_for
+
+
+def _loop_page_for(seed: int, key: int) -> bytes:
+    """``page_for`` as it was built before the basis pages: the oracle."""
+    if key % 5 == 4:
+        return xorshift_bytes(
+            ((seed * 1_000_003 + key) * 2654435761 + 1) & 0xFFFFFFFF
+        )
+    unit = bytes([(seed + key * 7 + j) % 251 for j in range(64)])
+    return (unit * (PAGE_SIZE // len(unit)))[:PAGE_SIZE]
+
+
+_TENANT = 1 << 24
+_SEEDS = st.one_of(
+    st.integers(-(1 << 40), -1), st.just(0), st.integers(1 << 31, 1 << 64)
+)
+_KEYS = st.one_of(
+    st.integers(0, 1 << 16),
+    st.builds(
+        lambda tenant, offset: tenant * _TENANT + offset,
+        st.integers(1, 64), st.integers(0, 1 << 10),
+    ),
+    st.integers(1 << 32, 1 << 64),
+)
+
+_SHORT = settings(max_examples=60, derandomize=True, deadline=None)
+#: Sized by ``FUZZ_TIME_BUDGET_S``: at ~1.7 ms an example (one reference
+#: page plus Hypothesis' own work), about a tenth of the budget per target.
+_LONG = settings(
+    _SHORT,
+    derandomize=False,
+    max_examples=max(
+        60, 60 * int(float(os.environ.get("FUZZ_TIME_BUDGET_S", "6")))
+    ),
+)
+
+
+class TestNoisePage:
+    """``noise_page`` XORs basis pages; the xorshift loop defines it."""
+
+    @pytest.mark.parametrize(
+        "state", [0, 0xFFFFFFFF] + [1 << bit for bit in range(32)]
+    )
+    def test_edge_states(self, state):
+        assert noise_page(state) == xorshift_bytes(state)
+
+    @_SHORT
+    @given(state=st.integers(0, 0xFFFFFFFF))
+    def test_matches_reference(self, state):
+        assert noise_page(state) == xorshift_bytes(state)
+
+    @pytest.mark.fuzz
+    @_LONG
+    @given(state=st.integers(0, 0xFFFFFFFF))
+    def test_fuzz_matches_reference(self, state):
+        assert noise_page(state) == xorshift_bytes(state)
+
+    @pytest.mark.parametrize("state", [-1, 1 << 32])
+    def test_rejects_states_outside_32_bits(self, state):
+        with pytest.raises(ValueError):
+            noise_page(state)
+
+
+class TestPageForOracle:
+    """``page_for`` against the loop construction it replaced."""
+
+    @pytest.mark.parametrize("seed", [-3, 0, 10**9])
+    def test_every_residue_and_tenant_stride(self, seed):
+        for base in (0, 7, _TENANT, 2 * _TENANT, 63 * _TENANT, 1 << 32):
+            for key in range(base, base + 5):
+                assert page_for(seed, key) == _loop_page_for(seed, key)
+
+    @_SHORT
+    @given(seed=_SEEDS, key=_KEYS)
+    def test_matches_loop_construction(self, seed, key):
+        assert page_for(seed, key) == _loop_page_for(seed, key)
+
+    @pytest.mark.fuzz
+    @_LONG
+    @given(seed=_SEEDS, key=_KEYS)
+    def test_fuzz_matches_loop_construction(self, seed, key):
+        assert page_for(seed, key) == _loop_page_for(seed, key)
+
+
+class TestBasisIsLazy:
+    def test_import_builds_no_basis(self):
+        probe = (
+            "import repro.fleet.harness, repro.resilience.chaos\n"
+            "from repro.workloads import corpus\n"
+            "assert corpus._BASIS == [], 'basis built at import'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_reference_runs_once_per_basis_page(self, monkeypatch):
+        calls = []
+
+        def counting(state, size=PAGE_SIZE):
+            calls.append(state)
+            return xorshift_bytes(state, size)
+
+        monkeypatch.setattr(corpus, "_BASIS", [])
+        monkeypatch.setattr(corpus, "xorshift_bytes", counting)
+        for key in range(4, 5 * 200, 5):
+            page_for(23, key)
+        for state in (0, 1, 0xFFFFFFFF):
+            noise_page(state)
+        assert sorted(calls) == [1 << bit for bit in range(32)]
