@@ -285,6 +285,7 @@ def telemetry_overhead_ratio(repeats: int = 5) -> float:
     ratio is measured in-process so it is machine-independent; CI gates
     it at < 3% (``run_perf.py guard telemetry``).
     """
+    from repro.sim import CLOCK as _sim_clock
     from repro.telemetry import trace as _trace
 
     codec = DeflateCodec(window_size=4096)
@@ -301,12 +302,12 @@ def telemetry_overhead_ratio(repeats: int = 5) -> float:
         for page, blob in zip(pages, blobs):
             if _trace.tracing_enabled():
                 _trace.complete(
-                    "cpu_compress", _trace.TRACK_CPU, _trace.clock_ns(), 0.0
+                    "cpu_compress", _trace.TRACK_CPU, _sim_clock.now_ns(), 0.0
                 )
             codec.decompress(codec.compress(page))
             if _trace.tracing_enabled():
                 _trace.complete(
-                    "cpu_decompress", _trace.TRACK_CPU, _trace.clock_ns(), 0.0
+                    "cpu_decompress", _trace.TRACK_CPU, _sim_clock.now_ns(), 0.0
                 )
             codec.decompress(blob)
 

@@ -5,8 +5,8 @@ Reproduces the paper's §7 workload seam end to end: a synthetic web
 front-end (Zipf point lookups + periodic analytics scans over JSON-record
 pages) runs on an AIFM-like runtime whose backend is either the baseline
 CPU SFM or XFM. The runtime's cold-scan controller demotes idle pages;
-scans announce themselves to the prefetcher, which uses XFM's
-``do_offload`` promotion path.
+scans announce themselves through ``runtime.prefetch()``, which uses
+XFM's ``do_offload`` promotion path.
 
 Run:  python examples/far_memory_app.py              # CPU-vs-XFM compare
       python examples/far_memory_app.py <tier>       # one tier only

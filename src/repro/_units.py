@@ -4,8 +4,9 @@ Everything in this codebase carries its units in the name: ``_b`` (bytes),
 ``_kib``/``_mib``/``_gib`` (binary sizes), ``_gb`` (decimal gigabytes, used
 only by the cost model, mirroring the paper's marketing-unit equations),
 ``_ns``/``_us``/``_ms``/``_s`` (time), ``_bps``/``_gbps`` (bandwidth),
-``_j``/``_kwh`` (energy). These helpers exist so that constants in the
-models read like the paper's text.
+``_j``/``_kwh`` (energy). These constants exist so that the models read
+like the paper's text; :func:`pretty_bytes` renders sizes for the
+examples.
 """
 
 from __future__ import annotations
@@ -34,61 +35,6 @@ SECONDS_PER_YEAR = SECONDS_PER_MINUTE * MINUTES_PER_HOUR * HOURS_PER_DAY * DAYS_
 JOULES_PER_KWH = 3_600_000.0
 
 
-def kib(n: float) -> int:
-    """``n`` binary kilobytes, in bytes."""
-    return int(n * KIB)
-
-
-def mib(n: float) -> int:
-    """``n`` binary megabytes, in bytes."""
-    return int(n * MIB)
-
-
-def gib(n: float) -> int:
-    """``n`` binary gigabytes, in bytes."""
-    return int(n * GIB)
-
-
-def ns_to_s(t_ns: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return t_ns / NS_PER_S
-
-
-def s_to_ns(t_s: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return t_s * NS_PER_S
-
-
-def ms_to_ns(t_ms: float) -> float:
-    """Convert milliseconds to nanoseconds."""
-    return t_ms * NS_PER_MS
-
-
-def us_to_ns(t_us: float) -> float:
-    """Convert microseconds to nanoseconds."""
-    return t_us * NS_PER_US
-
-
-def bytes_per_ns_to_gbps(rate: float) -> float:
-    """Convert bytes/ns to decimal GB/s (they are numerically equal)."""
-    return rate
-
-
-def gbps_to_bytes_per_ns(rate_gbps: float) -> float:
-    """Convert decimal GB/s to bytes/ns (numerically equal)."""
-    return rate_gbps
-
-
-def joules_to_kwh(e_j: float) -> float:
-    """Convert joules to kilowatt-hours."""
-    return e_j / JOULES_PER_KWH
-
-
-def kwh_to_joules(e_kwh: float) -> float:
-    """Convert kilowatt-hours to joules."""
-    return e_kwh * JOULES_PER_KWH
-
-
 def pretty_bytes(n: float) -> str:
     """Human-readable binary size (e.g. ``'4.0 KiB'``, ``'512.0 GiB'``)."""
     magnitude = float(n)
@@ -98,12 +44,3 @@ def pretty_bytes(n: float) -> str:
         magnitude /= 1024.0
     raise AssertionError("unreachable")
 
-
-def pretty_rate(bytes_per_s: float) -> str:
-    """Human-readable bandwidth in decimal units (e.g. ``'8.5 GBps'``)."""
-    magnitude = float(bytes_per_s)
-    for unit in ("Bps", "KBps", "MBps", "GBps"):
-        if abs(magnitude) < 1000.0 or unit == "GBps":
-            return f"{magnitude:.1f} {unit}"
-        magnitude /= 1000.0
-    raise AssertionError("unreachable")

@@ -47,10 +47,6 @@ class CodecSpec:
         """Single-core compression throughput at clock ``freq_hz``."""
         return freq_hz / self.compress_cycles_per_byte
 
-    def decompress_throughput_bps(self, freq_hz: float) -> float:
-        """Single-core decompression throughput at clock ``freq_hz``."""
-        return freq_hz / self.decompress_cycles_per_byte
-
 
 class Codec(ABC):
     """A lossless byte-stream codec.
@@ -73,9 +69,6 @@ class Codec(ABC):
     @abstractmethod
     def decompress(self, blob: bytes) -> bytes:
         """Decode a blob produced by :meth:`compress`."""
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
 
 
 _REGISTRY: Dict[str, Type[Codec]] = {}

@@ -28,6 +28,7 @@ from repro.resilience.integrity import content_digest
 from repro.resilience.retry import retry_with_backoff
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE, Page
+from repro.sim import CLOCK as _sim_clock
 from repro.telemetry import reasons, spans as _spans, trace as _trace
 from repro.tiering.protocol import SwapOutcome
 
@@ -217,7 +218,7 @@ class XfmBackend(SfmBackend):
             _spans.emit_under(
                 "nma_compress",
                 _trace.TRACK_NMA,
-                _trace.clock_ns(),
+                _sim_clock.now_ns(),
                 dur_ns,
                 args={
                     "request_id": request.request_id,
@@ -323,7 +324,7 @@ class XfmBackend(SfmBackend):
             _spans.emit_under(
                 "nma_decompress",
                 _trace.TRACK_NMA,
-                _trace.clock_ns(),
+                _sim_clock.now_ns(),
                 dur_ns,
                 args={
                     "request_id": request.request_id,

@@ -95,9 +95,6 @@ class CostParams:
             raise ConfigError("promotion rate must be in [0, 1]")
         return self.extra_gb * promotion_rate
 
-    def gb_swapped_per_year(self, promotion_rate: float) -> float:
-        return self.gb_swapped_per_min(promotion_rate) * MINUTES_PER_YEAR
-
     # -- derived CPU quantities (EQ3.2-3.4) -----------------------------------------------
 
     def cc_available_per_min(self) -> float:

@@ -28,6 +28,7 @@ from repro.resilience import faults as _faults
 from repro.resilience.retry import retry_with_backoff
 from repro.sfm.metrics import BandwidthLedger, SwapStats
 from repro.sfm.page import PAGE_SIZE, Page
+from repro.sim import CLOCK as _sim_clock
 from repro.telemetry import spans as _spans
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import MetricsRegistry
@@ -211,7 +212,7 @@ class DfmBackend:
             _spans.emit_under(
                 "dfm_link_transfer",
                 TRACK_DFM,
-                _trace.clock_ns(),
+                _sim_clock.now_ns(),
                 dur_ns,
                 args={"op": op, "bytes": PAGE_SIZE},
             )

@@ -121,7 +121,3 @@ class Bank:
         if conditional:
             return subarray in self._busy_subarrays
         return subarray not in self._busy_subarrays
-
-    @property
-    def busy_subarrays(self) -> Set[int]:
-        return set(self._busy_subarrays)

@@ -26,17 +26,6 @@ class CommandKind(enum.Enum):
     NMA_WR = "nma_write"
 
     @property
-    def is_host(self) -> bool:
-        """True for commands issued by the CPU memory controller."""
-        return self in (
-            CommandKind.ACT,
-            CommandKind.PRE,
-            CommandKind.RD,
-            CommandKind.WR,
-            CommandKind.REF,
-        )
-
-    @property
     def is_nma(self) -> bool:
         """True for DIMM-internal accelerator accesses."""
         return self in (CommandKind.NMA_RD, CommandKind.NMA_WR)
@@ -52,9 +41,3 @@ class TimedCommand:
     rank: int = 0
     bank: int = 0
     row: int = 0
-
-    def __str__(self) -> str:
-        return (
-            f"{self.time_ns:12.1f} ns {self.kind.name:6s} "
-            f"ch{self.channel} rk{self.rank} ba{self.bank} row{self.row}"
-        )

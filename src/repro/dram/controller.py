@@ -31,17 +31,6 @@ class MemoryRequest:
     is_write: bool = False
 
 
-@dataclass
-class CompletedRequest:
-    request: MemoryRequest
-    start_ns: float
-    finish_ns: float
-
-    @property
-    def latency_ns(self) -> float:
-        return self.finish_ns - self.request.arrival_ns
-
-
 class ControllerStats(StatsFacade):
     """Aggregate outcome of a simulated request stream.
 

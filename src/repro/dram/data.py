@@ -98,10 +98,6 @@ class DramArray:
     def touched_rows(self) -> int:
         return len(self._rows)
 
-    def stored_bytes(self) -> int:
-        """Footprint of materialized rows (a sparse-array diagnostic)."""
-        return self.touched_rows() * self.mapping.device.rank_row_bytes
-
     def verify_consistency(self) -> None:
         """Every materialized row must be the canonical buffer size."""
         expected = self.mapping.device.rank_row_bytes

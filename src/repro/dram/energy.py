@@ -34,8 +34,6 @@ class AccessEnergyModel:
     activate_nj: float = 3.07
     #: Array column access (read or write) per bit, inside the chip.
     array_pj_per_bit: float = 0.5
-    #: One all-bank REF command for one rank.
-    refresh_nj_per_ref: float = 60.0
     #: Static power per DIMM, watts (the cost model's 4 W idle DIMM).
     idle_dimm_w: float = 4.0
 
@@ -91,9 +89,3 @@ class AccessEnergyModel:
         random_j = self.nma_page_access_j(num_bytes, conditional=False)
         conditional_j = self.nma_page_access_j(num_bytes, conditional=True)
         return 1.0 - conditional_j / random_j
-
-    # -- background ----------------------------------------------------------
-
-    def refresh_energy_j_per_s(self, refs_per_s: float) -> float:
-        """Refresh energy rate for one rank."""
-        return refs_per_s * self.refresh_nj_per_ref * 1e-9

@@ -84,10 +84,6 @@ class RefreshScheduler:
     def trefi_ns(self) -> float:
         return self.timings.trefi_ns
 
-    @property
-    def trfc_ns(self) -> float:
-        return self.timings.trfc_ns
-
     # -- REF index <-> rows ------------------------------------------------
 
     def rows_refreshed(self, ref_index: int) -> range:
@@ -203,7 +199,7 @@ class RefreshScheduler:
             window.start_ns,
             window.duration_ns
             if window.duration_ns is not None
-            else self.trfc_ns,
+            else self.timings.trfc_ns,
             args=args,
         )
 

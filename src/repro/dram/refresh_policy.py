@@ -90,10 +90,6 @@ class RefreshWindow:
     #: REF slot (0..8191) within the retention cycle.
     slot: Optional[int] = None
 
-    @property
-    def row_set(self) -> frozenset:
-        return frozenset(self.rows)
-
 
 class RefreshPolicy:
     """Base policy: integer-tick window cadence over one rank.
@@ -157,18 +153,10 @@ class RefreshPolicy:
         """Which tREFI interval window ``index`` falls in."""
         return index // self.windows_per_trefi
 
-    def slot_of(self, index: int) -> int:
-        """REF slot (0..8191 within a retention cycle) of window
-        ``index``."""
-        return self.trefi_bin(index) % self.refs_per_retention
-
-    def rows_for_slot(self, slot: int) -> range:
-        start = slot * self.rows_per_ref
-        return range(start, start + self.rows_per_ref)
-
     def window(self, index: int) -> RefreshWindow:
         """Full description of window ``index`` (:meth:`start_ticks`,
-        :meth:`slot_of` and :meth:`rows_for_slot` spelled out)."""
+        its REF slot within the retention cycle and that slot's rows
+        spelled out)."""
         per_trefi = self.windows_per_trefi
         ticks = (index * self.trefi_ticks) // per_trefi
         slot = (index // per_trefi) % self.refs_per_retention

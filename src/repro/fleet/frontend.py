@@ -288,14 +288,3 @@ class FleetFrontend:
         if data is not None:
             self.placement.pop(key, None)
         return data
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "live_shards": sorted(self.live_shards()),
-            "placement_entries": len(self.placement),
-            "spill_entries": len(self.spill),
-            "relocated_pages": self.relocated_pages,
-            "failover_lost_pages": self.failover_lost_pages,
-            "retry_budget": self.retry_budget.snapshot(),
-            "brownout": self.brownout.snapshot(),
-        }

@@ -117,10 +117,6 @@ class CircuitBreaker:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def is_open(self) -> bool:
-        return self.state is BreakerState.OPEN
-
     def error_rate(self) -> float:
         if not self._outcomes:
             return 0.0

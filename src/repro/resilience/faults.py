@@ -114,12 +114,6 @@ class FaultPlan:
         if len(sites) != len(set(sites)):
             raise ConfigError("FaultPlan has duplicate sites")
 
-    def spec_for(self, site: str) -> Optional[FaultSpec]:
-        for spec in self.specs:
-            if spec.site == site:
-                return spec
-        return None
-
 
 @dataclass(frozen=True)
 class FaultEvent:

@@ -169,12 +169,6 @@ class ScenarioTrace:
     def count(self, op: str) -> int:
         return sum(1 for event in self.events if event.op == op)
 
-    @property
-    def duration_ns(self) -> float:
-        if not self.events:
-            return 0.0
-        return self.events[-1].t_ns - self.events[0].t_ns
-
     def to_swap_trace(self):
         """Bridge to the legacy §7 emulator artifact: stores become
         swap-outs, loads/promotes become swap-ins (see

@@ -10,30 +10,11 @@ to the near-memory accelerator.
 """
 
 from repro.sfm.backend import SfmBackend, SwapOutcome
-from repro.sfm.controller import ColdScanController, PressureController
-from repro.sfm.digest_cache import DigestPageCache, page_digest
-from repro.sfm.metrics import BandwidthLedger, SwapStats
 from repro.sfm.page import PAGE_SIZE, Page
-from repro.sfm.policy import OffloadPolicy, io_amplification_ratio
-from repro.sfm.rbtree import RedBlackTree
-from repro.sfm.zpool import Zpool, ZpoolEntry
-from repro.sfm.zswap import ZswapFrontend
 
 __all__ = [
-    "BandwidthLedger",
-    "ColdScanController",
-    "DigestPageCache",
-    "OffloadPolicy",
     "PAGE_SIZE",
     "Page",
-    "PressureController",
-    "RedBlackTree",
     "SfmBackend",
     "SwapOutcome",
-    "SwapStats",
-    "Zpool",
-    "ZpoolEntry",
-    "ZswapFrontend",
-    "io_amplification_ratio",
-    "page_digest",
 ]

@@ -33,6 +33,7 @@ from repro.sfm.metrics import BandwidthLedger, SwapStats
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sfm.rbtree import RedBlackTree
 from repro.sfm.zpool import Zpool
+from repro.sim import CLOCK as _sim_clock
 from repro.telemetry import flightrec as _flightrec
 from repro.telemetry import spans as _spans
 from repro.telemetry import trace as _trace
@@ -162,11 +163,11 @@ class SfmBackend:
             _spans.emit_under(
                 "cpu_compress",
                 _trace.TRACK_CPU,
-                _trace.clock_ns(),
+                _sim_clock.now_ns(),
                 dur_ns,
                 args={"cached": cycles == DIGEST_CYCLES_PER_BYTE * PAGE_SIZE},
             )
-            _trace.advance_clock_ns(dur_ns)
+            _sim_clock.advance_ns(dur_ns)
             self._lat_store.observe(dur_ns)
         # O3: the cold page is read from DRAM, the blob written back.
         self.ledger.record("sfm_cpu", "read", PAGE_SIZE)
@@ -320,11 +321,11 @@ class SfmBackend:
             _spans.emit_under(
                 "cpu_decompress",
                 _trace.TRACK_CPU,
-                _trace.clock_ns(),
+                _sim_clock.now_ns(),
                 dur_ns,
                 args={"blob_bytes": len(blob)},
             )
-            _trace.advance_clock_ns(dur_ns)
+            _sim_clock.advance_ns(dur_ns)
             self._lat_load.observe(dur_ns)
         self.ledger.record("sfm_cpu", "write", PAGE_SIZE)
         self.zpool.free(handle)

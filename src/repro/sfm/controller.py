@@ -1,17 +1,12 @@
-"""SFM control plane: cold-page selection policies.
+"""SFM control plane: cold-page selection.
 
-Two policies mirror the production systems the paper describes (§2.1):
+:class:`ColdScanController` mirrors Google's approach (§2.1): a
+kstaled-like scanner periodically sweeps page access timestamps and
+nominates pages idle longer than a cold-age threshold (120 s in Google's
+fleet, yielding ~30% cold memory and a ~15% promotion rate, §3.1).
 
-* :class:`ColdScanController` — Google's approach: a kstaled-like scanner
-  periodically sweeps page access timestamps and nominates pages idle
-  longer than a cold-age threshold (120 s in Google's fleet, yielding
-  ~30% cold memory and a ~15% promotion rate, §3.1).
-* :class:`PressureController` — Meta's senpai approach: drive reclaim from
-  a pressure signal, adapting the cold-age threshold so the observed
-  refault (premature swap-in) rate stays under a target.
-
-Both return candidate lists; the backend decides acceptance (compressible,
-pool space). Neither touches page *contents* — control plane and data
+It returns candidate lists; the backend decides acceptance (compressible,
+pool space). It never touches page *contents* — control plane and data
 plane are separate, which is what lets XFM swap the data plane out.
 """
 
@@ -54,77 +49,3 @@ class ColdScanController:
         cold.sort(key=lambda page: page.last_access_s)
         return cold[: self.max_candidates_per_scan]
 
-
-@dataclass
-class PressureController:
-    """Refault-feedback controller (senpai-like).
-
-    The cold-age threshold breathes: every adjustment period, if the
-    refault rate (swap-ins of pages that were swapped out within
-    ``refault_horizon_s``) exceeds the target, the threshold grows
-    (reclaim less aggressively); otherwise it shrinks, probing for more
-    reclaimable memory — exactly senpai's proportional probing.
-    """
-
-    initial_threshold_s: float = 120.0
-    min_threshold_s: float = 15.0
-    max_threshold_s: float = 1800.0
-    #: Acceptable refaults per minute before backing off.
-    target_refaults_per_min: float = 8.0
-    adjust_period_s: float = 60.0
-    growth: float = 1.5
-    shrink: float = 0.9
-    refault_horizon_s: float = 60.0
-
-    _threshold_s: float = field(init=False)
-    _refaults_in_period: int = field(default=0, init=False)
-    _last_adjust_s: float = field(default=0.0, init=False)
-
-    def __post_init__(self) -> None:
-        if not (
-            self.min_threshold_s
-            <= self.initial_threshold_s
-            <= self.max_threshold_s
-        ):
-            raise ConfigError("initial threshold outside [min, max]")
-        if self.growth <= 1.0 or not 0.0 < self.shrink < 1.0:
-            raise ConfigError("growth must exceed 1 and shrink be in (0,1)")
-        self._threshold_s = self.initial_threshold_s
-
-    @property
-    def threshold_s(self) -> float:
-        return self._threshold_s
-
-    def record_refault(self, swapped_for_s: float) -> None:
-        """Report a swap-in; counts as a refault if the page spent less
-        than the horizon in far memory."""
-        if swapped_for_s < self.refault_horizon_s:
-            self._refaults_in_period += 1
-
-    def maybe_adjust(self, now_s: float) -> None:
-        """Apply the proportional threshold adjustment if a period elapsed."""
-        if now_s - self._last_adjust_s < self.adjust_period_s:
-            return
-        elapsed_min = (now_s - self._last_adjust_s) / 60.0
-        rate = self._refaults_in_period / elapsed_min if elapsed_min else 0.0
-        if rate > self.target_refaults_per_min:
-            self._threshold_s = min(
-                self.max_threshold_s, self._threshold_s * self.growth
-            )
-        else:
-            self._threshold_s = max(
-                self.min_threshold_s, self._threshold_s * self.shrink
-            )
-        self._refaults_in_period = 0
-        self._last_adjust_s = now_s
-
-    def scan(self, pages: Iterable[Page], now_s: float) -> List[Page]:
-        """Candidates under the current adaptive threshold, coldest first."""
-        self.maybe_adjust(now_s)
-        cold = [
-            page
-            for page in pages
-            if not page.swapped and page.is_cold(now_s, self._threshold_s)
-        ]
-        cold.sort(key=lambda page: page.last_access_s)
-        return cold

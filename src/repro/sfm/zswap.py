@@ -24,6 +24,7 @@ from repro.errors import (
     TierUnavailableError,
 )
 from repro.sfm.page import PAGE_SIZE, Page
+from repro.sim import CLOCK as _sim_clock
 from repro.telemetry import trace as _trace
 from repro.telemetry.stats import StatsFacade
 from repro.tiering.policy import PoolLimitPolicy
@@ -138,7 +139,7 @@ class ZswapFrontend:
 
         vaddr = ((swap_type & 0xFFFF) << 44) | (offset * PAGE_SIZE)
         page = Page(vaddr=vaddr, data=data)
-        start_ns = _trace.clock_ns() if trace_on else 0.0
+        start_ns = _sim_clock.now_ns() if trace_on else 0.0
         outcome = self.backend.swap_out(page)
         if not outcome.accepted:
             if outcome.reason == "incompressible":
@@ -150,7 +151,7 @@ class ZswapFrontend:
                     "zswap_store",
                     _trace.TRACK_CPU,
                     start_ns,
-                    max(0.0, _trace.clock_ns() - start_ns),
+                    max(0.0, _sim_clock.now_ns() - start_ns),
                     args={"outcome": f"reject_{outcome.reason}",
                           "offset": offset},
                 )
@@ -162,7 +163,7 @@ class ZswapFrontend:
                 "zswap_store",
                 _trace.TRACK_CPU,
                 start_ns,
-                max(0.0, _trace.clock_ns() - start_ns),
+                max(0.0, _sim_clock.now_ns() - start_ns),
                 args={
                     "outcome": "stored",
                     "offset": offset,
@@ -189,7 +190,7 @@ class ZswapFrontend:
         page = self._pages.pop(key, None)
         if page is None:
             return None
-        start_ns = _trace.clock_ns() if trace_on else 0.0
+        start_ns = _sim_clock.now_ns() if trace_on else 0.0
         try:
             data = self.backend.swap_in(page)
         except TierUnavailableError:
@@ -212,7 +213,7 @@ class ZswapFrontend:
                 "zswap_load",
                 _trace.TRACK_CPU,
                 start_ns,
-                max(0.0, _trace.clock_ns() - start_ns),
+                max(0.0, _sim_clock.now_ns() - start_ns),
                 args={"outcome": "loaded", "offset": offset},
             )
         return data

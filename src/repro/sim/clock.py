@@ -3,9 +3,7 @@
 Every layer that used to keep its own notion of simulated time — the
 telemetry trace clock, the scenario replayer's per-event clock swap,
 resilience backoff charging, the DRAM refresh cadence — now reads and
-writes this one :class:`SimClock` instance (:data:`CLOCK`). The
-telemetry shims (:func:`repro.telemetry.trace.clock_ns` and friends)
-delegate here, so existing call sites keep working unchanged.
+writes this one :class:`SimClock` instance (:data:`CLOCK`).
 
 Representation: integer **femtosecond ticks** (:data:`TICKS_PER_NS`
 ticks per nanosecond). Integers never accumulate rounding error, so a

@@ -53,14 +53,11 @@ from repro.telemetry.trace import (
     TRACK_NMA,
     TraceEvent,
     TraceRing,
-    advance_clock_ns,
-    clock_ns,
     complete,
     emit,
     fallback,
     instant,
     refresh_track,
-    set_clock_ns,
     set_tracing,
     to_chrome_trace,
     tracing,
@@ -85,8 +82,6 @@ __all__ = [
     "TRACK_CPU",
     "TRACK_DRIVER",
     "TRACK_NMA",
-    "advance_clock_ns",
-    "clock_ns",
     "complete",
     "default_registry",
     "emit",
@@ -95,7 +90,6 @@ __all__ = [
     "instant",
     "reasons",
     "refresh_track",
-    "set_clock_ns",
     "set_tracing",
     "spans",
     "to_chrome_trace",

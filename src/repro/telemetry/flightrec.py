@@ -25,6 +25,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.errors import ConfigError
+from repro.sim.clock import CLOCK as _sim_clock
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import TraceEvent
@@ -121,7 +122,7 @@ class FlightRecorder:
             "schema_version": FLIGHT_SCHEMA_VERSION,
             "reason": reason,
             "detail": dict(detail) if detail else {},
-            "t_ns": _trace.clock_ns(),
+            "t_ns": _sim_clock.now_ns(),
             "events_recorded": len(self._events),
             "events_dropped": self.dropped,
             "events": [_event_dict(e) for e in self._events],

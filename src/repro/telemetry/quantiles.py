@@ -101,9 +101,6 @@ class QuantileHistogram:
             return 0
         return 1 + int(math.log(value / self.min_value) * self._inv_log_g)
 
-    def _upper_bound(self, index: int) -> float:
-        return self.min_value * self.growth ** index
-
     def _representative(self, index: int) -> float:
         if index == 0:
             return self.min_value

@@ -122,10 +122,6 @@ class Histogram:
         self.total += 1
         self.sum += value
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.total if self.total else 0.0
-
     def snapshot(self) -> Dict[str, object]:
         return {
             "buckets": list(self.buckets),
@@ -210,9 +206,6 @@ class MetricsRegistry:
 
     def metrics(self) -> List[object]:
         return list(self._metrics.values())
-
-    def __len__(self) -> int:
-        return len(self._metrics)
 
     # -- export ------------------------------------------------------------
 

@@ -42,7 +42,6 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.stats import StatsFacade
 from repro.telemetry.trace import (
     TraceRing,
-    set_clock_ns,
     set_tracing,
     to_chrome_trace,
     tracing_enabled,
@@ -103,7 +102,7 @@ class TelemetrySession:
         # timeline, start this run at t=0, and restore on exit so nested
         # sessions (and whatever ran before) resume where they left off.
         self._clock_state = _sim_clock.save()
-        set_clock_ns(0.0)
+        _sim_clock.set_ns(0.0)
         spans.reset()
         self._prev_recorder = flightrec.install(self.flight)
         return self

@@ -15,9 +15,9 @@ every call site guards behind :func:`repro.telemetry.trace.tracing_enabled`,
 and this module keeps no state beyond an id counter and the open-span
 stack, both plain module globals.
 
-Timestamps are simulated time — :func:`repro.telemetry.trace.clock_ns`
-is a shim over the shared :data:`repro.sim.CLOCK` — so a span's
-duration is however far the simulated clock advanced between
+Timestamps are simulated time, read from the shared
+:data:`repro.sim.CLOCK`, so a span's duration is however far the
+simulated clock advanced between
 :func:`begin` and :func:`end` — i.e. the modeled cost of the work done
 inside it, not wall time.
 """
@@ -27,6 +27,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
+from repro.sim.clock import CLOCK as _sim_clock
 from repro.telemetry import trace as _trace
 
 _next_id: int = 1
@@ -81,7 +82,7 @@ def begin(
         parent_id=_stack[-1] if _stack else None,
         name=name,
         track=track,
-        start_ns=_trace.clock_ns(),
+        start_ns=_sim_clock.now_ns(),
         args=args,
     )
     _stack.append(span_id)
@@ -100,7 +101,7 @@ def end(
         _stack.pop()
     if _stack:
         _stack.pop()
-    end_ns = _trace.clock_ns()
+    end_ns = _sim_clock.now_ns()
     dur_ns = end_ns - handle.start_ns
     args: Dict[str, object] = {"span": handle.span_id}
     if handle.parent_id is not None:

@@ -59,16 +59,11 @@ class StatsFacade:
 
     def __init__(
         self,
-        *args,
+        *,
         registry: Optional[MetricsRegistry] = None,
         labels: Optional[Dict[str, object]] = None,
         **values,
     ) -> None:
-        if len(args) > len(self._FIELDS):
-            raise TypeError(
-                f"{type(self).__name__} takes at most "
-                f"{len(self._FIELDS)} positional arguments"
-            )
         self._registry = registry if registry is not None else MetricsRegistry()
         self._labels = dict(labels) if labels else {}
         self._counters = {}
@@ -78,21 +73,12 @@ class StatsFacade:
             )
             counter.set(default)
             self._counters[name] = counter
-        for name, value in zip(self._FIELDS, args):
-            if name in values:
-                raise TypeError(f"duplicate value for field {name!r}")
-            values[name] = value
         for name, value in values.items():
             if name not in self._FIELDS:
                 raise TypeError(
                     f"{type(self).__name__} has no field {name!r}"
                 )
             self._counters[name].set(value)
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The registry this facade's counters live in."""
-        return self._registry
 
     # -- the shared aggregation surface ------------------------------------
 
@@ -118,18 +104,3 @@ class StatsFacade:
         for item in items:
             total.merge(item)
         return total
-
-    # -- dataclass-style niceties ------------------------------------------
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{name}={value!r}" for name, value in self.as_dict().items()
-        )
-        return f"{type(self).__name__}({inner})"
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
-    __hash__ = None  # mutable, like an unfrozen dataclass

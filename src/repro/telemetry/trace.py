@@ -11,11 +11,9 @@ loadable in Perfetto / ``about:tracing``.
 
 Timestamps are **simulated time** in nanoseconds, read from the shared
 :data:`repro.sim.CLOCK`. Components that own a timeline (the emulator's
-event loop, the functional workloads' window loop) publish it through
-:func:`set_clock_ns` / :func:`advance_clock_ns` — thin shims over the
-:class:`repro.sim.SimClock`, kept because they are the public API every
-emission site already uses; emission sites that have no better
-timestamp read :func:`clock_ns`.
+event loop, the functional workloads' window loop) set and advance that
+clock directly; :func:`emit` stamps an event with its current time when
+the call site has no better timestamp.
 
 Tracks map to Chrome's pid/tid pairs: one track per actor — ``cpu``
 (fallback + host swap work), ``nma`` (window-multiplexed accelerator
@@ -156,21 +154,6 @@ def set_flight_sink(sink) -> None:
     session even if the ring is swapped out."""
     global _flight
     _flight = sink
-
-
-def clock_ns() -> float:
-    """Current simulated-time timestamp (``repro.sim.CLOCK``)."""
-    return _clock.now_ns()
-
-
-def set_clock_ns(t_ns: float) -> None:
-    """Jump the shared simulated clock (timeline owners only)."""
-    _clock.set_ns(t_ns)
-
-
-def advance_clock_ns(dt_ns: float) -> float:
-    """Advance the shared simulated clock; returns the new time."""
-    return _clock.advance_ns(dt_ns)
 
 
 # -- emission --------------------------------------------------------------

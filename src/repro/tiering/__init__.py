@@ -6,36 +6,21 @@ promotion policies. See DESIGN.md §8.
 """
 
 from repro.tiering.factory import TIER_KINDS, make_tier
-from repro.tiering.pipeline import PipelineStats, TierPipeline
+from repro.tiering.pipeline import TierPipeline
 from repro.tiering.policy import (
-    AdmissionPolicy,
-    AlwaysAdmit,
-    CapacityAdmission,
-    DemotionPolicy,
     LruDemotion,
     NeverDemote,
-    NeverPromote,
     PoolLimitPolicy,
-    PromoteOneLevel,
     PromoteToTop,
-    PromotionPolicy,
 )
 from repro.tiering.protocol import FarMemoryTier, SwapOutcome
 
 __all__ = [
-    "AdmissionPolicy",
-    "AlwaysAdmit",
-    "CapacityAdmission",
-    "DemotionPolicy",
     "FarMemoryTier",
     "LruDemotion",
     "NeverDemote",
-    "NeverPromote",
-    "PipelineStats",
     "PoolLimitPolicy",
-    "PromoteOneLevel",
     "PromoteToTop",
-    "PromotionPolicy",
     "SwapOutcome",
     "TIER_KINDS",
     "TierPipeline",

@@ -849,20 +849,6 @@ class TierPipeline:
         """tier name -> breaker state (``closed``/``open``/``half_open``)."""
         return {b.name: b.state.value for b in self.breakers}
 
-    def health(self) -> Dict[str, object]:
-        """One snapshot of per-tier breaker health plus the pipeline's
-        resilience counters (for the chaos report / operators)."""
-        return {
-            "tiers": {b.name: b.snapshot() for b in self.breakers},
-            "poisoned_pages": len(self._poisoned),
-            "tier_errors": self.pipeline_stats.tier_errors,
-            "data_loss_events": self.pipeline_stats.data_loss_events,
-            "quarantine_skips": self.pipeline_stats.quarantine_skips,
-            "drained_pages": self.pipeline_stats.drained_pages,
-            "spill_callback_errors":
-                self.pipeline_stats.spill_callback_errors,
-        }
-
     def drain_tier(self, name: str, limit: Optional[int] = None) -> int:
         """Relocate resident pages out of tier ``name`` into the other
         tiers (typically after its breaker opened), up to ``limit``

@@ -43,22 +43,6 @@ class AlwaysAdmit(AdmissionPolicy):
         return True
 
 
-@dataclass(frozen=True)
-class CapacityAdmission(AdmissionPolicy):
-    """Admit while the tier's pool footprint stays below a fraction of
-    its capacity — the generic form of zswap's pool-limit check."""
-
-    max_usage_fraction: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.max_usage_fraction <= 1.0:
-            raise ConfigError("max_usage_fraction must be in (0, 1]")
-
-    def admit(self, tier) -> bool:
-        limit = self.max_usage_fraction * tier.capacity_bytes
-        return tier.used_bytes() + PAGE_SIZE <= limit
-
-
 # -- demotion ----------------------------------------------------------------
 
 
@@ -110,20 +94,6 @@ class PromoteToTop(PromotionPolicy):
 
     def target_tier(self, current_index: int) -> int:
         return 0
-
-
-class PromoteOneLevel(PromotionPolicy):
-    """Gradual ascent: one tier per promotion (TierScape-style)."""
-
-    def target_tier(self, current_index: int) -> int:
-        return max(0, current_index - 1)
-
-
-class NeverPromote(PromotionPolicy):
-    """Promotions are disabled; blobs only leave via loads."""
-
-    def target_tier(self, current_index: int) -> int:
-        return current_index
 
 
 # -- zswap pool limit --------------------------------------------------------

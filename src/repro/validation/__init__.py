@@ -16,119 +16,14 @@ refactor hot paths without silently breaking paper fidelity:
 * :mod:`repro.validation.fuzz` — a deterministic stdlib-only fuzz
   micro-framework with single-seed reproduction and shrinking;
 * :mod:`repro.validation.generators` — seeded case generators (pages,
-  corpus mixes, operation scripts, swap traces, register programs,
-  offload batches).
+  damaged codec blobs, operation scripts, register programs, offload
+  batches, fault plans).
 
 Enable checkpoints globally with ``REPRO_VALIDATION=1``, scoped with
 ``with validation(): ...``, or for a whole pytest run with
 ``--validation``.
 
-Symbols from :mod:`~repro.validation.invariants` and
-:mod:`~repro.validation.oracles` are loaded lazily (PEP 562): those
-modules import the instrumented data structures, which themselves import
-:mod:`~repro.validation.hooks`, so importing them eagerly here would
-create a cycle for any module that merely wants a checkpoint.
+Import names from the submodules: the instrumented data structures
+import :mod:`~repro.validation.hooks`, and the checkers import those
+structures, so this package re-exports nothing.
 """
-
-from repro.validation.fuzz import (
-    Fuzzer,
-    FuzzFailure,
-    FuzzReport,
-    case_seed,
-    fuzz_reproduce,
-    shrink_candidates,
-)
-from repro.validation.hooks import (
-    checkpoint,
-    register_checker,
-    set_validation,
-    validation,
-    validation_enabled,
-)
-
-#: Lazily-resolved exports: name -> defining submodule.
-_LAZY = {
-    "InvariantViolation": "invariants",
-    "check_nma": "invariants",
-    "check_rbtree": "invariants",
-    "check_register_file": "invariants",
-    "check_spm": "invariants",
-    "check_window_scheduler": "invariants",
-    "check_xfm_module": "invariants",
-    "check_zpool": "invariants",
-    "OracleMismatch": "oracles",
-    "ReplayResult": "oracles",
-    "check_command_trace": "oracles",
-    "check_roundtrip": "oracles",
-    "crosscheck_vs_zlib": "oracles",
-    "differential_offload_check": "oracles",
-    "replay_batch_module": "oracles",
-    "replay_batch_optimistic": "oracles",
-    "ADVERSARIAL_BUFFERS": "generators",
-    "OffloadOp": "generators",
-    "gen_corpus_mix": "generators",
-    "gen_offload_batch": "generators",
-    "gen_page": "generators",
-    "gen_register_program": "generators",
-    "gen_rbtree_ops": "generators",
-    "gen_swap_trace": "generators",
-    "gen_zpool_ops": "generators",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    module = importlib.import_module(f"{__name__}.{module_name}")
-    value = getattr(module, name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
-
-__all__ = [
-    "ADVERSARIAL_BUFFERS",
-    "Fuzzer",
-    "FuzzFailure",
-    "FuzzReport",
-    "InvariantViolation",
-    "OffloadOp",
-    "OracleMismatch",
-    "ReplayResult",
-    "case_seed",
-    "check_command_trace",
-    "check_nma",
-    "check_rbtree",
-    "check_register_file",
-    "check_roundtrip",
-    "check_spm",
-    "check_window_scheduler",
-    "check_xfm_module",
-    "check_zpool",
-    "checkpoint",
-    "crosscheck_vs_zlib",
-    "differential_offload_check",
-    "fuzz_reproduce",
-    "gen_corpus_mix",
-    "gen_offload_batch",
-    "gen_page",
-    "gen_register_program",
-    "gen_rbtree_ops",
-    "gen_swap_trace",
-    "gen_zpool_ops",
-    "register_checker",
-    "replay_batch_module",
-    "replay_batch_optimistic",
-    "set_validation",
-    "shrink_candidates",
-    "validation",
-    "validation_enabled",
-]

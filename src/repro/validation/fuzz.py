@@ -5,10 +5,9 @@ suite needs and nothing else:
 
 * **single-seed reproduction** — every case is generated from a *case
   seed* derived purely from ``(root seed, run index)``; a failure
-  message prints that one integer and
-  :meth:`Fuzzer.reproduce`/``fuzz_reproduce`` regenerates the exact
-  case from it, independent of run counts, time budgets, or which run
-  tripped;
+  message prints that one integer and :func:`fuzz_reproduce`
+  regenerates the exact case from it, independent of run counts, time
+  budgets, or which run tripped;
 * **shrinking** — on failure the framework greedily minimizes the case
   with type-directed candidates (shorter lists/bytes, smaller ints,
   field-wise tuple shrinks) while the property keeps failing;
@@ -187,25 +186,14 @@ class Fuzzer:
                     break
         return current
 
-    def reproduce(
-        self,
-        generate: Callable[[random.Random], Any],
-        check: Callable[[Any], None],
-        case_seed: int,
-    ) -> Any:
-        """Re-run one case from its printed seed; returns the case if the
-        property now holds, re-raises the original failure otherwise."""
-        case = generate(random.Random(case_seed))
-        check(case)
-        return case
-
 
 def fuzz_reproduce(
     generate: Callable[[random.Random], Any],
     check: Callable[[Any], None],
     case_seed: int,
 ) -> Any:
-    """Module-level convenience mirroring :meth:`Fuzzer.reproduce`."""
+    """Re-run one case from its printed seed; returns the case if the
+    property now holds, re-raises the original failure otherwise."""
     case = generate(random.Random(case_seed))
     check(case)
     return case

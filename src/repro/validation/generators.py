@@ -3,11 +3,10 @@
 Every generator is a pure function of the ``random.Random`` it is given,
 so a case regenerates exactly from the single case seed the framework
 prints on failure. Generators cover the surfaces the validation suite
-fuzzes: raw pages and corpus mixes (codec round-trips), damaged
-codec blobs (decoder error parity), red-black tree
-and zpool operation scripts (invariant churn), swap traces (emulator
-input), MMIO register programs (driver protocol), and offload batches
-(the emulator-vs-module differential oracle).
+fuzzes: raw pages (codec round-trips), damaged codec blobs (decoder
+error parity), red-black tree and zpool operation scripts (invariant
+churn), MMIO register programs (driver protocol), offload batches (the
+emulator-vs-module differential oracle), and fault plans (chaos).
 """
 
 from __future__ import annotations
@@ -81,19 +80,6 @@ def gen_page(rng: random.Random, page_size: int = PAGE_SIZE) -> bytes:
     # corpus-class page
     name = rng.choice(CORPUS_NAMES)
     return generate_corpus(name, page_size, seed=rng.getrandbits(31))
-
-
-def gen_corpus_mix(
-    rng: random.Random, pages: int = 4, page_size: int = PAGE_SIZE
-) -> List[bytes]:
-    """A mixed batch: corpus pages interleaved with adversarial shapes."""
-    out: List[bytes] = []
-    for _ in range(pages):
-        if rng.random() < 0.25:
-            out.append(rng.choice(ADVERSARIAL_BUFFERS))
-        else:
-            out.append(gen_page(rng, page_size))
-    return out
 
 
 # -- damaged blobs -----------------------------------------------------------
@@ -209,10 +195,6 @@ def gen_blob_mutation(rng: random.Random, codec_cls=ZstdLikeCodec) -> bytes:
     return _zstd_like_blob(page, bytes(literals), sequences, **counts)
 
 
-#: The name the zstd-like decode-parity tests were written against.
-gen_zstd_like_mutation = gen_blob_mutation
-
-
 # -- data-structure operation scripts ---------------------------------------
 
 
@@ -253,27 +235,6 @@ def gen_zpool_ops(rng: random.Random, n: int = 120) -> List[Tuple]:
         else:
             ops.append(("compact",))
     return ops
-
-
-# -- swap traces -------------------------------------------------------------
-
-
-def gen_swap_trace(
-    rng: random.Random,
-    events: int = 200,
-    mean_gap_s: float = 1e-4,
-    out_fraction: float = 0.6,
-):
-    """A time-ordered swap-in/out trace with Poisson-ish gaps."""
-    from repro.workloads.traces import SWAP_IN, SWAP_OUT, SwapTrace
-
-    trace = SwapTrace()
-    t = 0.0
-    for i in range(events):
-        t += rng.expovariate(1.0 / mean_gap_s)
-        kind = SWAP_OUT if rng.random() < out_fraction else SWAP_IN
-        trace.record(t, kind, i * PAGE_SIZE)
-    return trace
 
 
 # -- MMIO register programs --------------------------------------------------

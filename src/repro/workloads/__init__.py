@@ -14,13 +14,10 @@ from repro.workloads.corpus import (
     generate_corpus,
     tunable_page,
 )
-from repro.workloads.prefetch import SequentialPrefetcher, StridePrefetcher
 from repro.workloads.traces import SwapTrace
 
 __all__ = [
     "CORPUS_NAMES",
-    "SequentialPrefetcher",
-    "StridePrefetcher",
     "SwapTrace",
     "corpus_pages",
     "describe_corpus",

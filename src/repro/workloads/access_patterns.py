@@ -4,18 +4,15 @@ SFM pays off for applications with *predictable access patterns over
 compressible data* (§1, §3.2). These generators produce the page-access
 streams the far-memory runtime and the controllers are exercised with:
 
-* :class:`HotColdPattern` — a hot set absorbing most accesses, the classic
-  warehouse-scale shape (Google: ~30% of memory cold at a 120 s age).
 * :class:`ZipfPattern` — skewed popularity without a hard hot/cold split.
 * :class:`ScanPattern` — periodic sequential sweeps (analytics), the
   prefetch-friendly pattern XFM's ``do_offload`` swap-ins target.
-* :class:`MixedPattern` — weighted composition of the above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -30,40 +27,6 @@ class AccessPattern:
     def next_accesses(self, count: int) -> List[int]:
         """Produce the next ``count`` page accesses."""
         raise NotImplementedError
-
-
-@dataclass
-class HotColdPattern(AccessPattern):
-    """A hot fraction of pages receives most accesses."""
-
-    num_pages: int
-    hot_fraction: float = 0.3
-    hot_access_probability: float = 0.95
-    seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.hot_fraction <= 1.0:
-            raise ConfigError("hot_fraction must be in (0, 1]")
-        if not 0.0 <= self.hot_access_probability <= 1.0:
-            raise ConfigError("hot_access_probability must be in [0, 1]")
-        self._rng = np.random.default_rng(self.seed)
-
-    @property
-    def hot_pages(self) -> int:
-        return max(1, int(self.num_pages * self.hot_fraction))
-
-    def next_accesses(self, count: int) -> List[int]:
-        rng = self._rng
-        hot = self.hot_pages
-        is_hot = rng.random(count) < self.hot_access_probability
-        hot_picks = rng.integers(0, hot, count)
-        cold_span = max(1, self.num_pages - hot)
-        cold_picks = hot + rng.integers(0, cold_span, count)
-        return [
-            int(hot_picks[i]) if is_hot[i] else int(cold_picks[i])
-            for i in range(count)
-        ]
 
 
 @dataclass
@@ -115,30 +78,3 @@ class ScanPattern(AccessPattern):
             for i in range(lookahead)
         ]
 
-
-@dataclass
-class MixedPattern(AccessPattern):
-    """Weighted mixture of sub-patterns over the same page range."""
-
-    patterns: Sequence[AccessPattern] = ()
-    weights: Sequence[float] = ()
-    seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.patterns or len(self.patterns) != len(self.weights):
-            raise ConfigError("patterns and weights must align and be non-empty")
-        spans = {p.num_pages for p in self.patterns}
-        if len(spans) != 1:
-            raise ConfigError("all sub-patterns must cover the same pages")
-        self.num_pages = self.patterns[0].num_pages
-        self._rng = np.random.default_rng(self.seed)
-
-    def next_accesses(self, count: int) -> List[int]:
-        weights = np.asarray(self.weights, dtype=float)
-        weights = weights / weights.sum()
-        choices = self._rng.choice(len(self.patterns), size=count, p=weights)
-        out: List[int] = []
-        for index in choices:
-            out.extend(self.patterns[int(index)].next_accesses(1))
-        return out

@@ -6,8 +6,9 @@ and drives them with an application allocating page-granularity objects
 application reads/writes pages through the runtime; a bounded *local*
 capacity forces cold pages into the far-memory backend via the SFM
 controller; accesses to far pages trigger swap-ins (demand faults on the
-CPU path, or ``do_offload`` prefetches when a predictor announces them);
-every swap is recorded into a :class:`~repro.workloads.traces.SwapTrace`.
+CPU path, or ``do_offload`` prefetches when the application announces
+them through :meth:`FarMemoryRuntime.prefetch`); every swap is recorded
+into a :class:`~repro.workloads.traces.SwapTrace`.
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ class RuntimeStats:
     prefetch_promotions: int = 0
     evictions: int = 0
 
-    @property
-    def fault_rate(self) -> float:
-        accesses = self.reads + self.writes
-        return self.demand_faults / accesses if accesses else 0.0
-
 
 class FarMemoryRuntime:
     """Page-granular far-memory runtime over a swappable backend."""
@@ -44,7 +40,6 @@ class FarMemoryRuntime:
         backend: FarMemoryTier,
         local_capacity_pages: int,
         controller: Optional[ColdScanController] = None,
-        prefetcher=None,
     ) -> None:
         if local_capacity_pages < 1:
             raise ConfigError("local capacity must be >= 1 page")
@@ -55,9 +50,6 @@ class FarMemoryRuntime:
             if controller is not None
             else ColdScanController(cold_threshold_s=30.0, scan_period_s=5.0)
         )
-        #: Optional :class:`~repro.workloads.prefetch.Prefetcher` fed on
-        #: every read; its predictions are promoted via the offload path.
-        self.prefetcher = prefetcher
         self.pages: Dict[int, Page] = {}
         self.trace = SwapTrace()
         self.stats = RuntimeStats()
@@ -93,19 +85,11 @@ class FarMemoryRuntime:
             raise SfmError(f"vaddr 0x{vaddr:x} was never allocated") from None
 
     def read(self, vaddr: int, now_s: float) -> bytes:
-        """Application load; faults the page in if it is in far memory.
-
-        When a prefetcher is attached, each read trains it and its
-        predictions are promoted ahead of time through the offload path.
-        """
+        """Application load; faults the page in if it is in far memory."""
         page = self._page(vaddr)
         self._ensure_resident(page, now_s, prefetch=False)
         page.touch(now_s)
         self.stats.reads += 1
-        if self.prefetcher is not None:
-            predicted = self.prefetcher.observe(vaddr)
-            if predicted:
-                self.prefetch(predicted, now_s)
         assert page.data is not None
         return page.data
 

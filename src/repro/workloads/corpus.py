@@ -278,17 +278,6 @@ def _xml_config(size: int, rng: random.Random) -> bytes:
     return "".join(out).encode("ascii")[:size]
 
 
-def _mixed_office(size: int, rng: random.Random) -> bytes:
-    """Alternating text and binary segments (document-format-like)."""
-    out = bytearray()
-    while len(out) < size:
-        if rng.random() < 0.6:
-            out += _text_english(rng.randint(200, 800), rng)
-        else:
-            out += _binary_structs(rng.randint(100, 400), rng)
-    return bytes(out[:size])
-
-
 _GENERATORS: Dict[str, Callable[[int, random.Random], bytes]] = {
     "text-english": _text_english,
     "source-code": _source_code,

@@ -25,7 +25,7 @@ from repro.compression.tuning import DEFAULT_GRID
 from repro.compression.zstd_like import ZstdLikeCodec
 from repro.errors import ConfigError, CorruptStreamError
 from repro.validation.fuzz import case_seed
-from repro.validation.generators import gen_zstd_like_mutation
+from repro.validation.generators import gen_blob_mutation
 from repro.validation.oracles import decode_outcome
 from repro.workloads.corpus import CORPUS_NAMES, corpus_pages
 
@@ -89,7 +89,7 @@ def _lengths_or_error(frequencies, max_length):
 
 def _mutated_blobs(count=600):
     return [
-        gen_zstd_like_mutation(random.Random(case_seed(20, index)))
+        gen_blob_mutation(random.Random(case_seed(20, index)))
         for index in range(count)
     ]
 

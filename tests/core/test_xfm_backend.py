@@ -87,6 +87,18 @@ class TestCpuFallback:
         assert outcome.accepted
         assert backend.stats.cpu_fallback_compressions == 1
 
+    def test_prefetch_queue_exhaustion_falls_back_to_cpu(self, json_pages):
+        nma = NearMemoryAccelerator(NmaConfig(crq_depth=1))
+        backend = XfmBackend(capacity_bytes=32 * PAGE_SIZE, nma=nma)
+        page = _pages(json_pages)[0]
+        assert backend.xfm_swap_out(page).accepted
+        nma.submit(True, 0, None, PAGE_SIZE)
+        assert backend.xfm_swap_in(page, do_offload=True) == json_pages[0]
+        assert backend.stats.cpu_fallback_decompressions == 1
+        assert backend.stats.fallbacks_queue_full == 1
+        assert backend.stats.offloaded_decompressions == 0
+        assert not backend.contains(page.vaddr)
+
 
 class TestSwapInPolicy:
     def test_default_swap_in_uses_cpu(self, backend, json_pages):

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import OverloadError
 from repro.fleet.frontend import FleetFrontend, rendezvous_score
-from repro.fleet.shard import FleetRequest
+from repro.fleet import shard as shard_module
+from repro.fleet.shard import FleetRequest, FleetShard
 from repro.fleet.admission import TenantQuota
 from repro.fleet.traffic import page_for
 from repro.sim import CLOCK, EventScheduler
@@ -223,3 +224,32 @@ class TestFailover:
             scheduler.run()
             assert load.status == "served"
             assert load.result == page_for(0, 1)
+
+
+class TestSpill:
+    def test_page_no_tier_holds_spills_and_loads_back(self, monkeypatch):
+        # Shrink the shard's tiers until a demotion cascade finds no room
+        # anywhere: the victim goes to the fleet spill, and its load is
+        # served from there after the pipeline reports it missing.
+        monkeypatch.setattr(shard_module, "UPPER_TIER_BYTES", 16 * 1024)
+        monkeypatch.setattr(shard_module, "DFM_BYTES", 4 * 1024)
+        with CLOCK.scoped(start_ns=0.0):
+            scheduler = EventScheduler()
+            shard = FleetShard("shard-0", scheduler, queue_depth=4)
+            done = []
+            shard.on_complete = done.append
+            spilled = set()
+            for rid in range(400):
+                shard.submit(_store(rid, key=5 * rid + 1))
+                scheduler.run()
+                spilled |= set(shard.spill)
+            served = [r.key for r in done if r.status == "served"]
+            assert served
+            assert spilled and spilled <= set(served)
+            done.clear()
+            for rid, key in enumerate(served, start=400):
+                shard.submit(_load(rid, key=key))
+                scheduler.run()
+            assert [r.status for r in done] == ["served"] * len(served)
+            assert all(r.result == page_for(0, r.key) for r in done)
+            assert shard.spill == {}

@@ -10,7 +10,6 @@ from repro.resilience.breaker import (
 )
 from repro.resilience.retry import BackoffPolicy, retry_with_backoff
 from repro.sim import CLOCK
-from repro.telemetry import trace as _trace
 
 
 class TestRetry:
@@ -43,11 +42,11 @@ class TestRetry:
         calls = []
 
         def flaky():
-            calls.append(_trace.clock_ns())
+            calls.append(CLOCK.now_ns())
             if len(calls) < 3:
                 raise DeviceFault("transient")
 
-        _trace.set_clock_ns(0.0)
+        CLOCK.set_ns(0.0)
         policy = BackoffPolicy(
             max_attempts=3, base_delay_ns=1000, multiplier=2.0
         )
@@ -316,11 +315,11 @@ class TestRetryJitter:
             calls = []
 
             def flaky():
-                calls.append(_trace.clock_ns())
+                calls.append(CLOCK.now_ns())
                 if len(calls) < 3:
                     raise DeviceFault("transient")
 
-            _trace.set_clock_ns(0.0)
+            CLOCK.set_ns(0.0)
             retry_with_backoff(flaky, policy=policy, rng=random.Random(5))
             return calls
 

@@ -18,9 +18,15 @@ from repro.analysis.goldens import (
     REPLAY_GOLDEN_KWARGS,
     replay_summary,
 )
-from repro.scenarios.format import trace_fingerprint
+from repro.scenarios.format import ScenarioTrace, trace_fingerprint
 from repro.scenarios.replayer import replay_trace
-from repro.scenarios.zoo import SCENARIOS, build_scenario, load_scenario
+from repro.scenarios.zoo import (
+    ARTIFACT_SUFFIX,
+    SCENARIOS,
+    build_scenario,
+    load_scenario,
+    regenerate_artifacts,
+)
 from repro.tiering import make_tier
 
 RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
@@ -59,3 +65,13 @@ def test_shipped_artifact_matches_builder(scenario):
         f"shipped artifact for {scenario} is stale — regenerate with "
         "repro.scenarios.zoo.regenerate_artifacts()"
     )
+
+
+def test_regenerate_artifacts_writes_the_shipped_traces(tmp_path):
+    written = regenerate_artifacts(tmp_path)
+    assert [path.parent for path in written] == [tmp_path] * len(SCENARIOS)
+    for path in written:
+        name = path.name[: -len(ARTIFACT_SUFFIX)]
+        assert trace_fingerprint(ScenarioTrace.load(path)) == (
+            trace_fingerprint(load_scenario(name))
+        )

@@ -13,7 +13,7 @@ from repro.scenarios.format import (
 from repro.scenarios.recorder import TraceRecorder
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE, Page
-from repro.telemetry import trace as _trace
+from repro.sim import CLOCK
 from repro.tiering import FarMemoryTier, TierPipeline
 from repro.workloads.corpus import corpus_pages
 
@@ -96,7 +96,7 @@ class TestEventCapture:
     def test_timestamps_strictly_increase_without_a_clock(
         self, recorder, pages
     ):
-        _trace.set_clock_ns(0.0)  # parked clock: recorder self-advances
+        CLOCK.set_ns(0.0)  # parked clock: recorder self-advances
         for index, data in enumerate(pages):
             recorder.swap_out(Page(vaddr=index * PAGE_SIZE, data=data))
         times = [e.t_ns for e in recorder.trace]

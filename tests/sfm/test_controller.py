@@ -1,9 +1,9 @@
-"""Cold-page controller tests (Google-style scan, Meta-style pressure)."""
+"""Cold-page controller tests (Google-style scan)."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.sfm.controller import ColdScanController, PressureController
+from repro.sfm.controller import ColdScanController
 from repro.sfm.page import PAGE_SIZE, Page
 
 
@@ -51,62 +51,6 @@ class TestColdScan:
     def test_validation(self):
         with pytest.raises(ConfigError):
             ColdScanController(cold_threshold_s=0.0)
-
-
-class TestPressureController:
-    def test_threshold_shrinks_when_quiet(self):
-        controller = PressureController(initial_threshold_s=120.0)
-        controller.maybe_adjust(now_s=61.0)
-        assert controller.threshold_s < 120.0
-
-    def test_threshold_grows_on_refault_storm(self):
-        controller = PressureController(
-            initial_threshold_s=120.0, target_refaults_per_min=2.0
-        )
-        for _ in range(10):
-            controller.record_refault(swapped_for_s=5.0)
-        controller.maybe_adjust(now_s=61.0)
-        assert controller.threshold_s > 120.0
-
-    def test_old_swaps_do_not_count_as_refaults(self):
-        controller = PressureController(
-            initial_threshold_s=120.0, target_refaults_per_min=2.0
-        )
-        for _ in range(10):
-            controller.record_refault(swapped_for_s=600.0)
-        controller.maybe_adjust(now_s=61.0)
-        assert controller.threshold_s < 120.0
-
-    def test_threshold_bounded(self):
-        controller = PressureController(
-            initial_threshold_s=30.0,
-            min_threshold_s=15.0,
-            max_threshold_s=60.0,
-        )
-        now = 0.0
-        for _ in range(20):
-            now += 61.0
-            for _ in range(50):
-                controller.record_refault(swapped_for_s=1.0)
-            controller.maybe_adjust(now_s=now)
-        assert controller.threshold_s == 60.0
-
-    def test_scan_uses_adaptive_threshold(self):
-        controller = PressureController(initial_threshold_s=100.0)
-        pages = _pages([0.0, 150.0])
-        cold = controller.scan(pages, now_s=200.0)
-        assert pages[0] in cold
-
-    def test_no_adjust_within_period(self):
-        controller = PressureController(initial_threshold_s=120.0)
-        controller.maybe_adjust(now_s=30.0)
-        assert controller.threshold_s == 120.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            PressureController(initial_threshold_s=5.0, min_threshold_s=10.0)
-        with pytest.raises(ConfigError):
-            PressureController(growth=0.5)
 
 
 class TestPage:

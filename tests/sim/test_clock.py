@@ -96,12 +96,3 @@ class TestScoping:
 class TestSharedInstance:
     def test_module_clock_is_a_simclock(self):
         assert isinstance(CLOCK, SimClock)
-
-    def test_telemetry_shims_delegate_to_shared_clock(self):
-        from repro.telemetry import trace as _trace
-
-        with CLOCK.scoped(start_ns=0.0):
-            _trace.set_clock_ns(123.0)
-            assert CLOCK.now_ns() == 123.0
-            _trace.advance_clock_ns(2.0)
-            assert _trace.clock_ns() == 125.0

@@ -242,6 +242,15 @@ class TestRunnerAndCli:
         assert (out / "trace.json").exists()
         assert (out / "metrics.json").exists()
 
+    def test_cli_trace_emulator(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        out = tmp_path / "out"
+        assert main(["trace", "emulator", "--out", str(out)]) == 0
+        assert "trace workload: emulator" in capsys.readouterr().out
+        assert (out / "trace.json").exists()
+        assert (out / "metrics.json").exists()
+
     def test_cli_trace_unknown_workload(self, tmp_path, capsys):
         from repro.__main__ import main
 

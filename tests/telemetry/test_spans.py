@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim import CLOCK
 from repro.telemetry import spans, trace
 
 
@@ -46,9 +47,9 @@ class TestNesting:
 
     def test_duration_is_clock_delta(self):
         with trace.tracing() as ring:
-            trace.set_clock_ns(0)
+            CLOCK.set_ns(0)
             handle = spans.begin("op", "tier")
-            trace.advance_clock_ns(1500.0)
+            CLOCK.advance_ns(1500.0)
             dur = spans.end(handle)
         assert dur == 1500.0
         (event,) = ring.events()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.sim import CLOCK
 from repro.telemetry import trace
 
 
@@ -10,7 +11,7 @@ from repro.telemetry import trace
 def _tracing_off():
     """Every test starts and ends with tracing disabled."""
     trace.set_tracing(False)
-    trace.set_clock_ns(0.0)
+    CLOCK.set_ns(0.0)
     yield
     trace.set_tracing(False)
 
@@ -55,9 +56,9 @@ class TestEmission:
 
     def test_timestamps_default_to_clock(self):
         with trace.tracing() as ring:
-            trace.set_clock_ns(123.0)
+            CLOCK.set_ns(123.0)
             trace.instant("a", trace.TRACK_CPU)
-            trace.advance_clock_ns(7.0)
+            CLOCK.advance_ns(7.0)
             trace.instant("b", trace.TRACK_CPU)
         ts = [e.ts_ns for e in ring.events()]
         assert ts == [123.0, 130.0]

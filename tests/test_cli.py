@@ -39,7 +39,7 @@ class TestCli:
         assert main(["budget"]) == 0
         assert "locked_fraction" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("name", ["fig1", "fig3", "table1"])
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_fast_experiments_run(self, name, capsys):
         assert main([name]) == 0
         assert capsys.readouterr().out.strip()

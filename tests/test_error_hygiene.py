@@ -14,8 +14,8 @@ Clock hygiene: all simulated time originates from
 clock state anywhere else in ``src/repro`` would fork the timeline —
 timestamps that drift from refresh windows, backoff charges invisible
 to breaker cool-downs — so the grep forbids both outside ``repro/sim``,
-with a short allowlist for the two places that *measure the host*
-(the lzbench perf harness and the fuzzer's wall-time budget).
+with a short allowlist for the one place that *measures the host*
+(the fuzzer's wall-time budget).
 """
 
 import re
@@ -106,9 +106,8 @@ _WALL_CLOCK = re.compile(
 _ADHOC_CLOCK = re.compile(r"^_[a-z_]*clock[a-z_]*\s*(?::[^=]+)?=\s*[-0-9]")
 
 #: Files allowed to read the host clock: they measure the host itself
-#: (codec throughput, fuzz wall-time budget), not simulated time.
+#: (fuzz wall-time budget), not simulated time.
 WALL_CLOCK_ALLOWLIST = {
-    "workloads/lzbench.py",
     "validation/fuzz.py",
 }
 

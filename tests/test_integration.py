@@ -15,7 +15,7 @@ from repro import (
     XfmBackend,
     corpus_pages,
 )
-from repro.sfm.controller import ColdScanController, PressureController
+from repro.sfm.controller import ColdScanController
 from repro.workloads.aifm import FarMemoryRuntime
 from repro.workloads.webfrontend import WebFrontend, WebFrontendConfig
 
@@ -74,31 +74,6 @@ class TestFullStackWebFrontend:
         assert report.swap_outs > 10
         assert report.swap_ins > 0
         assert runtime.trace.duration_s > 0
-
-    def test_pressure_controller_full_stack(self):
-        backend = SfmBackend(capacity_bytes=512 * PAGE_SIZE)
-        controller = PressureController(
-            initial_threshold_s=8.0, min_threshold_s=2.0, adjust_period_s=5.0
-        )
-
-        class _Adapter(ColdScanController):
-            """Expose the pressure controller through the scan interface."""
-
-            def __init__(self):
-                super().__init__(cold_threshold_s=1.0, scan_period_s=2.0)
-
-            def scan(self, pages, now_s):
-                super().scan([], now_s)  # keep period bookkeeping
-                return controller.scan(pages, now_s)
-
-        runtime = FarMemoryRuntime(
-            backend, local_capacity_pages=32, controller=_Adapter()
-        )
-        frontend = WebFrontend(
-            runtime, WebFrontendConfig(num_pages=128, lookups_per_s=20, seed=14)
-        )
-        report = frontend.run(duration_s=60.0)
-        assert report.swap_outs > 0
 
     def test_observed_promotion_rate_reasonable(self):
         backend = SfmBackend(capacity_bytes=512 * PAGE_SIZE)

@@ -15,7 +15,6 @@ from repro.sfm.backend import SfmBackend
 from repro.sfm.controller import ColdScanController
 from repro.sfm.page import PAGE_SIZE
 from repro.workloads.aifm import FarMemoryRuntime
-from repro.workloads.prefetch import SequentialPrefetcher
 from repro.workloads.webfrontend import WebFrontend, WebFrontendConfig
 
 TIERS = {
@@ -28,12 +27,11 @@ TIERS = {
 }
 
 
-def _run_frontend(backend, prefetcher=None, duration_s=30.0):
+def _run_frontend(backend, duration_s=30.0):
     runtime = FarMemoryRuntime(
         backend,
         local_capacity_pages=32,
         controller=ColdScanController(cold_threshold_s=3.0, scan_period_s=2.0),
-        prefetcher=prefetcher,
     )
     frontend = WebFrontend(
         runtime,
@@ -89,8 +87,8 @@ class TestTierDifferences:
         backend = MultiChannelXfmBackend(
             capacity_bytes=512 * PAGE_SIZE, num_dimms=4
         )
-        _run_frontend(
-            backend, prefetcher=SequentialPrefetcher(degree=4),
-            duration_s=45.0,
-        )
+        # The front-end announces each analytics scan through
+        # runtime.prefetch(), which promotes over the offload path.
+        _, report = _run_frontend(backend, duration_s=45.0)
+        assert report.prefetch_promotions > 0
         assert backend.stats.offloaded_decompressions > 0

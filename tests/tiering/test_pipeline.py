@@ -11,15 +11,13 @@ from repro.errors import ConfigError, SfmError
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.telemetry.registry import MetricsRegistry
 from repro.tiering import (
-    CapacityAdmission,
     LruDemotion,
     NeverDemote,
-    NeverPromote,
     PoolLimitPolicy,
-    PromoteOneLevel,
     PromoteToTop,
     TierPipeline,
 )
+from repro.tiering.policy import AdmissionPolicy
 from repro.validation import hooks
 from repro.validation.invariants import check_tier_pipeline
 from repro.workloads.corpus import corpus_pages, noise_page
@@ -53,16 +51,17 @@ class TestFallThrough:
         assert pipeline.pipeline_stats.store_fallthroughs == 0
 
     def test_admission_policy_skips_tier(self):
-        # Zero headroom on every tier except DFM's raw pool still
-        # admits: used + PAGE <= capacity holds longest there.
-        pipeline = _pipeline(
-            admission=CapacityAdmission(max_usage_fraction=1.0),
-            demotion=NeverDemote(),
-        )
+        class _RefuseTop(AdmissionPolicy):
+            def admit(self, tier):
+                return tier.tier_name != "cpu-zswap"
+
+        pipeline = _pipeline(admission=_RefuseTop(), demotion=NeverDemote())
         pages = corpus_pages("json-records", 8, seed=7)
         for key, data in enumerate(pages):
             assert pipeline.store(key, data)
         assert pipeline.stored_pages() == 8
+        assert {pipeline.tier_of_key(key) for key in range(8)} == {"xfm"}
+        assert pipeline.pipeline_stats.store_fallthroughs == 8
 
     def test_all_tiers_rejected_reports_reason(self):
         tiny = TierPipeline.build(
@@ -118,28 +117,6 @@ class TestDemotionPromotion:
         assert pipeline.tier_of_key(0) == "dfm"
         assert pipeline.promote_key(0) == "cpu-zswap"
         assert pipeline.pipeline_stats.promotions == 1
-
-    def test_promote_one_level(self):
-        pipeline = _pipeline(
-            demotion=NeverDemote(), promotion=PromoteOneLevel()
-        )
-        data = corpus_pages("json-records", 1, seed=9)[0]
-        pipeline.store(0, data)
-        pipeline.demote_coldest(1, from_tier=0)
-        pipeline.demote_coldest(1, from_tier=1)
-        assert pipeline.tier_of_key(0) == "dfm"
-        assert pipeline.promote_key(0) == "xfm"
-        assert pipeline.promote_key(0) == "cpu-zswap"
-
-    def test_never_promote_blocks(self):
-        pipeline = _pipeline(
-            demotion=NeverDemote(), promotion=NeverPromote()
-        )
-        pipeline.store(0, corpus_pages("json-records", 1)[0])
-        pipeline.demote_coldest(1, from_tier=0)
-        assert pipeline.promote_key(0) == "xfm"
-        assert pipeline.pipeline_stats.promotions == 0
-        assert pipeline.pipeline_stats.promotions_blocked == 1
 
     def test_restore_into_origin_when_lower_tiers_reject(self):
         """A demotion victim no lower tier takes goes back where it was

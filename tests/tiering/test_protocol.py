@@ -135,6 +135,33 @@ class TestDfmRegistryBugfix:
         assert backend.registry.snapshot()["swap.swap_outs{tier=dfm}"] == 1
 
 
+@pytest.mark.parametrize("tier", [*TIERS, "pipeline", "recorder"])
+def test_accounting_and_maintenance_members(tier):
+    """The protocol members no campaign calls on every tier kind: what a
+    stored page wins back, compaction, and the modeled swap latency."""
+    from repro.scenarios.recorder import TraceRecorder
+
+    if tier == "pipeline":
+        backend = TierPipeline.build(
+            cpu_capacity_bytes=32 * PAGE_SIZE,
+            xfm_capacity_bytes=32 * PAGE_SIZE,
+            dfm_capacity_bytes=32 * PAGE_SIZE,
+        )
+    elif tier == "recorder":
+        backend = TraceRecorder(TIERS["xfm-mc"](), name="unit", seed=1)
+    else:
+        backend = TIERS[tier]()
+    pages = corpus_pages("json-records", 16)
+    for index, data in enumerate(pages):
+        page = Page(vaddr=index * PAGE_SIZE, data=data)
+        assert backend.swap_out(page).accepted
+    # Sixteen compressible pages outgrow the pool's slab granularity.
+    assert 0 < backend.effective_bytes_freed() <= len(pages) * PAGE_SIZE
+    assert backend.compact() >= 0
+    assert backend.swap_latency_s("in") > 0
+    assert backend.swap_latency_s("out") > 0
+
+
 def test_pipeline_is_a_tier():
     pipeline = TierPipeline.build(
         cpu_capacity_bytes=32 * PAGE_SIZE,

@@ -21,12 +21,12 @@ from repro.sfm.rbtree import RedBlackTree
 from repro.sfm.zpool import Zpool
 from repro.validation.fuzz import Fuzzer, case_seed
 from repro.validation.generators import (
+    gen_blob_mutation,
     gen_offload_batch,
     gen_page,
     gen_rbtree_ops,
     gen_register_program,
     gen_zpool_ops,
-    gen_zstd_like_mutation,
 )
 from repro.validation.hooks import validation
 from repro.validation.oracles import (
@@ -73,7 +73,7 @@ def test_fuzz_zstd_like_decode_error_parity():
             codec._decompress_python, blob
         )
 
-    report = _fuzzer(6, runs=500).run(gen_zstd_like_mutation, check)
+    report = _fuzzer(6, runs=500).run(gen_blob_mutation, check)
     assert report.cases_run > 0
 
 

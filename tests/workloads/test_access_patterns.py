@@ -3,37 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.workloads.access_patterns import (
-    HotColdPattern,
-    MixedPattern,
-    ScanPattern,
-    ZipfPattern,
-)
-
-
-class TestHotCold:
-    def test_hot_set_absorbs_most_accesses(self):
-        pattern = HotColdPattern(
-            num_pages=1000, hot_fraction=0.1, hot_access_probability=0.9, seed=1
-        )
-        accesses = pattern.next_accesses(5000)
-        hot_hits = sum(1 for a in accesses if a < pattern.hot_pages)
-        assert 0.85 < hot_hits / len(accesses) < 0.95
-
-    def test_all_in_range(self):
-        pattern = HotColdPattern(num_pages=50, seed=2)
-        assert all(0 <= a < 50 for a in pattern.next_accesses(500))
-
-    def test_determinism(self):
-        a = HotColdPattern(num_pages=100, seed=3).next_accesses(100)
-        b = HotColdPattern(num_pages=100, seed=3).next_accesses(100)
-        assert a == b
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            HotColdPattern(num_pages=10, hot_fraction=0.0)
-        with pytest.raises(ConfigError):
-            HotColdPattern(num_pages=10, hot_access_probability=1.5)
+from repro.workloads.access_patterns import ScanPattern, ZipfPattern
 
 
 class TestZipf:
@@ -74,25 +44,3 @@ class TestScan:
         with pytest.raises(ConfigError):
             ScanPattern(num_pages=10, stride=0)
 
-
-class TestMixed:
-    def test_combines_patterns(self):
-        mixed = MixedPattern(
-            patterns=[ScanPattern(num_pages=100), ZipfPattern(num_pages=100, seed=1)],
-            weights=[0.5, 0.5],
-            seed=6,
-        )
-        accesses = mixed.next_accesses(200)
-        assert len(accesses) == 200
-        assert all(0 <= a < 100 for a in accesses)
-
-    def test_mismatched_spans_rejected(self):
-        with pytest.raises(ConfigError):
-            MixedPattern(
-                patterns=[ScanPattern(num_pages=10), ScanPattern(num_pages=20)],
-                weights=[1, 1],
-            )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            MixedPattern(patterns=[], weights=[])
