@@ -8,10 +8,18 @@ blobs into 4 KiB slabs, explicit :meth:`Zpool.compact` that both shifts
 objects within slabs and migrates objects out of nearly-empty slabs, and
 accounting of the memcpy traffic compaction generates (the cost
 ``xfm_compact()`` exposes to the SFM controller).
+
+First fit is answered from an index rather than a scan: each slab keeps
+its free intervals as an offset-ordered list, and the pool keeps a
+max-tree of every slot's largest free interval plus a min-heap of
+released slots. The index changes how fast the winner is found, never
+which ``(slab, offset)`` wins.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -34,53 +42,64 @@ class ZpoolEntry:
 class _Slab:
     """One encapsulating OS page holding packed compressed objects."""
 
-    __slots__ = ("buffer", "entries", "largest_gap")
+    __slots__ = ("buffer", "entries", "gaps", "largest_gap")
 
     def __init__(self, size: int) -> None:
         self.buffer = bytearray(size)
-        #: handle -> (offset, length), kept sorted by offset on demand.
-        #: Change it only through :meth:`insert` / :meth:`remove` /
-        #: :meth:`shift_compact`, which keep ``largest_gap`` honest.
+        #: handle -> (offset, length). Change it only through
+        #: :meth:`insert` / :meth:`remove` / :meth:`shift_compact`, which
+        #: keep ``gaps`` and ``largest_gap`` in step with it.
         self.entries: Dict[int, Tuple[int, int]] = {}
-        #: Longest free interval, or ``None`` when ``entries`` changed
-        #: since it was last measured. An index over :meth:`gaps`, not a
-        #: policy: it only lets :meth:`first_fit` skip a slab that
-        #: cannot hold the request without sorting its entries.
-        self.largest_gap: Optional[int] = size
+        #: Free (offset, length) intervals in offset order, never two
+        #: adjacent: the complement of ``entries`` within the slab.
+        self.gaps: List[Tuple[int, int]] = [(0, size)]
+        #: Longest interval in ``gaps`` (0 when the slab is full).
+        self.largest_gap = size
 
     def insert(self, handle: int, offset: int, length: int) -> None:
+        """Record an object at ``offset``, which must lie in one gap."""
         self.entries[handle] = (offset, length)
-        self.largest_gap = None
+        gaps = self.gaps
+        index = bisect_right(gaps, (offset, len(self.buffer))) - 1
+        gap_offset, gap_length = gaps[index]
+        end = offset + length
+        tail = gap_offset + gap_length - end
+        if offset == gap_offset:
+            if tail:
+                gaps[index] = (end, tail)
+            else:
+                del gaps[index]
+        else:
+            gaps[index] = (gap_offset, offset - gap_offset)
+            if tail:
+                gaps.insert(index + 1, (end, tail))
+        if gap_length == self.largest_gap:
+            self.largest_gap = max((gap for _, gap in gaps), default=0)
 
     def remove(self, handle: int) -> None:
-        del self.entries[handle]
-        self.largest_gap = None
+        """Forget an object, merging its bytes into the gaps beside it."""
+        start, length = self.entries.pop(handle)
+        end = start + length
+        gaps = self.gaps
+        low = high = bisect_left(gaps, (start,))
+        if high < len(gaps) and gaps[high][0] == end:
+            end += gaps[high][1]
+            high += 1
+        if low and sum(gaps[low - 1]) == start:
+            low -= 1
+            start = gaps[low][0]
+        gaps[low:high] = [(start, end - start)]
+        if end - start > self.largest_gap:
+            self.largest_gap = end - start
 
     def used_bytes(self) -> int:
         return sum(length for _, length in self.entries.values())
 
-    def gaps(self, size: int) -> List[Tuple[int, int]]:
-        """Free (offset, length) intervals, in offset order."""
-        spans = sorted(self.entries.values())
-        out: List[Tuple[int, int]] = []
-        cursor = 0
-        for offset, length in spans:
-            if offset > cursor:
-                out.append((cursor, offset - cursor))
-            cursor = offset + length
-        if cursor < size:
-            out.append((cursor, size - cursor))
-        return out
-
-    def first_fit(self, length: int, size: int) -> Optional[int]:
+    def first_fit(self, length: int) -> Optional[int]:
         """Offset of the first gap that fits ``length`` bytes, or None."""
-        largest = self.largest_gap
-        if largest is not None and largest < length:
+        if self.largest_gap < length:
             return None
-        gaps = self.gaps(size)
-        if largest is None:
-            self.largest_gap = max((gap for _, gap in gaps), default=0)
-        for offset, gap in gaps:
+        for offset, gap in self.gaps:
             if gap >= length:
                 return offset
         return None
@@ -99,7 +118,9 @@ class _Slab:
                 self.entries[handle] = (cursor, length)
                 moved += length
             cursor += length
-        self.largest_gap = len(self.buffer) - cursor
+        size = len(self.buffer)
+        self.gaps = [(cursor, size - cursor)] if cursor < size else []
+        self.largest_gap = size - cursor
         return moved
 
 
@@ -114,6 +135,13 @@ class Zpool:
         self.slab_size = slab_size
         self.max_slabs = capacity_bytes // slab_size
         self._slabs: List[Optional[_Slab]] = []
+        #: Max-tree over slab slots: leaf ``leaves + i`` holds slot i's
+        #: ``largest_gap`` (-1 for a released or unused slot), node ``n``
+        #: the max of nodes ``2n`` and ``2n + 1``. ``leaves`` is
+        #: ``len(_tree) // 2``, a power of two doubled as slots are added.
+        self._tree: List[int] = [-1, -1]
+        #: Min-heap of the released (``None``) slots.
+        self._released: List[int] = []
         self._locator: Dict[int, Tuple[int, int, int]] = {}
         self._next_handle = 1
         #: Live slabs and payload bytes, maintained where slabs and
@@ -188,6 +216,7 @@ class Zpool:
         handle = self._next_handle
         self._next_handle += 1
         slab.insert(handle, offset, len(blob))
+        self._set_leaf(slab_index, slab.largest_gap)
         self._locator[handle] = (slab_index, offset, len(blob))
         self._stored_bytes += len(blob)
         self.stores += 1
@@ -195,23 +224,61 @@ class Zpool:
         return handle
 
     def _place(self, length: int) -> Optional[Tuple[int, int]]:
-        for index, slab in enumerate(self._slabs):
-            if slab is None:
-                continue
-            offset = slab.first_fit(length, self.slab_size)
-            if offset is not None:
-                return index, offset
-        # Reuse a released slot or grow the pool.
-        for index, slab in enumerate(self._slabs):
-            if slab is None:
-                self._slabs[index] = _Slab(self.slab_size)
-                self._used_slabs += 1
-                return index, 0
+        """First fit: the lowest live slab with a gap of ``length`` bytes,
+        then the lowest released slot, then a new slot at the end."""
+        tree = self._tree
+        if tree[1] >= length:
+            leaves = len(tree) >> 1
+            node = 1
+            while node < leaves:
+                node <<= 1
+                if tree[node] < length:
+                    node += 1
+            index = node - leaves
+            slab = self._slabs[index]
+            assert slab is not None
+            offset = slab.first_fit(length)
+            assert offset is not None
+            return index, offset
+        if self._released:
+            index = heapq.heappop(self._released)
+            self._slabs[index] = _Slab(self.slab_size)
+            self._used_slabs += 1
+            return index, 0
         if len(self._slabs) < self.max_slabs:
             self._slabs.append(_Slab(self.slab_size))
             self._used_slabs += 1
+            if len(self._slabs) > len(self._tree) >> 1:
+                self._reindex()
             return len(self._slabs) - 1, 0
         return None
+
+    def _set_leaf(self, index: int, largest_gap: int) -> None:
+        tree = self._tree
+        node = (len(tree) >> 1) + index
+        tree[node] = largest_gap
+        node >>= 1
+        while node:
+            left = tree[2 * node]
+            right = tree[2 * node + 1]
+            value = left if left > right else right
+            if tree[node] == value:
+                break
+            tree[node] = value
+            node >>= 1
+
+    def _reindex(self) -> None:
+        """Rebuild the max-tree from the slabs, sized to hold every slot."""
+        leaves = 1
+        while leaves < len(self._slabs):
+            leaves <<= 1
+        tree = [-1] * (2 * leaves)
+        for index, slab in enumerate(self._slabs):
+            if slab is not None:
+                tree[leaves + index] = slab.largest_gap
+        for node in range(leaves - 1, 0, -1):
+            tree[node] = max(tree[2 * node], tree[2 * node + 1])
+        self._tree = tree
 
     def load(self, handle: int) -> bytes:
         """Read a stored blob without freeing it.
@@ -247,7 +314,9 @@ class Zpool:
         slab.remove(handle)
         del self._locator[handle]
         self._stored_bytes -= length
-        if not slab.entries:
+        if slab.entries:
+            self._set_leaf(slab_index, slab.largest_gap)
+        else:
             self._release_slab(slab_index)
         checkpoint(self)
         return length
@@ -255,6 +324,8 @@ class Zpool:
     def _release_slab(self, index: int) -> None:
         self._slabs[index] = None
         self._used_slabs -= 1
+        heapq.heappush(self._released, index)
+        self._set_leaf(index, -1)
 
     def entry(self, handle: int) -> ZpoolEntry:
         slab_index, offset, length = self._lookup(handle)
@@ -311,6 +382,7 @@ class Zpool:
                 moved += length
             if not source.entries:
                 self._release_slab(source_index)
+        self._reindex()
         self.compaction_memcpy_bytes += moved
         checkpoint(self)
         return moved
@@ -331,7 +403,7 @@ class Zpool:
         for index in candidates:
             slab = self._slabs[index]
             assert slab is not None
-            offset = slab.first_fit(length, self.slab_size)
+            offset = slab.first_fit(length)
             if offset is not None:
                 return index, offset
         return None

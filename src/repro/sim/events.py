@@ -4,7 +4,9 @@ A minimal DES core: a binary heap of timestamped events with **stable
 tie-breaking** — events scheduled for the same instant fire in the
 order they were scheduled (a monotone sequence number breaks heap
 ties), so a run is a pure function of the schedule regardless of heap
-internals or hash order.
+internals or hash order. The heap holds ``(ticks, seq, event)`` tuples,
+so ordering is a C tuple compare; ``seq`` is unique, so the event
+itself is never compared.
 
 Event lifecycle (see DESIGN.md §11):
 
@@ -25,7 +27,7 @@ Event lifecycle (see DESIGN.md §11):
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.sim.clock import CLOCK, SimClock, ns_to_ticks, ticks_to_ns
@@ -34,11 +36,10 @@ from repro.sim.clock import CLOCK, SimClock, ns_to_ticks, ticks_to_ns
 class Event:
     """One scheduled callback; returned by ``schedule*`` for cancelling."""
 
-    __slots__ = ("ticks", "seq", "fn", "cancelled")
+    __slots__ = ("ticks", "fn", "cancelled")
 
-    def __init__(self, ticks: int, seq: int, fn: Callable[[], None]) -> None:
+    def __init__(self, ticks: int, fn: Callable[[], None]) -> None:
         self.ticks = ticks
-        self.seq = seq
         self.fn = fn
         self.cancelled = False
 
@@ -46,17 +47,14 @@ class Event:
     def t_ns(self) -> float:
         return ticks_to_ns(self.ticks)
 
-    def __lt__(self, other: "Event") -> bool:
-        # Stable ordering: time first, then schedule order.
-        return (self.ticks, self.seq) < (other.ticks, other.seq)
-
 
 class EventScheduler:
     """Heap of timestamped events draining against a :class:`SimClock`."""
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else CLOCK
-        self._heap: List[Event] = []
+        #: (ticks, seq, event): time first, then schedule order.
+        self._heap: List[Tuple[int, int, Event]] = []
         self._seq = 0
         self.fired = 0
 
@@ -72,9 +70,9 @@ class EventScheduler:
                 f"cannot schedule event in the past: t={ticks_to_ns(ticks)}"
                 f" ns < now={self.clock.now_ns()} ns"
             )
-        event = Event(ticks, self._seq, fn)
+        event = Event(ticks, fn)
+        heapq.heappush(self._heap, (ticks, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         return event
 
     def schedule(self, t_ns: float, fn: Callable[[], None]) -> Event:
@@ -96,15 +94,15 @@ class EventScheduler:
     # -- queries -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, e in self._heap if not e.cancelled)
 
     def peek_ns(self) -> Optional[float]:
         """Timestamp of the next live event, or None when drained."""
         self._drop_cancelled()
-        return self._heap[0].t_ns if self._heap else None
+        return ticks_to_ns(self._heap[0][0]) if self._heap else None
 
     def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
 
     # -- drain ---------------------------------------------------------------
@@ -115,8 +113,8 @@ class EventScheduler:
         self._drop_cancelled()
         if not self._heap:
             return False
-        event = heapq.heappop(self._heap)
-        self.clock.set_ticks(event.ticks)
+        ticks, _, event = heapq.heappop(self._heap)
+        self.clock.set_ticks(ticks)
         self.fired += 1
         event.fn()
         return True
@@ -132,7 +130,7 @@ class EventScheduler:
             self._drop_cancelled()
             if not self._heap:
                 break
-            head = self._heap[0].ticks
+            head = self._heap[0][0]
             if head > limit or (not inclusive and head >= limit):
                 break
             self.step()

@@ -6,8 +6,9 @@ Each checker takes one live object and raises :class:`InvariantViolation`
 * :func:`check_rbtree` — BST ordering, root-black, no red-red edge,
   equal black heights, size consistency;
 * :func:`check_zpool` — no overlapping allocations inside a slab, the
-  locator and slab entry tables agree exactly, payload + gaps account
-  for every slab byte, capacity bounds;
+  locator and slab entry tables agree exactly, each slab's free list and
+  largest gap equal those rebuilt from its entries, the max-gap tree and
+  released-slot heap agree with the slots, capacity bounds;
 * :func:`check_spm` — byte accounting sums over the live entries,
   occupancy within [0, capacity], peak monotonicity;
 * :func:`check_nma` — the device register mirror
@@ -99,6 +100,7 @@ def check_zpool(pool: Zpool) -> None:
         spans: List[Tuple[int, int]] = sorted(slab.entries.values())
         cursor = 0
         payload = 0
+        gaps: List[Tuple[int, int]] = []
         for offset, length in spans:
             _require(
                 length > 0,
@@ -113,19 +115,21 @@ def check_zpool(pool: Zpool) -> None:
                 f"zpool: slab {index} entry [{offset}, {offset + length}) "
                 f"exceeds slab size {pool.slab_size}",
             )
+            if offset > cursor:
+                gaps.append((cursor, offset - cursor))
             cursor = offset + length
             payload += length
-        gaps = slab.gaps(pool.slab_size)
-        gap_bytes = sum(length for _, length in gaps)
+        if cursor < pool.slab_size:
+            gaps.append((cursor, pool.slab_size - cursor))
         _require(
-            payload + gap_bytes == pool.slab_size,
-            f"zpool: slab {index} payload {payload} + gaps {gap_bytes} "
-            f"!= slab size {pool.slab_size}",
+            slab.gaps == gaps,
+            f"zpool: slab {index} free list {slab.gaps[:8]} but its "
+            f"entries leave gaps {gaps[:8]}",
         )
         largest = max((length for _, length in gaps), default=0)
         _require(
-            slab.largest_gap is None or slab.largest_gap == largest,
-            f"zpool: slab {index} caches largest gap {slab.largest_gap} "
+            slab.largest_gap == largest,
+            f"zpool: slab {index} records largest gap {slab.largest_gap} "
             f"but its largest gap is {largest}",
         )
         live_payload += payload
@@ -144,6 +148,40 @@ def check_zpool(pool: Zpool) -> None:
         seen_handles == set(pool._locator),
         "zpool: locator handles and slab handles differ: "
         f"{sorted(seen_handles.symmetric_difference(pool._locator))[:8]}",
+    )
+    tree = pool._tree
+    leaves = len(tree) // 2
+    _require(
+        len(tree) == 2 * leaves and leaves & (leaves - 1) == 0
+        and leaves >= len(pool._slabs),
+        f"zpool: index tree of {len(tree)} nodes cannot hold "
+        f"{len(pool._slabs)} slab slots",
+    )
+    expected = [
+        -1 if slab is None else slab.largest_gap for slab in pool._slabs
+    ] + [-1] * (leaves - len(pool._slabs))
+    wrong = [i for i in range(leaves) if tree[leaves + i] != expected[i]]
+    _require(
+        not wrong,
+        f"zpool: index leaves for slots {wrong[:8]} disagree with the "
+        "slots' largest gaps (-1 for a released or unused slot)",
+    )
+    wrong = [
+        node
+        for node in range(1, leaves)
+        if tree[node] != max(tree[2 * node], tree[2 * node + 1])
+    ]
+    _require(
+        not wrong,
+        f"zpool: index nodes {wrong[:8]} are not the max of their children",
+    )
+    released = [i for i, slab in enumerate(pool._slabs) if slab is None]
+    heap = pool._released
+    _require(
+        sorted(heap) == released
+        and all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap))),
+        f"zpool: released-slot heap {heap[:8]} is not a heap of the "
+        f"released slots {released[:8]}",
     )
     _require(
         pool.used_slabs() == live_slabs,

@@ -1,5 +1,6 @@
 """zsmalloc-style pool unit and property tests."""
 
+import os
 import random
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, EntryNotFoundError, ZpoolFullError
 from repro.sfm.page import PAGE_SIZE
-from repro.sfm.zpool import Zpool
+from repro.sfm.zpool import Zpool, _Slab
+from repro.validation.fuzz import Fuzzer
 from repro.validation.hooks import validation
+from repro.validation.invariants import check_zpool
 
 
 @pytest.fixture
@@ -131,6 +134,82 @@ class TestAccounting:
         assert entry.handle == handle
 
 
+def _slab(size, *spans):
+    """A ``_Slab`` of ``size`` bytes holding ``spans``, handles 1, 2, ..."""
+    slab = _Slab(size)
+    for handle, (offset, length) in enumerate(spans, start=1):
+        slab.insert(handle, offset, length)
+    return slab
+
+
+class TestSlabFreeList:
+    """The free list and ``largest_gap`` after each kind of edit."""
+
+    @pytest.mark.parametrize(
+        "offset, length, gaps",
+        [
+            (0, 10, [(10, 90)]),  # a gap's head
+            (40, 10, [(0, 40), (50, 50)]),  # its middle
+            (90, 10, [(0, 90)]),  # its tail
+            (0, 100, []),  # exact fit
+        ],
+        ids=["head", "middle", "tail", "exact"],
+    )
+    def test_insert_splits_the_gap_it_lands_in(self, offset, length, gaps):
+        slab = _slab(100, (offset, length))
+        assert slab.gaps == gaps
+        assert slab.largest_gap == max((g for _, g in gaps), default=0)
+
+    def test_insert_into_a_later_gap_keeps_the_others(self):
+        slab = _slab(100, (10, 20), (60, 10))
+        slab.insert(3, 30, 5)
+        assert slab.gaps == [(0, 10), (35, 25), (70, 30)]
+        assert slab.largest_gap == 30
+
+    def test_exact_fit_leaves_a_full_slab(self):
+        slab = _slab(100, (0, 30), (60, 40), (30, 30))
+        assert slab.gaps == [] and slab.largest_gap == 0
+        assert slab.first_fit(1) is None
+
+    @pytest.mark.parametrize(
+        "order, gaps",
+        [
+            ((1, 2), [(0, 20)]),  # 2 merges with the gap on its left
+            ((2, 1), [(0, 20)]),  # 1 merges with the gap on its right
+            ((1, 3, 2), [(0, 100)]),  # 2 merges with both
+            ((2,), [(10, 10)]),  # 2 has entries on both sides
+        ],
+        ids=["left", "right", "both", "neither"],
+    )
+    def test_remove_merges_with_free_neighbours(self, order, gaps):
+        slab = _slab(100, (0, 10), (10, 10), (20, 80))
+        for handle in order:
+            slab.remove(handle)
+        assert slab.gaps == gaps
+        assert slab.largest_gap == max(g for _, g in gaps)
+
+    def test_first_fit_takes_the_lowest_gap_that_fits(self):
+        slab = _slab(100, (10, 10), (30, 10))
+        assert slab.gaps == [(0, 10), (20, 10), (40, 60)]
+        assert slab.first_fit(10) == 0
+        assert slab.first_fit(11) == 40
+        assert slab.first_fit(61) is None
+
+    @pytest.mark.parametrize(
+        "spans, gaps",
+        [
+            (((10, 10), (50, 30)), [(40, 60)]),
+            (((0, 60), (60, 40)), []),
+        ],
+        ids=["holes", "full"],
+    )
+    def test_shift_compact_resets_the_list(self, spans, gaps):
+        slab = _slab(100, *spans)
+        slab.shift_compact()
+        assert slab.gaps == gaps
+        assert slab.largest_gap == max((g for _, g in gaps), default=0)
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     st.lists(
@@ -167,8 +246,8 @@ def test_zpool_model_property(operations):
 
 
 class _ScanSlab:
-    """The slab as it was before ``largest_gap``: every ``first_fit``
-    sorts the entries and walks the gaps."""
+    """A slab with no free list: every ``first_fit`` sorts the entries
+    and walks the gaps."""
 
     def __init__(self, size):
         self.entries = {}
@@ -208,10 +287,11 @@ class _ScanSlab:
 
 
 class _ScanEverythingPool:
-    """Placement oracle: the parent commit's ``Zpool`` bookkeeping copied
-    verbatim minus the payload bytes — ``_place`` and
-    ``_find_migration_target`` run ``first_fit`` on every slab, and the
-    two accounting methods are O(n) sums."""
+    """Placement oracle: ``Zpool``'s bookkeeping with no index and no
+    payload bytes — ``_place`` runs ``first_fit`` on every slab in slot
+    order and then scans for the first released slot,
+    ``_find_migration_target`` runs it fullest slab first, and the two
+    accounting methods are O(n) sums."""
 
     def __init__(self, capacity_bytes, slab_size=PAGE_SIZE):
         self.slab_size = slab_size
@@ -319,26 +399,42 @@ class _ScanEverythingPool:
         return None
 
 
-@pytest.mark.parametrize("seed", [3, 41])
-def test_indexed_placement_matches_scan_everything_oracle(seed):
-    """The largest-gap cache and the counters are an index, not a policy:
-    over random store / free / compact churn (sizes that fragment slabs,
-    a pool small enough to fill and auto-compact) every handle lands at
-    the same (slab, offset), compaction moves the same bytes, and the
-    counters agree, after every single operation."""
+def _spread_sizes(rng):
+    """Sizes from every band, so slabs fragment and a small pool fills."""
+    return rng.choice(
+        (rng.randint(1, 64), rng.randint(65, 900),
+         rng.randint(901, 2500), rng.randint(2501, PAGE_SIZE))
+    )
+
+
+def _fleet_sizes(rng):
+    """Mostly 20-120 B blobs, as a fleet campaign's compressed pages are,
+    so slabs hold dozens of entries; the page-sized rest spreads the
+    pool over hundreds of slabs."""
+    if rng.random() < 0.6:
+        return rng.randint(20, 120)
+    return rng.randint(900, PAGE_SIZE)
+
+
+def _churn_against_oracle(
+    seed, slabs, steps, store_share, compact_share, sizes, check_every
+):
+    """Random store / free / compact churn on a ``Zpool`` and the
+    scan-everything oracle side by side. Every handle must land at the
+    same (slab, offset), compaction must move the same bytes, and the
+    counters must agree, after every single operation. ``check_zpool``
+    runs every ``check_every`` operations, whatever ``--validation``
+    says, so a large pool stays affordable."""
     rng = random.Random(seed)
-    pool = Zpool(capacity_bytes=24 * PAGE_SIZE)
-    oracle = _ScanEverythingPool(capacity_bytes=24 * PAGE_SIZE)
+    pool = Zpool(capacity_bytes=slabs * PAGE_SIZE)
+    oracle = _ScanEverythingPool(capacity_bytes=slabs * PAGE_SIZE)
     live = []
     refused = 0
-    with validation():
-        for step in range(1200):
+    with validation(False):
+        for step in range(steps):
             roll = rng.random()
-            if roll < 0.55 or not live:
-                length = rng.choice(
-                    (rng.randint(1, 64), rng.randint(65, 900),
-                     rng.randint(901, 2500), rng.randint(2501, PAGE_SIZE))
-                )
+            if roll < store_share or not live:
+                length = sizes(rng)
                 try:
                     expected = oracle.store(length)
                 except ZpoolFullError:
@@ -351,7 +447,7 @@ def test_indexed_placement_matches_scan_everything_oracle(seed):
                 assert handle == expected
                 if handle is not None:
                     live.append(handle)
-            elif roll < 0.95:
+            elif roll < 1.0 - compact_share:
                 handle = live.pop(rng.randrange(len(live)))
                 assert pool.free(handle) == oracle.free(handle)
             else:
@@ -362,4 +458,63 @@ def test_indexed_placement_matches_scan_everything_oracle(seed):
             assert (
                 pool.compaction_memcpy_bytes == oracle.compaction_memcpy_bytes
             )
-    assert refused > 0 and pool.compactions > 20
+            if step % check_every == 0:
+                check_zpool(pool)
+    check_zpool(pool)
+    return pool, refused
+
+
+def _most_entries(pool):
+    return max(len(slab.entries) for slab in pool._slabs if slab is not None)
+
+
+#: Pool shape -> (churn arguments, what the churn must have reached).
+_ORACLE_POOLS = {
+    # Small enough to fill, refuse and auto-compact.
+    "24-slab": (
+        dict(slabs=24, steps=1200, store_share=0.55, compact_share=0.05,
+             sizes=_spread_sizes, check_every=1),
+        lambda pool, refused: refused > 0 and pool.compactions > 20,
+    ),
+    # The benchmark's 4 MiB tier: over 512 slots make the tree ten levels
+    # deep. Compaction is left to the small pool; no benchmark runs it.
+    "1024-slab": (
+        dict(slabs=1024, steps=3200, store_share=0.8, compact_share=0.0,
+             sizes=_fleet_sizes, check_every=200),
+        lambda pool, refused: len(pool._tree) == 2 * 1024
+        and _most_entries(pool) >= 24,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, seed",
+    [
+        pytest.param("24-slab", 3, id="3"),
+        pytest.param("24-slab", 41, id="41"),
+        pytest.param("1024-slab", 3, id="1024-slab-3"),
+        pytest.param("1024-slab", 41, id="1024-slab-41"),
+    ],
+)
+def test_indexed_placement_matches_scan_everything_oracle(shape, seed):
+    """The free lists, the max-gap tree and the released-slot heap are an
+    index, not a policy: the pool places exactly as the scan did."""
+    churn, reached = _ORACLE_POOLS[shape]
+    pool, refused = _churn_against_oracle(seed, **churn)
+    assert reached(pool, refused)
+
+
+@pytest.mark.fuzz
+def test_fuzz_indexed_placement_matches_scan_everything_oracle():
+    """The oracle churn on fresh seeds and both pool shapes for a tenth
+    of ``FUZZ_TIME_BUDGET_S``; a failure prints the ``case_seed=`` of
+    the (shape, seed) case that replays it."""
+    budget_s = float(os.environ.get("FUZZ_TIME_BUDGET_S", "6")) / 10
+    report = Fuzzer(seed=20261015, runs=10_000, time_budget_s=budget_s).run(
+        lambda rng: (rng.choice(sorted(_ORACLE_POOLS)), rng.randrange(2**32)),
+        lambda case: _churn_against_oracle(
+            case[1], **_ORACLE_POOLS[case[0]][0]
+        ),
+        shrink=lambda case: (),
+    )
+    assert report.cases_run > 0

@@ -98,6 +98,60 @@ def test_zpool_corruption_is_caught():
             checkpoint(pool)
 
 
+def _indexed_pool():
+    """Three slots: a fragmented slab, a released slot, a fuller slab."""
+    pool = Zpool(capacity_bytes=8 * 4096)
+    first = [pool.store(b"a" * 900) for _ in range(4)]
+    lone = pool.store(b"b" * 3000)
+    pool.store(b"c" * 2000)
+    pool.free(first[1])
+    pool.free(lone)
+    assert pool._slabs[1] is None and pool._released == [1]
+    return pool
+
+
+def _break_free_list(pool):
+    pool._slabs[0].gaps.pop()
+
+
+def _break_largest_gap(pool):
+    pool._slabs[0].largest_gap += 1
+
+
+def _break_leaf(pool):
+    pool._tree[len(pool._tree) // 2 + 1] = 7  # the released slot
+
+
+def _break_node(pool):
+    pool._tree[1] += 1
+
+
+def _break_released_heap(pool):
+    pool._released.append(3)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_break_free_list, "free list"),
+        (_break_largest_gap, "records largest gap"),
+        (_break_leaf, "index leaves"),
+        (_break_node, "index nodes"),
+        (_break_released_heap, "released-slot heap"),
+    ],
+    ids=["free-list", "largest-gap", "tree-leaf", "tree-node", "heap"],
+)
+def test_zpool_index_corruption_is_caught(corrupt, message):
+    """Each index field is checked against the entries, not against
+    itself: corrupting any one of them alone is caught by its clause."""
+    pool = _indexed_pool()
+    with validation():
+        checkpoint(pool)
+        corrupt(pool)
+        with pytest.raises(InvariantViolation, match=message):
+            checkpoint(pool)
+
+
 def test_checkpoint_is_inert_when_disabled():
     tree = RedBlackTree()
     tree.insert(1, "a")
