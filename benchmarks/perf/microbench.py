@@ -157,7 +157,7 @@ def _kernel_emulator_window() -> Callable[[], None]:
 
 
 def _swap_path_setup(traced: bool) -> Callable[[], None]:
-    """Full store/load path (zpool + rbtree + codec + telemetry guards),
+    """Full store/load path (zpool + index + codec + telemetry guards),
     with tracing disabled or enabled — the pair that brackets what the
     instrumentation costs on the real hot path."""
     from repro.sfm.backend import SfmBackend

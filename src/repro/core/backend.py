@@ -204,15 +204,8 @@ class XfmBackend(SfmBackend):
         self.nma.spm.release(entry.entry_id)
         self.driver.notify_release(PAGE_SIZE)
 
-        self._record_integrity(handle, blob, page.data)
-        self.index.insert(page.vaddr, handle)
-        page.swapped = True
-        page.data = None
-        self.stats.swap_outs += 1
         self.stats.offloaded_compressions += 1
-        self.stats.bytes_out_uncompressed += PAGE_SIZE
-        self.stats.bytes_out_compressed += len(blob)
-        self.blob_sizes.observe(len(blob))
+        self._commit(page, handle, blob)
         if _trace.tracing_enabled():
             dur_ns = self.nma.config.compress_time_ns(PAGE_SIZE)
             _spans.emit_under(
@@ -248,8 +241,8 @@ class XfmBackend(SfmBackend):
             return super().swap_in(page)
         if not page.swapped:
             raise SfmError(f"page 0x{page.vaddr:x} is not in far memory")
-        handle = self.index.lookup(page.vaddr)
-        blob_len = self.zpool.entry(handle).length
+        record = self._record(page.vaddr)
+        blob_len = self.zpool.entry(record.handle).length
         try:
             request = retry_with_backoff(
                 lambda: self.driver.submit_decompress(
@@ -268,7 +261,7 @@ class XfmBackend(SfmBackend):
         try:
             # Verified read: corruption is detected (and poisoned when
             # unrecoverable) before the accelerator touches the blob.
-            blob = self._load_verified(handle, page.vaddr)
+            blob = self._load_verified(record, page.vaddr)
         except CorruptedBlobError:
             self.driver.notify_release(PAGE_SIZE)
             raise
@@ -310,9 +303,7 @@ class XfmBackend(SfmBackend):
         self.nma.spm.release(entry.entry_id)
         self.driver.notify_release(PAGE_SIZE)
 
-        self.zpool.free(handle)
-        self.index.delete(page.vaddr)
-        self._integrity.pop(handle, None)
+        self._drop(page.vaddr)
         page.swapped = False
         page.data = data
         self.stats.swap_ins += 1

@@ -25,6 +25,7 @@ from repro.core.nma import NearMemoryAccelerator, NmaConfig
 from repro.errors import (
     ConfigError,
     DeviceFault,
+    EntryNotFoundError,
     QueueFullError,
     SfmError,
     SpmFullError,
@@ -33,7 +34,6 @@ from repro.errors import (
 from repro.sfm.metrics import BandwidthLedger, SwapStats
 from repro.tiering.protocol import SwapOutcome
 from repro.sfm.page import PAGE_SIZE, Page
-from repro.sfm.rbtree import RedBlackTree
 from repro.sfm.zpool import Zpool
 from repro.telemetry import reasons, trace as _trace
 from repro.telemetry.registry import MetricsRegistry
@@ -130,7 +130,7 @@ class MultiChannelXfmBackend:
             )
             for i in range(num_dimms)
         ]
-        self.index = RedBlackTree()
+        self.index: Dict[int, _StripeEntry] = {}
         self.stats = SwapStats(registry=self.registry, labels=labels)
         self.ledger = ledger if ledger is not None else BandwidthLedger()
         self.cpu_freq_hz = cpu_freq_hz
@@ -234,7 +234,7 @@ class MultiChannelXfmBackend:
         self.fragmentation_bytes += entry.slot_bytes - sum(
             entry.segment_lengths
         )
-        self.index.insert(page.vaddr, entry)
+        self.index[page.vaddr] = entry
         page.swapped = True
         page.data = None
         self.stats.swap_outs += 1
@@ -253,7 +253,12 @@ class MultiChannelXfmBackend:
         NMAs; the default is the host gather path."""
         if not page.swapped:
             raise SfmError(f"page 0x{page.vaddr:x} is not in far memory")
-        entry: _StripeEntry = self.index.lookup(page.vaddr)
+        try:
+            entry = self.index[page.vaddr]
+        except KeyError:
+            raise EntryNotFoundError(
+                f"page 0x{page.vaddr:x} not in the index"
+            ) from None
         stripes: List[bytes] = []
         if not do_offload:
             # Host gather path: each stripe decodes on the CPU with its
@@ -313,12 +318,7 @@ class MultiChannelXfmBackend:
         data = self.layout.gather(stripes)
         if not do_offload:
             self.ledger.record("sfm_cpu", "write", PAGE_SIZE)
-        for dimm, handle in zip(self.dimms, entry.handles):
-            dimm.region.free(handle)
-        self.fragmentation_bytes -= entry.slot_bytes - sum(
-            entry.segment_lengths
-        )
-        self.index.delete(page.vaddr)
+        self._drop(page.vaddr)
         page.swapped = False
         page.data = data
         self.stats.swap_ins += 1
@@ -335,14 +335,16 @@ class MultiChannelXfmBackend:
         gather-decompress (swap-slot-freed path)."""
         if vaddr not in self.index:
             return False
-        entry: _StripeEntry = self.index.lookup(vaddr)
+        self._drop(vaddr)
+        return True
+
+    def _drop(self, vaddr: int) -> None:
+        entry = self.index.pop(vaddr)
         for dimm, handle in zip(self.dimms, entry.handles):
             dimm.region.free(handle)
         self.fragmentation_bytes -= entry.slot_bytes - sum(
             entry.segment_lengths
         )
-        self.index.delete(vaddr)
-        return True
 
     # -- accounting --------------------------------------------------------------
 

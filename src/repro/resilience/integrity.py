@@ -1,11 +1,12 @@
 """Per-blob integrity digests backing verified recovery.
 
-The SFM backend records a :class:`BlobRecord` for every stored page:
-the digest of the compressed blob as written, and the digest of the
-original page contents. On swap-in the blob digest is checked before
-decompression (catches media/read corruption without relying on the
-codec to notice) and the page digest after (catches anything the codec
-silently tolerated, e.g. a bit flip in a literal run).
+The SFM backend indexes every stored page by one :class:`BlobRecord`:
+the page's pool handle, the digest of the compressed blob as written,
+and the digest of the original page contents. On swap-in the blob
+digest is checked before decompression (catches media/read corruption
+without relying on the codec to notice) and the page digest after
+(catches anything the codec silently tolerated, e.g. a bit flip in a
+literal run).
 
 Digests are 8-byte blake2b — the same size/primitive as the digest page
 cache in :mod:`repro.sfm.backend`, a few microseconds per 4 KiB page
@@ -25,8 +26,10 @@ def content_digest(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class BlobRecord:
-    """Integrity record for one stored page."""
+    """Index record for one stored page."""
 
+    #: Pool handle of the compressed blob.
+    handle: int
     #: Digest of the compressed blob exactly as handed to the pool.
     blob_digest: bytes
     #: Digest of the original (uncompressed) page contents.

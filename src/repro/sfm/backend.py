@@ -2,8 +2,9 @@
 
 Implements the control flow of §6's baseline: ``swap_out`` checks pool
 capacity (compacting if needed), compresses the cold page on the CPU, and
-stores it in the zpool with an rbtree index entry; ``swap_in`` looks up the
-entry, decompresses, and returns the page. Every step charges CPU cycles
+stores it in the zpool under one index record per page (pool handle plus
+integrity digests); ``swap_in`` looks up the record, decompresses, and
+returns the page. Every step charges CPU cycles
 (via the codec's :class:`~repro.compression.base.CodecSpec`) and DDR
 channel traffic (cold page read + compressed write, and the reverse on
 swap-in) — overheads O2/O3 of §3.2 that XFM later removes.
@@ -19,6 +20,7 @@ from repro.errors import (
     ConfigError,
     CorruptedBlobError,
     CorruptStreamError,
+    EntryNotFoundError,
     SfmError,
     ZpoolFullError,
 )
@@ -31,13 +33,13 @@ from repro.sfm.digest_cache import (
 )
 from repro.sfm.metrics import BandwidthLedger, SwapStats
 from repro.sfm.page import PAGE_SIZE, Page
-from repro.sfm.rbtree import RedBlackTree
 from repro.sfm.zpool import Zpool
 from repro.sim import CLOCK as _sim_clock
 from repro.telemetry import flightrec as _flightrec
 from repro.telemetry import spans as _spans
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import MetricsRegistry
+from repro.validation.hooks import checkpoint
 
 # Canonical home is the tier protocol; re-exported here so historical
 # ``from repro.sfm.backend import SwapOutcome`` imports keep working.
@@ -71,7 +73,11 @@ class SfmBackend:
         self.codec = codec if codec is not None else ZstdLikeCodec()
         self.cpu_freq_hz = cpu_freq_hz
         self.zpool = Zpool(capacity_bytes)
-        self.index = RedBlackTree()
+        #: vaddr -> the stored page's one record: its pool handle and the
+        #: digests checked on every swap-in, so a corrupted blob is
+        #: detected before (and after) decompression instead of
+        #: returning garbage.
+        self.index: Dict[int, BlobRecord] = {}
         #: Per-System metrics home: swap counters, driver counters (XFM),
         #: and the blob-size histogram all live here.
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -97,10 +103,6 @@ class SfmBackend:
         self.page_cache: Optional[DigestPageCache] = (
             DigestPageCache(page_cache_entries) if page_cache_entries else None
         )
-        #: handle -> integrity record; checked on every swap-in so a
-        #: corrupted blob is detected before (and after) decompression
-        #: instead of returning garbage.
-        self._integrity: Dict[int, BlobRecord] = {}
 
     # -- capacity ------------------------------------------------------------
 
@@ -185,14 +187,7 @@ class SfmBackend:
                 accepted=False, reason="pool-full", cpu_cycles=cycles
             )
         self.ledger.record("sfm_cpu", "write", len(blob))
-        self._record_integrity(handle, blob, page.data)
-        self.index.insert(page.vaddr, handle)
-        page.swapped = True
-        page.data = None
-        self.stats.swap_outs += 1
-        self.stats.bytes_out_uncompressed += PAGE_SIZE
-        self.stats.bytes_out_compressed += len(blob)
-        self.blob_sizes.observe(len(blob))
+        self._commit(page, handle, blob)
         return SwapOutcome(
             accepted=True, compressed_len=len(blob), cpu_cycles=cycles
         )
@@ -204,17 +199,40 @@ class SfmBackend:
         # Kept only as a patch point of benchmarks/e2e/layers.py.
         return [self.swap_out(page) for page in pages]
 
+    # -- the index ----------------------------------------------------------------
+
+    def _commit(self, page: Page, handle: int, blob: bytes) -> None:
+        """Index ``page`` by its pooled ``blob`` and account the
+        swap-out; the tail of every accepted store path."""
+        self.index[page.vaddr] = BlobRecord(
+            handle=handle,
+            blob_digest=content_digest(blob),
+            page_digest=content_digest(page.data),
+        )
+        page.swapped = True
+        page.data = None
+        self.stats.swap_outs += 1
+        self.stats.bytes_out_uncompressed += PAGE_SIZE
+        self.stats.bytes_out_compressed += len(blob)
+        self.blob_sizes.observe(len(blob))
+        checkpoint(self)
+
+    def _record(self, vaddr: int) -> BlobRecord:
+        try:
+            return self.index[vaddr]
+        except KeyError:
+            raise EntryNotFoundError(
+                f"page 0x{vaddr:x} not in the index"
+            ) from None
+
+    def _drop(self, vaddr: int) -> None:
+        """Free ``vaddr``'s blob and forget its record."""
+        self.zpool.free(self.index.pop(vaddr).handle)
+        checkpoint(self)
+
     # -- verified recovery -------------------------------------------------------
 
-    def _record_integrity(
-        self, handle: int, blob: bytes, page_data: bytes
-    ) -> None:
-        self._integrity[handle] = BlobRecord(
-            blob_digest=content_digest(blob),
-            page_digest=content_digest(page_data),
-        )
-
-    def _load_verified(self, handle: int, vaddr: int) -> bytes:
+    def _load_verified(self, record: BlobRecord, vaddr: int) -> bytes:
         """Load a blob and check it against its integrity record.
 
         A digest mismatch is *detected* corruption: re-reads (bounded,
@@ -223,14 +241,13 @@ class SfmBackend:
         poisons the page, and raises :class:`CorruptedBlobError` — an
         explicit data-loss report, never silent garbage.
         """
-        record = self._integrity.get(handle)
-        blob = self.zpool.load(handle)
-        if record is None or record.blob_ok(blob):
+        blob = self.zpool.load(record.handle)
+        if record.blob_ok(blob):
             return blob
         self.stats.corruptions_detected += 1
 
         def reread() -> bytes:
-            data = self.zpool.load(handle)
+            data = self.zpool.load(record.handle)
             if not record.blob_ok(data):
                 raise CorruptedBlobError(
                     f"blob for page 0x{vaddr:x} failed its digest check",
@@ -245,7 +262,7 @@ class SfmBackend:
                 on_retry=self._count_transient_retry,
             )
         except CorruptedBlobError:
-            self._poison(handle, vaddr)
+            self._poison(vaddr)
             raise
         self.stats.corruptions_recovered += 1
         return blob
@@ -255,14 +272,11 @@ class SfmBackend:
     ) -> None:
         self.stats.transient_retries += 1
 
-    def _poison(self, handle: int, vaddr: int) -> None:
-        """Unrecoverable corruption: drop the blob and its index entry,
+    def _poison(self, vaddr: int) -> None:
+        """Unrecoverable corruption: drop the blob and its record,
         account the loss, and leave the caller an explicit error."""
         self.stats.poison_pages += 1
-        self.zpool.free(handle)
-        if vaddr in self.index:
-            self.index.delete(vaddr)
-        self._integrity.pop(handle, None)
+        self._drop(vaddr)
         if _trace.tracing_enabled():
             _spans.instant_under(
                 "poison_page",
@@ -285,17 +299,16 @@ class SfmBackend:
         """
         if not page.swapped:
             raise SfmError(f"page 0x{page.vaddr:x} is not in far memory")
-        handle = self.index.lookup(page.vaddr)
-        blob = self._load_verified(handle, page.vaddr)
+        record = self._record(page.vaddr)
+        blob = self._load_verified(record, page.vaddr)
         self.ledger.record("sfm_cpu", "read", len(blob))
-        record = self._integrity.get(handle)
         try:
             data = self._decompress(blob)
         except CorruptStreamError:
             # The blob digest matched yet the stream is bad — recorded
             # corruption (stored corrupt): poison, report explicitly.
             self.stats.corruptions_detected += 1
-            self._poison(handle, page.vaddr)
+            self._poison(page.vaddr)
             raise CorruptedBlobError(
                 f"stored blob for page 0x{page.vaddr:x} does not decode",
                 vaddr=page.vaddr,
@@ -305,11 +318,11 @@ class SfmBackend:
                 f"decompressed page is {len(data)} bytes, "
                 f"expected {PAGE_SIZE}"
             )
-        if record is not None and not record.page_ok(data):
+        if not record.page_ok(data):
             # The codec tolerated a flipped bit (e.g. in a literal run):
             # caught by the end-to-end page digest.
             self.stats.corruptions_detected += 1
-            self._poison(handle, page.vaddr)
+            self._poison(page.vaddr)
             raise CorruptedBlobError(
                 f"page 0x{page.vaddr:x} decoded to different contents",
                 vaddr=page.vaddr,
@@ -328,9 +341,7 @@ class SfmBackend:
             _sim_clock.advance_ns(dur_ns)
             self._lat_load.observe(dur_ns)
         self.ledger.record("sfm_cpu", "write", PAGE_SIZE)
-        self.zpool.free(handle)
-        self.index.delete(page.vaddr)
-        self._integrity.pop(handle, None)
+        self._drop(page.vaddr)
         page.swapped = False
         page.data = data
         self.stats.swap_ins += 1
@@ -346,20 +357,12 @@ class SfmBackend:
         the demand path."""
         return self.swap_in(page)
 
-    def peek(self, vaddr: int) -> bytes:
-        """Decompress a far page without promoting it (diagnostics)."""
-        handle = self.index.lookup(vaddr)
-        return self._decompress(self.zpool.load(handle))
-
     def invalidate(self, vaddr: int) -> bool:
         """Drop the stored copy of ``vaddr`` without decompressing it
         (swap-slot-freed path); returns False when not held."""
         if vaddr not in self.index:
             return False
-        handle = self.index.lookup(vaddr)
-        self.zpool.free(handle)
-        self.index.delete(vaddr)
-        self._integrity.pop(handle, None)
+        self._drop(vaddr)
         return True
 
     # -- maintenance ------------------------------------------------------------
@@ -370,6 +373,7 @@ class SfmBackend:
         # Compaction memcpys cross the channel twice (read + write).
         self.ledger.record("sfm_cpu", "read", moved)
         self.ledger.record("sfm_cpu", "write", moved)
+        checkpoint(self)
         return moved
 
     def swap_latency_s(self, direction: str) -> float:

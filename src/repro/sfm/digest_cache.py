@@ -66,15 +66,6 @@ class DigestPageCache:
         if len(entries) > self.max_entries:
             entries.popitem(last=False)
 
-    def invalidate(self, digest: bytes) -> bool:
-        """Drop one entry (only needed if blobs must be forgotten, e.g.
-        codec reconfiguration; content addressing never requires it for
-        correctness)."""
-        return self._entries.pop(digest, None) is not None
-
-    def clear(self) -> None:
-        self._entries.clear()
-
     def __len__(self) -> int:
         return len(self._entries)
 

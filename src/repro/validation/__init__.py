@@ -7,8 +7,8 @@ refactor hot paths without silently breaking paper fidelity:
 * :mod:`repro.validation.hooks` — the zero-cost-when-disabled
   checkpoint switch every instrumented class calls after mutations;
 * :mod:`repro.validation.invariants` — the structural checkers those
-  checkpoints dispatch to (rbtree, zpool, SPM, register mirror, window
-  scheduler, XFM module);
+  checkpoints dispatch to (SFM backend index, zpool, SPM, register
+  mirror, window scheduler, XFM module);
 * :mod:`repro.validation.oracles` — differential oracles: codecs vs
   stdlib zlib, the optimistic emulator engine vs the FSM-protocol-
   checked :class:`~repro.core.xfm_module.XfmModule`, and independent

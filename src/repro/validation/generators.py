@@ -4,8 +4,8 @@ Every generator is a pure function of the ``random.Random`` it is given,
 so a case regenerates exactly from the single case seed the framework
 prints on failure. Generators cover the surfaces the validation suite
 fuzzes: raw pages (codec round-trips), damaged codec blobs (decoder
-error parity), red-black tree and zpool operation scripts (invariant
-churn), MMIO register programs (driver protocol), offload batches (the
+error parity), zpool operation scripts (invariant churn), MMIO
+register programs (driver protocol), offload batches (the
 emulator-vs-module differential oracle), and fault plans (chaos).
 """
 
@@ -196,24 +196,6 @@ def gen_blob_mutation(rng: random.Random, codec_cls=ZstdLikeCodec) -> bytes:
 
 
 # -- data-structure operation scripts ---------------------------------------
-
-
-def gen_rbtree_ops(
-    rng: random.Random, n: int = 200, key_space: int = 256
-) -> List[Tuple]:
-    """Insert/delete/lookup script over a bounded key space (bounded so
-    per-mutation full-tree checks stay affordable at 10k ops)."""
-    ops: List[Tuple] = []
-    for i in range(n):
-        key = rng.randrange(key_space)
-        roll = rng.random()
-        if roll < 0.5:
-            ops.append(("insert", key, i))
-        elif roll < 0.85:
-            ops.append(("delete", key))
-        else:
-            ops.append(("lookup", key))
-    return ops
 
 
 def gen_zpool_ops(rng: random.Random, n: int = 120) -> List[Tuple]:

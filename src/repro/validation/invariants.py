@@ -3,8 +3,8 @@
 Each checker takes one live object and raises :class:`InvariantViolation`
 (with a precise message) if a structural property does not hold:
 
-* :func:`check_rbtree` — BST ordering, root-black, no red-red edge,
-  equal black heights, size consistency;
+* :func:`check_sfm_backend` — every indexed page's record names a live
+  pool blob, no two pages share one, and the pool holds no other blob;
 * :func:`check_zpool` — no overlapping allocations inside a slab, the
   locator and slab entry tables agree exactly, each slab's free list and
   largest gap equal those rebuilt from its entries, the max-gap tree and
@@ -38,7 +38,7 @@ from repro.core.registers import RegisterFile, Registers
 from repro.core.spm import ScratchpadMemory, SpmTag
 from repro.core.xfm_module import XfmModule
 from repro.errors import ReproError
-from repro.sfm.rbtree import RedBlackTree
+from repro.sfm.backend import SfmBackend
 from repro.sfm.zpool import Zpool
 from repro.tiering.pipeline import TierPipeline
 from repro.validation import hooks
@@ -57,23 +57,29 @@ def _require(condition: bool, message: str) -> None:
         raise InvariantViolation(message)
 
 
-# -- red-black tree ----------------------------------------------------------
+# -- SFM backend index -------------------------------------------------------
 
 
-def check_rbtree(tree: RedBlackTree) -> None:
-    """BST + red-black properties plus size consistency."""
-    try:
-        tree.check_invariants()
-    except AssertionError as exc:
-        raise InvariantViolation(f"rbtree: {exc}") from exc
-    keys = tree.keys()
+def check_sfm_backend(backend: SfmBackend) -> None:
+    """Each indexed page owns exactly one live blob of the pool."""
+    pool = backend.zpool
+    handles = set()
+    for vaddr, record in backend.index.items():
+        _require(
+            record.handle in pool,
+            f"sfm: page 0x{vaddr:x} indexes handle {record.handle}, "
+            "which the zpool does not hold",
+        )
+        _require(
+            record.handle not in handles,
+            f"sfm: page 0x{vaddr:x} shares handle {record.handle} with "
+            "another page",
+        )
+        handles.add(record.handle)
     _require(
-        len(keys) == len(tree),
-        f"rbtree: size {len(tree)} but iteration yields {len(keys)} keys",
-    )
-    _require(
-        keys == sorted(set(keys)),
-        "rbtree: in-order iteration is not strictly increasing",
+        len(backend.index) == len(pool),
+        f"sfm: index holds {len(backend.index)} pages but the zpool "
+        f"holds {len(pool)} blobs",
     )
 
 
@@ -355,7 +361,7 @@ def check_tier_pipeline(pipeline: TierPipeline) -> None:
 
 # -- registration ------------------------------------------------------------
 
-hooks.register_checker(RedBlackTree, check_rbtree)
+hooks.register_checker(SfmBackend, check_sfm_backend)
 hooks.register_checker(Zpool, check_zpool)
 hooks.register_checker(ScratchpadMemory, check_spm)
 hooks.register_checker(NearMemoryAccelerator, check_nma)

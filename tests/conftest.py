@@ -5,7 +5,7 @@ Options (also see the marker scheme in ``pyproject.toml``):
 ``--validation``
     Turn on the invariant checkpoints in :mod:`repro.validation.hooks`
     for the whole run, so every mutating operation on the instrumented
-    data structures (rbtree, zpool, SPM, NMA, register file, xfm_module)
+    data structures (SFM backend, zpool, SPM, NMA, register file, xfm_module)
     validates its structural invariants. Equivalent to setting
     ``REPRO_VALIDATION=1`` in the environment.
 

@@ -84,12 +84,6 @@ class TestSwapIn:
         assert backend.stored_pages() == 0
         assert backend.zpool.stored_bytes() == 0
 
-    def test_peek_does_not_promote(self, backend, json_pages):
-        page = _pages(json_pages)[0]
-        backend.swap_out(page)
-        assert backend.peek(page.vaddr) == json_pages[0]
-        assert page.swapped
-
 
 class TestAccounting:
     def test_effective_bytes_freed_positive_for_compressible(

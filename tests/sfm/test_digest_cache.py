@@ -59,15 +59,6 @@ class TestDigestPageCache:
         assert cache.get(b"a") == b"new"
         assert b"b" not in cache
 
-    def test_invalidate_and_clear(self):
-        cache = DigestPageCache()
-        cache.put(b"a", b"blob")
-        assert cache.invalidate(b"a")
-        assert not cache.invalidate(b"a")
-        cache.put(b"a", b"blob")
-        cache.clear()
-        assert len(cache) == 0
-
     def test_rejects_bad_capacity(self):
         with pytest.raises(ConfigError):
             DigestPageCache(max_entries=0)

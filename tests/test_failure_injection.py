@@ -5,6 +5,7 @@ import pytest
 
 from repro.compression import DeflateCodec, LzFastCodec, ZstdLikeCodec
 from repro.core.backend import XfmBackend
+from repro.core.system import MultiChannelXfmBackend
 from repro.errors import (
     CorruptStreamError,
     EntryNotFoundError,
@@ -32,8 +33,7 @@ class TestPoolCorruption:
     def test_corrupted_blob_detected(self, backend_cls, json_pages):
         backend = backend_cls(capacity_bytes=16 * PAGE_SIZE)
         page = _swap_one(backend, json_pages[0])
-        handle = backend.index.lookup(page.vaddr)
-        entry = backend.zpool.entry(handle)
+        entry = backend.zpool.entry(backend.index[page.vaddr].handle)
         slab = backend.zpool._slabs[entry.slab]
         # Flip a byte in the middle of the compressed stream.
         slab.buffer[entry.offset + entry.length // 2] ^= 0xFF
@@ -60,7 +60,7 @@ class TestIndexConsistency:
     def test_double_free_detected(self, json_pages):
         backend = SfmBackend(capacity_bytes=16 * PAGE_SIZE)
         page = _swap_one(backend, json_pages[0])
-        handle = backend.index.lookup(page.vaddr)
+        handle = backend.index[page.vaddr].handle
         backend.zpool.free(handle)  # simulate an index/pool desync
         with pytest.raises(EntryNotFoundError):
             backend.swap_in(page)
@@ -72,6 +72,24 @@ class TestIndexConsistency:
         page.data = None
         with pytest.raises(EntryNotFoundError):
             backend.swap_in(page)
+
+    @pytest.mark.parametrize(
+        "backend_cls",
+        [SfmBackend, XfmBackend, MultiChannelXfmBackend],
+        ids=["baseline", "xfm", "multichannel"],
+    )
+    def test_never_stored_vaddr_is_typed_on_every_backend(self, backend_cls):
+        """Demand and promotion paths raise the index's typed error for a
+        page that claims far memory but was never stored; the dropping
+        and membership paths answer False."""
+        backend = backend_cls(capacity_bytes=16 * PAGE_SIZE)
+        page = Page(vaddr=5 * PAGE_SIZE, data=None)
+        page.swapped = True
+        for path in (backend.swap_in, backend.promote):
+            with pytest.raises(EntryNotFoundError):
+                path(page)
+        assert not backend.invalidate(page.vaddr)
+        assert not backend.contains(page.vaddr)
 
 
 class TestDriverMisuse:

@@ -16,15 +16,13 @@ from repro.compression.deflate import DeflateCodec
 from repro.compression.lzfast import LzFastCodec
 from repro.compression.zstd_like import ZstdLikeCodec
 from repro.core.registers import RegisterFile, Registers
-from repro.errors import EntryNotFoundError, MmioError, ZpoolFullError
-from repro.sfm.rbtree import RedBlackTree
+from repro.errors import MmioError, ZpoolFullError
 from repro.sfm.zpool import Zpool
 from repro.validation.fuzz import Fuzzer, case_seed
 from repro.validation.generators import (
     gen_blob_mutation,
     gen_offload_batch,
     gen_page,
-    gen_rbtree_ops,
     gen_register_program,
     gen_zpool_ops,
 )
@@ -36,7 +34,7 @@ from repro.validation.oracles import (
 )
 
 ROOT_SEED = 20260806
-_NUM_TARGETS = 7
+_NUM_TARGETS = 6
 _TOTAL_BUDGET_S = float(os.environ.get("FUZZ_TIME_BUDGET_S", "6"))
 
 
@@ -74,39 +72,6 @@ def test_fuzz_zstd_like_decode_error_parity():
         )
 
     report = _fuzzer(6, runs=500).run(gen_blob_mutation, check)
-    assert report.cases_run > 0
-
-
-@pytest.mark.fuzz
-def test_fuzz_rbtree_vs_shadow_dict():
-    def check(ops):
-        tree = RedBlackTree()
-        shadow = {}
-        with validation():
-            for op in ops:
-                if op[0] == "insert":
-                    _, key, value = op
-                    tree.insert(key, value)
-                    shadow[key] = value
-                elif op[0] == "delete":
-                    _, key = op
-                    if key in shadow:
-                        assert tree.delete(key) == shadow.pop(key)
-                    else:
-                        try:
-                            tree.delete(key)
-                        except EntryNotFoundError:
-                            pass
-                        else:
-                            raise AssertionError(
-                                f"delete({key}) should have raised"
-                            )
-                else:
-                    _, key = op
-                    assert tree.get(key) == shadow.get(key)
-        assert tree.keys() == sorted(shadow)
-
-    report = _fuzzer(1).run(lambda rng: gen_rbtree_ops(rng, n=150), check)
     assert report.cases_run > 0
 
 

@@ -9,40 +9,15 @@ import pytest
 from repro.core.nma import NearMemoryAccelerator, NmaConfig
 from repro.core.registers import Registers
 from repro.core.xfm_module import XfmModule
-from repro.errors import EntryNotFoundError, ZpoolFullError
-from repro.sfm.rbtree import RedBlackTree
+from repro.errors import ZpoolFullError
+from repro.sfm.backend import SfmBackend
+from repro.sfm.page import PAGE_SIZE, Page
 from repro.sfm.zpool import Zpool
-from repro.validation.generators import gen_rbtree_ops, gen_zpool_ops
+from repro.validation.generators import gen_zpool_ops
 from repro.validation.hooks import checkpoint, validation, validation_enabled
 from repro.validation.invariants import InvariantViolation
 
 CHURN_SEED = 0xC0FFEE
-
-
-def test_rbtree_10k_churn_checked_after_every_mutation():
-    rng = random.Random(CHURN_SEED)
-    ops = gen_rbtree_ops(rng, n=10_000, key_space=256)
-    tree = RedBlackTree()
-    shadow = {}
-    with validation():
-        assert validation_enabled()
-        for op in ops:
-            if op[0] == "insert":
-                _, key, value = op
-                tree.insert(key, value)  # checkpoint fires in insert()
-                shadow[key] = value
-            elif op[0] == "delete":
-                _, key = op
-                if key in shadow:
-                    assert tree.delete(key) == shadow.pop(key)
-                else:
-                    with pytest.raises(EntryNotFoundError):
-                        tree.delete(key)
-            else:
-                _, key = op
-                assert tree.get(key) == shadow.get(key)
-    assert tree.keys() == sorted(shadow)
-    assert len(tree) == len(shadow)
 
 
 def test_zpool_churn_with_compaction_preserves_entries():
@@ -76,16 +51,6 @@ def test_zpool_churn_with_compaction_preserves_entries():
     for handle, blob in shadow.items():
         assert pool.load(handle) == blob
     assert len(pool) == len(shadow)
-
-
-def test_rbtree_corruption_is_caught():
-    tree = RedBlackTree()
-    for key in range(16):
-        tree.insert(key, key)
-    tree._size += 1  # desync the cached size from the node count
-    with validation():
-        with pytest.raises(InvariantViolation):
-            checkpoint(tree)
 
 
 def test_zpool_corruption_is_caught():
@@ -152,13 +117,53 @@ def test_zpool_index_corruption_is_caught(corrupt, message):
             checkpoint(pool)
 
 
-def test_checkpoint_is_inert_when_disabled():
-    tree = RedBlackTree()
-    tree.insert(1, "a")
-    tree._size += 7  # corrupt — but validation is off, so no check runs
-    assert not validation_enabled()
-    checkpoint(tree)  # must not raise
-    tree._size -= 7
+def _stored_backend(json_pages):
+    """An SFM backend holding two pages, checked on every mutation."""
+    backend = SfmBackend(capacity_bytes=16 * PAGE_SIZE)
+    with validation():
+        for i, data in enumerate(json_pages[:2]):
+            page = Page(vaddr=i * PAGE_SIZE, data=data)
+            assert backend.swap_out(page).accepted
+    return backend
+
+
+def _free_behind_the_index(backend):
+    backend.zpool.free(backend.index[0].handle)
+
+
+def _share_a_handle(backend):
+    backend.index[PAGE_SIZE] = backend.index[0]
+
+
+def _orphan_a_blob(backend):
+    backend.zpool.store(b"orphan")
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_free_behind_the_index, "which the zpool does not hold"),
+        (_share_a_handle, "shares handle"),
+        (_orphan_a_blob, "index holds 2 pages but the zpool holds 3"),
+    ],
+    ids=["dead-handle", "shared-handle", "orphan-blob"],
+)
+def test_sfm_backend_corruption_is_caught(corrupt, message, json_pages):
+    """Each clause of the index check fires on its own corruption."""
+    backend = _stored_backend(json_pages)
+    with validation():
+        checkpoint(backend)
+        corrupt(backend)
+        with pytest.raises(InvariantViolation, match=message):
+            checkpoint(backend)
+
+
+def test_checkpoint_is_inert_when_disabled(json_pages):
+    backend = _stored_backend(json_pages)
+    _free_behind_the_index(backend)  # corrupt — but validation is off
+    with validation(False):
+        assert not validation_enabled()
+        checkpoint(backend)  # must not raise
 
 
 def test_nma_register_mirror_desync_is_caught():
