@@ -423,6 +423,41 @@ def tier_overhead_ratio(repeats: int = 5) -> float:
     )
 
 
+def stats_overhead_ratio(repeats: int = 5) -> float:
+    """Cost of a ``SwapStats`` field increment over a plain attribute's.
+
+    Times ``stats.swap_outs += 1`` on a registry-bound ``SwapStats`` (as
+    every backend binds one) against the identical loop on a one-slot
+    ``__slots__`` object. Stats fields are plain slots that the registry
+    reads only at snapshot time, so the ratio is ~1; a return to
+    per-increment descriptors or registry writes reads several times
+    that. CI gates it at < 50% (``run_perf.py guard stats``), measured
+    in-process like :func:`telemetry_overhead_ratio`.
+    """
+    from repro.sfm.metrics import SwapStats
+    from repro.telemetry.registry import MetricsRegistry
+
+    class Plain:
+        __slots__ = ("swap_outs",)
+
+        def __init__(self) -> None:
+            self.swap_outs = 0
+
+    def loop(stats) -> Callable[[], None]:
+        def op() -> None:
+            for _ in range(20_000):
+                stats.swap_outs += 1
+                stats.swap_outs += 1
+                stats.swap_outs += 1
+                stats.swap_outs += 1
+                stats.swap_outs += 1
+
+        return op
+
+    bound = SwapStats(registry=MetricsRegistry(), labels={"tier": "cpu"})
+    return _best_of(loop(bound), repeats) / _best_of(loop(Plain()), repeats)
+
+
 #: name -> (setup, default inner iterations per timed batch).
 KERNELS: Dict[str, Tuple[Callable[[], Callable[[], None]], int]] = {
     "deflate_roundtrip_4k": (_kernel_deflate_roundtrip, 1),

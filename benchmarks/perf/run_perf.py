@@ -33,6 +33,9 @@ Modes:
         ``TierPipeline`` over the same path on a bare ``SfmBackend``. The
         bookkeeping is ~4 us per op over a ~40 us loop (digest-cache-hit
         stores, native decodes), hence 25%.
+    ``stats`` (50%)  a registry-bound ``SwapStats`` field increment over
+        a plain ``__slots__`` attribute increment: stats fields must stay
+        plain attributes that the registry reads at snapshot time.
     ``sim`` (5%)  the ``tier_pipeline_store`` / ``tier_pipeline_load``
         kernels, best-of-``--trials``, against their committed
         ``BENCH_perf.json`` baselines. They route every operation through
@@ -48,6 +51,7 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/run_perf.py check --inner-scale 0.5
     PYTHONPATH=src python benchmarks/perf/run_perf.py guard telemetry
     PYTHONPATH=src python benchmarks/perf/run_perf.py guard sim
+    PYTHONPATH=src python benchmarks/perf/run_perf.py guard stats
 """
 
 from __future__ import annotations
@@ -240,6 +244,13 @@ GUARDS = {
         "single-tier pipeline overhead on zswap store/load",
         "TierPipeline bookkeeping must stay negligible next to the codec "
         "on the single-tier store path",
+    ),
+    "stats": (
+        0.50,
+        _best_ratio(microbench.stats_overhead_ratio),
+        "SwapStats field increment over a plain slot increment",
+        "stats fields must stay plain attributes; the registry reads "
+        "them at snapshot time, never on every increment",
     ),
     "sim": (
         0.05,

@@ -40,12 +40,12 @@ def format_table(
 
 
 def format_stats(stats: Union[object, Sequence], title: str = "") -> str:
-    """Render one stats facade — or merge a sequence of same-typed ones —
+    """Render one stats object — or merge a sequence of same-typed ones —
     as a two-column table.
 
     This is the single stats-aggregation path for report output: callers
-    hand over :class:`~repro.telemetry.stats.StatsFacade` instances
-    (``SwapStats``, ``DriverStats``, ...) and the facade's ``merged`` /
+    hand over :class:`~repro.telemetry.stats.Stats` instances
+    (``SwapStats``, ``DriverStats``, ...) and their ``merged`` /
     ``as_dict`` do the combining, instead of each report re-summing
     fields by hand.
     """

@@ -24,7 +24,7 @@ from repro.errors import (
     SpmFullError,
     ZpoolFullError,
 )
-from repro.resilience.integrity import content_digest
+from repro.resilience.integrity import content_digest, page_digest
 from repro.resilience.retry import retry_with_backoff
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE, Page
@@ -205,7 +205,7 @@ class XfmBackend(SfmBackend):
         self.driver.notify_release(PAGE_SIZE)
 
         self.stats.offloaded_compressions += 1
-        self._commit(page, handle, blob)
+        self._commit(page, handle, blob, page_digest(page.data))
         if _trace.tracing_enabled():
             dur_ns = self.nma.config.compress_time_ns(PAGE_SIZE)
             _spans.emit_under(

@@ -24,14 +24,14 @@ from repro.errors import (
 from repro.resilience import faults as _faults
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.stats import StatsFacade
+from repro.telemetry.stats import Stats
 
 IOCTL_PARAMSET = 0x5801
 IOCTL_COMPACT = 0x5802
 
 
-class DriverStats(StatsFacade):
-    """MMIO/synchronization accounting (registry-backed facade)."""
+class DriverStats(Stats):
+    """MMIO/synchronization accounting (plain fields, registry views)."""
 
     _PREFIX = "driver"
     _FIELDS = {
@@ -46,6 +46,7 @@ class DriverStats(StatsFacade):
         # and were re-read (injected ``driver.reg_corruption``).
         "corrupt_register_reads": 0,
     }
+    __slots__ = tuple(_FIELDS)
 
 
 class XfmDriver:

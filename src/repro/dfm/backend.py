@@ -54,18 +54,18 @@ class DfmBackend:
         self.link = link
         self.capacity_bytes = capacity_bytes
         self._pool: Dict[int, bytes] = {}
-        # Counters and link accounting all live in the registry (labelled
-        # by tier), so they reach MetricsRegistry export like every other
-        # backend's — historically these were registry-less attributes
-        # that never appeared in metrics.json.
+        # Counters and link accounting export through the registry,
+        # labelled by tier, like every other backend's.
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tier_name = tier
         self.stats = SwapStats(registry=self.registry, labels={"tier": tier})
         self.ledger = ledger if ledger is not None else BandwidthLedger()
-        self._link_energy = self.registry.counter(
-            "dfm.link_energy_j", tier=tier
-        )
-        self._link_busy = self.registry.counter("dfm.link_busy_s", tier=tier)
+        #: Joules spent on link transfers.
+        self.link_energy_j = 0
+        #: Seconds the link spent moving pages.
+        self.link_busy_s = 0
+        for attr in ("link_energy_j", "link_busy_s"):
+            self.registry.bind_field(f"dfm.{attr}", self, attr, tier=tier)
         #: Link-transfer latency quantiles per op class (simulated ns),
         #: recorded only under tracing.
         self._lat = {
@@ -76,24 +76,6 @@ class DfmBackend:
                 "op_latency_ns", op="load", tier=tier
             ),
         }
-
-    @property
-    def link_energy_j(self) -> float:
-        """Joules spent on link transfers (registry-backed)."""
-        return self._link_energy.value
-
-    @link_energy_j.setter
-    def link_energy_j(self, value: float) -> None:
-        self._link_energy.set(value)
-
-    @property
-    def link_busy_s(self) -> float:
-        """Seconds the link spent moving pages (registry-backed)."""
-        return self._link_busy.value
-
-    @link_busy_s.setter
-    def link_busy_s(self, value: float) -> None:
-        self._link_busy.set(value)
 
     # -- capacity ------------------------------------------------------------
 

@@ -17,7 +17,6 @@ from repro.dram.commands import CommandKind, TimedCommand
 from repro.dram.device import DramDeviceConfig
 from repro.dram.timing import DramTimings
 from repro.errors import ConfigError
-from repro.telemetry.stats import StatsFacade
 
 
 @dataclass(frozen=True)
@@ -31,24 +30,18 @@ class MemoryRequest:
     is_write: bool = False
 
 
-class ControllerStats(StatsFacade):
-    """Aggregate outcome of a simulated request stream.
+@dataclass(frozen=True)
+class ControllerStats:
+    """Aggregate outcome of one simulated request stream."""
 
-    Registry-backed facade: the DRAM command/latency counters export and
-    merge through the same telemetry surface as the swap statistics.
-    """
-
-    _PREFIX = "dram.controller"
-    _FIELDS = {
-        "completed": 0,
-        "total_time_ns": 0.0,
-        "total_bytes": 0,
-        "row_hits": 0,
-        "row_misses": 0,
-        "refresh_stall_ns": 0.0,
-        "avg_latency_ns": 0.0,
-        "max_latency_ns": 0.0,
-    }
+    completed: int = 0
+    total_time_ns: float = 0.0
+    total_bytes: int = 0
+    row_hits: int = 0
+    row_misses: int = 0
+    refresh_stall_ns: float = 0.0
+    avg_latency_ns: float = 0.0
+    max_latency_ns: float = 0.0
 
     @property
     def bandwidth_bps(self) -> float:

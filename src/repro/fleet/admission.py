@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError, OverloadError
 from repro.sim import CLOCK as _sim_clock
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import CounterFamily, MetricsRegistry
 
 
 class TokenBucket:
@@ -106,11 +106,9 @@ class AdmissionController:
         #: Acknowledged resident pages per tenant (stores minus loads).
         self.resident_pages: Dict[str, int] = {q.name: 0 for q in quotas}
         self.registry = registry if registry is not None else MetricsRegistry()
-
-    def _count(self, tenant: str, result: str) -> None:
-        self.registry.counter(
-            "fleet.admission", tenant=tenant, result=result
-        ).inc()
+        self._outcomes = CounterFamily(
+            self.registry, "fleet.admission", "tenant", "result"
+        )
 
     def admit(self, tenant: str, op: str) -> None:
         """Shed-before-work gate; raises :class:`OverloadError` on shed.
@@ -126,7 +124,7 @@ class AdmissionController:
             op == "store"
             and self.resident_pages[tenant] >= quota.capacity_pages
         ):
-            self._count(tenant, "shed-capacity")
+            self._outcomes[tenant, "shed-capacity"].inc()
             raise OverloadError(
                 f"tenant {tenant} at capacity quota "
                 f"({quota.capacity_pages} pages)",
@@ -135,14 +133,14 @@ class AdmissionController:
             )
         bucket = self.buckets[tenant]
         if not bucket.try_take():
-            self._count(tenant, "shed-rate")
+            self._outcomes[tenant, "shed-rate"].inc()
             raise OverloadError(
                 f"tenant {tenant} over rate quota "
                 f"({quota.rate_per_s:.0f}/s)",
                 reason="rate-quota",
                 retry_after_ns=bucket.retry_after_ns(),
             )
-        self._count(tenant, "admitted")
+        self._outcomes[tenant, "admitted"].inc()
 
     def on_page_stored(self, tenant: str) -> None:
         self.resident_pages[tenant] += 1

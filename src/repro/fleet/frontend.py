@@ -29,7 +29,7 @@ from repro.fleet.shard import FleetRequest, FleetShard
 from repro.sim import CLOCK as _sim_clock
 from repro.sim.events import EventScheduler
 from repro.telemetry import trace as _trace
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import CounterFamily, MetricsRegistry
 
 
 def rendezvous_score(key: int, shard_name: str) -> int:
@@ -86,25 +86,39 @@ class FleetFrontend:
             op: self.registry.quantile("op_latency_ns", op=op, tier="fleet")
             for op in ("store", "load")
         }
+        #: Per-request counters, each bound once per label set.
+        reg = self.registry
+        self._requests = CounterFamily(reg, "fleet.requests", "tenant")
+        self._shed = CounterFamily(reg, "fleet.shed", "reason", "tenant")
+        self._served = CounterFamily(reg, "fleet.served", "tenant", "op")
+        self._failed = CounterFamily(reg, "fleet.failed", "tenant", "reason")
+        #: Live shard name -> its routing bytes, in declaration order;
+        #: kill_shard, the only place a shard dies, removes it.
+        self._live = {name: name.encode("ascii") for name in shard_names}
 
     # -- routing --------------------------------------------------------------
 
     def live_shards(self) -> List[str]:
-        return [name for name, s in self.shards.items() if s.alive]
+        return list(self._live)
 
     def route(self, key: int) -> str:
-        """Rendezvous-hash ``key`` across the live shard set."""
-        live = self.live_shards()
-        if not live:
+        """The live shard with the highest :func:`rendezvous_score` for
+        ``key`` (the first on a tie), comparing the big-endian digests
+        directly."""
+        if not self._live:
             raise ConfigError("no live shards")
-        return max(live, key=lambda name: rendezvous_score(key, name))
+        prefix = b"%d:" % key
+        return max(
+            self._live.items(),
+            key=lambda shard: hashlib.blake2b(
+                prefix + shard[1], digest_size=8
+            ).digest(),
+        )[0]
 
     # -- submission -----------------------------------------------------------
 
     def _count_shed(self, req: FleetRequest, reason: str) -> None:
-        self.registry.counter(
-            "fleet.shed", reason=reason, tenant=req.tenant
-        ).inc()
+        self._shed[reason, req.tenant].inc()
         self.brownout.record(shed=True)
         if _trace.tracing_enabled():
             _trace.instant(
@@ -120,7 +134,7 @@ class FleetFrontend:
         (``req.attempt > 0``) must have spent budget at the caller via
         :meth:`charge_retry` before re-submitting.
         """
-        self.registry.counter("fleet.requests", tenant=req.tenant).inc()
+        self._requests[req.tenant].inc()
         try:
             self.admission.admit(req.tenant, req.op)
         except OverloadError as exc:
@@ -137,7 +151,7 @@ class FleetFrontend:
     def _enqueue(self, req: FleetRequest) -> None:
         """Route and queue an already-admitted request (also the
         failover re-route path — no second admission charge)."""
-        if not self.live_shards():
+        if not self._live:
             req.status = "shed"
             req.reason = "shard-dead"
             req.done_ns = _sim_clock.now_ns()
@@ -169,9 +183,7 @@ class FleetFrontend:
 
     def _on_shard_complete(self, req: FleetRequest) -> None:
         if req.status == "served":
-            self.registry.counter(
-                "fleet.served", tenant=req.tenant, op=req.op
-            ).inc()
+            self._served[req.tenant, req.op].inc()
             self._lat[req.op].observe(req.latency_ns)
             if req.op == "store":
                 self.placement[req.key] = req.shard
@@ -183,9 +195,7 @@ class FleetFrontend:
             # Queued-then-deadline-shed inside the shard.
             self._count_shed(req, req.reason)
         else:
-            self.registry.counter(
-                "fleet.failed", tenant=req.tenant, reason=req.reason
-            ).inc()
+            self._failed[req.tenant, req.reason].inc()
         self.on_complete(req)
 
     # -- degraded mode --------------------------------------------------------
@@ -218,6 +228,7 @@ class FleetFrontend:
             raise ConfigError(f"unknown shard {name!r}")
         victim = self.shards[name]
         pending = victim.kill()
+        self._live.pop(name, None)
         if _trace.tracing_enabled():
             _trace.instant(
                 "fleet_failover", TRACK_FLEET,
@@ -233,7 +244,7 @@ class FleetFrontend:
         doomed = sorted(
             key for key, where in self.placement.items() if where == name
         )
-        survivors = bool(self.live_shards())
+        survivors = bool(self._live)
         for key in doomed:
             data = self._extract(victim, key)
             if data is None:

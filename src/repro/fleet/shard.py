@@ -31,7 +31,7 @@ from repro.errors import (
 from repro.sfm.page import PAGE_SIZE
 from repro.sim import CLOCK as _sim_clock
 from repro.sim.events import EventScheduler
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import CounterFamily, MetricsRegistry
 from repro.tiering.pipeline import TierPipeline
 from repro.tiering.policy import LruDemotion, NeverDemote
 
@@ -123,6 +123,9 @@ class FleetShard:
         #: The shard's own registry — pipeline internals (tier stats,
         #: breakers, demotion counters) stay per-failure-domain.
         self.registry = MetricsRegistry()
+        self._brownouts = CounterFamily(
+            self.registry, "fleet.shard_brownout", "shard"
+        )
         self._codec_normal = DeflateCodec()
         self._codec_degraded = make_degraded_codec()
         tier0 = SfmBackend(
@@ -291,7 +294,7 @@ class FleetShard:
         self.degraded = True
         self.degraded_tenants = tenants
         self.pipeline.demotion = NeverDemote()
-        self.registry.counter("fleet.shard_brownout", shard=self.name).inc()
+        self._brownouts[self.name].inc()
 
     def exit_brownout(self) -> None:
         self.degraded = False

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.errors import ConfigError, TraceFormatError, TraceVersionError
-from repro.sfm.digest_cache import page_digest
+from repro.resilience.integrity import page_digest
 from repro.sfm.page import PAGE_SIZE
 
 #: Newest trace format this build reads and the version it writes.

@@ -24,13 +24,9 @@ from repro.errors import (
     SfmError,
     ZpoolFullError,
 )
-from repro.resilience.integrity import BlobRecord, content_digest
+from repro.resilience.integrity import BlobRecord, content_digest, page_digest
 from repro.resilience.retry import retry_with_backoff
-from repro.sfm.digest_cache import (
-    DIGEST_CYCLES_PER_BYTE,
-    DigestPageCache,
-    page_digest,
-)
+from repro.sfm.digest_cache import DIGEST_CYCLES_PER_BYTE, DigestPageCache
 from repro.sfm.metrics import BandwidthLedger, SwapStats
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sfm.zpool import Zpool
@@ -143,9 +139,10 @@ class SfmBackend:
         if page.data is None:
             raise SfmError(f"page 0x{page.vaddr:x} has no resident data")
 
+        # One hash per store: the cache key and the record's page digest.
+        digest = page_digest(page.data)
         blob = None
         if self.page_cache is not None:
-            digest = page_digest(page.data)
             blob = self.page_cache.get(digest)
         if blob is not None:
             # Identical content was compressed before: reuse the blob and
@@ -187,7 +184,7 @@ class SfmBackend:
                 accepted=False, reason="pool-full", cpu_cycles=cycles
             )
         self.ledger.record("sfm_cpu", "write", len(blob))
-        self._commit(page, handle, blob)
+        self._commit(page, handle, blob, digest)
         return SwapOutcome(
             accepted=True, compressed_len=len(blob), cpu_cycles=cycles
         )
@@ -201,13 +198,16 @@ class SfmBackend:
 
     # -- the index ----------------------------------------------------------------
 
-    def _commit(self, page: Page, handle: int, blob: bytes) -> None:
-        """Index ``page`` by its pooled ``blob`` and account the
-        swap-out; the tail of every accepted store path."""
+    def _commit(
+        self, page: Page, handle: int, blob: bytes, digest: bytes
+    ) -> None:
+        """Index ``page`` (``digest`` is its :func:`page_digest`) by its
+        pooled ``blob`` and account the swap-out; the tail of every
+        accepted store path."""
         self.index[page.vaddr] = BlobRecord(
             handle=handle,
             blob_digest=content_digest(blob),
-            page_digest=content_digest(page.data),
+            page_digest=digest,
         )
         page.swapped = True
         page.data = None

@@ -13,30 +13,21 @@ Content addressing makes invalidation free: a mutated page hashes to a
 different key and simply misses, so no store/invalidate bookkeeping can
 ever serve stale bytes. The only failure mode is a digest collision;
 with a 128-bit keyed BLAKE2b digest this is negligible (the same
-trade-off content-addressed storage systems make).
+trade-off content-addressed storage systems make). The key is the
+page's integrity digest, :func:`repro.resilience.integrity.page_digest`.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Optional
 
 from repro.errors import ConfigError
 
-#: 128-bit digests: collision probability ~2^-64 at a billion cached
-#: pages, far below any soft-error rate in the memory being modelled.
-DIGEST_SIZE = 16
-
 #: Cycles/byte charged for hashing a page on the hit path (BLAKE2b runs
 #: ~2 cycles/byte on a server core; the miss path's hash cost is noise
 #: against the compressor and is folded into its cycles/byte figure).
 DIGEST_CYCLES_PER_BYTE = 2.0
-
-
-def page_digest(data: bytes) -> bytes:
-    """Content key for a page: 128-bit BLAKE2b digest."""
-    return hashlib.blake2b(data, digest_size=DIGEST_SIZE).digest()
 
 
 class DigestPageCache:

@@ -6,11 +6,9 @@ split by actor — the CPU-side SFM traffic that Fig. 1/Fig. 11 charge
 against co-runners versus the NMA-side traffic XFM hides inside refresh
 windows.
 
-:class:`SwapStats` is a :class:`~repro.telemetry.stats.StatsFacade`:
-every field lives in a :class:`~repro.telemetry.registry.MetricsRegistry`
-counter (private per instance unless a shared registry is bound), which
-gives all stats objects one ``merge()``/``as_dict()`` implementation and
-uniform export alongside trace data.
+:class:`SwapStats` is a :class:`~repro.telemetry.stats.Stats`: plain
+fields the swap paths increment, read by a bound
+:class:`~repro.telemetry.registry.MetricsRegistry` at snapshot time.
 """
 
 from __future__ import annotations
@@ -20,11 +18,11 @@ from typing import Dict
 
 from repro._units import SECONDS_PER_MINUTE
 from repro.errors import ConfigError
-from repro.telemetry.stats import StatsFacade
+from repro.telemetry.stats import Stats
 
 
-class SwapStats(StatsFacade):
-    """Aggregate swap-path statistics (registry-backed facade)."""
+class SwapStats(Stats):
+    """Aggregate swap-path statistics (plain fields, registry views)."""
 
     _PREFIX = "swap"
     _FIELDS = {
@@ -67,6 +65,7 @@ class SwapStats(StatsFacade):
         "corruptions_recovered": 0,
         "poison_pages": 0,
     }
+    __slots__ = tuple(_FIELDS)
 
     @property
     def digest_cache_hit_rate(self) -> float:

@@ -26,13 +26,13 @@ from repro.errors import (
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sim import CLOCK as _sim_clock
 from repro.telemetry import trace as _trace
-from repro.telemetry.stats import StatsFacade
+from repro.telemetry.stats import Stats
 from repro.tiering.policy import PoolLimitPolicy
 from repro.tiering.protocol import FarMemoryTier
 
 
-class ZswapStats(StatsFacade):
-    """Counters mirroring zswap's debugfs statistics (registry-backed)."""
+class ZswapStats(Stats):
+    """Counters mirroring zswap's debugfs statistics."""
 
     _PREFIX = "zswap"
     _FIELDS = {
@@ -49,6 +49,7 @@ class ZswapStats(StatsFacade):
         # the caller as CorruptedBlobError, never as a silent miss.
         "poison_pages": 0,
     }
+    __slots__ = tuple(_FIELDS)
 
     @property
     def total_rejects(self) -> int:

@@ -3,9 +3,9 @@
 The layers (see DESIGN.md "Telemetry"):
 
 * :mod:`repro.telemetry.registry` — named counters / gauges /
-  fixed-bucket histograms / quantile histograms with labels, collector
-  callbacks, JSON/CSV snapshots; the home of every statistic the stack
-  keeps.
+  fixed-bucket histograms / quantile histograms with labels, read-only
+  views of plain stats fields, JSON/CSV snapshots; the home of every
+  statistic the stack exports.
 * :mod:`repro.telemetry.trace` — zero-cost-when-disabled span/instant
   events with simulated-time timestamps, buffered in a bounded ring and
   exportable as Chrome trace-event JSON (Perfetto / ``about:tracing``),
@@ -46,7 +46,7 @@ from repro.telemetry.slo import (
     LatencyObjective,
     SloEngine,
 )
-from repro.telemetry.stats import StatsFacade
+from repro.telemetry.stats import Stats
 from repro.telemetry.trace import (
     TRACK_CPU,
     TRACK_DRIVER,
@@ -75,7 +75,7 @@ __all__ = [
     "QuantileHistogram",
     "STANDARD_QUANTILES",
     "SloEngine",
-    "StatsFacade",
+    "Stats",
     "TelemetrySession",
     "TraceEvent",
     "TraceRing",

@@ -1,12 +1,11 @@
 """Metrics registry: named counters, gauges, and fixed-bucket histograms.
 
-The registry is the single home for every counter the stack maintains.
-Components either bind their ledger-style statistics into a registry
-through :class:`StatsFacade` (see :mod:`repro.telemetry.stats`) — the
-dataclass-shaped views ``SwapStats``/``DriverStats``/… are thin facades
-over registry counters — or register a *collector* callback that
-contributes point-in-time values at snapshot (the DRAM refresh/command
-counters use this, so their hot loops keep plain integer arithmetic).
+The registry is the single home for every series the stack exports.
+Statistics on the store/load hot paths stay plain attributes of their
+owner (see :mod:`repro.telemetry.stats`); the registry holds a read-only
+:class:`FieldCounter` per field (:meth:`MetricsRegistry.bind_field`)
+that reads the attribute at snapshot time. Per-request fleet counters
+are bound once per label set through a :class:`CounterFamily`.
 
 Metrics are keyed by ``(name, labels)`` so one registry can hold the
 same series for several components (e.g. per-DIMM driver counters with a
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.telemetry.quantiles import QuantileHistogram
@@ -34,12 +33,7 @@ def _label_key(labels: Dict[str, object]) -> LabelKey:
 
 
 class Counter:
-    """A cumulative value.
-
-    Monotonic by convention; :meth:`set` exists so the dataclass facades
-    (which historically allowed direct assignment, including the odd
-    decrement in the zswap re-store path) keep their exact semantics.
-    """
+    """A cumulative value, monotonic by convention."""
 
     __slots__ = ("name", "labels", "value")
 
@@ -53,11 +47,49 @@ class Counter:
     def inc(self, amount: float = 1) -> None:
         self.value += amount
 
-    def set(self, value: float) -> None:
-        self.value = value
-
     def snapshot(self) -> float:
         return self.value
+
+
+class FieldCounter(Counter):
+    """A read-only counter whose value is ``getattr(owner, attr)``."""
+
+    __slots__ = ("owner", "attr")
+
+    def __init__(self, name: str, labels: LabelKey, owner, attr: str):
+        self.name = name
+        self.labels = labels
+        self.owner = owner
+        self.attr = attr
+
+    @property
+    def value(self) -> float:
+        return getattr(self.owner, self.attr)
+
+    def inc(self, amount: float = 1) -> None:
+        raise ConfigError(
+            f"metric {self.name!r} is a read-only view of "
+            f"{type(self.owner).__name__}.{self.attr}"
+        )
+
+
+class CounterFamily(dict):
+    """Label values -> the :class:`Counter` ``name{label_names=values}``,
+    looked up in the registry on first use only (``shed["rate", "t0"]``;
+    ``requests["t0"]`` for one label). An unused label set adds no
+    zero-valued series to the export."""
+
+    def __init__(self, registry: "MetricsRegistry", name: str, *label_names):
+        super().__init__()
+        self._bind = lambda values: registry.counter(
+            name, **dict(zip(label_names, values))
+        )
+
+    def __missing__(self, values) -> Counter:
+        counter = self[values] = self._bind(
+            values if isinstance(values, tuple) else (values,)
+        )
+        return counter
 
 
 class Gauge:
@@ -132,12 +164,10 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Holds metrics keyed by (name, labels) plus collector callbacks."""
+    """Holds metrics keyed by (name, labels)."""
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelKey], object] = {}
-        #: prefix -> zero-arg callable returning {name: value}.
-        self._collectors: List[Tuple[str, Callable[[], Dict[str, float]]]] = []
 
     # -- creation / lookup -------------------------------------------------
 
@@ -196,13 +226,18 @@ class MetricsRegistry:
             relative_error=relative_error,
         )
 
-    def register_collector(
-        self, prefix: str, collect: Callable[[], Dict[str, float]]
-    ) -> None:
-        """Attach a callback whose dict is folded into every snapshot
-        under ``prefix.<key>`` — the re-homing path for counters whose
-        hot loops must stay plain attribute arithmetic."""
-        self._collectors.append((prefix, collect))
+    def bind_field(
+        self, name: str, owner: object, attr: str, **labels
+    ) -> FieldCounter:
+        """Export ``owner.<attr>`` as the counter ``name{labels}``; a
+        series that already exists is a :class:`ConfigError`, never
+        silently shared."""
+        key = (name, _label_key(labels))
+        if key in self._metrics:
+            raise ConfigError(f"metric {name!r} {labels} already registered")
+        view = FieldCounter(name, key[1], owner, attr)
+        self._metrics[key] = view
+        return view
 
     def metrics(self) -> List[object]:
         return list(self._metrics.values())
@@ -217,9 +252,6 @@ class MetricsRegistry:
             if labels:
                 key += "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
             out[key] = metric.snapshot()
-        for prefix, collect in self._collectors:
-            for key, value in collect().items():
-                out[f"{prefix}.{key}"] = value
         return out
 
     def to_json(self, indent: int = 2) -> str:
@@ -249,8 +281,9 @@ class MetricsRegistry:
         (gauges take the other's latest value)."""
         for (name, labels), metric in other._metrics.items():
             if isinstance(metric, Counter):
-                mine = self._get_or_create(Counter, name, dict(labels))
-                mine.value += metric.value
+                self._get_or_create(Counter, name, dict(labels)).inc(
+                    metric.value
+                )
             elif isinstance(metric, Gauge):
                 self._get_or_create(Gauge, name, dict(labels)).set(
                     metric.value

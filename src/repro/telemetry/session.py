@@ -11,7 +11,7 @@ produces
 
 * ``trace.json``  — Chrome trace-event JSON (open in Perfetto or
   ``about:tracing``), and
-* ``metrics.json`` — the registry snapshot plus every stats facade
+* ``metrics.json`` — the registry snapshot plus every stats object
   attached with :meth:`add_stats`,
 
 plus any ``flight_<reason>.json`` black-box dumps the run triggered.
@@ -39,7 +39,7 @@ from repro.sim import CLOCK as _sim_clock
 from repro.telemetry import flightrec, spans
 from repro.telemetry.flightrec import FlightRecorder
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.stats import StatsFacade
+from repro.telemetry.stats import Stats
 from repro.telemetry.trace import (
     TraceRing,
     set_tracing,
@@ -87,7 +87,7 @@ class TelemetrySession:
             registry=self.registry,
             out_dir=str(self.out_dir) if self.out_dir is not None else None,
         )
-        self._stats: Dict[str, StatsFacade] = {}
+        self._stats: Dict[str, Stats] = {}
         self._annotations: Dict[str, object] = {}
         self._was_enabled = False
         self._prev_recorder: Optional[FlightRecorder] = None
@@ -122,8 +122,8 @@ class TelemetrySession:
 
     # -- metrics attachment ------------------------------------------------
 
-    def add_stats(self, name: str, stats: StatsFacade) -> None:
-        """Include a stats facade in ``metrics.json`` under ``name``."""
+    def add_stats(self, name: str, stats: Stats) -> None:
+        """Include a stats object in ``metrics.json`` under ``name``."""
         self._stats[name] = stats
 
     def annotate(self, key: str, value: object) -> None:

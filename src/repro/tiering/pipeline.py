@@ -16,7 +16,7 @@ the zswap frontend, and the examples can run over a pipeline unchanged):
   toward tier 0 without leaving far memory, destination chosen by the
   promotion policy.
 
-Accounting: every tier keeps registry-backed ``SwapStats`` (labelled
+Accounting: every tier keeps registry-bound ``SwapStats`` (labelled
 ``tier=<name>`` when built through :meth:`TierPipeline.build`) plus its
 own :class:`~repro.sfm.metrics.BandwidthLedger`; the pipeline exposes
 the merged ledger/stats view and its own ``tier_pipeline.*`` counters,
@@ -51,7 +51,7 @@ from repro.sfm.page import PAGE_SIZE, Page
 from repro.telemetry import flightrec as _flightrec
 from repro.telemetry import reasons, spans as _spans, trace as _trace
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.stats import StatsFacade
+from repro.telemetry.stats import Stats
 from repro.tiering.policy import (
     AdmissionPolicy,
     AlwaysAdmit,
@@ -68,8 +68,9 @@ from repro.validation.hooks import checkpoint
 TRACK_TIER = "tiering"
 
 
-class PipelineStats(StatsFacade):
-    """Placement/movement counters of one pipeline (registry-backed)."""
+class PipelineStats(Stats):
+    """Placement/movement counters of one pipeline (plain fields,
+    registry views)."""
 
     _PREFIX = "tier_pipeline"
     _FIELDS = {
@@ -101,6 +102,7 @@ class PipelineStats(StatsFacade):
         # Pages relocated out of a quarantined tier by drain_tier().
         "drained_pages": 0,
     }
+    __slots__ = tuple(_FIELDS)
 
 #: SwapOutcome rejection reasons that indicate a *failing* tier (feed
 #: the circuit breaker) rather than a full/ineligible one (normal
@@ -311,8 +313,8 @@ class TierPipeline:
 
     @property
     def stats(self) -> SwapStats:
-        """Merged ``SwapStats`` across every tier (fresh facade per
-        access — a read-only reporting view, not a counter home)."""
+        """Merged ``SwapStats`` across every tier (a fresh, unbound
+        object per access — a reporting view, not a counter home)."""
         return SwapStats.merged([tier.stats for tier in self.tiers])
 
     @property

@@ -61,13 +61,13 @@ class FarMemoryTier(Protocol):
     :class:`~repro.core.system.MultiChannelXfmBackend`,
     :class:`~repro.dfm.backend.DfmBackend`) and the composite
     :class:`~repro.tiering.pipeline.TierPipeline` satisfy it. Stats are
-    registry-backed (:class:`~repro.telemetry.stats.StatsFacade`); when
-    several tiers share one :class:`~repro.telemetry.registry.
-    MetricsRegistry` each binds its counters with a ``tier=<name>``
-    label so the series stay distinguishable.
+    plain fields (:class:`~repro.telemetry.stats.Stats`) that a bound
+    :class:`~repro.telemetry.registry.MetricsRegistry` reads at snapshot
+    time; when several tiers share one registry each binds its fields
+    with a ``tier=<name>`` label so the series stay distinguishable.
     """
 
-    #: Registry-backed swap counters (``SwapStats`` surface).
+    #: Swap counters (``SwapStats`` surface).
     stats: "SwapStats"
     #: Per-tier traffic accounting by (actor, direction).
     ledger: "BandwidthLedger"

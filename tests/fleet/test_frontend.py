@@ -64,7 +64,7 @@ class TestRouting:
         with CLOCK.scoped(start_ns=0.0):
             frontend = _frontend(EventScheduler(), shards=4)
             before = {key: frontend.route(key) for key in range(300)}
-            frontend.shards["shard-2"].alive = False
+            frontend.kill_shard("shard-2")
             for key, home in before.items():
                 if home != "shard-2":
                     assert frontend.route(key) == home

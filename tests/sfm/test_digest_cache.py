@@ -11,12 +11,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.sfm.backend import SfmBackend
-from repro.sfm.digest_cache import (
-    DIGEST_CYCLES_PER_BYTE,
-    DIGEST_SIZE,
-    DigestPageCache,
-    page_digest,
-)
+from repro.resilience.integrity import DIGEST_SIZE, page_digest
+from repro.sfm.digest_cache import DIGEST_CYCLES_PER_BYTE, DigestPageCache
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sfm.zswap import ZswapFrontend
 

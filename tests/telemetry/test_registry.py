@@ -16,13 +16,12 @@ from repro.telemetry.registry import (
 
 
 class TestCounter:
-    def test_inc_and_set(self):
+    def test_inc(self):
         c = Counter("c")
         c.inc()
         c.inc(4)
         assert c.snapshot() == 5
-        c.set(2)
-        assert c.value == 2
+        assert not hasattr(c, "set")  # counters only go up
 
     def test_registry_dedupes_by_name_and_labels(self):
         reg = MetricsRegistry()
@@ -81,14 +80,17 @@ class TestSnapshotExport:
         assert snap["driver.mmio_writes{dimm=1}"] == 7
         assert snap["occupancy"] == 0.5
 
-    def test_collector_folds_into_snapshot(self):
+    def test_field_view_folds_into_snapshot(self):
+        class Owner:
+            row_hits = 3
+
         reg = MetricsRegistry()
-        state = {"row_hits": 3, "row_misses": 1}
-        reg.register_collector("dram", lambda: dict(state))
-        snap = reg.snapshot()
-        assert snap["dram.row_hits"] == 3
-        state["row_hits"] = 9  # point-in-time: next snapshot sees updates
-        assert reg.snapshot()["dram.row_hits"] == 9
+        owner = Owner()
+        reg.bind_field("dram.row_hits", owner, "row_hits", rank=0)
+        assert reg.snapshot()["dram.row_hits{rank=0}"] == 3
+        owner.row_hits = 9  # point-in-time: next snapshot sees updates
+        assert reg.snapshot()["dram.row_hits{rank=0}"] == 9
+        assert "dram.row_hits{rank=0},9" in reg.to_csv()
 
     def test_json_round_trips(self):
         reg = MetricsRegistry()

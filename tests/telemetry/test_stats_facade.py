@@ -1,16 +1,18 @@
-"""StatsFacade: the dataclass-shaped view over registry counters."""
+"""Stats: plain-field statistics objects and their registry views."""
 
 import pytest
 
 from repro.core.driver import DriverStats
+from repro.errors import ConfigError
 from repro.sfm.metrics import SwapStats
-from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.stats import StatsFacade
+from repro.telemetry.registry import FieldCounter, MetricsRegistry
+from repro.telemetry.stats import Stats
 
 
-class _Demo(StatsFacade):
+class _Demo(Stats):
     _PREFIX = "demo"
     _FIELDS = {"hits": 0, "misses": 0, "ratio_sum": 0.0}
+    __slots__ = tuple(_FIELDS)
 
 
 class TestFacadeSurface:
@@ -35,10 +37,19 @@ class TestFacadeSurface:
         assert reg.counter("demo.hits", dimm=2).value == 5
         assert reg.snapshot()["demo.hits{dimm=2}"] == 5
 
-    def test_private_registry_by_default(self):
+    def test_unbound_without_registry(self):
         a, b = _Demo(), _Demo()
         a.hits += 1
         assert b.hits == 0
+
+    def test_fields_are_plain_slots(self):
+        s = _Demo()
+        assert not hasattr(s, "__dict__")
+        for cls in (_Demo, SwapStats, DriverStats):
+            for name in cls._FIELDS:
+                assert type(vars(cls)[name]).__name__ == "member_descriptor"
+        with pytest.raises(AttributeError):
+            s.typo = 1
 
 
 class TestMergeAsDict:
@@ -65,7 +76,7 @@ class TestMergeAsDict:
 
 
 class TestExistingCallSites:
-    """The facades must keep the historical dataclass behaviour."""
+    """The stats objects keep the historical dataclass behaviour."""
 
     def test_swap_stats_properties_still_work(self):
         stats = SwapStats(
@@ -82,3 +93,55 @@ class TestExistingCallSites:
         snap = reg.snapshot()
         assert snap["driver.mmio_writes{dimm=0}"] == 1
         assert snap["driver.mmio_writes{dimm=1}"] == 10
+
+
+class TestRegistryViews:
+    def test_binding_a_bound_series_is_config_error(self):
+        # A second owner on the same (prefix, labels) must not silently
+        # share, or reset, the first owner's counters.
+        reg = MetricsRegistry()
+        first = DriverStats(registry=reg, labels={"dimm": 0})
+        first.mmio_writes += 3
+        with pytest.raises(ConfigError, match="already registered"):
+            DriverStats(registry=reg, labels={"dimm": 0})
+        assert reg.snapshot()["driver.mmio_writes{dimm=0}"] == 3
+
+    def test_binding_over_a_registry_counter_is_config_error(self):
+        reg = MetricsRegistry()
+        reg.counter("demo.hits").inc()
+        with pytest.raises(ConfigError):
+            _Demo(registry=reg)
+
+    def test_views_are_read_only(self):
+        reg = MetricsRegistry()
+        _Demo(registry=reg)
+        view = reg.counter("demo.hits")
+        assert isinstance(view, FieldCounter)
+        with pytest.raises(ConfigError, match="read-only"):
+            view.inc()
+
+    def test_snapshot_reads_the_field_at_snapshot_time(self):
+        reg = MetricsRegistry()
+        s = _Demo(registry=reg)
+        assert reg.snapshot()["demo.hits"] == 0
+        s.hits += 4
+        s.ratio_sum += 0.5
+        snap = reg.snapshot()
+        assert (snap["demo.hits"], snap["demo.ratio_sum"]) == (4, 0.5)
+
+    def test_merge_copies_view_values_into_plain_counters(self):
+        reg = MetricsRegistry()
+        s = _Demo(registry=reg, labels={"tier": "cpu"})
+        s.misses += 2
+        merged = MetricsRegistry().merge(reg).merge(reg)
+        counter = merged.counter("demo.misses", tier="cpu")
+        assert type(counter).__name__ == "Counter"
+        assert counter.value == 4
+        s.misses += 1  # the merged copy is a point-in-time sum
+        assert counter.value == 4
+
+    def test_merge_into_a_view_is_config_error(self):
+        reg = MetricsRegistry()
+        _Demo(registry=reg)
+        with pytest.raises(ConfigError):
+            reg.merge(reg)
