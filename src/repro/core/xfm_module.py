@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from repro.core.refresh_channel import (
     AccessKind,
-    ExecutedAccess,
+    AccessRequest,
     WindowScheduler,
 )
 from repro.dram.commands import CommandKind, TimedCommand
@@ -82,7 +82,7 @@ class XfmModule:
 
     # -- the refresh-window step ------------------------------------------------
 
-    def step(self, pressure: bool = False) -> List[ExecutedAccess]:
+    def step(self, pressure: bool = False) -> List[AccessRequest]:
         """One tREFI: open the refresh window, execute the scheduler's
         picks under full protocol checking, close the window."""
         start = self.now_ns
@@ -97,22 +97,22 @@ class XfmModule:
         )
         executed = self.scheduler.drain(self._ref_index, pressure=pressure)
         elapsed = 0.0
-        for access in executed:
-            row = access.request.row
+        for request in executed:
+            row = request.row
             if row is None:
                 # Placement-flexible: the allocator targets a row in this
                 # window's refresh set — conditional by construction.
                 row = window.rows.start
             if not self.rank.nma_access_allowed(
-                self.target_bank, row, conditional=access.conditional
+                self.target_bank, row, conditional=request.conditional
             ):
                 raise DramProtocolError(
                     f"scheduler chose an illegal "
-                    f"{'conditional' if access.conditional else 'random'} "
+                    f"{'conditional' if request.conditional else 'random'} "
                     f"access to row {row} in window {self._ref_index}"
                 )
             elapsed += self.device.page_stream_time_ns(
-                self.timings, access.request.nbytes, first=(elapsed == 0.0)
+                self.timings, request.nbytes, first=(elapsed == 0.0)
             )
             if elapsed > self.timings.trfc_ns:
                 raise DramProtocolError(
@@ -121,7 +121,7 @@ class XfmModule:
                 )
             kind = (
                 CommandKind.NMA_RD
-                if access.request.kind is AccessKind.READ
+                if request.kind is AccessKind.READ
                 else CommandKind.NMA_WR
             )
             self.commands.append(
@@ -138,9 +138,9 @@ class XfmModule:
         checkpoint(self)
         return executed
 
-    def run(self, num_refs: int, pressure: bool = False) -> List[ExecutedAccess]:
+    def run(self, num_refs: int, pressure: bool = False) -> List[AccessRequest]:
         """Advance ``num_refs`` windows; returns everything executed."""
-        executed: List[ExecutedAccess] = []
+        executed: List[AccessRequest] = []
         for _ in range(num_refs):
             executed.extend(self.step(pressure=pressure))
         return executed

@@ -32,8 +32,7 @@ under per-bank refresh without touching any config).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.dram.device import DramDeviceConfig
 from repro.dram.timing import REF_COMMANDS_PER_RETENTION, DramTimings
@@ -66,13 +65,14 @@ def default_policy_name() -> str:
     return name
 
 
-@dataclass(frozen=True)
-class RefreshWindow:
+class RefreshWindow(NamedTuple):
     """One refresh window: rows being refreshed while the NMA may ride.
 
     ``bank`` is None for all-bank windows (the whole rank is locked) and
     the refreshing bank index for per-bank windows. ``slot`` is the REF
     slot within the retention cycle whose rows this window refreshes.
+    Immutable; a tuple rather than a frozen dataclass because one is
+    built for every window the refresh stream fires.
     """
 
     ref_index: int

@@ -16,8 +16,9 @@ Each checker takes one live object and raises :class:`InvariantViolation`
   occupancy and queue depth;
 * :func:`check_register_file` — register values are unsigned and every
   architected offset is present;
-* :func:`check_window_scheduler` — the pending counter matches the
-  queued requests, budgets within configured bounds;
+* :func:`check_window_scheduler` — no served request is still queued,
+  every queued fixed-row request has an age-heap entry, the pending
+  counter matches the queued requests, budgets within configured bounds;
 * :func:`check_xfm_module` — after each window the rank must look
   untouched to the host and the command trace must be time-ordered;
 * :func:`check_tier_pipeline` — the pipeline's placement map, per-tier
@@ -277,13 +278,22 @@ def check_register_file(registers: RegisterFile) -> None:
 
 
 def check_window_scheduler(scheduler: WindowScheduler) -> None:
-    """The pending counter must match the queued request population."""
-    queued = len(scheduler._flexible) + sum(
-        1
-        for bucket in scheduler._slot_buckets.values()
-        for request in bucket
-        if not request.served
-    )
+    """Queues hold only pending requests, every queued fixed-row request
+    is reachable through the age heap, and the pending counter matches
+    the queued population."""
+    live_in_heap = {id(entry[2]) for entry in scheduler._age_heap}
+    queued = 0
+    for request in scheduler.queued():
+        queued += 1
+        _require(
+            not request.served,
+            f"scheduler: served request {request.request_id} still queued",
+        )
+        _require(
+            request.row is None or id(request) in live_in_heap,
+            f"scheduler: queued request {request.request_id} (row "
+            f"{request.row}) has no age-heap entry",
+        )
     _require(
         scheduler.pending_count == queued,
         f"scheduler: pending_count {scheduler.pending_count} but "

@@ -126,14 +126,14 @@ class ReplayResult:
 
 
 def _record(result: ReplayResult, executed, ref: int) -> None:
-    for access in executed:
+    for request in executed:
         result.serviced += 1
-        if access.conditional:
+        if request.conditional:
             result.conditional += 1
         else:
             result.random += 1
-        result.bytes_moved += access.request.nbytes
-        result.order.append(access.request.request_id)
+        result.bytes_moved += request.nbytes
+        result.order.append(request.request_id)
     if executed:
         result.per_window[ref] = (
             result.per_window.get(ref, 0) + len(executed)

@@ -56,14 +56,14 @@ class TestFlexiblePlacement:
         executed = scheduler.drain(0)
         assert len(executed) == 1
         assert executed[0].conditional
-        assert executed[0].request.nbytes == 2048
+        assert executed[0].nbytes == 2048
 
     def test_flexible_has_priority(self):
         scheduler = _scheduler(accesses_per_ref=1, random_per_ref=0)
         scheduler.submit(AccessKind.READ, _row_for_slot(2), current_ref=0)
         scheduler.submit(AccessKind.WRITE, None, current_ref=0)
         executed = scheduler.drain(2)
-        assert executed[0].request.row is None
+        assert executed[0].row is None
 
 
 class TestRandomAccesses:
@@ -118,7 +118,7 @@ class TestRandomAccesses:
         first = scheduler.submit(AccessKind.READ, _row_for_slot(100), 0)
         scheduler.submit(AccessKind.READ, _row_for_slot(200), 1)
         executed = scheduler.drain(2)
-        assert executed[0].request.request_id == first.request_id
+        assert executed[0] is first
 
 
 class TestBookkeeping:
@@ -166,7 +166,7 @@ class TestBookkeepingStaysBounded:
             served.extend(scheduler.drain(ref))
             check_window_scheduler(scheduler)
         assert len(served) == 9000 and scheduler.pending_count == 0
-        assert all(access.request.served for access in served)
+        assert all(request.served for request in served)
         assert not hasattr(scheduler, "_done")
         assert scheduler.oldest_wait_refs(3000) == 0
         assert not scheduler._age_heap and not scheduler._slot_buckets
@@ -179,7 +179,7 @@ class TestBookkeepingStaysBounded:
         second = scheduler.submit(AccessKind.READ, _row_for_slot(9), 0)
         # Window 1000 refreshes another subarray: a random access.
         executed = scheduler.drain(1000)
-        assert len(executed) == 1 and executed[0].request is first
+        assert len(executed) == 1 and executed[0] is first
         assert not executed[0].conditional
-        assert scheduler._slot_buckets[9] == [second]
+        assert list(scheduler._slot_buckets[9]) == [second]
         assert scheduler._slot_buckets[9][0] is second
