@@ -32,10 +32,26 @@ from repro.sim import CLOCK as _sim_clock
 from repro.telemetry import spans as _spans
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.stats import Stats
 from repro.tiering.protocol import SwapOutcome
 
 #: Trace track for link transfers (dynamic tid, one Perfetto row).
 TRACK_DFM = "dfm-link"
+
+
+class LinkStats(Stats):
+    """Link accounting, exported as ``dfm.link_*``. A stats object of
+    its own, so the registry's views hold it and not the backend (which
+    holds the registry: a cycle only a full collection would free)."""
+
+    _PREFIX = "dfm"
+    _FIELDS = {
+        #: Joules spent on link transfers.
+        "link_energy_j": 0,
+        #: Seconds the link spent moving pages.
+        "link_busy_s": 0,
+    }
+    __slots__ = tuple(_FIELDS)
 
 
 class DfmBackend:
@@ -60,12 +76,9 @@ class DfmBackend:
         self.tier_name = tier
         self.stats = SwapStats(registry=self.registry, labels={"tier": tier})
         self.ledger = ledger if ledger is not None else BandwidthLedger()
-        #: Joules spent on link transfers.
-        self.link_energy_j = 0
-        #: Seconds the link spent moving pages.
-        self.link_busy_s = 0
-        for attr in ("link_energy_j", "link_busy_s"):
-            self.registry.bind_field(f"dfm.{attr}", self, attr, tier=tier)
+        self.link_stats = LinkStats(
+            registry=self.registry, labels={"tier": tier}
+        )
         #: Link-transfer latency quantiles per op class (simulated ns),
         #: recorded only under tracing.
         self._lat = {
@@ -186,9 +199,10 @@ class DfmBackend:
 
     def _account_transfer(self, op: str = "store") -> None:
         self.ledger.record("dfm_link", "read", PAGE_SIZE)
-        self.link_energy_j += self.link.transfer_energy_j(PAGE_SIZE)
+        link = self.link_stats
+        link.link_energy_j += self.link.transfer_energy_j(PAGE_SIZE)
         latency_s = self.link.page_swap_latency_s(PAGE_SIZE)
-        self.link_busy_s += latency_s
+        link.link_busy_s += latency_s
         if _trace.tracing_enabled():
             dur_ns = latency_s * 1e9
             _spans.emit_under(

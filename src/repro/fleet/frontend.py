@@ -25,7 +25,7 @@ from repro.errors import ConfigError, OverloadError, ReproError
 from repro.fleet.admission import AdmissionController, TenantQuota
 from repro.fleet.brownout import TRACK_FLEET, BrownoutConfig, BrownoutController
 from repro.fleet.retrybudget import RetryBudget
-from repro.fleet.shard import FleetRequest, FleetShard
+from repro.fleet.shard import FleetRequest, FleetShard, ignore_request
 from repro.sim import CLOCK as _sim_clock
 from repro.sim.events import EventScheduler
 from repro.telemetry import trace as _trace
@@ -81,7 +81,7 @@ class FleetFrontend:
         self.failover_lost_pages = 0
         #: Completion hook installed by the harness (phase accounting,
         #: shadow checks, retry decisions); receives terminal requests.
-        self.on_complete: Callable[[FleetRequest], None] = lambda req: None
+        self.on_complete: Callable[[FleetRequest], None] = ignore_request
         self._lat = {
             op: self.registry.quantile("op_latency_ns", op=op, tier="fleet")
             for op in ("store", "load")
@@ -281,6 +281,21 @@ class FleetFrontend:
         if data is None:
             data = self.spill.pop(key, None)
         return data
+
+    # -- teardown -------------------------------------------------------------
+
+    def close(self) -> None:
+        """Unhook the completion and brownout callbacks. Each is a
+        bound method that ties this frontend, its shards and the owner
+        of :attr:`on_complete` into a reference cycle; without them a
+        finished fleet is freed by refcount as soon as its owner drops
+        it, not at the next full collection. Everything stays readable
+        (registries, placement, shard pipelines); the fleet just stops
+        reporting completions and changing brownout mode."""
+        self.on_complete = ignore_request
+        self.brownout.on_enter = self.brownout.on_exit = None
+        for shard in self.shards.values():
+            shard.on_complete = ignore_request
 
     # -- direct access (final sweeps, diagnostics) ----------------------------
 

@@ -414,7 +414,11 @@ def _drive(config: FleetConfig, session: TelemetrySession) -> Dict[str, object]:
     # Every acknowledged page must still come back byte-identical
     # through the (post-failover) fleet.
     sweep = campaign.oracle.sweep(campaign.frontend.lookup)
-    return _build_report(config, campaign, sweep, failover_stats, arrivals)
+    report = _build_report(config, campaign, sweep, failover_stats, arrivals)
+    # Break the fleet's callback cycles: the campaign, its fleet and the
+    # session's ring are freed as soon as the caller drops them.
+    campaign.frontend.close()
+    return report
 
 
 def _build_report(

@@ -71,6 +71,21 @@ def make_degraded_codec() -> DeflateCodec:
     return codec
 
 
+def ignore_request(req: "FleetRequest") -> None:
+    """The completion hook of a shard or frontend nobody listens to."""
+
+
+def _spill_into(spill: Dict[int, bytes]) -> Callable[[int, bytes], None]:
+    """A pipeline's spill hook filing pages into the fleet's ``spill``
+    map by key. It holds the map, not the shard, so a pipeline keeps no
+    reference back to its shard."""
+
+    def spill_page(vaddr: int, data: bytes) -> None:
+        spill[vaddr // PAGE_SIZE] = data
+
+    return spill_page
+
+
 @dataclass
 class FleetRequest:
     """One serving request, from arrival to terminal state."""
@@ -150,7 +165,7 @@ class FleetShard:
             ],
             registry=self.registry,
             demotion=LruDemotion(watermark_fraction=0.75),
-            spill=self._spill_page,
+            spill=_spill_into(self.spill),
             trace_labels={"shard": name},
         )
         self._normal_demotion = self.pipeline.demotion
@@ -169,14 +184,9 @@ class FleetShard:
         self._pump_scheduled = False
         #: Completion callback installed by the frontend; receives every
         #: request this shard terminates (served, shed, or failed).
-        self.on_complete: Callable[[FleetRequest], None] = lambda req: None
+        self.on_complete: Callable[[FleetRequest], None] = ignore_request
         self._store_est_ns = tier0.swap_latency_s("out") * 1e9
         self._load_est_ns = tier0.swap_latency_s("in") * 1e9
-
-    # -- spill --------------------------------------------------------------
-
-    def _spill_page(self, vaddr: int, data: bytes) -> None:
-        self.spill[vaddr // PAGE_SIZE] = data
 
     # -- admission into the queue -------------------------------------------
 

@@ -8,7 +8,7 @@ The layers (see DESIGN.md "Telemetry"):
   statistic the stack exports.
 * :mod:`repro.telemetry.trace` — zero-cost-when-disabled span/instant
   events with simulated-time timestamps, buffered in a bounded ring and
-  exportable as Chrome trace-event JSON (Perfetto / ``about:tracing``),
+  streamed out as Chrome trace-event JSON (Perfetto / ``about:tracing``),
   one track per actor (CPU, NMA, driver, per-channel refresh).
 * :mod:`repro.telemetry.spans` — nested spans with parent/child
   causality ids over the trace ring, so one pipeline store exports as a
@@ -59,7 +59,6 @@ from repro.telemetry.trace import (
     instant,
     refresh_track,
     set_tracing,
-    to_chrome_trace,
     tracing,
     tracing_enabled,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "refresh_track",
     "set_tracing",
     "spans",
-    "to_chrome_trace",
     "tracing",
     "tracing_enabled",
 ]

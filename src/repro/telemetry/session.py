@@ -5,12 +5,15 @@ The session is the user-facing bundle: entering it turns tracing on
 flight recorder (see :mod:`repro.telemetry.flightrec`), resets the span
 ids, and rebases the shared simulated clock (:data:`repro.sim.CLOCK`)
 to t=0 — saving the outer timeline so nested sessions restore it on
-exit; exiting turns everything off.
+exit; exiting hands back the ring, recorder and clock that were active
+on entry (tracing off, outside any other session).
 ``write()`` — called automatically on exit when ``out_dir`` is set —
 produces
 
 * ``trace.json``  — Chrome trace-event JSON (open in Perfetto or
-  ``about:tracing``), and
+  ``about:tracing``), compact, one event per line, streamed straight
+  from the ring by :func:`~repro.telemetry.trace.write_chrome_trace`,
+  and
 * ``metrics.json`` — the registry snapshot plus every stats object
   attached with :meth:`add_stats`,
 
@@ -42,9 +45,9 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.stats import Stats
 from repro.telemetry.trace import (
     TraceRing,
+    current_ring,
     set_tracing,
-    to_chrome_trace,
-    tracing_enabled,
+    write_chrome_trace,
 )
 
 #: Environment variable overriding the default ring capacity.
@@ -89,14 +92,16 @@ class TelemetrySession:
         )
         self._stats: Dict[str, Stats] = {}
         self._annotations: Dict[str, object] = {}
-        self._was_enabled = False
+        self._prev_ring: Optional[TraceRing] = None
         self._prev_recorder: Optional[FlightRecorder] = None
         self._clock_state: Optional[int] = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def __enter__(self) -> "TelemetrySession":
-        self._was_enabled = tracing_enabled()
+        # Tracing is on exactly while a ring is installed; keep the
+        # outer one (if any) so a nested session hands it back on exit.
+        self._prev_ring = current_ring()
         set_tracing(True, self.ring)
         # The session borrows the shared simulated clock: save the outer
         # timeline, start this run at t=0, and restore on exit so nested
@@ -116,7 +121,8 @@ class TelemetrySession:
         if self._clock_state is not None:
             _sim_clock.restore(self._clock_state)
             self._clock_state = None
-        set_tracing(False)
+        set_tracing(self._prev_ring is not None, self._prev_ring)
+        self._prev_ring = None
         if self.out_dir is not None and exc_type is None:
             self.write(self.out_dir)
 
@@ -163,8 +169,7 @@ class TelemetrySession:
         trace_path = target / "trace.json"
         metrics_path = target / "metrics.json"
         with open(trace_path, "w", encoding="utf-8") as fh:
-            json.dump(to_chrome_trace(self.ring), fh, indent=1)
-            fh.write("\n")
+            write_chrome_trace(self.ring, fh)
         with open(metrics_path, "w", encoding="utf-8") as fh:
             json.dump(self.metrics_document(), fh, indent=2, sort_keys=True)
             fh.write("\n")

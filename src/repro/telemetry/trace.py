@@ -6,8 +6,8 @@ a single module-global boolean read when tracing is off — cheap enough
 to leave in the swap store path and the emulator's per-REF loop. When a
 ring is installed (``with tracing():`` or via
 :class:`~repro.telemetry.session.TelemetrySession`), events are appended
-to a bounded ring buffer and can be exported as Chrome trace-event JSON,
-loadable in Perfetto / ``about:tracing``.
+to a bounded ring buffer, which :func:`write_chrome_trace` streams out
+as Chrome trace-event JSON, loadable in Perfetto / ``about:tracing``.
 
 Timestamps are **simulated time** in nanoseconds, read from the shared
 :data:`repro.sim.CLOCK`. Components that own a timeline (the emulator's
@@ -23,9 +23,11 @@ channel. Track names become thread names via ``M`` metadata events.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from contextlib import contextmanager
-from typing import Deque, Dict, Iterator, List, Optional
+from json.encoder import encode_basestring_ascii as _encode
+from typing import Deque, Dict, Iterator, List, Optional, TextIO
 
 from repro.errors import ConfigError
 from repro.sim.clock import CLOCK as _clock
@@ -230,62 +232,114 @@ def fallback(
 _FIXED_TIDS = {TRACK_CPU: 1, TRACK_NMA: 2, TRACK_DRIVER: 3}
 TRACE_PID = 1
 
+#: Events per ``fh.write`` while streaming a trace.
+_WRITE_CHUNK = 4096
 
-def to_chrome_trace(ring: TraceRing) -> Dict[str, object]:
-    """Render the ring as a Chrome trace-event JSON document.
+#: What :mod:`json` writes for a finite float (subclasses included).
+_float_repr = float.__repr__
+
+
+class _Literals(dict):
+    """str -> its JSON string literal, encoded once per distinct string
+    (names, phases, arg keys and arg values repeat across a trace)."""
+
+    def __missing__(self, value: str) -> str:
+        literal = self[value] = _encode(value)
+        return literal
+
+
+def _json_float(value: float) -> str:
+    """``value`` exactly as :mod:`json` writes it: ``float.__repr__``
+    when finite, ``NaN``/``Infinity``/``-Infinity`` otherwise."""
+    if value - value == 0.0:
+        return _float_repr(value)
+    return json.dumps(value)
+
+
+def _json_args(args: Dict[str, object], text: _Literals) -> str:
+    """One event's ``args`` object. ``bool``/``int``/``float``/``str``/
+    ``None`` values are rendered inline; any other value (a list, a
+    dict, an int subclass, ...) or a key that is not a string goes
+    through :func:`json.dumps`."""
+    parts = []
+    for key, value in args.items():
+        if type(key) is not str:
+            return json.dumps(args, separators=(",", ":"))
+        kind = type(value)
+        if kind is int:
+            rendered = repr(value)
+        elif kind is str:
+            rendered = text[value]
+        elif kind is float:
+            rendered = _json_float(value)
+        elif value is None:
+            rendered = "null"
+        elif kind is bool:
+            rendered = "true" if value else "false"
+        else:
+            rendered = json.dumps(value, separators=(",", ":"))
+        parts.append(f"{text[key]}:{rendered}")
+    return "{" + ",".join(parts) + "}"
+
+
+def write_chrome_trace(ring: TraceRing, fh: TextIO) -> None:
+    """Stream the ring to ``fh`` as a Chrome trace-event JSON document,
+    one compact event per line.
 
     One process (pid 1, named after the reproduction) with one thread
     per track; ``ts``/``dur`` are microseconds per the trace-event spec.
+    The first pass over the ring assigns tids in ring order (the fixed
+    tracks keep theirs); the second writes the ``M`` metadata records
+    (process name, then one thread name per track in tid order) and
+    then one line per event in ring order, ``fh.write`` once per
+    :data:`_WRITE_CHUNK` events. Parsed with :mod:`json`, the document
+    is ``{"traceEvents": [...], "displayTimeUnit": "ns",
+    "otherData": {"dropped_events": <int>}}``.
     """
+    events = ring.events()
     tids: Dict[str, int] = {}
     next_dynamic = 100
-    events: List[Dict[str, object]] = []
-    for event in ring.events():
-        tid = tids.get(event.track)
-        if tid is None:
+    for event in events:
+        if event.track not in tids:
             tid = _FIXED_TIDS.get(event.track)
             if tid is None:
                 tid = next_dynamic
                 next_dynamic += 1
             tids[event.track] = tid
-        record: Dict[str, object] = {
-            "name": event.name,
-            "ph": event.ph,
-            "ts": event.ts_ns / 1e3,
-            "pid": TRACE_PID,
-            "tid": tid,
-        }
-        if event.ph == PH_COMPLETE:
-            record["dur"] = (event.dur_ns or 0.0) / 1e3
-        if event.ph == PH_INSTANT:
-            record["s"] = "t"  # thread-scoped instant
-        if event.args:
-            record["args"] = dict(event.args)
-        events.append(record)
 
-    metadata: List[Dict[str, object]] = [
-        {
-            "name": "process_name",
-            "ph": PH_METADATA,
-            "ts": 0.0,
-            "pid": TRACE_PID,
-            "tid": 0,
-            "args": {"name": "xfm-repro"},
-        }
+    text = _Literals()
+    lines = [
+        f'{{"name":"process_name","ph":"{PH_METADATA}","ts":0.0,'
+        f'"pid":{TRACE_PID},"tid":0,"args":{{"name":"xfm-repro"}}}}'
     ]
     for track, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        metadata.append(
-            {
-                "name": "thread_name",
-                "ph": PH_METADATA,
-                "ts": 0.0,
-                "pid": TRACE_PID,
-                "tid": tid,
-                "args": {"name": track},
-            }
+        lines.append(
+            f'{{"name":"thread_name","ph":"{PH_METADATA}","ts":0.0,'
+            f'"pid":{TRACE_PID},"tid":{tid},"args":{{"name":{text[track]}}}}}'
         )
-    return {
-        "traceEvents": metadata + events,
-        "displayTimeUnit": "ns",
-        "otherData": {"dropped_events": ring.dropped},
-    }
+    fh.write('{"traceEvents":[\n')
+    separator = ""
+    for event in events:
+        ph = event.ph
+        line = (
+            f'{{"name":{text[event.name]},"ph":{text[ph]},'
+            f'"ts":{_json_float(event.ts_ns / 1e3)},'
+            f'"pid":{TRACE_PID},"tid":{tids[event.track]}'
+        )
+        if ph == PH_COMPLETE:
+            line += f',"dur":{_json_float((event.dur_ns or 0.0) / 1e3)}'
+        elif ph == PH_INSTANT:
+            line += ',"s":"t"'  # thread-scoped instant
+        if event.args:
+            line += f',"args":{_json_args(event.args, text)}'
+        lines.append(line + "}")
+        if len(lines) >= _WRITE_CHUNK:
+            fh.write(separator + ",\n".join(lines))
+            separator = ",\n"
+            lines = []
+    if lines:
+        fh.write(separator + ",\n".join(lines))
+    fh.write(
+        '\n],"displayTimeUnit":"ns",'
+        f'"otherData":{{"dropped_events":{ring.dropped}}}}}\n'
+    )

@@ -33,6 +33,7 @@ windows, backoff charges, and replayed traces.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import (
@@ -134,6 +135,58 @@ def _named(
     return named
 
 
+def _breaker_transition(
+    registry: MetricsRegistry,
+    labels: Dict[str, str],
+    breaker: CircuitBreaker,
+    old: BreakerState,
+    new: BreakerState,
+) -> None:
+    """A pipeline's breaker ``on_transition`` hook (bound with
+    :func:`functools.partial` to its registry and trace labels)."""
+    registry.counter(
+        "tier_breaker.transitions",
+        tier=breaker.name, to=new.value, **labels,
+    ).inc()
+    if _trace.tracing_enabled():
+        args = {"tier": breaker.name, "from": old.value,
+                "to": new.value,
+                "error_rate": round(breaker.error_rate(), 4)}
+        args.update(labels)
+        _trace.instant("tier_breaker", TRACK_TIER, args=args)
+    if new is BreakerState.OPEN:
+        # Black-box dump: the last thing an operator has when a tier
+        # goes dark is whatever led up to the breaker opening.
+        detail = {
+            "tier": breaker.name,
+            "from": old.value,
+            "error_rate": round(breaker.error_rate(), 4),
+        }
+        detail.update(labels)
+        _flightrec.trigger(_flightrec.REASON_BREAKER_OPEN, detail)
+
+
+def _breaker_probe(
+    registry: MetricsRegistry,
+    labels: Dict[str, str],
+    breaker: CircuitBreaker,
+    ok: bool,
+) -> None:
+    """A pipeline's breaker ``on_probe`` hook (see
+    :func:`_breaker_transition`)."""
+    registry.counter(
+        "tier_breaker.probe_results",
+        tier=breaker.name,
+        result="success" if ok else "failure",
+        **labels,
+    ).inc()
+    if _trace.tracing_enabled():
+        args = {"tier": breaker.name,
+                "result": "success" if ok else "failure"}
+        args.update(labels)
+        _trace.instant("tier_breaker_probe", TRACK_TIER, args=args)
+
+
 class TierPipeline:
     """An ordered chain of far-memory tiers behaving as one tier."""
 
@@ -173,13 +226,19 @@ class TierPipeline:
         self.pipeline_stats = PipelineStats(registry=self.registry)
         #: Per-tier health breakers; an OPEN breaker quarantines its
         #: tier (stores route around it, cool-down ticks per skipped
-        #: operation, then a half-open probe re-tests it).
+        #: operation, then a half-open probe re-tests it). Their hooks
+        #: hold the registry and labels, not the pipeline, so a
+        #: pipeline is freed by refcount, not by a full collection.
         self.breakers: List[CircuitBreaker] = [
             CircuitBreaker(
                 name,
                 config=breaker_config,
-                on_transition=self._on_breaker_transition,
-                on_probe=self._on_breaker_probe,
+                on_transition=partial(
+                    _breaker_transition, self.registry, self.trace_labels
+                ),
+                on_probe=partial(
+                    _breaker_probe, self.registry, self.trace_labels
+                ),
             )
             for name in self.tier_names
         ]
@@ -202,43 +261,6 @@ class TierPipeline:
             )
             for op in ("store", "load", "prefetch", "demote")
         }
-
-    def _on_breaker_transition(
-        self, breaker: CircuitBreaker, old: BreakerState, new: BreakerState
-    ) -> None:
-        self.registry.counter(
-            "tier_breaker.transitions",
-            tier=breaker.name, to=new.value, **self.trace_labels,
-        ).inc()
-        if _trace.tracing_enabled():
-            args = {"tier": breaker.name, "from": old.value,
-                    "to": new.value,
-                    "error_rate": round(breaker.error_rate(), 4)}
-            args.update(self.trace_labels)
-            _trace.instant("tier_breaker", TRACK_TIER, args=args)
-        if new is BreakerState.OPEN:
-            # Black-box dump: the last thing an operator has when a tier
-            # goes dark is whatever led up to the breaker opening.
-            detail = {
-                "tier": breaker.name,
-                "from": old.value,
-                "error_rate": round(breaker.error_rate(), 4),
-            }
-            detail.update(self.trace_labels)
-            _flightrec.trigger(_flightrec.REASON_BREAKER_OPEN, detail)
-
-    def _on_breaker_probe(self, breaker: CircuitBreaker, ok: bool) -> None:
-        self.registry.counter(
-            "tier_breaker.probe_results",
-            tier=breaker.name,
-            result="success" if ok else "failure",
-            **self.trace_labels,
-        ).inc()
-        if _trace.tracing_enabled():
-            args = {"tier": breaker.name,
-                    "result": "success" if ok else "failure"}
-            args.update(self.trace_labels)
-            _trace.instant("tier_breaker_probe", TRACK_TIER, args=args)
 
     def _record_tier_error(self, index: int) -> None:
         self.breakers[index].record_failure()

@@ -72,8 +72,8 @@ class TestDfmBackend:
         backend.swap_out(page)
         backend.swap_in(page)
         assert backend.ledger.total("dfm_link") == 2 * PAGE_SIZE
-        assert backend.link_energy_j > 0
-        assert backend.link_busy_s > 0
+        assert backend.link_stats.link_energy_j > 0
+        assert backend.link_stats.link_busy_s > 0
 
     def test_swap_in_faster_than_sfm_cpu(self, json_pages):
         """The latency trade §2.1 describes: DFM fetch beats CPU

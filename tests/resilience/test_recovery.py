@@ -176,7 +176,7 @@ class TestDfmLinkErrors:
         )
         with fault_injection(plan):
             assert backend.swap_out(page).accepted
-            busy_faulted = backend.link_busy_s
+            busy_faulted = backend.link_stats.link_busy_s
         assert backend.swap_in(page) == _compressible(8)
-        delta_normal = backend.link_busy_s - busy_faulted
+        delta_normal = backend.link_stats.link_busy_s - busy_faulted
         assert busy_faulted == pytest.approx(10.0 * delta_normal)

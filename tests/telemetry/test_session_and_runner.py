@@ -113,7 +113,14 @@ class TestFlightRecorderLifecycle:
         with TelemetrySession() as outer:
             with TelemetrySession() as inner:
                 assert flightrec.current_recorder() is inner.flight
+                assert trace.current_ring() is inner.ring
             assert flightrec.current_recorder() is outer.flight
+            # The outer trace is still on and still its own.
+            assert trace.tracing_enabled()
+            assert trace.current_ring() is outer.ring
+            trace.instant("after_inner", trace.TRACK_CPU)
+        assert [e.name for e in outer.ring.events()] == ["after_inner"]
+        assert not trace.tracing_enabled() and trace.current_ring() is None
 
     def test_trigger_dump_lands_in_out_dir_and_metrics(self, tmp_path):
         from repro.telemetry import flightrec

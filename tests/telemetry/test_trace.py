@@ -1,6 +1,12 @@
 """Trace ring, emission guards, and Chrome trace-event export."""
 
+import io
+import json
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.sim import CLOCK
@@ -76,6 +82,116 @@ class TestEmission:
         }
 
 
+def _export(ring):
+    """The ring through the writer, parsed back."""
+    out = io.StringIO()
+    trace.write_chrome_trace(ring, out)
+    return json.loads(out.getvalue())
+
+
+def _spec_document(ring):
+    """The Chrome trace document the writer must produce, built the
+    plain way: pid 1, tids 1/2/3 for the fixed tracks and 100, 101, ...
+    for the others in ring order, ``ts``/``dur`` in microseconds, the
+    ``M`` records first."""
+    fixed = {"cpu": 1, "nma": 2, "driver": 3}
+    dynamic = iter(range(100, 1 << 30))
+    tids = {}
+    records = []
+    for event in ring.events():
+        if event.track not in tids:
+            tids[event.track] = fixed.get(event.track) or next(dynamic)
+        record = {
+            "name": event.name, "ph": event.ph, "ts": event.ts_ns / 1e3,
+            "pid": 1, "tid": tids[event.track],
+        }
+        if event.ph == "X":
+            record["dur"] = (event.dur_ns or 0.0) / 1e3
+        if event.ph == "i":
+            record["s"] = "t"
+        if event.args:
+            record["args"] = json.loads(json.dumps(event.args))
+        records.append(record)
+    metadata = [{
+        "name": "process_name", "ph": "M", "ts": 0.0, "pid": 1, "tid": 0,
+        "args": {"name": "xfm-repro"},
+    }] + [
+        {"name": "thread_name", "ph": "M", "ts": 0.0, "pid": 1, "tid": tid,
+         "args": {"name": track}}
+        for track, tid in sorted(tids.items(), key=lambda kv: kv[1])
+    ]
+    return {
+        "traceEvents": metadata + records,
+        "displayTimeUnit": "ns",
+        "otherData": {"dropped_events": ring.dropped},
+    }
+
+
+#: Strings JSON must escape, mixed with arbitrary text.
+_TEXT = st.text(alphabet=st.sampled_from('"\\/\n\t\x00\x1f\x7fé✓\U0001f600ab'),
+                max_size=6) | st.text(max_size=6)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_ARG_VALUES = (
+    st.booleans() | st.integers() | _FLOATS | _TEXT | st.none()
+    | st.lists(st.integers() | _TEXT | st.none(), max_size=3)
+)
+_EVENTS = st.lists(
+    st.builds(
+        trace.TraceEvent,
+        name=_TEXT,
+        ph=st.sampled_from([trace.PH_COMPLETE, trace.PH_INSTANT, trace.PH_METADATA]),
+        ts_ns=_FLOATS | st.integers(-(10**12), 10**12),
+        track=st.sampled_from(["cpu", "nma", "driver", "refresh/ch0"]) | _TEXT,
+        dur_ns=st.none() | _FLOATS,
+        args=st.none() | st.dictionaries(_TEXT, _ARG_VALUES, max_size=4),
+    ),
+    max_size=14,
+)
+
+
+class TestWriterRoundTrip:
+    """``json.loads`` of the streamed file is the spec document."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(events=_EVENTS, capacity=st.integers(1, 10), chunk=st.integers(1, 5))
+    @example(
+        events=[trace.TraceEvent(f"e{i}", "i", float(i), "cpu") for i in range(5)],
+        capacity=2, chunk=1,
+    )
+    def test_parsed_output_is_the_spec_document(self, events, capacity, chunk):
+        ring = trace.TraceRing(capacity=capacity)
+        for event in events:
+            ring.append(event)
+        out = io.StringIO()
+        with mock.patch.object(trace, "_WRITE_CHUNK", chunk):
+            trace.write_chrome_trace(ring, out)
+        doc = json.loads(out.getvalue())
+        assert doc == _spec_document(ring)
+        assert list(doc) == ["traceEvents", "displayTimeUnit", "otherData"]
+        # One record per line, between the opening and closing lines.
+        assert len(out.getvalue().splitlines()) == len(doc["traceEvents"]) + 2
+
+    def test_overflowed_ring_reports_drops(self):
+        ring = trace.TraceRing(capacity=3)
+        for i in range(7):
+            ring.append(trace.TraceEvent(f"e{i}", "X", float(i), "nma", 1.0))
+        doc = _export(ring)
+        assert doc["otherData"]["dropped_events"] == 4
+        assert [e["name"] for e in doc["traceEvents"][2:]] == ["e4", "e5", "e6"]
+
+    def test_non_finite_floats_are_written_as_json_does(self):
+        ring = trace.TraceRing()
+        ring.append(trace.TraceEvent(
+            "odd", "X", float("inf"), "cpu", float("nan"),
+            args={"x": float("-inf")},
+        ))
+        text = io.StringIO()
+        trace.write_chrome_trace(ring, text)
+        assert '"ts":Infinity' in text.getvalue()
+        assert '"dur":NaN' in text.getvalue()
+        assert '"args":{"x":-Infinity}' in text.getvalue()
+
+
 class TestChromeExport:
     def _trace_doc(self):
         with trace.tracing() as ring:
@@ -86,7 +202,7 @@ class TestChromeExport:
             trace.instant("doorbell", trace.TRACK_DRIVER)
             trace.complete("nma_compress", trace.TRACK_NMA, 400.0, 276.0)
             trace.fallback("queue_full", "compress")
-        return trace.to_chrome_trace(ring)
+        return _export(ring)
 
     def test_every_event_has_required_fields(self):
         doc = self._trace_doc()

@@ -121,9 +121,11 @@ class TestDfmRegistryBugfix:
         assert snapshot["swap.swap_ins{tier=dfm}"] == 1
         assert snapshot["dfm.link_energy_j{tier=dfm}"] > 0
         assert snapshot["dfm.link_busy_s{tier=dfm}"] > 0
-        # Attribute surface still works, including augmented assignment.
-        assert backend.link_energy_j == snapshot["dfm.link_energy_j{tier=dfm}"]
-        backend.link_energy_j += 1.0
+        # The registry reads the link fields live, augmented assignment
+        # included.
+        link = backend.link_stats
+        assert link.link_energy_j == snapshot["dfm.link_energy_j{tier=dfm}"]
+        link.link_energy_j += 1.0
         assert registry.snapshot()["dfm.link_energy_j{tier=dfm}"] == (
             snapshot["dfm.link_energy_j{tier=dfm}"] + 1.0
         )
