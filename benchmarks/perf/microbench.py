@@ -162,7 +162,8 @@ def _swap_path_setup(traced: bool) -> Callable[[], None]:
     instrumentation costs on the real hot path."""
     from repro.sfm.backend import SfmBackend
     from repro.sfm.page import Page
-    from repro.telemetry import trace as _trace
+    from repro.sim.context import run_context
+    from repro.telemetry.trace import TraceRing
 
     codec = DeflateCodec(window_size=4096)
     pages = _bench_pages()
@@ -182,7 +183,7 @@ def _swap_path_setup(traced: bool) -> Callable[[], None]:
         return body
 
     def traced_body() -> None:
-        with _trace.tracing():
+        with run_context(ring=TraceRing()):
             body()
 
     return traced_body
@@ -286,6 +287,7 @@ def telemetry_overhead_ratio(repeats: int = 5) -> float:
     it at < 3% (``run_perf.py guard telemetry``).
     """
     from repro.sim import CLOCK as _sim_clock
+    from repro.sim.context import current
     from repro.telemetry import trace as _trace
 
     codec = DeflateCodec(window_size=4096)
@@ -311,7 +313,7 @@ def telemetry_overhead_ratio(repeats: int = 5) -> float:
                 )
             codec.decompress(blob)
 
-    assert not _trace.tracing_enabled(), "guard must measure the off path"
+    assert current().ring is None, "guard must measure the off path"
     return _best_of(guarded, repeats) / _best_of(plain, repeats)
 
 
@@ -328,6 +330,7 @@ def span_overhead_ratio(repeats: int = 5) -> float:
     cost at < 3% (``run_perf.py guard span``), same in-process-ratio
     protocol as :func:`telemetry_overhead_ratio`.
     """
+    from repro.sim.context import current
     from repro.telemetry import flightrec as _flightrec
     from repro.telemetry import spans as _spans
     from repro.telemetry import trace as _trace
@@ -365,8 +368,8 @@ def span_overhead_ratio(repeats: int = 5) -> float:
                 codec.decompress(blob)
         _flightrec.trigger(_flightrec.REASON_POISON)
 
-    assert not _trace.tracing_enabled(), "guard must measure the off path"
-    assert _flightrec.current_recorder() is None, (
+    assert current().ring is None, "guard must measure the off path"
+    assert current().flight is None, (
         "guard must measure the uninstalled flight-recorder path"
     )
     return _best_of(guarded, repeats) / _best_of(plain, repeats)

@@ -429,15 +429,17 @@ def _load_trace(command: str, args):
 def _cmd_replay(args) -> int:
     """Exit 0 clean, 1 on digest mismatches or missing pages."""
     from repro.scenarios.replayer import TraceReplayer, format_report
+    from repro.sim.context import current, run_context
     from repro.telemetry.session import TelemetrySession
     from repro.tiering.factory import make_tier
-    from repro.validation.hooks import validation
 
     trace = _load_trace("replay", args)
     if isinstance(trace, int):
         return trace
     session = TelemetrySession(out_dir=_out_dir(args))
-    with session, validation(args.validation):
+    # Without --validation the run inherits the checkpoint setting.
+    validate = args.validation or current().validation
+    with session, run_context(validation=validate):
         target = make_tier(args.backend, registry=session.registry)
         report = TraceReplayer(
             trace,

@@ -26,10 +26,8 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
     corrupt_bytes,
-    fault_injection,
     fire,
     injection_enabled,
-    set_injector,
 )
 from repro.resilience.integrity import BlobRecord, content_digest
 from repro.resilience.retry import BackoffPolicy, retry_with_backoff
@@ -46,9 +44,7 @@ __all__ = [
     "FaultSpec",
     "content_digest",
     "corrupt_bytes",
-    "fault_injection",
     "fire",
     "injection_enabled",
     "retry_with_backoff",
-    "set_injector",
 ]

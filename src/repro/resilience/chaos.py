@@ -35,10 +35,10 @@ from repro.resilience.breaker import BreakerConfig
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sfm.page import PAGE_SIZE
 from repro.sim import CLOCK as _sim_clock
+from repro.sim.context import current, run_context
 from repro.telemetry.session import TelemetrySession
 from repro.tiering.pipeline import TierPipeline
 from repro.tiering.policy import LruDemotion
-from repro.validation.hooks import validation
 from repro.validation.shadow import ShadowOracle
 from repro.workloads.corpus import page_for
 
@@ -122,8 +122,10 @@ def run_chaos(
     plan = fault_plan_for(config.profile, config.seed)
     injector = FaultInjector(plan)
     session = TelemetrySession(out_dir=out_dir)
-    with session, validation(config.validate), \
-            _faults.fault_injection(injector):
+    # An unset validate flag inherits (REPRO_VALIDATION, pytest's
+    # --validation, an enclosing scope) rather than forcing checks off.
+    validate = config.validate or current().validation
+    with session, run_context(injector=injector, validation=validate):
         report = _drive_campaign(config, injector, session)
     if out_dir is not None:
         path = Path(out_dir) / "chaos_report.json"

@@ -7,13 +7,13 @@ Hot paths across the device models call::
         if event is not None:
             ...  # apply the fault
 
-When no injector is installed (the default) the guard is a single
-module-global boolean read — the same pattern as
-:mod:`repro.validation.hooks` and :mod:`repro.telemetry.trace`, cheap
+When no injector is installed (the default) the guard is one read of
+the run context's ``injector`` field (:mod:`repro.sim.context`), cheap
 enough to leave in the swap hot paths. When an injector is installed
-(``with fault_injection(plan):``), each call site draws from a per-site
-RNG derived from the plan seed, so a campaign with the same seed fires
-the same faults at the same call indices every run.
+(``with run_context(injector=FaultInjector(plan)):``), each call site
+draws from a per-site RNG derived from the plan seed, so a campaign
+with the same seed fires the same faults at the same call indices every
+run.
 
 Fault *application* is the call site's job; this module only decides
 *whether* a site fires and hands back a :class:`FaultEvent` whose
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.sim import context as _context
 
 # -- injection sites -------------------------------------------------------
 
@@ -201,30 +201,11 @@ class FaultInjector:
         }
 
 
-# -- global switch (the validation.hooks pattern) --------------------------
-
-_injector: Optional[FaultInjector] = None
-_enabled: bool = False
-
+# -- hot-path guard (reads the run context) --------------------------------
 
 def injection_enabled() -> bool:
     """Whether fault injection is active (the hot-path guard)."""
-    return _enabled
-
-
-def current_injector() -> Optional[FaultInjector]:
-    return _injector
-
-
-def set_injector(
-    injector: Optional[FaultInjector],
-) -> Optional[FaultInjector]:
-    """Install/remove the active injector; returns the previous one."""
-    global _injector, _enabled
-    previous = _injector
-    _injector = injector
-    _enabled = injector is not None
-    return previous
+    return _context._current.injector is not None
 
 
 def fire(site: str) -> Optional[FaultEvent]:
@@ -232,28 +213,12 @@ def fire(site: str) -> Optional[FaultEvent]:
 
     Returns the :class:`FaultEvent` when the site fires, else ``None``.
     Callers on hot paths should guard with :func:`injection_enabled`
-    first so the disabled cost is one boolean read.
+    first so the disabled cost is one field read.
     """
-    injector = _injector
+    injector = _context._current.injector
     if injector is None:
         return None
     return injector.evaluate(site)
-
-
-@contextmanager
-def fault_injection(
-    plan_or_injector: Union[FaultPlan, FaultInjector],
-) -> Iterator[FaultInjector]:
-    """Scoped injection; yields the active :class:`FaultInjector`."""
-    if isinstance(plan_or_injector, FaultPlan):
-        injector = FaultInjector(plan_or_injector)
-    else:
-        injector = plan_or_injector
-    previous = set_injector(injector)
-    try:
-        yield injector
-    finally:
-        set_injector(previous)
 
 
 # -- deterministic corruption primitive ------------------------------------

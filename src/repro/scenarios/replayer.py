@@ -33,7 +33,6 @@ must surface as explicit data-loss counts.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -54,6 +53,7 @@ from repro.scenarios.format import (
 )
 from repro.sfm.page import Page
 from repro.sim import CLOCK as _sim_clock
+from repro.sim.context import run_context
 from repro.telemetry.session import TelemetrySession
 from repro.tiering.protocol import FarMemoryTier
 
@@ -157,14 +157,13 @@ class TraceReplayer:
 
     def _fault_context(self):
         if self.fault_profile is None:
-            return contextlib.nullcontext()
-        from repro.resilience import faults as _faults
+            return run_context()
         from repro.resilience.chaos import fault_plan_for
+        from repro.resilience.faults import FaultInjector
 
-        injector = _faults.FaultInjector(
+        return run_context(injector=FaultInjector(
             fault_plan_for(self.fault_profile, self.fault_seed)
-        )
-        return _faults.fault_injection(injector)
+        ))
 
     # -- replay loop ----------------------------------------------------------
 

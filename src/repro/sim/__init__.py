@@ -3,9 +3,12 @@
 One :class:`SimClock` (:data:`CLOCK`) drives DRAM refresh cadence, NMA
 window scheduling, telemetry timestamps, replay timelines, and
 resilience backoff; one :class:`EventScheduler` turns "derive the next
-window arithmetically" into "consume the next scheduled event". All
-simulated-time state in ``src/repro`` lives here — the error-hygiene
-lint forbids ad-hoc clock globals and wall-clock reads everywhere else.
+window arithmetically" into "consume the next scheduled event"; one
+:func:`~repro.sim.context.run_context` scopes the rest of a run's borrowed process state
+(trace ring, flight recorder, fault injector, validation flag). All
+simulated-time and run state in ``src/repro`` lives here — the
+error-hygiene lint forbids ad-hoc clock globals, wall-clock reads and
+run-state ``global`` statements everywhere else.
 """
 
 from repro.sim.clock import (

@@ -22,8 +22,9 @@ Ownership rules (see DESIGN.md §11):
 * **Set** (:meth:`SimClock.set_ns`) is reserved for timeline *owners*:
   the emulator's event loop, the trace replayer, a workload's window
   loop. Owners that borrow the clock must scope themselves with
-  :meth:`SimClock.scoped` (or save/restore) so nesting composes —
-  ``TelemetrySession`` and ``TraceReplayer`` both do.
+  :meth:`SimClock.scoped`, save/restore, or
+  ``run_context(clock_ns=...)`` (:mod:`repro.sim.context`) so nesting
+  composes — ``TraceReplayer`` and ``TelemetrySession`` do.
 """
 
 from __future__ import annotations

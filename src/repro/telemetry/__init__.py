@@ -58,8 +58,6 @@ from repro.telemetry.trace import (
     fallback,
     instant,
     refresh_track,
-    set_tracing,
-    tracing,
     tracing_enabled,
 )
 
@@ -89,8 +87,6 @@ __all__ = [
     "instant",
     "reasons",
     "refresh_track",
-    "set_tracing",
     "spans",
-    "tracing",
     "tracing_enabled",
 ]

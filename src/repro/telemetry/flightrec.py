@@ -2,8 +2,9 @@
 
 Trace rings answer questions you knew to ask before the run; the flight
 recorder answers the one you didn't — *what were the last N things that
-happened before it broke?* While installed (``TelemetrySession`` does
-this automatically) it shadows every trace emission into a small bounded
+happened before it broke?* While it is the run context's ``flight``
+field (:mod:`repro.sim.context`; ``TelemetrySession`` installs one
+automatically) it shadows every trace emission into a small bounded
 deque, and when a failure trigger fires — a circuit breaker opening, a
 ``CorruptedBlobError`` poisoning a page, the chaos oracle detecting
 loss — it writes ``flight_<reason>.json`` containing the recent events,
@@ -12,7 +13,7 @@ counter since the recorder was installed. Repeat triggers get numbered
 files (``flight_breaker_open_2.json``) so a cascading failure keeps
 every snapshot.
 
-Trigger sites call :func:`trigger`, which is a no-op (one global read)
+Trigger sites call :func:`trigger`, which is a no-op (one field read)
 when no recorder is installed, so the failure paths stay dependency-free
 and cost nothing outside a session.
 """
@@ -25,8 +26,8 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.errors import ConfigError
+from repro.sim import context as _context
 from repro.sim.clock import CLOCK as _sim_clock
-from repro.telemetry import trace as _trace
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import TraceEvent
 
@@ -92,7 +93,7 @@ class FlightRecorder:
         #: every dump document, whether or not it reached disk.
         self.documents: List[Dict[str, object]] = []
 
-    # -- recording (called from trace.emit via the module hook) ------------
+    # -- recording (called from trace.emit) --------------------------------
 
     def record(self, event: TraceEvent) -> None:
         if len(self._events) >= self.capacity:
@@ -151,42 +152,16 @@ class FlightRecorder:
         return filename
 
 
-# -- module-level installation (the trace._flight hook feeds us) -----------
-
-_recorder: Optional[FlightRecorder] = None
-
-
-def current_recorder() -> Optional[FlightRecorder]:
-    return _recorder
-
-
-def install(recorder: FlightRecorder) -> Optional[FlightRecorder]:
-    """Make ``recorder`` the active flight recorder; returns previous."""
-    global _recorder
-    previous = _recorder
-    _recorder = recorder
-    _trace.set_flight_sink(recorder.record)
-    return previous
-
-
-def uninstall() -> Optional[FlightRecorder]:
-    global _recorder
-    previous = _recorder
-    _recorder = None
-    _trace.set_flight_sink(None)
-    return previous
-
-
 def trigger(
     reason: str, detail: Optional[Dict[str, object]] = None
 ) -> Optional[str]:
     """Fire a failure trigger; no-op when no recorder is installed.
 
     Failure paths (breaker transitions, page poisoning, the chaos
-    oracle) call this unconditionally — the disabled cost is one module
-    global read on paths that are already rare.
+    oracle) call this unconditionally — the disabled cost is one field
+    read on paths that are already rare.
     """
-    recorder = _recorder
+    recorder = _context._current.flight
     if recorder is None:
         return None
     return recorder.trigger(reason, detail)

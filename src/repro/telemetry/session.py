@@ -1,12 +1,12 @@
 """TelemetrySession: one run's trace ring + metrics registry + export.
 
-The session is the user-facing bundle: entering it turns tracing on
-(with a bounded ring), attaches a fresh metrics registry, installs a
-flight recorder (see :mod:`repro.telemetry.flightrec`), resets the span
-ids, and rebases the shared simulated clock (:data:`repro.sim.CLOCK`)
-to t=0 — saving the outer timeline so nested sessions restore it on
-exit; exiting hands back the ring, recorder and clock that were active
-on entry (tracing off, outside any other session).
+The session is the user-facing bundle: entering it opens one
+:func:`~repro.sim.context.run_context` with its own bounded ring (so
+tracing is on and span ids start at 1) and flight recorder (see
+:mod:`repro.telemetry.flightrec`), and rebases the shared simulated
+clock (:data:`repro.sim.CLOCK`) to t=0. It also carries a fresh
+metrics registry. Exiting restores the enclosing context and the
+outer clock ticks, so sessions nest.
 ``write()`` — called automatically on exit when ``out_dir`` is set —
 produces
 
@@ -38,17 +38,11 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.sim import CLOCK as _sim_clock
-from repro.telemetry import flightrec, spans
+from repro.sim.context import run_context
 from repro.telemetry.flightrec import FlightRecorder
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.stats import Stats
-from repro.telemetry.trace import (
-    TraceRing,
-    current_ring,
-    set_tracing,
-    write_chrome_trace,
-)
+from repro.telemetry.trace import TraceRing, write_chrome_trace
 
 #: Environment variable overriding the default ring capacity.
 RING_CAPACITY_ENV = "REPRO_TRACE_RING"
@@ -92,37 +86,20 @@ class TelemetrySession:
         )
         self._stats: Dict[str, Stats] = {}
         self._annotations: Dict[str, object] = {}
-        self._prev_ring: Optional[TraceRing] = None
-        self._prev_recorder: Optional[FlightRecorder] = None
-        self._clock_state: Optional[int] = None
+        self._scope = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def __enter__(self) -> "TelemetrySession":
-        # Tracing is on exactly while a ring is installed; keep the
-        # outer one (if any) so a nested session hands it back on exit.
-        self._prev_ring = current_ring()
-        set_tracing(True, self.ring)
-        # The session borrows the shared simulated clock: save the outer
-        # timeline, start this run at t=0, and restore on exit so nested
-        # sessions (and whatever ran before) resume where they left off.
-        self._clock_state = _sim_clock.save()
-        _sim_clock.set_ns(0.0)
-        spans.reset()
-        self._prev_recorder = flightrec.install(self.flight)
+        self._scope = run_context(
+            ring=self.ring, flight=self.flight, clock_ns=0.0
+        )
+        self._scope.__enter__()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._prev_recorder is not None:
-            flightrec.install(self._prev_recorder)
-        else:
-            flightrec.uninstall()
-        self._prev_recorder = None
-        if self._clock_state is not None:
-            _sim_clock.restore(self._clock_state)
-            self._clock_state = None
-        set_tracing(self._prev_ring is not None, self._prev_ring)
-        self._prev_ring = None
+        self._scope.__exit__(None, None, None)
+        self._scope = None
         if self.out_dir is not None and exc_type is None:
             self.write(self.out_dir)
 

@@ -12,8 +12,11 @@ which ``tier_store`` on the ``tiering`` track caused it).
 
 Zero-cost discipline is the same as the rest of the telemetry layer:
 every call site guards behind :func:`repro.telemetry.trace.tracing_enabled`,
-and this module keeps no state beyond an id counter and the open-span
-stack, both plain module globals.
+so the functions here assume a ring is installed in the run context
+(:mod:`repro.sim.context`). This module keeps no state: the id counter
+and the open-span stack live on that :class:`~repro.telemetry.trace.TraceRing`,
+so ids are unique within one exported trace, a fresh ring starts at
+id 1, and a nested session's spans never disturb the outer ring's.
 
 Timestamps are simulated time, read from the shared
 :data:`repro.sim.CLOCK`, so a span's duration is however far the
@@ -25,32 +28,33 @@ inside it, not wall time.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
+from repro.sim import context as _context
 from repro.sim.clock import CLOCK as _sim_clock
 from repro.telemetry import trace as _trace
-
-_next_id: int = 1
-_stack: List[int] = []
+from repro.telemetry.trace import TraceRing
 
 
-def reset() -> None:
-    """Restart ids and drop any open spans (session entry calls this so
-    span ids are deterministic per run)."""
-    global _next_id
-    _next_id = 1
-    del _stack[:]
+def _new_span_id(ring: TraceRing) -> int:
+    span_id = ring.next_span_id
+    ring.next_span_id = span_id + 1
+    return span_id
 
 
 def current_span_id() -> Optional[int]:
     """Id of the innermost open span, or None outside any span."""
-    return _stack[-1] if _stack else None
+    stack = _context._current.ring.open_spans
+    return stack[-1] if stack else None
 
 
 class SpanHandle:
-    """An open span; pass back to :func:`end` to close and emit it."""
+    """An open span; pass back to :func:`end` to close and emit it.
+    It closes against the open-span stack of the ring that opened it."""
 
-    __slots__ = ("span_id", "parent_id", "name", "track", "start_ns", "args")
+    __slots__ = (
+        "span_id", "parent_id", "name", "track", "start_ns", "args", "ring"
+    )
 
     def __init__(
         self,
@@ -60,6 +64,7 @@ class SpanHandle:
         track: str,
         start_ns: float,
         args: Optional[Dict[str, object]],
+        ring: TraceRing,
     ) -> None:
         self.span_id = span_id
         self.parent_id = parent_id
@@ -67,6 +72,7 @@ class SpanHandle:
         self.track = track
         self.start_ns = start_ns
         self.args = args
+        self.ring = ring
 
 
 def begin(
@@ -74,18 +80,19 @@ def begin(
 ) -> SpanHandle:
     """Open a span at the current simulated time under the innermost
     open span (if any) and push it on the stack."""
-    global _next_id
-    span_id = _next_id
-    _next_id += 1
+    ring = _context._current.ring
+    stack = ring.open_spans
+    span_id = _new_span_id(ring)
     handle = SpanHandle(
         span_id=span_id,
-        parent_id=_stack[-1] if _stack else None,
+        parent_id=stack[-1] if stack else None,
         name=name,
         track=track,
         start_ns=_sim_clock.now_ns(),
         args=args,
+        ring=ring,
     )
-    _stack.append(span_id)
+    stack.append(span_id)
     return handle
 
 
@@ -97,10 +104,11 @@ def end(
     Spans close innermost-first; if callers leak an inner span the stack
     is unwound to the handle being closed so the tree stays consistent.
     """
-    while _stack and _stack[-1] != handle.span_id:
-        _stack.pop()
-    if _stack:
-        _stack.pop()
+    stack = handle.ring.open_spans
+    while stack and stack[-1] != handle.span_id:
+        stack.pop()
+    if stack:
+        stack.pop()
     end_ns = _sim_clock.now_ns()
     dur_ns = end_ns - handle.start_ns
     args: Dict[str, object] = {"span": handle.span_id}
@@ -143,12 +151,11 @@ def emit_under(
     restructuring their emission sites: same event, plus causality ids.
     Returns the allocated span id.
     """
-    global _next_id
-    span_id = _next_id
-    _next_id += 1
+    ring = _context._current.ring
+    span_id = _new_span_id(ring)
     full: Dict[str, object] = {"span": span_id}
-    if _stack:
-        full["parent"] = _stack[-1]
+    if ring.open_spans:
+        full["parent"] = ring.open_spans[-1]
     if args:
         full.update(args)
     _trace.complete(name, track, start_ns, dur_ns, args=full)
@@ -163,8 +170,9 @@ def instant_under(
 ) -> None:
     """Emit an instant tagged with the innermost open span's id."""
     full: Dict[str, object] = {}
-    if _stack:
-        full["parent"] = _stack[-1]
+    parent = current_span_id()
+    if parent is not None:
+        full["parent"] = parent
     if args:
         full.update(args)
     _trace.instant(name, track, ts_ns=ts_ns, args=full or None)

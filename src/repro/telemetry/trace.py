@@ -1,13 +1,13 @@
 """Structured trace events: zero-cost when disabled, Perfetto when on.
 
-The tracing layer follows the :mod:`repro.validation.hooks` pattern: hot
-paths guard every emission site behind :func:`tracing_enabled`, which is
-a single module-global boolean read when tracing is off — cheap enough
-to leave in the swap store path and the emulator's per-REF loop. When a
-ring is installed (``with tracing():`` or via
-:class:`~repro.telemetry.session.TelemetrySession`), events are appended
-to a bounded ring buffer, which :func:`write_chrome_trace` streams out
-as Chrome trace-event JSON, loadable in Perfetto / ``about:tracing``.
+Hot paths guard every emission site behind :func:`tracing_enabled`,
+which reads the run context's ``ring`` field (:mod:`repro.sim.context`)
+— cheap enough to leave in the swap store path and the emulator's
+per-REF loop. While a ring is installed (``with run_context(ring=...):``
+or via :class:`~repro.telemetry.session.TelemetrySession`), events are
+appended to that bounded ring buffer, which :func:`write_chrome_trace`
+streams out as Chrome trace-event JSON, loadable in Perfetto /
+``about:tracing``.
 
 Timestamps are **simulated time** in nanoseconds, read from the shared
 :data:`repro.sim.CLOCK`. Components that own a timeline (the emulator's
@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _encode
-from typing import Deque, Dict, Iterator, List, Optional, TextIO
+from typing import Deque, Dict, List, Optional, TextIO
 
 from repro.errors import ConfigError
+from repro.sim import context as _context
 from repro.sim.clock import CLOCK as _clock
 
 #: Chrome trace-event phase codes used here.
@@ -73,7 +73,12 @@ class TraceEvent:
 class TraceRing:
     """Bounded event ring: overflow drops the *oldest* events and counts
     them, so a long run keeps its tail (the part being diagnosed) and
-    the export records how much history was shed."""
+    the export records how much history was shed.
+
+    A ring is also the unit of span numbering: it owns the next span id
+    and the stack of open span ids (see :mod:`repro.telemetry.spans`),
+    so span ids are unique within one exported trace and a fresh ring
+    starts at id 1."""
 
     def __init__(self, capacity: int = 65536) -> None:
         if capacity < 1:
@@ -81,6 +86,8 @@ class TraceRing:
         self.capacity = capacity
         self.dropped = 0
         self._events: Deque[TraceEvent] = deque()
+        self.next_span_id = 1
+        self.open_spans: List[int] = []
 
     def append(self, event: TraceEvent) -> None:
         if len(self._events) >= self.capacity:
@@ -99,63 +106,9 @@ class TraceRing:
         self.dropped = 0
 
 
-# -- global switch (the validation.hooks pattern) ---------------------------
-# The clock itself lives in repro.sim; only the enable flag, the ring and
-# the flight sink are telemetry state.
-
-_enabled: bool = False
-_ring: Optional[TraceRing] = None
-#: Optional secondary sink fed every emitted event — the flight
-#: recorder's record callback (see :mod:`repro.telemetry.flightrec`).
-_flight = None
-
-
 def tracing_enabled() -> bool:
     """Whether trace emission is active (the hot-path guard)."""
-    return _enabled
-
-
-def current_ring() -> Optional[TraceRing]:
-    return _ring
-
-
-def set_tracing(
-    enabled: bool, ring: Optional[TraceRing] = None
-) -> Optional[TraceRing]:
-    """Install/remove the active ring; returns the previous ring."""
-    global _enabled, _ring
-    previous = _ring
-    if enabled:
-        _ring = ring if ring is not None else TraceRing()
-        _enabled = True
-    else:
-        _enabled = False
-        _ring = None
-    return previous
-
-
-@contextmanager
-def tracing(ring: Optional[TraceRing] = None) -> Iterator[TraceRing]:
-    """Scoped tracing; yields the active ring."""
-    global _enabled, _ring
-    prev_enabled, prev_ring = _enabled, _ring
-    active = ring if ring is not None else TraceRing()
-    _ring = active
-    _enabled = True
-    try:
-        yield active
-    finally:
-        _enabled, _ring = prev_enabled, prev_ring
-
-
-def set_flight_sink(sink) -> None:
-    """Install/remove the flight-recorder event sink (a callable taking
-    one :class:`TraceEvent`, or None). Installed sinks see every event
-    the ring sees; they also see events emitted while no ring is active,
-    which is what makes the flight recorder "always on" inside a
-    session even if the ring is swapped out."""
-    global _flight
-    _flight = sink
+    return _context._current.ring is not None
 
 
 # -- emission --------------------------------------------------------------
@@ -168,13 +121,15 @@ def emit(
     dur_ns: Optional[float] = None,
     args: Optional[Dict[str, object]] = None,
 ) -> None:
-    """Append one event to the active ring (no-op when tracing is off).
+    """Append one event to the active ring and flight recorder (no-op
+    when neither is installed).
 
     Callers on hot paths should guard with :func:`tracing_enabled` so the
-    disabled cost is one boolean read rather than argument packing.
+    disabled cost is one field read rather than argument packing.
     """
-    ring = _ring
-    flight = _flight
+    context = _context._current
+    ring = context.ring
+    flight = context.flight
     if ring is None and flight is None:
         return
     event = TraceEvent(
@@ -188,7 +143,7 @@ def emit(
     if ring is not None:
         ring.append(event)
     if flight is not None:
-        flight(event)
+        flight.record(event)
 
 
 def instant(

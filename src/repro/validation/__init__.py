@@ -20,8 +20,8 @@ refactor hot paths without silently breaking paper fidelity:
   batches, fault plans).
 
 Enable checkpoints globally with ``REPRO_VALIDATION=1``, scoped with
-``with validation(): ...``, or for a whole pytest run with
-``--validation``.
+``with run_context(validation=True): ...`` (:mod:`repro.sim.context`),
+or for a whole pytest run with ``--validation``.
 
 Import names from the submodules: the instrumented data structures
 import :mod:`~repro.validation.hooks`, and the checkers import those

@@ -2,10 +2,11 @@
 
 Data-structure classes across the library call :func:`checkpoint` at the
 end of every mutating operation. When validation is disabled (the
-default) the call is a single module-level boolean test — cheap enough
-to leave in benchmark hot paths. When enabled (``with validation():``,
-:func:`set_validation`, the ``REPRO_VALIDATION`` environment variable,
-or pytest's ``--validation`` flag) every checkpoint dispatches to the
+default) the call is one read of the run context's ``validation``
+field (:mod:`repro.sim.context`) — cheap enough to leave in benchmark
+hot paths. When enabled (``with run_context(validation=True):``, the
+``REPRO_VALIDATION`` environment variable, or pytest's
+``--validation`` flag) every checkpoint dispatches to the
 invariant checker registered for the object's class in
 :mod:`repro.validation.invariants` and raises
 :class:`~repro.validation.invariants.InvariantViolation` on the first
@@ -18,13 +19,9 @@ inherits ``SfmBackend``'s checks).
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Optional
 
-#: The global switch. Read directly by hot paths via
-#: :func:`validation_enabled`; mutate only through :func:`set_validation`.
-_enabled: bool = bool(os.environ.get("REPRO_VALIDATION"))
+from repro.sim import context as _context
 
 #: class -> checker(instance) -> None (raises InvariantViolation).
 _checkers: Dict[type, Callable] = {}
@@ -34,27 +31,7 @@ _registry_loaded: bool = False
 
 def validation_enabled() -> bool:
     """Whether invariant checkpoints are active."""
-    return _enabled
-
-
-def set_validation(enabled: bool) -> bool:
-    """Globally enable/disable checkpoints; returns the previous state."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    if _enabled:
-        _ensure_registry()
-    return previous
-
-
-@contextmanager
-def validation(enabled: bool = True) -> Iterator[None]:
-    """Scoped enable (or disable) of invariant checkpoints."""
-    previous = set_validation(enabled)
-    try:
-        yield
-    finally:
-        set_validation(previous)
+    return _context._current.validation
 
 
 def register_checker(cls: type, checker: Callable) -> None:
@@ -74,7 +51,7 @@ def checker_for(cls: type) -> Optional[Callable]:
 
 def checkpoint(obj: object) -> None:
     """Validate ``obj`` if validation is on; free when it is off."""
-    if not _enabled:
+    if not _context._current.validation:
         return
     checker = checker_for(type(obj))
     if checker is not None:

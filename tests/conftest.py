@@ -19,8 +19,12 @@ import pytest
 
 from repro.compression import DeflateCodec, LzFastCodec, ZstdLikeCodec
 from repro.sfm.page import PAGE_SIZE
-from repro.validation.hooks import set_validation
+from repro.sim.context import run_context
 from repro.workloads.corpus import corpus_pages
+
+#: The suite-wide ``--validation`` scope, open from configure to
+#: unconfigure.
+_validation_scope = None
 
 
 def pytest_addoption(parser):
@@ -39,8 +43,17 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
+    global _validation_scope
     if config.getoption("--validation"):
-        set_validation(True)
+        _validation_scope = run_context(validation=True)
+        _validation_scope.__enter__()
+
+
+def pytest_unconfigure(config):
+    global _validation_scope
+    if _validation_scope is not None:
+        _validation_scope.__exit__(None, None, None)
+        _validation_scope = None
 
 
 def pytest_collection_modifyitems(config, items):

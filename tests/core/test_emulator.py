@@ -10,7 +10,7 @@ from repro.core.emulator import (
     fallback_sweep,
 )
 from repro.errors import ConfigError
-from repro.validation.hooks import validation
+from repro.sim.context import run_context
 
 
 def _run(**overrides):
@@ -107,7 +107,7 @@ class TestAccounting:
         """A second run does not inherit the requests the first left
         queued (validation would reject the inherited accounting)."""
         emulator = XfmEmulator(EmulatorConfig(sim_time_s=0.02, seed=7))
-        with validation():
+        with run_context(validation=True):
             first = emulator.run()
             assert emulator.scheduler.pending_count
             assert emulator.run() == first

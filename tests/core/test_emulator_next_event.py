@@ -17,8 +17,8 @@ import pytest
 from repro.core.emulator import EmulatorConfig, XfmEmulator
 from repro.core.refresh_channel import WindowScheduler
 from repro.sfm.page import PAGE_SIZE
+from repro.sim.context import run_context
 from repro.telemetry import trace
-from repro.validation.hooks import validation
 from repro.workloads.traces import SWAP_IN, SWAP_OUT, SwapTrace
 
 
@@ -128,7 +128,7 @@ class TestPinnedReports:
 
     def test_validation_checkpoints_hold_while_skipping(self):
         point = ("per-bank", 1, 0.2, 256)
-        with validation():
+        with run_context(validation=True):
             report = XfmEmulator(_config(*point)).run()
         assert _digest(report) == PINNED_REPORTS[point]
 
@@ -158,7 +158,8 @@ class TestTracing:
     )
     def test_report_equal_and_every_window_traced(self, point):
         emulator = XfmEmulator(_config(*point))
-        with trace.tracing(trace.TraceRing(capacity=1 << 20)) as ring:
+        ring = trace.TraceRing(capacity=1 << 20)
+        with run_context(ring=ring):
             traced = emulator.run()
         assert _digest(traced) == PINNED_REPORTS[point]
         windows = 2560 * emulator.refresh.policy.windows_per_trefi

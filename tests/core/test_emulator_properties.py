@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.core.emulator import EmulatorConfig, XfmEmulator
 from repro.dram.refresh_policy import REFRESH_POLICIES
 from repro.sfm.page import PAGE_SIZE
+from repro.sim.context import run_context
 from repro.telemetry import trace
 
 _points = st.builds(
@@ -55,7 +56,8 @@ _LONG = settings(
 
 def _traced_run(config):
     emulator = XfmEmulator(config)
-    with trace.tracing(trace.TraceRing(capacity=1 << 20)) as ring:
+    ring = trace.TraceRing(capacity=1 << 20)
+    with run_context(ring=ring):
         report = emulator.run()
     assert ring.dropped == 0
     return emulator, report, ring.events()

@@ -12,6 +12,7 @@ from repro.dram.device import DDR5_32GB, timings_for_device
 from repro.dram.refresh import RefreshScheduler, make_refresh_policy
 from repro.dram.refresh_policy import REFRESH_POLICIES
 from repro.sim import EventScheduler, SimClock, ns_to_ticks, ticks_to_ns
+from repro.sim.context import run_context
 from repro.telemetry import trace
 
 TIMINGS = timings_for_device(DDR5_32GB)
@@ -176,14 +177,16 @@ class TestSkippedWindowsAreAccounted:
         refresh = _refresh(policy_name)
         horizon_ns = 12 * TIMINGS.trefi_ns
         jumps = {1: 9, 10: 10**9}
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             count, fired = _run_stream(
                 refresh, horizon_ns, lambda w: jumps.get(w.ref_index)
             )
         assert [index for index, _ in fired] == [0, 1, 9, 10]
         spans = [e for e in ring.events() if e.name == "ref_window"]
         assert [e.args["ref_index"] for e in spans] == list(range(count))
-        with trace.tracing() as every_window:
+        every_window = trace.TraceRing()
+        with run_context(ring=every_window):
             _run_stream(refresh, horizon_ns)
         assert [
             (e.ts_ns, e.dur_ns, e.track, e.args) for e in spans

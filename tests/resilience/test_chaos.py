@@ -123,7 +123,7 @@ class TestFuzzedFaultPlans:
         """A handful of randomly-shaped fault plans over the transient
         workload: whatever fires, silent corruption stays zero."""
         from repro.resilience.chaos import _drive_campaign
-        from repro.resilience.faults import fault_injection
+        from repro.sim.context import run_context
         from repro.telemetry.session import TelemetrySession
 
         for case in range(4):
@@ -131,7 +131,7 @@ class TestFuzzedFaultPlans:
             config = ChaosConfig(seed=plan.seed & 0xFFFF, ops=120)
             injector = FaultInjector(plan)
             session = TelemetrySession()
-            with session, fault_injection(injector):
+            with session, run_context(injector=injector):
                 report = _drive_campaign(config, injector, session)
             assert report["verdict"]["silent_corruptions"] == 0, plan
             assert report["verdict"]["all_detections_accounted"], plan

@@ -5,8 +5,9 @@ telemetry suite's organic-pressure reconciliation test)."""
 
 from repro.core.backend import XfmBackend
 from repro.resilience import faults
-from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
+from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sfm.page import PAGE_SIZE, Page
+from repro.sim.context import run_context
 from repro.telemetry import reasons, trace
 
 
@@ -19,8 +20,9 @@ def _run_with_injected_exhaustion(site: str, count: int = 8):
     """Swap ``count`` pages while every driver submit hits ``site``."""
     backend = XfmBackend(capacity_bytes=128 * PAGE_SIZE)
     plan = FaultPlan(seed=11, specs=(FaultSpec(site, probability=1.0),))
-    with trace.tracing() as ring:
-        with fault_injection(plan):
+    ring = trace.TraceRing()
+    with run_context(ring=ring):
+        with run_context(injector=FaultInjector(plan)):
             for index in range(count):
                 page = Page(
                     vaddr=index * PAGE_SIZE, data=_compressible(index)
@@ -71,8 +73,9 @@ class TestInjectedExhaustionReconciliation:
                 FaultSpec(faults.DRIVER_QUEUE_FULL, probability=0.4),
             ),
         )
-        with trace.tracing() as ring:
-            with fault_injection(plan):
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
+            with run_context(injector=FaultInjector(plan)):
                 for index in range(24):
                     page = Page(
                         vaddr=index * PAGE_SIZE,
@@ -102,7 +105,8 @@ class TestInjectedExhaustionReconciliation:
         """With injection off the new device_fault reason never
         appears — goldens and existing reconciliation stay intact."""
         backend = XfmBackend(capacity_bytes=128 * PAGE_SIZE)
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             for index in range(8):
                 page = Page(
                     vaddr=index * PAGE_SIZE, data=_compressible(index)

@@ -10,8 +10,8 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
     corrupt_bytes,
-    fault_injection,
 )
+from repro.sim.context import current, run_context
 
 
 def _drive(injector, site, calls):
@@ -121,12 +121,13 @@ class TestGlobalSwitch:
         plan = FaultPlan(
             seed=1, specs=(FaultSpec(faults.NMA_TIMEOUT, probability=1.0),)
         )
-        with fault_injection(plan) as injector:
+        injector = FaultInjector(plan)
+        with run_context(injector=injector):
             assert faults.injection_enabled()
             assert faults.fire(faults.NMA_TIMEOUT) is not None
-            assert faults.current_injector() is injector
+            assert current().injector is injector
         assert not faults.injection_enabled()
-        assert faults.current_injector() is None
+        assert current().injector is None
 
 
 class TestCorruptBytes:

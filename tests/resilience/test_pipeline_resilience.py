@@ -6,10 +6,11 @@ from repro.dfm.backend import DfmBackend
 from repro.errors import CorruptedBlobError, SfmError, TierUnavailableError
 from repro.resilience import faults
 from repro.resilience.breaker import BreakerConfig
-from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
+from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sfm.backend import SfmBackend
 from repro.sfm.metrics import BandwidthLedger, SwapStats
 from repro.sfm.page import PAGE_SIZE
+from repro.sim.context import run_context
 from repro.tiering import SwapOutcome
 from repro.tiering.pipeline import FAILURE_REASONS, TierPipeline
 
@@ -109,7 +110,7 @@ class TestBreakerIntegration:
             seed=1,
             specs=(FaultSpec(faults.DFM_LINK_ERROR, probability=1.0),),
         )
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             for key in range(12):
                 pipeline.store(key, _page(key))
         assert pipeline.breaker_states()["dfm"] == "open"
@@ -126,7 +127,7 @@ class TestBreakerIntegration:
             seed=1,
             specs=(FaultSpec(faults.DFM_LINK_ERROR, probability=1.0),),
         )
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             for key in range(6):
                 pipeline.store(key, _page(key))
         assert pipeline.breaker_states()["dfm"] == "open"
@@ -145,7 +146,7 @@ class TestBreakerIntegration:
             seed=1,
             specs=(FaultSpec(faults.DFM_LINK_ERROR, probability=1.0),),
         )
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             for key in range(6):
                 pipeline.store(key, _page(key))
         snapshot = pipeline.registry.snapshot()
@@ -216,7 +217,7 @@ class TestLoadFailureModes:
             seed=1,
             specs=(FaultSpec(faults.DFM_LINK_ERROR, probability=1.0),),
         )
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             with pytest.raises(TierUnavailableError):
                 pipeline.load(0)
         assert pipeline.pipeline_stats.tier_errors == 1
@@ -237,7 +238,7 @@ class TestLoadFailureModes:
                 ),
             ),
         )
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             with pytest.raises(CorruptedBlobError):
                 pipeline.load(0)
         assert pipeline.pipeline_stats.data_loss_events == 1
@@ -262,7 +263,7 @@ class TestLoadFailureModes:
                 ),
             ),
         )
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             # Force the LRU-coldest (key 0) out of its tier.
             demoted = pipeline.demote_coldest(
                 1, from_tier=pipeline.tier_names.index(origin)
@@ -351,7 +352,7 @@ class TestHalfOpenProbeAccounting:
             seed=1,
             specs=(FaultSpec(faults.DFM_LINK_ERROR, probability=1.0),),
         )
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             for key in range(6):
                 pipeline.store(key, _page(key))
         assert pipeline.breaker_states()["dfm"] == "open"

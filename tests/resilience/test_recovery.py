@@ -10,9 +10,10 @@ from repro.errors import (
     TierUnavailableError,
 )
 from repro.resilience import faults
-from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
+from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE, Page
+from repro.sim.context import run_context
 
 
 def _compressible(index: int = 0) -> bytes:
@@ -34,7 +35,7 @@ class TestZpoolCorruption:
         plan = _plan(
             faults.ZPOOL_READ_CORRUPTION, probability=1.0, max_fires=1
         )
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             data = backend.swap_in(page)
         assert data == _compressible()
         assert backend.stats.corruptions_detected == 1
@@ -51,7 +52,7 @@ class TestZpoolCorruption:
         plan = _plan(
             faults.ZPOOL_MEDIA_CORRUPTION, probability=1.0, max_fires=1
         )
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             with pytest.raises(CorruptedBlobError) as excinfo:
                 backend.swap_in(page)
         assert excinfo.value.vaddr == 0x2000
@@ -69,7 +70,7 @@ class TestSpmReadbackVerification:
         backend = XfmBackend(capacity_bytes=64 * PAGE_SIZE)
         page = Page(vaddr=0x3000, data=_compressible(1))
         plan = _plan(faults.SPM_READ_FLIP, probability=1.0, max_fires=1)
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             assert backend.swap_out(page).accepted
         assert backend.stats.corruptions_detected >= 1
         assert backend.stats.corruptions_recovered >= 1
@@ -82,7 +83,7 @@ class TestSpmReadbackVerification:
         page = Page(vaddr=0x4000, data=_compressible(2))
         assert backend.swap_out(page).accepted
         plan = _plan(faults.SPM_READ_FLIP, probability=1.0, max_fires=1)
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             assert backend.promote(page) == _compressible(2)
         assert backend.stats.corruptions_detected >= 1
         assert backend.stats.corruptions_recovered >= 1
@@ -95,7 +96,7 @@ class TestNmaAndDriverFaults:
         backend = XfmBackend(capacity_bytes=64 * PAGE_SIZE)
         page = Page(vaddr=0x5000, data=_compressible(3))
         plan = _plan(faults.NMA_TIMEOUT, probability=1.0)
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             assert backend.swap_out(page).accepted
         assert backend.stats.fallbacks_device_fault >= 1
         assert backend.stats.device_faults >= 1
@@ -106,7 +107,7 @@ class TestNmaAndDriverFaults:
         backend = XfmBackend(capacity_bytes=64 * PAGE_SIZE)
         page = Page(vaddr=0x6000, data=_compressible(4))
         plan = _plan(faults.DRIVER_LOST_DOORBELL, probability=1.0)
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             assert backend.swap_out(page).accepted
         assert backend.stats.fallbacks_device_fault >= 1
         assert backend.swap_in(page) == _compressible(4)
@@ -118,7 +119,7 @@ class TestNmaAndDriverFaults:
         plan = _plan(
             faults.DRIVER_REG_CORRUPTION, probability=1.0, max_fires=1
         )
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             capacity = backend.driver.sp_capacity()
         assert capacity == backend.nma.spm.capacity_bytes
         assert backend.driver.stats.corrupt_register_reads == 1
@@ -127,7 +128,7 @@ class TestNmaAndDriverFaults:
     def test_register_corruption_persistent_raises_device_fault(self):
         backend = XfmBackend(capacity_bytes=64 * PAGE_SIZE)
         plan = _plan(faults.DRIVER_REG_CORRUPTION, probability=1.0)
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             with pytest.raises(DeviceFault):
                 backend.driver.sp_capacity()
         assert backend.driver.stats.device_faults == 1
@@ -138,7 +139,7 @@ class TestDfmLinkErrors:
         backend = DfmBackend(capacity_bytes=64 * PAGE_SIZE)
         page = Page(vaddr=0x7000, data=_compressible(5))
         plan = _plan(faults.DFM_LINK_ERROR, probability=1.0)
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             outcome = backend.swap_out(page)
         assert not outcome.accepted
         assert outcome.reason == "link-error"
@@ -152,7 +153,7 @@ class TestDfmLinkErrors:
         page = Page(vaddr=0x8000, data=_compressible(6))
         assert backend.swap_out(page).accepted
         plan = _plan(faults.DFM_LINK_ERROR, probability=1.0)
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             with pytest.raises(TierUnavailableError):
                 backend.swap_in(page)
         # The page is still stored; the call succeeds once the link is up.
@@ -163,7 +164,7 @@ class TestDfmLinkErrors:
         backend = DfmBackend(capacity_bytes=64 * PAGE_SIZE)
         page = Page(vaddr=0x9000, data=_compressible(7))
         plan = _plan(faults.DFM_LINK_ERROR, probability=1.0, max_fires=1)
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             assert backend.swap_out(page).accepted
         assert backend.stats.transient_retries == 1
         assert backend.swap_in(page) == _compressible(7)
@@ -174,7 +175,7 @@ class TestDfmLinkErrors:
         plan = _plan(
             faults.DFM_LATENCY_SPIKE, probability=1.0, magnitude=10.0
         )
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             assert backend.swap_out(page).accepted
             busy_faulted = backend.link_stats.link_busy_s
         assert backend.swap_in(page) == _compressible(8)

@@ -5,21 +5,12 @@ the percentile block must be entirely absent there; a traced replay of
 the same scenario must populate it.
 """
 
-import pytest
-
 from repro.scenarios.replayer import TraceReplayer, format_report
 from repro.scenarios.zoo import load_scenario
 from repro.sfm.page import PAGE_SIZE
-from repro.telemetry import TelemetrySession, trace
+from repro.telemetry import TelemetrySession
 from repro.telemetry.slo import LatencyObjective, SloEngine
 from repro.tiering.factory import make_tier
-
-
-@pytest.fixture(autouse=True)
-def _tracing_off():
-    trace.set_tracing(False)
-    yield
-    trace.set_tracing(False)
 
 
 def _replay(session=None, slo_engine=None):

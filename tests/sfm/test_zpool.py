@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError, EntryNotFoundError, ZpoolFullError
 from repro.sfm.page import PAGE_SIZE
 from repro.sfm.zpool import Zpool, _Slab
+from repro.sim.context import run_context
 from repro.validation.fuzz import Fuzzer
-from repro.validation.hooks import validation
 from repro.validation.invariants import check_zpool
 
 
@@ -430,7 +430,7 @@ def _churn_against_oracle(
     oracle = _ScanEverythingPool(capacity_bytes=slabs * PAGE_SIZE)
     live = []
     refused = 0
-    with validation(False):
+    with run_context(validation=False):
         for step in range(steps):
             roll = rng.random()
             if roll < store_share or not live:

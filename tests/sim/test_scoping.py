@@ -12,7 +12,7 @@ from repro.scenarios.replayer import TraceReplayer
 from repro.scenarios.zoo import build_scenario, load_scenario
 from repro.sfm.page import PAGE_SIZE
 from repro.sim import CLOCK
-from repro.telemetry import TelemetrySession, trace
+from repro.telemetry import TelemetrySession
 from repro.tiering.factory import make_tier
 
 
@@ -22,11 +22,9 @@ def _pinned_clock():
     it exactly where it found it."""
     state = CLOCK.save()
     CLOCK.set_ns(1_234_567.0)
-    trace.set_tracing(False)
     yield
     assert CLOCK.now_ns() == 1_234_567.0, "test leaked clock state"
     CLOCK.restore(state)
-    trace.set_tracing(False)
 
 
 class TestSessionScoping:

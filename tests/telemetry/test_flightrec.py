@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
+from repro.sim.context import current, run_context
 from repro.telemetry import flightrec, trace
 from repro.telemetry.flightrec import (
     REASON_BREAKER_OPEN,
@@ -14,20 +15,10 @@ from repro.telemetry.flightrec import (
 from repro.telemetry.registry import MetricsRegistry
 
 
-@pytest.fixture(autouse=True)
-def _clean_state():
-    trace.set_tracing(False)
-    flightrec.uninstall()
-    yield
-    trace.set_tracing(False)
-    flightrec.uninstall()
-
-
 class TestBoundedCapture:
     def test_capacity_bounds_and_counts_drops(self):
         rec = FlightRecorder(capacity=3)
-        flightrec.install(rec)
-        with trace.tracing():
+        with run_context(ring=trace.TraceRing(), flight=rec):
             for i in range(5):
                 trace.instant(f"e{i}", trace.TRACK_CPU)
         assert len(rec) == 3
@@ -37,13 +28,13 @@ class TestBoundedCapture:
         assert doc["events_dropped"] == 2
 
     def test_records_even_without_a_ring(self):
-        """The flight sink sees (unguarded) emissions even while tracing
-        is off and no ring exists — it is "always on" once installed."""
+        """The flight recorder sees (unguarded) emissions even while
+        tracing is off and no ring exists."""
         rec = FlightRecorder(capacity=8)
-        flightrec.install(rec)
-        assert not trace.tracing_enabled()
-        assert trace.current_ring() is None
-        trace.instant("x", trace.TRACK_CPU)
+        with run_context(flight=rec):
+            assert not trace.tracing_enabled()
+            assert current().ring is None
+            trace.instant("x", trace.TRACK_CPU)
         assert len(rec) == 1
 
     def test_capacity_must_be_positive(self):
@@ -67,8 +58,7 @@ class TestMetricDeltas:
 class TestTrigger:
     def test_dump_written_with_out_dir(self, tmp_path):
         rec = FlightRecorder(out_dir=str(tmp_path))
-        flightrec.install(rec)
-        with trace.tracing():
+        with run_context(ring=trace.TraceRing(), flight=rec):
             trace.instant("last_gasp", trace.TRACK_CPU)
             name = flightrec.trigger(REASON_POISON, {"vaddr": 4096})
         assert name == "flight_poison.json"
@@ -100,19 +90,23 @@ class TestTrigger:
 
 class TestInstallation:
     def test_module_trigger_is_noop_when_uninstalled(self):
-        assert flightrec.current_recorder() is None
+        assert current().flight is None
         assert flightrec.trigger(REASON_POISON) is None
 
-    def test_install_returns_previous_and_uninstall_restores_none(self):
+    def test_nested_contexts_restore_the_outer_recorder(self):
         first, second = FlightRecorder(), FlightRecorder()
-        assert flightrec.install(first) is None
-        assert flightrec.install(second) is first
-        assert flightrec.current_recorder() is second
-        assert flightrec.uninstall() is second
-        assert flightrec.current_recorder() is None
+        with run_context(flight=first):
+            with run_context(flight=second):
+                assert current().flight is second
+                with run_context(flight=None):
+                    assert flightrec.trigger(REASON_POISON) is None
+                assert flightrec.trigger(REASON_POISON) is not None
+            assert current().flight is first
+        assert current().flight is None
+        assert first.dump_names == [] and len(second.dump_names) == 1
 
     def test_module_trigger_routes_to_installed_recorder(self):
         rec = FlightRecorder()
-        flightrec.install(rec)
-        assert flightrec.trigger(REASON_POISON) == "flight_poison.json"
+        with run_context(flight=rec):
+            assert flightrec.trigger(REASON_POISON) == "flight_poison.json"
         assert rec.dump_names == ["flight_poison.json"]

@@ -7,15 +7,9 @@ import pytest
 
 from repro.core.emulator import EmulatorConfig, XfmEmulator
 from repro.sfm.page import PAGE_SIZE
-from repro.telemetry import TelemetrySession, trace
+from repro.sim.context import current, run_context
+from repro.telemetry import TelemetrySession, flightrec, trace
 from repro.telemetry.runner import WORKLOADS, run_traced
-
-
-@pytest.fixture(autouse=True)
-def _tracing_off():
-    trace.set_tracing(False)
-    yield
-    trace.set_tracing(False)
 
 
 def _load(path):
@@ -28,7 +22,7 @@ class TestSession:
         assert not trace.tracing_enabled()
         with TelemetrySession() as session:
             assert trace.tracing_enabled()
-            assert trace.current_ring() is session.ring
+            assert current().ring is session.ring
         assert not trace.tracing_enabled()
 
     def test_writes_trace_and_metrics(self, tmp_path):
@@ -100,31 +94,25 @@ class TestRingCapacity:
 
 class TestFlightRecorderLifecycle:
     def test_session_installs_and_removes_recorder(self):
-        from repro.telemetry import flightrec
-
-        assert flightrec.current_recorder() is None
+        assert current().flight is None
         with TelemetrySession() as session:
-            assert flightrec.current_recorder() is session.flight
-        assert flightrec.current_recorder() is None
+            assert current().flight is session.flight
+        assert current().flight is None
 
     def test_nested_sessions_restore_outer_recorder(self):
-        from repro.telemetry import flightrec
-
         with TelemetrySession() as outer:
             with TelemetrySession() as inner:
-                assert flightrec.current_recorder() is inner.flight
-                assert trace.current_ring() is inner.ring
-            assert flightrec.current_recorder() is outer.flight
+                assert current().flight is inner.flight
+                assert current().ring is inner.ring
+            assert current().flight is outer.flight
             # The outer trace is still on and still its own.
             assert trace.tracing_enabled()
-            assert trace.current_ring() is outer.ring
+            assert current().ring is outer.ring
             trace.instant("after_inner", trace.TRACK_CPU)
         assert [e.name for e in outer.ring.events()] == ["after_inner"]
-        assert not trace.tracing_enabled() and trace.current_ring() is None
+        assert not trace.tracing_enabled() and current().ring is None
 
     def test_trigger_dump_lands_in_out_dir_and_metrics(self, tmp_path):
-        from repro.telemetry import flightrec
-
         with TelemetrySession(out_dir=tmp_path):
             trace.instant("boom", trace.TRACK_CPU)
             flightrec.trigger(flightrec.REASON_POISON, {"vaddr": 0})
@@ -144,7 +132,8 @@ class TestGoldenEmulatorTrace:
         )
         comp = np.array([2, 1, 0])
         decomp = np.zeros(3, dtype=int)
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             report = emulator._simulate(comp, decomp)
         return emulator, ring, report
 

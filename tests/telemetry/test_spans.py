@@ -1,18 +1,8 @@
 """Span causality: nesting, parent ids, leaf stamping, determinism."""
 
-import pytest
-
 from repro.sim import CLOCK
-from repro.telemetry import spans, trace
-
-
-@pytest.fixture(autouse=True)
-def _clean_state():
-    trace.set_tracing(False)
-    spans.reset()
-    yield
-    trace.set_tracing(False)
-    spans.reset()
+from repro.sim.context import run_context
+from repro.telemetry import TelemetrySession, spans, trace
 
 
 def _events(ring):
@@ -21,7 +11,8 @@ def _events(ring):
 
 class TestNesting:
     def test_child_records_parent_id(self):
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             with spans.span("outer", "tier") as outer:
                 with spans.span("inner", "tier"):
                     pass
@@ -34,7 +25,8 @@ class TestNesting:
         assert "parent" not in outer_event.args
 
     def test_siblings_share_parent_but_not_ids(self):
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             with spans.span("outer", "tier") as outer:
                 with spans.span("a", "tier") as a:
                     pass
@@ -46,7 +38,8 @@ class TestNesting:
         assert by_id[b.span_id].args["parent"] == outer.span_id
 
     def test_duration_is_clock_delta(self):
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             CLOCK.set_ns(0)
             handle = spans.begin("op", "tier")
             CLOCK.advance_ns(1500.0)
@@ -57,14 +50,15 @@ class TestNesting:
         assert event.dur_ns == 1500.0
 
     def test_end_unwinds_leaked_inner_spans(self):
-        with trace.tracing():
+        with run_context(ring=trace.TraceRing()):
             outer = spans.begin("outer", "tier")
             spans.begin("leaked", "tier")
             spans.end(outer)
             assert spans.current_span_id() is None
 
     def test_args_and_extra_merge_into_event(self):
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             handle = spans.begin("op", "tier", args={"vaddr": 4096})
             spans.end(handle, extra={"victims": 3})
         (event,) = ring.events()
@@ -74,7 +68,8 @@ class TestNesting:
 
 class TestLeafStamping:
     def test_emit_under_parents_to_open_span(self):
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             with spans.span("store", "tier") as store:
                 leaf = spans.emit_under("cpu_compress", "cpu", 0.0, 10.0)
         by_id = _events(ring)
@@ -82,12 +77,14 @@ class TestLeafStamping:
         assert by_id[leaf].name == "cpu_compress"
 
     def test_emit_under_outside_any_span_has_no_parent(self):
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             leaf = spans.emit_under("cpu_compress", "cpu", 0.0, 10.0)
         assert "parent" not in _events(ring)[leaf].args
 
     def test_instant_under_tags_parent(self):
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             with spans.span("store", "tier") as store:
                 spans.instant_under("poison_page", "tier")
         instant = next(e for e in ring.events() if e.name == "poison_page")
@@ -95,19 +92,19 @@ class TestLeafStamping:
 
 
 class TestDeterminism:
-    def test_reset_restarts_ids(self):
-        with trace.tracing():
+    def test_fresh_ring_starts_at_id_1(self):
+        with run_context(ring=trace.TraceRing()):
             with spans.span("a", "tier") as first:
                 pass
-        spans.reset()
-        with trace.tracing():
+            with spans.span("b", "tier") as second:
+                pass
+        with run_context(ring=trace.TraceRing()):
             with spans.span("a", "tier") as again:
                 pass
         assert first.span_id == again.span_id == 1
+        assert second.span_id == 2
 
     def test_session_entry_resets_ids(self):
-        from repro.telemetry import TelemetrySession
-
         with TelemetrySession():
             with spans.span("a", "tier") as first:
                 pass
@@ -115,3 +112,21 @@ class TestDeterminism:
             with spans.span("a", "tier") as again:
                 pass
         assert first.span_id == again.span_id == 1
+
+
+class TestNestedSessions:
+    def test_inner_session_leaves_outer_ids_and_parents_alone(self):
+        with TelemetrySession() as outer:
+            for _ in range(5):
+                spans.end(spans.begin("op", "tier"))
+            parent = spans.begin("P", "tier")
+            with TelemetrySession() as inner:
+                spans.end(spans.begin("inner", "tier"))
+            child = spans.begin("child", "tier")
+            spans.end(child)
+            spans.end(parent)
+        outer_ids = [e.args["span"] for e in outer.ring.events()]
+        assert outer_ids == [1, 2, 3, 4, 5, 7, 6]
+        assert len(set(outer_ids)) == len(outer_ids)
+        assert _events(outer.ring)[child.span_id].args["parent"] == 6
+        assert [e.args["span"] for e in inner.ring.events()] == [1]

@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.sim import CLOCK
+from repro.sim.context import current, run_context
 from repro.telemetry import trace
 
 
 @pytest.fixture(autouse=True)
-def _tracing_off():
-    """Every test starts and ends with tracing disabled."""
-    trace.set_tracing(False)
-    CLOCK.set_ns(0.0)
-    yield
-    trace.set_tracing(False)
+def _clock_at_zero():
+    """Every test starts at simulated t=0 and leaves the clock as found."""
+    with run_context(clock_ns=0.0):
+        yield
 
 
 class TestRing:
@@ -49,10 +48,11 @@ class TestEmission:
     def test_disabled_is_noop(self):
         assert not trace.tracing_enabled()
         trace.instant("x", trace.TRACK_CPU)  # must not raise, must not store
-        assert trace.current_ring() is None
+        assert current().ring is None
 
     def test_scoped_tracing_collects_and_restores(self):
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             assert trace.tracing_enabled()
             trace.instant("a", trace.TRACK_CPU, args={"k": 1})
             trace.complete("b", trace.TRACK_NMA, 100.0, 50.0)
@@ -61,7 +61,8 @@ class TestEmission:
         assert names == ["a", "b"]
 
     def test_timestamps_default_to_clock(self):
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             CLOCK.set_ns(123.0)
             trace.instant("a", trace.TRACK_CPU)
             CLOCK.advance_ns(7.0)
@@ -70,7 +71,8 @@ class TestEmission:
         assert ts == [123.0, 130.0]
 
     def test_fallback_event_shape(self):
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             trace.fallback("spm_full", "compress", vaddr=0x1000)
         (event,) = ring.events()
         assert event.name == "cpu_fallback"
@@ -194,7 +196,8 @@ class TestWriterRoundTrip:
 
 class TestChromeExport:
     def _trace_doc(self):
-        with trace.tracing() as ring:
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
             trace.complete(
                 "ref_window", trace.refresh_track(0), 0.0, 350.0,
                 args={"ref_index": 0},

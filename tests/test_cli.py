@@ -3,6 +3,17 @@
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
+from repro.sim import CLOCK
+from repro.sim.context import current, run_context
+
+
+@pytest.fixture(autouse=True)
+def _run_state_is_restored():
+    """Every in-process ``main([...])`` hands back the run context it
+    found (the same object) and the simulated clock's ticks."""
+    before, ticks = current(), CLOCK.now_ticks()
+    yield
+    assert current() is before and CLOCK.now_ticks() == ticks
 
 
 def _report_field(out: str, key: str) -> str:
@@ -101,6 +112,38 @@ class TestReplayCli:
         bad.write_bytes(b"not a trace")
         assert main(["replay", "--trace-file", str(bad)]) == 2
         assert "unusable trace" in capsys.readouterr().err
+
+
+class TestValidationInherits:
+    """A command run without ``--validation`` keeps the checkpoint
+    setting it was started under (``REPRO_VALIDATION``, pytest's
+    ``--validation``) instead of switching checkpoints off."""
+
+    def test_replay_and_chaos_run_with_checkpoints_on(
+        self, monkeypatch, capsys
+    ):
+        from repro.resilience import chaos
+        from repro.scenarios.replayer import TraceReplayer
+        from repro.validation.hooks import validation_enabled
+
+        seen = {}
+
+        def spy(name, original):
+            def wrapped(*args, **kwargs):
+                seen[name] = validation_enabled()
+                return original(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(
+            TraceReplayer, "run", spy("replay", TraceReplayer.run)
+        )
+        monkeypatch.setattr(
+            chaos, "_drive_campaign", spy("chaos", chaos._drive_campaign)
+        )
+        with run_context(validation=True):
+            assert main(["replay", "kv-cache"]) == 0
+            assert main(["chaos", "--seed", "3", "--ops", "40"]) == 0
+        assert seen == {"replay": True, "chaos": True}
 
 
 class TestRecordCli:
@@ -387,8 +430,10 @@ def ci_reports(tmp_path_factory):
         at = rest.index("--out") + 1
         out = rest[at]
         rest[at] = str(root / out)
+        before, ticks = current(), CLOCK.now_ticks()
         with contextlib.redirect_stdout(io.StringIO()):
             code = main([command, *rest])
+        assert current() is before and CLOCK.now_ticks() == ticks, line
         report = root / out / f"{command}_report.json"
         reports[out] = (code, hashlib.sha256(report.read_bytes()).hexdigest())
     return reports

@@ -162,6 +162,51 @@ def test_wall_clock_allowlist_is_tight():
         )
 
 
+#: A ``global`` statement: the way module run state gets rebound.
+_GLOBAL = re.compile(r"^\s*global\s+\w+(\s*,\s*\w+)*\s*(#.*)?$")
+
+#: Files allowed to rebind module globals: the run context itself, and
+#: two lazy one-time loads that hold no run state.
+GLOBAL_ALLOWLIST = {
+    "sim/context.py",
+    "compression/_native.py",  # the kernel library, loaded on first use
+    "validation/hooks.py",  # _registry_loaded: checkers import on first use
+}
+
+
+def test_no_module_run_state_outside_context():
+    """Run state (trace ring, flight recorder, fault injector, validation
+    flag) lives in :mod:`repro.sim.context` and is scoped by
+    ``run_context``; a ``global`` anywhere else is a second,
+    hand-restored copy of it."""
+    offenders = []
+    for path in _all_src_files():
+        rel = path.relative_to(SRC).as_posix()
+        if rel in GLOBAL_ALLOWLIST:
+            continue
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            if _GLOBAL.match(line):
+                offenders.append(f"{rel}:{lineno}: {line.strip()}")
+    assert not offenders, (
+        "module globals rebound outside repro/sim/context.py (put run "
+        "state on RunContext):\n" + "\n".join(offenders)
+    )
+
+
+def test_global_allowlist_is_tight():
+    """Every allowlisted file exists and still has a ``global``
+    statement — stale entries would quietly widen the lint hole."""
+    for rel in sorted(GLOBAL_ALLOWLIST):
+        path = SRC / rel
+        assert path.exists(), f"allowlist entry gone: {rel}"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert any(_GLOBAL.match(line) for line in lines), (
+            f"allowlist entry no longer rebinds a global: {rel}"
+        )
+
+
 def test_scenario_error_types_are_wired():
     """Trace/manifest readers raise one catchable family."""
     from repro.errors import (

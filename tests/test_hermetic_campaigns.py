@@ -1,9 +1,10 @@
 """Campaigns borrow process state and memory, and give both back.
 
-A fleet or chaos campaign turns tracing on, installs a flight recorder
-(and, for chaos, a fault injector and maybe validation), and rebases
-the shared simulated clock. When it returns, every one of those is as
-it was before. Its object graph — session, trace ring, frontend,
+A fleet or chaos campaign runs in its own run context — a trace ring, a
+flight recorder and, for chaos, a fault injector and maybe validation —
+and rebases the shared simulated clock. When it returns, the enclosing
+run context is current again (the same object) and the clock ticks are
+as they were. Its object graph — session, trace ring, frontend,
 shards, their pipelines and backends — is freed by reference counting
 the moment the campaign returns, with the cyclic collector switched
 off: nothing waits for the next full collection.
@@ -17,30 +18,15 @@ import pytest
 from repro.dfm.backend import DfmBackend
 from repro.fleet import harness
 from repro.fleet.harness import FleetConfig, run_fleet
-from repro.resilience import faults
 from repro.resilience.chaos import ChaosConfig, run_chaos
 from repro.sim import CLOCK
-from repro.telemetry import flightrec, trace
-from repro.validation import hooks
+from repro.sim.context import current
 
 #: A short campaign: a few hundred requests over two shards.
 SHORT = dict(
     seed=5, shards=2, steady_rate_rps=17_500.0, steady_ns=4e6,
     spike_ns=2e6, drain_guard_ns=1e6, recovery_ns=3e6,
 )
-
-
-def _module_state():
-    return {
-        "tracing": trace.tracing_enabled(),
-        "ring": trace.current_ring(),
-        "flight_sink": trace._flight,
-        "recorder": flightrec.current_recorder(),
-        "injector": faults.current_injector(),
-        "injection": faults.injection_enabled(),
-        "validation": hooks.validation_enabled(),
-        "clock_ticks": CLOCK.now_ticks(),
-    }
 
 
 class TestRestore:
@@ -60,13 +46,10 @@ class TestRestore:
     )
     def test_module_state_is_back_after_the_campaign(self, tmp_path, campaign):
         CLOCK.set_ns(12_345.0)
-        before = _module_state()
-        assert before["tracing"] is False and before["ring"] is None
-        assert before["recorder"] is None and before["flight_sink"] is None
-        assert before["injector"] is None
+        before, ticks = current(), CLOCK.now_ticks()
         campaign(tmp_path)
         assert (tmp_path / "trace.json").exists()
-        assert _module_state() == before
+        assert current() is before and CLOCK.now_ticks() == ticks
 
 
 def _watch(refs, campaign):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ConfigError, SfmError
 from repro.sfm.page import PAGE_SIZE, Page
+from repro.sim.context import run_context
 from repro.telemetry.registry import MetricsRegistry
 from repro.tiering import (
     LruDemotion,
@@ -18,7 +19,6 @@ from repro.tiering import (
     TierPipeline,
 )
 from repro.tiering.policy import AdmissionPolicy
-from repro.validation import hooks
 from repro.validation.invariants import check_tier_pipeline
 from repro.workloads.corpus import corpus_pages, noise_page
 
@@ -225,7 +225,7 @@ class TestRoundTripUnderValidation:
     def test_store_demote_promote_load_bit_identical(self):
         """The acceptance property test, with invariant checkpoints
         firing on every mutating pipeline operation."""
-        with hooks.validation():
+        with run_context(validation=True):
             pipeline = _pipeline(
                 demotion=LruDemotion(watermark_fraction=0.3)
             )

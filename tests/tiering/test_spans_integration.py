@@ -7,8 +7,9 @@ import pytest
 
 from repro.resilience import faults
 from repro.resilience.breaker import BreakerConfig
-from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
+from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sfm.page import PAGE_SIZE
+from repro.sim.context import current, run_context
 from repro.telemetry import TelemetrySession, trace
 from repro.telemetry.quantiles import collect_percentiles
 from repro.tiering.pipeline import TierPipeline
@@ -85,7 +86,7 @@ class TestSpanTree:
             registry = MetricsRegistry()
 
         _run_pipeline(_Sess())
-        assert trace.current_ring() is None
+        assert current().ring is None
 
 
 class TestLatencyQuantiles:
@@ -128,7 +129,7 @@ class TestBreakerFlightDump:
             seed=1,
             specs=(FaultSpec(faults.DFM_LINK_ERROR, probability=1.0),),
         )
-        with fault_injection(plan):
+        with run_context(injector=FaultInjector(plan)):
             for key in range(12):
                 pipeline.store(key, _page(key))
         assert pipeline.breaker_states()["dfm"] == "open"

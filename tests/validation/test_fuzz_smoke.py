@@ -18,6 +18,7 @@ from repro.compression.zstd_like import ZstdLikeCodec
 from repro.core.registers import RegisterFile, Registers
 from repro.errors import MmioError, ZpoolFullError
 from repro.sfm.zpool import Zpool
+from repro.sim.context import run_context
 from repro.validation.fuzz import Fuzzer, case_seed
 from repro.validation.generators import (
     gen_blob_mutation,
@@ -26,7 +27,6 @@ from repro.validation.generators import (
     gen_register_program,
     gen_zpool_ops,
 )
-from repro.validation.hooks import validation
 from repro.validation.oracles import (
     check_roundtrip,
     decode_outcome,
@@ -80,7 +80,7 @@ def test_fuzz_zpool_vs_shadow_map():
     def check(ops):
         pool = Zpool(capacity_bytes=32 * 1024)
         shadow = {}
-        with validation():
+        with run_context(validation=True):
             for op in ops:
                 if op[0] == "store":
                     _, length, fill = op

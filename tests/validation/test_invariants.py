@@ -13,8 +13,9 @@ from repro.errors import ZpoolFullError
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sfm.zpool import Zpool
+from repro.sim.context import run_context
 from repro.validation.generators import gen_zpool_ops
-from repro.validation.hooks import checkpoint, validation, validation_enabled
+from repro.validation.hooks import checkpoint, validation_enabled
 from repro.validation.invariants import InvariantViolation
 
 CHURN_SEED = 0xC0FFEE
@@ -25,7 +26,7 @@ def test_zpool_churn_with_compaction_preserves_entries():
     ops = gen_zpool_ops(rng, n=600)
     pool = Zpool(capacity_bytes=64 * 1024)
     shadow = {}  # handle -> blob
-    with validation():
+    with run_context(validation=True):
         for op in ops:
             if op[0] == "store":
                 _, length, fill = op
@@ -58,7 +59,7 @@ def test_zpool_corruption_is_caught():
     handle = pool.store(b"x" * 100)
     slab_index, offset, length = pool._locator[handle]
     pool._locator[handle] = (slab_index, offset + 8, length)
-    with validation():
+    with run_context(validation=True):
         with pytest.raises(InvariantViolation):
             checkpoint(pool)
 
@@ -110,7 +111,7 @@ def test_zpool_index_corruption_is_caught(corrupt, message):
     """Each index field is checked against the entries, not against
     itself: corrupting any one of them alone is caught by its clause."""
     pool = _indexed_pool()
-    with validation():
+    with run_context(validation=True):
         checkpoint(pool)
         corrupt(pool)
         with pytest.raises(InvariantViolation, match=message):
@@ -120,7 +121,7 @@ def test_zpool_index_corruption_is_caught(corrupt, message):
 def _stored_backend(json_pages):
     """An SFM backend holding two pages, checked on every mutation."""
     backend = SfmBackend(capacity_bytes=16 * PAGE_SIZE)
-    with validation():
+    with run_context(validation=True):
         for i, data in enumerate(json_pages[:2]):
             page = Page(vaddr=i * PAGE_SIZE, data=data)
             assert backend.swap_out(page).accepted
@@ -151,7 +152,7 @@ def _orphan_a_blob(backend):
 def test_sfm_backend_corruption_is_caught(corrupt, message, json_pages):
     """Each clause of the index check fires on its own corruption."""
     backend = _stored_backend(json_pages)
-    with validation():
+    with run_context(validation=True):
         checkpoint(backend)
         corrupt(backend)
         with pytest.raises(InvariantViolation, match=message):
@@ -161,14 +162,14 @@ def test_sfm_backend_corruption_is_caught(corrupt, message, json_pages):
 def test_checkpoint_is_inert_when_disabled(json_pages):
     backend = _stored_backend(json_pages)
     _free_behind_the_index(backend)  # corrupt — but validation is off
-    with validation(False):
+    with run_context(validation=False):
         assert not validation_enabled()
         checkpoint(backend)  # must not raise
 
 
 def test_nma_register_mirror_desync_is_caught():
     nma = NearMemoryAccelerator(NmaConfig(spm_bytes=1 << 20, crq_depth=8))
-    with validation():
+    with run_context(validation=True):
         request = nma.submit(True, source_row=1, dest_row=None, input_bytes=4096)
         nma.stage_input(request)
         nma.advance(1e9)
@@ -180,7 +181,7 @@ def test_nma_register_mirror_desync_is_caught():
 
 def test_nma_lifecycle_under_validation():
     nma = NearMemoryAccelerator(NmaConfig(spm_bytes=1 << 20, crq_depth=8))
-    with validation():
+    with run_context(validation=True):
         for i in range(4):
             nma.submit(True, source_row=i, dest_row=None, input_bytes=4096)
         while (request := nma.pop_request()) is not None:
@@ -193,7 +194,7 @@ def test_nma_lifecycle_under_validation():
 
 def test_xfm_module_checked_every_window():
     module = XfmModule()
-    with validation():
+    with run_context(validation=True):
         for ref in range(8):
             module.submit_read(None, nbytes=4096)
             module.step()  # checkpoint at the end of every window

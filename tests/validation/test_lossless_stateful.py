@@ -32,11 +32,11 @@ from hypothesis.stateful import (
 from repro.errors import CorruptedBlobError, SfmError, TierUnavailableError
 from repro.resilience.breaker import BreakerConfig
 from repro.resilience.chaos import fault_plan_for
-from repro.resilience.faults import fault_injection
+from repro.resilience.faults import FaultInjector
 from repro.sfm.page import PAGE_SIZE
 from repro.sim import CLOCK
+from repro.sim.context import run_context
 from repro.tiering import LruDemotion, TierPipeline
-from repro.validation.hooks import validation
 from repro.validation.shadow import ShadowOracle
 from repro.workloads.corpus import page_for
 
@@ -54,7 +54,7 @@ class LosslessPipeline(RuleBasedStateMachine):
         super().__init__()
         self._scope = contextlib.ExitStack()
         self._scope.enter_context(CLOCK.scoped())
-        self._scope.enter_context(validation())
+        self._scope.enter_context(run_context(validation=True))
         self.spill = {}
         self.pipeline = TierPipeline.build(
             cpu_capacity_bytes=3 * PAGE_SIZE,
@@ -71,7 +71,8 @@ class LosslessPipeline(RuleBasedStateMachine):
     def inject_faults(self, fault_seed):
         if self.FAULT_PROFILE is not None:
             plan = fault_plan_for(self.FAULT_PROFILE, fault_seed)
-            self.injector = self._scope.enter_context(fault_injection(plan))
+            self.injector = FaultInjector(plan)
+            self._scope.enter_context(run_context(injector=self.injector))
 
     def teardown(self):
         self._scope.close()
