@@ -229,8 +229,11 @@ class RefreshScheduler:
         event and build no window, but still count towards the return
         value and still emit their ``ref_window`` span, in index order.
         An index at or beyond the horizon ends the stream. Windows
-        chain lazily (each event schedules its successor), so the heap
-        stays O(1) regardless of horizon length.
+        chain lazily (each event schedules exactly one successor, at the
+        index the consumer answered), so the heap stays O(1) regardless
+        of horizon length. A consumer that models work runs it inside
+        ``CLOCK.scoped()``: the successor is scheduled at the window's
+        own tick, after the consumer returns.
         """
         policy = self.policy
         end_index = policy.first_index_at_or_after_ticks(ns_to_ticks(until_ns))
@@ -245,33 +248,20 @@ class RefreshScheduler:
         def fire() -> None:
             nonlocal index
             window = window_of(index)
-            # Chain the successor *before* running the consumer: the
-            # refresh stream owns this timeline, so even if the consumer
-            # advances the shared clock past the next window start (span
-            # emission inside the body), the already-scheduled event
-            # snaps the clock back to the exact window tick.
-            index += 1
-            successor = (
-                schedule(start_ticks(index), fire)
-                if index < end_index
-                else None
-            )
             if tracing_enabled():
                 self.trace_window(window=window, channel=channel)
             wanted = on_window(window)
-            if wanted is None or wanted <= index:
-                return
-            # The consumer skips ahead: account the windows in between,
-            # then re-aim the chain.
-            wanted = min(wanted, end_index)
-            if tracing_enabled():
-                for skipped in range(index, wanted):
-                    self.trace_window(skipped, channel)
-            index = wanted
-            if successor is not None:
-                events.cancel(successor)
-                if wanted < end_index:
-                    schedule(start_ticks(wanted), fire)
+            index += 1
+            if wanted is not None and wanted > index:
+                # The consumer skips ahead: account the windows in
+                # between.
+                wanted = min(wanted, end_index)
+                if tracing_enabled():
+                    for skipped in range(index, wanted):
+                        self.trace_window(skipped, channel)
+                index = wanted
+            if index < end_index:
+                schedule(start_ticks(index), fire)
 
         schedule(start_ticks(start_index), fire)
         return end_index - start_index

@@ -30,11 +30,12 @@ class TokenBucket:
         self._last_ns = _sim_clock.now_ns()
 
     def _refill(self) -> None:
-        # The event scheduler may "snap back" the shared clock between
-        # events (a handler can advance past the next event's tick), so
-        # only credit — and only move the refill cursor — when time has
-        # actually progressed; crediting a rewound interval twice would
-        # mint tokens from nothing.
+        # The clock can stand behind the cursor: a read inside a
+        # borrowed timeline (``CLOCK.scoped()``) moves the cursor to the
+        # scope's later instant, and ending the scope restores an
+        # earlier one. Only credit — and only move the cursor — when
+        # time has actually progressed; crediting that interval twice
+        # would mint tokens from nothing.
         now = _sim_clock.now_ns()
         if now <= self._last_ns:
             return

@@ -219,10 +219,8 @@ class FleetFrontend:
         (``drain_tier``-style: load from the dying pipeline, store into
         a live one, spill as last resort — never silently dropped).
 
-        Queued requests are re-submitted *before* the relocation work so
-        their service events land at the kill instant, not after the
-        relocation's clock charge (chain successors before doing
-        clock-advancing work, per the scheduler contract).
+        The relocation is modelled work and runs in a borrowed timeline:
+        the clock is back at the kill instant when this returns.
         """
         if name not in self.shards:
             raise ConfigError(f"unknown shard {name!r}")
@@ -245,31 +243,32 @@ class FleetFrontend:
             key for key, where in self.placement.items() if where == name
         )
         survivors = bool(self._live)
-        for key in doomed:
-            data = self._extract(victim, key)
-            if data is None:
-                stats["lost"] += 1
-                self.failover_lost_pages += 1
-                self.placement.pop(key, None)
-                continue
-            if not survivors:
-                # Last shard standing died: the spill is the only
-                # acknowledged home left.
-                self.spill[key] = data
-                self.placement.pop(key, None)
-                stats["spilled"] += 1
+        with _sim_clock.scoped():
+            for key in doomed:
+                data = self._extract(victim, key)
+                if data is None:
+                    stats["lost"] += 1
+                    self.failover_lost_pages += 1
+                    self.placement.pop(key, None)
+                    continue
+                if not survivors:
+                    # Last shard standing died: the spill is the only
+                    # acknowledged home left.
+                    self.spill[key] = data
+                    self.placement.pop(key, None)
+                    stats["spilled"] += 1
+                    stats["relocated"] += 1
+                    self.relocated_pages += 1
+                    continue
+                target = self.route(key)
+                if self.shards[target].pipeline.store(key, data):
+                    self.placement[key] = target
+                else:
+                    self.spill[key] = data
+                    self.placement.pop(key, None)
+                    stats["spilled"] += 1
                 stats["relocated"] += 1
                 self.relocated_pages += 1
-                continue
-            target = self.route(key)
-            if self.shards[target].pipeline.store(key, data):
-                self.placement[key] = target
-            else:
-                self.spill[key] = data
-                self.placement.pop(key, None)
-                stats["spilled"] += 1
-            stats["relocated"] += 1
-            self.relocated_pages += 1
         self.registry.counter("fleet.relocated_pages").inc(stats["relocated"])
         return stats
 

@@ -323,7 +323,8 @@ class _Campaign:
         now = _sim_clock.now_ns()
         horizon = self.config.total_ns + 2 * SLO_WINDOW_NS
         if now < horizon:
-            # Chain the successor before doing any work (scheduler rule).
+            # Chain the next control tick (the evaluation below does not
+            # move the clock).
             self.scheduler.schedule_after(
                 self.frontend.brownout.config.window_ns, self.tick
             )
@@ -406,8 +407,15 @@ def _drive(config: FleetConfig, session: TelemetrySession) -> Dict[str, object]:
             ),
         )
     # Safety bound far above any legitimate schedule (each request costs
-    # O(1) events; ticks are linear in the horizon).
-    scheduler.run(max_events=20 * len(arrivals) + 1_000_000)
+    # O(1) events; ticks are linear in the horizon). Hitting it would
+    # leave a report over a partial run, so it is an error.
+    max_events = 20 * len(arrivals) + 1_000_000
+    scheduler.run(max_events=max_events)
+    if len(scheduler):
+        raise ConfigError(
+            f"fleet campaign stopped at its safety bound of {max_events}"
+            f" events with {len(scheduler)} still scheduled"
+        )
     now = _sim_clock.now_ns()
     campaign.engine.finalize(now)
     campaign._check_burn()

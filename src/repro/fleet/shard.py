@@ -6,8 +6,10 @@ and serves requests through an event-chained pump on the shared
 :class:`~repro.sim.events.EventScheduler`: the pump event fires at the
 moment the shard goes idle, sheds anything already past its deadline
 (shed-before-work — a dead request costs zero service time), serves one
-request (the pipeline's modeled codec/device costs advance the shared
-clock), and chains the next pump at the completion instant. Arrivals
+request in a borrowed timeline (the pipeline's modeled codec/device
+costs advance the clock inside ``CLOCK.scoped()``), and chains the next
+pump at the completion instant. When the pump returns, the clock is
+back at the service start, so later events keep their order. Arrivals
 landing mid-service simply wait in the bounded queue; a full queue
 sheds at submit time with a retry-after hint sized from the backlog.
 """
@@ -171,11 +173,10 @@ class FleetShard:
         self._normal_demotion = self.pipeline.demotion
         self.queue: Deque[FleetRequest] = deque()
         #: Simulated instant the shard finishes its in-flight request.
-        #: This is what makes the shard a real busy server under the
-        #: event scheduler's clock snap-back: an arrival event may fire
-        #: at a tick *before* this instant (the serve that set it
-        #: advanced the clock, then the scheduler rewound to the next
-        #: arrival), and its service must still queue behind it.
+        #: This is what makes the shard a real busy server: service runs
+        #: in a borrowed timeline, so when the next event fires the
+        #: clock is back at the service start, and an arrival landing
+        #: before this instant must still queue behind the request.
         self.busy_until_ns = 0.0
         self.alive = True
         self.degraded = False
@@ -233,22 +234,26 @@ class FleetShard:
         self._pump_scheduled = False
         if not self.alive:
             return
-        while self.queue:
-            req = self.queue.popleft()
-            now = _sim_clock.now_ns()
-            # Deadline-aware shed-before-work: a request that cannot
-            # finish in time is refused *before* any pipeline work.
-            if now + self._estimate_ns(req.op) > req.deadline_ns:
-                req.status = "shed"
-                req.reason = "deadline"
-                req.retry_after_ns = self.backlog_ns()
-                req.done_ns = now
-                self.on_complete(req)
-                continue
-            self._serve(req)
-            self.busy_until_ns = _sim_clock.now_ns()
-            break
-        self._schedule_pump()
+        # The service is modelled work: it runs in a borrowed timeline,
+        # and everything it schedules (the completion's follow-ups, the
+        # next pump) is computed at the completion instant inside it.
+        with _sim_clock.scoped():
+            while self.queue:
+                req = self.queue.popleft()
+                now = _sim_clock.now_ns()
+                # Deadline-aware shed-before-work: a request that cannot
+                # finish in time is refused *before* any pipeline work.
+                if now + self._estimate_ns(req.op) > req.deadline_ns:
+                    req.status = "shed"
+                    req.reason = "deadline"
+                    req.retry_after_ns = self.backlog_ns()
+                    req.done_ns = now
+                    self.on_complete(req)
+                    continue
+                self._serve(req)
+                self.busy_until_ns = _sim_clock.now_ns()
+                break
+            self._schedule_pump()
 
     def _select_codec(self, req: FleetRequest) -> None:
         tier0 = self.pipeline.tiers[0]

@@ -18,11 +18,10 @@ from repro.sim.clock import (
     ns_to_ticks,
     ticks_to_ns,
 )
-from repro.sim.events import Event, EventScheduler
+from repro.sim.events import EventScheduler
 
 __all__ = [
     "CLOCK",
-    "Event",
     "EventScheduler",
     "SimClock",
     "TICKS_PER_NS",

@@ -20,11 +20,13 @@ Ownership rules (see DESIGN.md §11):
   deltas raise. Components charging modeled costs (backends, retry
   backoff, chaos op ticks) only ever advance.
 * **Set** (:meth:`SimClock.set_ns`) is reserved for timeline *owners*:
-  the emulator's event loop, the trace replayer, a workload's window
-  loop. Owners that borrow the clock must scope themselves with
-  :meth:`SimClock.scoped`, save/restore, or
+  the event scheduler (which only ever moves it forward), the trace
+  replayer, the run context. Owners that borrow the clock must scope
+  themselves with :meth:`SimClock.scoped`, save/restore, or
   ``run_context(clock_ns=...)`` (:mod:`repro.sim.context`) so nesting
-  composes — ``TraceReplayer`` and ``TelemetrySession`` do.
+  composes — ``TraceReplayer`` and ``TelemetrySession`` do. So does an
+  event callback that models work: the next event must not find the
+  clock past its tick.
 """
 
 from __future__ import annotations

@@ -1,27 +1,29 @@
 """Deterministic discrete-event scheduler over the shared SimClock.
 
-A minimal DES core: a binary heap of timestamped events with **stable
-tie-breaking** — events scheduled for the same instant fire in the
-order they were scheduled (a monotone sequence number breaks heap
+A minimal DES core: a binary heap of timestamped callbacks with
+**stable tie-breaking** — events scheduled for the same instant fire in
+the order they were scheduled (a monotone sequence number breaks heap
 ties), so a run is a pure function of the schedule regardless of heap
-internals or hash order. The heap holds ``(ticks, seq, event)`` tuples,
-so ordering is a C tuple compare; ``seq`` is unique, so the event
+internals or hash order. The heap holds ``(ticks, seq, fn)`` tuples, so
+ordering is a C tuple compare; ``seq`` is unique, so the callback
 itself is never compared.
 
 Event lifecycle (see DESIGN.md §11):
 
 1. ``schedule(t_ns, fn)`` / ``schedule_after(dt_ns, fn)`` enqueue a
    callback; scheduling strictly in the past raises.
-2. ``step()`` pops the earliest event, sets the clock **to the event's
-   timestamp**, then runs the callback. Callbacks may schedule further
-   events (self-rescheduling handlers are the idiom the refresh
-   policies use to emit their window streams). A callback that
-   *advances* the shared clock past later events is fine: the
-   scheduler owns the timeline, so the next ``step()`` snaps the clock
-   back to that event's exact tick — chain successors *before* doing
-   clock-advancing work (see ``RefreshScheduler.schedule_windows``).
-3. ``run_until(t_ns)`` drains events up to a horizon; ``cancel()``
-   marks an event dead without disturbing the heap (lazy deletion).
+2. ``step()`` pops the earliest event, moves the clock **forward to the
+   event's timestamp**, then runs the callback. Callbacks may schedule
+   further events (self-rescheduling handlers are the idiom the refresh
+   policies use to emit their window streams).
+3. Time only moves forward through ``step()``. A callback that models
+   work (a served request's codec and device costs) runs that work in a
+   borrowed timeline — ``CLOCK.scoped()`` — so the clock is back at the
+   event's tick when the callback returns. A callback that leaves the
+   clock past the next event is a bug, and the next ``step()`` raises
+   :class:`~repro.errors.ConfigError` naming it.
+4. ``run_until(t_ns)`` drains events up to a horizon; ``run()`` drains
+   the heap.
 """
 
 from __future__ import annotations
@@ -33,36 +35,21 @@ from repro.errors import ConfigError
 from repro.sim.clock import CLOCK, SimClock, ns_to_ticks, ticks_to_ns
 
 
-class Event:
-    """One scheduled callback; returned by ``schedule*`` for cancelling."""
-
-    __slots__ = ("ticks", "fn", "cancelled")
-
-    def __init__(self, ticks: int, fn: Callable[[], None]) -> None:
-        self.ticks = ticks
-        self.fn = fn
-        self.cancelled = False
-
-    @property
-    def t_ns(self) -> float:
-        return ticks_to_ns(self.ticks)
-
-
 class EventScheduler:
-    """Heap of timestamped events draining against a :class:`SimClock`."""
+    """Heap of timestamped callbacks draining against a :class:`SimClock`."""
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else CLOCK
-        #: (ticks, seq, event): time first, then schedule order.
-        self._heap: List[Tuple[int, int, Event]] = []
+        #: (ticks, seq, fn): time first, then schedule order.
+        self._heap: List[Tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
-        self.fired = 0
+        #: The callback ``step()`` ran last, named when the next event
+        #: finds the clock already past its tick (``None`` once drained).
+        self._last_fn: Optional[Callable[[], None]] = None
 
     # -- enqueue -------------------------------------------------------------
 
-    def schedule_at_ticks(
-        self, ticks: int, fn: Callable[[], None]
-    ) -> Event:
+    def schedule_at_ticks(self, ticks: int, fn: Callable[[], None]) -> None:
         """Exact-tick scheduling (refresh policies compute integer window
         starts and must not round-trip them through floats)."""
         if ticks < self.clock.now_ticks():
@@ -70,69 +57,56 @@ class EventScheduler:
                 f"cannot schedule event in the past: t={ticks_to_ns(ticks)}"
                 f" ns < now={self.clock.now_ns()} ns"
             )
-        event = Event(ticks, fn)
-        heapq.heappush(self._heap, (ticks, self._seq, event))
+        heapq.heappush(self._heap, (ticks, self._seq, fn))
         self._seq += 1
-        return event
 
-    def schedule(self, t_ns: float, fn: Callable[[], None]) -> Event:
+    def schedule(self, t_ns: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` at absolute simulated time ``t_ns``."""
-        return self.schedule_at_ticks(ns_to_ticks(t_ns), fn)
+        self.schedule_at_ticks(ns_to_ticks(t_ns), fn)
 
-    def schedule_after(self, dt_ns: float, fn: Callable[[], None]) -> Event:
+    def schedule_after(self, dt_ns: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` at ``now + dt_ns`` (dt >= 0)."""
         if dt_ns < 0:
             raise ConfigError(f"schedule_after needs dt >= 0, got {dt_ns}")
-        return self.schedule_at_ticks(
+        self.schedule_at_ticks(
             self.clock.now_ticks() + ns_to_ticks(dt_ns), fn
         )
 
-    def cancel(self, event: Event) -> None:
-        """Mark ``event`` dead; it is skipped when it reaches the top."""
-        event.cancelled = True
-
-    # -- queries -------------------------------------------------------------
-
     def __len__(self) -> int:
-        return sum(1 for _, _, e in self._heap if not e.cancelled)
-
-    def peek_ns(self) -> Optional[float]:
-        """Timestamp of the next live event, or None when drained."""
-        self._drop_cancelled()
-        return ticks_to_ns(self._heap[0][0]) if self._heap else None
-
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
+        return len(self._heap)
 
     # -- drain ---------------------------------------------------------------
 
     def step(self) -> bool:
-        """Run the earliest event (clock jumps to its timestamp); returns
-        False when no live events remain."""
-        self._drop_cancelled()
+        """Run the earliest event (clock moves forward to its timestamp);
+        returns False when no events remain. Raises ``ConfigError`` when
+        the clock is already past the event: the last callback ran
+        modelled work outside a borrowed timeline."""
         if not self._heap:
+            self._last_fn = None  # a drained scheduler holds no callback
             return False
-        ticks, _, event = heapq.heappop(self._heap)
-        self.clock.set_ticks(ticks)
-        self.fired += 1
-        event.fn()
+        ticks, _, fn = heapq.heappop(self._heap)
+        clock = self.clock
+        if ticks < clock.now_ticks():
+            raise ConfigError(
+                f"clock at {clock.now_ns()} ns is past the next event at"
+                f" {ticks_to_ns(ticks)} ns: callback {self._last_fn!r} left"
+                " it there; run modelled work inside CLOCK.scoped()"
+            )
+        clock.set_ticks(ticks)
+        self._last_fn = fn
+        fn()
         return True
 
-    def run_until(self, t_ns: float, inclusive: bool = True) -> int:
-        """Drain events with timestamp <= ``t_ns`` (or strictly < when
-        ``inclusive=False``); returns how many fired. The clock is left
-        at the last fired event, not pushed to the horizon — callers
-        that need the horizon time advance explicitly."""
+    def run_until(self, t_ns: float) -> int:
+        """Drain events with timestamp <= ``t_ns``; returns how many
+        fired. The clock is left at the last fired event, not pushed to
+        the horizon — callers that need the horizon time advance
+        explicitly."""
         limit = ns_to_ticks(t_ns)
+        heap = self._heap
         fired = 0
-        while True:
-            self._drop_cancelled()
-            if not self._heap:
-                break
-            head = self._heap[0][0]
-            if head > limit or (not inclusive and head >= limit):
-                break
+        while heap and heap[0][0] <= limit:
             self.step()
             fired += 1
         return fired

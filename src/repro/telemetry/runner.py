@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.sim import CLOCK as _sim_clock
 from repro.sim import EventScheduler
 from repro.telemetry.session import TelemetrySession
 from repro.validation.shadow import ShadowOracle
@@ -150,7 +151,9 @@ def _zswap_workload(session: TelemetrySession) -> Dict[str, object]:
         ref = refresh.policy.trefi_bin(window.ref_index)
         if ref != last_bin:
             last_bin = ref
-            window_body(ref)
+            # The body's modelled costs borrow the window's timeline.
+            with _sim_clock.scoped():
+                window_body(ref)
 
     events = EventScheduler()
     refresh.schedule_windows(events, num_windows * trefi_ns, on_window)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.dram.device import DDR5_32GB, timings_for_device
 from repro.dram.refresh import RefreshScheduler, make_refresh_policy
 from repro.dram.refresh_policy import REFRESH_POLICIES
+from repro.errors import ConfigError
 from repro.sim import EventScheduler, SimClock, ns_to_ticks, ticks_to_ns
 from repro.sim.context import run_context
 from repro.telemetry import trace
@@ -155,8 +156,9 @@ class TestConsumerAnswer:
         assert [index for index, _ in fired] == [0, 1, 2, 3, 4]
 
     def test_clock_advancing_consumer_still_gets_exact_ticks(self):
-        """A consumer may run the shared clock past the next window
-        start (span emission); the stream snaps it back."""
+        """A consumer that models work past the next window start runs
+        it in a borrowed timeline; every window still fires at its
+        exact tick."""
         refresh = _refresh("all-bank")
         clock = SimClock()
         events = EventScheduler(clock=clock)
@@ -164,11 +166,24 @@ class TestConsumerAnswer:
 
         def on_window(window):
             seen.append(clock.now_ticks())
-            clock.advance_ns(2.5 * TIMINGS.trefi_ns)
+            with clock.scoped():
+                clock.advance_ns(2.5 * TIMINGS.trefi_ns)
 
         refresh.schedule_windows(events, 6 * TIMINGS.trefi_ns, on_window)
         events.run()
         assert seen == [refresh.policy.start_ticks(i) for i in range(6)]
+
+    def test_unscoped_clock_advancing_consumer_raises(self):
+        refresh = _refresh("all-bank")
+        clock = SimClock()
+        events = EventScheduler(clock=clock)
+
+        def on_window(window):
+            clock.advance_ns(2.5 * TIMINGS.trefi_ns)
+
+        refresh.schedule_windows(events, 6 * TIMINGS.trefi_ns, on_window)
+        with pytest.raises(ConfigError, match="in the past"):
+            events.run()
 
 
 class TestSkippedWindowsAreAccounted:

@@ -43,18 +43,21 @@ class TestTokenBucket:
             CLOCK.advance_ns(hint)
             assert bucket.try_take()
 
-    def test_clock_snap_back_does_not_mint_tokens(self):
-        # The event scheduler can rewind the shared clock between
-        # events; a rewound interval must not be credited twice.
+    def test_ended_borrowed_timeline_does_not_mint_tokens(self):
+        # A borrowed timeline can read the bucket at its end instant and
+        # then restore the clock behind the cursor; the interval it
+        # covered must not be credited twice.
         with CLOCK.scoped(start_ns=0.0):
             bucket = TokenBucket(rate_per_s=1000.0, burst=5.0)
             for _ in range(5):
                 assert bucket.try_take()
-            CLOCK.advance_ns(2e6)  # earns 2 tokens
+            CLOCK.set_ns(0.5e6)
+            with CLOCK.scoped():
+                CLOCK.advance_ns(1.5e6)  # earns 2 tokens by 2e6
+                assert bucket.tokens == pytest.approx(2.0)
+            assert CLOCK.now_ns() == 0.5e6
             assert bucket.tokens == pytest.approx(2.0)
-            CLOCK.set_ns(0.5e6)  # snap-back
-            assert bucket.tokens == pytest.approx(2.0)
-            CLOCK.set_ns(2e6)  # replaying the same interval: no credit
+            CLOCK.set_ns(2e6)  # the next event reaches the same instant
             assert bucket.tokens == pytest.approx(2.0)
 
     def test_validates(self):

@@ -12,7 +12,9 @@ import json
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.fleet.harness import FleetConfig, format_report, run_fleet
+from repro.sim.events import EventScheduler
 
 #: Test-sized campaign: ~2900 arrivals, ~1.5 s host time.
 SPIKE_CONFIG = FleetConfig(
@@ -171,3 +173,20 @@ class TestReportArtifacts:
         assert (tmp_path / "metrics.json").exists()
         for name in report["flight_records"]:
             assert (tmp_path / name).exists()
+
+
+class TestSafetyBound:
+    def test_campaign_cut_at_its_event_bound_raises(self, monkeypatch):
+        # A report over a partial run must never be written silently.
+        run = EventScheduler.run
+        monkeypatch.setattr(
+            EventScheduler, "run", lambda self, max_events=None: run(self, 50)
+        )
+        with pytest.raises(ConfigError, match="safety bound"):
+            run_fleet(
+                FleetConfig(
+                    seed=5, shards=2, steady_rate_rps=17_500.0,
+                    steady_ns=4e6, spike_ns=2e6, drain_guard_ns=1e6,
+                    recovery_ns=3e6,
+                )
+            )

@@ -15,7 +15,9 @@ clock state anywhere else in ``src/repro`` would fork the timeline —
 timestamps that drift from refresh windows, backoff charges invisible
 to breaker cool-downs — so the grep forbids both outside ``repro/sim``,
 with a short allowlist for the one place that *measures the host*
-(the fuzzer's wall-time budget).
+(the fuzzer's wall-time budget). Moving the simulated clock is
+allowlisted too: a handful of files charge modelled time, and the rest
+of the stack schedules events or borrows a timeline.
 """
 
 import re
@@ -159,6 +161,58 @@ def test_wall_clock_allowlist_is_tight():
         assert path.exists(), f"allowlist entry gone: {rel}"
         assert _WALL_CLOCK.search(path.read_text(encoding="utf-8")), (
             f"allowlist entry no longer reads the wall clock: {rel}"
+        )
+
+
+#: A call that moves the simulated clock (a method ``def`` does not
+#: match: it has no leading dot).
+_CLOCK_WRITE = re.compile(
+    r"\.(?:advance_ns|advance_ticks|set_ns|set_ticks|restore)\s*\("
+)
+
+#: Files allowed to move the clock: the clock, the event core and the
+#: run context; the replayer's timeline; and the components that charge
+#: modelled costs (backend device time, retry backoff, chaos op ticks,
+#: the fleet's service-time floor). Everything else reads the clock,
+#: schedules events, or borrows a timeline with ``CLOCK.scoped()``.
+CLOCK_WRITER_ALLOWLIST = {
+    "sim/clock.py",
+    "sim/events.py",
+    "sim/context.py",
+    "scenarios/replayer.py",
+    "sfm/backend.py",
+    "resilience/retry.py",
+    "resilience/chaos.py",
+    "fleet/shard.py",
+}
+
+
+def test_clock_writers_are_allowlisted():
+    offenders = []
+    for path in _all_src_files():
+        rel = path.relative_to(SRC).as_posix()
+        if rel in CLOCK_WRITER_ALLOWLIST:
+            continue
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            if _CLOCK_WRITE.search(line):
+                offenders.append(f"{rel}:{lineno}: {line.strip()}")
+    assert not offenders, (
+        "simulated clock moved outside CLOCK_WRITER_ALLOWLIST (schedule an "
+        "event, or borrow a timeline with CLOCK.scoped()):\n"
+        + "\n".join(offenders)
+    )
+
+
+def test_clock_writers_allowlist_is_tight():
+    """Every allowlisted file exists and still moves the clock — stale
+    entries would quietly widen the lint hole."""
+    for rel in sorted(CLOCK_WRITER_ALLOWLIST):
+        path = SRC / rel
+        assert path.exists(), f"allowlist entry gone: {rel}"
+        assert _CLOCK_WRITE.search(path.read_text(encoding="utf-8")), (
+            f"allowlist entry no longer moves the clock: {rel}"
         )
 
 
