@@ -194,8 +194,31 @@ typedef struct {
     int nbits;
 } BitRd;
 
+/* Eight stream bytes as a little-endian word. */
+static inline uint64_t load_le64(const uint8_t *p)
+{
+    uint64_t v;
+    memcpy(&v, p, 8);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    return v;
+}
+
+/* Callers refill below 16 buffered bits.  While eight bytes remain one
+ * word load tops the accumulator up to 56..63 bits; the bytes it loads
+ * past the counted ones are the stream's own next bits, which a later
+ * refill ORs in again unchanged.  The last bytes go one at a time, so
+ * bits past the end of the stream still read as zeros. */
 static inline void br_refill(BitRd *r)
 {
+    if (r->len - r->pos >= 8) {
+        r->acc |= load_le64(r->d + r->pos) << r->nbits;
+        int take = (63 - r->nbits) >> 3;
+        r->pos += take;
+        r->nbits += take << 3;
+        return;
+    }
     while (r->nbits <= 56 && r->pos < r->len) {
         r->acc |= (uint64_t)r->d[r->pos++] << r->nbits;
         r->nbits += 8;
@@ -216,17 +239,19 @@ static inline int br_read(BitRd *r, int n, uint32_t *v)
 }
 
 /* bitio.read_varint_bits: 7-bit groups behind a continue bit, at most
- * six groups (the Python reader raises once shift passes 35). */
+ * six groups (the Python reader raises once shift passes 35).  A group
+ * and its continue bit are read as one byte-wide field; a stream that
+ * ends inside one fails either way. */
 static inline int br_varint(BitRd *r, int64_t *value)
 {
     int64_t v = 0;
     int shift = 0;
     for (;;) {
-        uint32_t more, chunk;
-        if (br_read(r, 1, &more) || br_read(r, 7, &chunk))
+        uint32_t group;
+        if (br_read(r, 8, &group))
             return -1;
-        v |= (int64_t)chunk << shift;
-        if (!more)
+        v |= (int64_t)(group >> 1) << shift;
+        if (!(group & 1))
             break;
         shift += 7;
         if (shift > 35)
@@ -278,6 +303,30 @@ static inline int bw_varint(BitWr *w, uint64_t value)
 static inline int bw_align(BitWr *w)
 {
     return w->nbits ? bw_write(w, 0, 8 - w->nbits) : 0;
+}
+
+/* lz77.extend_match: append `length` bytes that start `offset` (>= 1)
+ * bytes back, with `room` >= `length` bytes writable at `dst`.  A far
+ * source with 15 bytes of slack goes in fixed 16-byte moves (the bytes
+ * written past `length` are overwritten by whatever the decoder appends
+ * next).  Otherwise, when the source overlaps the bytes being written,
+ * each round copies one whole period and the period doubles. */
+static inline void copy_match(
+    uint8_t *dst, int64_t offset, int64_t length, int64_t room)
+{
+    const uint8_t *src = dst - offset;
+    if (offset >= 16 && length + 15 <= room) {
+        for (int64_t i = 0; i < length; i += 16)
+            memcpy(dst + i, src + i, 16);
+        return;
+    }
+    while (length > offset) {
+        memcpy(dst, src, (size_t)offset);
+        dst += offset;
+        length -= offset;
+        offset += offset;
+    }
+    memcpy(dst, src, (size_t)length);
 }
 
 /* ------------------------------------------------------------------ */
@@ -429,6 +478,31 @@ int64_t huffman_code_lengths(
 /* Canonical Huffman decode table (full-width, LSB-indexed)            */
 /* ------------------------------------------------------------------ */
 
+/* Each byte value with its eight bits in reverse order. */
+static const uint8_t REV8[256] = {
+    0x00, 0x80, 0x40, 0xc0, 0x20, 0xa0, 0x60, 0xe0, 0x10, 0x90, 0x50, 0xd0,
+    0x30, 0xb0, 0x70, 0xf0, 0x08, 0x88, 0x48, 0xc8, 0x28, 0xa8, 0x68, 0xe8,
+    0x18, 0x98, 0x58, 0xd8, 0x38, 0xb8, 0x78, 0xf8, 0x04, 0x84, 0x44, 0xc4,
+    0x24, 0xa4, 0x64, 0xe4, 0x14, 0x94, 0x54, 0xd4, 0x34, 0xb4, 0x74, 0xf4,
+    0x0c, 0x8c, 0x4c, 0xcc, 0x2c, 0xac, 0x6c, 0xec, 0x1c, 0x9c, 0x5c, 0xdc,
+    0x3c, 0xbc, 0x7c, 0xfc, 0x02, 0x82, 0x42, 0xc2, 0x22, 0xa2, 0x62, 0xe2,
+    0x12, 0x92, 0x52, 0xd2, 0x32, 0xb2, 0x72, 0xf2, 0x0a, 0x8a, 0x4a, 0xca,
+    0x2a, 0xaa, 0x6a, 0xea, 0x1a, 0x9a, 0x5a, 0xda, 0x3a, 0xba, 0x7a, 0xfa,
+    0x06, 0x86, 0x46, 0xc6, 0x26, 0xa6, 0x66, 0xe6, 0x16, 0x96, 0x56, 0xd6,
+    0x36, 0xb6, 0x76, 0xf6, 0x0e, 0x8e, 0x4e, 0xce, 0x2e, 0xae, 0x6e, 0xee,
+    0x1e, 0x9e, 0x5e, 0xde, 0x3e, 0xbe, 0x7e, 0xfe, 0x01, 0x81, 0x41, 0xc1,
+    0x21, 0xa1, 0x61, 0xe1, 0x11, 0x91, 0x51, 0xd1, 0x31, 0xb1, 0x71, 0xf1,
+    0x09, 0x89, 0x49, 0xc9, 0x29, 0xa9, 0x69, 0xe9, 0x19, 0x99, 0x59, 0xd9,
+    0x39, 0xb9, 0x79, 0xf9, 0x05, 0x85, 0x45, 0xc5, 0x25, 0xa5, 0x65, 0xe5,
+    0x15, 0x95, 0x55, 0xd5, 0x35, 0xb5, 0x75, 0xf5, 0x0d, 0x8d, 0x4d, 0xcd,
+    0x2d, 0xad, 0x6d, 0xed, 0x1d, 0x9d, 0x5d, 0xdd, 0x3d, 0xbd, 0x7d, 0xfd,
+    0x03, 0x83, 0x43, 0xc3, 0x23, 0xa3, 0x63, 0xe3, 0x13, 0x93, 0x53, 0xd3,
+    0x33, 0xb3, 0x73, 0xf3, 0x0b, 0x8b, 0x4b, 0xcb, 0x2b, 0xab, 0x6b, 0xeb,
+    0x1b, 0x9b, 0x5b, 0xdb, 0x3b, 0xbb, 0x7b, 0xfb, 0x07, 0x87, 0x47, 0xc7,
+    0x27, 0xa7, 0x67, 0xe7, 0x17, 0x97, 0x57, 0xd7, 0x37, 0xb7, 0x77, 0xf7,
+    0x0f, 0x8f, 0x4f, 0xcf, 0x2f, 0xaf, 0x6f, 0xef, 0x1f, 0x9f, 0x5f, 0xdf,
+    0x3f, 0xbf, 0x7f, 0xff};
+
 /* huffman.canonical_codes with each code bit-reversed over its length:
  * the LSB-first form HuffmanTable.codes_lsb holds and the bit stream
  * carries.  Lengths are <= MAX_CODE_LEN and not oversubscribed. */
@@ -448,10 +522,9 @@ static void canonical_codes_lsb(
     for (int s = 0; s < nsym; s++) {
         int l = lengths[s];
         int c = l ? next_code[l]++ : 0;
-        uint16_t rev = 0;
-        for (int bit = 0; bit < l; bit++)
-            rev |= (uint16_t)(((c >> bit) & 1) << (l - 1 - bit));
-        codes[s] = rev;
+        /* Reverse all 16 bits, then keep the reversed low l. */
+        uint32_t rev = ((uint32_t)REV8[c & 0xFF] << 8) | REV8[(c >> 8) & 0xFF];
+        codes[s] = (uint16_t)(rev >> (16 - l));
     }
 }
 
@@ -899,15 +972,12 @@ static int64_t read_symbols(
         int dsym = d_width ? br_decode(br, d_table, d_width) : -1;
         if (dsym < 0 || br_read(br, DIST_EXTRA[dsym], &v))
             return -4;
-        int64_t src = out_len - (DIST_BASE[dsym] + (int64_t)v);
-        if (src < 0)
+        int64_t distance = DIST_BASE[dsym] + (int64_t)v;
+        if (distance > out_len)
             return -6;
         if (out_len + length > out_cap)
             return -5;
-        /* Byte-forward copy replicates periodic seeds on overlap, the
-         * same result extend_match produces by doubling. */
-        for (int64_t i = 0; i < length; i++)
-            out[out_len + i] = out[src + i];
+        copy_match(out + out_len, distance, length, out_cap - out_len);
         out_len += length;
     }
 }
@@ -1077,14 +1147,7 @@ int64_t lzfast_decompress(
             pos += 2;
             if (distance == 0 || distance > olen || olen + length > out_cap)
                 return -1;
-            const uint8_t *src = out + olen - distance;
-            uint8_t *dst = out + olen;
-            if (distance >= length) {
-                memcpy(dst, src, (size_t)length);
-            } else {
-                for (int64_t i = 0; i < length; i++)
-                    dst[i] = src[i];
-            }
+            copy_match(out + olen, distance, length, out_cap - olen);
             olen += length;
         }
     }
@@ -1245,7 +1308,13 @@ int64_t zstdlike_decode_body(
             return -7;
         if (out_len + lit_run > out_cap)
             return -8;
-        memcpy(out + out_len, literals + lit_pos, (size_t)lit_run);
+        /* A short run moves as one 16-byte block when both buffers
+         * have the room; the next append overwrites the excess. */
+        if (lit_run <= 16 && lit_pos + 16 <= out_cap
+            && out_len + 16 <= out_cap)
+            memcpy(out + out_len, literals + lit_pos, 16);
+        else
+            memcpy(out + out_len, literals + lit_pos, (size_t)lit_run);
         out_len += lit_run;
         lit_pos += lit_run;
         if (!match_len)
@@ -1257,16 +1326,7 @@ int64_t zstdlike_decode_body(
             return -9;
         if (out_len + match_len > out_cap)
             return -8;
-        const uint8_t *src = out + out_len - offset;
-        uint8_t *dst = out + out_len;
-        if (offset >= match_len) {
-            memcpy(dst, src, (size_t)match_len);
-        } else {
-            /* Byte-forward copy replicates the periodic seed, the same
-             * bytes extend_match produces by doubling. */
-            for (int64_t i = 0; i < match_len; i++)
-                dst[i] = src[i];
-        }
+        copy_match(out + out_len, offset, match_len, out_cap - out_len);
         out_len += match_len;
     }
     return out_len;

@@ -61,6 +61,12 @@ _MIN_MATCH = 3
 #: Decode-table scratch for the native decoder (full-width table, rebuilt
 #: per call), shared process-wide: the harness is single-threaded.
 _TABLE_SCRATCH = (ctypes.c_uint32 * (1 << MAX_CODE_LENGTH))()
+#: Literal and output scratch of the native decoder, shared the same
+#: way and sized for one 4 KiB page; a blob claiming more decodes into
+#: fresh buffers.
+_DECODE_SCRATCH_BYTES = 4096
+_LITERAL_SCRATCH = ctypes.create_string_buffer(_DECODE_SCRATCH_BYTES)
+_OUT_SCRATCH = ctypes.create_string_buffer(_DECODE_SCRATCH_BYTES)
 
 
 @register_codec
@@ -191,8 +197,11 @@ class ZstdLikeCodec(Codec):
         if header is None or header[0] != _MODE_COMPRESSED:
             return None
         _, orig_len, checksum, pos = header
-        literals = ctypes.create_string_buffer(orig_len)
-        out = ctypes.create_string_buffer(orig_len)
+        if orig_len <= _DECODE_SCRATCH_BYTES:
+            literals, out = _LITERAL_SCRATCH, _OUT_SCRATCH
+        else:
+            literals = ctypes.create_string_buffer(orig_len)
+            out = ctypes.create_string_buffer(orig_len)
         decoded = lib.zstdlike_decode_body(
             blob, len(blob), pos, _TABLE_SCRATCH, literals, out, orig_len
         )

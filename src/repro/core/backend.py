@@ -161,9 +161,12 @@ class XfmBackend(SfmBackend):
             # lazy bound did not see.
             self.driver.notify_release(PAGE_SIZE)
             return self._fallback_compress(page, exc)
+        # One page hash per store: the NMA memo key and the record's
+        # page digest.
+        digest = page_digest(page.data)
         try:
             blob = retry_with_backoff(
-                lambda: self.nma.compress_page(page.data),
+                lambda: self.nma.compress_page(page.data, digest),
                 on_retry=self._count_transient_retry,
             )
         except DeviceFault as exc:
@@ -182,10 +185,9 @@ class XfmBackend(SfmBackend):
         self.nma.spm.complete(
             entry.entry_id, output_bytes=len(blob), payload=blob
         )
+        blob_digest = content_digest(blob)
         try:
-            blob = self._read_staged_verified(
-                entry.entry_id, content_digest(blob)
-            )
+            blob = self._read_staged_verified(entry.entry_id, blob_digest)
         except DeviceFault as exc:
             # Persistent readback corruption: the page is still resident
             # in host memory, so the CPU path recovers it loss-free.
@@ -205,7 +207,7 @@ class XfmBackend(SfmBackend):
         self.driver.notify_release(PAGE_SIZE)
 
         self.stats.offloaded_compressions += 1
-        self._commit(page, handle, blob, page_digest(page.data))
+        self._commit(page, handle, blob, digest, blob_digest)
         if _trace.tracing_enabled():
             dur_ns = self.nma.config.compress_time_ns(PAGE_SIZE)
             _spans.emit_under(

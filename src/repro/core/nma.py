@@ -11,7 +11,9 @@ Two usage modes:
 
 * **functional** — :meth:`NearMemoryAccelerator.compress_page` /
   :meth:`decompress_blob` run a real codec on real bytes (used by the
-  XFM backend so swap contents stay verifiable);
+  XFM backend so swap contents stay verifiable); content that recurs is
+  answered from a host-side memo of earlier outputs (see
+  :meth:`~NearMemoryAccelerator.compress_page`);
 * **timed** — :meth:`advance` moves PENDING scratchpad entries to
   COMPLETED according to engine throughput (used by the emulator).
 """
@@ -28,10 +30,18 @@ from repro.core.registers import RegisterFile, Registers
 from repro.core.spm import ScratchpadMemory, SpmEntry, SpmTag
 from repro.errors import ConfigError, DeviceFault, QueueFullError
 from repro.resilience import faults as _faults
+from repro.sfm.digest_cache import DigestPageCache
 from repro.validation.hooks import checkpoint
 
 FPGA_PROTOTYPE_COMPRESS_GBPS = 1.4
 FPGA_PROTOTYPE_DECOMPRESS_GBPS = 1.7
+
+#: Digests the functional compress memo remembers (see
+#: :meth:`NearMemoryAccelerator.compress_page`).
+COMPRESS_MEMO_ENTRIES = 128
+
+#: Memo value of content seen once: no codec output is ever empty.
+_SEEN_ONCE = b""
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,10 @@ class NearMemoryAccelerator:
         #: faults); the entry stays PENDING and finishes on a later
         #: advance — observable as a stall, never as corruption.
         self.dropped_completions = 0
+        #: Page digest -> codec output, or :data:`_SEEN_ONCE`. Host-side
+        #: only: the model charges every compress whether or not the
+        #: memo answers it.
+        self._compress_memo = DigestPageCache(COMPRESS_MEMO_ENTRIES)
         self._sync_registers()
 
     # -- Compress_Request_Queue -----------------------------------------------
@@ -203,8 +217,18 @@ class NearMemoryAccelerator:
 
     # -- functional mode ---------------------------------------------------------
 
-    def compress_page(self, data: bytes) -> bytes:
+    def compress_page(
+        self, data: bytes, digest: Optional[bytes] = None
+    ) -> bytes:
         """Run the real codec on real bytes (functional backend path).
+
+        ``digest`` is the caller's :func:`~repro.resilience.integrity.
+        page_digest` of ``data``. With it, content seen before skips the
+        software codec: the first sight of a digest records a marker,
+        the second the codec's output, and later sights return that
+        output. The codec is deterministic, so the bytes are the same
+        either way; holding only recurring content keeps the memo from
+        filling with pages that never come back.
 
         Raises :class:`~repro.errors.DeviceFault` when the injected
         ``nma.timeout`` site fires — the engine stalled past its
@@ -214,7 +238,15 @@ class NearMemoryAccelerator:
             event = _faults.fire(_faults.NMA_TIMEOUT)
             if event is not None:
                 raise DeviceFault("NMA compress engine stalled (timeout)")
-        return self.codec.compress(data)
+        if digest is None:
+            return self.codec.compress(data)
+        memo = self._compress_memo
+        seen = memo.get(digest)
+        if seen:
+            return seen
+        blob = self.codec.compress(data)
+        memo.put(digest, _SEEN_ONCE if seen is None else blob)
+        return blob
 
     def decompress_blob(self, blob: bytes) -> bytes:
         if _faults.injection_enabled():

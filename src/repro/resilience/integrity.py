@@ -9,8 +9,10 @@ without relying on the codec to notice) and the page digest after
 literal run).
 
 The page digest (:func:`page_digest`, 16-byte blake2b) is also the key
-of the digest page cache, so a store hashes its page once for both; the
-blob digest (:func:`content_digest`) is an 8-byte blake2b.
+of the digest page cache (and of the XFM accelerator's compress memo),
+so a store hashes its page once for both; the blob digest
+(:func:`content_digest`) is an 8-byte blake2b, kept beside a cached
+blob so a cache hit does not hash the blob again.
 """
 
 from __future__ import annotations

@@ -141,21 +141,23 @@ class SfmBackend:
 
         # One hash per store: the cache key and the record's page digest.
         digest = page_digest(page.data)
-        blob = None
-        if self.page_cache is not None:
-            blob = self.page_cache.get(digest)
-        if blob is not None:
-            # Identical content was compressed before: reuse the blob and
-            # pay only the hash, not the compressor.
+        page_cache = self.page_cache
+        cached = None if page_cache is None else page_cache.get(digest)
+        if cached is not None:
+            # Identical content was compressed before: reuse the blob
+            # (and its digest, once it was stored) and pay only the
+            # hash, not the compressor.
+            blob, blob_digest = cached
             self.stats.digest_cache_hits += 1
             cycles = DIGEST_CYCLES_PER_BYTE * PAGE_SIZE
         else:
-            if self.page_cache is not None:
+            if page_cache is not None:
                 self.stats.digest_cache_misses += 1
             blob = self._compress(page.data)
+            blob_digest = None
             cycles = self.codec.spec.compress_cycles_per_byte * PAGE_SIZE
-            if self.page_cache is not None:
-                self.page_cache.put(digest, blob)
+            if page_cache is not None:
+                page_cache.put(digest, (blob, None))
         self.stats.cpu_compress_cycles += cycles
         if _trace.tracing_enabled():
             dur_ns = cycles / self.cpu_freq_hz * 1e9
@@ -184,7 +186,12 @@ class SfmBackend:
                 accepted=False, reason="pool-full", cpu_cycles=cycles
             )
         self.ledger.record("sfm_cpu", "write", len(blob))
-        self._commit(page, handle, blob, digest)
+        if blob_digest is None:
+            # Only a stored blob is hashed, and only once per cached entry.
+            blob_digest = content_digest(blob)
+            if page_cache is not None:
+                page_cache.put(digest, (blob, blob_digest))
+        self._commit(page, handle, blob, digest, blob_digest)
         return SwapOutcome(
             accepted=True, compressed_len=len(blob), cpu_cycles=cycles
         )
@@ -199,14 +206,20 @@ class SfmBackend:
     # -- the index ----------------------------------------------------------------
 
     def _commit(
-        self, page: Page, handle: int, blob: bytes, digest: bytes
+        self,
+        page: Page,
+        handle: int,
+        blob: bytes,
+        digest: bytes,
+        blob_digest: bytes,
     ) -> None:
-        """Index ``page`` (``digest`` is its :func:`page_digest`) by its
-        pooled ``blob`` and account the swap-out; the tail of every
-        accepted store path."""
+        """Index ``page`` by its pooled ``blob`` and account the
+        swap-out; the tail of every accepted store path. ``digest`` is
+        the page's :func:`page_digest`, ``blob_digest`` the blob's
+        :func:`content_digest`."""
         self.index[page.vaddr] = BlobRecord(
             handle=handle,
-            blob_digest=content_digest(blob),
+            blob_digest=blob_digest,
             page_digest=digest,
         )
         page.swapped = True

@@ -14,7 +14,7 @@ fields the swap paths increment, read by a bound
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro._units import SECONDS_PER_MINUTE
 from repro.errors import ConfigError
@@ -117,6 +117,18 @@ class SwapStats(Stats):
         return fallbacks / total if total else 0.0
 
 
+#: (actor, direction) -> ledger key, filled on the first use of a pair.
+_LEDGER_KEYS: Dict[Tuple[str, str], str] = {}
+
+
+def _ledger_key(actor: str, direction: str) -> str:
+    """Check a pair's direction and remember its ledger key."""
+    if direction not in ("read", "write"):
+        raise ConfigError(f"direction must be read/write, got {direction}")
+    key = _LEDGER_KEYS[actor, direction] = f"{actor}:{direction}"
+    return key
+
+
 @dataclass
 class BandwidthLedger:
     """Memory-channel traffic accounting, bytes by (actor, direction).
@@ -131,9 +143,9 @@ class BandwidthLedger:
 
     def record(self, actor: str, direction: str, num_bytes: int) -> None:
         """Add ``num_bytes`` of traffic for (actor, direction)."""
-        if direction not in ("read", "write"):
-            raise ConfigError(f"direction must be read/write, got {direction}")
-        key = f"{actor}:{direction}"
+        key = _LEDGER_KEYS.get((actor, direction))
+        if key is None:
+            key = _ledger_key(actor, direction)
         self._bytes[key] = self._bytes.get(key, 0) + num_bytes
 
     def total(self, actor: str) -> int:

@@ -293,7 +293,7 @@ class Zpool:
         slab = self._slabs[slab_index]
         assert slab is not None
         self.loads += 1
-        data = bytes(slab.buffer[offset : offset + length])
+        data = bytes(memoryview(slab.buffer)[offset : offset + length])
         if _faults.injection_enabled():
             event = _faults.fire(_faults.ZPOOL_MEDIA_CORRUPTION)
             if event is not None:

@@ -409,7 +409,8 @@ class TierPipeline:
         outright (used by :meth:`drain_tier` to keep relocations out of
         the tier being drained).
         """
-        outcome = SwapOutcome(accepted=False, reason="all-tiers-rejected")
+        # CPU cycles of the last tier that rejected the page.
+        cpu_cycles = 0.0
         trace_on = _trace.tracing_enabled()
         for index in range(start, len(self.tiers)):
             if index == skip:
@@ -466,10 +467,10 @@ class TierPipeline:
                           "outcome": f"reject_{tier_outcome.reason}",
                           "vaddr": page.vaddr},
                 )
-            outcome = tier_outcome
+            cpu_cycles = tier_outcome.cpu_cycles
         return (
             SwapOutcome(accepted=False, reason="all-tiers-rejected",
-                        cpu_cycles=outcome.cpu_cycles),
+                        cpu_cycles=cpu_cycles),
             -1,
         )
 
@@ -542,12 +543,13 @@ class TierPipeline:
     def swap_in(self, page: Page) -> bytes:
         """Demand load: fetch from whichever tier holds the page."""
         index = self._holding_tier(page)
-        if _trace.tracing_enabled():
+        trace_on = _trace.tracing_enabled()
+        if trace_on:
             data = self._traced_fetch(page, index, demand=True, op="load")
         else:
             data = self._fetch(page, index, demand=True)
         self.pipeline_stats.loads += 1
-        if _trace.tracing_enabled():
+        if trace_on:
             _trace.instant(
                 "tier_load", TRACK_TIER,
                 args={"tier": self.tier_names[index],

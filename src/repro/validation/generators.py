@@ -122,6 +122,20 @@ def _zstd_like_blob(
     return writer.getvalue()
 
 
+def tail_damage(blob: bytes, span: int = 16) -> List[bytes]:
+    """Every truncation of ``blob``'s last ``span`` bytes and every
+    single-bit flip in them: the stretch where a decoder's word-wide
+    refill hands over to its byte-at-a-time tail."""
+    tail = min(span, len(blob))
+    cases = [blob[: len(blob) - cut] for cut in range(1, tail + 1)]
+    for index in range(len(blob) - tail, len(blob)):
+        for bit in range(8):
+            damaged = bytearray(blob)
+            damaged[index] ^= 1 << bit
+            cases.append(bytes(damaged))
+    return cases
+
+
 def gen_blob_mutation(rng: random.Random, codec_cls=ZstdLikeCodec) -> bytes:
     """A ``codec_cls`` blob damaged in one way its decoder must
     diagnose. Every codec: flipped bits or a truncation of a real blob,

@@ -53,6 +53,7 @@ from repro.validation.generators import gen_blob_mutation
 from repro.validation.oracles import decode_outcome
 from repro.workloads.corpus import corpus_pages, xorshift_bytes
 from tests.compression.test_native_differential import (  # noqa: F401
+    _tail_damaged_blobs,
     engine,
     no_native,
 )
@@ -241,10 +242,13 @@ def test_c_length_and_distance_tables_match_the_python_ones(no_native):
 
 
 def _damaged_blobs(codec_cls, count=300):
+    """Seeded mutations, then truncations and bit flips in the last
+    bytes, where the decoders' word-wide refill hands over to their
+    byte loop."""
     return [
         gen_blob_mutation(random.Random(case_seed(24, index)), codec_cls)
         for index in range(count)
-    ]
+    ] + _tail_damaged_blobs(codec_cls())
 
 
 @needs_native

@@ -25,7 +25,7 @@ from repro.compression.tuning import DEFAULT_GRID
 from repro.compression.zstd_like import ZstdLikeCodec
 from repro.errors import ConfigError, CorruptStreamError
 from repro.validation.fuzz import case_seed
-from repro.validation.generators import gen_blob_mutation
+from repro.validation.generators import gen_blob_mutation, tail_damage
 from repro.validation.oracles import decode_outcome
 from repro.workloads.corpus import CORPUS_NAMES, corpus_pages
 
@@ -87,11 +87,32 @@ def _lengths_or_error(frequencies, max_length):
         return str(exc)
 
 
+#: Corpora whose pages compress (not stored) under every codec, so the
+#: last bytes of their blobs are bit stream.
+_TAIL_CORPORA = ("json-records", "text-english", "binary-structs")
+
+
+def _tail_damaged_blobs(codec):
+    """``tail_damage`` of one compressed-mode blob per corpus. When the
+    kernels are loaded, each intact blob must decode on them: a kernel
+    that stops short of the last bytes would otherwise hide behind the
+    Python fallback."""
+    cases = []
+    for corpus in _TAIL_CORPORA:
+        page = corpus_pages(corpus, 1, seed=24)[0]
+        blob = codec.compress(page)
+        assert blob[1] != 0  # compressed, not stored
+        if _native.load() is not None:
+            assert codec._decompress_native(blob) == page
+        cases += tail_damage(blob)
+    return cases
+
+
 def _mutated_blobs(count=600):
     return [
         gen_blob_mutation(random.Random(case_seed(20, index)))
         for index in range(count)
-    ]
+    ] + _tail_damaged_blobs(ZstdLikeCodec())
 
 
 @pytest.mark.skipif(

@@ -11,7 +11,11 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.sfm.backend import SfmBackend
-from repro.resilience.integrity import DIGEST_SIZE, page_digest
+from repro.resilience.integrity import (
+    DIGEST_SIZE,
+    content_digest,
+    page_digest,
+)
 from repro.sfm.digest_cache import DIGEST_CYCLES_PER_BYTE, DigestPageCache
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sfm.zswap import ZswapFrontend
@@ -131,6 +135,49 @@ class TestBackendHitMissAccounting:
         assert not backend.swap_out(_page(PAGE_SIZE, data)).accepted
         assert compresses == []
         assert backend.stats.digest_cache_hits == 1
+
+
+class TestCachedBlobDigest:
+    """A cache entry keeps its blob's digest beside the blob, so a hit
+    hashes only the page; the record it commits must still name the
+    pooled bytes exactly."""
+
+    def test_restore_after_load_commits_the_pooled_blob_digest(
+        self, backend, json_pages
+    ):
+        data = json_pages[0]
+        page = _page(0, data)
+        assert backend.swap_out(page).accepted
+        assert backend.swap_in(page) == data
+        assert backend.swap_out(page).accepted
+        assert backend.stats.digest_cache_hits == 1
+        record = backend.index[0]
+        assert record.blob_digest == content_digest(
+            backend.zpool.load(record.handle)
+        )
+        assert backend.swap_in(page) == data
+
+    def test_restore_of_a_pool_full_refusal_hashes_at_commit(self, json_pages):
+        backend = SfmBackend(capacity_bytes=PAGE_SIZE)
+        refused = None
+        for vaddr, data in enumerate(json_pages):
+            outcome = backend.swap_out(_page(vaddr * PAGE_SIZE, data))
+            if outcome.reason == "pool-full":
+                refused = data
+                break
+        assert refused is not None
+        digest = page_digest(refused)
+        assert backend.page_cache.get(digest)[1] is None  # never stored
+        backend.invalidate(0)
+        page = _page(99 * PAGE_SIZE, refused)
+        hits = backend.stats.digest_cache_hits
+        assert backend.swap_out(page).accepted
+        assert backend.stats.digest_cache_hits == hits + 1
+        record = backend.index[page.vaddr]
+        pooled = backend.zpool.load(record.handle)
+        assert record.blob_digest == content_digest(pooled)
+        assert backend.page_cache.get(digest) == (pooled, record.blob_digest)
+        assert backend.swap_in(page) == refused
 
 
 def _resident(backend, vaddr):
