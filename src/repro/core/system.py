@@ -180,9 +180,12 @@ class MultiChannelXfmBackend:
                     source_row=page.vaddr >> 13, input_bytes=len(stripe)
                 )
                 dimm.nma.pop_request()
-                segments.append(dimm.nma.compress_page(stripe))
+                try:
+                    segments.append(dimm.nma.compress_page(stripe))
+                finally:
+                    # Timed out or not, the stripe leaves the SPM.
+                    dimm.driver.notify_release(len(stripe))
                 self.ledger.record("nma", "read", len(stripe))
-                dimm.driver.notify_release(len(stripe))
             except (SpmFullError, QueueFullError, DeviceFault) as exc:
                 # CPU fallback for this stripe (rare; accounted as host
                 # work + channel traffic).

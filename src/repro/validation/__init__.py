@@ -1,5 +1,5 @@
 """Cross-layer validation subsystem (differential oracles, invariant
-checkers, deterministic fuzzing).
+checkers, seeded case generators).
 
 This package is the correctness tooling that lets perf/scaling PRs
 refactor hot paths without silently breaking paper fidelity:
@@ -13,11 +13,12 @@ refactor hot paths without silently breaking paper fidelity:
   stdlib zlib, the optimistic emulator engine vs the FSM-protocol-
   checked :class:`~repro.core.xfm_module.XfmModule`, and independent
   command-trace replay;
-* :mod:`repro.validation.fuzz` — a deterministic stdlib-only fuzz
-  micro-framework with single-seed reproduction and shrinking;
 * :mod:`repro.validation.generators` — seeded case generators (pages,
   damaged codec blobs, operation scripts, register programs, offload
-  batches, fault plans).
+  batches, fault plans), each a pure function of a ``random.Random``.
+  The test suite drives them through Hypothesis
+  (``st.randoms(use_true_random=False)``), which generates, shrinks
+  and replays the cases; this package has no engine of its own.
 
 Enable checkpoints globally with ``REPRO_VALIDATION=1``, scoped with
 ``with run_context(validation=True): ...`` (:mod:`repro.sim.context`),

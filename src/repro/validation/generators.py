@@ -1,16 +1,19 @@
-"""Seeded case generators for the fuzz framework.
+"""Seeded case generators for the property tests.
 
-Every generator is a pure function of the ``random.Random`` it is given,
-so a case regenerates exactly from the single case seed the framework
-prints on failure. Generators cover the surfaces the validation suite
-fuzzes: raw pages (codec round-trips), damaged codec blobs (decoder
-error parity), zpool operation scripts (invariant churn), MMIO
-register programs (driver protocol), offload batches (the
-emulator-vs-module differential oracle), and fault plans (chaos).
+Every generator is a pure function of the ``random.Random`` it is given.
+A Hypothesis test drives one through ``st.randoms(use_true_random=False)``,
+so Hypothesis records, shrinks and replays each draw; a fixed case list
+seeds plain ``random.Random`` objects from :func:`case_seed`. Generators
+cover the surfaces the validation suite checks: raw pages (codec
+round-trips), damaged codec blobs (decoder error parity), zpool
+operation scripts (invariant churn), MMIO register programs (driver
+protocol), offload batches (the emulator-vs-module differential
+oracle), and fault plans (chaos).
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import zlib
 from dataclasses import dataclass
@@ -30,6 +33,16 @@ from repro.compression.zstd_like import (
     ZstdLikeCodec,
 )
 from repro.workloads.corpus import CORPUS_NAMES, PAGE_SIZE, generate_corpus
+
+
+def case_seed(root_seed: int, index: int) -> int:
+    """The derived seed for case ``index`` of a list rooted at
+    ``root_seed`` — a pure function, stable across platforms and runs."""
+    digest = hashlib.blake2b(
+        f"repro.fuzz:{root_seed}:{index}".encode("ascii"), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "big")
+
 
 #: Byte-level adversarial shapes every codec must survive (satellite
 #: list from the validation issue plus historical codec trouble spots).

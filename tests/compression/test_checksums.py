@@ -35,7 +35,7 @@ class TestChecksumEnforced:
 
 
 @pytest.mark.parametrize("codec", _CODECS, ids=lambda c: c.name)
-@settings(deadline=None, max_examples=15)
+@settings(max_examples=15)
 @given(
     data=st.binary(min_size=64, max_size=1024),
     position=st.floats(0.3, 0.99),

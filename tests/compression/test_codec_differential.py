@@ -48,8 +48,7 @@ from repro.compression.lz77 import (
 from repro.compression.lzfast import LzFastCodec
 from repro.compression.static_tables import StaticTableRegistry
 from repro.compression.zstd_like import ZstdLikeCodec
-from repro.validation.fuzz import case_seed
-from repro.validation.generators import gen_blob_mutation
+from repro.validation.generators import case_seed, gen_blob_mutation
 from repro.validation.oracles import decode_outcome
 from repro.workloads.corpus import corpus_pages, xorshift_bytes
 from tests.compression.test_native_differential import (  # noqa: F401
@@ -57,6 +56,7 @@ from tests.compression.test_native_differential import (  # noqa: F401
     engine,
     no_native,
 )
+from tests.hypothesis_settings import fuzz_settings
 
 needs_native = pytest.mark.skipif(
     not _native.available(), reason="no native kernels on this host"
@@ -151,25 +151,14 @@ def _check_identical(make_codec, page):
     assert native_blob == python_blob
 
 
-_SHORT = settings(
-    max_examples=12,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-_LONG = settings(
-    _SHORT,
-    derandomize=False,
-    # ~10 ms an example x 15 codecs: about a third of the budget.
-    max_examples=max(
-        12, 2 * int(float(os.environ.get("FUZZ_TIME_BUDGET_S", "6")))
-    ),
-)
+#: ~10 ms an example x 15 codecs.
+_EXAMPLES = 12
+_FIXTURES_OK = [HealthCheck.function_scoped_fixture]
 
 
 @needs_native
 @pytest.mark.parametrize("name", sorted(CODECS))
-@_SHORT
+@settings(max_examples=_EXAMPLES, suppress_health_check=_FIXTURES_OK)
 @given(page=structured_pages())
 def test_native_blob_is_the_reference_blob(no_native, name, page):
     _check_identical(CODECS[name], page)
@@ -178,7 +167,7 @@ def test_native_blob_is_the_reference_blob(no_native, name, page):
 @needs_native
 @pytest.mark.fuzz
 @pytest.mark.parametrize("name", sorted(CODECS))
-@_LONG
+@fuzz_settings(max_examples=_EXAMPLES, suppress_health_check=_FIXTURES_OK)
 @given(page=structured_pages())
 def test_fuzz_native_blob_is_the_reference_blob(no_native, name, page):
     _check_identical(CODECS[name], page)

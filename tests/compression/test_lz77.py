@@ -84,14 +84,14 @@ def test_detokenize_rejects_bad_distance():
         detokenize_packed([(5 << PACKED_LENGTH_BITS) | 3])
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(st.binary(max_size=2048))
 def test_lz77_round_trip_property(data):
     tokens = _tokens(data, window_size=1024, max_chain=16)
     assert detokenize_packed(tokens) == data
 
 
-@settings(deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(
     st.binary(min_size=1, max_size=64),
     st.integers(2, 40),

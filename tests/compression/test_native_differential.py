@@ -24,8 +24,11 @@ from repro.compression.lzfast import LzFastCodec
 from repro.compression.tuning import DEFAULT_GRID
 from repro.compression.zstd_like import ZstdLikeCodec
 from repro.errors import ConfigError, CorruptStreamError
-from repro.validation.fuzz import case_seed
-from repro.validation.generators import gen_blob_mutation, tail_damage
+from repro.validation.generators import (
+    case_seed,
+    gen_blob_mutation,
+    tail_damage,
+)
 from repro.validation.oracles import decode_outcome
 from repro.workloads.corpus import CORPUS_NAMES, corpus_pages
 

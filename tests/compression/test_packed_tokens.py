@@ -164,12 +164,12 @@ class TestPackedEquivalence:
             for page in pages:
                 _assert_equivalent(matcher, page)
 
-    @settings(deadline=None, max_examples=30)
+    @settings(max_examples=30)
     @given(st.binary(max_size=2048))
     def test_arbitrary_bytes_property(self, data):
         _assert_equivalent(Lz77Matcher(window_size=1024, max_chain=16), data)
 
-    @settings(deadline=None, max_examples=15)
+    @settings(max_examples=15)
     @given(st.binary(min_size=1, max_size=48), st.integers(2, 30))
     def test_repetitive_property(self, chunk, repeats):
         _assert_equivalent(Lz77Matcher(), chunk * repeats)

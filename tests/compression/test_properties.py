@@ -2,32 +2,33 @@
 
 Three layers of input: hypothesis-generated binary, every corpus class
 in :mod:`repro.workloads.corpus`, and the fixed adversarial shapes from
-:data:`repro.validation.generators.ADVERSARIAL_BUFFERS` — plus a seeded
-sweep through the :mod:`repro.validation.fuzz` page generator.
+:data:`repro.validation.generators.ADVERSARIAL_BUFFERS` — plus pages
+from the structured generator :func:`repro.validation.generators.gen_page`,
+which a ``fuzz``-marked twin runs for longer.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from repro.compression import DeflateCodec, LzFastCodec, ZstdLikeCodec
-from repro.validation.fuzz import Fuzzer
 from repro.validation.generators import ADVERSARIAL_BUFFERS, gen_page
 from repro.validation.oracles import check_roundtrip
 from repro.workloads.corpus import CORPUS_NAMES, corpus_pages
+from tests.hypothesis_settings import fuzz_settings
 
 _CODECS = [DeflateCodec(), LzFastCodec(), ZstdLikeCodec()]
 
 
 @pytest.mark.parametrize("codec", _CODECS, ids=lambda c: c.name)
-@settings(deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(data=st.binary(max_size=4096))
 def test_round_trip_arbitrary_bytes(codec, data):
     assert codec.decompress(codec.compress(data)) == data
 
 
 @pytest.mark.parametrize("codec", _CODECS, ids=lambda c: c.name)
-@settings(deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(
     chunk=st.binary(min_size=1, max_size=32),
     repeats=st.integers(1, 128),
@@ -40,7 +41,7 @@ def test_round_trip_structured_bytes(codec, chunk, repeats, suffix):
 
 
 @pytest.mark.parametrize("codec", _CODECS, ids=lambda c: c.name)
-@settings(deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(data=st.binary(min_size=512, max_size=2048))
 def test_compress_never_explodes(codec, data):
     """Stored-mode fallback bounds worst-case expansion to the header."""
@@ -68,11 +69,24 @@ def test_round_trip_adversarial_buffers(codec, data):
     check_roundtrip(codec, data)
 
 
+def _check_generated_page(codec, rng):
+    page = gen_page(rng)
+    note(page)
+    check_roundtrip(codec, page)
+
+
 @pytest.mark.parametrize("codec", _CODECS, ids=lambda c: c.name)
-def test_round_trip_fuzzed_pages(codec):
-    """A seeded sweep through the structured page generator; failures
-    print a single case_seed that reproduces the page."""
-    report = Fuzzer(seed=424242, runs=15).run(
-        gen_page, lambda page: check_roundtrip(codec, page)
-    )
-    assert report.cases_run == 15
+@settings(max_examples=15)
+@given(rng=st.randoms(use_true_random=False))
+def test_round_trip_fuzzed_pages(codec, rng):
+    """Zero, random, short-period, sparse, truncated, dictionary and
+    corpus-class pages from the structured generator."""
+    _check_generated_page(codec, rng)
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("codec", _CODECS, ids=lambda c: c.name)
+@fuzz_settings(max_examples=15)
+@given(rng=st.randoms(use_true_random=False))
+def test_fuzz_round_trip_fuzzed_pages(codec, rng):
+    _check_generated_page(codec, rng)

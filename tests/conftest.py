@@ -11,12 +11,16 @@ Options (also see the marker scheme in ``pyproject.toml``):
 
 ``--runslow``
     Also run tests marked ``slow`` (skipped by default).
+
+Importing :mod:`tests.hypothesis_settings` here loads the suite's one
+Hypothesis profile before any test module builds its settings.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import tests.hypothesis_settings  # noqa: F401 — loads the Hypothesis profile
 from repro.compression import DeflateCodec, LzFastCodec, ZstdLikeCodec
 from repro.sfm.page import PAGE_SIZE
 from repro.sim.context import run_context

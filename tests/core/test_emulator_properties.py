@@ -14,11 +14,9 @@ moved; these properties say what must hold at *any* point of the grid
   access targets a row that window is refreshing.
 * **No perturbation.** Tracing changes nothing in the report.
 
-Tier-1 runs a short deterministic budget; ``-m fuzz`` runs a long one
-sized by ``FUZZ_TIME_BUDGET_S``.
+Tier-1 runs a short budget; the ``fuzz``-marked twin runs the long one
+of :mod:`tests.hypothesis_settings`.
 """
-
-import os
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +27,7 @@ from repro.dram.refresh_policy import REFRESH_POLICIES
 from repro.sfm.page import PAGE_SIZE
 from repro.sim.context import run_context
 from repro.telemetry import trace
+from tests.hypothesis_settings import fuzz_settings
 
 _points = st.builds(
     EmulatorConfig,
@@ -42,17 +41,6 @@ _points = st.builds(
     sim_time_s=st.sampled_from([0.002, 0.01]),
     seed=st.integers(0, 2**16),
 )
-
-_SHORT = settings(max_examples=12, derandomize=True, deadline=None)
-#: Four examples per second of ``FUZZ_TIME_BUDGET_S`` (one takes ~0.1 s).
-_LONG = settings(
-    _SHORT,
-    max_examples=max(
-        10, int(float(os.environ.get("FUZZ_TIME_BUDGET_S", "6"))) * 4
-    ),
-    derandomize=False,
-)
-
 
 def _traced_run(config):
     emulator = XfmEmulator(config)
@@ -137,13 +125,13 @@ _CORNERS = [
 @example(_CORNERS[0])
 @example(_CORNERS[1])
 @example(_CORNERS[2])
-@_SHORT
+@settings(max_examples=12)
 def test_emulator_properties(config):
     check_properties(config)
 
 
 @pytest.mark.fuzz
 @given(_points)
-@_LONG
+@fuzz_settings(max_examples=12)
 def test_fuzz_emulator_properties(config):
     check_properties(config)

@@ -67,7 +67,7 @@ class TestSplitGatherProperty:
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        @settings(deadline=None, max_examples=30)
+        @settings(max_examples=30)
         @given(
             seed_chunk=st.binary(min_size=1, max_size=128),
             num_dimms=st.sampled_from([1, 2, 4, 8]),
@@ -90,7 +90,7 @@ class TestSplitGatherProperty:
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        @settings(deadline=None, max_examples=10)
+        @settings(max_examples=10)
         @given(
             chunk=st.binary(min_size=1, max_size=64),
             num_dimms=st.sampled_from([2, 4]),

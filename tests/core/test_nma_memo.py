@@ -36,8 +36,6 @@ _sequences = st.lists(
     st.integers(0, len(_POOL) - 1), min_size=1, max_size=30
 )
 
-_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
-
 
 def test_pool_holds_both_kinds_of_page():
     assert any(len(blob) > PAGE_SIZE for blob in _REFERENCE)
@@ -45,7 +43,7 @@ def test_pool_holds_both_kinds_of_page():
 
 
 @given(_sequences)
-@_SETTINGS
+@settings(max_examples=40)
 def test_memo_returns_the_codec_output_and_keeps_only_recurring_blobs(
     sequence,
 ):
@@ -65,7 +63,7 @@ def test_memo_returns_the_codec_output_and_keeps_only_recurring_blobs(
 
 
 @given(_sequences, st.integers(0, 2**16), st.sampled_from([0.2, 0.5, 0.8]))
-@_SETTINGS
+@settings(max_examples=40)
 def test_timeouts_fire_at_the_same_calls_with_and_without_a_digest(
     sequence, seed, probability
 ):

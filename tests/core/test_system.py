@@ -1,11 +1,16 @@
 """Multi-DIMM XFM system tests (functional multi-channel mode)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.nma import NmaConfig
 from repro.core.system import MultiChannelXfmBackend, XfmDimm
 from repro.errors import ConfigError, SfmError
+from repro.resilience import faults
+from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sfm.page import PAGE_SIZE, Page
+from repro.sim.context import run_context
 from repro.workloads.corpus import corpus_pages
 
 
@@ -80,6 +85,34 @@ class TestStripedSwap:
         backend.swap_in(page)  # default CPU gather-decompress
         assert backend.ledger.channel_bytes() > 0
         assert backend.stats.cpu_fallback_decompressions == 4
+
+
+#: Compressible and incompressible pages for swap-out sequences.
+_POOL = corpus_pages("json-records", 4, seed=31) + corpus_pages(
+    "random-bytes", 1, seed=31
+)
+
+
+@settings(max_examples=20)
+@given(
+    st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=12),
+    st.integers(0, 2**16),
+    st.sampled_from([0.2, 0.5, 1.0]),
+)
+def test_nma_timeouts_leave_no_spm_reserved(sequence, seed, probability):
+    """A stripe whose NMA times out falls back to the CPU, and its SPM
+    reservation goes back to the DIMM's driver like any other's."""
+    backend = MultiChannelXfmBackend(capacity_bytes=64 * PAGE_SIZE)
+    plan = FaultPlan(
+        seed=seed,
+        specs=(FaultSpec(faults.NMA_TIMEOUT, probability=probability),),
+    )
+    with run_context(injector=FaultInjector(plan)):
+        for vaddr, index in enumerate(sequence):
+            backend.swap_out(Page(vaddr=vaddr * PAGE_SIZE, data=_POOL[index]))
+    assert [dimm.driver._inferred_spm_used for dimm in backend.dimms] == [
+        0
+    ] * backend.num_dimms
 
 
 class TestStateMachine:

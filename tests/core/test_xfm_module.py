@@ -83,7 +83,7 @@ class TestWindowExecution:
             assert module.host_window_clean()
 
 
-@settings(deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(
     operations=st.lists(
         st.tuples(

@@ -90,14 +90,14 @@ class TestEncodeInverse:
             assert mapping.encode(mapping.decode(addr)) == addr
 
 
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(addr=st.integers(min_value=0, max_value=8 * 32 * (1 << 30) - 1))
 def test_decode_encode_round_trip_property(addr):
     mapping = AddressMapping()
     assert mapping.encode(mapping.decode(addr)) == addr
 
 
-@settings(deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(addr=st.integers(min_value=0, max_value=2 * 8 * (1 << 30) - 1))
 def test_round_trip_small_device_property(addr):
     mapping = AddressMapping(

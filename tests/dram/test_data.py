@@ -81,7 +81,7 @@ class TestFig6aLayout:
         array.verify_consistency()
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(
     addr_line=st.integers(0, (2 << 30) // 128 - 64),
     seed_chunk=st.binary(min_size=1, max_size=64),

@@ -58,7 +58,7 @@ def _brute_force_indices(policy, start_index, until_ns):
 
 
 class TestHorizonArithmetic:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         policy_name=st.sampled_from(REFRESH_POLICIES),
         start_index=st.integers(0, 3_000_000),

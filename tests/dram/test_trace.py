@@ -194,7 +194,7 @@ class TestControllerCrossCheck:
         assert trace_stats.host_reads == run_stats.completed
 
 
-@settings(deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(
     requests=st.lists(
         st.tuples(

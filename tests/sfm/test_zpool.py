@@ -1,18 +1,18 @@
 """zsmalloc-style pool unit and property tests."""
 
-import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, EntryNotFoundError, ZpoolFullError
 from repro.sfm.page import PAGE_SIZE
 from repro.sfm.zpool import Zpool, _Slab
 from repro.sim.context import run_context
-from repro.validation.fuzz import Fuzzer
+from repro.validation.generators import gen_zpool_ops
 from repro.validation.invariants import check_zpool
+from tests.hypothesis_settings import fuzz_settings
 
 
 @pytest.fixture
@@ -210,39 +210,55 @@ class TestSlabFreeList:
         assert slab.largest_gap == max((g for _, g in gaps), default=0)
 
 
-@settings(deadline=None, max_examples=40)
-@given(
-    st.lists(
-        st.tuples(st.booleans(), st.integers(1, 3000)),
-        min_size=1,
-        max_size=60,
-    )
-)
-def test_zpool_model_property(operations):
-    """Store/free interleavings match a dict model; contents never corrupt;
-    stored bytes never exceed the slab footprint."""
-    pool = Zpool(capacity_bytes=16 * PAGE_SIZE)
+def _check_against_dict(rng, n):
+    """Run an ``n``-op :func:`gen_zpool_ops` script with every invariant
+    checkpoint on: each load returns what the dict model holds, and at
+    the end every live blob loads intact and stored bytes fit the slab
+    footprint."""
+    ops = gen_zpool_ops(rng, n=n)
+    note(ops)
+    pool = Zpool(capacity_bytes=8 * PAGE_SIZE)
     model = {}
-    counter = 0
-    live = []
-    for is_store, size in operations:
-        if is_store or not live:
-            counter += 1
-            blob = bytes([counter % 251 + 1]) * size
-            try:
-                handle = pool.store(blob)
-            except ZpoolFullError:
-                continue
-            model[handle] = blob
-            live.append(handle)
-        else:
-            handle = live.pop(size % len(live))
-            pool.free(handle)
-            del model[handle]
+    with run_context(validation=True):
+        for op in ops:
+            if op[0] == "store":
+                _, length, fill = op
+                try:
+                    model[pool.store(bytes([fill]) * length)] = (
+                        bytes([fill]) * length
+                    )
+                except ZpoolFullError:
+                    pass
+            elif op[0] == "free" and model:
+                handle = sorted(model)[op[1] % len(model)]
+                pool.free(handle)
+                del model[handle]
+            elif op[0] == "load" and model:
+                handle = sorted(model)[op[1] % len(model)]
+                assert pool.load(handle) == model[handle]
+            elif op[0] == "compact":
+                pool.compact()
     for handle, blob in model.items():
         assert pool.load(handle) == blob
     assert pool.stored_bytes() == sum(len(b) for b in model.values())
     assert pool.stored_bytes() <= pool.used_slabs() * PAGE_SIZE
+
+
+_SCRIPTS = dict(rng=st.randoms(use_true_random=False), n=st.integers(1, 120))
+
+
+@settings(max_examples=40)
+@given(**_SCRIPTS)
+def test_zpool_model_property(rng, n):
+    """Store/free/load/compact interleavings match a dict model."""
+    _check_against_dict(rng, n)
+
+
+@pytest.mark.fuzz
+@fuzz_settings(max_examples=40)
+@given(**_SCRIPTS)
+def test_fuzz_zpool_model_property(rng, n):
+    _check_against_dict(rng, n)
 
 
 class _ScanSlab:
@@ -417,7 +433,7 @@ def _fleet_sizes(rng):
 
 
 def _churn_against_oracle(
-    seed, slabs, steps, store_share, compact_share, sizes, check_every
+    rng, slabs, steps, store_share, compact_share, sizes, check_every
 ):
     """Random store / free / compact churn on a ``Zpool`` and the
     scan-everything oracle side by side. Every handle must land at the
@@ -425,7 +441,6 @@ def _churn_against_oracle(
     counters must agree, after every single operation. ``check_zpool``
     runs every ``check_every`` operations, whatever ``--validation``
     says, so a large pool stays affordable."""
-    rng = random.Random(seed)
     pool = Zpool(capacity_bytes=slabs * PAGE_SIZE)
     oracle = _ScanEverythingPool(capacity_bytes=slabs * PAGE_SIZE)
     live = []
@@ -500,21 +515,29 @@ def test_indexed_placement_matches_scan_everything_oracle(shape, seed):
     """The free lists, the max-gap tree and the released-slot heap are an
     index, not a policy: the pool places exactly as the scan did."""
     churn, reached = _ORACLE_POOLS[shape]
-    pool, refused = _churn_against_oracle(seed, **churn)
+    pool, refused = _churn_against_oracle(random.Random(seed), **churn)
     assert reached(pool, refused)
 
 
+#: Both pool shapes, any seed, up to 1200 operations (past that a
+#: 1024-slab churn outgrows Hypothesis' choice budget).
+_CHURNS = dict(
+    shape=st.sampled_from(sorted(_ORACLE_POOLS)),
+    rng=st.randoms(use_true_random=False),
+    steps=st.integers(1, 1200),
+)
+
+
+@settings(max_examples=4)
+@given(**_CHURNS)
+def test_indexed_placement_matches_oracle_on_drawn_churn(shape, rng, steps):
+    _churn_against_oracle(rng, **dict(_ORACLE_POOLS[shape][0], steps=steps))
+
+
 @pytest.mark.fuzz
-def test_fuzz_indexed_placement_matches_scan_everything_oracle():
-    """The oracle churn on fresh seeds and both pool shapes for a tenth
-    of ``FUZZ_TIME_BUDGET_S``; a failure prints the ``case_seed=`` of
-    the (shape, seed) case that replays it."""
-    budget_s = float(os.environ.get("FUZZ_TIME_BUDGET_S", "6")) / 10
-    report = Fuzzer(seed=20261015, runs=10_000, time_budget_s=budget_s).run(
-        lambda rng: (rng.choice(sorted(_ORACLE_POOLS)), rng.randrange(2**32)),
-        lambda case: _churn_against_oracle(
-            case[1], **_ORACLE_POOLS[case[0]][0]
-        ),
-        shrink=lambda case: (),
-    )
-    assert report.cases_run > 0
+@fuzz_settings(max_examples=4)
+@given(**_CHURNS)
+def test_fuzz_indexed_placement_matches_scan_everything_oracle(
+    shape, rng, steps
+):
+    _churn_against_oracle(rng, **dict(_ORACLE_POOLS[shape][0], steps=steps))

@@ -24,7 +24,7 @@ def _page_for(index: int) -> bytes:
     return pool[index % len(pool)]
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(
     operations=st.lists(
         st.tuples(

@@ -125,7 +125,7 @@ def _nest(levels, depth, raise_at):
         assert CLOCK.now_ticks() == ticks
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(
     levels=st.lists(_level, min_size=1, max_size=5),
     raise_at=st.one_of(st.none(), st.integers(0, 5)),

@@ -10,11 +10,9 @@
   ``RefreshScheduler.schedule_windows`` delivers the same window indices
   and the same ``ref_window`` spans as a plain reference loop.
 
-Tier-1 runs a short deterministic budget; ``-m fuzz`` runs a long one
-sized by ``FUZZ_TIME_BUDGET_S``.
+Tier-1 runs a short budget; each ``fuzz``-marked twin runs the long one
+of :mod:`tests.hypothesis_settings`.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -27,19 +25,9 @@ from repro.errors import ConfigError
 from repro.sim import EventScheduler, SimClock, ticks_to_ns
 from repro.sim.context import run_context
 from repro.telemetry import trace
+from tests.hypothesis_settings import fuzz_settings
 
 TIMINGS = timings_for_device(DDR5_32GB)
-
-_SHORT = settings(max_examples=40, derandomize=True, deadline=None)
-#: Five examples per second of ``FUZZ_TIME_BUDGET_S`` per property (one
-#: takes a few ms, so 30 s of budget costs about 3 s here).
-_LONG = settings(
-    _SHORT,
-    max_examples=max(
-        20, int(float(os.environ.get("FUZZ_TIME_BUDGET_S", "6"))) * 5
-    ),
-    derandomize=False,
-)
 
 # -- order ---------------------------------------------------------------------
 
@@ -91,14 +79,14 @@ def check_fire_order(chains):
 
 
 @given(_chains)
-@_SHORT
+@settings(max_examples=40)
 def test_events_fire_in_tick_then_schedule_order(chains):
     check_fire_order(chains)
 
 
 @pytest.mark.fuzz
 @given(_chains)
-@_LONG
+@fuzz_settings(max_examples=40)
 def test_fuzz_events_fire_in_tick_then_schedule_order(chains):
     check_fire_order(chains)
 
@@ -145,14 +133,14 @@ def check_runaway(case):
 
 
 @given(_runaways)
-@_SHORT
+@settings(max_examples=40)
 def test_unscoped_runaway_raises_and_scoped_work_completes(case):
     check_runaway(case)
 
 
 @pytest.mark.fuzz
 @given(_runaways)
-@_LONG
+@fuzz_settings(max_examples=40)
 def test_fuzz_unscoped_runaway_raises_and_scoped_work_completes(case):
     check_runaway(case)
 
@@ -229,13 +217,13 @@ def check_window_stream(case):
 
 
 @given(_streams)
-@_SHORT
+@settings(max_examples=40)
 def test_window_stream_matches_a_reference_loop(case):
     check_window_stream(case)
 
 
 @pytest.mark.fuzz
 @given(_streams)
-@_LONG
+@fuzz_settings(max_examples=40)
 def test_fuzz_window_stream_matches_a_reference_loop(case):
     check_window_stream(case)

@@ -154,7 +154,7 @@ _EVENTS = st.lists(
 class TestWriterRoundTrip:
     """``json.loads`` of the streamed file is the spec document."""
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(events=_EVENTS, capacity=st.integers(1, 10), chunk=st.integers(1, 5))
     @example(
         events=[trace.TraceEvent(f"e{i}", "i", float(i), "cpu") for i in range(5)],

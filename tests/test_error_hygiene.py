@@ -1,4 +1,5 @@
-"""Hygiene lints: typed errors in device layers, one clock for the stack.
+"""Hygiene lints: typed errors in device layers, one clock for the stack,
+one property-test engine.
 
 Error hygiene: the resilience layer's recovery logic dispatches on the
 :mod:`repro.errors` hierarchy (``DeviceFault`` retries, ``SfmError``
@@ -13,17 +14,24 @@ Clock hygiene: all simulated time originates from
 ``time.monotonic`` / ``time.perf_counter``) and ad-hoc module-level
 clock state anywhere else in ``src/repro`` would fork the timeline —
 timestamps that drift from refresh windows, backoff charges invisible
-to breaker cool-downs — so the grep forbids both outside ``repro/sim``,
-with a short allowlist for the one place that *measures the host*
-(the fuzzer's wall-time budget). Moving the simulated clock is
-allowlisted too: a handful of files charge modelled time, and the rest
-of the stack schedules events or borrows a timeline.
+to breaker cool-downs — so the grep forbids both outside ``repro/sim``.
+Moving the simulated clock is allowlisted: a handful of files charge
+modelled time, and the rest of the stack schedules events or borrows a
+timeline.
+
+Engine hygiene: generated cases come from Hypothesis alone, configured
+in ``tests/hypothesis_settings.py`` — nothing imports the retired
+``repro.validation.fuzz``, and no other file reads
+``FUZZ_TIME_BUDGET_S`` or sets ``derandomize``/``database``. Nothing
+calls the builtin ``hash``: it is salted per process.
 """
 
+import functools
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
 
 #: Layers whose raises must come from repro.errors.
 LINTED_DIRS = ("core", "sfm", "dfm", "tiering", "scenarios", "fleet")
@@ -107,12 +115,6 @@ _WALL_CLOCK = re.compile(
 #: new one must live in repro/sim instead.
 _ADHOC_CLOCK = re.compile(r"^_[a-z_]*clock[a-z_]*\s*(?::[^=]+)?=\s*[-0-9]")
 
-#: Files allowed to read the host clock: they measure the host itself
-#: (fuzz wall-time budget), not simulated time.
-WALL_CLOCK_ALLOWLIST = {
-    "validation/fuzz.py",
-}
-
 
 def _all_src_files():
     yield from sorted(SRC.rglob("*.py"))
@@ -122,7 +124,7 @@ def test_no_wall_clock_outside_sim():
     offenders = []
     for path in _all_src_files():
         rel = path.relative_to(SRC).as_posix()
-        if rel.startswith("sim/") or rel in WALL_CLOCK_ALLOWLIST:
+        if rel.startswith("sim/"):
             continue
         for lineno, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1
@@ -130,10 +132,22 @@ def test_no_wall_clock_outside_sim():
             if _WALL_CLOCK.search(line):
                 offenders.append(f"{rel}:{lineno}: {line.strip()}")
     assert not offenders, (
-        "wall-clock reads outside repro/sim (use repro.sim.CLOCK, or add "
-        "a host-measurement file to WALL_CLOCK_ALLOWLIST):\n"
+        "wall-clock reads outside repro/sim (use repro.sim.CLOCK):\n"
         + "\n".join(offenders)
     )
+
+
+def test_wall_clock_allowlist_is_tight():
+    """The wall-clock lint has no allowlist: it exempts only repro/sim,
+    and its pattern flags every host-clock call form (not the words in
+    prose), so an empty offender list means no host-clock read."""
+    for name in (
+        "time", "monotonic", "perf_counter", "monotonic_ns", "time_ns",
+        "perf_counter_ns",
+    ):
+        assert _WALL_CLOCK.search(f"start = time.{name}()"), name
+        assert not _WALL_CLOCK.search(f"reads time.{name} in prose"), name
+    assert "WALL_CLOCK_ALLOWLIST" not in globals()
 
 
 def test_no_adhoc_clock_state_outside_sim():
@@ -151,17 +165,6 @@ def test_no_adhoc_clock_state_outside_sim():
         "ad-hoc module-level clock state outside repro/sim (the shared "
         "timeline lives in repro.sim.CLOCK):\n" + "\n".join(offenders)
     )
-
-
-def test_wall_clock_allowlist_is_tight():
-    """Every allowlisted file exists and actually reads the host clock —
-    stale entries would quietly widen the lint hole."""
-    for rel in sorted(WALL_CLOCK_ALLOWLIST):
-        path = SRC / rel
-        assert path.exists(), f"allowlist entry gone: {rel}"
-        assert _WALL_CLOCK.search(path.read_text(encoding="utf-8")), (
-            f"allowlist entry no longer reads the wall clock: {rel}"
-        )
 
 
 #: A call that moves the simulated clock (a method ``def`` does not
@@ -275,3 +278,66 @@ def test_scenario_error_types_are_wired():
     assert issubclass(TraceFormatError, ScenarioError)
     assert issubclass(TraceVersionError, TraceFormatError)
     assert issubclass(ManifestError, ScenarioError)
+
+
+# -- one property-test engine ------------------------------------------------
+
+_PYTHON_TREES = ("src", "tests", "benchmarks", "examples")
+
+_SHARED_SETTINGS = "tests/hypothesis_settings.py"
+
+
+@functools.lru_cache(maxsize=1)
+def _code_lines():
+    """(repo-relative path, line number, line without its comment) of
+    every Python line in the linted trees."""
+    return tuple(
+        (path.relative_to(REPO).as_posix(), lineno, line.split("#", 1)[0])
+        for tree in _PYTHON_TREES
+        for path in sorted((REPO / tree).rglob("*.py"))
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+    )
+
+
+def _files_matching(pattern):
+    return sorted(
+        {rel for rel, _, code in _code_lines() if pattern.search(code)}
+    )
+
+
+def test_nothing_imports_the_retired_fuzz_engine():
+    retired = re.compile(
+        r"^\s*(?:from|import)\s+repro\.validation\.fuzz\b"
+        r"|^\s*from\s+repro\.validation\s+import\b.*\bfuzz\b"
+    )
+    assert _files_matching(retired) == []
+    assert not (SRC / "validation" / "fuzz.py").exists()
+
+
+def test_one_file_reads_the_fuzz_budget():
+    reads = re.compile(
+        r"(?:environ(?:\.get)?\s*[\[(]|getenv\s*\()\s*[\"']FUZZ_TIME_BUDGET_S"
+    )
+    assert _files_matching(reads) == [_SHARED_SETTINGS]
+
+
+def test_one_file_sets_derandomize_and_database():
+    for keyword in ("derandomize", "database"):
+        sets = re.compile(r"\b" + keyword + r"\s*=")
+        assert _files_matching(sets) == [_SHARED_SETTINGS], keyword
+
+
+def test_no_builtin_hash_calls():
+    builtin_hash = re.compile(r"(?<![.\w])hash\(")
+    offenders = [
+        f"{rel}:{lineno}: {code.strip()}"
+        for rel, lineno, code in _code_lines()
+        if builtin_hash.search(code)
+    ]
+    assert not offenders, (
+        "the builtin hash is salted per process; derive seeds with "
+        "repro.validation.generators.case_seed or zlib.crc32:\n"
+        + "\n".join(offenders)
+    )

@@ -1,17 +1,10 @@
-"""The fuzz micro-framework itself: single-seed reproduction, shrinking,
-and time budgets."""
+"""``case_seed``: the per-case seed the fixed fuzz corpora are built from.
 
-import random
+The blob lists of the codec differentials are derived from it, so it
+must stay a pure function, distinct per case index and per root seed.
+"""
 
-import pytest
-
-from repro.validation.fuzz import (
-    FuzzFailure,
-    Fuzzer,
-    case_seed,
-    fuzz_reproduce,
-    shrink_candidates,
-)
+from repro.validation.generators import case_seed
 
 
 def test_case_seed_is_pure_and_distinct():
@@ -19,96 +12,3 @@ def test_case_seed_is_pure_and_distinct():
     seeds = {case_seed(1234, i) for i in range(500)}
     assert len(seeds) == 500
     assert case_seed(1234, 0) != case_seed(1235, 0)
-
-
-def test_failure_carries_single_reproduction_seed():
-    def generate(rng):
-        return [rng.randrange(200) for _ in range(rng.randint(1, 30))]
-
-    def check(case):
-        assert all(value < 199 for value in case)
-
-    fuzzer = Fuzzer(seed=99, runs=2_000)
-    with pytest.raises(FuzzFailure) as excinfo:
-        fuzzer.run(generate, check)
-    failure = excinfo.value
-    # The printed message contains the one integer needed to reproduce.
-    assert f"case_seed={failure.case_seed}" in str(failure)
-    assert failure.seed == 99
-    assert failure.case_seed == case_seed(99, failure.run)
-    # Regenerating from the single seed gives the identical case ...
-    regenerated = generate(random.Random(failure.case_seed))
-    assert regenerated == failure.case
-    # ... and fuzz_reproduce re-raises the original property failure.
-    with pytest.raises(AssertionError):
-        fuzz_reproduce(generate, check, case_seed=failure.case_seed)
-
-
-def test_shrinking_minimizes_list_case():
-    def generate(rng):
-        return [rng.randrange(400) for _ in range(rng.randint(5, 40))]
-
-    def check(case):
-        assert all(value <= 50 for value in case)
-
-    with pytest.raises(FuzzFailure) as excinfo:
-        Fuzzer(seed=7, runs=500).run(generate, check)
-    shrunk = excinfo.value.shrunk
-    # Greedy shrink reaches a single still-failing element.
-    assert len(shrunk) == 1
-    assert shrunk[0] > 50
-    with pytest.raises(AssertionError):
-        check(shrunk)
-
-
-def test_shrinking_minimizes_bytes_case():
-    def generate(rng):
-        return bytes(rng.getrandbits(8) for _ in range(rng.randint(0, 64)))
-
-    def check(case):
-        assert len(case) < 5
-
-    with pytest.raises(FuzzFailure) as excinfo:
-        Fuzzer(seed=3, runs=500).run(generate, check)
-    assert len(excinfo.value.shrunk) == 5
-
-
-def test_time_budget_stops_generation():
-    def generate(rng):
-        return rng.random()
-
-    report = Fuzzer(seed=1, runs=10**7, time_budget_s=0.05).run(
-        generate, lambda case: None
-    )
-    assert report.stopped_by_budget
-    assert 0 < report.cases_run < 10**7
-    assert report.elapsed_s >= 0.05
-
-
-def test_passing_run_reports_all_cases():
-    report = Fuzzer(seed=5, runs=50).run(
-        lambda rng: rng.randrange(10), lambda case: None
-    )
-    assert report.cases_run == 50
-    assert not report.stopped_by_budget
-
-
-def test_reproduce_returns_case_when_fixed():
-    case = fuzz_reproduce(
-        lambda rng: rng.randrange(100),
-        lambda value: None,
-        case_seed=case_seed(42, 0),
-    )
-    assert isinstance(case, int)
-
-
-def test_shrink_candidates_cover_core_types():
-    assert list(shrink_candidates([])) == []
-    assert b"" in list(shrink_candidates(b"abc"))
-    assert 0 in list(shrink_candidates(17))
-    assert False in list(shrink_candidates(True))
-    # Tuples shrink to tuples.
-    assert all(
-        isinstance(candidate, tuple)
-        for candidate in shrink_candidates((1, 2, 3))
-    )

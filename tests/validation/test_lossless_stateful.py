@@ -10,12 +10,12 @@ backwards. The variant classes run the same rules under the chaos fault
 profiles, where the stack may additionally report explicit losses — but
 still never a silent one.
 
-Tier-1 runs a short deterministic budget; ``-m fuzz`` runs a long one
-(and adds the ``full`` profile, whose media corruption poisons pages).
+Tier-1 runs a short budget; the ``fuzz``-marked twin runs the long one
+of :mod:`tests.hypothesis_settings` (and adds the ``full`` profile,
+whose media corruption poisons pages).
 """
 
 import contextlib
-import os
 
 import pytest
 from hypothesis import settings
@@ -39,6 +39,7 @@ from repro.sim.context import run_context
 from repro.tiering import LruDemotion, TierPipeline
 from repro.validation.shadow import ShadowOracle
 from repro.workloads.corpus import page_for
+from tests.hypothesis_settings import fuzz_settings
 
 KEYS = st.integers(0, 11)
 #: ``page_for`` content ids: every 5th is incompressible (falls through).
@@ -190,23 +191,12 @@ class LosslessPipelineUnderMediaFaults(LosslessPipeline):
     FAULT_PROFILE = "full"
 
 
-_SHORT = settings(
-    max_examples=25, stateful_step_count=40, derandomize=True, deadline=None
-)
-#: Sized like the other fuzz targets, by ``FUZZ_TIME_BUDGET_S``: about
-#: a tenth of it per machine at the ~10 long examples/s this host runs.
-_LONG = settings(
-    _SHORT,
-    max_examples=max(
-        5, int(float(os.environ.get("FUZZ_TIME_BUDGET_S", "6")))
-    ),
-    stateful_step_count=120,
-)
+_BUDGET = dict(max_examples=25, stateful_step_count=40)
 
 TestLossless = LosslessPipeline.TestCase
-TestLossless.settings = _SHORT
+TestLossless.settings = settings(**_BUDGET)
 TestLosslessUnderFaults = LosslessPipelineUnderFaults.TestCase
-TestLosslessUnderFaults.settings = _SHORT
+TestLosslessUnderFaults.settings = settings(**_BUDGET)
 
 
 @pytest.mark.fuzz
@@ -219,7 +209,7 @@ TestLosslessUnderFaults.settings = _SHORT
     ],
 )
 def test_fuzz_lossless_state_machine(machine):
-    run_state_machine_as_test(machine, settings=_LONG)
+    run_state_machine_as_test(machine, settings=fuzz_settings(**_BUDGET))
 
 
 def test_promotion_every_tier_refuses_spills_the_page():

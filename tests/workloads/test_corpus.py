@@ -1,6 +1,5 @@
 """Synthetic corpus generator tests."""
 
-import os
 import subprocess
 import sys
 import zlib
@@ -22,6 +21,7 @@ from repro.workloads.corpus import (
     page_for,
     xorshift_bytes,
 )
+from tests.hypothesis_settings import fuzz_settings
 
 
 class TestDeterminism:
@@ -155,18 +155,6 @@ _KEYS = st.one_of(
     st.integers(1 << 32, 1 << 64),
 )
 
-_SHORT = settings(max_examples=60, derandomize=True, deadline=None)
-#: Sized by ``FUZZ_TIME_BUDGET_S``: at ~1.7 ms an example (one reference
-#: page plus Hypothesis' own work), about a tenth of the budget per target.
-_LONG = settings(
-    _SHORT,
-    derandomize=False,
-    max_examples=max(
-        60, 60 * int(float(os.environ.get("FUZZ_TIME_BUDGET_S", "6")))
-    ),
-)
-
-
 class TestNoisePage:
     """``noise_page`` XORs basis pages; the xorshift loop defines it."""
 
@@ -176,13 +164,13 @@ class TestNoisePage:
     def test_edge_states(self, state):
         assert noise_page(state) == xorshift_bytes(state)
 
-    @_SHORT
+    @settings(max_examples=60)
     @given(state=st.integers(0, 0xFFFFFFFF))
     def test_matches_reference(self, state):
         assert noise_page(state) == xorshift_bytes(state)
 
     @pytest.mark.fuzz
-    @_LONG
+    @fuzz_settings(max_examples=60)
     @given(state=st.integers(0, 0xFFFFFFFF))
     def test_fuzz_matches_reference(self, state):
         assert noise_page(state) == xorshift_bytes(state)
@@ -202,13 +190,13 @@ class TestPageForOracle:
             for key in range(base, base + 5):
                 assert page_for(seed, key) == _loop_page_for(seed, key)
 
-    @_SHORT
+    @settings(max_examples=60)
     @given(seed=_SEEDS, key=_KEYS)
     def test_matches_loop_construction(self, seed, key):
         assert page_for(seed, key) == _loop_page_for(seed, key)
 
     @pytest.mark.fuzz
-    @_LONG
+    @fuzz_settings(max_examples=60)
     @given(seed=_SEEDS, key=_KEYS)
     def test_fuzz_matches_loop_construction(self, seed, key):
         assert page_for(seed, key) == _loop_page_for(seed, key)
