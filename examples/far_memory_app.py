@@ -19,7 +19,6 @@ import sys
 from repro import (
     PAGE_SIZE,
     DfmBackend,
-    MultiChannelXfmBackend,
     SfmBackend,
     TierPipeline,
     XfmBackend,
@@ -36,7 +35,7 @@ SIMULATED_SECONDS = 90.0
 TIER_FACTORIES = {
     "cpu": lambda: SfmBackend(capacity_bytes=512 * PAGE_SIZE),
     "xfm": lambda: XfmBackend(capacity_bytes=512 * PAGE_SIZE),
-    "xfm-mc": lambda: MultiChannelXfmBackend(capacity_bytes=512 * PAGE_SIZE),
+    "xfm-mc": lambda: XfmBackend(capacity_bytes=512 * PAGE_SIZE, num_dimms=4),
     "dfm": lambda: DfmBackend(capacity_bytes=512 * PAGE_SIZE),
     "pipeline": lambda: TierPipeline.build(
         cpu_capacity_bytes=128 * PAGE_SIZE,
@@ -84,10 +83,11 @@ def describe(name, runtime, report):
           f"{100 * trace.promotion_rate(far_bytes):.1f}%/min")
     print(f"DDR channel traffic   : {pretty_bytes(backend.ledger.channel_bytes())}")
     print(f"on-DIMM (NMA) traffic : {pretty_bytes(backend.ledger.total('nma'))}")
-    if hasattr(backend, "driver"):
-        stats = backend.driver.stats
-        print(f"driver MMIO writes    : {stats.mmio_writes} "
-              f"(capacity syncs: {stats.capacity_syncs})")
+    if hasattr(backend, "drivers"):
+        drivers = [driver.stats for driver in backend.drivers]
+        print(f"driver MMIO writes    : "
+              f"{sum(stats.mmio_writes for stats in drivers)} (capacity "
+              f"syncs: {sum(stats.capacity_syncs for stats in drivers)})")
         print(f"offloads (comp/decomp): "
               f"{backend.stats.offloaded_compressions} / "
               f"{backend.stats.offloaded_decompressions}")

@@ -47,7 +47,6 @@ from repro.dram import (
     DramTimings,
     RefreshScheduler,
 )
-from repro.core.system import MultiChannelXfmBackend
 from repro.interference import CorunConfig, SfmMode, simulate_corun
 from repro.sfm import PAGE_SIZE, Page, SfmBackend
 from repro.tiering import FarMemoryTier, SwapOutcome, TierPipeline
@@ -71,7 +70,6 @@ __all__ = [
     "LzFastCodec",
     "MemoryKind",
     "MultiChannelLayout",
-    "MultiChannelXfmBackend",
     "NearMemoryAccelerator",
     "NmaConfig",
     "PAGE_SIZE",

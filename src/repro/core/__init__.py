@@ -14,7 +14,8 @@ The pieces mirror §4–§6 of the paper:
   conflict avoidance.
 * :mod:`~repro.core.driver` — the host-side XFM_Driver (ioctl/MMIO shim).
 * :mod:`~repro.core.backend` — the XFM_Backend (``xfm_swap_in/out`` with
-  ``CPU_Fallback``), a drop-in for the baseline SFM backend.
+  ``CPU_Fallback``), a drop-in for the baseline SFM backend, over one DIMM
+  or, in multi-channel mode, several.
 * :mod:`~repro.core.multichannel` — multi-channel mode data layout (Fig. 8/9).
 * :mod:`~repro.core.emulator` — the event-driven emulator behind Fig. 12.
 """
@@ -27,7 +28,6 @@ from repro.core.nma import NearMemoryAccelerator, NmaConfig
 from repro.core.refresh_channel import AccessKind, AccessRequest, WindowScheduler
 from repro.core.registers import RegisterFile, Registers
 from repro.core.spm import ScratchpadMemory, SpmTag
-from repro.core.system import MultiChannelXfmBackend, XfmDimm
 from repro.core.xfm_module import XfmModule
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "EmulatorReport",
     "MultiChannelLayout",
     "MultiChannelReport",
-    "MultiChannelXfmBackend",
     "NearMemoryAccelerator",
     "NmaConfig",
     "RegisterFile",
@@ -46,7 +45,6 @@ __all__ = [
     "SpmTag",
     "WindowScheduler",
     "XfmBackend",
-    "XfmDimm",
     "XfmDriver",
     "XfmEmulator",
     "XfmModule",

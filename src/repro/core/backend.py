@@ -7,6 +7,15 @@ sits on the fault path, so offload happens only when the controller asserts
 ``do_offload`` (prefetch-style promotions). All NMA data movement is
 charged to the ``nma`` ledger (on-DIMM, invisible to the DDR channel),
 which is exactly the bandwidth-elimination claim of Fig. 1/Fig. 11.
+
+Multi-channel mode (§6, Fig. 9) is the same backend over N DIMMs, one
+NMA and one driver each: a page splits into one 256 B-interleaved stripe
+per DIMM (:class:`~repro.core.multichannel.MultiChannelLayout`), every
+stripe takes the offload path on its own DIMM, and the page is stored as
+one blob of slot-padded segments. The CPU paths reach the striped layout
+through the ``_compress``/``_decompress`` hooks, so fallbacks, demand
+faults and verified recovery are the baseline's. With one DIMM the
+stripe is the page and nothing is padded.
 """
 
 from __future__ import annotations
@@ -15,9 +24,10 @@ from typing import Optional
 
 from repro.compression.base import Codec
 from repro.core.driver import XfmDriver
+from repro.core.multichannel import MultiChannelLayout
 from repro.core.nma import NearMemoryAccelerator, NmaConfig
 from repro.errors import (
-    CorruptedBlobError,
+    ConfigError,
     DeviceFault,
     QueueFullError,
     SfmError,
@@ -32,9 +42,13 @@ from repro.sim import CLOCK as _sim_clock
 from repro.telemetry import reasons, spans as _spans, trace as _trace
 from repro.tiering.protocol import SwapOutcome
 
+#: Offload failures the backend answers with ``CPU_Fallback``.
+_OFFLOAD_FAILURES = (SpmFullError, QueueFullError, DeviceFault)
+
 
 class XfmBackend(SfmBackend):
-    """SFM backend whose data plane is the near-memory accelerator."""
+    """SFM backend whose data plane is one near-memory accelerator per
+    DIMM."""
 
     def __init__(
         self,
@@ -46,13 +60,29 @@ class XfmBackend(SfmBackend):
         registry=None,
         ledger=None,
         tier: Optional[str] = None,
+        num_dimms: int = 1,
     ) -> None:
-        self.nma = nma if nma is not None else NearMemoryAccelerator(
-            NmaConfig(), codec=codec
-        )
+        self.layout = MultiChannelLayout(num_dimms)
+        if capacity_bytes % num_dimms:
+            raise ConfigError("capacity must divide evenly across DIMMs")
+        if num_dimms == 1:
+            self.nmas = [
+                nma if nma is not None
+                else NearMemoryAccelerator(NmaConfig(), codec=codec)
+            ]
+        elif nma is not None or codec is not None:
+            raise ConfigError(
+                "a multi-DIMM backend builds one accelerator per DIMM, "
+                "each with the per-DIMM window codec"
+            )
+        else:
+            self.nmas = [
+                NearMemoryAccelerator(NmaConfig(), codec=self.layout.codec)
+                for _ in range(num_dimms)
+            ]
         super().__init__(
             capacity_bytes,
-            codec=self.nma.codec,
+            codec=self.nmas[0].codec,
             cpu_freq_hz=cpu_freq_hz,
             registry=registry,
             ledger=ledger,
@@ -61,9 +91,19 @@ class XfmBackend(SfmBackend):
         if tier is None:
             self.tier_name = "xfm"
         # Driver counters re-home into the same per-System registry as
-        # the swap statistics.
-        self.driver = XfmDriver(self.nma, registry=self.registry)
-        self.driver.xfm_paramset(sfm_base=0, sfm_size=capacity_bytes)
+        # the swap statistics; with several DIMMs each driver's series
+        # carry its DIMM index. Each DIMM holds its stripe of the region.
+        self.drivers = []
+        for index, accelerator in enumerate(self.nmas):
+            driver = XfmDriver(
+                accelerator,
+                registry=self.registry,
+                labels={"dimm": index} if num_dimms > 1 else None,
+            )
+            driver.xfm_paramset(
+                sfm_base=index << 40, sfm_size=capacity_bytes // num_dimms
+            )
+            self.drivers.append(driver)
         self.row_bytes = row_bytes
 
     def _row_of(self, addr: int) -> int:
@@ -83,26 +123,55 @@ class XfmBackend(SfmBackend):
         self.stats.fallbacks_queue_full += 1
         return reasons.QUEUE_FULL
 
-    def _read_staged_verified(self, entry_id: int, expected_digest: bytes):
+    def _retried(self, call):
+        """Run a doorbell or engine call with bounded retries (a lost
+        doorbell or a stalled engine is transient); exhausted retries
+        count one device fault and raise :class:`DeviceFault`."""
+        try:
+            return retry_with_backoff(
+                call, on_retry=self._count_transient_retry
+            )
+        except DeviceFault:
+            self.stats.device_faults += 1
+            raise
+
+    def _read_staged_verified(
+        self, nma: NearMemoryAccelerator, entry_id: int, expected_digest: bytes
+    ) -> bytes:
         """Read a staged SPM payload back, digest-verified with bounded
         re-reads (SPM read flips are transient). Raises
         :class:`DeviceFault` when the retries are exhausted — the caller
-        recovers through the CPU path, so a flipped bit never escapes."""
+        recovers through the CPU path from the resident page or the
+        pooled blob, so a flipped bit never escapes."""
 
         def read_once() -> bytes:
-            staged = self.nma.spm.read_payload(entry_id)
+            staged = nma.spm.read_payload(entry_id)
             if staged is None or content_digest(staged) != expected_digest:
                 self.stats.corruptions_detected += 1
                 raise DeviceFault("SPM readback failed its digest check")
             return staged
 
         detected_before = self.stats.corruptions_detected
-        staged = retry_with_backoff(
-            read_once, on_retry=self._count_transient_retry
-        )
+        try:
+            staged = retry_with_backoff(
+                read_once, on_retry=self._count_transient_retry
+            )
+        except DeviceFault:
+            self.stats.corruptions_recovered += 1
+            raise
         if self.stats.corruptions_detected > detected_before:
             self.stats.corruptions_recovered += 1
         return staged
+
+    # -- CPU paths: the striped layout behind the baseline's hooks -------------
+
+    def _compress(self, data: bytes) -> bytes:
+        layout, codec = self.layout, self.codec
+        return layout.pack([codec.compress(s) for s in layout.split(data)])
+
+    def _decompress(self, blob: bytes) -> bytes:
+        layout, codec = self.layout, self.codec
+        return layout.gather([codec.decompress(s) for s in layout.unpack(blob)])
 
     # -- swap-out: offload with CPU fallback ---------------------------------
 
@@ -130,101 +199,126 @@ class XfmBackend(SfmBackend):
             _trace.fallback(reason, "decompress", **extra)
         return super().swap_in(page)
 
+    def _compress_stripe(self, nma, driver, row: int, stripe: bytes, digest):
+        """One stripe through its DIMM: doorbell, SPM staging, compress,
+        verified readback. Returns ``(request, segment, digest)``, with
+        segment ``None`` when it is too large for the page to be stored
+        and ``digest`` its :func:`content_digest`; raises
+        an :data:`_OFFLOAD_FAILURES` error for the CPU fallback. Both
+        reservations are released on every path."""
+        request = self._retried(
+            lambda: driver.submit_compress(
+                source_row=row, input_bytes=len(stripe)
+            )
+        )
+        try:
+            # Device side: stage, compress, write back — all on-DIMM.
+            nma.pop_request()
+            # The device-side staging admit can lose a race the driver's
+            # lazy bound did not see.
+            entry = nma.spm.admit(len(stripe))
+            try:
+                segment = self._retried(
+                    lambda: nma.compress_page(stripe, digest)
+                )
+                self.ledger.record("nma", "read", len(stripe))
+                if len(segment) * self.layout.num_dimms > int(
+                    PAGE_SIZE * self.max_stored_fraction
+                ):
+                    return request, None, None
+                # The segment is staged in the SPM before the pool
+                # writeback; the readback is digest-verified (SPM bit
+                # flips happen *here*).
+                nma.spm.complete(
+                    entry.entry_id, output_bytes=len(segment), payload=segment
+                )
+                segment_digest = content_digest(segment)
+                return request, self._read_staged_verified(
+                    nma, entry.entry_id, segment_digest
+                ), segment_digest
+            finally:
+                nma.spm.release(entry.entry_id)
+        finally:
+            driver.notify_release(len(stripe))
+
     def xfm_swap_out(self, page: Page) -> SwapOutcome:
-        """Offload compression to the NMA; falls back to the CPU when the
-        SPM or the request queue is exhausted."""
+        """Offload compression to the NMAs; falls back to the CPU when an
+        SPM or a request queue is exhausted or a device fault outlasts
+        its retries."""
         if page.swapped:
             raise SfmError(f"page 0x{page.vaddr:x} already swapped")
         if page.data is None:
             raise SfmError(f"page 0x{page.vaddr:x} has no resident data")
-        try:
-            # The doorbell may be transiently lost (DeviceFault): bounded
-            # retries re-ring it; exhaustion degrades to the CPU path.
-            request = retry_with_backoff(
-                lambda: self.driver.submit_compress(
-                    source_row=self._row_of(page.vaddr),
-                    input_bytes=PAGE_SIZE,
-                ),
-                on_retry=self._count_transient_retry,
-            )
-        except (SpmFullError, QueueFullError, DeviceFault) as exc:
-            if isinstance(exc, DeviceFault):
-                self.stats.device_faults += 1
-            return self._fallback_compress(page, exc)
-
-        # Device side: stage, compress, write back — all on-DIMM.
-        self.nma.pop_request()
-        try:
-            entry = self.nma.spm.admit(PAGE_SIZE)
-        except SpmFullError as exc:
-            # The device-side staging admit can lose a race the driver's
-            # lazy bound did not see.
-            self.driver.notify_release(PAGE_SIZE)
-            return self._fallback_compress(page, exc)
         # One page hash per store: the NMA memo key and the record's
         # page digest.
         digest = page_digest(page.data)
-        try:
-            blob = retry_with_backoff(
-                lambda: self.nma.compress_page(page.data, digest),
-                on_retry=self._count_transient_retry,
-            )
-        except DeviceFault as exc:
-            self.stats.device_faults += 1
-            self.nma.spm.release(entry.entry_id)
-            self.driver.notify_release(PAGE_SIZE)
-            return self._fallback_compress(page, exc)
-        self.ledger.record("nma", "read", PAGE_SIZE)
-        if len(blob) > int(PAGE_SIZE * self.max_stored_fraction):
-            self.nma.spm.release(entry.entry_id)
-            self.driver.notify_release(PAGE_SIZE)
-            self.stats.rejected += 1
-            return SwapOutcome(accepted=False, reason="incompressible")
-        # The blob is staged in the SPM before the pool writeback; the
-        # readback is digest-verified (SPM bit flips happen *here*).
-        self.nma.spm.complete(
-            entry.entry_id, output_bytes=len(blob), payload=blob
-        )
-        blob_digest = content_digest(blob)
-        try:
-            blob = self._read_staged_verified(entry.entry_id, blob_digest)
-        except DeviceFault as exc:
-            # Persistent readback corruption: the page is still resident
-            # in host memory, so the CPU path recovers it loss-free.
-            self.nma.spm.release(entry.entry_id)
-            self.driver.notify_release(PAGE_SIZE)
-            self.stats.corruptions_recovered += 1
-            return self._fallback_compress(page, exc)
+        row = self._row_of(page.vaddr)
+        stripes = self.layout.split(page.data)
+        requests, segments = [], []
+        for nma, driver, stripe in zip(self.nmas, self.drivers, stripes):
+            try:
+                request, segment, blob_digest = self._compress_stripe(
+                    nma, driver, row, stripe, digest
+                )
+            except _OFFLOAD_FAILURES as exc:
+                return self._fallback_compress(page, exc)
+            if segment is None:
+                self.stats.rejected += 1
+                return SwapOutcome(accepted=False, reason="incompressible")
+            requests.append(request)
+            segments.append(segment)
+        blob = self.layout.pack(segments)
         try:
             handle = self.zpool.store(blob)
         except ZpoolFullError:
-            self.nma.spm.release(entry.entry_id)
-            self.driver.notify_release(PAGE_SIZE)
             self.stats.rejected += 1
             return SwapOutcome(accepted=False, reason="pool-full")
         self.ledger.record("nma", "write", len(blob))
-        self.nma.spm.release(entry.entry_id)
-        self.driver.notify_release(PAGE_SIZE)
-
         self.stats.offloaded_compressions += 1
+        if len(segments) > 1:
+            # One segment is the blob, already hashed; several are not.
+            blob_digest = content_digest(blob)
         self._commit(page, handle, blob, digest, blob_digest)
         if _trace.tracing_enabled():
-            dur_ns = self.nma.config.compress_time_ns(PAGE_SIZE)
-            _spans.emit_under(
-                "nma_compress",
-                _trace.TRACK_NMA,
-                _sim_clock.now_ns(),
-                dur_ns,
-                args={
-                    "request_id": request.request_id,
-                    "blob_bytes": len(blob),
-                },
-            )
+            # The DIMMs compress their stripes in parallel.
+            dur_ns = self.nmas[0].config.compress_time_ns(len(stripes[0]))
+            for request, segment in zip(requests, segments):
+                _spans.emit_under(
+                    "nma_compress",
+                    _trace.TRACK_NMA,
+                    _sim_clock.now_ns(),
+                    dur_ns,
+                    args={
+                        "request_id": request.request_id,
+                        "blob_bytes": len(segment),
+                    },
+                )
             self._lat_store.observe(dur_ns)
-        del request
         return SwapOutcome(accepted=True, compressed_len=len(blob))
 
     # -- swap-in: CPU by default, offload for prefetch ------------------------
+
+    def _decompress_stripe(self, nma, segment: bytes, stripe_bytes: int):
+        """One segment through its DIMM's engine: SPM staging,
+        decompress, verified readback; the SPM entry is released on
+        every path."""
+        entry = nma.spm.admit(stripe_bytes)
+        try:
+            data = self._retried(lambda: nma.decompress_blob(segment))
+            if len(data) != stripe_bytes:
+                raise SfmError(
+                    f"decompressed stripe is {len(data)} bytes, "
+                    f"expected {stripe_bytes}"
+                )
+            # The decompressed stripe stages in the SPM before its
+            # writeback; verify the readback just like the compress
+            # direction.
+            nma.spm.complete(entry.entry_id, payload=data)
+            return self._read_staged_verified(
+                nma, entry.entry_id, content_digest(data)
+            )
+        finally:
+            nma.spm.release(entry.entry_id)
 
     def xfm_swap_in(self, page: Page, do_offload: bool = False) -> bytes:
         """Promote a page out of far memory.
@@ -244,67 +338,41 @@ class XfmBackend(SfmBackend):
         if not page.swapped:
             raise SfmError(f"page 0x{page.vaddr:x} is not in far memory")
         record = self._record(page.vaddr)
-        blob_len = self.zpool.entry(record.handle).length
+        num_dimms = self.layout.num_dimms
+        segment_bytes = self.zpool.entry(record.handle).length // num_dimms
+        stripe_bytes = PAGE_SIZE // num_dimms
+        row = self._row_of(page.vaddr)
+        requests = []
         try:
-            request = retry_with_backoff(
-                lambda: self.driver.submit_decompress(
-                    source_row=self._row_of(page.vaddr),
-                    input_bytes=blob_len,
-                    dest_row=self._row_of(page.vaddr),
-                ),
-                on_retry=self._count_transient_retry,
-            )
-        except (SpmFullError, QueueFullError, DeviceFault) as exc:
-            if isinstance(exc, DeviceFault):
-                self.stats.device_faults += 1
+            try:
+                for nma, driver in zip(self.nmas, self.drivers):
+                    requests.append(self._retried(
+                        lambda: driver.submit_decompress(
+                            source_row=row,
+                            input_bytes=segment_bytes,
+                            dest_row=row,
+                            output_bytes=stripe_bytes,
+                        )
+                    ))
+                    nma.pop_request()
+                # Verified read: corruption is detected (and poisoned
+                # when unrecoverable) before the accelerators touch the
+                # blob.
+                blob = self._load_verified(record, page.vaddr)
+                self.ledger.record("nma", "read", len(blob))
+                stripes = [
+                    self._decompress_stripe(nma, segment, stripe_bytes)
+                    for nma, segment in zip(
+                        self.nmas, self.layout.unpack(blob)
+                    )
+                ]
+            finally:
+                for driver in self.drivers[: len(requests)]:
+                    driver.notify_release(stripe_bytes)
+        except _OFFLOAD_FAILURES as exc:
             return self._fallback_decompress(page, exc)
-
-        self.nma.pop_request()
-        try:
-            # Verified read: corruption is detected (and poisoned when
-            # unrecoverable) before the accelerator touches the blob.
-            blob = self._load_verified(record, page.vaddr)
-        except CorruptedBlobError:
-            self.driver.notify_release(PAGE_SIZE)
-            raise
-        self.ledger.record("nma", "read", len(blob))
-        try:
-            entry = self.nma.spm.admit(PAGE_SIZE)
-        except SpmFullError as exc:
-            self.driver.notify_release(PAGE_SIZE)
-            return self._fallback_decompress(page, exc)
-        try:
-            data = retry_with_backoff(
-                lambda: self.nma.decompress_blob(blob),
-                on_retry=self._count_transient_retry,
-            )
-        except DeviceFault as exc:
-            self.stats.device_faults += 1
-            self.nma.spm.release(entry.entry_id)
-            self.driver.notify_release(PAGE_SIZE)
-            return self._fallback_decompress(page, exc)
-        if len(data) != PAGE_SIZE:
-            raise SfmError(
-                f"decompressed page is {len(data)} bytes, expected {PAGE_SIZE}"
-            )
-        # The decompressed page stages in the SPM before its writeback;
-        # verify the readback just like the compress direction.
-        self.nma.spm.complete(entry.entry_id, payload=data)
-        try:
-            data = self._read_staged_verified(
-                entry.entry_id, content_digest(data)
-            )
-        except DeviceFault as exc:
-            # The blob is still intact in the pool: the CPU path decodes
-            # it again, loss-free.
-            self.nma.spm.release(entry.entry_id)
-            self.driver.notify_release(PAGE_SIZE)
-            self.stats.corruptions_recovered += 1
-            return self._fallback_decompress(page, exc)
+        data = self.layout.gather(stripes)
         self.ledger.record("nma", "write", PAGE_SIZE)
-        self.nma.spm.release(entry.entry_id)
-        self.driver.notify_release(PAGE_SIZE)
-
         self._drop(page.vaddr)
         page.swapped = False
         page.data = data
@@ -313,17 +381,18 @@ class XfmBackend(SfmBackend):
         self.stats.bytes_in_uncompressed += PAGE_SIZE
         self.stats.bytes_in_compressed += len(blob)
         if _trace.tracing_enabled():
-            dur_ns = self.nma.config.decompress_time_ns(len(blob))
-            _spans.emit_under(
-                "nma_decompress",
-                _trace.TRACK_NMA,
-                _sim_clock.now_ns(),
-                dur_ns,
-                args={
-                    "request_id": request.request_id,
-                    "blob_bytes": len(blob),
-                },
-            )
+            dur_ns = self.nmas[0].config.decompress_time_ns(segment_bytes)
+            for request in requests:
+                _spans.emit_under(
+                    "nma_decompress",
+                    _trace.TRACK_NMA,
+                    _sim_clock.now_ns(),
+                    dur_ns,
+                    args={
+                        "request_id": request.request_id,
+                        "blob_bytes": segment_bytes,
+                    },
+                )
             self._lat_load.observe(dur_ns)
         return data
 

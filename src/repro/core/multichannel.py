@@ -10,18 +10,22 @@ region, trading internal fragmentation (the slot must fit the largest
 segment) for a layout the host can address without DIMM-side translation.
 
 This module measures both effects on real codecs — Fig. 8's ratio-vs-DIMMs
-curves and §8's 5% / 14% memory-savings reductions.
+curves and §8's 5% / 14% memory-savings reductions — and is the layout
+:class:`~repro.core.backend.XfmBackend` stores multi-DIMM pages in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.compression.base import Codec
 from repro.compression.deflate import DeflateCodec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CorruptStreamError
 from repro.sfm.page import PAGE_SIZE
+
+#: Channel-interleave granularity of commodity servers (§6).
+INTERLEAVE_BYTES = 256
 
 
 def default_codec_factory(window_size: int) -> Codec:
@@ -61,38 +65,33 @@ class CompressedPage:
 class MultiChannelLayout:
     """Split/compress/gather pages for an N-DIMM interleaved system."""
 
-    def __init__(
-        self,
-        num_dimms: int = 4,
-        interleave_bytes: int = 256,
-        codec_factory: Callable[[int], Codec] = default_codec_factory,
-        page_size: int = PAGE_SIZE,
-    ) -> None:
+    def __init__(self, num_dimms: int = 4) -> None:
         if num_dimms < 1:
             raise ConfigError("num_dimms must be >= 1")
-        if page_size % (num_dimms * interleave_bytes):
+        if PAGE_SIZE % (num_dimms * INTERLEAVE_BYTES):
             raise ConfigError(
-                f"page size {page_size} must divide evenly into "
-                f"{num_dimms} x {interleave_bytes} B stripes"
+                f"page size {PAGE_SIZE} must divide evenly into "
+                f"{num_dimms} x {INTERLEAVE_BYTES} B stripes"
             )
         self.num_dimms = num_dimms
-        self.interleave_bytes = interleave_bytes
-        self.page_size = page_size
-        self.window_size = page_size // num_dimms
-        self._codec = codec_factory(self.window_size)
+        self.window_size = PAGE_SIZE // num_dimms
+        #: Each DIMM's NMA compresses its stripe with this codec.
+        self.codec = default_codec_factory(self.window_size)
 
     # -- stripe split / gather ------------------------------------------------
 
     def split(self, data: bytes) -> List[bytes]:
         """Round-robin 256 B chunks onto the DIMMs (the hardware layout)."""
-        if len(data) != self.page_size:
+        if len(data) != PAGE_SIZE:
             raise ConfigError(
-                f"expected a {self.page_size}-byte page, got {len(data)}"
+                f"expected a {PAGE_SIZE}-byte page, got {len(data)}"
             )
+        if self.num_dimms == 1:
+            return [data]
         streams: List[bytearray] = [bytearray() for _ in range(self.num_dimms)]
-        for index in range(0, len(data), self.interleave_bytes):
-            dimm = (index // self.interleave_bytes) % self.num_dimms
-            streams[dimm] += data[index : index + self.interleave_bytes]
+        for index in range(0, len(data), INTERLEAVE_BYTES):
+            dimm = (index // INTERLEAVE_BYTES) % self.num_dimms
+            streams[dimm] += data[index : index + INTERLEAVE_BYTES]
         return [bytes(stream) for stream in streams]
 
     def gather(self, streams: Sequence[bytes]) -> bytes:
@@ -102,22 +101,44 @@ class MultiChannelLayout:
             raise ConfigError(
                 f"expected {self.num_dimms} streams, got {len(streams)}"
             )
-        out = bytearray(self.page_size)
-        chunks_per_dimm = self.page_size // (
-            self.interleave_bytes * self.num_dimms
-        )
+        if self.num_dimms == 1:
+            return streams[0]
+        out = bytearray(PAGE_SIZE)
+        chunks_per_dimm = PAGE_SIZE // (INTERLEAVE_BYTES * self.num_dimms)
         for dimm, stream in enumerate(streams):
-            if len(stream) != chunks_per_dimm * self.interleave_bytes:
+            if len(stream) != chunks_per_dimm * INTERLEAVE_BYTES:
                 raise ConfigError("stream length mismatch")
             for chunk in range(chunks_per_dimm):
-                src = chunk * self.interleave_bytes
-                dst = (
-                    chunk * self.num_dimms + dimm
-                ) * self.interleave_bytes
-                out[dst : dst + self.interleave_bytes] = stream[
-                    src : src + self.interleave_bytes
+                src = chunk * INTERLEAVE_BYTES
+                dst = (chunk * self.num_dimms + dimm) * INTERLEAVE_BYTES
+                out[dst : dst + INTERLEAVE_BYTES] = stream[
+                    src : src + INTERLEAVE_BYTES
                 ]
         return bytes(out)
+
+    # -- same-offset placement ---------------------------------------------------
+
+    def pack(self, segments: Sequence[bytes]) -> bytes:
+        """One stored blob: every DIMM's segment zero-padded to the
+        largest, in DIMM order — the same offset in every region (§6).
+        A segment decodes with its padding attached: the decoder stops
+        at the end of its stream."""
+        if self.num_dimms == 1:
+            return segments[0]
+        slot = max(map(len, segments))
+        return b"".join(segment.ljust(slot, b"\0") for segment in segments)
+
+    def unpack(self, blob: bytes) -> List[bytes]:
+        """Inverse of :meth:`pack`: each DIMM's padded segment."""
+        if self.num_dimms == 1:
+            return [blob]
+        slot, rest = divmod(len(blob), self.num_dimms)
+        if rest:
+            raise CorruptStreamError(
+                f"{len(blob)}-byte blob does not split into "
+                f"{self.num_dimms} equal slots"
+            )
+        return [blob[i * slot : (i + 1) * slot] for i in range(self.num_dimms)]
 
     # -- compression ---------------------------------------------------------------
 
@@ -125,7 +146,7 @@ class MultiChannelLayout:
         """Compress each DIMM's stripe independently."""
         return CompressedPage(
             segments=tuple(
-                self._codec.compress(stream) for stream in self.split(data)
+                self.codec.compress(stream) for stream in self.split(data)
             ),
             original_len=len(data),
         )
@@ -135,7 +156,7 @@ class MultiChannelLayout:
         if page.num_dimms != self.num_dimms:
             raise ConfigError("compressed page is for a different layout")
         return self.gather(
-            [self._codec.decompress(segment) for segment in page.segments]
+            [self.codec.decompress(segment) for segment in page.segments]
         )
 
 
@@ -172,19 +193,13 @@ def measure_corpus(
     corpus: str,
     pages: Sequence[bytes],
     dimm_counts: Sequence[int] = (1, 2, 4),
-    codec_factory: Callable[[int], Codec] = default_codec_factory,
-    interleave_bytes: int = 256,
     verify: bool = False,
 ) -> MultiChannelReport:
     """Compress ``pages`` under each DIMM configuration and report ratios."""
     stored: Dict[int, float] = {}
     payload: Dict[int, float] = {}
     for num_dimms in dimm_counts:
-        layout = MultiChannelLayout(
-            num_dimms=num_dimms,
-            interleave_bytes=interleave_bytes,
-            codec_factory=codec_factory,
-        )
+        layout = MultiChannelLayout(num_dimms=num_dimms)
         total_in = 0
         total_stored = 0
         total_payload = 0

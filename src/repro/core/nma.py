@@ -217,13 +217,12 @@ class NearMemoryAccelerator:
 
     # -- functional mode ---------------------------------------------------------
 
-    def compress_page(
-        self, data: bytes, digest: Optional[bytes] = None
-    ) -> bytes:
+    def compress_page(self, data: bytes, digest: bytes) -> bytes:
         """Run the real codec on real bytes (functional backend path).
 
         ``digest`` is the caller's :func:`~repro.resilience.integrity.
-        page_digest` of ``data``. With it, content seen before skips the
+        page_digest` of the page ``data`` belongs to (``data`` itself,
+        or this DIMM's stripe of it). Content seen before skips the
         software codec: the first sight of a digest records a marker,
         the second the codec's output, and later sights return that
         output. The codec is deterministic, so the bytes are the same
@@ -238,8 +237,6 @@ class NearMemoryAccelerator:
             event = _faults.fire(_faults.NMA_TIMEOUT)
             if event is not None:
                 raise DeviceFault("NMA compress engine stalled (timeout)")
-        if digest is None:
-            return self.codec.compress(data)
         memo = self._compress_memo
         seen = memo.get(digest)
         if seen:

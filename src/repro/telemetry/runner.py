@@ -60,6 +60,7 @@ def _zswap_workload(session: TelemetrySession) -> Dict[str, object]:
         nma=NearMemoryAccelerator(config),
         registry=session.registry,
     )
+    nma, driver = backend.nmas[0], backend.drivers[0]
     zswap = ZswapFrontend(
         backend, total_ram_bytes=64 * 1024 * 1024, max_pool_percent=20
     )
@@ -83,20 +84,20 @@ def _zswap_workload(session: TelemetrySession) -> Dict[str, object]:
         """Reserve SPM (and optionally leave the CRQ occupied) the way a
         burst of outstanding prefetch decompressions would."""
         for _ in range(count):
-            request = backend.driver.submit_decompress(
+            request = driver.submit_decompress(
                 source_row=0, input_bytes=_PAGE, dest_row=1
             )
             if pop:
-                backend.nma.pop_request()
-                staged.append(backend.nma.stage_input(request))
+                nma.pop_request()
+                staged.append(nma.stage_input(request))
 
     def release_prefetches(queued: int) -> None:
         for _ in range(queued):
-            backend.nma.pop_request()
+            nma.pop_request()
         while staged:
             entry = staged.pop()
-            backend.nma.release(entry.entry_id)
-            backend.driver.notify_release(_PAGE)
+            nma.release(entry.entry_id)
+            driver.notify_release(_PAGE)
 
     num_windows = 12
 
@@ -160,7 +161,7 @@ def _zswap_workload(session: TelemetrySession) -> Dict[str, object]:
     events.run()
 
     session.add_stats("swap", backend.stats)
-    session.add_stats("driver", backend.driver.stats)
+    session.add_stats("driver", driver.stats)
     session.add_stats("zswap", zswap.stats)
     stats = backend.stats
     return {

@@ -53,14 +53,14 @@ def make_tier(
             capacity_bytes=capacity_bytes, registry=registry, tier="xfm"
         )
     if kind == "xfm-mc":
-        from repro.core.system import MultiChannelXfmBackend
+        from repro.core.backend import XfmBackend
 
         num_dimms = 4
-        return MultiChannelXfmBackend(
+        return XfmBackend(
             capacity_bytes=capacity_bytes - capacity_bytes % num_dimms,
-            num_dimms=num_dimms,
             registry=registry,
             tier="xfm-mc",
+            num_dimms=num_dimms,
         )
     if kind == "dfm":
         from repro.dfm.backend import DfmBackend

@@ -57,8 +57,7 @@ class FarMemoryTier(Protocol):
     """Structural contract of one far-memory tier.
 
     Every concrete backend (:class:`~repro.sfm.backend.SfmBackend`,
-    :class:`~repro.core.backend.XfmBackend`,
-    :class:`~repro.core.system.MultiChannelXfmBackend`,
+    :class:`~repro.core.backend.XfmBackend` over one DIMM or several,
     :class:`~repro.dfm.backend.DfmBackend`) and the composite
     :class:`~repro.tiering.pipeline.TierPipeline` satisfy it. Stats are
     plain fields (:class:`~repro.telemetry.stats.Stats`) that a bound

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.compression import _native
 from repro.core.multichannel import (
     CompressedPage,
     MultiChannelLayout,
     measure_corpus,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CorruptStreamError
 from repro.sfm.page import PAGE_SIZE
 
 
@@ -60,6 +61,29 @@ class TestCompressedPage:
         compressed = MultiChannelLayout(num_dimms=2).compress_page(json_pages[0])
         with pytest.raises(ConfigError):
             MultiChannelLayout(num_dimms=4).decompress_page(compressed)
+
+
+class TestPackedBlob:
+    @pytest.mark.parametrize("num_dimms", [1, 2, 4])
+    def test_padded_segments_decode(self, num_dimms, json_pages, random_pages):
+        """Same-offset placement pads every segment to the largest; each
+        padded segment still decodes to its stripe, on the kernel and on
+        the reference decoder, because both stop at the stream's end."""
+        layout = MultiChannelLayout(num_dimms=num_dimms)
+        decoders = [layout.codec._decompress_python]
+        if _native.load() is not None:
+            decoders.append(layout.codec._decompress_native)
+        for page in json_pages[:2] + random_pages[:1]:
+            stripes = layout.split(page)
+            segments = tuple(layout.codec.compress(s) for s in stripes)
+            blob = layout.pack(segments)
+            assert len(blob) == CompressedPage(segments, PAGE_SIZE).stored_bytes
+            for decode in decoders:
+                assert [decode(s) for s in layout.unpack(blob)] == stripes
+
+    def test_uneven_blob_rejected(self):
+        with pytest.raises(CorruptStreamError):
+            MultiChannelLayout(num_dimms=4).unpack(b"x" * 1023)
 
 
 class TestSplitGatherProperty:

@@ -7,6 +7,7 @@ from repro.core.nma import FPGA_PROTOTYPE, NearMemoryAccelerator, NmaConfig
 from repro.core.registers import Registers
 from repro.core.spm import SpmTag
 from repro.errors import ConfigError, QueueFullError, SpmFullError
+from repro.resilience.integrity import page_digest
 
 
 @pytest.fixture
@@ -89,7 +90,7 @@ class TestTimedEngine:
         assert not nma.registers[Registers.STATUS] & 0x1
 
     def test_functional_mode_round_trip(self, nma, json_pages):
-        blob = nma.compress_page(json_pages[0])
+        blob = nma.compress_page(json_pages[0], page_digest(json_pages[0]))
         assert nma.decompress_blob(blob) == json_pages[0]
 
     def test_config_validation(self):

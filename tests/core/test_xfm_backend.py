@@ -1,11 +1,18 @@
 """XFM backend tests: offload paths, fallbacks, drop-in behaviour."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.backend import XfmBackend
 from repro.core.nma import NearMemoryAccelerator, NmaConfig
+from repro.errors import CorruptedBlobError
+from repro.resilience.chaos import TRANSIENT_PROFILE
+from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE, Page
+from repro.sim.context import run_context
+from repro.workloads.corpus import corpus_pages
 
 
 def _pages(buffers):
@@ -43,14 +50,14 @@ class TestOffloadedSwapOut:
     def test_spm_left_empty_after_ops(self, backend, json_pages):
         for page in _pages(json_pages):
             backend.xfm_swap_out(page)
-        assert backend.nma.spm.used_bytes == 0
+        assert backend.nmas[0].spm.used_bytes == 0
 
     def test_incompressible_rejected_without_storing(self, backend, random_pages):
         page = _pages(random_pages)[0]
         outcome = backend.xfm_swap_out(page)
         assert not outcome.accepted
         assert outcome.reason == "incompressible"
-        assert backend.nma.spm.used_bytes == 0
+        assert backend.nmas[0].spm.used_bytes == 0
 
     def test_pool_full_rejected(self, json_pages):
         backend = XfmBackend(capacity_bytes=PAGE_SIZE)
@@ -81,7 +88,7 @@ class TestCpuFallback:
         staged = nma.submit(True, 0, None, PAGE_SIZE)
         nma.pop_request()
         nma.stage_input(staged)
-        backend.driver._inferred_spm_used = PAGE_SIZE
+        backend.drivers[0]._inferred_spm_used = PAGE_SIZE
         page = _pages(json_pages)[0]
         outcome = backend.xfm_swap_out(page)
         assert outcome.accepted
@@ -138,6 +145,67 @@ class TestDropInCompatibility:
         assert backend.xfm_compact() >= 0
 
     def test_driver_region_configured(self, backend):
-        base, size = backend.driver.sfm_region
+        base, size = backend.drivers[0].sfm_region
         assert base == 0
         assert size == backend.capacity_bytes
+
+
+#: Compressible and incompressible pages for swap sequences.
+_POOL = corpus_pages("json-records", 4, seed=31) + corpus_pages(
+    "random-bytes", 1, seed=31
+)
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from([1, 4]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["swap_out", "swap_in", "promote"]),
+            st.integers(0, 7),
+            st.integers(0, len(_POOL) - 1),
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    st.integers(0, 2**16),
+    st.sampled_from([1.0, 5.0, 20.0]),
+)
+def test_faults_leave_no_spm_reserved(num_dimms, ops, seed, scale):
+    """Whatever the transient profile injects — lost doorbells, stalled
+    engines, SPM read flips, forced SPM/queue exhaustion — every stripe
+    returns its SPM reservation to its DIMM's driver and NMA, and a page
+    that comes back is byte-exact. (Scaled up, a pool read corruption
+    can outlast its re-reads: the page is poisoned and reported.)"""
+    backend = XfmBackend(capacity_bytes=64 * PAGE_SIZE, num_dimms=num_dimms)
+    plan = FaultPlan(
+        seed=seed,
+        specs=tuple(
+            FaultSpec(
+                spec.site,
+                probability=min(1.0, spec.probability * scale),
+                magnitude=spec.magnitude,
+            )
+            for spec in TRANSIENT_PROFILE
+        ),
+    )
+    held = {}
+    with run_context(injector=FaultInjector(plan)):
+        for op, slot, index in ops:
+            vaddr = slot * PAGE_SIZE
+            if op == "swap_out":
+                if vaddr in held:
+                    continue
+                page = Page(vaddr=vaddr, data=_POOL[index])
+                if backend.swap_out(page).accepted:
+                    held[vaddr] = _POOL[index]
+            elif vaddr in held:
+                page = Page(vaddr=vaddr, swapped=True)
+                expected = held.pop(vaddr)
+                try:
+                    assert getattr(backend, op)(page) == expected
+                except CorruptedBlobError:
+                    assert not backend.contains(vaddr)
+    for nma, driver in zip(backend.nmas, backend.drivers):
+        assert driver._inferred_spm_used == 0
+        assert nma.spm.used_bytes == 0

@@ -50,7 +50,7 @@ class TestInjectedExhaustionReconciliation:
         assert backend.stats.cpu_fallback_compressions == 8
         assert backend.stats.offloaded_compressions == 0
         # Every submit rejection is visible on the driver too.
-        assert backend.driver.stats.rejected_submissions == 8
+        assert backend.drivers[0].stats.rejected_submissions == 8
 
     def test_injected_queue_full_counters_match_trace(self):
         backend, ring = _run_with_injected_exhaustion(

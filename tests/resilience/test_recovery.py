@@ -120,18 +120,18 @@ class TestNmaAndDriverFaults:
             faults.DRIVER_REG_CORRUPTION, probability=1.0, max_fires=1
         )
         with run_context(injector=FaultInjector(plan)):
-            capacity = backend.driver.sp_capacity()
-        assert capacity == backend.nma.spm.capacity_bytes
-        assert backend.driver.stats.corrupt_register_reads == 1
-        assert backend.driver.stats.device_faults == 0
+            capacity = backend.drivers[0].sp_capacity()
+        assert capacity == backend.nmas[0].spm.capacity_bytes
+        assert backend.drivers[0].stats.corrupt_register_reads == 1
+        assert backend.drivers[0].stats.device_faults == 0
 
     def test_register_corruption_persistent_raises_device_fault(self):
         backend = XfmBackend(capacity_bytes=64 * PAGE_SIZE)
         plan = _plan(faults.DRIVER_REG_CORRUPTION, probability=1.0)
         with run_context(injector=FaultInjector(plan)):
             with pytest.raises(DeviceFault):
-                backend.driver.sp_capacity()
-        assert backend.driver.stats.device_faults == 1
+                backend.drivers[0].sp_capacity()
+        assert backend.drivers[0].stats.device_faults == 1
 
 
 class TestDfmLinkErrors:

@@ -9,7 +9,10 @@ pipeline, and on every target
 * two replays of the same trace against the same config produce
   identical stats (full report dict compared), and
 * the target's registry counters reconcile 1:1 with its bandwidth
-  ledger, exactly like the tiering acceptance tests.
+  ledger, exactly like the tiering acceptance tests;
+
+and under both chaos fault profiles every target either heals (the
+``transient`` profile) or reports each loss it could not heal (``full``).
 """
 
 import json
@@ -94,6 +97,34 @@ def test_replay_stats_are_deterministic(traces, scenario, backend):
     assert json.dumps(first, sort_keys=True) == json.dumps(
         second, sort_keys=True
     )
+
+
+@pytest.mark.parametrize("fault_seed", (3, 7))
+@pytest.mark.parametrize("profile", ("transient", "full"))
+@pytest.mark.parametrize("backend", TIER_KINDS)
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_faulted_replay_heals_or_reports(
+    traces, scenario, backend, profile, fault_seed
+):
+    """The fault matrix: transient faults heal, persistent media
+    corruption is reported, and nothing comes back wrong. The replayer
+    turns the typed tier errors (unavailable tier, poisoned page, lost
+    bookkeeping) into report counters, so no exception may escape."""
+    try:
+        report = replay_trace(
+            traces[scenario],
+            make_tier(backend),
+            backend_name=backend,
+            fault_profile=profile,
+            fault_seed=fault_seed,
+        )
+    except Exception as exc:
+        pytest.fail(f"{type(exc).__name__} escaped the replay: {exc}")
+    assert report.digest_mismatches == 0
+    if profile == "transient":
+        assert report.clean
+    else:
+        assert report.missing_pages <= report.data_loss_events
 
 
 def test_chaos_replay_transient_faults_heal(traces):

@@ -320,6 +320,8 @@ CI_INVOCATIONS = [
     "replay --trace-file replay-out/kv.trace.jsonl.gz --backend dfm "
     "--validation --out replay-out/dfm",
     "replay chaos-soak --fault-profile transient --fault-seed 3",
+    "replay kv-cache --backend xfm-mc --fault-profile transient "
+    "--fault-seed 3",
     "ingest src --out replay-out/corpus",
     "slo --scenario web-session --out replay-out/slo",
     "fleet --fleet-shards 2 --rate-rps 17500 --spike-multiplier 1.0 "

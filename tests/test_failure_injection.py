@@ -5,7 +5,6 @@ import pytest
 
 from repro.compression import DeflateCodec, LzFastCodec, ZstdLikeCodec
 from repro.core.backend import XfmBackend
-from repro.core.system import MultiChannelXfmBackend
 from repro.errors import (
     CorruptStreamError,
     EntryNotFoundError,
@@ -75,7 +74,11 @@ class TestIndexConsistency:
 
     @pytest.mark.parametrize(
         "backend_cls",
-        [SfmBackend, XfmBackend, MultiChannelXfmBackend],
+        [
+            SfmBackend,
+            XfmBackend,
+            lambda capacity_bytes: XfmBackend(capacity_bytes, num_dimms=4),
+        ],
         ids=["baseline", "xfm", "multichannel"],
     )
     def test_never_stored_vaddr_is_typed_on_every_backend(self, backend_cls):
@@ -98,7 +101,7 @@ class TestDriverMisuse:
         from repro.core.registers import Registers
 
         with pytest.raises(MmioError):
-            backend.nma.registers.mmio_write(int(Registers.SP_CAPACITY), 0)
+            backend.nmas[0].registers.mmio_write(int(Registers.SP_CAPACITY), 0)
 
     def test_fallbacks_keep_system_functional_under_exhaustion(
         self, json_pages

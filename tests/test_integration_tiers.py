@@ -9,7 +9,6 @@ CPU SFM, single-DIMM XFM, multi-channel XFM, and DFM. This is the
 import pytest
 
 from repro.core.backend import XfmBackend
-from repro.core.system import MultiChannelXfmBackend
 from repro.dfm import DfmBackend
 from repro.sfm.backend import SfmBackend
 from repro.sfm.controller import ColdScanController
@@ -20,7 +19,7 @@ from repro.workloads.webfrontend import WebFrontend, WebFrontendConfig
 TIERS = {
     "baseline": lambda: SfmBackend(capacity_bytes=512 * PAGE_SIZE),
     "xfm": lambda: XfmBackend(capacity_bytes=512 * PAGE_SIZE),
-    "xfm-multichannel": lambda: MultiChannelXfmBackend(
+    "xfm-multichannel": lambda: XfmBackend(
         capacity_bytes=512 * PAGE_SIZE, num_dimms=4
     ),
     "dfm": lambda: DfmBackend(capacity_bytes=512 * PAGE_SIZE),
@@ -84,9 +83,7 @@ class TestTierDifferences:
         assert dfm.swap_out(Page(vaddr=0, data=noise[0])).accepted
 
     def test_prefetcher_drives_offloads_on_multichannel(self):
-        backend = MultiChannelXfmBackend(
-            capacity_bytes=512 * PAGE_SIZE, num_dimms=4
-        )
+        backend = XfmBackend(capacity_bytes=512 * PAGE_SIZE, num_dimms=4)
         # The front-end announces each analytics scan through
         # runtime.prefetch(), which promotes over the offload path.
         _, report = _run_frontend(backend, duration_s=45.0)

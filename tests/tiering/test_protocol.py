@@ -9,7 +9,6 @@ backend's counters finally reach registry export.
 import pytest
 
 from repro.core.backend import XfmBackend
-from repro.core.system import MultiChannelXfmBackend
 from repro.dfm.backend import DfmBackend
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE, Page
@@ -20,8 +19,8 @@ from repro.workloads.corpus import corpus_pages
 TIERS = {
     "cpu": lambda **kw: SfmBackend(capacity_bytes=128 * PAGE_SIZE, **kw),
     "xfm": lambda **kw: XfmBackend(capacity_bytes=128 * PAGE_SIZE, **kw),
-    "xfm-mc": lambda **kw: MultiChannelXfmBackend(
-        capacity_bytes=128 * PAGE_SIZE, **kw
+    "xfm-mc": lambda **kw: XfmBackend(
+        capacity_bytes=128 * PAGE_SIZE, num_dimms=4, **kw
     ),
     "dfm": lambda **kw: DfmBackend(capacity_bytes=128 * PAGE_SIZE, **kw),
 }
@@ -91,14 +90,12 @@ class TestConformance:
 class TestSwapOutcomeUnification:
     def test_single_class_across_import_paths(self):
         from repro.core import backend as core_backend
-        from repro.core import system as core_system
         from repro.dfm import backend as dfm_backend
         from repro.sfm import backend as sfm_backend
         from repro.tiering import protocol
 
         assert sfm_backend.SwapOutcome is protocol.SwapOutcome
         assert core_backend.SwapOutcome is protocol.SwapOutcome
-        assert core_system.SwapOutcome is protocol.SwapOutcome
         assert dfm_backend.SwapOutcome is protocol.SwapOutcome
 
     def test_ratio_property(self):

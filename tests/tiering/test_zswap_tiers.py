@@ -9,7 +9,6 @@ pipeline.
 import pytest
 
 from repro.core.backend import XfmBackend
-from repro.core.system import MultiChannelXfmBackend
 from repro.dfm.backend import DfmBackend
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE
@@ -20,7 +19,7 @@ from repro.workloads.corpus import corpus_pages
 TIERS = {
     "cpu": lambda: SfmBackend(capacity_bytes=64 * PAGE_SIZE),
     "xfm": lambda: XfmBackend(capacity_bytes=64 * PAGE_SIZE),
-    "xfm-mc": lambda: MultiChannelXfmBackend(capacity_bytes=64 * PAGE_SIZE),
+    "xfm-mc": lambda: XfmBackend(capacity_bytes=64 * PAGE_SIZE, num_dimms=4),
     "dfm": lambda: DfmBackend(capacity_bytes=64 * PAGE_SIZE),
     "pipeline": lambda: TierPipeline.build(
         cpu_capacity_bytes=32 * PAGE_SIZE,
