@@ -21,12 +21,31 @@
  * code lengths must match code_lengths_from_frequencies symbol for
  * symbol, and the encoders must pick the same block mode and emit the
  * same bit stream as their BitWriter-based references (LSB-first).
+ * The kernels may reach those decisions more cheaply than the
+ * references, never differently:
+ *
+ *   - the matcher visits the same chain candidates against the same
+ *     budget; its quick reject tests byte 0 and bytes best_len-1 and
+ *     best_len (the reference tests byte best_len alone), which skips
+ *     only candidates a strictly longer match could not come from, and
+ *     it extends a match eight bytes at a time;
+ *   - the Huffman build pops the reference heap's (weight, id) sequence
+ *     from two queues: the leaves sorted by (weight, id), and the
+ *     merges in the order they are made.  Merges are made in
+ *     nondecreasing weight (each weighs at least as much as anything
+ *     popped before it) with increasing ids, so each queue's front is
+ *     its least item, and on equal weight the leaf goes first because
+ *     every leaf id is below every merge id;
+ *   - the bit writer moves whole words, and the tokeniser keeps its
+ *     hash heads in caller-provided scratch between calls (see
+ *     tokenize_scratch_bytes) instead of clearing them.
+ *
  * The decoders only have to be exact on *valid* streams: on any
  * malformed input they return a negative error and the caller re-runs
  * the Python decoder so error semantics (exception type and message)
  * stay Python's.  Every entry checks the capacity of every buffer it
  * writes, and the large scratch (hash chains, token arrays, full-width
- * decode tables) is malloc'd, never stack.
+ * decode tables) is the caller's or malloc'd, never stack.
  */
 
 #include <stdint.h>
@@ -47,9 +66,45 @@
 #define EOB 256
 #define MAX_CODE_LEN 15
 
+/* Eight bytes as a little-endian word. */
+static inline uint64_t load_le64(const uint8_t *p)
+{
+    uint64_t v;
+    memcpy(&v, p, 8);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    return v;
+}
+
 /* ------------------------------------------------------------------ */
 /* LZ77 tokenizer                                                      */
 /* ------------------------------------------------------------------ */
+
+/* Length of the common prefix of `a` and `b`, at most `max_len`: eight
+ * bytes at a time while eight remain (the first differing byte is the
+ * lowest set byte of the XOR), then bytewise.  No load reaches
+ * a + max_len or b + max_len. */
+static inline int64_t common_prefix(
+    const uint8_t *a, const uint8_t *b, int64_t max_len)
+{
+    int64_t length = 0;
+    for (; length + 8 <= max_len; length += 8) {
+        uint64_t diff = load_le64(a + length) ^ load_le64(b + length);
+        if (diff)
+            return length + (__builtin_ctzll(diff) >> 3);
+    }
+    while (length < max_len && a[length] == b[length])
+        length++;
+    return length;
+}
+
+static inline uint16_t load16(const uint8_t *p)
+{
+    uint16_t v;
+    memcpy(&v, p, 2);
+    return v;
+}
 
 static inline int64_t best_match_at(
     const uint8_t *data, const int32_t *prev, int64_t n, int64_t pos,
@@ -64,34 +119,33 @@ static inline int64_t best_match_at(
         floor = 0;
     if (candidate < floor)
         return 0;
-    int64_t best_len = min_match - 1;
+    int64_t best_len = min_match - 1; /* >= 2 */
     int64_t best_dist = 0;
     int64_t max_len = (n - pos > max_match) ? max_match : n - pos;
     int64_t budget = max_chain;
-    uint8_t target = data[pos + best_len];
     const uint8_t *b = data + pos;
+    /* best_len < max_len <= n - pos keeps every load below in bounds
+     * (candidate < pos). */
+    uint16_t tail = load16(b + best_len - 1);
     while (candidate >= floor && budget > 0) {
         budget--;
-        /* Quick reject: a candidate mismatching at offset best_len can
-         * never produce a strictly longer match. */
-        if (data[candidate + best_len] != target) {
+        const uint8_t *a = data + candidate;
+        /* Quick reject: a strictly longer match agrees on bytes
+         * 0..best_len, so a candidate that differs at byte 0 or at
+         * best_len-1..best_len cannot win.  The reference checks byte
+         * best_len alone; both skip only losers, so the chosen match
+         * is the same. */
+        if (a[0] != b[0] || load16(a + best_len - 1) != tail) {
             candidate = prev[candidate];
             continue;
         }
-        const uint8_t *a = data + candidate;
-        int64_t length = 0;
-        /* 32-byte chunk extension; length+32 <= max_len <= n-pos keeps
-         * both sides in bounds (candidate < pos). */
-        while (length + 32 <= max_len && memcmp(a + length, b + length, 32) == 0)
-            length += 32;
-        while (length < max_len && a[length] == b[length])
-            length++;
+        int64_t length = common_prefix(a, b, max_len);
         if (length > best_len) {
             best_len = length;
             best_dist = pos - candidate;
             if (length >= max_len)
                 break;
-            target = data[pos + best_len];
+            tail = load16(b + best_len - 1);
         }
         candidate = prev[candidate];
     }
@@ -100,27 +154,60 @@ static inline int64_t best_match_at(
     return 0;
 }
 
-/* Tokenize one buffer; returns the number of packed tokens written to
- * `out` (caller sizes it to n).  `head` is 1<<15 int32 scratch, `prev`
- * is n int32 scratch. */
+/* Bytes of tokeniser scratch for an `n`-byte input: the HASH_SIZE
+ * int32 hash heads, an int64 epoch, then n int64 token slots and n
+ * int32 chain links.  Each call numbers its positions from one past
+ * the epoch it finds and leaves the epoch past its last number, so the
+ * heads earlier calls left read as empty and are never cleared between
+ * calls.  A zeroed block is ready to use, and one block serves every
+ * input up to the `n` it was sized for. */
+int64_t tokenize_scratch_bytes(int64_t n)
+{
+    return HASH_SIZE * (int64_t)sizeof(int32_t) + (int64_t)sizeof(int64_t)
+        + n * (int64_t)(sizeof(int64_t) + sizeof(int32_t));
+}
+
+/* The token slots of a tokenize_scratch_bytes block. */
+static inline int64_t *scratch_tokens(uint8_t *scratch)
+{
+    return (int64_t *)(scratch + HASH_SIZE * sizeof(int32_t)) + 1;
+}
+
+/* Tokenize one buffer into `out` (n slots; it may be the token slots
+ * of `scratch` itself) and return the number of packed tokens.
+ * `scratch` is a tokenize_scratch_bytes(n) block as described there. */
 int64_t lz77_tokenize(
     const uint8_t *data, int64_t n,
     int64_t window_size, int64_t min_match, int64_t max_match,
-    int64_t max_chain, int64_t lazy,
-    int32_t *head, int32_t *prev, int64_t *out)
+    int64_t max_chain, int64_t lazy, uint8_t *scratch, int64_t *out)
 {
     int64_t ntok = 0;
     if (n <= 0)
         return 0;
+    int32_t *head = (int32_t *)scratch;
+    int64_t *epoch = (int64_t *)(head + HASH_SIZE);
+    int32_t *prev = (int32_t *)(scratch_tokens(scratch) + n);
     memset(prev, 0xFF, (size_t)n * sizeof(int32_t));
     if (n >= 3) {
-        memset(head, 0xFF, HASH_SIZE * sizeof(int32_t));
+        /* Number this call's positions from one past the epoch; when
+         * that would leave the int32 range, clear the heads and start
+         * over. */
+        int64_t last = *epoch;
+        if (last < 0 || last >= INT32_MAX - n) {
+            memset(head, 0, HASH_SIZE * sizeof(int32_t));
+            last = 0;
+        }
+        int64_t base = last + 1;
+        *epoch = base + n;
         uint32_t key = (uint32_t)data[0] | ((uint32_t)data[1] << 8);
         for (int64_t i = 0; i + 2 < n; i++) {
             key |= (uint32_t)data[i + 2] << 16;
             uint32_t h = ((key * HASH_MULT) >> 16) & HASH_MASK;
-            prev[i] = head[h];
-            head[h] = (int32_t)i;
+            /* The range check also keeps a block that was never
+             * zeroed from linking anywhere but an earlier position. */
+            int64_t link = (int64_t)head[h] - base;
+            prev[i] = (uint64_t)link < (uint64_t)i ? (int32_t)link : -1;
+            head[h] = (int32_t)(base + i);
             key >>= 8;
         }
     }
@@ -162,26 +249,6 @@ int64_t lz77_tokenize(
     return ntok;
 }
 
-/* Tokenise `data` into freshly allocated scratch: the n-slot token
- * array the caller must free, followed by the hash chains.  NULL when
- * the allocation fails. */
-static int64_t *tokenize_alloc(
-    const uint8_t *data, int64_t n,
-    int64_t window_size, int64_t min_match, int64_t max_match,
-    int64_t max_chain, int64_t lazy, int64_t *ntok)
-{
-    int64_t *tokens = malloc(
-        (size_t)n * (sizeof(int64_t) + sizeof(int32_t))
-        + HASH_SIZE * sizeof(int32_t));
-    if (!tokens)
-        return NULL;
-    int32_t *prev = (int32_t *)(tokens + n);
-    *ntok = lz77_tokenize(
-        data, n, window_size, min_match, max_match, max_chain, lazy,
-        prev + n, prev, tokens);
-    return tokens;
-}
-
 /* ------------------------------------------------------------------ */
 /* Bit reader / writer (LSB-first, as repro.compression.bitio)        */
 /* ------------------------------------------------------------------ */
@@ -193,17 +260,6 @@ typedef struct {
     uint64_t acc;
     int nbits;
 } BitRd;
-
-/* Eight stream bytes as a little-endian word. */
-static inline uint64_t load_le64(const uint8_t *p)
-{
-    uint64_t v;
-    memcpy(&v, p, 8);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    v = __builtin_bswap64(v);
-#endif
-    return v;
-}
 
 /* Callers refill below 16 buffered bits.  While eight bytes remain one
  * word load tops the accumulator up to 56..63 bits; the bytes it loads
@@ -270,11 +326,10 @@ typedef struct {
     int nbits;
 } BitWr;
 
-/* nbits <= 16 per call; fewer than 8 bits are ever left pending. */
-static inline int bw_write(BitWr *w, uint64_t value, int nbits)
+/* The accumulator's whole bytes, one at a time; -1 when they do not
+ * fit the buffer. */
+static int bw_drain(BitWr *w)
 {
-    w->acc |= value << w->nbits;
-    w->nbits += nbits;
     while (w->nbits >= 8) {
         if (w->len >= w->cap)
             return -1;
@@ -282,6 +337,30 @@ static inline int bw_write(BitWr *w, uint64_t value, int nbits)
         w->acc >>= 8;
         w->nbits -= 8;
     }
+    return 0;
+}
+
+/* nbits <= 32 per call; fewer than 32 bits are ever left pending.  Once
+ * 32 are pending they leave as one eight-byte store while eight bytes
+ * of room remain: the bytes past the whole ones it writes are the
+ * pending bits and zeros, which the next store overwrites. */
+static inline int bw_write(BitWr *w, uint64_t value, int nbits)
+{
+    w->acc |= value << w->nbits;
+    w->nbits += nbits;
+    if (w->nbits < 32)
+        return 0;
+    if (w->cap - w->len < 8)
+        return bw_drain(w);
+    uint64_t word = w->acc;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    word = __builtin_bswap64(word);
+#endif
+    memcpy(w->out + w->len, &word, 8);
+    int bytes = w->nbits >> 3;
+    w->len += bytes;
+    w->acc >>= bytes << 3;
+    w->nbits &= 7;
     return 0;
 }
 
@@ -298,11 +377,12 @@ static inline int bw_varint(BitWr *w, uint64_t value)
     }
 }
 
-
-/* BitWriter.align_to_byte: zero bits up to the next byte boundary. */
-static inline int bw_align(BitWr *w)
+/* BitWriter.align_to_byte, then every pending byte into the buffer:
+ * the stream is complete. */
+static inline int bw_finish(BitWr *w)
 {
-    return w->nbits ? bw_write(w, 0, 8 - w->nbits) : 0;
+    w->nbits = (w->nbits + 7) & ~7;
+    return bw_drain(w);
 }
 
 /* lz77.extend_match: append `length` bytes that start `offset` (>= 1)
@@ -338,50 +418,28 @@ static inline void copy_match(
  * Anything beyond either is left to Python's unbounded integers. */
 #define HUFF_MAX_SYMBOLS 512
 #define HUFF_MAX_FREQ ((int64_t)1 << 48)
+/* A leaf sorts as (frequency << HUFF_ID_BITS) | id, below 2**57. */
+#define HUFF_ID_BITS 9
+#define HUFF_ID_MASK ((1 << HUFF_ID_BITS) - 1)
 
-/* heapq over (weight, insertion id) tuples: ids are unique, so the
- * order is total and any correct binary heap pops the same sequence. */
-typedef struct {
-    int64_t weight;
-    int32_t id;
-} HeapItem;
-
-static inline int heap_less(HeapItem a, HeapItem b)
+/* Sort `m` distinct keys ascending by LSD radix over their bytes up to
+ * the highest set one, moving them between `a` and `tmp`; returns the
+ * array that holds the result. */
+static uint64_t *radix_sort(uint64_t *a, uint64_t *tmp, int m, uint64_t top)
 {
-    return a.weight < b.weight || (a.weight == b.weight && a.id < b.id);
-}
-
-static void heap_push(HeapItem *heap, int *size, HeapItem item)
-{
-    int i = (*size)++;
-    while (i > 0) {
-        int parent = (i - 1) >> 1;
-        if (!heap_less(item, heap[parent]))
-            break;
-        heap[i] = heap[parent];
-        i = parent;
+    for (int shift = 0; shift < 64 && (top >> shift); shift += 8) {
+        int start[257] = {0};
+        for (int i = 0; i < m; i++)
+            start[((a[i] >> shift) & 0xFF) + 1]++;
+        for (int d = 0; d < 256; d++)
+            start[d + 1] += start[d];
+        for (int i = 0; i < m; i++)
+            tmp[start[(a[i] >> shift) & 0xFF]++] = a[i];
+        uint64_t *t = a;
+        a = tmp;
+        tmp = t;
     }
-    heap[i] = item;
-}
-
-static HeapItem heap_pop(HeapItem *heap, int *size)
-{
-    HeapItem top = heap[0];
-    HeapItem last = heap[--(*size)];
-    int i = 0;
-    for (;;) {
-        int child = 2 * i + 1;
-        if (child >= *size)
-            break;
-        if (child + 1 < *size && heap_less(heap[child + 1], heap[child]))
-            child++;
-        if (!heap_less(heap[child], last))
-            break;
-        heap[i] = heap[child];
-        i = child;
-    }
-    heap[i] = last;
-    return top;
+    return a;
 }
 
 /* Translation of huffman.code_lengths_from_frequencies: Huffman tree
@@ -419,20 +477,37 @@ int64_t huffman_code_lengths(
         return -2;
 
     /* Leaves take ids 0..m-1 in symbol order, each merge the next id,
-     * exactly the tiebreak counter of the Python heap. */
-    HeapItem heap[HUFF_MAX_SYMBOLS];
+     * exactly the tiebreak counter of the Python heap, whose pop order
+     * the two queues reproduce (see the top of this file). */
+    uint64_t keys[HUFF_MAX_SYMBOLS], tmp[HUFF_MAX_SYMBOLS];
+    uint64_t top = 0;
+    for (int i = 0; i < m; i++) {
+        keys[i] = ((uint64_t)freq[used[i]] << HUFF_ID_BITS) | (uint64_t)i;
+        top |= keys[i];
+    }
+    const uint64_t *leaf = radix_sort(keys, tmp, m, top);
+    int64_t merged[HUFF_MAX_SYMBOLS];
     int32_t parent[2 * HUFF_MAX_SYMBOLS];
     int32_t depth[2 * HUFF_MAX_SYMBOLS];
-    int size = 0;
-    for (int i = 0; i < m; i++)
-        heap_push(heap, &size, (HeapItem){freq[used[i]], i});
+    int next_leaf = 0, next_merge = 0;
     int next = m;
-    while (size > 1) {
-        HeapItem a = heap_pop(heap, &size);
-        HeapItem b = heap_pop(heap, &size);
-        parent[a.id] = parent[b.id] = next;
-        heap_push(heap, &size, (HeapItem){a.weight + b.weight, next});
-        next++;
+    for (; next < 2 * m - 1; next++) {
+        int64_t weight = 0;
+        for (int pick = 0; pick < 2; pick++) {
+            int id;
+            if (next_leaf < m
+                && (next_merge == next - m
+                    || (int64_t)(leaf[next_leaf] >> HUFF_ID_BITS)
+                           <= merged[next_merge])) {
+                id = (int)(leaf[next_leaf] & HUFF_ID_MASK);
+                weight += (int64_t)(leaf[next_leaf++] >> HUFF_ID_BITS);
+            } else {
+                id = m + next_merge;
+                weight += merged[next_merge++];
+            }
+            parent[id] = next;
+        }
+        merged[next - m] = weight;
     }
     depth[next - 1] = 0;
     for (int id = next - 2; id >= 0; id--)
@@ -612,21 +687,28 @@ static const uint8_t DIST_EXTRA[30] = {
     10, 11, 11, 12, 12, 13, 13};
 
 /* deflate._length_to_code / _distance_to_code: the last code whose
- * base does not exceed the value (index into the tables above). */
+ * base does not exceed the value (index into the tables above).  Past
+ * the first codes, each pair (distances) or quad (lengths) of codes
+ * shares one power of two, so the code is twice (four times) that
+ * power's exponent plus the next bit (two bits) below it. */
 static inline int length_code(int64_t length)
 {
-    int code = 28;
-    while (LEN_BASE[code] > length)
-        code--;
-    return code;
+    if (length >= 258)
+        return 28;
+    uint32_t x = (uint32_t)(length - 3);
+    if (x < 8)
+        return (int)x;
+    int k = 31 - __builtin_clz(x);
+    return 4 * k - 4 + (int)((x >> (k - 2)) & 3);
 }
 
 static inline int dist_code(int64_t distance)
 {
-    int code = 29;
-    while (DIST_BASE[code] > distance)
-        code--;
-    return code;
+    uint32_t x = (uint32_t)(distance - 1);
+    if (x < 4)
+        return (int)x;
+    int k = 31 - __builtin_clz(x);
+    return 2 * k + (int)((x >> (k - 1)) & 1);
 }
 
 /* RFC 1951 3.2.6 fixed code lengths. */
@@ -786,15 +868,20 @@ static int write_symbols(
         int64_t length = tok & PACKED_LENGTH_MASK;
         int64_t distance = tok >> PACKED_LENGTH_BITS;
         int lc = length_code(length), dc = dist_code(distance);
-        if (bw_write(w, ll_codes[257 + lc], ll_lengths[257 + lc])
-            || bw_write(w, (uint64_t)(length - LEN_BASE[lc]), LEN_EXTRA[lc])
-            || bw_write(w, d_codes[dc], d_lengths[dc])
-            || bw_write(w, (uint64_t)(distance - DIST_BASE[dc]), DIST_EXTRA[dc]))
+        /* Each code with its extra bits in one write (<= 20 and <= 28
+         * bits). */
+        int ll_bits = ll_lengths[257 + lc], d_bits = d_lengths[dc];
+        if (bw_write(w, ll_codes[257 + lc]
+                         | (uint64_t)(length - LEN_BASE[lc]) << ll_bits,
+                     ll_bits + LEN_EXTRA[lc])
+            || bw_write(w, d_codes[dc]
+                            | (uint64_t)(distance - DIST_BASE[dc]) << d_bits,
+                        d_bits + DIST_EXTRA[dc]))
             return -1;
     }
     if (bw_write(w, ll_codes[EOB], ll_lengths[EOB]))
         return -1;
-    return bw_align(w);
+    return bw_finish(w);
 }
 
 /* Elect the block mode for one token stream exactly as the reference
@@ -864,32 +951,30 @@ static int64_t encode_block(
     return write_symbols(&w, tokens, ntok, ll, d) ? -4 : w.len;
 }
 
-/* DeflateCodec.compress minus the blob header: tokenise `data`, elect
- * the block mode, render the body into `out`.  Stores the mode in
- * *mode_out and returns the body length (0 for stored), negative when
- * the scratch allocation fails or `out_cap` is too small for the body
- * (a body is only ever chosen when it is shorter than `n`). */
+/* DeflateCodec.compress minus the blob header: tokenise `data` in
+ * `scratch` (a tokenize_scratch_bytes(n) block), elect the block mode,
+ * render the body into `out`.  Stores the mode in *mode_out and
+ * returns the body length (0 for stored), negative when `out_cap` is
+ * too small for the body (a body is only ever chosen when it is
+ * shorter than `n`). */
 int64_t deflate_compress(
     const uint8_t *data, int64_t n,
     int64_t window_size, int64_t min_match, int64_t max_match,
     int64_t max_chain, int64_t lazy,
     const uint8_t *static_ll_lengths, const uint8_t *static_d_lengths,
     const uint8_t *static_header, int64_t static_header_len,
-    uint8_t *out, int64_t out_cap, int64_t *mode_out)
+    uint8_t *scratch, uint8_t *out, int64_t out_cap, int64_t *mode_out)
 {
     *mode_out = MODE_STORED;
     if (n <= 0)
         return 0;
-    int64_t ntok;
-    int64_t *tokens = tokenize_alloc(
-        data, n, window_size, min_match, max_match, max_chain, lazy, &ntok);
-    if (!tokens)
-        return -1;
-    int64_t written = encode_block(
+    int64_t *tokens = scratch_tokens(scratch);
+    int64_t ntok = lz77_tokenize(
+        data, n, window_size, min_match, max_match, max_chain, lazy,
+        scratch, tokens);
+    return encode_block(
         tokens, ntok, n, static_ll_lengths, static_d_lengths,
         static_header, static_header_len, out, out_cap, mode_out);
-    free(tokens);
-    return written;
 }
 
 /* deflate._read_table_header: the inverse of write_table_header. */
@@ -1224,34 +1309,33 @@ static int64_t zstdlike_encode_body(
     }
     if (run && (bw_varint(&w, (uint64_t)run) || bw_varint(&w, 0)))
         return -2;
-    if (bw_align(&w))
+    if (bw_finish(&w))
         return -2;
     return w.len;
 }
 
-/* ZstdLikeCodec.compress minus the blob header: tokenise `data`,
- * encode the payload into `out` (at least `n` bytes) and keep it only
- * if it saves more than three bytes.  Stores the mode in *mode_out and
- * returns the payload length (0 for stored: the payload is `data`
- * itself), negative on failure. */
+/* ZstdLikeCodec.compress minus the blob header: tokenise `data` in
+ * `scratch` (a tokenize_scratch_bytes(n) block), encode the payload
+ * into `out` (at least `n` bytes) and keep it only if it saves more
+ * than three bytes.  Stores the mode in *mode_out and returns the
+ * payload length (0 for stored: the payload is `data` itself),
+ * negative on failure. */
 int64_t zstdlike_compress(
     const uint8_t *data, int64_t n,
     int64_t window_size, int64_t min_match, int64_t max_match,
     int64_t max_chain, int64_t lazy,
-    uint8_t *out, int64_t out_cap, int64_t *mode_out)
+    uint8_t *scratch, uint8_t *out, int64_t out_cap, int64_t *mode_out)
 {
     *mode_out = ZSTD_MODE_STORED;
     if (n <= 0)
         return 0;
     if (out_cap < n)
         return -1;
-    int64_t ntok;
-    int64_t *tokens = tokenize_alloc(
-        data, n, window_size, min_match, max_match, max_chain, lazy, &ntok);
-    if (!tokens)
-        return -1;
+    int64_t *tokens = scratch_tokens(scratch);
+    int64_t ntok = lz77_tokenize(
+        data, n, window_size, min_match, max_match, max_chain, lazy,
+        scratch, tokens);
     int64_t body_len = zstdlike_encode_body(tokens, ntok, out, out_cap);
-    free(tokens);
     if (body_len == -2 || (body_len >= 0 && body_len + 3 >= n))
         return 0; /* out_cap >= n: a body that overflows it saves nothing */
     if (body_len >= 0)

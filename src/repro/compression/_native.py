@@ -35,7 +35,7 @@ import subprocess
 import tempfile
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 _SOURCE = Path(__file__).with_name("_hotpath.c")
 
@@ -52,18 +52,19 @@ def _declare(lib: ctypes.CDLL) -> None:
     i64 = ctypes.c_int64
     mode_out = ctypes.POINTER(ctypes.c_int64)
     matcher = [i64, i64, i64, i64, i64]  # window, min, max, chain, lazy
-    lib.lz77_tokenize.argtypes = [p, i64, *matcher, p, p, p]
+    lib.tokenize_scratch_bytes.argtypes = [i64]
+    lib.lz77_tokenize.argtypes = [p, i64, *matcher, p, p]
     lib.huffman_code_lengths.argtypes = [p, i64, i64, p]
     lib.deflate_compress.argtypes = [
-        p, i64, *matcher, p, p, p, i64, p, i64, mode_out,
+        p, i64, *matcher, p, p, p, i64, p, p, i64, mode_out,
     ]
     lib.deflate_decompress.argtypes = [p, i64, i64, i64, p, i64]
     lib.lzfast_compress.argtypes = [p, i64, i64, p, p, i64]
     lib.lzfast_decompress.argtypes = [p, i64, i64, p, i64]
-    lib.zstdlike_compress.argtypes = [p, i64, *matcher, p, i64, mode_out]
+    lib.zstdlike_compress.argtypes = [p, i64, *matcher, p, p, i64, mode_out]
     lib.zstdlike_decode_body.argtypes = [p, i64, i64, p, p, p, i64]
     for name in (
-        "lz77_tokenize", "huffman_code_lengths",
+        "tokenize_scratch_bytes", "lz77_tokenize", "huffman_code_lengths",
         "deflate_compress", "deflate_decompress",
         "lzfast_compress", "lzfast_decompress",
         "zstdlike_compress", "zstdlike_decode_body",
@@ -150,6 +151,36 @@ def load() -> Optional[ctypes.CDLL]:
     except Exception:
         _lib = None
     return _lib
+
+
+#: Encoder buffers shared process-wide (the harness is single-threaded),
+#: sized for one 4 KiB page: the kernels' tokeniser scratch and an output
+#: buffer. The tokeniser leaves its scratch ready for the next call.
+_SHARED_ENCODE_BYTES = 4096
+_shared_encode: Optional[Tuple[ctypes.Array, ctypes.Array]] = None
+
+
+def encode_buffers(
+    lib: ctypes.CDLL, n: int
+) -> Tuple[ctypes.Array, ctypes.Array]:
+    """``(scratch, out)`` for tokenising and encoding ``n`` bytes: a
+    ``tokenize_scratch_bytes(n)`` block and an ``n``-byte output buffer.
+    Up to a 4 KiB page these are the shared pair; a larger input gets a
+    fresh (zeroed, hence ready) pair."""
+    global _shared_encode
+    if n > _SHARED_ENCODE_BYTES:
+        return (
+            ctypes.create_string_buffer(lib.tokenize_scratch_bytes(n)),
+            ctypes.create_string_buffer(n),
+        )
+    if _shared_encode is None:
+        _shared_encode = (
+            ctypes.create_string_buffer(
+                lib.tokenize_scratch_bytes(_SHARED_ENCODE_BYTES)
+            ),
+            ctypes.create_string_buffer(_SHARED_ENCODE_BYTES),
+        )
+    return _shared_encode
 
 
 def available() -> bool:

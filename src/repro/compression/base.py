@@ -122,12 +122,19 @@ def refuse_overclaim(
         )
 
 
-def byte_varint(value: int) -> bytes:
+def byte_varint(value: int, low_bit_continue: bool = False) -> bytes:
     """LEB128: 7-bit groups, low first, continue flag in the high bit —
-    the ``orig_len`` field of the deflate and lzfast headers."""
+    the ``orig_len`` field of the deflate and lzfast headers. With
+    ``low_bit_continue`` the flag is bit 0 and the group sits above it:
+    ``bitio.write_varint_bits`` on a byte boundary, the zstd-like
+    header's field."""
     out = bytearray()
     while True:
-        out.append((value & 0x7F) | (0x80 if value >> 7 else 0))
+        more = 1 if value >> 7 else 0
+        if low_bit_continue:
+            out.append(((value & 0x7F) << 1) | more)
+        else:
+            out.append((value & 0x7F) | (more << 7))
         value >>= 7
         if not value:
             return bytes(out)

@@ -503,13 +503,14 @@ class DeflateCodec(Codec):
             return None
         static = self._static_tables
         # A body is only chosen when it is shorter than the page.
-        out = ctypes.create_string_buffer(len(data))
+        scratch, out = _native.encode_buffers(lib, len(data))
         mode = ctypes.c_int64()
         written = lib.deflate_compress(
             data,
             len(data),
             *self._matcher.kernel_args,
             *(static.kernel_args if static else (None, None, None, 0)),
+            scratch,
             out,
             len(data),
             ctypes.byref(mode),

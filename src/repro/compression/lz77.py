@@ -9,9 +9,12 @@ token streams:
   the matcher, the oracle the kernel is tested against, and the engine
   that runs when no kernel loads (``REPRO_NO_NATIVE``, no compiler);
 * the **native kernel** (``lz77_tokenize`` in ``_hotpath.c``, loaded via
-  :mod:`repro.compression._native`) — a statement-for-statement C
-  translation of the scalar walk (same chains, same quick-reject, same
-  budget and lazy rules), used whenever the host compiler produced it.
+  :mod:`repro.compression._native`) — a C translation of the scalar
+  walk that makes every decision it makes (same chains, same budget and
+  lazy rules; its quick reject also tests byte 0 and byte
+  ``best_len - 1``, which a strictly longer match must share too, and
+  it extends matches eight bytes at a time), used whenever the host
+  compiler produced it.
 
 Variants are parameters of that one datapath (``window_size``,
 ``max_chain``, ``lazy``), not parallel implementations, and there is no
@@ -41,7 +44,6 @@ shrinks from 4 KiB to 1 KiB as pages are split across DIMMs.
 
 from __future__ import annotations
 
-import ctypes
 from array import array
 from typing import Iterable
 
@@ -59,10 +61,6 @@ _HASH_MASK = (1 << _HASH_BITS) - 1
 #: Bits reserved for the match length in a packed token.
 PACKED_LENGTH_BITS = 9
 PACKED_LENGTH_MASK = (1 << PACKED_LENGTH_BITS) - 1
-
-#: Head-table scratch for the native tokenizer (the kernel re-memsets it
-#: per call), shared process-wide: the harness is single-threaded.
-_HEAD_SCRATCH = (ctypes.c_int32 * (1 << _HASH_BITS))()
 
 
 class Lz77Matcher:
@@ -119,9 +117,10 @@ class Lz77Matcher:
     def _tokenize_packed_native(self, data: bytes):
         """Tokenize via the C kernel; ``None`` means "use the reference".
 
-        The kernel is a direct translation of
-        :meth:`_tokenize_packed_scalar` — same chains, same quick-reject,
-        same budget and lazy rules — so its token stream is identical.
+        The kernel translates :meth:`_tokenize_packed_scalar` — same
+        chains, same budget and lazy rules, a quick reject that skips
+        only candidates the reference would not pick — so its token
+        stream is identical.
         """
         n = len(data)
         if n == 0:
@@ -130,14 +129,9 @@ class Lz77Matcher:
         if lib is None or type(data) is not bytes:
             return None
         tokens = array("q", bytes(8 * n))  # every token consumes >= 1 byte
-        prev = (ctypes.c_int32 * n)()
+        scratch, _ = _native.encode_buffers(lib, n)
         ntok = lib.lz77_tokenize(
-            data,
-            n,
-            *self.kernel_args,
-            _HEAD_SCRATCH,
-            prev,
-            tokens.buffer_info()[0],
+            data, n, *self.kernel_args, scratch, tokens.buffer_info()[0]
         )
         if ntok < 0:
             return None

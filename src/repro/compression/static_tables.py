@@ -21,10 +21,11 @@ files, which makes the artifact diffable and CI-comparable.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.compression.deflate import (
     DeflateCodec,
@@ -286,7 +287,21 @@ class StaticTableRegistry:
     @classmethod
     def load_default(cls) -> Optional["StaticTableRegistry"]:
         """The packaged artifact, or ``None`` when it is not present
-        (callers fall back to dynamic-mode deflate)."""
+        (callers fall back to dynamic-mode deflate). Each call returns a
+        registry of its own; the file is read and parsed once per
+        process, and every registry shares its frozen entries."""
         if not DEFAULT_TABLES_PATH.exists():
             return None
-        return cls.load(DEFAULT_TABLES_PATH)
+        registry = cls()
+        for entry in _default_entries():
+            registry.register(entry)
+        return registry
+
+
+@functools.lru_cache(maxsize=1)
+def _default_entries() -> Tuple[TableEntry, ...]:
+    """The packaged artifact's entries, parsed on first use. A
+    :class:`TableEntry` is frozen and its tables are only ever read, so
+    the codecs built from them can share them."""
+    registry = StaticTableRegistry.load(DEFAULT_TABLES_PATH)
+    return tuple(registry.get(domain) for domain in registry.domains())

@@ -33,6 +33,7 @@ from repro.compression import _native
 from repro.compression.base import (
     Codec,
     CodecSpec,
+    byte_varint,
     native_header,
     refuse_overclaim,
     register_codec,
@@ -102,14 +103,12 @@ class ZstdLikeCodec(Codec):
         if encoded is None:
             encoded = self._encode_python(data)
         mode, payload = encoded
-        writer = BitWriter()
-        writer.write_bits(_MAGIC, 8)
-        writer.write_bits(mode, 8)
-        write_varint_bits(writer, len(data))
-        writer.write_bits(zlib.crc32(data), 32)
-        writer.align_to_byte()
-        writer.write_bytes(payload)
-        return writer.getvalue()
+        # Every header field is whole bytes; the length is the bit-stream
+        # varint (continue flag in bit 0) the payload also uses.
+        header = bytes((_MAGIC, mode)) + byte_varint(
+            len(data), low_bit_continue=True
+        )
+        return header + zlib.crc32(data).to_bytes(4, "little") + payload
 
     def _encode_native(self, data: bytes) -> Optional[Tuple[int, bytes]]:
         """``(mode, payload)`` from one kernel call; ``None`` means "run
@@ -118,12 +117,13 @@ class ZstdLikeCodec(Codec):
         if lib is None or type(data) is not bytes:
             return None
         # A payload is only kept when it is shorter than the page.
-        out = ctypes.create_string_buffer(len(data))
+        scratch, out = _native.encode_buffers(lib, len(data))
         mode = ctypes.c_int64()
         written = lib.zstdlike_compress(
             data,
             len(data),
             *self._matcher.kernel_args,
+            scratch,
             out,
             len(data),
             ctypes.byref(mode),

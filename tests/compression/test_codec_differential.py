@@ -266,13 +266,17 @@ _GUARD = 64
 
 
 class _Guarded:
-    """``size`` writable bytes with 0xA5 canaries either side."""
+    """``size`` writable bytes with 0xA5 canaries either side; with
+    ``zeroed`` the bytes between them start at zero, as a fresh
+    tokeniser scratch block must."""
 
-    def __init__(self, size):
+    def __init__(self, size, zeroed=False):
         self.size = size
         self.raw = (ctypes.c_uint8 * (size + 2 * _GUARD))()
         ctypes.memset(self.raw, 0xA5, len(self.raw))
         self.ptr = ctypes.addressof(self.raw) + _GUARD
+        if zeroed:
+            ctypes.memset(self.ptr, 0, size)
 
     def intact(self):
         canary = b"\xa5" * _GUARD
@@ -296,15 +300,47 @@ def _valid_pages():
     ]
 
 
+def _scratch(lib, n):
+    """A fresh tokeniser scratch block for an ``n``-byte input."""
+    return _Guarded(lib.tokenize_scratch_bytes(n), zeroed=True)
+
+
+def _tokenize(lib, page, scratch):
+    """The packed tokens of ``page`` as bytes, tokenised in ``scratch``."""
+    n = len(page)
+    out = _Guarded(8 * n)
+    ntok = lib.lz77_tokenize(
+        page, n, 4096, 3, 258, 64, 1, scratch.ptr, out.ptr
+    )
+    assert 0 <= ntok <= n and out.intact()
+    return bytes(out.raw[_GUARD : _GUARD + 8 * ntok])
+
+
 def _guard_lz77_tokenize(lib):
     for page in _valid_pages():
-        n = len(page)
-        head, prev, out = _Guarded(4 << 15), _Guarded(4 * n), _Guarded(8 * n)
-        ntok = lib.lz77_tokenize(
-            page, n, 4096, 3, 258, 64, 1, head.ptr, prev.ptr, out.ptr
-        )
-        assert 0 <= ntok <= n
-        yield head, prev, out
+        scratch = _scratch(lib, len(page))
+        _tokenize(lib, page, scratch)
+        yield (scratch,)
+
+
+def _guard_tokenize_scratch_bytes(lib):
+    """One block sized for the largest page tokenises every page in
+    turn, twice over, as the codecs' shared scratch does, and gives a
+    fresh block's tokens each time. So does a used block whose epoch
+    (the int64 after the ``1 << 15`` int32 hash heads) is about to leave
+    the int32 range: the kernel clears the heads its earlier calls left
+    and starts over."""
+    pages = _valid_pages()
+    size = max(map(len, pages))
+    shared, worn = _scratch(lib, size), _scratch(lib, size)
+    for page in pages:
+        _tokenize(lib, page, worn)
+    ctypes.c_int64.from_address(worn.ptr + (4 << 15)).value = 2**31 - 5000
+    for page in pages + pages:
+        expected = _tokenize(lib, page, _scratch(lib, len(page)))
+        for block in (shared, worn):
+            assert _tokenize(lib, page, block) == expected
+            yield (block,)
 
 
 def _guard_huffman_code_lengths(lib):
@@ -323,14 +359,14 @@ def _guard_compress(entry, matcher_args, static_args=()):
             n = len(page)
             # The adapter's capacity, and ones too small for any body.
             for cap in (n, n // 8, 0):
-                out = _Guarded(cap)
+                scratch, out = _scratch(lib, n), _Guarded(cap)
                 mode = ctypes.c_int64(-1)
                 written = getattr(lib, entry)(
                     page, n, *matcher_args, *static_args,
-                    out.ptr, cap, ctypes.byref(mode),
+                    scratch.ptr, out.ptr, cap, ctypes.byref(mode),
                 )
                 assert written <= cap
-                yield (out,)
+                yield scratch, out
 
     return run
 
@@ -394,6 +430,7 @@ def _call_zstdlike_decode_body(lib, blob, pos, mode, orig_len):
 
 GUARDED_ENTRIES = {
     "lz77_tokenize": _guard_lz77_tokenize,
+    "tokenize_scratch_bytes": _guard_tokenize_scratch_bytes,
     "huffman_code_lengths": _guard_huffman_code_lengths,
     "deflate_compress": _guard_compress(
         "deflate_compress", (32768, 3, 258, 64, 1), (None, None, None, 0)

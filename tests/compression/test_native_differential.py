@@ -19,7 +19,7 @@ from repro.compression.base import MAX_EXPANSION
 from repro.compression.bitio import BitReader, read_varint_bits
 from repro.compression.deflate import DeflateCodec, train_static_tables
 from repro.compression.huffman import code_lengths_from_frequencies
-from repro.compression.lz77 import Lz77Matcher
+from repro.compression.lz77 import PACKED_LENGTH_MASK, Lz77Matcher
 from repro.compression.lzfast import LzFastCodec
 from repro.compression.tuning import DEFAULT_GRID
 from repro.compression.zstd_like import ZstdLikeCodec
@@ -64,11 +64,15 @@ def _zstd_like_boundary_pages():
 def _frequency_vectors():
     """Seeded frequency vectors per alphabet: empty, single-symbol, flat,
     random, and Fibonacci-weighted (the shape that drives tree depth
-    past any clamp and forces the Kraft repair)."""
+    past any clamp and forces the Kraft repair). Two tie-heavy families
+    pin the heap's tiebreak, a leaf before a merge of equal weight:
+    weights that repeat earlier merge sums (``1, 1, 2, 2, 4, 4, ...``)
+    and all-equal weights with some slots zeroed."""
     rng = random.Random(20)
     fib = [1, 1]
     while len(fib) < 40:
         fib.append(fib[-1] + fib[-2])
+    doubling = [1 << (i // 2) for i in range(80)]
     for n in (19, 30, 256, 286):
         yield [0] * n
         yield [0] * (n - 1) + [5]
@@ -81,6 +85,43 @@ def _frequency_vectors():
                 fib[: min(used, len(fib))],
             ):
                 yield rng.sample(weights + [0] * (n - len(weights)), n)
+        for used in (2, 3, 5, 8, 13, n // 2, n):
+            weights = doubling[: min(used, len(doubling))]
+            yield weights + [0] * (n - len(weights))
+            yield rng.sample(weights + [0] * (n - len(weights)), n)
+            for weight in (1, 7, 4096):
+                yield rng.sample([weight] * used + [0] * (n - used), n)
+
+
+def _short_inputs(rng):
+    """Every length 0..96 over 1-, 2- and 4-letter alphabets and random
+    bytes; then a noise seed, a copy of its start, one or more periods
+    long, and 0..9 fresh bytes, so the last match ends 0..9 bytes before
+    the end."""
+    for alphabet in (b"a", b"ab", b"abcd", bytes(range(256))):
+        for n in range(97):
+            yield bytes(rng.choice(alphabet) for _ in range(n))
+    for gap in range(10):
+        for length in range(3, 41):
+            seed = bytes(rng.getrandbits(8) for _ in range(16))
+            tail = bytes(rng.getrandbits(8) for _ in range(gap))
+            yield seed + (seed * 3)[:length] + tail
+
+
+_SHORT_INPUTS = list(_short_inputs(random.Random(41)))
+
+
+def _gap_after_last_match(tokens, n):
+    """Bytes between the end of the last match token and ``n``, or
+    ``None`` without a match."""
+    pos, gap = 0, None
+    for token in tokens:
+        if token < 256:
+            pos += 1
+        else:
+            pos += token & PACKED_LENGTH_MASK
+            gap = n - pos
+    return gap
 
 
 def _lengths_or_error(frequencies, max_length):
@@ -222,13 +263,28 @@ class TestNativeMatcherVsScalarReference:
 
     @pytest.mark.parametrize("window_size,max_chain,lazy", DEFAULT_GRID)
     def test_tokens_identical(self, window_size, max_chain, lazy):
+        """Pages, then the short inputs where the kernel's eight-byte
+        compares meet the end of the data. Under the sanitizer build
+        with ``PYTHONMALLOC=malloc``, as CI runs it, this also shows the
+        word loads stay in bounds."""
         matcher = Lz77Matcher(
             window_size=window_size, max_chain=max_chain, lazy=lazy
         )
-        for page in _corpus() + [bytes(range(37)) + b"y" * (4096 - 37)]:
+        pages = _corpus() + [bytes(range(37)) + b"y" * (4096 - 37)]
+        for page in pages + _SHORT_INPUTS:
             native = matcher._tokenize_packed_native(page)
             assert native is not None
             assert list(native) == list(matcher._tokenize_packed_scalar(page))
+
+    def test_short_inputs_end_a_match_at_every_tail_gap(self):
+        """The short inputs end their last match 0..9 bytes before the
+        end, every tail the word compare can leave."""
+        tokenize = Lz77Matcher()._tokenize_packed_scalar
+        gaps = {
+            _gap_after_last_match(tokenize(data), len(data))
+            for data in _SHORT_INPUTS
+        }
+        assert gaps >= set(range(10))
 
 
 @pytest.mark.skipif(

@@ -144,6 +144,15 @@ class TestRegistryPersistence:
         plain = DeflateCodec()
         assert [plain.decompress(blob) for blob in blobs] == pages
 
+    def test_packaged_artifact_is_parsed_once(self, refuse_table_parsing):
+        """The first ``load_default`` of a process parses the artifact;
+        later calls hand out fresh registries over the same frozen
+        entries, so registering into one changes no other."""
+        first, second = (StaticTableRegistry.load_default() for _ in "ab")
+        assert first is not second and first.get("text") is second.get("text")
+        first.register(TableEntry.from_json(first.get("json").to_json()))
+        assert first.get("json") is not second.get("json")
+
 
 class TestTuner:
     def test_stride_sample_spans_corpus(self):

@@ -22,6 +22,7 @@ import pytest
 
 import tests.hypothesis_settings  # noqa: F401 — loads the Hypothesis profile
 from repro.compression import DeflateCodec, LzFastCodec, ZstdLikeCodec
+from repro.compression.static_tables import StaticTableRegistry
 from repro.sfm.page import PAGE_SIZE
 from repro.sim.context import run_context
 from repro.workloads.corpus import corpus_pages
@@ -112,3 +113,15 @@ def codec(request):
         "lzfast": LzFastCodec(),
         "zstd-like": ZstdLikeCodec(),
     }[request.param]
+
+
+@pytest.fixture
+def refuse_table_parsing(monkeypatch):
+    """Load the packaged static tables once, then fail the test on any
+    further ``StaticTableRegistry.load``."""
+    StaticTableRegistry.load_default()
+
+    def parse_again(cls, path):
+        raise AssertionError(f"{path} parsed again")
+
+    monkeypatch.setattr(StaticTableRegistry, "load", classmethod(parse_again))

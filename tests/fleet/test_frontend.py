@@ -2,10 +2,16 @@
 
 import pytest
 
+from repro.compression.deflate import DeflateCodec
 from repro.errors import OverloadError
 from repro.fleet.frontend import FleetFrontend, rendezvous_score
 from repro.fleet import shard as shard_module
-from repro.fleet.shard import FleetRequest, FleetShard
+from repro.fleet.shard import (
+    DEGRADED_SPEC,
+    FleetRequest,
+    FleetShard,
+    make_degraded_codec,
+)
 from repro.fleet.admission import TenantQuota
 from repro.fleet.traffic import page_for
 from repro.sim import CLOCK, EventScheduler
@@ -224,6 +230,17 @@ class TestFailover:
             scheduler.run()
             assert load.status == "served"
             assert load.result == page_for(0, 1)
+
+    def test_each_shard_gets_a_fresh_brownout_codec_without_a_parse(
+        self, refuse_table_parsing
+    ):
+        """The packaged tables are parsed once per process, but each
+        shard still gets a brownout codec of its own, because it sets
+        that codec's spec."""
+        codecs = [make_degraded_codec() for _ in range(2)]
+        assert codecs[0] is not codecs[1]
+        assert all(codec.spec is DEGRADED_SPEC for codec in codecs)
+        assert DeflateCodec.spec is not DEGRADED_SPEC
 
 
 class TestSpill:
