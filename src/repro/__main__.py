@@ -11,17 +11,19 @@ Usage::
 Each experiment prints the same rendered rows/series its benchmark emits;
 the benchmarks add timing and shape assertions on top of these. Each
 command owns its options: one entry in :data:`COMMANDS` holds its help
-line, the function that declares its arguments on its own parser, and
-the function that runs it and returns the exit code (0 clean, 1 when
-the run's verdict fails, 2 on usage errors).
+line, the arguments it declares on its own parser, and the function
+that runs it and returns the exit code (0 clean, 1 when the run's
+verdict fails, 2 on usage errors). The campaign commands run through
+:mod:`repro.campaigns`' table and runner.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Sequence
 
 
 def _fig1() -> str:
@@ -314,24 +316,27 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _out_dir(args, default: Optional[str] = None) -> Optional[Path]:
-    out = args.out or default
-    return Path(out) if out else None
-
-
-def _print_wrote(out_dir: Optional[Path], *names: str) -> None:
-    if out_dir is not None:
-        for name in names:
-            print(f"  wrote {out_dir / name}")
-
-
-def _print_summary(summary: Dict[str, object]) -> None:
-    for key, value in summary.items():
-        if not key.startswith("_"):
-            print(f"  {key:24s}: {value}")
-
-
 # -- commands ---------------------------------------------------------------
+
+
+def _run_campaign(name: str, args) -> int:
+    """Run a table campaign: print each run's report and written files."""
+    from repro.campaigns import CAMPAIGNS, run
+    from repro.errors import ConfigError
+
+    campaign = CAMPAIGNS[name]
+    try:
+        runs = campaign.config(args)
+    except ConfigError as exc:
+        return _usage_error(f"{name}: {exc}")
+    ok = True
+    for config, out_dir in runs:
+        report, written = run(campaign, config, out_dir)
+        print(campaign.format(report))
+        for path in written:
+            print(f"  wrote {path}")
+        ok = campaign.ok(report, args) and ok
+    return 0 if ok else 1
 
 
 def _cmd_list(args) -> int:
@@ -358,229 +363,6 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    from repro.telemetry.runner import run_traced
-
-    for name in args.workloads:
-        out_dir = _out_dir(args, "trace-out")
-        if len(args.workloads) > 1:
-            out_dir = out_dir / name
-        session, summary = run_traced(name, out_dir)
-        print(f"trace workload: {name}")
-        _print_summary(summary)
-        _print_wrote(out_dir, "trace.json", "metrics.json")
-    return 0
-
-
-def _cmd_tiers(args) -> int:
-    from repro.analysis.report import format_tier_stats
-    from repro.telemetry.runner import run_traced
-
-    session, summary = run_traced("tiers", _out_dir(args))
-    print("tier pipeline demo: cpu-zswap -> xfm -> dfm")
-    _print_summary(summary)
-    print()
-    print(format_tier_stats(summary["_pipeline"], title="per-tier counters"))
-    _print_wrote(_out_dir(args), "trace.json", "metrics.json")
-    return 0
-
-
-def _cmd_chaos(args) -> int:
-    """Exit 1 on :func:`repro.resilience.chaos.campaign_ok`'s verdict."""
-    from repro.errors import ConfigError
-    from repro.resilience import chaos
-
-    try:
-        config = chaos.ChaosConfig(
-            args.seed, args.ops, args.profile, validate=args.validation
-        )
-    except ConfigError as exc:
-        return _usage_error(f"bad chaos config: {exc}")
-    report = chaos.run_chaos(config, _out_dir(args))
-    print(chaos.format_report(report))
-    _print_wrote(
-        _out_dir(args), "chaos_report.json", "trace.json", "metrics.json"
-    )
-    return 0 if chaos.campaign_ok(report, args.fail_on_loss) else 1
-
-
-def _load_trace(command: str, args):
-    """The trace ``replay``/``slo`` asked for, or the usage-error exit
-    code after saying why there is none."""
-    from repro.errors import ScenarioError
-    from repro.scenarios.format import ScenarioTrace
-    from repro.scenarios.zoo import load_scenario
-
-    trace_file = getattr(args, "trace_file", None)
-    if trace_file is None and args.scenario is None:
-        return _usage_error(
-            f"{command} needs one scenario name "
-            f"(have: {', '.join(_scenario_names())})"
-            + (" or --trace-file PATH" if command == "replay" else "")
-        )
-    try:
-        if trace_file is not None:
-            return ScenarioTrace.load(trace_file)
-        return load_scenario(args.scenario)
-    except ScenarioError as exc:
-        return _usage_error(f"unusable trace: {exc}")
-
-
-def _cmd_replay(args) -> int:
-    """Exit 0 clean, 1 on digest mismatches or missing pages."""
-    from repro.scenarios.replayer import TraceReplayer, format_report
-    from repro.sim.context import current, run_context
-    from repro.telemetry.session import TelemetrySession
-    from repro.tiering.factory import make_tier
-
-    trace = _load_trace("replay", args)
-    if isinstance(trace, int):
-        return trace
-    session = TelemetrySession(out_dir=_out_dir(args))
-    # Without --validation the run inherits the checkpoint setting.
-    validate = args.validation or current().validation
-    with session, run_context(validation=validate):
-        target = make_tier(args.backend, registry=session.registry)
-        report = TraceReplayer(
-            trace,
-            target,
-            backend_name=args.backend,
-            fault_profile=args.fault_profile,
-            fault_seed=args.fault_seed,
-            session=session,
-        ).run()
-    print(format_report(report))
-    _print_wrote(_out_dir(args), "trace.json", "metrics.json")
-    return 0 if report.clean else 1
-
-
-def _default_objectives(target) -> List[object]:
-    """Deterministic SLO set derived from the target's modeled latencies.
-
-    Pipeline targets get: stores within 2x the top tier's modeled
-    swap-out latency (cascades blow this budget — that is the point),
-    loads within 1.5x the mid tier's swap-in latency (a DFM round trip
-    violates it), plus a 99.9% availability objective over the
-    pipeline's error/loss counters. Flat targets get 2x their own
-    modeled latency per direction.
-    """
-    from repro.telemetry.slo import AvailabilityObjective, LatencyObjective
-
-    tiers = getattr(target, "tiers", None)
-    if tiers is None:
-        tier_name = getattr(target, "tier_name", "?")
-        store_ns = 2.0 * target.swap_latency_s("out") * 1e9
-        load_ns = 2.0 * target.swap_latency_s("in") * 1e9
-    else:
-        tier_name = "pipeline"
-        store_ns = 2.0 * tiers[0].swap_latency_s("out") * 1e9
-        mid = tiers[1] if len(tiers) > 1 else tiers[0]
-        load_ns = 1.5 * mid.swap_latency_s("in") * 1e9
-    objectives: List[object] = [
-        LatencyObjective(
-            f"{op}-latency", op=op, tier=tier_name, threshold_ns=budget_ns,
-            target=0.95,
-        )
-        for op, budget_ns in (("store", store_ns), ("load", load_ns))
-    ]
-    if tiers is not None:
-        objectives.append(
-            AvailabilityObjective(
-                "availability",
-                target=0.999,
-                bad_metrics=(
-                    "tier_pipeline.tier_errors",
-                    "tier_pipeline.data_loss_events",
-                ),
-                total_metrics=(
-                    "tier_pipeline.stores",
-                    "tier_pipeline.loads",
-                    "tier_pipeline.prefetch_loads",
-                ),
-            )
-        )
-    return objectives
-
-
-def _cmd_slo(args) -> int:
-    """Exit 0 unless ``--fail-on-violation`` is set and an objective
-    missed its target."""
-    import json
-
-    from repro.analysis.report import format_latency_table
-    from repro.scenarios.replayer import TraceReplayer
-    from repro.sfm.page import PAGE_SIZE
-    from repro.telemetry.session import TelemetrySession
-    from repro.telemetry.slo import SloEngine
-    from repro.tiering.factory import make_tier
-
-    args.scenario = args.scenario or args.scenario_option
-    trace = _load_trace("slo", args)
-    if isinstance(trace, int):
-        return trace
-    out_dir = _out_dir(args)
-    session = TelemetrySession(out_dir=out_dir)
-    with session:
-        # The goldens' 40-page pipeline split: small upper tiers force
-        # the demotion cascades and cross-tier fetches that make the
-        # latency distributions (and the burn report) non-trivial.
-        target = make_tier(
-            args.backend,
-            capacity_bytes=40 * PAGE_SIZE,
-            registry=session.registry,
-        )
-        engine = SloEngine(
-            session.registry,
-            _default_objectives(target),
-            window_ns=args.window_ns,
-        )
-        report = TraceReplayer(
-            trace,
-            target,
-            backend_name=args.backend,
-            fault_profile=args.fault_profile,
-            fault_seed=args.fault_seed,
-            session=session,
-            slo_engine=engine,
-        ).run()
-    print(f"slo: scenario={report.scenario} backend={report.backend}")
-    print(
-        format_latency_table(
-            report.latency_percentiles,
-            title="latency percentiles (op-class x tier)",
-        )
-    )
-    print()
-    summary = engine.summary()
-    print(f"slo summary ({len(engine.windows)} window results, "
-          f"window={args.window_ns:.0f} ns):")
-    all_met = True
-    for name, row in summary.items():
-        verdict = "met" if row["met"] else "VIOLATED"
-        all_met = all_met and bool(row["met"])
-        print(
-            f"  {name:16s}: target={row['target']:.3f} "
-            f"attainment={row['attainment']:.4f} "
-            f"worst_burn={row['worst_burn']:.2f} "
-            f"violated_windows={row['windows_violated']}/{row['windows']} "
-            f"[{verdict}]"
-        )
-    if out_dir is not None:
-        doc = {
-            "scenario": report.scenario,
-            "backend": report.backend,
-            "latency_percentiles": report.latency_percentiles,
-            "slo": engine.as_dict(),
-        }
-        (out_dir / "slo_report.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8"
-        )
-        _print_wrote(out_dir, "slo_report.json", "trace.json", "metrics.json")
-    if args.fail_on_violation and not all_met:
-        return 1
-    return 0
-
-
 def _cmd_record(args) -> int:
     from repro.scenarios.format import trace_fingerprint
     from repro.scenarios.zoo import ARTIFACT_SUFFIX, build_scenario
@@ -594,7 +376,7 @@ def _cmd_record(args) -> int:
     if args.trace_file is not None:
         path = Path(args.trace_file)
     else:
-        path = _out_dir(args, "trace-out") / (args.scenario + ARTIFACT_SUFFIX)
+        path = Path(args.out or "trace-out", args.scenario + ARTIFACT_SUFFIX)
     trace.save(path)
     print(f"recorded scenario: {args.scenario}")
     print(f"  events      : {len(trace)}")
@@ -610,7 +392,7 @@ def _cmd_ingest(args) -> int:
 
     if len(args.root) != 1:
         return _usage_error("ingest needs exactly one root directory")
-    out_dir = _out_dir(args, "corpus-out")
+    out_dir = Path(args.out or "corpus-out")
     try:
         manifest = ingest_tree(
             args.root[0],
@@ -694,47 +476,6 @@ def _cmd_codectune(args) -> int:
     return 0
 
 
-def _cmd_fleet(args) -> int:
-    """Exit 1 on :func:`repro.fleet.harness.campaign_ok`'s verdict."""
-    from repro.errors import ConfigError
-    from repro.fleet import harness
-
-    if args.expect_shed and args.expect_no_shed:
-        return _usage_error("--expect-shed and --expect-no-shed conflict")
-    scale = args.duration_scale
-    try:
-        config = harness.FleetConfig(
-            seed=args.seed,
-            shards=args.fleet_shards,
-            steady_rate_rps=args.rate_rps,
-            spike_multiplier=args.spike_multiplier,
-            steady_ns=60e6 * scale,
-            spike_ns=30e6 * scale,
-            drain_guard_ns=10e6 * scale,
-            recovery_ns=60e6 * scale,
-            kill_shard_at_ns=(
-                args.kill_shard_at_ms * 1e6
-                if args.kill_shard_at_ms is not None
-                else None
-            ),
-        )
-    except ConfigError as exc:
-        return _usage_error(f"bad fleet config: {exc}")
-    report = harness.run_fleet(config, _out_dir(args))
-    print(harness.format_report(report))
-    _print_wrote(
-        _out_dir(args), "fleet_report.json", "trace.json", "metrics.json",
-        *report["flight_records"],
-    )
-    ok = harness.campaign_ok(
-        report,
-        expect_shed=args.expect_shed,
-        expect_no_shed=args.expect_no_shed,
-        fail_on_slo_violation=args.fail_on_slo_violation,
-    )
-    return 0 if ok else 1
-
-
 class Command(NamedTuple):
     """One CLI command: its help line, the arguments it owns (names in
     :func:`_arguments`, in usage order), and the function that runs the
@@ -761,28 +502,29 @@ COMMANDS: Dict[str, Command] = {
     ),
     "trace": Command(
         "run reference workloads under tracing: Perfetto trace + metrics",
-        ("workloads", "--out"), _cmd_trace,
+        ("workloads", "--out"), partial(_run_campaign, "trace"),
     ),
     "tiers": Command(
-        "3-tier demotion/promotion demo, traced", ("--out",), _cmd_tiers
+        "3-tier demotion/promotion demo, traced", ("--out",),
+        partial(_run_campaign, "tiers"),
     ),
     "chaos": Command(
         "seeded fault campaign over the tier pipeline",
         ("--seed", "--ops", "--profile", "--validation", "--fail-on-loss",
          "--out"),
-        _cmd_chaos,
+        partial(_run_campaign, "chaos"),
     ),
     "replay": Command(
         "replay a swap trace against a backend config",
         ("scenario", "--trace-file", *_REPLAY_TARGET, "--validation", "--out"),
-        _cmd_replay,
+        partial(_run_campaign, "replay"),
     ),
     "slo": Command(
         "replay a scenario under tracing and evaluate latency/availability "
         "SLOs over simulated-time windows",
         ("scenario", "--scenario", *_REPLAY_TARGET, "--window-ns",
          "--fail-on-violation", "--out"),
-        _cmd_slo,
+        partial(_run_campaign, "slo"),
     ),
     "record": Command(
         "re-record a zoo scenario from a live pipeline run",
@@ -799,7 +541,7 @@ COMMANDS: Dict[str, Command] = {
     "fleet": Command(
         "deterministic overload campaign (steady -> spike -> drain -> "
         "recovery) through the sharded frontend",
-        _FLEET_ARGUMENTS, _cmd_fleet,
+        _FLEET_ARGUMENTS, partial(_run_campaign, "fleet"),
     ),
 }
 

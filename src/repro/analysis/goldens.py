@@ -47,7 +47,7 @@ def replay_summary(report) -> str:
     the shipped artifact, or a backend's accounting moved."""
     from repro.scenarios.replayer import format_report
 
-    return format_report(report)
+    return format_report(report.as_dict())
 
 
 def fig8_table(reports: Sequence[MultiChannelReport]) -> str:

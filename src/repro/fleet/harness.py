@@ -25,10 +25,10 @@ runs are byte-identical.
 
 from __future__ import annotations
 
-import json
+# Unused here; benchmarks/e2e/layers.py swaps it (ROADMAP item 4b).
+import json  # noqa: F401
 import random
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, OverloadError, RetryBudgetExhausted
@@ -116,7 +116,13 @@ class FleetConfig:
 
 
 def _quantiles(latencies: List[float]) -> Dict[str, int]:
-    """Nearest-rank percentiles, rounded to integer ns (byte-stable)."""
+    """Nearest-rank percentiles, rounded to integer ns (byte-stable).
+
+    ``fleet_report.json`` pins these exact ranks. The registry's
+    :class:`~repro.telemetry.quantiles.QuantileHistogram` reports
+    geometric bucket midpoints instead, so folding the fleet onto it
+    would move all three pinned fleet report SHA-256s.
+    """
     if not latencies:
         return {"p50": 0, "p90": 0, "p99": 0, "p999": 0}
     ordered = sorted(latencies)
@@ -355,26 +361,16 @@ class _Campaign:
 def run_fleet(
     config: FleetConfig, out_dir: Optional[object] = None
 ) -> Dict[str, object]:
-    """Run one campaign; returns the byte-stable (JSON-ready) report.
+    """Run one campaign; returns the byte-stable report, which lands as
+    ``fleet_report.json`` in ``out_dir`` when it is set."""
+    from repro.campaigns import CAMPAIGNS, run
 
-    With ``out_dir`` set, the telemetry session writes
-    ``trace.json``/``metrics.json`` and any flight dumps there, and the
-    report lands as ``fleet_report.json``.
-    """
-    session = TelemetrySession(out_dir=out_dir)
-    with session:
-        report = _drive(config, session)
-        session.annotate("fleet", report["verdict"])
-    if out_dir is not None:
-        path = Path(out_dir) / "fleet_report.json"
-        path.write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    return report
+    return run(CAMPAIGNS["fleet"], config, out_dir)[0]
 
 
-def _drive(config: FleetConfig, session: TelemetrySession) -> Dict[str, object]:
+def drive(config: FleetConfig, session: TelemetrySession) -> Dict[str, object]:
+    """The campaign body, inside its session; returns the report and
+    annotates ``metrics.json`` with its verdict."""
     campaign = _Campaign(config, session)
     scheduler = campaign.scheduler
     arrivals = generate_arrivals(
@@ -423,6 +419,7 @@ def _drive(config: FleetConfig, session: TelemetrySession) -> Dict[str, object]:
     # through the (post-failover) fleet.
     sweep = campaign.oracle.sweep(campaign.frontend.lookup)
     report = _build_report(config, campaign, sweep, failover_stats, arrivals)
+    session.annotate("fleet", report["verdict"])
     # Break the fleet's callback cycles: the campaign, its fleet and the
     # session's ring are freed as soon as the caller drops them.
     campaign.frontend.close()
@@ -526,29 +523,24 @@ def _build_report(
     return report
 
 
-def campaign_ok(
-    report: Dict[str, object],
-    expect_shed: bool = False,
-    expect_no_shed: bool = False,
-    fail_on_slo_violation: bool = False,
-) -> bool:
+def campaign_ok(report: Dict[str, object], args) -> bool:
     """The CLI's exit verdict on a report. Data integrity always;
-    ``expect_shed`` asserts the overload contract (the spike sheds,
+    ``--expect-shed`` asserts the overload contract (the spike sheds,
     recovery is shed-free, admitted spike p99 within 3x the steady p99);
-    ``expect_no_shed`` asserts a steady campaign sheds nothing;
-    ``fail_on_slo_violation`` requires every SLO met."""
+    ``--expect-no-shed`` asserts a steady campaign sheds nothing;
+    ``--fail-on-slo-violation`` requires every SLO met."""
     verdict, phases = report["verdict"], report["phases"]
     ok = verdict["acked_data_lost"] == 0
     ok = ok and verdict["silent_corruptions"] == 0
-    if expect_shed:
+    if args.expect_shed:
         ok = ok and verdict["spike_shed"] and verdict["recovery_clean"]
         ok = ok and (
             phases["spike"]["latency_ns"]["p99"]
             <= 3 * phases["steady"]["latency_ns"]["p99"]
         )
-    if expect_no_shed:
+    if args.expect_no_shed:
         ok = ok and sum(phases[p]["shed"] for p in phases) == 0
-    if fail_on_slo_violation:
+    if args.fail_on_slo_violation:
         ok = ok and all(verdict["slo_met"].values())
     return bool(ok)
 

@@ -18,10 +18,8 @@ arguments — the report itself is a regression artifact.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -32,10 +30,10 @@ from repro.errors import (
 )
 from repro.resilience import faults as _faults
 from repro.resilience.breaker import BreakerConfig
-from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.sfm.page import PAGE_SIZE
 from repro.sim import CLOCK as _sim_clock
-from repro.sim.context import current, run_context
+from repro.sim.context import current
 from repro.telemetry.session import TelemetrySession
 from repro.tiering.pipeline import TierPipeline
 from repro.tiering.policy import LruDemotion
@@ -100,47 +98,30 @@ class ChaosConfig:
     validate: bool = False
 
     def __post_init__(self) -> None:
-        if self.profile not in PROFILES:
-            raise ConfigError(
-                f"unknown chaos profile {self.profile!r}; "
-                f"have {sorted(PROFILES)}"
-            )
+        fault_plan_for(self.profile)  # an unknown profile raises
         if self.ops <= 0:
             raise ConfigError("ops must be positive")
+
+    @property
+    def fault_plan(self) -> FaultPlan:
+        return fault_plan_for(self.profile, self.seed)
 
 
 def run_chaos(
     config: ChaosConfig,
     out_dir: Optional[object] = None,
 ) -> Dict[str, object]:
-    """Run one seeded campaign; returns the (JSON-ready) report dict.
+    """Run one seeded campaign; returns the report, which lands as
+    ``chaos_report.json`` in ``out_dir`` when it is set."""
+    from repro.campaigns import CAMPAIGNS, run
 
-    When ``out_dir`` is set, the telemetry session writes
-    ``trace.json``/``metrics.json`` there and the report lands next to
-    them as ``chaos_report.json``.
-    """
-    plan = fault_plan_for(config.profile, config.seed)
-    injector = FaultInjector(plan)
-    session = TelemetrySession(out_dir=out_dir)
-    # An unset validate flag inherits (REPRO_VALIDATION, pytest's
-    # --validation, an enclosing scope) rather than forcing checks off.
-    validate = config.validate or current().validation
-    with session, run_context(injector=injector, validation=validate):
-        report = _drive_campaign(config, injector, session)
-    if out_dir is not None:
-        path = Path(out_dir) / "chaos_report.json"
-        path.write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    return report
+    return run(CAMPAIGNS["chaos"], config, out_dir)[0]
 
 
-def _drive_campaign(
-    config: ChaosConfig,
-    injector: FaultInjector,
-    session: TelemetrySession,
-) -> Dict[str, object]:
+def drive(config: ChaosConfig, session: TelemetrySession) -> Dict[str, object]:
+    """The campaign body, inside its session and a run context whose
+    injector fires ``config.fault_plan`` (see :func:`repro.campaigns.run`)."""
+    injector = current().injector
     #: Pages no tier would hold fall back to the "real swap device".
     swap_device: Dict[int, bytes] = {}
 
@@ -288,13 +269,13 @@ def _drive_campaign(
     return report
 
 
-def campaign_ok(report: Dict[str, object], fail_on_loss: bool = False) -> bool:
+def campaign_ok(report: Dict[str, object], args) -> bool:
     """The CLI's exit verdict on a report: nothing silent and every
-    detection accounted for; ``fail_on_loss`` (the transient-profile
+    detection accounted for; ``--fail-on-loss`` (the transient-profile
     gate) also refuses explicit losses and poisoned pages."""
     verdict = report["verdict"]
     ok = verdict["clean"] and verdict["all_detections_accounted"]
-    if fail_on_loss:
+    if args.fail_on_loss:
         recovery = report["recovery"]
         ok = ok and not recovery["data_loss_events"]
         ok = ok and not recovery["poison_pages"]

@@ -25,9 +25,10 @@ Semantics per event (see :mod:`repro.scenarios.format`):
   prefetch-load, digest-verified like a demand load.
 * ``invalidate``  — drop the stored copy.
 
-Chaos replay: pass ``fault_profile`` to re-run the same recorded
-workload under a seeded :class:`~repro.resilience.faults.FaultInjector`
-plan — transient faults must heal (zero mismatches), persistent ones
+Chaos replay: run the replay under a run context with a seeded
+:class:`~repro.resilience.faults.FaultInjector` (``python -m repro
+replay --fault-profile``) to re-run the same recorded workload under
+faults — transient faults must heal (zero mismatches), persistent ones
 must surface as explicit data-loss counts.
 """
 
@@ -130,8 +131,6 @@ class TraceReplayer:
         trace: ScenarioTrace,
         target: FarMemoryTier,
         backend_name: Optional[str] = None,
-        fault_profile: Optional[str] = None,
-        fault_seed: int = 0,
         session: Optional[TelemetrySession] = None,
         slo_engine: Optional[object] = None,
     ) -> None:
@@ -146,24 +145,10 @@ class TraceReplayer:
             if backend_name is not None
             else getattr(target, "tier_name", "?")
         )
-        self.fault_profile = fault_profile
-        self.fault_seed = fault_seed
         self.session = session
         self.slo_engine = slo_engine
         #: Pages the target rejected — the replay-side swap device.
         self.spill: Dict[int, bytes] = {}
-
-    # -- fault plan -----------------------------------------------------------
-
-    def _fault_context(self):
-        if self.fault_profile is None:
-            return run_context()
-        from repro.resilience.chaos import fault_plan_for
-        from repro.resilience.faults import FaultInjector
-
-        return run_context(injector=FaultInjector(
-            fault_plan_for(self.fault_profile, self.fault_seed)
-        ))
 
     # -- replay loop ----------------------------------------------------------
 
@@ -183,17 +168,19 @@ class TraceReplayer:
         # sessions inside replays all compose).
         last_t_ns = 0.0
         with _sim_clock.scoped():
-            with self._fault_context():
-                for event in self.trace:
-                    _sim_clock.set_ns(event.t_ns)
-                    handlers[event.op](event, report)
-                    report.events += 1
-                    if self.slo_engine is not None:
-                        self.slo_engine.tick(event.t_ns)
-                        last_t_ns = event.t_ns
+            for event in self.trace:
+                _sim_clock.set_ns(event.t_ns)
+                handlers[event.op](event, report)
+                report.events += 1
+                if self.slo_engine is not None:
+                    self.slo_engine.tick(event.t_ns)
+                    last_t_ns = event.t_ns
         if self.slo_engine is not None:
             self.slo_engine.finalize(last_t_ns)
-        self._finalize(report)
+        # Faults cover the replayed events only: the AMAT's latency query
+        # would draw a DFM link's latency-spike fault site.
+        with run_context(injector=None):
+            self._finalize(report)
         return report
 
     def _replay_store(self, event, report: ReplayReport) -> None:
@@ -364,29 +351,23 @@ def replay_trace(
     return TraceReplayer(trace, target, **kwargs).run()
 
 
-def format_report(report: ReplayReport) -> str:
-    """Human-readable replay summary for the CLI."""
-    doc = report.as_dict()
-    per_tier = doc.pop("per_tier")
-    percentiles = doc.pop("latency_percentiles", [])
-    lines = [
-        f"replay: scenario={report.scenario} backend={report.backend}"
-    ]
-    for key in sorted(doc):
-        if key in ("scenario", "backend"):
-            continue
-        lines.append(f"  {key:24s}: {doc[key]}")
-    if per_tier:
+def format_report(doc: Dict[str, object]) -> str:
+    """Human-readable summary of a :meth:`ReplayReport.as_dict` for the
+    CLI."""
+    lines = [f"replay: scenario={doc['scenario']} backend={doc['backend']}"]
+    apart = ("scenario", "backend", "per_tier", "latency_percentiles")
+    lines += [f"  {k:24s}: {doc[k]}" for k in sorted(doc) if k not in apart]
+    if doc["per_tier"]:
         lines.append("  per-tier:")
-        for name, counters in per_tier.items():
+        for name, counters in doc["per_tier"].items():
             rendered = " ".join(
                 f"{key}={value}" for key, value in sorted(counters.items())
             )
             lines.append(f"    {name:12s}: {rendered}")
-    if percentiles:
+    if "latency_percentiles" in doc:
         from repro.analysis.report import format_latency_table
 
         lines.append("  latency percentiles:")
-        table = format_latency_table(percentiles)
+        table = format_latency_table(doc["latency_percentiles"])
         lines.extend("    " + line for line in table.splitlines())
     return "\n".join(lines)

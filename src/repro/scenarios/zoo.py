@@ -194,7 +194,7 @@ def _build_web_session(seed: int) -> ScenarioTrace:
 
 def _build_chaos_soak(seed: int) -> ScenarioTrace:
     """A mixed soak that cascades into DFM; recorded clean so chaos
-    replay (``fault_profile=...``) re-runs the identical workload under
+    replay (``replay --fault-profile``) re-runs the identical workload under
     injected faults."""
     recorder = _recorded_pipeline("chaos-soak", seed)
     rng = random.Random(seed)

@@ -1,4 +1,4 @@
-"""Traced reference workloads behind ``python -m repro trace``.
+"""Traced reference workloads behind ``python -m repro trace``/``tiers``.
 
 Each workload drives a real slice of the stack inside a
 :class:`~repro.telemetry.session.TelemetrySession` so the exported
@@ -23,7 +23,7 @@ dict (printable key -> value) for the CLI.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.sim import CLOCK as _sim_clock
 from repro.sim import EventScheduler
@@ -218,7 +218,9 @@ def _emulator_workload(session: TelemetrySession) -> Dict[str, object]:
 # -- tiering workload --------------------------------------------------------
 
 
-def _tiers_workload(session: TelemetrySession) -> Dict[str, object]:
+def tiers_demo(session: TelemetrySession) -> Tuple[dict, object]:
+    """The ``tiers`` workload; also returns its pipeline, whose per-tier
+    counters the ``tiers`` command renders."""
     from repro.tiering import LruDemotion, TierPipeline
 
     # Small upper tiers so the demotion cascade actually fires; the DFM
@@ -260,7 +262,7 @@ def _tiers_workload(session: TelemetrySession) -> Dict[str, object]:
         session.add_stats(f"tier.{name}", tier.stats)
     session.add_stats("pipeline", pipeline.pipeline_stats)
     pstats = pipeline.pipeline_stats
-    return {
+    summary = {
         "tiers": "/".join(pipeline.tier_names),
         "stores": pstats.stores,
         "store_fallthroughs": pstats.store_fallthroughs,
@@ -269,34 +271,12 @@ def _tiers_workload(session: TelemetrySession) -> Dict[str, object]:
         "loads": pstats.loads + pstats.prefetch_loads,
         "round_trip_ok": not mismatches,
         "trace_events": len(session.ring),
-        # For the `python -m repro tiers` per-tier table; CLI printers
-        # skip underscore-prefixed keys.
-        "_pipeline": pipeline,
     }
+    return summary, pipeline
 
 
 WORKLOADS: Dict[str, Callable[[TelemetrySession], Dict[str, object]]] = {
     "zswap": _zswap_workload,
     "emulator": _emulator_workload,
-    "tiers": _tiers_workload,
+    "tiers": lambda session: tiers_demo(session)[0],
 }
-
-
-def run_traced(
-    workload: str,
-    out_dir: Optional[object] = None,
-    ring_capacity: int = 65536,
-) -> Tuple[TelemetrySession, Dict[str, object]]:
-    """Run one named workload under tracing; returns (session, summary).
-
-    When ``out_dir`` is set the session writes ``trace.json`` and
-    ``metrics.json`` there on exit.
-    """
-    if workload not in WORKLOADS:
-        raise KeyError(
-            f"unknown workload {workload!r}; have {sorted(WORKLOADS)}"
-        )
-    session = TelemetrySession(out_dir=out_dir, ring_capacity=ring_capacity)
-    with session:
-        summary = WORKLOADS[workload](session)
-    return session, summary

@@ -17,7 +17,8 @@ produces
 * ``metrics.json`` — the registry snapshot plus every stats object
   attached with :meth:`add_stats`,
 
-plus any ``flight_<reason>.json`` black-box dumps the run triggered.
+plus any report attached with :meth:`attach_report` and the
+``flight_<reason>.json`` black boxes the run dumped (:attr:`written`).
 
 Ring capacity defaults to 65536 events; override per session with the
 ``ring_capacity`` kwarg or process-wide with the ``REPRO_TRACE_RING``
@@ -26,8 +27,8 @@ exported as the ``trace.ring_dropped`` registry gauge so a truncated
 trace is visible from ``metrics.json`` alone.
 
 The benchmark harness wraps measured runs in a session so
-``BENCH_perf.json`` runs can optionally attach traces; the ``python -m
-repro trace`` subcommand uses it for its workloads.
+``BENCH_perf.json`` runs can optionally attach traces; every campaign
+runs in one (:func:`repro.campaigns.run`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.sim.context import run_context
@@ -69,23 +70,21 @@ class TelemetrySession:
         self,
         out_dir: Optional[object] = None,
         ring_capacity: Optional[int] = None,
-        registry: Optional[MetricsRegistry] = None,
-        flight_capacity: int = 512,
     ) -> None:
         self.out_dir = Path(out_dir) if out_dir is not None else None
         if ring_capacity is None:
             ring_capacity = _default_ring_capacity()
         self.ring = TraceRing(ring_capacity)
-        self.registry = (
-            registry if registry is not None else MetricsRegistry()
-        )
+        self.registry = MetricsRegistry()
         self.flight = FlightRecorder(
-            capacity=flight_capacity,
             registry=self.registry,
             out_dir=str(self.out_dir) if self.out_dir is not None else None,
         )
         self._stats: Dict[str, Stats] = {}
         self._annotations: Dict[str, object] = {}
+        self._report: Optional[Tuple[str, object]] = None
+        #: Every file the session wrote, in :meth:`write`'s order.
+        self.written: List[Path] = []
         self._scope = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -101,7 +100,7 @@ class TelemetrySession:
         self._scope.__exit__(None, None, None)
         self._scope = None
         if self.out_dir is not None and exc_type is None:
-            self.write(self.out_dir)
+            self.written = self.write(self.out_dir)
 
     # -- metrics attachment ------------------------------------------------
 
@@ -114,6 +113,10 @@ class TelemetrySession:
         ``metrics.json`` under ``annotations.<key>`` (replay reports,
         campaign verdicts, run provenance, ...)."""
         self._annotations[key] = value
+
+    def attach_report(self, name: str, document: object) -> None:
+        """Have :meth:`write` also write ``document`` as JSON ``name``."""
+        self._report = (name, document)
 
     def metrics_document(self) -> Dict[str, object]:
         # Exported as a gauge so downstream consumers of metrics.json /
@@ -139,10 +142,19 @@ class TelemetrySession:
 
     # -- export ------------------------------------------------------------
 
-    def write(self, out_dir: object) -> Tuple[Path, Path]:
-        """Write ``trace.json`` + ``metrics.json``; returns their paths."""
+    def write(self, out_dir: object) -> List[Path]:
+        """Write the attached report, ``trace.json`` and
+        ``metrics.json``; returns their paths and the flight dumps'."""
         target = Path(out_dir)
         target.mkdir(parents=True, exist_ok=True)
+        written = []
+        if self._report is not None:
+            name, document = self._report
+            written.append(target / name)
+            written[-1].write_text(
+                json.dumps(document, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
+            )
         trace_path = target / "trace.json"
         metrics_path = target / "metrics.json"
         with open(trace_path, "w", encoding="utf-8") as fh:
@@ -150,4 +162,5 @@ class TelemetrySession:
         with open(metrics_path, "w", encoding="utf-8") as fh:
             json.dump(self.metrics_document(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return trace_path, metrics_path
+        written += [trace_path, metrics_path]
+        return written + [Path(path) for path in self.flight.dumps]

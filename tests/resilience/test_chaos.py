@@ -122,7 +122,7 @@ class TestFuzzedFaultPlans:
     def test_fuzzed_campaigns_never_corrupt_silently(self):
         """A handful of randomly-shaped fault plans over the transient
         workload: whatever fires, silent corruption stays zero."""
-        from repro.resilience.chaos import _drive_campaign
+        from repro.resilience.chaos import drive
         from repro.sim.context import run_context
         from repro.telemetry.session import TelemetrySession
 
@@ -132,7 +132,7 @@ class TestFuzzedFaultPlans:
             injector = FaultInjector(plan)
             session = TelemetrySession()
             with session, run_context(injector=injector):
-                report = _drive_campaign(config, injector, session)
+                report = drive(config, session)
             assert report["verdict"]["silent_corruptions"] == 0, plan
             assert report["verdict"]["all_detections_accounted"], plan
 

@@ -19,13 +19,25 @@ import json
 
 import pytest
 
+from repro.resilience.chaos import fault_plan_for
+from repro.resilience.faults import FaultInjector
 from repro.scenarios.format import OP_STORE
 from repro.scenarios.replayer import TraceReplayer, replay_trace
 from repro.scenarios.zoo import SCENARIOS, load_scenario
 from repro.sfm.page import PAGE_SIZE
+from repro.sim.context import run_context
 from repro.tiering import TIER_KINDS, make_tier
 
 SCENARIO_NAMES = sorted(SCENARIOS)
+
+
+def _faulted_replay(trace, backend, profile, fault_seed):
+    """Replay under a seeded chaos fault profile, as ``replay
+    --fault-profile`` does."""
+    target = make_tier(backend)
+    plan = fault_plan_for(profile, fault_seed)
+    with run_context(injector=FaultInjector(plan)):
+        return replay_trace(trace, target, backend_name=backend)
 
 
 @pytest.fixture(scope="module")
@@ -111,12 +123,8 @@ def test_faulted_replay_heals_or_reports(
     turns the typed tier errors (unavailable tier, poisoned page, lost
     bookkeeping) into report counters, so no exception may escape."""
     try:
-        report = replay_trace(
-            traces[scenario],
-            make_tier(backend),
-            backend_name=backend,
-            fault_profile=profile,
-            fault_seed=fault_seed,
+        report = _faulted_replay(
+            traces[scenario], backend, profile, fault_seed
         )
     except Exception as exc:
         pytest.fail(f"{type(exc).__name__} escaped the replay: {exc}")
@@ -131,28 +139,17 @@ def test_chaos_replay_transient_faults_heal(traces):
     """Replaying under the transient fault profile must never corrupt
     or lose data — faults heal via retry/fallback (the chaos gate
     applied to recorded workloads)."""
-    report = replay_trace(
-        traces["chaos-soak"],
-        make_tier("pipeline"),
-        backend_name="pipeline",
-        fault_profile="transient",
-        fault_seed=5,
-    )
+    report = _faulted_replay(traces["chaos-soak"], "pipeline", "transient", 5)
     assert report.digest_mismatches == 0
     assert report.data_loss_events == 0
     assert report.missing_pages == 0
 
 
 def test_chaos_replay_is_deterministic_in_fault_seed(traces):
-    kwargs = dict(
-        backend_name="dfm", fault_profile="transient", fault_seed=11
+    first, second = (
+        _faulted_replay(traces["chaos-soak"], "dfm", "transient", 11).as_dict()
+        for _ in range(2)
     )
-    first = replay_trace(
-        traces["chaos-soak"], make_tier("dfm"), **kwargs
-    ).as_dict()
-    second = replay_trace(
-        traces["chaos-soak"], make_tier("dfm"), **kwargs
-    ).as_dict()
     assert first == second
 
 

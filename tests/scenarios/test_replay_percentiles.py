@@ -46,7 +46,7 @@ class TestTracedReplay:
             report = _replay(session)
         doc = report.as_dict()
         assert doc["latency_percentiles"] == report.latency_percentiles
-        rendered = format_report(report)
+        rendered = format_report(doc)
         assert "latency percentiles:" in rendered
         assert "p999_us" in rendered
 
@@ -81,4 +81,4 @@ class TestUntracedReplay:
         report = _replay()
         assert report.latency_percentiles == []
         assert "latency_percentiles" not in report.as_dict()
-        assert "latency percentiles" not in format_report(report)
+        assert "latency percentiles" not in format_report(report.as_dict())

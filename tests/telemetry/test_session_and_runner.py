@@ -9,7 +9,8 @@ from repro.core.emulator import EmulatorConfig, XfmEmulator
 from repro.sfm.page import PAGE_SIZE
 from repro.sim.context import current, run_context
 from repro.telemetry import TelemetrySession, flightrec, trace
-from repro.telemetry.runner import WORKLOADS, run_traced
+from repro.campaigns import CAMPAIGNS, run
+from repro.telemetry.runner import WORKLOADS
 
 
 def _load(path):
@@ -80,6 +81,14 @@ class TestRingCapacity:
 
         monkeypatch.delenv(RING_CAPACITY_ENV, raising=False)
         assert TelemetrySession().ring.capacity == DEFAULT_RING_CAPACITY
+
+    def test_cli_campaigns_honour_the_env_var(self, monkeypatch, tmp_path):
+        from repro.__main__ import main
+        from repro.telemetry.session import RING_CAPACITY_ENV
+
+        monkeypatch.setenv(RING_CAPACITY_ENV, "8")
+        assert main(["trace", "zswap", "--out", str(tmp_path)]) == 0
+        assert _load(tmp_path / "metrics.json")["trace"]["capacity"] == 8
 
     def test_dropped_events_exported_as_gauge(self, tmp_path):
         with TelemetrySession(out_dir=tmp_path, ring_capacity=2):
@@ -192,10 +201,11 @@ class TestGoldenEmulatorTrace:
 class TestRunnerAndCli:
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
-            run_traced("nope")
+            run(CAMPAIGNS["trace"], "nope")
 
     def test_zswap_workload_reconciles(self, tmp_path):
-        session, summary = run_traced("zswap", out_dir=tmp_path)
+        report, written = run(CAMPAIGNS["trace"], "zswap", out_dir=tmp_path)
+        assert written == [tmp_path / "trace.json", tmp_path / "metrics.json"]
         trace_doc = _load(tmp_path / "trace.json")
         metrics = _load(tmp_path / "metrics.json")
 
@@ -226,7 +236,7 @@ class TestRunnerAndCli:
             + swap["fallbacks_queue_full"]
             + swap["fallbacks_demand"]
         )
-        assert summary["trace_events"] == len(session.ring)
+        assert report["summary"]["trace_events"] == metrics["trace"]["events"]
 
     def test_cli_trace_subcommand(self, tmp_path, capsys):
         from repro.__main__ import main

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
+from repro.campaigns import CAMPAIGNS
 from repro.sim import CLOCK
 from repro.sim.context import current, run_context
 
@@ -122,7 +123,7 @@ class TestValidationInherits:
     def test_replay_and_chaos_run_with_checkpoints_on(
         self, monkeypatch, capsys
     ):
-        from repro.resilience import chaos
+        from repro.campaigns import CAMPAIGNS
         from repro.scenarios.replayer import TraceReplayer
         from repro.validation.hooks import validation_enabled
 
@@ -137,8 +138,9 @@ class TestValidationInherits:
         monkeypatch.setattr(
             TraceReplayer, "run", spy("replay", TraceReplayer.run)
         )
-        monkeypatch.setattr(
-            chaos, "_drive_campaign", spy("chaos", chaos._drive_campaign)
+        chaos = CAMPAIGNS["chaos"]
+        monkeypatch.setitem(
+            CAMPAIGNS, "chaos", chaos._replace(drive=spy("chaos", chaos.drive))
         )
         with run_context(validation=True):
             assert main(["replay", "kv-cache"]) == 0
@@ -305,6 +307,33 @@ class TestSloCli:
     def test_list_mentions_slo(self, capsys):
         assert main([]) == 0
         assert "repro slo" in capsys.readouterr().out
+
+
+#: A short command line per table campaign (``--out`` is appended).
+#: Chaos at the full profile poisons pages and the fleet's spike burns
+#: its availability SLO, so both leave flight dumps too.
+WROTE_LINES = {
+    "chaos": "chaos --seed 7 --ops 400 --profile full",
+    "fleet": "fleet --fleet-shards 2 --rate-rps 17500 --duration-scale 0.1",
+    "replay": "replay kv-cache --backend pipeline",
+    "slo": "slo web-session",
+    "trace": "trace zswap emulator",
+    "tiers": "tiers",
+}
+
+
+class TestWroteLines:
+    @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+    def test_every_file_written_is_listed_once(self, name, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*WROTE_LINES[name].split(), "--out", str(out)]) == 0
+        wrote = [
+            line.split("  wrote ", 1)[1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  wrote ")
+        ]
+        on_disk = [str(path) for path in out.rglob("*") if path.is_file()]
+        assert sorted(wrote) == sorted(on_disk)
 
 
 #: Every ``python -m repro`` line of ``.github/workflows/ci.yml``.

@@ -1,24 +1,32 @@
-"""Campaigns borrow process state and memory, and give both back.
+"""Campaigns borrow process state and memory, give both back, and write
+the same bytes whatever ran before them.
 
-A fleet or chaos campaign runs in its own run context — a trace ring, a
-flight recorder and, for chaos, a fault injector and maybe validation —
-and rebases the shared simulated clock. When it returns, the enclosing
-run context is current again (the same object) and the clock ticks are
-as they were. Its object graph — session, trace ring, frontend,
+Every campaign of :data:`repro.campaigns.CAMPAIGNS` runs in its own
+run context — a trace ring, a flight recorder and, for chaos or a
+faulted replay, a fault injector and maybe validation — and rebases the
+shared simulated clock. When it returns, the enclosing run context is
+current again (the same object) and the clock ticks are as they were.
+A fleet campaign's object graph — session, trace ring, frontend,
 shards, their pipelines and backends — is freed by reference counting
 the moment the campaign returns, with the cyclic collector switched
-off: nothing waits for the next full collection.
+off: nothing waits for the next full collection. And the cheap
+campaigns write byte-identical artifacts in any order, in one process.
 """
 
+import contextlib
 import gc
+import hashlib
+import io
+import random
 import weakref
 
 import pytest
 
+from repro.__main__ import command_parser, main
+from repro.campaigns import CAMPAIGNS, run
 from repro.dfm.backend import DfmBackend
 from repro.fleet import harness
 from repro.fleet.harness import FleetConfig, run_fleet
-from repro.resilience.chaos import ChaosConfig, run_chaos
 from repro.sim import CLOCK
 from repro.sim.context import current
 
@@ -29,27 +37,67 @@ SHORT = dict(
 )
 
 
+#: A short command line per table campaign; the fleet twice, the second
+#: time with a shard killed mid-spike.
+LINES = {
+    "fleet": "fleet --seed 5 --fleet-shards 2 --rate-rps 17500 "
+    "--duration-scale 0.05",
+    "fleet-failover": "fleet --seed 5 --fleet-shards 2 --rate-rps 17500 "
+    "--duration-scale 0.05 --kill-shard-at-ms 3.5",
+    "chaos": "chaos --seed 7 --ops 150 --profile full --validation",
+    "trace": "trace zswap",
+    "tiers": "tiers",
+    "replay": "replay kv-cache --backend pipeline --validation",
+    "slo": "slo --scenario web-session",
+}
+
+#: The campaigns cheap enough to run twice in tier-1 (~0.35 s a round).
+CHEAP = ("trace", "tiers", "replay", "slo")
+
+
 class TestRestore:
-    @pytest.mark.parametrize(
-        "campaign",
-        [
-            lambda out: run_fleet(FleetConfig(**SHORT), out_dir=out),
-            lambda out: run_fleet(
-                FleetConfig(**SHORT, kill_shard_at_ns=5e6), out_dir=out
-            ),
-            lambda out: run_chaos(
-                ChaosConfig(seed=7, ops=150, profile="full", validate=True),
-                out_dir=out,
-            ),
-        ],
-        ids=["fleet", "fleet-failover", "chaos"],
-    )
-    def test_module_state_is_back_after_the_campaign(self, tmp_path, campaign):
+    def test_every_table_campaign_has_a_line(self):
+        assert {line.split()[0] for line in LINES.values()} == set(CAMPAIGNS)
+
+    @pytest.mark.parametrize("name", sorted(LINES))
+    def test_module_state_is_back_after_the_campaign(self, tmp_path, name):
+        command, *rest = LINES[name].split()
+        campaign = CAMPAIGNS[command]
+        args = command_parser(command).parse_args(rest)
+        [(config, _)] = campaign.config(args)
         CLOCK.set_ns(12_345.0)
         before, ticks = current(), CLOCK.now_ticks()
-        campaign(tmp_path)
-        assert (tmp_path / "trace.json").exists()
+        _, written = run(campaign, config, tmp_path)
+        assert tmp_path / "trace.json" in written
         assert current() is before and CLOCK.now_ticks() == ticks
+
+
+class TestOrder:
+    @staticmethod
+    def _artifacts(root, order, monkeypatch):
+        """Run ``order`` in-process under ``root`` (relative ``--out``, as
+        ``metrics.json`` embeds it); SHA-256 of every file written."""
+        root.mkdir()
+        monkeypatch.chdir(root)
+        for name in order:
+            before, ticks = current(), CLOCK.now_ticks()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*LINES[name].split(), "--out", name]) == 0
+            assert current() is before and CLOCK.now_ticks() == ticks, name
+        return {
+            str(path.relative_to(root)):
+                hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in root.rglob("*") if path.is_file()
+        }
+
+    def test_artifacts_do_not_depend_on_the_order(self, tmp_path, monkeypatch):
+        orders = [random.Random(seed).sample(CHEAP, 4) for seed in (1, 2)]
+        assert orders[0] != orders[1]
+        first, second = (
+            self._artifacts(tmp_path / f"order-{i}", order, monkeypatch)
+            for i, order in enumerate(orders)
+        )
+        assert len(first) == 10 and first == second
 
 
 def _watch(refs, campaign):
