@@ -9,6 +9,7 @@ to ``trace.json`` and ``metrics.json`` (DESIGN.md §7 lists the files).
 from __future__ import annotations
 
 import argparse
+import math
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -113,6 +114,15 @@ def _replay_config(args: Args, **extra) -> ReplayConfig:
     profile, seed = args.fault_profile, args.fault_seed
     plan = None if profile is None else chaos.fault_plan_for(profile, seed)
     return ReplayConfig(trace, args.backend, plan, **extra)
+
+
+def _slo_config(args: Args) -> ReplayConfig:
+    window_ns = args.window_ns
+    if not (window_ns > 0 and math.isfinite(window_ns)):
+        raise ConfigError(
+            f"--window-ns must be finite and > 0, got {window_ns}"
+        )
+    return _replay_config(args, window_ns=window_ns)
 
 
 def _drive_replay(config: ReplayConfig, session: TelemetrySession) -> dict:
@@ -275,7 +285,7 @@ CAMPAIGNS: Dict[str, Campaign] = {
     ),
     "slo": Campaign(
         "slo", "slo_report.json",
-        _one_run(lambda args: _replay_config(args, window_ns=args.window_ns)),
+        _one_run(_slo_config),
         _drive_slo,
         lambda report, args: not args.fail_on_violation or all(
             row["met"] for row in report["slo"]["summary"].values()

@@ -24,6 +24,7 @@ burn per objective, which is what a paging policy would key on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -141,8 +142,10 @@ class SloEngine:
         window_ns: float,
         start_ns: float = 0.0,
     ) -> None:
-        if window_ns <= 0:
-            raise ConfigError(f"window_ns must be > 0, got {window_ns}")
+        if not (window_ns > 0 and math.isfinite(window_ns)):
+            raise ConfigError(
+                f"window_ns must be finite and > 0, got {window_ns}"
+            )
         if not objectives:
             raise ConfigError("SLO engine needs at least one objective")
         names = [o.name for o in objectives]

@@ -16,6 +16,11 @@ the zswap frontend, and the examples can run over a pipeline unchanged):
   toward tier 0 without leaving far memory, destination chosen by the
   promotion policy.
 
+One path each: every page leaves a tier through ``_take``, which
+counts tier errors and data losses; every timed op goes through the op
+timer ``_timed``, the only reader of a tier's modelled latency; the
+policy cascade and :meth:`demote_coldest` share one loop, ``_demote``.
+
 Accounting: every tier keeps registry-bound ``SwapStats`` (labelled
 ``tier=<name>`` when built through :meth:`TierPipeline.build`) plus its
 own :class:`~repro.sfm.metrics.BandwidthLedger`; the pipeline exposes
@@ -32,6 +37,7 @@ windows, backoff charges, and replayed traces.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -360,6 +366,38 @@ class TierPipeline:
                 merged.merge(tier_registry)
         return merged.snapshot()
 
+    # -- the op timer ---------------------------------------------------------
+
+    def _timed(self, op: str, span: str, args: Dict[str, object], cost,
+               body, *body_args):
+        """The op timer: run ``body(*body_args)`` under a ``span`` on the
+        tiering track (closed even when the body raises), then observe
+        the ``op`` latency quantile. ``cost(result)`` returns ``(pages,
+        legs, extra)``: the span closes with the ``extra`` args, and when
+        it measured no simulated time (pure device-side work) the
+        observation falls back to ``pages`` times the modelled latency of
+        ``legs``, ``(tier index, direction)`` pairs queried only then and
+        in that order (a DFM query draws a fault site). ``pages`` of
+        ``None`` observes nothing."""
+        handle = _spans.begin(span, TRACK_TIER, args=args)
+        try:
+            result = body(*body_args)
+        except BaseException:
+            _spans.end(handle)
+            raise
+        pages, legs, extra = cost(result)
+        dur_ns = _spans.end(handle, extra)
+        if pages is None:
+            return result
+        if dur_ns <= 0.0 and pages:
+            dur_ns = sum(
+                self.tiers[index].swap_latency_s(direction)
+                for index, direction in legs
+            ) * pages * 1e9
+        if dur_ns > 0.0:
+            self._lat[op].observe(dur_ns)
+        return result
+
     # -- store: admission + fall-through ------------------------------------
 
     def swap_out(self, page: Page) -> SwapOutcome:
@@ -367,33 +405,34 @@ class TierPipeline:
         demotion policy cascade cold entries downward."""
         if not _trace.tracing_enabled():
             return self._swap_out_impl(page)
+
+        def cost(outcome: SwapOutcome):
+            # The tier holding the page now (unless the cascade spilled
+            # it) stands in with its modelled swap-out.
+            index = self._where.get(page.vaddr) if outcome.accepted else None
+            return (0 if index is None else 1), ((index, "out"),), None
+
         # The store span roots the causality tree: the tier rejects,
         # demotion rounds, device offloads, and CPU fallbacks this store
         # causes all export as its children.
-        handle = _spans.begin(
-            "pipeline_store", TRACK_TIER, args={"vaddr": page.vaddr}
+        return self._timed(
+            "store", "pipeline_store", {"vaddr": page.vaddr}, cost,
+            self._swap_out_impl, page,
         )
-        try:
-            outcome = self._swap_out_impl(page)
-        finally:
-            dur_ns = _spans.end(handle)
-        if dur_ns <= 0.0 and outcome.accepted:
-            # The accepting tier advanced no simulated time (pure
-            # device-side work): fall back to its modeled latency.
-            index = self._where.get(page.vaddr)
-            if index is not None:
-                dur_ns = self.tiers[index].swap_latency_s("out") * 1e9
-        if dur_ns > 0.0:
-            self._lat["store"].observe(dur_ns)
-        return outcome
 
     def _swap_out_impl(self, page: Page) -> SwapOutcome:
         # A fresh store of a vaddr supersedes any earlier poison marker.
         self._poisoned.discard(page.vaddr)
-        outcome, index = self._place(page, start=0)
+        outcome, _ = self._place(page, start=0)
         if outcome.accepted:
             self.pipeline_stats.stores += 1
-            self._rebalance()
+            # The demotion policy: every tier but the last that sits over
+            # pressure sinks its LRU victims downward.
+            for index in range(len(self.tiers) - 1):
+                if self._lru[index] and self.demotion.should_demote(
+                    self.tiers[index]
+                ):
+                    self._demote(index, math.inf, True)
         else:
             self.pipeline_stats.store_rejects += 1
         checkpoint(self)
@@ -416,94 +455,77 @@ class TierPipeline:
             if index == skip:
                 continue
             tier = self.tiers[index]
-            name = self.tier_names[index]
             if not self.breakers[index].allow():
                 self.pipeline_stats.quarantine_skips += 1
-                self.pipeline_stats.store_fallthroughs += 1
-                if trace_on:
-                    _trace.instant(
-                        "tier_store", TRACK_TIER,
-                        args={"tier": name, "outcome": "quarantined",
-                              "vaddr": page.vaddr},
+                refusal = "quarantined"
+            elif not self.admission.admit(tier):
+                refusal = "admission_denied"
+            else:
+                try:
+                    tier_outcome = tier.swap_out(page)
+                except TierUnavailableError:
+                    # Treat an outright-unreachable tier as a failing
+                    # reject and keep falling through.
+                    self._record_tier_error(index)
+                    tier_outcome = SwapOutcome(
+                        accepted=False, reason="device-fault"
                     )
-                continue
-            if not self.admission.admit(tier):
-                self.pipeline_stats.store_fallthroughs += 1
-                if trace_on:
-                    _trace.instant(
-                        "tier_store", TRACK_TIER,
-                        args={"tier": name, "outcome": "admission_denied",
-                              "vaddr": page.vaddr},
-                    )
-                continue
-            try:
-                tier_outcome = tier.swap_out(page)
-            except TierUnavailableError:
-                # Treat an outright-unreachable tier as a failing reject
-                # and keep falling through.
-                self._record_tier_error(index)
-                tier_outcome = SwapOutcome(
-                    accepted=False, reason="device-fault"
-                )
-            if tier_outcome.accepted:
-                self.breakers[index].record_success()
-                self._where[page.vaddr] = index
-                self._lru[index][page.vaddr] = page
-                if trace_on:
-                    _trace.instant(
-                        "tier_store", TRACK_TIER,
-                        args={"tier": name, "outcome": "stored",
-                              "vaddr": page.vaddr,
-                              "compressed_len": tier_outcome.compressed_len},
-                    )
-                return tier_outcome, index
-            if tier_outcome.reason in FAILURE_REASONS:
-                self.breakers[index].record_failure()
+                if tier_outcome.accepted:
+                    self.breakers[index].record_success()
+                    self._where[page.vaddr] = index
+                    self._lru[index][page.vaddr] = page
+                    if trace_on:
+                        self._store_instant(
+                            index, "stored", page, tier_outcome.compressed_len
+                        )
+                    return tier_outcome, index
+                if tier_outcome.reason in FAILURE_REASONS:
+                    self.breakers[index].record_failure()
+                refusal = f"reject_{tier_outcome.reason}"
+                cpu_cycles = tier_outcome.cpu_cycles
             self.pipeline_stats.store_fallthroughs += 1
             if trace_on:
-                _trace.instant(
-                    "tier_store", TRACK_TIER,
-                    args={"tier": name,
-                          "outcome": f"reject_{tier_outcome.reason}",
-                          "vaddr": page.vaddr},
-                )
-            cpu_cycles = tier_outcome.cpu_cycles
+                self._store_instant(index, refusal, page)
         return (
             SwapOutcome(accepted=False, reason="all-tiers-rejected",
                         cpu_cycles=cpu_cycles),
             -1,
         )
 
+    def _store_instant(self, index: int, outcome: str, page: Page,
+                       compressed_len: Optional[int] = None) -> None:
+        """The ``tier_store`` instant: what tier ``index`` did with a page
+        offered to it (and, once stored, its compressed size)."""
+        args = {"tier": self.tier_names[index], "outcome": outcome,
+                "vaddr": page.vaddr}
+        if compressed_len is not None:
+            args["compressed_len"] = compressed_len
+        _trace.instant("tier_store", TRACK_TIER, args=args)
+
+    def _move_instant(
+        self, event: str, src: int, dst: int, vaddr: int
+    ) -> None:
+        """A page moved from tier ``src`` to tier ``dst``."""
+        _trace.instant(
+            event, TRACK_TIER,
+            args={"from": self.tier_names[src],
+                  "to": self.tier_names[dst], "vaddr": vaddr},
+        )
+
     # -- load: promotion to DRAM --------------------------------------------
 
-    def _holding_tier(self, page: Page) -> int:
-        if page.vaddr in self._poisoned:
-            # The page was lost to unrecoverable corruption earlier;
-            # surface that explicitly rather than as a lookup miss.
-            self._poisoned.discard(page.vaddr)
-            raise CorruptedBlobError(
-                f"page 0x{page.vaddr:x} was lost to unrecoverable "
-                "corruption (poisoned)",
-                vaddr=page.vaddr,
-            )
-        index = self._where.get(page.vaddr)
-        if index is None:
-            raise SfmError(
-                f"page 0x{page.vaddr:x} is not in any pipeline tier"
-            )
-        return index
-
-    def _forget(self, page: Page, index: int) -> None:
-        del self._where[page.vaddr]
-        self._lru[index].pop(page.vaddr, None)
-
-    def _fetch(self, page: Page, index: int, demand: bool) -> bytes:
-        """Load from tier ``index``; bookkeeping drops the mapping only
-        after the tier actually handed the data back. A transient
-        :class:`TierUnavailableError` leaves the page in place (the
-        call can simply be repeated); an unrecoverable
-        :class:`CorruptedBlobError` drops it and counts a data loss —
-        never a silent miss."""
+    def _take(
+        self, index: int, page: Page, demand: bool, credit: bool = True
+    ) -> bytes:
+        """The one way out of a tier: take ``page`` out of tier ``index``
+        by its demand path (``demand``) or its offload-preferred
+        ``promote``, and drop the mapping once the tier handed the data
+        back, crediting its breaker unless ``credit`` is false. A
+        transient :class:`TierUnavailableError` leaves the page in place
+        (the call can be repeated); an unrecoverable
+        :class:`CorruptedBlobError` drops it and counts a data loss, never
+        a silent miss. Both count a tier error and re-raise; poisoning
+        the vaddr is the caller's choice."""
         tier = self.tiers[index]
         try:
             data = tier.swap_in(page) if demand else tier.promote(page)
@@ -513,69 +535,69 @@ class TierPipeline:
         except CorruptedBlobError:
             self._record_tier_error(index)
             self.pipeline_stats.data_loss_events += 1
-            self._forget(page, index)
-            checkpoint(self)
+            del self._where[page.vaddr]
+            self._lru[index].pop(page.vaddr, None)
             raise
-        self.breakers[index].record_success()
-        self._forget(page, index)
+        if credit:
+            self.breakers[index].record_success()
+        del self._where[page.vaddr]
+        self._lru[index].pop(page.vaddr, None)
         return data
 
-    def _traced_fetch(
-        self, page: Page, index: int, demand: bool, op: str
+    def _load(
+        self, page: Page, demand: bool, op: str, reason: str, counter: str
     ) -> bytes:
-        """Span-wrapped :meth:`_fetch` observing the end-to-end latency
-        quantile for ``op`` (``load``/``prefetch``)."""
-        handle = _spans.begin(
-            "pipeline_" + op,
-            TRACK_TIER,
-            args={"vaddr": page.vaddr, "tier": self.tier_names[index]},
-        )
+        """The one load body behind :meth:`swap_in` and :meth:`promote`:
+        take the page out of whichever tier holds it, count it in the
+        ``counter`` field and trace it as ``op`` for ``reason``. A load
+        never poisons: a corrupted page is dropped and the caller told."""
+        vaddr = page.vaddr
+        if vaddr in self._poisoned:
+            # The page was lost to unrecoverable corruption earlier;
+            # surface that explicitly rather than as a lookup miss.
+            self._poisoned.discard(vaddr)
+            raise CorruptedBlobError(
+                f"page 0x{vaddr:x} was lost to unrecoverable "
+                "corruption (poisoned)",
+                vaddr=vaddr,
+            )
+        index = self._where.get(vaddr)
+        if index is None:
+            raise SfmError(f"page 0x{vaddr:x} is not in any pipeline tier")
+        trace_on = _trace.tracing_enabled()
         try:
-            data = self._fetch(page, index, demand=demand)
-        finally:
-            dur_ns = _spans.end(handle)
-        if dur_ns <= 0.0:
-            dur_ns = self.tiers[index].swap_latency_s("in") * 1e9
-        if dur_ns > 0.0:
-            self._lat[op].observe(dur_ns)
+            if trace_on:
+                data = self._timed(
+                    op, "pipeline_" + op,
+                    {"vaddr": vaddr, "tier": self.tier_names[index]},
+                    lambda data: (1, ((index, "in"),), None),
+                    self._take, index, page, demand,
+                )
+            else:
+                data = self._take(index, page, demand)
+        except CorruptedBlobError:
+            checkpoint(self)
+            raise
+        stats = self.pipeline_stats
+        setattr(stats, counter, getattr(stats, counter) + 1)
+        if trace_on:
+            _trace.instant(
+                "tier_load", TRACK_TIER,
+                args={"tier": self.tier_names[index], "reason": reason,
+                      "vaddr": vaddr},
+            )
+        checkpoint(self)
         return data
 
     def swap_in(self, page: Page) -> bytes:
         """Demand load: fetch from whichever tier holds the page."""
-        index = self._holding_tier(page)
-        trace_on = _trace.tracing_enabled()
-        if trace_on:
-            data = self._traced_fetch(page, index, demand=True, op="load")
-        else:
-            data = self._fetch(page, index, demand=True)
-        self.pipeline_stats.loads += 1
-        if trace_on:
-            _trace.instant(
-                "tier_load", TRACK_TIER,
-                args={"tier": self.tier_names[index],
-                      "reason": reasons.DEMAND_FAULT, "vaddr": page.vaddr},
-            )
-        checkpoint(self)
-        return data
+        return self._load(page, True, "load", reasons.DEMAND_FAULT, "loads")
 
     def promote(self, page: Page) -> bytes:
         """Prefetch-style load through the holding tier's offload path."""
-        index = self._holding_tier(page)
-        if _trace.tracing_enabled():
-            data = self._traced_fetch(
-                page, index, demand=False, op="prefetch"
-            )
-        else:
-            data = self._fetch(page, index, demand=False)
-        self.pipeline_stats.prefetch_loads += 1
-        if _trace.tracing_enabled():
-            _trace.instant(
-                "tier_load", TRACK_TIER,
-                args={"tier": self.tier_names[index],
-                      "reason": "prefetch", "vaddr": page.vaddr},
-            )
-        checkpoint(self)
-        return data
+        return self._load(
+            page, False, "prefetch", "prefetch", "prefetch_loads"
+        )
 
     def invalidate(self, vaddr: int) -> bool:
         index = self._where.pop(vaddr, None)
@@ -589,165 +611,114 @@ class TierPipeline:
 
     # -- demotion / upward promotion ----------------------------------------
 
-    def _rebalance(self) -> int:
-        """Apply the demotion policy: while a tier (other than the last)
-        is over pressure, sink its LRU victims one-or-more tiers down in
-        rounds of up to :data:`DEMOTE_BATCH_PAGES`, re-checking the
-        policy between each swap-in (which is what frees source-tier
-        space)."""
+    def _demote(self, index: int, count: float, policy: bool) -> int:
+        """The one demotion loop: sink up to ``count`` LRU pages out of
+        tier ``index`` in rounds of up to :data:`DEMOTE_BATCH_PAGES`,
+        while the tier holds pages and, under ``policy``, the demotion
+        policy asks for it (the caller checked both before the first
+        round). Stops after a round that moved nothing, or that bounced
+        or spilled a victim. Returns pages moved off the tier, poisoned
+        ones included."""
+        lru = self._lru[index]
+        tier = self.tiers[index]
+        trace_on = _trace.tracing_enabled()
         demoted = 0
-        for index in range(len(self.tiers) - 1):
-            tier = self.tiers[index]
-            stop = False
-            while (
-                not stop
-                and self._lru[index]
-                and self.demotion.should_demote(tier)
-            ):
-                victims, poisoned, placed, stop = self._demote_round(
-                    index,
-                    DEMOTE_BATCH_PAGES,
-                    lambda t=tier, i=index: bool(self._lru[i])
-                    and self.demotion.should_demote(t),
+        while True:
+            limit = min(count - demoted, DEMOTE_BATCH_PAGES)
+            if trace_on:
+                below = min(index + 1, len(self.tiers) - 1)
+                taken, poisoned, placed, stop = self._timed(
+                    "demote", "demote_round",
+                    {"from": self.tier_names[index]},
+                    # A round that took no victim observes nothing; one
+                    # that advanced no simulated time is modelled as a
+                    # swap-in here plus a swap-out below per victim.
+                    lambda counts: (
+                        counts[0] or None,
+                        ((index, "in"), (below, "out")),
+                        dict(zip(("victims", "poisoned", "placed"), counts)),
+                    ),
+                    self._demote_round, index, limit, policy, True,
                 )
-                demoted += poisoned + placed
-                if not victims and not poisoned:
-                    break
-        return demoted
+            else:
+                taken, poisoned, placed, stop = self._demote_round(
+                    index, limit, policy, False
+                )
+            demoted += poisoned + placed
+            if (
+                stop or not (taken or poisoned) or demoted >= count
+                or not lru
+                or policy and not self.demotion.should_demote(tier)
+            ):
+                return demoted
 
     def _demote_round(
-        self, index: int, limit: int, keep_going
-    ) -> Tuple[List[Tuple[int, Page, bytes]], int, int, bool]:
-        """One demotion round under a ``demote_round`` span: swap in up
-        to ``limit`` victims, then place them one by one, observing the
-        round's end-to-end latency. Returns ``(victims, poisoned, placed,
-        stop)``."""
-        trace_on = _trace.tracing_enabled()
-        handle = None
-        if trace_on:
-            handle = _spans.begin(
-                "demote_round",
-                TRACK_TIER,
-                args={"from": self.tier_names[index]},
-            )
-        victims, poisoned, stop = self._collect_victims(
-            index, limit, keep_going
-        )
-        placed = 0
-        if victims:
-            placed, place_stop = self._place_victims(index, victims)
-            stop = stop or place_stop
-        if handle is not None:
-            dur_ns = _spans.end(
-                handle,
-                extra={
-                    "victims": len(victims),
-                    "poisoned": poisoned,
-                    "placed": placed,
-                },
-            )
-            if victims:
-                if dur_ns <= 0.0:
-                    below = min(index + 1, len(self.tiers) - 1)
-                    dur_ns = (
-                        self.tiers[index].swap_latency_s("in")
-                        + self.tiers[below].swap_latency_s("out")
-                    ) * len(victims) * 1e9
-                self._lat["demote"].observe(dur_ns)
-        return victims, poisoned, placed, stop
-
-    def _collect_victims(
-        self, index: int, limit: int, keep_going
-    ) -> Tuple[List[Tuple[int, Page, bytes]], int, bool]:
-        """Swap in up to ``limit`` LRU victims out of tier ``index``.
-
-        ``keep_going`` is re-evaluated between victims (after the first,
-        whose eligibility the caller already established), so the demotion
-        policy sees every intermediate source-tier state exactly as the
-        one-page-at-a-time cascade did. Returns ``(victims, poisoned,
-        stop)``: the swapped-in ``(vaddr, page, data)`` triples, how many
-        victims were lost to (already-poisoned) corruption, and whether
-        the cascade must halt after these victims are placed (source tier
-        unreachable)."""
+        self, index: int, limit: float, policy: bool, trace_on: bool
+    ) -> Tuple[int, int, int, bool]:
+        """One demotion round: swap in up to ``limit`` LRU victims out of
+        tier ``index`` (re-checking the :meth:`_demote` condition between
+        swap-ins, so the policy sees every intermediate source-tier
+        state), then place each, coldest first, through the same
+        :meth:`_place` every store takes, starting one tier below. A
+        victim nothing below takes goes back where it was (space was just
+        freed there), else to the spill callback. Returns ``(taken,
+        poisoned, placed, stop)``: victims swapped in, victims lost to
+        corruption, pages demoted, and whether the cascade must halt
+        (source tier unreachable, or a victim bounced back or spilled)."""
+        lru = self._lru[index]
+        tier = self.tiers[index]
         victims: List[Tuple[int, Page, bytes]] = []
         poisoned = 0
         stop = False
         # Poisoned victims consume limit slots too: demote_coldest(count)
         # must never move more than ``count`` pages off the source tier.
         while len(victims) + poisoned < limit:
-            if (victims or poisoned) and not keep_going():
+            if (victims or poisoned) and not (
+                lru and (not policy or self.demotion.should_demote(tier))
+            ):
                 break
-            vaddr, page = next(iter(self._lru[index].items()))
+            vaddr, page = next(iter(lru.items()))
             try:
-                data = self.tiers[index].swap_in(page)
+                data = self._take(index, page, True)
             except TierUnavailableError:
                 # Source tier unreachable right now: leave this victim
                 # where it is and stop the cascade for this round.
-                self._record_tier_error(index)
                 stop = True
                 break
             except CorruptedBlobError:
                 # The tier detected unrecoverable corruption and poisoned
-                # the blob itself; account the loss, mark the vaddr so a
-                # later access gets an explicit error, keep cascading.
-                self._record_tier_error(index)
-                self.pipeline_stats.data_loss_events += 1
-                self._forget(page, index)
+                # the blob itself; mark the vaddr so a later access gets
+                # an explicit error, keep cascading.
                 self._poisoned.add(vaddr)
                 poisoned += 1
                 continue
-            self.breakers[index].record_success()
-            self._forget(page, index)
             victims.append((vaddr, page, data))
-        return victims, poisoned, stop
-
-    def _place_victims(
-        self, index: int, victims: List[Tuple[int, Page, bytes]]
-    ) -> Tuple[int, bool]:
-        """Place each swapped-in victim, coldest first, through the same
-        :meth:`_place` every store takes, starting one tier below
-        ``index``: breaker, admission, fall-through counters and
-        ``tier_store`` instants all see one page at a time.
-
-        A victim nothing below takes goes back where it was (space was
-        just freed there), else to the spill callback. Returns
-        ``(placed, stop)``: pages demoted, and whether this tier's
-        cascade must halt (a victim bounced back or was spilled)."""
         placed = 0
-        stop = False
-        trace_on = _trace.tracing_enabled()
         for vaddr, page, data in victims:
             outcome, new_index = self._place(page, start=index + 1)
             if outcome.accepted:
                 self.pipeline_stats.demotions += 1
                 placed += 1
                 if trace_on:
-                    _trace.instant(
-                        "tier_demote", TRACK_TIER,
-                        args={"from": self.tier_names[index],
-                              "to": self.tier_names[new_index],
-                              "vaddr": vaddr},
-                    )
+                    self._move_instant("tier_demote", index, new_index, vaddr)
                 continue
             self.pipeline_stats.demotion_failures += 1
+            stop = True
             retry, _ = self._place(page, start=index)
-            if retry.accepted:
-                stop = True
-                continue
-            if self.spill is not None:
-                self._spill_page(vaddr, data)
-                stop = True
-                continue
-            raise SfmError(
-                f"page 0x{vaddr:x} rejected by every tier during demotion "
-                "and no spill callback is set"
-            )
-        return placed, stop
+            if not retry.accepted:
+                self._spill_page(vaddr, data, "demotion")
+        return len(victims), poisoned, placed, stop
 
-    def _spill_page(self, vaddr: int, data: bytes) -> None:
-        """Hand a page to the spill callback; a callback that raises is
-        counted and swallowed so one broken sink cannot desync the
-        pipeline's bookkeeping mid-cascade."""
+    def _spill_page(self, vaddr: int, data: bytes, during: str) -> None:
+        """Hand a page every tier refused during ``during`` to the spill
+        callback (no callback is an :class:`SfmError`); a callback that
+        raises is counted and swallowed so one broken sink cannot desync
+        the pipeline's bookkeeping mid-cascade."""
+        if self.spill is None:
+            raise SfmError(
+                f"page 0x{vaddr:x} rejected by every tier during "
+                f"{during} and no spill callback is set"
+            )
         try:
             self.spill(vaddr, data)
         except Exception:
@@ -760,16 +731,8 @@ class TierPipeline:
         (policy-independent; the control-plane analogue of zswap's
         ``shrink``). Returns pages demoted."""
         demoted = 0
-        stop = False
-        while not stop and demoted < count and self._lru[from_tier]:
-            want = min(count - demoted, DEMOTE_BATCH_PAGES)
-            victims, poisoned, placed, stop = self._demote_round(
-                from_tier, want,
-                lambda i=from_tier: bool(self._lru[i]),
-            )
-            demoted += poisoned + placed
-            if not victims and not poisoned:
-                break
+        if count > 0 and self._lru[from_tier]:
+            demoted = self._demote(from_tier, count, False)
         checkpoint(self)
         return demoted
 
@@ -786,42 +749,27 @@ class TierPipeline:
             return self.tier_names[index]
         page = self._lru[index][vaddr]
         try:
-            data = self.tiers[index].swap_in(page)
+            data = self._take(index, page, True)
         except TierUnavailableError:
             # Holding tier unreachable: the blob stays put; the
             # promotion is merely blocked, not an error for the caller.
-            self._record_tier_error(index)
             self.pipeline_stats.promotions_blocked += 1
             return self.tier_names[index]
         except CorruptedBlobError:
-            self._record_tier_error(index)
-            self.pipeline_stats.data_loss_events += 1
-            self._forget(page, index)
             self._poisoned.add(vaddr)
             checkpoint(self)
             raise
-        self.breakers[index].record_success()
-        self._forget(page, index)
         outcome, new_index = self._place(page, start=target)
         if not outcome.accepted:
             # Even its old tier refused it back (a device fault): spill,
             # as demotion and drain do, rather than drop the page.
-            if self.spill is None:
-                raise SfmError(
-                    f"page 0x{vaddr:x} rejected by every tier during "
-                    "promotion and no spill callback is set"
-                )
-            self._spill_page(vaddr, data)
+            self._spill_page(vaddr, data, "promotion")
             checkpoint(self)
             return None
         if new_index < index:
             self.pipeline_stats.promotions += 1
             if _trace.tracing_enabled():
-                _trace.instant(
-                    "tier_promote", TRACK_TIER,
-                    args={"from": self.tier_names[index],
-                          "to": self.tier_names[new_index], "vaddr": vaddr},
-                )
+                self._move_instant("tier_promote", index, new_index, vaddr)
         else:
             self.pipeline_stats.promotions_blocked += 1
         checkpoint(self)
@@ -894,33 +842,23 @@ class TierPipeline:
         while self._lru[origin] and (limit is None or moved < limit):
             vaddr, page = next(iter(self._lru[origin].items()))
             try:
-                data = self.tiers[origin].swap_in(page)
+                data = self._take(origin, page, True, credit=False)
             except TierUnavailableError:
-                self._record_tier_error(origin)
                 break
             except CorruptedBlobError:
-                self._record_tier_error(origin)
-                self.pipeline_stats.data_loss_events += 1
-                self._forget(page, origin)
                 self._poisoned.add(vaddr)
                 continue
-            self._forget(page, origin)
             outcome, new_index = self._place(page, start=0, skip=origin)
             if outcome.accepted:
                 moved += 1
                 self.pipeline_stats.drained_pages += 1
                 if trace_on:
-                    _trace.instant(
-                        "tier_drain", TRACK_TIER,
-                        args={"from": name,
-                              "to": self.tier_names[new_index],
-                              "vaddr": vaddr},
-                    )
+                    self._move_instant("tier_drain", origin, new_index, vaddr)
                 continue
             # No other tier would hold it: spill if we can, otherwise
             # put it back where it came from (space was just freed).
             if self.spill is not None:
-                self._spill_page(vaddr, data)
+                self._spill_page(vaddr, data, "drain")
                 continue
             restore, _ = self._place(page, start=origin)
             if not restore.accepted:

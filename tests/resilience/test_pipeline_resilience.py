@@ -9,7 +9,7 @@ from repro.resilience.breaker import BreakerConfig
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sfm.backend import SfmBackend
 from repro.sfm.metrics import BandwidthLedger, SwapStats
-from repro.sfm.page import PAGE_SIZE
+from repro.sfm.page import PAGE_SIZE, Page
 from repro.sim.context import run_context
 from repro.tiering import SwapOutcome
 from repro.tiering.pipeline import FAILURE_REASONS, TierPipeline
@@ -274,6 +274,135 @@ class TestLoadFailureModes:
             pipeline.load(0)
         # Later keys are unaffected.
         assert pipeline.load(1) == _page(1)
+
+
+    @pytest.mark.parametrize(
+        "path,error",
+        [
+            ("prefetch", CorruptedBlobError),
+            ("prefetch", TierUnavailableError),
+            ("demotion", TierUnavailableError),
+            ("promote_up", CorruptedBlobError),
+            ("promote_up", TierUnavailableError),
+            ("drain", CorruptedBlobError),
+            ("drain", TierUnavailableError),
+        ],
+    )
+    def test_every_way_out_of_a_tier_accounts_its_failure(
+        self, path, error, monkeypatch
+    ):
+        """Two pages sit in the middle tier; taking the first succeeds,
+        taking the second raises ``error``. Every path counts one tier
+        error, a corruption is one data loss and drops the page, an
+        unreachable tier keeps it where it was; a load never poisons the
+        vaddr, the other paths do; every successful take but a drain
+        read credits the tier's breaker."""
+        mid = _ArmedTier(SfmBackend(capacity_bytes=64 * PAGE_SIZE))
+        pipeline = TierPipeline([
+            ("cpu", SfmBackend(capacity_bytes=64 * PAGE_SIZE)),
+            ("mid", mid),
+            ("low", SfmBackend(capacity_bytes=64 * PAGE_SIZE)),
+        ])
+        first, second = (
+            Page(vaddr=key * PAGE_SIZE, data=_page(key)) for key in (1, 2)
+        )
+        for page in (first, second):
+            assert pipeline.swap_out(page).accepted
+        assert pipeline.demote_coldest(2, from_tier=0) == 2
+        assert pipeline.tier_of(second.vaddr) == "mid"
+        credits = []
+        breaker = pipeline.breakers[1]
+        record_success = breaker.record_success
+        monkeypatch.setattr(
+            breaker, "record_success",
+            lambda: credits.append(1) or record_success(),
+        )
+        mid.fail_on(second.vaddr, error)
+
+        if path == "prefetch":
+            assert pipeline.promote(first) == _page(1)
+            with pytest.raises(error):
+                pipeline.promote(second)
+            landed = None
+        elif path == "demotion":
+            assert pipeline.demote_coldest(2, from_tier=1) == 1
+            landed = "low"
+        elif path == "promote_up":
+            assert pipeline.promote_up(first.vaddr) == "cpu"
+            if error is CorruptedBlobError:
+                with pytest.raises(error):
+                    pipeline.promote_up(second.vaddr)
+            else:
+                assert pipeline.promote_up(second.vaddr) == "mid"
+                assert pipeline.pipeline_stats.promotions_blocked == 1
+            landed = "cpu"
+        else:
+            moved = pipeline.drain_tier("mid")
+            assert moved == 1
+            landed = "cpu"
+
+        stats = pipeline.pipeline_stats
+        assert pipeline.tier_of(first.vaddr) == landed
+        assert stats.tier_errors == 1
+        assert len(credits) == (0 if path == "drain" else 1)
+        lost = error is CorruptedBlobError
+        assert stats.data_loss_events == int(lost)
+        assert pipeline.contains(second.vaddr) is not lost
+        assert pipeline.tier_of(second.vaddr) == (None if lost else "mid")
+        if not lost:
+            # Retryable: the same page comes back once the tier answers.
+            assert pipeline.swap_in(second) == _page(2)
+            return
+        if path != "prefetch":
+            # Poisoned: a later access is told the page was lost, once.
+            with pytest.raises(CorruptedBlobError, match="poisoned"):
+                pipeline.swap_in(second)
+        with pytest.raises(SfmError, match="not in any pipeline tier"):
+            pipeline.swap_in(second)
+
+    def test_a_corrupted_load_does_not_poison(self):
+        """A direct load reports the loss itself, so a second access is a
+        plain miss, not a second poison report."""
+        mid = _ArmedTier(SfmBackend(capacity_bytes=64 * PAGE_SIZE))
+        pipeline = TierPipeline([("mid", mid)])
+        page = Page(vaddr=PAGE_SIZE, data=_page(1))
+        assert pipeline.swap_out(page).accepted
+        mid.fail_on(page.vaddr, CorruptedBlobError)
+        with pytest.raises(CorruptedBlobError):
+            pipeline.swap_in(page)
+        with pytest.raises(SfmError, match="not in any pipeline tier"):
+            pipeline.swap_in(page)
+
+
+class _ArmedTier:
+    """A real tier whose take (``swap_in``/``promote``) of one vaddr
+    raises once, as a failing device would: a corrupted blob is dropped
+    first (the tier poisons it), an unreachable tier keeps it."""
+
+    def __init__(self, tier):
+        self._tier = tier
+        self._armed = {}
+
+    def __getattr__(self, name):
+        return getattr(self._tier, name)
+
+    def fail_on(self, vaddr, error):
+        self._armed[vaddr] = error
+
+    def _take(self, page, take):
+        error = self._armed.pop(page.vaddr, None)
+        if error is CorruptedBlobError:
+            self._tier.invalidate(page.vaddr)
+            raise CorruptedBlobError("injected", vaddr=page.vaddr)
+        if error is not None:
+            raise error("injected")
+        return take(page)
+
+    def swap_in(self, page):
+        return self._take(page, self._tier.swap_in)
+
+    def promote(self, page):
+        return self._take(page, self._tier.promote)
 
 
 class _Gate:

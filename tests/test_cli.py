@@ -114,6 +114,17 @@ class TestReplayCli:
         assert main(["replay", "--trace-file", str(bad)]) == 2
         assert "unusable trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["0", "-5", "nan"])
+    def test_slo_bad_window_is_usage_error(self, window, tmp_path, capsys):
+        out = tmp_path / "slo"
+        assert main(
+            ["slo", "web-session", "--window-ns", window, "--out", str(out)]
+        ) == 2
+        assert "slo: --window-ns must be finite and > 0" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
 
 class TestValidationInherits:
     """A command run without ``--validation`` keeps the checkpoint

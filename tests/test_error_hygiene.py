@@ -1,5 +1,5 @@
 """Hygiene lints: typed errors in device layers, one clock for the stack,
-one property-test engine.
+one property-test engine, one way out of a tier.
 
 Error hygiene: the resilience layer's recovery logic dispatches on the
 :mod:`repro.errors` hierarchy (``DeviceFault`` retries, ``SfmError``
@@ -24,8 +24,14 @@ in ``tests/hypothesis_settings.py`` — nothing imports the retired
 ``repro.validation.fuzz``, and no other file reads
 ``FUZZ_TIME_BUDGET_S`` or sets ``derandomize``/``database``. Nothing
 calls the builtin ``hash``: it is salted per process.
+
+Pipeline hygiene: in ``tiering/pipeline.py`` a tier's ``swap_in`` or
+``promote`` is called only from ``TierPipeline._take``, and a tier's
+``swap_latency_s`` only from the op timer ``_timed``, so error
+accounting and the lazy modelled-latency query each live in one place.
 """
 
+import ast
 import functools
 import re
 from pathlib import Path
@@ -341,3 +347,47 @@ def test_no_builtin_hash_calls():
         "repro.validation.generators.case_seed or zlib.crc32:\n"
         + "\n".join(offenders)
     )
+
+
+# -- one way out of a tier ---------------------------------------------------
+
+
+def _pipeline_calls(method_names):
+    """``(enclosing def, line)`` of every call in ``tiering/pipeline.py``
+    of a method in ``method_names`` on anything but ``self`` (a tier)."""
+    path = SRC / "tiering" / "pipeline.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            callee = getattr(node, "func", None)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(callee, ast.Attribute)
+                and callee.attr in method_names
+                and not (isinstance(callee.value, ast.Name)
+                         and callee.value.id == "self")
+            ):
+                calls.append((func.name, node.lineno))
+    return calls
+
+
+def test_pages_leave_a_tier_only_through_take():
+    """Every way out of a tier (load, prefetch, demotion, promotion,
+    drain) takes the page through ``TierPipeline._take``, so its error
+    accounting exists once."""
+    calls = _pipeline_calls({"swap_in", "promote"})
+    assert calls and {name for name, _ in calls} == {"_take"}, calls
+
+
+def test_modelled_latency_is_queried_only_by_the_op_timer():
+    """A tier's modelled latency is read only by the op timer, lazily:
+    a DFM query draws a fault site. ``TierPipeline.swap_latency_s``, the
+    protocol method, is the other reader."""
+    calls = _pipeline_calls({"swap_latency_s"})
+    assert sorted({name for name, _ in calls}) == [
+        "_timed", "swap_latency_s"
+    ], calls
+    assert [name for name, _ in calls].count("_timed") == 1, calls
