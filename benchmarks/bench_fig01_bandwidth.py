@@ -6,50 +6,12 @@ absorbs the same traffic with rank-level parallelism; XFM eliminates SFM
 channel bandwidth for capacities up to ~1 TB.
 """
 
-from repro.analysis.figures import (
-    fig1_bandwidth_series,
-    max_supported_sfm_gb,
-    side_channel_gbps,
-)
-from repro.analysis.report import format_table
 
-
-def test_fig1_bandwidth(once, emit):
-    points = once(fig1_bandwidth_series, rank_counts=(4, 8, 16, 32, 64))
-    rows = [
-        [
-            p.num_ranks,
-            p.sfm_capacity_gb,
-            round(p.cpu_sfm_channel_gbps, 2),
-            round(100 * p.cpu_utilization, 1),
-            round(p.xfm_per_rank_gbps, 3),
-            round(p.side_channel_per_rank_gbps, 2),
-            round(100 * p.xfm_utilization, 1),
-        ]
-        for p in points
-    ]
-    table = format_table(
-        [
-            "ranks",
-            "SFM GB",
-            "CPU-SFM GBps",
-            "chan util %",
-            "XFM/rank GBps",
-            "side-chan GBps",
-            "XFM util %",
-        ],
-        rows,
-        title="Fig. 1 — SFM bandwidth vs ranks (100% promotion)",
-    )
-    max_gb = max_supported_sfm_gb(num_ranks=16)
-    table += (
-        f"\nside channel/rank: {side_channel_gbps():.2f} GBps"
-        f"\nmax SFM capacity @16 ranks, 100% promotion:"
-        f" {max_gb:.0f} GB (paper: up to ~1 TB)"
-    )
-    emit("fig01_bandwidth", table)
+def test_fig1_bandwidth(experiment):
+    data = experiment("fig1")
+    points = data["points"]
 
     # Shape: CPU traffic scales with ranks; XFM per-rank demand flat & fits.
     assert points[-1].cpu_sfm_channel_gbps > 8 * points[0].cpu_sfm_channel_gbps
     assert all(p.xfm_utilization < 0.5 for p in points)
-    assert max_gb >= 1000.0
+    assert data["max_gb"] >= 1000.0

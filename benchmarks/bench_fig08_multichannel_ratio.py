@@ -6,23 +6,17 @@ of the in-order compression ratio on average at 4 DIMMs; memory savings
 drop ~5% at 2 channels and ~14% at 4 channels (window shrink + same-offset
 placement fragmentation).
 
-The table body is rendered by :func:`repro.analysis.goldens.fig8_table`,
-shared with the golden-snapshot regression test in
-``tests/validation/test_golden_figures.py``.
+The ingested-corpus table is rendered by the ``fig8`` experiment's
+renderer too.
 """
 
-from repro.analysis.figures import fig8_ratios
-from repro.analysis.goldens import FIG8_GOLDEN_KWARGS, fig8_table
+from repro.analysis.experiments import EXPERIMENTS
 from repro.core.multichannel import measure_corpus
-from repro.workloads.corpus import CORPUS_NAMES
 from repro.workloads.ingested import ingested_corpus_pages, ingested_domains
 
 
-def test_fig8_multichannel_ratio(once, emit):
-    reports = once(
-        fig8_ratios, corpora=tuple(CORPUS_NAMES), **FIG8_GOLDEN_KWARGS
-    )
-    emit("fig08_multichannel", fig8_table(reports))
+def test_fig8_multichannel_ratio(experiment):
+    reports = experiment("fig8")
 
     compressible = [r for r in reports if r.stored_ratio[1] > 1.3]
     mean_retention = sum(
@@ -64,7 +58,8 @@ def _measure_ingested():
 
 def test_fig8_on_ingested_corpus(once, emit):
     reports = once(_measure_ingested)
-    emit("fig08_ingested", fig8_table(reports))
+    (table,) = EXPERIMENTS["fig8"].render(reports)
+    emit("fig08_ingested", table)
 
     for report in reports:
         # Real pages compress; interleave splitting degrades monotonically

@@ -6,79 +6,13 @@ costs SPEC up to ~15%; XFM eliminates the interference on both sides,
 yielding a 5–27% combined-performance improvement depending on the mix.
 """
 
-from repro.analysis.report import format_table
-from repro.interference.bandwidth import MemorySystem
-from repro.interference.corun import (
-    AntagonistConfig,
-    CorunConfig,
-    SfmMode,
-    simulate_corun,
-    xfm_improvement_pct,
-)
-
-JOB_MIXES = {
-    "mix-default": CorunConfig(),
-    "mix-heavy": CorunConfig(
-        workloads=(
-            "lbm", "fotonik3d", "bwaves", "roms",
-            "mcf", "cactuBSSN", "lbm", "fotonik3d",
-        ),
-        antagonist=AntagonistConfig(promotion_rate=0.25, num_cores=4),
-    ),
-    "mix-light": CorunConfig(
-        workloads=("gcc", "wrf", "xalancbmk", "omnetpp", "mcf", "cactuBSSN"),
-        antagonist=AntagonistConfig(promotion_rate=0.10),
-    ),
-}
+from repro.interference.corun import SfmMode
 
 
-def _run_all():
-    return {
-        name: {mode: simulate_corun(config, mode) for mode in SfmMode}
-        for name, config in JOB_MIXES.items()
-    }
+def test_fig11_interference(experiment):
+    data = experiment("fig11")
 
-
-def test_fig11_interference(once, emit):
-    results = once(_run_all)
-    rows = []
-    for mix, by_mode in results.items():
-        for mode, result in by_mode.items():
-            rows.append(
-                [
-                    mix,
-                    mode.value,
-                    round(result.spec_mean_degradation_pct, 2),
-                    round(result.spec_max_degradation_pct, 2),
-                    round(result.sfm_degradation_pct, 2),
-                    round(result.combined_throughput(), 4),
-                ]
-            )
-    table = format_table(
-        [
-            "job mix",
-            "config",
-            "SPEC mean deg %",
-            "SPEC max deg %",
-            "SFM deg %",
-            "combined tput",
-        ],
-        rows,
-        title="Fig. 11 — SPEC x SFM co-run interference",
-    )
-    improvements = []
-    for name, config in JOB_MIXES.items():
-        for against in (SfmMode.BASELINE_CPU, SfmMode.HOST_LOCKOUT_NMA):
-            improvements.append(
-                (name, against.value, xfm_improvement_pct(config, against))
-            )
-    table += "\nXFM combined-performance improvement:"
-    for name, against, pct in improvements:
-        table += f"\n  vs {against:18s} on {name}: {pct:5.1f}%"
-    table += "\n(paper: 5~27% depending on mix and comparison point)"
-    emit("fig11_interference", table)
-
-    default = results["mix-default"]
+    default = data["results"]["mix-default"]
     # Shape assertions mirroring the paper's reading of the figure.
     assert default[SfmMode.XFM].spec_max_degradation_pct < 0.01
     assert default[SfmMode.XFM].sfm_degradation_pct < 0.01
@@ -88,7 +22,7 @@ def test_fig11_interference(once, emit):
         default[SfmMode.HOST_LOCKOUT_NMA].spec_max_degradation_pct
         > default[SfmMode.BASELINE_CPU].spec_max_degradation_pct
     )
-    pct_values = [pct for _, _, pct in improvements]
+    pct_values = [pct for _, _, pct in data["improvements"]]
     assert max(pct_values) >= 15.0
     assert min(pct_values) >= 2.0
     assert max(pct_values) <= 30.0

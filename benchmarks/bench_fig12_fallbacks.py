@@ -4,19 +4,11 @@ Paper claims (§8): with 3 NMA accesses per REF, an 8 MB SPM eliminates all
 CPU fallbacks regardless of the promotion rate; the random-access rate
 scales with the promotion rate but conditional accesses dominate; the
 conditional accesses cut NMA access energy by ~10%.
-
-The table body is rendered by :func:`repro.analysis.goldens.fig12_table`,
-shared with the golden-snapshot regression test in
-``tests/validation/test_golden_figures.py``.
 """
 
-from repro.analysis.figures import fig12_fallbacks
-from repro.analysis.goldens import FIG12_GOLDEN_KWARGS, fig12_table
 
-
-def test_fig12_fallbacks(once, emit):
-    grid = once(fig12_fallbacks, **FIG12_GOLDEN_KWARGS)
-    emit("fig12_fallbacks", fig12_table(grid))
+def test_fig12_fallbacks(experiment):
+    grid = experiment("fig12")
 
     by_key = {
         (promo, r.config.spm_bytes >> 20, r.config.accesses_per_ref): r

@@ -6,16 +6,9 @@ Paper values: 8/16/32 Gb devices with 64K/64K/128K rows per bank,
 accesses per tRFC.
 """
 
-from repro.analysis.report import format_table
-from repro.analysis.tables import TABLE1_HEADERS, table1_rows
 
-
-def test_table1_devices(once, emit):
-    rows = once(table1_rows)
-    table = format_table(
-        TABLE1_HEADERS, rows, title="Table 1 — DDR5 device configuration"
-    )
-    emit("table1_devices", table)
+def test_table1_devices(experiment):
+    rows = experiment("table1")
 
     expected = [
         ["DDR5-8Gb", "64K", 16, 195.0, 8, 128, 2],

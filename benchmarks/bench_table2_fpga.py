@@ -4,28 +4,11 @@ Paper values: 435467/522720 LUTs (83.30%), 94135/1045440 FFs (9.00%),
 51/984 BRAM (5.18%), dominated by the open-source Deflate engines.
 """
 
-from repro.analysis.report import format_table
-from repro.analysis.tables import TABLE2_HEADERS, table2_rows
-from repro.hwmodel.fpga import xfm_fpga_design
 
+def test_table2_fpga(experiment):
+    data = experiment("table2")
 
-def test_table2_fpga(once, emit):
-    rows = once(table2_rows)
-    table = format_table(
-        TABLE2_HEADERS, rows, title="Table 2 — FPGA resource utilization"
-    )
-    design = xfm_fpga_design()
-    breakdown = format_table(
-        ["component", "LUTs", "FFs", "BRAM", "dynamic W"],
-        [
-            [c["name"], c["luts"], c["ffs"], c["bram"], c["dynamic_w"]]
-            for c in design.breakdown()
-        ],
-        title="component inventory",
-    )
-    emit("table2_fpga", table + "\n\n" + breakdown)
-
-    by_resource = {row[0]: row for row in rows}
+    by_resource = {row[0]: row for row in data["rows"]}
     assert by_resource["LUTs"][1] == 435467
     assert by_resource["FFs"][1] == 94135
     assert by_resource["BRAM"][1] == 51

@@ -5,16 +5,9 @@ Paper values: 7.024 W total = 5.718 W dynamic (81%) + 1.306 W static (19%).
 
 import pytest
 
-from repro.analysis.report import format_table
-from repro.analysis.tables import TABLE3_HEADERS, table3_rows
 
-
-def test_table3_power(once, emit):
-    rows = once(table3_rows)
-    table = format_table(
-        TABLE3_HEADERS, rows, title="Table 3 — XFM power consumption"
-    )
-    emit("table3_power", table)
+def test_table3_power(experiment):
+    rows = experiment("table3")
 
     values = {row[0]: float(row[1]) for row in rows}
     assert values["Dynamic"] == pytest.approx(5.718)

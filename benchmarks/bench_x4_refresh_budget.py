@@ -8,25 +8,9 @@ are delayed by at most a tREFI (~3.9 us) batching interval.
 
 import pytest
 
-from repro.analysis.figures import refresh_budget_summary
-from repro.analysis.report import format_table
 
-
-def test_x4_refresh_budget(once, emit):
-    summary = once(refresh_budget_summary)
-    table = format_table(
-        ["quantity", "value", "paper"],
-        [
-            ["locked ms / 32 ms retention", round(summary["locked_ms_per_retention"], 3), "~2.46 ms"],
-            ["locked fraction", f"{100 * summary['locked_fraction']:.2f}%", "~8%"],
-            ["tREFI", f"{summary['trefi_us']:.2f} us", "~3.9 us"],
-            ["per-DIMM NMA bandwidth", f"{summary['per_dimm_nma_mbps']:.0f} MBps", "426 MBps"],
-            ["with compressed blobs", f"{summary['per_dimm_with_blobs_mbps']:.0f} MBps", "-"],
-            ["max offload batching delay", f"{summary['page_batch_delay_us']:.2f} us", "~3.9 us"],
-        ],
-        title="X4 — refresh side-channel budget (512 GB SFM, 20% promotion)",
-    )
-    emit("x4_refresh_budget", table)
+def test_x4_refresh_budget(experiment):
+    summary = experiment("budget")
 
     assert summary["locked_ms_per_retention"] == pytest.approx(2.46, abs=0.01)
     assert summary["locked_fraction"] == pytest.approx(0.0768, abs=0.001)

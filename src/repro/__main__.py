@@ -8,12 +8,14 @@ Usage::
     python -m repro all                  # everything (a few minutes)
     python -m repro <command> [options]  # see COMMANDS; options follow it
 
-Each experiment prints the same rendered rows/series its benchmark emits;
-the benchmarks add timing and shape assertions on top of these. Each
-command owns its options: one entry in :data:`COMMANDS` holds its help
-line, the arguments it declares on its own parser, and the function
-that runs it and returns the exit code (0 clean, 1 when the run's
-verdict fails, 2 on usage errors). The campaign commands run through
+The experiments are the rows of :mod:`repro.analysis.experiments`'
+table: each prints exactly the text of the ``benchmarks/results``
+file(s) its benchmark writes from the same data, and the benchmarks add
+timing and shape assertions on top of it. Each command owns its
+options: one entry in :data:`COMMANDS` holds its help line, the
+arguments it declares on its own parser, and the function that runs it
+and returns the exit code (0 clean, 1 when the run's verdict fails, 2
+on usage errors). The campaign commands run through
 :mod:`repro.campaigns`' table and runner.
 """
 
@@ -24,173 +26,6 @@ import sys
 from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Sequence
-
-
-def _fig1() -> str:
-    from repro.analysis.figures import (
-        fig1_bandwidth_series,
-        max_supported_sfm_gb,
-    )
-    from repro.analysis.report import format_table
-
-    points = fig1_bandwidth_series()
-    table = format_table(
-        ["ranks", "SFM GB", "CPU-SFM GBps", "chan util %", "XFM util %"],
-        [
-            [
-                p.num_ranks,
-                p.sfm_capacity_gb,
-                round(p.cpu_sfm_channel_gbps, 1),
-                round(100 * p.cpu_utilization, 1),
-                round(100 * p.xfm_utilization, 1),
-            ]
-            for p in points
-        ],
-        title="Fig. 1 — SFM bandwidth vs ranks (100% promotion)",
-    )
-    return table + (
-        f"\nmax SFM on the refresh side channel @16 ranks: "
-        f"{max_supported_sfm_gb(16):.0f} GB"
-    )
-
-
-def _fig3() -> str:
-    from repro.analysis.report import format_table
-    from repro.costmodel import CostParams, fig3_series
-    from repro.costmodel.breakeven import sfm_vs_dfm_cost_breakeven
-
-    series = fig3_series(metric="cost")
-    years = series["dfm-dram"].years
-    table = format_table(
-        ["year"] + list(series),
-        [
-            [year] + [round(series[k].normalized[i], 3) for k in series]
-            for i, year in enumerate(years)
-        ],
-        title="Fig. 3 (cost) — normalized to DFM (DRAM)",
-    )
-    breakeven = sfm_vs_dfm_cost_breakeven(CostParams(), 1.0)
-    return table + f"\nSFM@100% cost break-even: {breakeven:.1f} years (paper: 8.5)"
-
-
-def _fig8() -> str:
-    from repro.analysis.figures import fig8_ratios
-    from repro.analysis.report import format_table
-
-    reports = fig8_ratios(pages_per_corpus=4)
-    return format_table(
-        ["corpus", "1-DIMM", "2-DIMM", "4-DIMM", "savings loss@4 %"],
-        [
-            [
-                r.corpus,
-                round(r.stored_ratio[1], 2),
-                round(r.stored_ratio[2], 2),
-                round(r.stored_ratio[4], 2),
-                round(100 * r.savings_reduction_vs_inorder(4), 1),
-            ]
-            for r in reports
-        ],
-        title="Fig. 8 — multi-channel compression ratios",
-    )
-
-
-def _fig11() -> str:
-    from repro.analysis.figures import fig11_interference
-    from repro.analysis.report import format_table
-
-    results = fig11_interference()["default-mix"]
-    return format_table(
-        ["config", "SPEC mean deg %", "SPEC max deg %", "SFM deg %"],
-        [
-            [
-                mode.value,
-                round(result.spec_mean_degradation_pct, 2),
-                round(result.spec_max_degradation_pct, 2),
-                round(result.sfm_degradation_pct, 2),
-            ]
-            for mode, result in results.items()
-        ],
-        title="Fig. 11 — co-run interference (default mix)",
-    )
-
-
-def _fig12() -> str:
-    from repro.analysis.figures import fig12_fallbacks
-    from repro.analysis.report import format_table
-
-    grid = fig12_fallbacks(sim_time_s=0.05)
-    rows = []
-    for promo, reports in grid.items():
-        for report in reports:
-            rows.append(
-                [
-                    f"{int(promo * 100)}%",
-                    report.config.spm_bytes >> 20,
-                    report.config.accesses_per_ref,
-                    round(100 * report.fallback_fraction, 2),
-                    round(100 * report.random_fraction, 1),
-                ]
-            )
-    return format_table(
-        ["promotion", "SPM MiB", "acc/REF", "fallback %", "random %"],
-        rows,
-        title="Fig. 12 — CPU fallbacks",
-    )
-
-
-def _table1() -> str:
-    from repro.analysis.report import format_table
-    from repro.analysis.tables import TABLE1_HEADERS, table1_rows
-
-    return format_table(TABLE1_HEADERS, table1_rows(), title="Table 1")
-
-
-def _table2() -> str:
-    from repro.analysis.report import format_table
-    from repro.analysis.tables import TABLE2_HEADERS, table2_rows
-
-    return format_table(TABLE2_HEADERS, table2_rows(), title="Table 2")
-
-
-def _table3() -> str:
-    from repro.analysis.report import format_table
-    from repro.analysis.tables import TABLE3_HEADERS, table3_rows
-
-    return format_table(TABLE3_HEADERS, table3_rows(), title="Table 3")
-
-
-def _budget() -> str:
-    from repro.analysis.figures import refresh_budget_summary
-
-    summary = refresh_budget_summary()
-    return "\n".join(
-        f"{key:28s}: {value:.4g}" for key, value in summary.items()
-    )
-
-
-EXPERIMENTS: Dict[str, Callable[[], str]] = {
-    "fig1": _fig1,
-    "fig3": _fig3,
-    "fig8": _fig8,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "table1": _table1,
-    "table2": _table2,
-    "table3": _table3,
-    "budget": _budget,
-}
-
-_DESCRIPTIONS = {
-    "fig1": "SFM bandwidth vs rank count; XFM side-channel headroom",
-    "fig3": "cost of SFM vs DFM over years (EQ1-EQ3)",
-    "fig8": "multi-channel compression ratios on 16 corpora",
-    "fig11": "SPEC x SFM co-run interference, three configs",
-    "fig12": "CPU fallback rate vs SPM size x access budget",
-    "table1": "DDR5 device configuration + conditional access capacity",
-    "table2": "FPGA resource utilization",
-    "table3": "FPGA power breakdown",
-    "budget": "refresh side-channel budget arithmetic (Sec. 4.3)",
-}
 
 
 # -- arguments: each declared once; a command lists the ones it owns --------
@@ -340,9 +175,11 @@ def _run_campaign(name: str, args) -> int:
 
 
 def _cmd_list(args) -> int:
+    from repro.analysis.experiments import EXPERIMENTS
+
     print("available experiments:")
-    for name, description in _DESCRIPTIONS.items():
-        print(f"  {name:8s} {description}")
+    for name, experiment in EXPERIMENTS.items():
+        print(f"  {name:8s} {experiment.description}")
     print("run: python -m repro <name> [<name> ...] | all")
     print("commands (options follow the command; --help describes them):")
     for name, command in COMMANDS.items():
@@ -353,13 +190,16 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    from repro.analysis.export import EXPORTERS
+    from repro.analysis.experiments import EXPERIMENTS
 
     target = Path(args.directory)
     target.mkdir(parents=True, exist_ok=True)
-    for filename, exporter in EXPORTERS.items():
-        (target / filename).write_text(exporter(), encoding="utf-8")
-        print(f"wrote {target / filename}")
+    for experiment in EXPERIMENTS.values():
+        if experiment.export is not None:
+            path = target / experiment.export_file
+            text = experiment.export(experiment.compute())
+            path.write_text(text, encoding="utf-8")
+            print(f"wrote {path}")
     return 0
 
 
@@ -558,14 +398,19 @@ def command_parser(name: str) -> argparse.ArgumentParser:
 
 
 def _run_experiments(names: List[str]) -> int:
+    """Print each experiment's results text, exactly as its results
+    files hold it."""
+    from repro.analysis.experiments import EXPERIMENTS
+
     if names == ["all"]:
         names = list(EXPERIMENTS)
     unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
         return _usage_error(f"unknown experiment(s): {', '.join(unknown)}")
     for name in names:
-        print(EXPERIMENTS[name]())
-        print()
+        experiment = EXPERIMENTS[name]
+        for text in experiment.render(experiment.compute()):
+            print(text)
     return 0
 
 

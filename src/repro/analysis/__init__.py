@@ -1,25 +1,9 @@
-"""Figure/table data generators shared by the benchmarks and examples."""
+"""Figure and table data for the paper's evaluation.
 
-from repro.analysis.figures import (
-    fig1_bandwidth_series,
-    fig8_ratios,
-    fig11_interference,
-    fig12_fallbacks,
-    max_supported_sfm_gb,
-    refresh_budget_summary,
-)
-from repro.analysis.report import format_table
-from repro.analysis.tables import table1_rows, table2_rows, table3_rows
-
-__all__ = [
-    "fig11_interference",
-    "fig12_fallbacks",
-    "fig1_bandwidth_series",
-    "fig8_ratios",
-    "format_table",
-    "max_supported_sfm_gb",
-    "refresh_budget_summary",
-    "table1_rows",
-    "table2_rows",
-    "table3_rows",
-]
+:mod:`repro.analysis.experiments` is the table of experiments the CLI,
+``export``, the benches and the golden test read; the engines it calls
+are :mod:`~repro.analysis.figures` and :mod:`~repro.analysis.tables`.
+:mod:`~repro.analysis.report` renders ASCII tables, and
+:mod:`~repro.analysis.amat` compares tiers' average access times. The
+package imports none of them, so loading one module loads no engine.
+"""

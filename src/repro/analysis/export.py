@@ -1,16 +1,16 @@
-"""Plot-ready export of figure data (CSV / JSON).
+"""Plot-ready export of figure data.
 
 The benches render ASCII tables; downstream users replotting the figures
-want raw series. These helpers dump each figure's data as CSV rows or a
-JSON document, with stable column names.
+want raw series. Each exported experiment of
+:mod:`repro.analysis.experiments` writes its data as CSV rows (through
+:func:`rows_to_csv`) or a JSON document, with stable column names.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigError
 
@@ -24,134 +24,3 @@ def rows_to_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     writer.writerow(headers)
     writer.writerows(rows)
     return buffer.getvalue()
-
-
-def fig1_csv(**kwargs) -> str:
-    from repro.analysis.figures import fig1_bandwidth_series
-
-    points = fig1_bandwidth_series(**kwargs)
-    return rows_to_csv(
-        [
-            "num_ranks",
-            "sfm_capacity_gb",
-            "cpu_sfm_channel_gbps",
-            "channel_peak_gbps",
-            "xfm_per_rank_gbps",
-            "side_channel_per_rank_gbps",
-        ],
-        [
-            [
-                p.num_ranks,
-                p.sfm_capacity_gb,
-                p.cpu_sfm_channel_gbps,
-                p.channel_peak_gbps,
-                p.xfm_per_rank_gbps,
-                p.side_channel_per_rank_gbps,
-            ]
-            for p in points
-        ],
-    )
-
-
-def fig3_json(metric: str = "cost", **kwargs) -> str:
-    from repro.costmodel import fig3_series
-
-    series = fig3_series(metric=metric, **kwargs)
-    return json.dumps(
-        {
-            key: {
-                "label": value.label,
-                "years": value.years,
-                "normalized": value.normalized,
-            }
-            for key, value in series.items()
-        },
-        indent=2,
-    )
-
-
-def fig8_csv(**kwargs) -> str:
-    from repro.analysis.figures import fig8_ratios
-
-    reports = fig8_ratios(**kwargs)
-    rows: List[list] = []
-    for report in reports:
-        for dimms, ratio in sorted(report.stored_ratio.items()):
-            rows.append(
-                [
-                    report.corpus,
-                    dimms,
-                    ratio,
-                    report.payload_ratio[dimms],
-                    report.savings(dimms),
-                ]
-            )
-    return rows_to_csv(
-        ["corpus", "num_dimms", "stored_ratio", "payload_ratio", "savings"],
-        rows,
-    )
-
-
-def fig11_json(**kwargs) -> str:
-    from repro.analysis.figures import fig11_interference
-
-    results = fig11_interference(**kwargs)
-    return json.dumps(
-        {
-            mix: {
-                mode.value: {
-                    "spec_mean_degradation_pct": result.spec_mean_degradation_pct,
-                    "spec_max_degradation_pct": result.spec_max_degradation_pct,
-                    "sfm_degradation_pct": result.sfm_degradation_pct,
-                    "combined_throughput": result.combined_throughput(),
-                    "workloads": {
-                        w.name: w.degradation_pct for w in result.workloads
-                    },
-                }
-                for mode, result in by_mode.items()
-            }
-            for mix, by_mode in results.items()
-        },
-        indent=2,
-    )
-
-
-def fig12_csv(**kwargs) -> str:
-    from repro.analysis.figures import fig12_fallbacks
-
-    grid = fig12_fallbacks(**kwargs)
-    rows = []
-    for promotion, reports in grid.items():
-        for report in reports:
-            rows.append(
-                [
-                    promotion,
-                    report.config.spm_bytes,
-                    report.config.accesses_per_ref,
-                    report.fallback_fraction,
-                    report.random_fraction,
-                    report.nma_bandwidth_bps,
-                    report.conditional_energy_saving,
-                ]
-            )
-    return rows_to_csv(
-        [
-            "promotion_rate",
-            "spm_bytes",
-            "accesses_per_ref",
-            "fallback_fraction",
-            "random_fraction",
-            "nma_bandwidth_bps",
-            "conditional_energy_saving",
-        ],
-        rows,
-    )
-
-
-EXPORTERS: Dict[str, object] = {
-    "fig1.csv": fig1_csv,
-    "fig3.json": fig3_json,
-    "fig8.csv": fig8_csv,
-    "fig11.json": fig11_json,
-    "fig12.csv": fig12_csv,
-}

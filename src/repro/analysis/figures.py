@@ -1,15 +1,20 @@
-"""Data generators for each figure of the paper's evaluation."""
+"""Data generators for each figure of the paper's evaluation.
+
+Each generator's defaults are the one parameter set its experiment in
+:mod:`repro.analysis.experiments` (and its committed results file) uses.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro._units import SECONDS_PER_MINUTE
 from repro.core.emulator import EmulatorReport, fallback_sweep
 from repro.core.multichannel import MultiChannelReport, measure_corpus
 from repro.dram.device import DDR5_32GB, PAGE_SIZE, DramDeviceConfig, timings_for_device
 from repro.interference.corun import (
+    AntagonistConfig,
     CorunConfig,
     CorunResult,
     SfmMode,
@@ -115,7 +120,7 @@ def max_supported_sfm_gb(
 
 def fig8_ratios(
     corpora: Sequence[str] = tuple(CORPUS_NAMES),
-    pages_per_corpus: int = 8,
+    pages_per_corpus: int = 6,
     dimm_counts: Sequence[int] = (1, 2, 4),
     seed: int = 42,
 ) -> List[MultiChannelReport]:
@@ -133,12 +138,28 @@ def fig8_ratios(
 # -- Fig. 11: co-run interference ---------------------------------------------------
 
 
+#: Fig. 11's job mixes: the default SPEC mix, a bandwidth-heavy mix under
+#: a harder antagonist, and a light mix under a gentler one.
+FIG11_JOB_MIXES: Mapping[str, CorunConfig] = {
+    "mix-default": CorunConfig(),
+    "mix-heavy": CorunConfig(
+        workloads=(
+            "lbm", "fotonik3d", "bwaves", "roms",
+            "mcf", "cactuBSSN", "lbm", "fotonik3d",
+        ),
+        antagonist=AntagonistConfig(promotion_rate=0.25, num_cores=4),
+    ),
+    "mix-light": CorunConfig(
+        workloads=("gcc", "wrf", "xalancbmk", "omnetpp", "mcf", "cactuBSSN"),
+        antagonist=AntagonistConfig(promotion_rate=0.10),
+    ),
+}
+
+
 def fig11_interference(
-    configs: Optional[Dict[str, CorunConfig]] = None,
+    configs: Mapping[str, CorunConfig] = FIG11_JOB_MIXES,
 ) -> Dict[str, Dict[SfmMode, CorunResult]]:
     """SPEC + SFM antagonist co-runs under the three configurations."""
-    if configs is None:
-        configs = {"default-mix": CorunConfig()}
     return {
         name: {mode: simulate_corun(config, mode) for mode in SfmMode}
         for name, config in configs.items()
@@ -152,7 +173,7 @@ def fig12_fallbacks(
     promotion_rates: Sequence[float] = (0.5, 1.0),
     spm_sizes_mib: Sequence[int] = (1, 2, 4, 8),
     accesses_per_ref: Sequence[int] = (1, 2, 3),
-    sim_time_s: float = 0.1,
+    sim_time_s: float = 0.08,
 ) -> Dict[float, List[EmulatorReport]]:
     """The Fig. 12 grid: fallback rate vs SPM size x access budget."""
     return {

@@ -1,30 +1,12 @@
-"""Golden-snapshot renderers for the analysis layer.
+"""The replay goldens: the target config and rendering behind the
+committed ``benchmarks/results/replay_*.txt`` files.
 
-The fig. 8 and fig. 12 benches and the ``tests/validation`` golden
-tests must render byte-identical text from the same report objects, so
-the table formatting lives here rather than in the bench bodies. A
-refactor that shifts any number in these tables shows up as a golden
-diff against ``benchmarks/results/*.txt`` instead of silently drifting
-the paper reproduction.
+The paper's figures and tables are pinned through
+:mod:`repro.analysis.experiments`, which renders each of them once for
+the CLI, the benches and the golden test.
 """
 
 from __future__ import annotations
-
-from typing import Dict, List, Sequence
-
-from repro.analysis.report import format_table
-from repro.core.emulator import EmulatorReport
-from repro.core.multichannel import MultiChannelReport
-
-#: The exact parameters the committed golden files were generated with.
-FIG8_GOLDEN_KWARGS = {"pages_per_corpus": 6}
-FIG12_GOLDEN_KWARGS = {
-    "promotion_rates": (0.5, 1.0),
-    "spm_sizes_mib": (1, 2, 4, 8),
-    "accesses_per_ref": (1, 2, 3),
-    "sim_time_s": 0.08,
-}
-
 
 #: The exact target config the committed replay goldens were replayed
 #: against (``benchmarks/results/replay_*.txt``): a deliberately small
@@ -48,85 +30,3 @@ def replay_summary(report) -> str:
     from repro.scenarios.replayer import format_report
 
     return format_report(report.as_dict())
-
-
-def fig8_table(reports: Sequence[MultiChannelReport]) -> str:
-    """The Fig. 8 table exactly as ``bench_fig08`` writes it."""
-    rows = []
-    for report in reports:
-        rows.append(
-            [
-                report.corpus,
-                round(report.stored_ratio[1], 2),
-                round(report.stored_ratio[2], 2),
-                round(report.stored_ratio[4], 2),
-                round(100 * report.ratio_retention(4), 1),
-                round(100 * report.savings_reduction_vs_inorder(2), 1),
-                round(100 * report.savings_reduction_vs_inorder(4), 1),
-            ]
-        )
-    compressible = [r for r in reports if r.stored_ratio[1] > 1.3]
-    mean_retention = sum(
-        r.ratio_retention(4) for r in compressible
-    ) / len(compressible)
-    mean_red2 = sum(
-        r.savings_reduction_vs_inorder(2) for r in compressible
-    ) / len(compressible)
-    mean_red4 = sum(
-        r.savings_reduction_vs_inorder(4) for r in compressible
-    ) / len(compressible)
-    table = format_table(
-        [
-            "corpus",
-            "ratio 1-DIMM",
-            "ratio 2-DIMM",
-            "ratio 4-DIMM",
-            "retained@4 %",
-            "savings loss@2 %",
-            "savings loss@4 %",
-        ],
-        rows,
-        title="Fig. 8 — multi-channel compression ratios (deflate)",
-    )
-    table += (
-        f"\nmean ratio retained @4 DIMMs (compressible corpora):"
-        f" {100 * mean_retention:.1f}% (paper: 86.2%)"
-        f"\nmean savings reduction @2: {100 * mean_red2:.1f}% (paper: ~5%)"
-        f"\nmean savings reduction @4: {100 * mean_red4:.1f}% (paper: ~14%)"
-    )
-    return table
-
-
-def fig12_table(grid: Dict[float, List[EmulatorReport]]) -> str:
-    """The Fig. 12 table exactly as ``bench_fig12`` writes it."""
-    rows = []
-    for promo, reports in grid.items():
-        for report in reports:
-            cfg = report.config
-            p95 = report.latency_percentiles_ms.get(95, 0.0)
-            rows.append(
-                [
-                    f"{int(promo * 100)}%",
-                    cfg.spm_bytes >> 20,
-                    cfg.accesses_per_ref,
-                    round(100 * report.fallback_fraction, 2),
-                    round(100 * report.random_fraction, 1),
-                    round(report.nma_bandwidth_bps / 1e9, 3),
-                    round(100 * report.conditional_energy_saving, 2),
-                    round(p95 * 1000, 1),
-                ]
-            )
-    return format_table(
-        [
-            "promotion",
-            "SPM MiB",
-            "acc/REF",
-            "fallback %",
-            "random %",
-            "NMA GBps",
-            "energy saved %",
-            "p95 latency us",
-        ],
-        rows,
-        title="Fig. 12 — CPU fallbacks (512 GB SFM, per-rank emulation)",
-    )

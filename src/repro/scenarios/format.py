@@ -169,14 +169,6 @@ class ScenarioTrace:
     def count(self, op: str) -> int:
         return sum(1 for event in self.events if event.op == op)
 
-    def to_swap_trace(self):
-        """Bridge to the legacy §7 emulator artifact: stores become
-        swap-outs, loads/promotes become swap-ins (see
-        :meth:`repro.workloads.traces.SwapTrace.from_scenario`)."""
-        from repro.workloads.traces import SwapTrace
-
-        return SwapTrace.from_scenario(self)
-
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> Path:

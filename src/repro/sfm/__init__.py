@@ -9,12 +9,11 @@ compaction (:mod:`~repro.sfm.zpool`), and a baseline CPU backend implementing
 to the near-memory accelerator.
 """
 
-from repro.sfm.backend import SfmBackend, SwapOutcome
+from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE, Page
 
 __all__ = [
     "PAGE_SIZE",
     "Page",
     "SfmBackend",
-    "SwapOutcome",
 ]

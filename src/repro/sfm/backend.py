@@ -35,13 +35,10 @@ from repro.telemetry import flightrec as _flightrec
 from repro.telemetry import spans as _spans
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import MetricsRegistry
+from repro.tiering.protocol import SwapOutcome
 from repro.validation.hooks import checkpoint
 
-# Canonical home is the tier protocol; re-exported here so historical
-# ``from repro.sfm.backend import SwapOutcome`` imports keep working.
-from repro.tiering.protocol import SwapOutcome
-
-__all__ = ["BLOB_SIZE_BUCKETS", "SfmBackend", "SwapOutcome"]
+__all__ = ["BLOB_SIZE_BUCKETS", "SfmBackend"]
 
 #: Compressed-blob size histogram bounds (bytes): page fractions the
 #: Fig. 8 ratio sweeps care about.

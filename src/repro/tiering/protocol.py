@@ -11,8 +11,7 @@ no longer quietly depend on SFM-only attributes like ``zpool`` or
 ``index``.
 
 :class:`SwapOutcome` lives here because it *is* the protocol's return
-type; :mod:`repro.sfm.backend` re-exports it so historical import paths
-(``from repro.sfm.backend import SwapOutcome``) keep working.
+type; every backend and caller imports it from :mod:`repro.tiering`.
 """
 
 from __future__ import annotations

@@ -64,7 +64,9 @@ class TestFig8:
 class TestFig11:
     def test_all_modes_present(self):
         results = fig11_interference()
-        assert set(results["default-mix"]) == set(SfmMode)
+        assert set(results) == {"mix-default", "mix-heavy", "mix-light"}
+        for by_mode in results.values():
+            assert set(by_mode) == set(SfmMode)
 
 
 class TestFig12:

@@ -26,7 +26,7 @@ from repro.scenarios.format import (
 )
 from repro.sfm.page import PAGE_SIZE
 from repro.workloads.corpus import corpus_pages
-from repro.workloads.traces import SWAP_IN, SWAP_OUT
+from repro.workloads.traces import SWAP_IN, SWAP_OUT, SwapTrace
 
 
 def _sample_trace(num_pages: int = 3, name: str = "sample") -> ScenarioTrace:
@@ -104,7 +104,7 @@ class TestRoundTrip:
         )
 
     def test_to_swap_trace_bridge(self):
-        swap = _sample_trace().to_swap_trace()
+        swap = SwapTrace.from_scenario(_sample_trace())
         # 3 stores -> outs, 1 load -> in, invalidate dropped.
         assert swap.count(SWAP_OUT) == 3
         assert swap.count(SWAP_IN) == 1

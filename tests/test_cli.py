@@ -1,11 +1,16 @@
 """CLI entry-point tests."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import main
+from repro.analysis.experiments import EXPERIMENTS
 from repro.campaigns import CAMPAIGNS
 from repro.sim import CLOCK
 from repro.sim.context import current, run_context
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 @pytest.fixture(autouse=True)
@@ -49,12 +54,20 @@ class TestCli:
 
     def test_budget(self, capsys):
         assert main(["budget"]) == 0
-        assert "locked_fraction" in capsys.readouterr().out
+        assert "locked fraction" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_fast_experiments_run(self, name, capsys):
+        """Each experiment prints exactly the committed text of the
+        results file(s) it owns, which its bench writes from the same
+        data. A diff means a paper number or its rendering moved; rerun
+        the benches to regenerate only if the shift is intended."""
         assert main([name]) == 0
-        assert capsys.readouterr().out.strip()
+        committed = "".join(
+            (RESULTS / f"{stem}.txt").read_text(encoding="utf-8")
+            for stem in EXPERIMENTS[name].results
+        )
+        assert capsys.readouterr().out == committed
 
     def test_export_writes_figure_data(self, tmp_path, capsys):
         assert main(["export", str(tmp_path / "data")]) == 0

@@ -1,50 +1,36 @@
-"""Golden-snapshot regression tests for the analysis layer.
+"""Golden-snapshot regression tests for the Fig. 8 and Fig. 12 rows of
+the experiment table.
 
-The fig. 8 and fig. 12 generators must render byte-identically to the
-committed ``benchmarks/results/*.txt`` artifacts (which the benches
-write via the same :mod:`repro.analysis.goldens` renderers). A diff here
+Each record's ``render(compute())`` must equal, file by file, the
+committed ``benchmarks/results/*.txt`` artifacts its bench writes from
+the same record. ``tests/test_cli.py::TestCli::test_fast_experiments_run``
+checks that ``python -m repro <name>`` prints the same text. A diff here
 means the paper-reproduction numbers moved — regenerate the goldens by
 rerunning the benches only after confirming the shift is intentional.
 """
 
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.figures import fig8_ratios, fig12_fallbacks
-from repro.analysis.goldens import (
-    FIG8_GOLDEN_KWARGS,
-    FIG12_GOLDEN_KWARGS,
-    fig8_table,
-    fig12_table,
-)
-from repro.workloads.corpus import CORPUS_NAMES
+from repro.analysis.experiments import EXPERIMENTS
 
 RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
-def _golden(name: str) -> str:
-    path = RESULTS / name
-    if not path.exists():
-        pytest.skip(f"golden file {path} not committed")
-    return path.read_text()
+def _assert_matches_golden(name: str) -> None:
+    rec = EXPERIMENTS[name]
+    rendered = rec.render(rec.compute())
+    assert len(rendered) == len(rec.results)
+    for stem, text in zip(rec.results, rendered):
+        golden = (RESULTS / f"{stem}.txt").read_text(encoding="utf-8")
+        assert text + "\n" == golden, (
+            f"{name} output drifted from benchmarks/results/{stem}.txt"
+            " — rerun the bench to regenerate if the change is intentional"
+        )
 
 
 def test_fig08_matches_golden():
-    reports = fig8_ratios(corpora=tuple(CORPUS_NAMES), **FIG8_GOLDEN_KWARGS)
-    rendered = fig8_table(reports) + "\n"
-    golden = _golden("fig08_multichannel.txt")
-    assert rendered == golden, (
-        "fig. 8 output drifted from benchmarks/results/fig08_multichannel.txt"
-        " — rerun the bench to regenerate if the change is intentional"
-    )
+    _assert_matches_golden("fig8")
 
 
 def test_fig12_matches_golden():
-    grid = fig12_fallbacks(**FIG12_GOLDEN_KWARGS)
-    rendered = fig12_table(grid) + "\n"
-    golden = _golden("fig12_fallbacks.txt")
-    assert rendered == golden, (
-        "fig. 12 output drifted from benchmarks/results/fig12_fallbacks.txt"
-        " — rerun the bench to regenerate if the change is intentional"
-    )
+    _assert_matches_golden("fig12")
