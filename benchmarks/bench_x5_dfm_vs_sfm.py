@@ -45,7 +45,7 @@ def _run():
                 "ratio": ratio,
                 "swap_in_us": backend.swap_latency_s("in") * 1e6,
                 "cpu_cycles": backend.stats.total_cpu_cycles,
-                "channel_bytes": backend.ledger.channel_bytes(),
+                "channel_bytes": backend.traffic.channel_bytes,
             }
         )
     return rows

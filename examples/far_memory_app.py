@@ -81,8 +81,8 @@ def describe(name, runtime, report):
     print(f"mean compression ratio: {backend.stats.mean_compression_ratio:.2f}")
     print(f"observed promotion rate: "
           f"{100 * trace.promotion_rate(far_bytes):.1f}%/min")
-    print(f"DDR channel traffic   : {pretty_bytes(backend.ledger.channel_bytes())}")
-    print(f"on-DIMM (NMA) traffic : {pretty_bytes(backend.ledger.total('nma'))}")
+    print(f"DDR channel traffic   : {pretty_bytes(backend.traffic.channel_bytes)}")
+    print(f"on-DIMM (NMA) traffic : {pretty_bytes(backend.traffic.nma_bytes)}")
     if hasattr(backend, "drivers"):
         drivers = [driver.stats for driver in backend.drivers]
         print(f"driver MMIO writes    : "
@@ -128,8 +128,8 @@ def main() -> None:
     describe("XFM", xfm_runtime, xfm_report)
 
     saved = (
-        baseline_runtime.backend.ledger.channel_bytes()
-        - xfm_runtime.backend.ledger.channel_bytes()
+        baseline_runtime.backend.traffic.channel_bytes
+        - xfm_runtime.backend.traffic.channel_bytes
     )
     print(
         f"\nXFM kept {pretty_bytes(max(0, saved))} of swap traffic off the "

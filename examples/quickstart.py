@@ -64,13 +64,13 @@ def main() -> None:
         ),
         (
             "DDR channel traffic",
-            pretty_bytes(baseline.ledger.channel_bytes()),
-            pretty_bytes(xfm.ledger.channel_bytes()),
+            pretty_bytes(baseline.traffic.channel_bytes),
+            pretty_bytes(xfm.traffic.channel_bytes),
         ),
         (
             "on-DIMM (NMA) traffic",
-            pretty_bytes(baseline.ledger.total("nma")),
-            pretty_bytes(xfm.ledger.total("nma")),
+            pretty_bytes(baseline.traffic.nma_bytes),
+            pretty_bytes(xfm.traffic.nma_bytes),
         ),
         (
             "offloaded compressions",

@@ -65,9 +65,9 @@ def main() -> None:
           f"{pretty_bytes(zswap.pool_usage_bytes())} / "
           f"{pretty_bytes(zswap.pool_limit_bytes())}")
     print(f"  DDR channel traffic      : "
-          f"{pretty_bytes(backend.ledger.channel_bytes())}")
+          f"{pretty_bytes(backend.traffic.channel_bytes)}")
     print(f"  on-DIMM (NMA) traffic    : "
-          f"{pretty_bytes(backend.ledger.total('nma'))}")
+          f"{pretty_bytes(backend.traffic.nma_bytes)}")
 
     # Fault a few pages back in and verify content end to end.
     hits = 0

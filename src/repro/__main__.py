@@ -22,6 +22,8 @@ on usage errors). The campaign commands run through
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
 from functools import partial
 from pathlib import Path
@@ -415,6 +417,19 @@ def _run_experiments(names: List[str]) -> int:
 
 
 def main(argv: List[str] = None) -> int:
+    try:
+        status = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``python -m repro list | head -1``):
+        # stop quietly with the status of a writer killed by SIGPIPE, and
+        # point stdout at devnull so the exit-time flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
+    return status
+
+
+def _dispatch(argv: List[str] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     name = argv[0] if argv else "list"
     if name in ("-h", "--help"):

@@ -116,7 +116,7 @@ def format_tier_stats(pipeline, title: str = "") -> str:
     )
     rows.append(
         ["ledger_bytes"]
-        + [sum(tier.ledger.snapshot().values()) for tier in tiers]
-        + [sum(pipeline.ledger.snapshot().values())]
+        + [tier.traffic.total_bytes for tier in tiers]
+        + [pipeline.traffic.total_bytes]
     )
     return format_table(["counter"] + names + ["total"], rows, title=title)

@@ -5,7 +5,7 @@ page into the Compress_Request_Queue instead of compressing on the CPU;
 ``xfm_swap_in`` calls ``CPU_Fallback`` *by default* — decompression latency
 sits on the fault path, so offload happens only when the controller asserts
 ``do_offload`` (prefetch-style promotions). All NMA data movement is
-charged to the ``nma`` ledger (on-DIMM, invisible to the DDR channel),
+charged to the ``nma_*_bytes`` traffic (on-DIMM, invisible to the DDR channel),
 which is exactly the bandwidth-elimination claim of Fig. 1/Fig. 11.
 
 Multi-channel mode (§6, Fig. 9) is the same backend over N DIMMs, one
@@ -58,7 +58,6 @@ class XfmBackend(SfmBackend):
         cpu_freq_hz: float = 2.6e9,
         row_bytes: int = 8192,
         registry=None,
-        ledger=None,
         tier: Optional[str] = None,
         num_dimms: int = 1,
     ) -> None:
@@ -85,7 +84,6 @@ class XfmBackend(SfmBackend):
             codec=self.nmas[0].codec,
             cpu_freq_hz=cpu_freq_hz,
             registry=registry,
-            ledger=ledger,
             tier=tier,
         )
         if tier is None:
@@ -221,7 +219,7 @@ class XfmBackend(SfmBackend):
                 segment = self._retried(
                     lambda: nma.compress_page(stripe, digest)
                 )
-                self.ledger.record("nma", "read", len(stripe))
+                self.traffic.nma_read_bytes += len(stripe)
                 if len(segment) * self.layout.num_dimms > int(
                     PAGE_SIZE * self.max_stored_fraction
                 ):
@@ -273,7 +271,7 @@ class XfmBackend(SfmBackend):
         except ZpoolFullError:
             self.stats.rejected += 1
             return SwapOutcome(accepted=False, reason="pool-full")
-        self.ledger.record("nma", "write", len(blob))
+        self.traffic.nma_write_bytes += len(blob)
         self.stats.offloaded_compressions += 1
         if len(segments) > 1:
             # One segment is the blob, already hashed; several are not.
@@ -359,7 +357,7 @@ class XfmBackend(SfmBackend):
                 # when unrecoverable) before the accelerators touch the
                 # blob.
                 blob = self._load_verified(record, page.vaddr)
-                self.ledger.record("nma", "read", len(blob))
+                self.traffic.nma_read_bytes += len(blob)
                 stripes = [
                     self._decompress_stripe(nma, segment, stripe_bytes)
                     for nma, segment in zip(
@@ -372,7 +370,7 @@ class XfmBackend(SfmBackend):
         except _OFFLOAD_FAILURES as exc:
             return self._fallback_decompress(page, exc)
         data = self.layout.gather(stripes)
-        self.ledger.record("nma", "write", PAGE_SIZE)
+        self.traffic.nma_write_bytes += PAGE_SIZE
         self._drop(page.vaddr)
         page.swapped = False
         page.data = data

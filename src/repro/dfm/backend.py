@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.resilience import faults as _faults
 from repro.resilience.retry import retry_with_backoff
-from repro.sfm.metrics import BandwidthLedger, SwapStats
+from repro.sfm.metrics import SwapStats, TrafficStats
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sim import CLOCK as _sim_clock
 from repro.telemetry import spans as _spans
@@ -62,7 +62,6 @@ class DfmBackend:
         capacity_bytes: int,
         link: InterconnectModel = CXL_LINK,
         registry: Optional[MetricsRegistry] = None,
-        ledger: Optional[BandwidthLedger] = None,
         tier: str = "dfm",
     ) -> None:
         if capacity_bytes < PAGE_SIZE:
@@ -74,11 +73,10 @@ class DfmBackend:
         # labelled by tier, like every other backend's.
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tier_name = tier
-        self.stats = SwapStats(registry=self.registry, labels={"tier": tier})
-        self.ledger = ledger if ledger is not None else BandwidthLedger()
-        self.link_stats = LinkStats(
-            registry=self.registry, labels={"tier": tier}
-        )
+        labels = {"tier": tier}
+        self.stats = SwapStats(registry=self.registry, labels=labels)
+        self.traffic = TrafficStats(registry=self.registry, labels=labels)
+        self.link_stats = LinkStats(registry=self.registry, labels=labels)
         #: Link-transfer latency quantiles per op class (simulated ns),
         #: recorded only under tracing.
         self._lat = {
@@ -198,7 +196,12 @@ class DfmBackend:
         self.stats.transient_retries += 1
 
     def _account_transfer(self, op: str = "store") -> None:
-        self.ledger.record("dfm_link", "read", PAGE_SIZE)
+        # Link transfers are channel traffic: a store reads the page
+        # out of local memory, a load writes it back, as on the CPU tier.
+        if op == "store":
+            self.traffic.channel_read_bytes += PAGE_SIZE
+        else:
+            self.traffic.channel_write_bytes += PAGE_SIZE
         link = self.link_stats
         link.link_energy_j += self.link.transfer_energy_j(PAGE_SIZE)
         latency_s = self.link.page_swap_latency_s(PAGE_SIZE)

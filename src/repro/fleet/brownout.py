@@ -70,8 +70,6 @@ class BrownoutController:
         self.on_exit = on_exit
         self.registry = registry if registry is not None else MetricsRegistry()
         self.active = False
-        self.entries = 0
-        self.exits = 0
         self.residency_ns = 0.0
         self._entered_at_ns = 0.0
         self._over = 0
@@ -120,10 +118,8 @@ class BrownoutController:
         self._over = 0
         self._under = 0
         if entering:
-            self.entries += 1
             self._entered_at_ns = now
         else:
-            self.exits += 1
             self.residency_ns += now - self._entered_at_ns
         to = "brownout" if entering else "normal"
         self.registry.counter("fleet.brownout.transitions", to=to).inc()
@@ -148,7 +144,11 @@ class BrownoutController:
     def snapshot(self) -> dict:
         return {
             "active": self.active,
-            "entries": self.entries,
-            "exits": self.exits,
+            "entries": self.registry.value(
+                "fleet.brownout.transitions", to="brownout"
+            ),
+            "exits": self.registry.value(
+                "fleet.brownout.transitions", to="normal"
+            ),
             "residency_ns": round(self.total_residency_ns(), 1),
         }

@@ -7,13 +7,15 @@ fleet needs — deterministic placement with no coordination state, and
 minimal disruption on membership change (killing one of N shards moves
 only that shard's keys, everyone else's placement is untouched).
 
-The frontend also owns the fleet-level serving ledger: admission
+The frontend also owns the fleet-level serving counters: admission
 (delegated to :class:`~repro.fleet.admission.AdmissionController`),
 the shared retry budget, per-op latency quantiles under
-``op_latency_ns{op,tier="fleet"}`` (what the SLO engine reads), shed
-counters by reason, and an explicit placement map (key -> shard) kept
-so failover can enumerate exactly which acknowledged pages lived on a
-dead shard and relocate them to siblings.
+``op_latency_ns{op,tier="fleet"}`` (what the SLO engine reads), the
+``fleet.requests`` / ``.served`` / ``.shed`` / ``.failed`` and
+``fleet.relocated_pages`` registry counters (the campaign report reads
+them back, counting nothing twice), and an explicit placement map (key
+-> shard) kept so failover can enumerate exactly which acknowledged
+pages lived on a dead shard and relocate them to siblings.
 """
 
 from __future__ import annotations
@@ -76,9 +78,6 @@ class FleetFrontend:
         )
         #: key -> shard name, for every acknowledged resident page.
         self.placement: Dict[int, str] = {}
-        #: Failover bookkeeping.
-        self.relocated_pages = 0
-        self.failover_lost_pages = 0
         #: Completion hook installed by the harness (phase accounting,
         #: shadow checks, retry decisions); receives terminal requests.
         self.on_complete: Callable[[FleetRequest], None] = ignore_request
@@ -237,7 +236,9 @@ class FleetFrontend:
             try:
                 self._enqueue(req)
             except OverloadError:
-                pass  # accounted by _enqueue; client retry logic applies
+                # Shed and counted by _enqueue; like every terminal
+                # request it reaches the owner (tallies, client retry).
+                self.on_complete(req)
         stats = {"relocated": 0, "spilled": 0, "lost": 0}
         doomed = sorted(
             key for key, where in self.placement.items() if where == name
@@ -248,7 +249,6 @@ class FleetFrontend:
                 data = self._extract(victim, key)
                 if data is None:
                     stats["lost"] += 1
-                    self.failover_lost_pages += 1
                     self.placement.pop(key, None)
                     continue
                 if not survivors:
@@ -258,7 +258,6 @@ class FleetFrontend:
                     self.placement.pop(key, None)
                     stats["spilled"] += 1
                     stats["relocated"] += 1
-                    self.relocated_pages += 1
                     continue
                 target = self.route(key)
                 if self.shards[target].pipeline.store(key, data):
@@ -268,7 +267,6 @@ class FleetFrontend:
                     self.placement.pop(key, None)
                     stats["spilled"] += 1
                 stats["relocated"] += 1
-                self.relocated_pages += 1
         self.registry.counter("fleet.relocated_pages").inc(stats["relocated"])
         return stats
 

@@ -173,8 +173,6 @@ class _Campaign:
         self.key_rng = random.Random(config.seed + 1)
         self.retry_rng = random.Random(config.seed + 2)
         self.next_rid = 0
-        self.retry_fast_fails = 0
-        self.retries_scheduled = 0
         self.phase_tallies: Dict[str, Dict[str, int]] = {
             p: {
                 "offered": 0, "served": 0, "shed": 0, "failed": 0,
@@ -182,12 +180,7 @@ class _Campaign:
             }
             for p in PHASES
         }
-        self.shed_reasons: Dict[str, int] = {}
         self.phase_latencies: Dict[str, List[float]] = {p: [] for p in PHASES}
-        self.tenant_tallies: Dict[str, Dict[str, int]] = {
-            name: {"offered": 0, "served": 0, "shed": 0}
-            for name in self.tenant_names
-        }
         self.engine = SloEngine(
             session.registry,
             [
@@ -255,7 +248,6 @@ class _Campaign:
     def _offer(self, req: FleetRequest) -> None:
         phase = self.config.phase_at(req.arrival_ns)
         self.phase_tallies[phase]["offered"] += 1
-        self.tenant_tallies[req.tenant]["offered"] += 1
         if req.attempt > 0:
             self.phase_tallies[phase]["retries"] += 1
         try:
@@ -268,7 +260,6 @@ class _Campaign:
         tally = self.phase_tallies[phase]
         if req.status == "served":
             tally["served"] += 1
-            self.tenant_tallies[req.tenant]["served"] += 1
             self.phase_latencies[phase].append(req.latency_ns)
             if req.op == "store":
                 self.oracle.ack(req.key, req.data)
@@ -277,10 +268,6 @@ class _Campaign:
                 self.oracle.check(req.key, req.result, phase)
         elif req.status == "shed":
             tally["shed"] += 1
-            self.tenant_tallies[req.tenant]["shed"] += 1
-            self.shed_reasons[req.reason] = (
-                self.shed_reasons.get(req.reason, 0) + 1
-            )
             if req.op == "load":
                 self._release_key(req.tenant, req.key)
             self._maybe_retry(req)
@@ -300,9 +287,7 @@ class _Campaign:
         try:
             self.frontend.charge_retry(retry_after_ns=retry_after)
         except RetryBudgetExhausted:
-            self.retry_fast_fails += 1
             return
-        self.retries_scheduled += 1
         # Seeded jitter so synchronized sheds don't re-stampede.
         delay = retry_after * (1.0 + 0.2 * self.retry_rng.random())
         self.scheduler.schedule_after(delay, lambda r=req: self._resubmit(r))
@@ -434,6 +419,9 @@ def _build_report(
     arrivals: List[object],
 ) -> Dict[str, object]:
     frontend, oracle = campaign.frontend, campaign.oracle
+    # Per-tenant, per-reason, retry, brownout and relocation counts are
+    # read from the registry counters the fleet exports, not recounted.
+    registry = frontend.registry
     phases: Dict[str, object] = {}
     for phase in PHASES:
         tally = campaign.phase_tallies[phase]
@@ -443,14 +431,18 @@ def _build_report(
             "shed_rate": round(tally["shed"] / offered, 6) if offered else 0.0,
             "latency_ns": _quantiles(campaign.phase_latencies[phase]),
         }
+    offered = registry.totals("fleet.requests", "tenant")
+    served = registry.totals("fleet.served", "tenant")
+    shed = registry.totals("fleet.shed", "tenant")
     tenants: Dict[str, object] = {}
     goodputs: List[float] = []
     for name in campaign.tenant_names:
-        tally = campaign.tenant_tallies[name]
-        goodput = tally["served"]
+        goodput = served.get(name, 0)
         goodputs.append(goodput)
         tenants[name] = {
-            **tally,
+            "offered": offered.get(name, 0),
+            "served": goodput,
+            "shed": shed.get(name, 0),
             "goodput_rps": round(goodput / (config.total_ns / 1e9), 2),
         }
     fairness = (
@@ -461,6 +453,7 @@ def _build_report(
     degraded_ops = sum(s.degraded_ops for s in frontend.shards.values())
     recovery_sheds = campaign.phase_tallies["recovery"]["shed"]
     spike_sheds = campaign.phase_tallies["spike"]["shed"]
+    budget = frontend.retry_budget.snapshot()
     report: Dict[str, object] = {
         "schema": 1,
         "config": {
@@ -488,14 +481,14 @@ def _build_report(
             "max_min_goodput_ratio": fairness,
         },
         "shedding": {
-            "by_reason": dict(sorted(campaign.shed_reasons.items())),
+            "by_reason": registry.totals("fleet.shed", "reason"),
             "spike_sheds": spike_sheds,
             "recovery_sheds": recovery_sheds,
         },
         "retry_budget": {
-            **frontend.retry_budget.snapshot(),
-            "retries_scheduled": campaign.retries_scheduled,
-            "fast_fails": campaign.retry_fast_fails,
+            **budget,
+            "retries_scheduled": budget["spent"],
+            "fast_fails": budget["refused"],
         },
         "brownout": {
             **frontend.brownout.snapshot(),
@@ -504,7 +497,7 @@ def _build_report(
         },
         "failover": {
             **failover_stats,
-            "relocated_pages_total": frontend.relocated_pages,
+            "relocated_pages_total": registry.value("fleet.relocated_pages"),
         },
         "slo": campaign.engine.summary(),
         "sweep": sweep,

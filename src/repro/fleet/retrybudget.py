@@ -37,9 +37,8 @@ class RetryBudget:
         self.earn_fraction = earn_fraction
         self.cap = cap
         self.balance = float(initial)
-        self.spent = 0
-        self.refused = 0
         self.registry = registry if registry is not None else MetricsRegistry()
+        #: The one count of spent and refused retries.
         self._spent_counter = self.registry.counter(
             "fleet.retry_budget", event="spent"
         )
@@ -58,10 +57,8 @@ class RetryBudget:
         # (ten 0.1-earns must fund exactly one retry).
         if self.balance >= 1.0 - 1e-9:
             self.balance = max(0.0, self.balance - 1.0)
-            self.spent += 1
             self._spent_counter.inc()
             return
-        self.refused += 1
         self._refused_counter.inc()
         raise RetryBudgetExhausted(
             f"retry budget exhausted (balance={self.balance:.2f})",
@@ -71,8 +68,8 @@ class RetryBudget:
     def snapshot(self) -> dict:
         return {
             "balance": round(self.balance, 4),
-            "spent": self.spent,
-            "refused": self.refused,
+            "spent": self._spent_counter.value,
+            "refused": self._refused_counter.value,
             "earn_fraction": self.earn_fraction,
             "cap": self.cap,
         }

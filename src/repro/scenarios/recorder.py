@@ -147,8 +147,8 @@ class TraceRecorder:
         return self.inner.stats
 
     @property
-    def ledger(self):
-        return self.inner.ledger
+    def traffic(self):
+        return self.inner.traffic
 
     @property
     def capacity_bytes(self) -> int:

@@ -5,7 +5,7 @@ deterministic twice over: the trace fixes the workload (exact operation
 stream, exact page bytes, exact simulated timestamps) and the target
 tier is a pure function of its configuration, so two replays of the same
 trace against the same config produce identical page bytes, identical
-stats, and identical ledgers. The differential test suite exploits this
+stats, and identical traffic. The differential test suite exploits this
 to pin behavior across all four backends plus the pipeline.
 
 Semantics per event (see :mod:`repro.scenarios.format`):
@@ -81,9 +81,9 @@ class ReplayReport:
     missing_pages: int = 0
     tier_unavailable_errors: int = 0
     data_loss_events: int = 0
-    #: Total ledger traffic of the target (all actors, both directions).
+    #: Total traffic of the target (channel and on-DIMM, both directions).
     bytes_moved: int = 0
-    #: Ledger traffic that crossed the DDR channel (non-NMA actors).
+    #: Traffic that crossed the DDR channel or the DFM link (not the NMA's).
     channel_bytes: int = 0
     #: Demand-load fraction of far-memory fetches (1 - prefetch hit).
     fault_rate: float = 0.0
@@ -289,9 +289,9 @@ class TraceReplayer:
     # -- derived metrics ------------------------------------------------------
 
     def _finalize(self, report: ReplayReport) -> None:
-        ledger = self.target.ledger
-        report.bytes_moved = sum(ledger.snapshot().values())
-        report.channel_bytes = ledger.channel_bytes()
+        traffic = self.target.traffic
+        report.bytes_moved = traffic.total_bytes
+        report.channel_bytes = traffic.channel_bytes
         far_fetches = report.loads + report.promotes
         prefetch_hit = report.promotes / far_fetches if far_fetches else 0.0
         report.fault_rate = 1.0 - prefetch_hit if far_fetches else 0.0
@@ -314,9 +314,7 @@ class TraceReplayer:
                     "swap_ins": stats.swap_ins,
                     "rejected": stats.rejected,
                     "stored_pages": tier_obj.stored_pages(),
-                    "ledger_bytes": sum(
-                        tier_obj.ledger.snapshot().values()
-                    ),
+                    "ledger_bytes": tier_obj.traffic.total_bytes,
                 }
         registry = getattr(self.target, "registry", None)
         if registry is not None:

@@ -27,7 +27,7 @@ from repro.errors import (
 from repro.resilience.integrity import BlobRecord, content_digest, page_digest
 from repro.resilience.retry import retry_with_backoff
 from repro.sfm.digest_cache import DIGEST_CYCLES_PER_BYTE, DigestPageCache
-from repro.sfm.metrics import BandwidthLedger, SwapStats
+from repro.sfm.metrics import SwapStats, TrafficStats
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sfm.zpool import Zpool
 from repro.sim import CLOCK as _sim_clock
@@ -60,7 +60,6 @@ class SfmBackend:
         cpu_freq_hz: float = 2.6e9,
         page_cache_entries: int = 1024,
         registry: Optional[MetricsRegistry] = None,
-        ledger: Optional[BandwidthLedger] = None,
         tier: Optional[str] = None,
     ) -> None:
         self.codec = codec if codec is not None else ZstdLikeCodec()
@@ -79,10 +78,10 @@ class SfmBackend:
         self.tier_name = tier if tier is not None else "cpu"
         labels = {"tier": tier} if tier is not None else {}
         self.stats = SwapStats(registry=self.registry, labels=labels)
+        self.traffic = TrafficStats(registry=self.registry, labels=labels)
         self.blob_sizes = self.registry.histogram(
             "swap.blob_bytes", buckets=BLOB_SIZE_BUCKETS, **labels
         )
-        self.ledger = ledger if ledger is not None else BandwidthLedger()
         #: Device-level latency quantiles per op class (simulated ns),
         #: recorded only under tracing; cached so the hot path skips the
         #: registry lookup.
@@ -168,7 +167,7 @@ class SfmBackend:
             _sim_clock.advance_ns(dur_ns)
             self._lat_store.observe(dur_ns)
         # O3: the cold page is read from DRAM, the blob written back.
-        self.ledger.record("sfm_cpu", "read", PAGE_SIZE)
+        self.traffic.channel_read_bytes += PAGE_SIZE
 
         if len(blob) > int(PAGE_SIZE * self.max_stored_fraction):
             self.stats.rejected += 1
@@ -182,7 +181,7 @@ class SfmBackend:
             return SwapOutcome(
                 accepted=False, reason="pool-full", cpu_cycles=cycles
             )
-        self.ledger.record("sfm_cpu", "write", len(blob))
+        self.traffic.channel_write_bytes += len(blob)
         if blob_digest is None:
             # Only a stored blob is hashed, and only once per cached entry.
             blob_digest = content_digest(blob)
@@ -311,7 +310,7 @@ class SfmBackend:
             raise SfmError(f"page 0x{page.vaddr:x} is not in far memory")
         record = self._record(page.vaddr)
         blob = self._load_verified(record, page.vaddr)
-        self.ledger.record("sfm_cpu", "read", len(blob))
+        self.traffic.channel_read_bytes += len(blob)
         try:
             data = self._decompress(blob)
         except CorruptStreamError:
@@ -350,7 +349,7 @@ class SfmBackend:
             )
             _sim_clock.advance_ns(dur_ns)
             self._lat_load.observe(dur_ns)
-        self.ledger.record("sfm_cpu", "write", PAGE_SIZE)
+        self.traffic.channel_write_bytes += PAGE_SIZE
         self._drop(page.vaddr)
         page.swapped = False
         page.data = data
@@ -381,8 +380,8 @@ class SfmBackend:
         """Manually-initiated compaction (``xfm_compact`` analogue, §6)."""
         moved = self.zpool.compact()
         # Compaction memcpys cross the channel twice (read + write).
-        self.ledger.record("sfm_cpu", "read", moved)
-        self.ledger.record("sfm_cpu", "write", moved)
+        self.traffic.channel_read_bytes += moved
+        self.traffic.channel_write_bytes += moved
         checkpoint(self)
         return moved
 

@@ -1,23 +1,22 @@
 """Counters shared by the SFM backends and the XFM emulator.
 
-Two ledgers matter for the paper's experiments: swap statistics (how much
-was compressed/decompressed, at what CPU cost) and memory-channel traffic
-split by actor — the CPU-side SFM traffic that Fig. 1/Fig. 11 charge
-against co-runners versus the NMA-side traffic XFM hides inside refresh
-windows.
+Two kinds of count matter for the paper's experiments: swap statistics
+(how much was compressed/decompressed, at what CPU cost) and memory
+traffic — the CPU-side SFM traffic over the DDR channel that Fig. 1/
+Fig. 11 charge against co-runners versus the NMA-side traffic XFM hides
+inside refresh windows.
 
-:class:`SwapStats` is a :class:`~repro.telemetry.stats.Stats`: plain
-fields the swap paths increment, read by a bound
+:class:`SwapStats` and :class:`TrafficStats` are
+:class:`~repro.telemetry.stats.Stats`: plain fields the swap paths
+increment, read by a bound
 :class:`~repro.telemetry.registry.MetricsRegistry` at snapshot time.
+Every backend owns one of each, bound under one ``tier`` label, so a
+tier's traffic exports as ``swap.channel_read_bytes{tier=...}`` and
+``swap.nma_*_bytes{tier=...}`` beside its ``swap.*`` counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
-
-from repro._units import SECONDS_PER_MINUTE
-from repro.errors import ConfigError
 from repro.telemetry.stats import Stats
 
 
@@ -117,64 +116,38 @@ class SwapStats(Stats):
         return fallbacks / total if total else 0.0
 
 
-#: (actor, direction) -> ledger key, filled on the first use of a pair.
-_LEDGER_KEYS: Dict[Tuple[str, str], str] = {}
+class TrafficStats(Stats):
+    """Memory traffic of one tier's swap paths, in bytes (plain fields,
+    registry views under the ``swap`` prefix).
 
-
-def _ledger_key(actor: str, direction: str) -> str:
-    """Check a pair's direction and remember its ledger key."""
-    if direction not in ("read", "write"):
-        raise ConfigError(f"direction must be read/write, got {direction}")
-    key = _LEDGER_KEYS[actor, direction] = f"{actor}:{direction}"
-    return key
-
-
-@dataclass
-class BandwidthLedger:
-    """Memory-channel traffic accounting, bytes by (actor, direction).
-
-    Actors: ``app`` (co-running applications), ``sfm_cpu`` (CPU-side swap
-    traffic over the DDR channel), ``nma`` (on-DIMM accelerator traffic,
-    invisible to the channel).
+    ``channel_*`` is what crosses the DDR channel or the DFM link: the
+    CPU reading a cold page and writing its blob, and the reverse on
+    swap-in. ``nma_*`` stays on the DIMM: the accelerator's own reads
+    and writes, invisible to the channel.
     """
 
-    window_s: float = SECONDS_PER_MINUTE
-    _bytes: Dict[str, int] = field(default_factory=dict)
+    _PREFIX = "swap"
+    _FIELDS = {
+        "channel_read_bytes": 0,
+        "channel_write_bytes": 0,
+        "nma_read_bytes": 0,
+        "nma_write_bytes": 0,
+    }
+    __slots__ = tuple(_FIELDS)
 
-    def record(self, actor: str, direction: str, num_bytes: int) -> None:
-        """Add ``num_bytes`` of traffic for (actor, direction)."""
-        key = _LEDGER_KEYS.get((actor, direction))
-        if key is None:
-            key = _ledger_key(actor, direction)
-        self._bytes[key] = self._bytes.get(key, 0) + num_bytes
-
-    def total(self, actor: str) -> int:
-        """Total bytes (read + write) for ``actor``."""
-        return sum(
-            count
-            for key, count in self._bytes.items()
-            if key.startswith(f"{actor}:")
-        )
-
+    @property
     def channel_bytes(self) -> int:
-        """Bytes that crossed the DDR channel (everything but the NMA)."""
-        return sum(
-            count
-            for key, count in self._bytes.items()
-            if not key.startswith("nma:")
-        )
+        """Bytes that crossed the DDR channel or the DFM link."""
+        return self.channel_read_bytes + self.channel_write_bytes
 
-    def bandwidth_bps(self, actor: str, elapsed_s: float) -> float:
-        """Average bandwidth of ``actor`` over ``elapsed_s`` seconds."""
-        if elapsed_s <= 0:
-            return 0.0
-        return self.total(actor) / elapsed_s
+    @property
+    def nma_bytes(self) -> int:
+        """Bytes the near-memory accelerator moved on the DIMM."""
+        return self.nma_read_bytes + self.nma_write_bytes
 
-    def snapshot(self) -> Dict[str, int]:
-        return dict(self._bytes)
-
-    def reset(self) -> None:
-        self._bytes.clear()
+    @property
+    def total_bytes(self) -> int:
+        return self.channel_bytes + self.nma_bytes
 
 
 def promotion_rate(bytes_accessed_per_min: float, far_bytes: float) -> float:

@@ -5,7 +5,9 @@ Statistics on the store/load hot paths stay plain attributes of their
 owner (see :mod:`repro.telemetry.stats`); the registry holds a read-only
 :class:`FieldCounter` per field (:meth:`MetricsRegistry.bind_field`)
 that reads the attribute at snapshot time. Per-request fleet counters
-are bound once per label set through a :class:`CounterFamily`.
+are bound once per label set through a :class:`CounterFamily`. Reports
+read counts back through :meth:`MetricsRegistry.value` and
+:meth:`MetricsRegistry.totals`, which create no series.
 
 Metrics are keyed by ``(name, labels)`` so one registry can hold the
 same series for several components (e.g. per-DIMM driver counters with a
@@ -241,6 +243,25 @@ class MetricsRegistry:
 
     def metrics(self) -> List[object]:
         return list(self._metrics.values())
+
+    # -- reads (never create a series) --------------------------------------
+
+    def value(self, name: str, **labels) -> float:
+        """Counter or gauge ``name{labels}``; 0 for a series that never
+        fired, which the read does not create."""
+        metric = self._metrics.get((name, _label_key(labels)))
+        return 0 if metric is None else metric.value
+
+    def totals(self, name: str, by: str) -> Dict[str, float]:
+        """Counter ``name`` summed per value of its ``by`` label, over
+        every series that exists, ordered by label value."""
+        out: Dict[str, float] = {}
+        for (metric_name, labels), metric in self._metrics.items():
+            if metric_name == name:
+                for key, value in labels:
+                    if key == by:
+                        out[value] = out.get(value, 0) + metric.value
+        return dict(sorted(out.items()))
 
     # -- export ------------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Statistics objects with plain fields that a registry reads at snapshot.
 
-The stack's statistics objects (``SwapStats``, ``DriverStats``,
-``ZswapStats``, ``PipelineStats``) sit on every store and load, so each
+The stack's statistics objects (``SwapStats``, ``TrafficStats``,
+``DriverStats``, ``ZswapStats``, ``PipelineStats``) sit on every store
+and load, so each
 field is a plain slot: ``stats.swap_outs += 1`` is ordinary attribute
 arithmetic. A subclass declares its fields once, in ``_FIELDS`` (an
 ordered name -> default mapping), and lists them as its

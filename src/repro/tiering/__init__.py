@@ -1,8 +1,8 @@
 """Multi-tier far-memory composition (CPU-zswap -> XFM -> DFM).
 
 ``FarMemoryTier`` is the structural contract every backend satisfies;
-``TierPipeline`` chains tiers under pluggable admission / demotion /
-promotion policies. See DESIGN.md §8.
+``TierPipeline`` chains tiers under pluggable admission and demotion
+policies. See DESIGN.md §8.
 """
 
 from repro.tiering.factory import TIER_KINDS, make_tier
@@ -11,7 +11,6 @@ from repro.tiering.policy import (
     LruDemotion,
     NeverDemote,
     PoolLimitPolicy,
-    PromoteToTop,
 )
 from repro.tiering.protocol import FarMemoryTier, SwapOutcome
 
@@ -20,7 +19,6 @@ __all__ = [
     "LruDemotion",
     "NeverDemote",
     "PoolLimitPolicy",
-    "PromoteToTop",
     "SwapOutcome",
     "TIER_KINDS",
     "TierPipeline",

@@ -13,19 +13,18 @@ the zswap frontend, and the examples can run over a pipeline unchanged):
   sink to the next tier down (TierScape's cold-data cascade).
 * **promotion** — loads bring a page back to local DRAM from whichever
   tier holds it; :meth:`promote_up` additionally lets hot blobs climb
-  toward tier 0 without leaving far memory, destination chosen by the
-  promotion policy.
+  back to tier 0 without leaving far memory.
 
 One path each: every page leaves a tier through ``_take``, which
 counts tier errors and data losses; every timed op goes through the op
 timer ``_timed``, the only reader of a tier's modelled latency; the
 policy cascade and :meth:`demote_coldest` share one loop, ``_demote``.
 
-Accounting: every tier keeps registry-bound ``SwapStats`` (labelled
-``tier=<name>`` when built through :meth:`TierPipeline.build`) plus its
-own :class:`~repro.sfm.metrics.BandwidthLedger`; the pipeline exposes
-the merged ledger/stats view and its own ``tier_pipeline.*`` counters,
-so per-tier counters reconcile 1:1 against per-tier ledger totals.
+Accounting: every tier keeps registry-bound ``SwapStats`` and
+``TrafficStats`` (labelled ``tier=<name>`` when built through
+:meth:`TierPipeline.build`); the pipeline exposes merged ``stats`` and
+``traffic`` views and its own ``tier_pipeline.*`` counters, so per-tier
+traffic reconciles 1:1 against per-tier byte counters.
 Trace spans (``tier_store``/``tier_load``/``tier_demote``/
 ``tier_promote`` on the ``tiering`` track) reuse the
 :mod:`repro.telemetry.reasons` codes; the end-to-end latency quantiles
@@ -53,7 +52,7 @@ from repro.resilience.breaker import (
     BreakerState,
     CircuitBreaker,
 )
-from repro.sfm.metrics import BandwidthLedger, SwapStats
+from repro.sfm.metrics import SwapStats, TrafficStats
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.telemetry import flightrec as _flightrec
 from repro.telemetry import reasons, spans as _spans, trace as _trace
@@ -64,8 +63,6 @@ from repro.tiering.policy import (
     AlwaysAdmit,
     DemotionPolicy,
     LruDemotion,
-    PromoteToTop,
-    PromotionPolicy,
 )
 from repro.tiering.protocol import FarMemoryTier, SwapOutcome
 from repro.validation.hooks import checkpoint
@@ -203,7 +200,6 @@ class TierPipeline:
         tiers: Sequence[Union[FarMemoryTier, Tuple[str, FarMemoryTier]]],
         admission: Optional[AdmissionPolicy] = None,
         demotion: Optional[DemotionPolicy] = None,
-        promotion: Optional[PromotionPolicy] = None,
         registry: Optional[MetricsRegistry] = None,
         spill: Optional[Callable[[int, bytes], None]] = None,
         breaker_config: Optional[BreakerConfig] = None,
@@ -225,7 +221,6 @@ class TierPipeline:
         self.tiers: List[FarMemoryTier] = [tier for _, tier in named]
         self.admission = admission if admission is not None else AlwaysAdmit()
         self.demotion = demotion if demotion is not None else LruDemotion()
-        self.promotion = promotion if promotion is not None else PromoteToTop()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.spill = spill
         self.trace_labels: Dict[str, str] = dict(trace_labels or {})
@@ -346,14 +341,10 @@ class TierPipeline:
         return SwapStats.merged([tier.stats for tier in self.tiers])
 
     @property
-    def ledger(self) -> BandwidthLedger:
-        """Merged traffic ledger across every tier (fresh per access)."""
-        merged = BandwidthLedger()
-        for tier in self.tiers:
-            for key, count in tier.ledger.snapshot().items():
-                actor, direction = key.rsplit(":", 1)
-                merged.record(actor, direction, count)
-        return merged
+    def traffic(self) -> TrafficStats:
+        """Merged ``TrafficStats`` across every tier (fresh and unbound,
+        like :attr:`stats`)."""
+        return TrafficStats.merged([tier.traffic for tier in self.tiers])
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """One flat snapshot over the pipeline registry plus any tier
@@ -737,14 +728,13 @@ class TierPipeline:
         return demoted
 
     def promote_up(self, vaddr: int) -> Optional[str]:
-        """Raise a hot blob toward the promotion policy's target tier
-        without bringing it to DRAM; returns the tier it landed in (or
-        None when it is not held, or had to be spilled)."""
+        """Raise a hot blob back to tier 0 (falling through on reject,
+        like any store) without bringing it to DRAM; returns the tier it
+        landed in (or None when it is not held, or had to be spilled)."""
         index = self._where.get(vaddr)
         if index is None:
             return None
-        target = self.promotion.target_tier(index)
-        if target >= index:
+        if index == 0:
             self.pipeline_stats.promotions_blocked += 1
             return self.tier_names[index]
         page = self._lru[index][vaddr]
@@ -759,7 +749,7 @@ class TierPipeline:
             self._poisoned.add(vaddr)
             checkpoint(self)
             raise
-        outcome, new_index = self._place(page, start=target)
+        outcome, new_index = self._place(page, start=0)
         if not outcome.accepted:
             # Even its old tier refused it back (a device fault): spill,
             # as demotion and drain do, rather than drop the page.

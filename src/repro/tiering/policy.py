@@ -2,8 +2,7 @@
 
 The decisions that used to live inline in ``ZswapFrontend.store`` /
 ``ZswapFrontend.shrink`` — when is a tier too full to admit, which
-entries are evicted under pressure, where does a reloaded blob go —
-are policy, not mechanism. This module gives each decision a small
+entries are evicted under pressure — are policy, not mechanism. This module gives each decision a small
 object so the :class:`~repro.tiering.pipeline.TierPipeline` (and the
 zswap frontend itself) can swap strategies without touching the data
 path:
@@ -11,8 +10,6 @@ path:
 * :class:`AdmissionPolicy` — may this tier accept one more page?
 * :class:`DemotionPolicy` — is this tier under enough pressure that its
   LRU entries should sink to the next tier down?
-* :class:`PromotionPolicy` — when a blob is promoted, which tier does
-  it aim for?
 * :class:`PoolLimitPolicy` — zswap's ``max_pool_percent`` arithmetic,
   extracted verbatim so the frontend and tests share one copy.
 """
@@ -76,24 +73,6 @@ class NeverDemote(DemotionPolicy):
 
     def should_demote(self, tier) -> bool:
         return False
-
-
-# -- promotion ---------------------------------------------------------------
-
-
-class PromotionPolicy:
-    """Chooses the destination tier index for an upward move."""
-
-    def target_tier(self, current_index: int) -> int:  # pragma: no cover
-        raise NotImplementedError
-
-
-class PromoteToTop(PromotionPolicy):
-    """Hot blobs jump straight back to tier 0 (falling through on
-    reject, like any store)."""
-
-    def target_tier(self, current_index: int) -> int:
-        return 0
 
 
 # -- zswap pool limit --------------------------------------------------------

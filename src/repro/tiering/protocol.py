@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 from repro.sfm.page import PAGE_SIZE, Page
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sfm.metrics import BandwidthLedger, SwapStats
+    from repro.sfm.metrics import SwapStats, TrafficStats
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ class FarMemoryTier(Protocol):
 
     #: Swap counters (``SwapStats`` surface).
     stats: "SwapStats"
-    #: Per-tier traffic accounting by (actor, direction).
-    ledger: "BandwidthLedger"
+    #: Channel and on-DIMM traffic (``TrafficStats`` surface).
+    traffic: "TrafficStats"
     #: Pool capacity in bytes (property or plain attribute).
     capacity_bytes: int
     #: Label used for registry series and report rows.

@@ -86,14 +86,14 @@ class TestStripedSwap:
 
     def test_offload_keeps_channel_clean(self, backend, json_pages):
         backend.swap_out(_pages(json_pages)[0])
-        assert backend.ledger.channel_bytes() == 0
-        assert backend.ledger.total("nma") > 0
+        assert backend.traffic.channel_bytes == 0
+        assert backend.traffic.nma_bytes > 0
 
     def test_cpu_gather_path_charges_channel(self, backend, json_pages):
         page = _pages(json_pages)[0]
         backend.swap_out(page)
         backend.swap_in(page)  # default CPU gather-decompress
-        assert backend.ledger.channel_bytes() > 0
+        assert backend.traffic.channel_bytes > 0
         assert backend.stats.cpu_fallback_decompressions == 1
 
 

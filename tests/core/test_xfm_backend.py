@@ -44,8 +44,8 @@ class TestOffloadedSwapOut:
         """The headline property: offloaded swaps never touch the DDR
         channel (Fig. 1 / Fig. 11)."""
         backend.xfm_swap_out(_pages(json_pages)[0])
-        assert backend.ledger.channel_bytes() == 0
-        assert backend.ledger.total("nma") > 0
+        assert backend.traffic.channel_bytes == 0
+        assert backend.traffic.nma_bytes > 0
 
     def test_spm_left_empty_after_ops(self, backend, json_pages):
         for page in _pages(json_pages):
@@ -78,7 +78,7 @@ class TestCpuFallback:
         assert outcome.accepted
         assert backend.stats.cpu_fallback_compressions == 1
         assert backend.stats.cpu_compress_cycles > 0
-        assert backend.ledger.channel_bytes() > 0
+        assert backend.traffic.channel_bytes > 0
 
     def test_spm_exhaustion_falls_back(self, json_pages):
         nma = NearMemoryAccelerator(NmaConfig(spm_bytes=PAGE_SIZE))
@@ -112,19 +112,19 @@ class TestSwapInPolicy:
         """§6: CPU_Fallback is the default for swap-ins (fault latency)."""
         page = _pages(json_pages)[0]
         backend.xfm_swap_out(page)
-        backend.ledger.reset()
+        before = backend.traffic.channel_bytes
         backend.xfm_swap_in(page)
         assert backend.stats.cpu_fallback_decompressions == 1
-        assert backend.ledger.channel_bytes() > 0
+        assert backend.traffic.channel_bytes > before
 
     def test_prefetch_swap_in_offloads(self, backend, json_pages):
         page = _pages(json_pages)[0]
         backend.xfm_swap_out(page)
-        backend.ledger.reset()
+        before = backend.traffic.channel_bytes
         data = backend.xfm_swap_in(page, do_offload=True)
         assert data == json_pages[0]
         assert backend.stats.offloaded_decompressions == 1
-        assert backend.ledger.channel_bytes() == 0
+        assert backend.traffic.channel_bytes == before
 
 
 class TestDropInCompatibility:

@@ -71,7 +71,7 @@ class TestDfmBackend:
         page = Page(vaddr=0, data=json_pages[0])
         backend.swap_out(page)
         backend.swap_in(page)
-        assert backend.ledger.total("dfm_link") == 2 * PAGE_SIZE
+        assert backend.traffic.channel_bytes == 2 * PAGE_SIZE
         assert backend.link_stats.link_energy_j > 0
         assert backend.link_stats.link_busy_s > 0
 

@@ -146,8 +146,9 @@ class TestRetryBudget:
             budget.spend(retry_after_ns=123.0)
         assert info.value.reason == "retry-budget"
         assert info.value.retry_after_ns == 123.0
-        assert budget.spent == 2
-        assert budget.refused == 1
+        snapshot = budget.snapshot()
+        assert (snapshot["spent"], snapshot["refused"]) == (2, 1)
+        assert budget.registry.value("fleet.retry_budget", event="spent") == 2
 
     def test_earn_fraction_bounds_retry_amplification(self):
         # 10 admitted requests at earn_fraction=0.1 fund exactly one

@@ -44,7 +44,10 @@ class TestHysteresis:
             _window(ctl, sheds=5, serves=5)
             assert ctl.active
             assert fired == ["in"]
-            assert ctl.entries == 1
+            assert ctl.snapshot()["entries"] == 1
+            assert ctl.registry.value(
+                "fleet.brownout.transitions", to="brownout"
+            ) == 1
 
     def test_exit_needs_consecutive_quiet_windows(self, config):
         with CLOCK.scoped(start_ns=0.0):

@@ -46,8 +46,33 @@ def spike_reports():
 
 
 @pytest.fixture(scope="module")
-def kill_report():
-    return run_fleet(KILL_CONFIG)
+def kill_run(tmp_path_factory):
+    """The failover campaign with its artifacts: the report and the
+    exported registry series (``metrics.json``)."""
+    out = tmp_path_factory.mktemp("fleet-kill")
+    report = run_fleet(KILL_CONFIG, out)
+    metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+    return report, metrics["registry"]
+
+
+@pytest.fixture(scope="module")
+def kill_report(kill_run):
+    return kill_run[0]
+
+
+def _exported(registry, name, by):
+    """Counter ``name`` in ``metrics.json``, summed per value of its
+    ``by`` label."""
+    out = {}
+    for key, value in registry.items():
+        metric, _, labels = key.partition("{")
+        if metric != name:
+            continue
+        for pair in labels.rstrip("}").split(","):
+            label, _, label_value = pair.partition("=")
+            if label == by:
+                out[label_value] = out.get(label_value, 0) + value
+    return out
 
 
 class TestOverloadContract:
@@ -153,6 +178,62 @@ class TestFailoverContract:
         assert a == b
 
 
+class TestReportMatchesMetrics:
+    """``fleet_report.json`` and ``metrics.json`` carry one count per
+    event: every report figure the registry also exports equals its
+    series, and the harness's per-phase tallies add up to the same
+    totals."""
+
+    def test_tenants(self, kill_run):
+        report, registry = kill_run
+        tenants = report["tenants"]
+        for field, name in (
+            ("offered", "fleet.requests"),
+            ("served", "fleet.served"),
+            ("shed", "fleet.shed"),
+        ):
+            exported = _exported(registry, name, "tenant")
+            assert {t: row[field] for t, row in tenants.items()} == {
+                t: exported.get(t, 0) for t in tenants
+            }, field
+            assert sum(row[field] for row in tenants.values()) == sum(
+                phase[field] for phase in report["phases"].values()
+            ), field
+
+    def test_shed_reasons(self, kill_run):
+        report, registry = kill_run
+        by_reason = report["shedding"]["by_reason"]
+        assert by_reason and by_reason == _exported(
+            registry, "fleet.shed", "reason"
+        )
+
+    def test_retry_budget(self, kill_run):
+        report, registry = kill_run
+        budget = report["retry_budget"]
+        events = _exported(registry, "fleet.retry_budget", "event")
+        assert budget["spent"] == budget["retries_scheduled"] == events["spent"]
+        assert budget["refused"] == budget["fast_fails"] == events["refused"]
+        assert budget["spent"] > 0 and budget["refused"] > 0
+        # A scheduled retry of a load whose page was claimed meanwhile
+        # is never re-offered.
+        assert 0 < sum(
+            phase["retries"] for phase in report["phases"].values()
+        ) <= budget["spent"]
+
+    def test_brownout_transitions(self, kill_run):
+        report, registry = kill_run
+        brownout = report["brownout"]
+        to = _exported(registry, "fleet.brownout.transitions", "to")
+        assert brownout["entries"] == to.get("brownout", 0) > 0
+        assert brownout["exits"] == to.get("normal", 0)
+
+    def test_relocated_pages(self, kill_run):
+        report, registry = kill_run
+        failover = report["failover"]
+        assert failover["relocated_pages_total"] == failover["relocated"] > 0
+        assert registry["fleet.relocated_pages"] == failover["relocated"]
+
+
 class TestReportArtifacts:
     def test_out_dir_writes_report_and_flight_dumps(self, tmp_path):
         config = FleetConfig(
@@ -170,7 +251,13 @@ class TestReportArtifacts:
         )
         assert on_disk == json.loads(json.dumps(report))
         assert (tmp_path / "trace.json").exists()
-        assert (tmp_path / "metrics.json").exists()
+        metrics = json.loads(
+            (tmp_path / "metrics.json").read_text(encoding="utf-8")
+        )
+        # No kill, so no relocation series: the report reads it as 0
+        # without creating it.
+        assert report["failover"] == {"relocated_pages_total": 0}
+        assert "fleet.relocated_pages" not in metrics["registry"]
         for name in report["flight_records"]:
             assert (tmp_path / name).exists()
 

@@ -190,6 +190,33 @@ class TestFailover:
                 assert by_rid[rid].status == "served"
                 assert by_rid[rid].shard == "shard-1"
 
+    def test_failover_shed_reaches_the_owner(self):
+        # A queued request that finds every sibling full is shed: it is
+        # counted once and handed to on_complete like any other shed.
+        with CLOCK.scoped(start_ns=0.0):
+            frontend = _frontend(EventScheduler(), shards=2, queue_depth=1)
+            done = []
+            frontend.on_complete = done.append
+            queued, shed = {}, 0
+            for rid in range(40):
+                req = _store(rid, key=rid)
+                try:
+                    frontend.submit(req)
+                except OverloadError:
+                    shed += 1
+                    continue
+                queued[req.shard] = req
+                if len(queued) == 2:
+                    break
+            assert len(queued) == 2
+            frontend.kill_shard("shard-0")
+            assert done == [queued["shard-0"]]
+            assert done[0].status == "shed"
+            assert done[0].reason == "queue-full"
+            assert frontend.registry.value(
+                "fleet.shed", reason="queue-full", tenant="t0"
+            ) == shed + 1
+
     def test_brownout_switches_codec_for_degradable_only(self):
         with CLOCK.scoped(start_ns=0.0):
             scheduler = EventScheduler()

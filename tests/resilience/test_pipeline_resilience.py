@@ -8,7 +8,7 @@ from repro.resilience import faults
 from repro.resilience.breaker import BreakerConfig
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sfm.backend import SfmBackend
-from repro.sfm.metrics import BandwidthLedger, SwapStats
+from repro.sfm.metrics import SwapStats, TrafficStats
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sim.context import run_context
 from repro.tiering import SwapOutcome
@@ -43,7 +43,7 @@ class _LinkDownTier:
 
     def __init__(self):
         self.stats = SwapStats()
-        self.ledger = BandwidthLedger()
+        self.traffic = TrafficStats()
         self.offers = 0
 
     def swap_out(self, page):

@@ -43,7 +43,7 @@ class TestProtocolShim:
         assert recorder.capacity_bytes == 64 * PAGE_SIZE
         assert recorder.tier_name == recorder.inner.tier_name
         assert recorder.stats is recorder.inner.stats
-        assert recorder.ledger is recorder.inner.ledger
+        assert recorder.traffic is recorder.inner.traffic
         assert recorder.swap_latency_s("in") > 0
         # Non-protocol attributes pass through un-recorded.
         assert recorder.zpool is recorder.inner.zpool

@@ -58,9 +58,8 @@ class TestSwapOut:
         outcome = backend.swap_out(page)
         expected = backend.codec.spec.compress_cycles_per_byte * PAGE_SIZE
         assert backend.stats.cpu_compress_cycles == pytest.approx(expected)
-        snapshot = backend.ledger.snapshot()
-        assert snapshot["sfm_cpu:read"] == PAGE_SIZE
-        assert snapshot["sfm_cpu:write"] == outcome.compressed_len
+        assert backend.traffic.channel_read_bytes == PAGE_SIZE
+        assert backend.traffic.channel_write_bytes == outcome.compressed_len
 
 
 class TestSwapIn:
@@ -110,9 +109,9 @@ class TestAccounting:
         for page in pages:
             backend.swap_out(page)
         backend.swap_in(pages[0])
-        before = backend.ledger.total("sfm_cpu")
-        backend.compact()
-        assert backend.ledger.total("sfm_cpu") >= before
+        before = backend.traffic.channel_bytes
+        moved = backend.compact()
+        assert backend.traffic.channel_bytes == before + 2 * moved
 
     def test_custom_codec(self, json_pages):
         backend = SfmBackend(

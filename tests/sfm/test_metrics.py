@@ -1,14 +1,14 @@
-"""Swap statistics and bandwidth ledger tests."""
+"""Swap statistics and traffic tests."""
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.sfm.metrics import (
-    BandwidthLedger,
     SwapStats,
+    TrafficStats,
     gb_swapped_per_min,
     promotion_rate,
 )
+from repro.telemetry.registry import MetricsRegistry
 
 
 class TestSwapStats:
@@ -78,41 +78,28 @@ class TestSwapStats:
         assert merged.as_dict()["swap_ins"] == 1
 
 
-class TestBandwidthLedger:
-    def test_record_and_totals(self):
-        ledger = BandwidthLedger()
-        ledger.record("sfm_cpu", "read", 100)
-        ledger.record("sfm_cpu", "write", 50)
-        ledger.record("nma", "read", 1000)
-        assert ledger.total("sfm_cpu") == 150
-        assert ledger.total("nma") == 1000
+class TestTrafficStats:
+    def test_totals(self):
+        traffic = TrafficStats(
+            channel_read_bytes=100, channel_write_bytes=50, nma_read_bytes=1000
+        )
+        assert traffic.channel_bytes == 150
+        assert traffic.nma_bytes == 1000
+        assert traffic.total_bytes == 1150
 
     def test_channel_bytes_excludes_nma(self):
         """The central XFM accounting rule: NMA traffic never crosses the
         DDR channel."""
-        ledger = BandwidthLedger()
-        ledger.record("app", "read", 10)
-        ledger.record("sfm_cpu", "write", 20)
-        ledger.record("nma", "write", 999)
-        assert ledger.channel_bytes() == 30
+        traffic = TrafficStats(channel_write_bytes=30, nma_write_bytes=999)
+        assert traffic.channel_bytes == 30
 
-    def test_direction_validated(self):
-        with pytest.raises(ConfigError):
-            BandwidthLedger().record("app", "sideways", 1)
-
-    def test_bandwidth(self):
-        ledger = BandwidthLedger()
-        ledger.record("app", "read", 10_000_000)
-        assert ledger.bandwidth_bps("app", 2.0) == 5_000_000
-
-    def test_bandwidth_zero_window(self):
-        assert BandwidthLedger().bandwidth_bps("app", 0.0) == 0.0
-
-    def test_reset(self):
-        ledger = BandwidthLedger()
-        ledger.record("app", "read", 1)
-        ledger.reset()
-        assert ledger.snapshot() == {}
+    def test_exported_beside_the_swap_counters(self):
+        registry = MetricsRegistry()
+        traffic = TrafficStats(registry=registry, labels={"tier": "xfm"})
+        traffic.nma_read_bytes += 4096
+        snapshot = registry.snapshot()
+        assert snapshot["swap.nma_read_bytes{tier=xfm}"] == 4096
+        assert snapshot["swap.channel_write_bytes{tier=xfm}"] == 0
 
 
 class TestPromotionRate:

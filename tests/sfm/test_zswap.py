@@ -110,5 +110,5 @@ class TestOverXfm:
         )
         assert frontend.store(0, 0, json_pages[0])
         assert backend.stats.offloaded_compressions == 1
-        assert backend.ledger.channel_bytes() == 0
+        assert backend.traffic.channel_bytes == 0
         assert frontend.load(0, 0) == json_pages[0]

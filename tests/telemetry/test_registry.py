@@ -39,6 +39,25 @@ class TestCounter:
             reg.gauge("x")
 
 
+class TestReads:
+    def test_value_and_totals_create_nothing(self):
+        reg = MetricsRegistry()
+        reg.counter("fleet.shed", reason="queue-full", tenant="t1").inc(2)
+        reg.counter("fleet.shed", reason="deadline", tenant="t0").inc()
+        reg.counter("fleet.shed", reason="queue-full", tenant="t0").inc(4)
+        assert reg.value("fleet.shed", reason="deadline", tenant="t0") == 1
+        assert reg.totals("fleet.shed", "tenant") == {"t0": 5, "t1": 2}
+        assert list(reg.totals("fleet.shed", "reason")) == [
+            "deadline", "queue-full"
+        ]
+        before = reg.snapshot()
+        # A series that never fired reads as 0 and stays absent.
+        assert reg.value("fleet.relocated_pages") == 0
+        assert reg.value("fleet.shed", reason="quota", tenant="t0") == 0
+        assert reg.totals("fleet.retry_budget", "event") == {}
+        assert reg.snapshot() == before
+
+
 class TestGauge:
     def test_set_inc_dec(self):
         g = Gauge("g")

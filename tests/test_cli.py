@@ -1,5 +1,8 @@
 """CLI entry-point tests."""
 
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,25 @@ def _report_field(out: str, key: str) -> str:
         if ":" in line and line.split(":")[0].strip() == key:
             return line.split(":", 1)[1].strip()
     raise AssertionError(f"no {key!r} line in output:\n{out}")
+
+
+def test_closed_stdout_ends_quietly():
+    """``python -m repro list | head -1``: the reader closes the pipe
+    after the first line, and the CLI stops with the status of a writer
+    killed by SIGPIPE, printing no traceback. ``-u`` makes every line a
+    write of its own, so later lines meet the closed pipe under any
+    buffering the environment sets."""
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "list"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"available experiments:\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 128 + signal.SIGPIPE, stderr
+    assert stderr == b""
 
 
 class TestCli:

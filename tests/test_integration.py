@@ -43,9 +43,9 @@ class TestBaselineXfmEquivalence:
         for i, d in enumerate(data):
             baseline.swap_out(Page(vaddr=i * PAGE_SIZE, data=d))
             xfm.swap_out(Page(vaddr=i * PAGE_SIZE, data=d))
-        assert baseline.ledger.channel_bytes() > 8 * PAGE_SIZE
-        assert xfm.ledger.channel_bytes() == 0
-        assert xfm.ledger.total("nma") > 0
+        assert baseline.traffic.channel_bytes > 8 * PAGE_SIZE
+        assert xfm.traffic.channel_bytes == 0
+        assert xfm.traffic.nma_bytes > 0
 
     def test_cpu_cycles_eliminated(self):
         data = corpus_pages("xml-config", 4, seed=23)

@@ -1,8 +1,8 @@
 """TierPipeline behavior: fall-through, demotion, promotion, accounting.
 
-Includes the acceptance reconciliation: per-tier registry counters match
-per-tier ledger totals 1:1, and the store -> demote -> promote -> load
-round trip is bit-identical under the validation invariant hooks.
+Includes the store -> demote -> promote -> load round trip, bit-identical
+under the validation invariant hooks. Per-tier traffic reconciles with
+the byte counters in ``test_protocol.py``, over every tier kind.
 """
 
 import pytest
@@ -10,12 +10,10 @@ import pytest
 from repro.errors import ConfigError, SfmError
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sim.context import run_context
-from repro.telemetry.registry import MetricsRegistry
 from repro.tiering import (
     LruDemotion,
     NeverDemote,
     PoolLimitPolicy,
-    PromoteToTop,
     TierPipeline,
 )
 from repro.tiering.policy import AdmissionPolicy
@@ -158,10 +156,10 @@ class TestDemotionPromotion:
             capacity_bytes = PAGE_SIZE
 
             def __init__(self):
-                from repro.sfm.metrics import BandwidthLedger, SwapStats
+                from repro.sfm.metrics import SwapStats, TrafficStats
 
                 self.stats = SwapStats()
-                self.ledger = BandwidthLedger()
+                self.traffic = TrafficStats()
                 self._held = {}
                 self._accepts_left = 1
 
@@ -259,51 +257,6 @@ class TestRoundTripUnderValidation:
 
 
 class TestAccountingReconciliation:
-    def test_per_tier_counters_match_ledger_totals(self):
-        """Acceptance: per-tier registry counters reconcile 1:1 with
-        per-tier ledger byte totals (no rejects, no compaction)."""
-        registry = MetricsRegistry()
-        pipeline = _pipeline(registry=registry, demotion=NeverDemote())
-        pages = corpus_pages("json-records", 12, seed=21)
-        for key, data in enumerate(pages):
-            assert pipeline.store(key, data)
-        # Push a slice down to XFM and DFM so every tier does real work.
-        assert pipeline.demote_coldest(6, from_tier=0) == 6
-        assert pipeline.demote_coldest(3, from_tier=1) == 3
-        for key in (0, 1):
-            pipeline.promote_key(key)
-        for key, data in enumerate(pages):
-            assert pipeline.load(key) == data
-
-        cpu, xfm, dfm = pipeline.tiers
-        for tier in (cpu, xfm):
-            stats = tier.stats
-            moved = (
-                stats.bytes_out_uncompressed
-                + stats.bytes_out_compressed
-                + stats.bytes_in_uncompressed
-                + stats.bytes_in_compressed
-            )
-            ledger_total = tier.ledger.total("sfm_cpu") + tier.ledger.total(
-                "nma"
-            )
-            assert stats.rejected == 0
-            assert ledger_total == moved, tier.tier_name
-        dfm_stats = dfm.stats
-        assert dfm.ledger.total("dfm_link") == (
-            dfm_stats.bytes_out_uncompressed
-            + dfm_stats.bytes_in_uncompressed
-        )
-        assert dfm.ledger.total("dfm_link") == (
-            (dfm_stats.swap_outs + dfm_stats.swap_ins) * PAGE_SIZE
-        )
-        # The shared registry carries every tier's series, labelled.
-        snapshot = registry.snapshot()
-        for name in pipeline.tier_names:
-            assert f"swap.swap_outs{{tier={name}}}" in snapshot
-        # Registry counters and facade reads are the same storage.
-        assert snapshot["swap.swap_outs{tier=dfm}"] == dfm_stats.swap_outs
-
     def test_merged_views(self):
         pipeline = _pipeline(demotion=NeverDemote())
         pages = corpus_pages("json-records", 6, seed=31)
@@ -314,9 +267,8 @@ class TestAccountingReconciliation:
         assert merged_stats.swap_outs == sum(
             tier.stats.swap_outs for tier in pipeline.tiers
         )
-        merged_ledger = pipeline.ledger
-        assert sum(merged_ledger.snapshot().values()) == sum(
-            sum(tier.ledger.snapshot().values()) for tier in pipeline.tiers
+        assert pipeline.traffic.total_bytes == sum(
+            tier.traffic.total_bytes for tier in pipeline.tiers
         )
         flat = pipeline.metrics_snapshot()
         assert any(key.startswith("tier_pipeline.") for key in flat)

@@ -2,8 +2,9 @@
 
 The tentpole contract: all four concrete backends and the composite
 pipeline satisfy :class:`repro.tiering.protocol.FarMemoryTier`, the
-``SwapOutcome`` import paths collapse to one class, and the DFM
-backend's counters finally reach registry export.
+``SwapOutcome`` import paths collapse to one class, the DFM backend's
+counters reach registry export, and every tier kind's traffic
+reconciles with its byte counters.
 """
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from repro.core.backend import XfmBackend
 from repro.dfm.backend import DfmBackend
 from repro.sfm.backend import SfmBackend
+from repro.sfm.metrics import TrafficStats
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.telemetry.registry import MetricsRegistry
 from repro.tiering import FarMemoryTier, SwapOutcome, TierPipeline
@@ -76,16 +78,6 @@ class TestConformance:
         key = f"swap.swap_outs{{tier={tier}-a}}"
         assert snapshot[key] == 1
 
-    def test_shared_ledger_kwarg(self, tier):
-        from repro.sfm.metrics import BandwidthLedger
-
-        ledger = BandwidthLedger()
-        backend = TIERS[tier](ledger=ledger)
-        assert backend.ledger is ledger
-        page = Page(vaddr=0, data=corpus_pages("json-records", 1)[0])
-        backend.swap_out(page)
-        assert sum(ledger.snapshot().values()) > 0
-
 
 class TestSwapOutcomeUnification:
     def test_single_class_across_import_paths(self):
@@ -134,22 +126,30 @@ class TestDfmRegistryBugfix:
         assert backend.registry.snapshot()["swap.swap_outs{tier=dfm}"] == 1
 
 
-@pytest.mark.parametrize("tier", [*TIERS, "pipeline", "recorder"])
-def test_accounting_and_maintenance_members(tier):
-    """The protocol members no campaign calls on every tier kind: what a
-    stored page wins back, compaction, and the modeled swap latency."""
+#: Every tier kind: the four backends, the composite pipeline and the
+#: recorder that wraps a tier.
+KINDS = [*TIERS, "pipeline", "recorder"]
+
+
+def _make(kind):
     from repro.scenarios.recorder import TraceRecorder
 
-    if tier == "pipeline":
-        backend = TierPipeline.build(
+    if kind == "pipeline":
+        return TierPipeline.build(
             cpu_capacity_bytes=32 * PAGE_SIZE,
             xfm_capacity_bytes=32 * PAGE_SIZE,
             dfm_capacity_bytes=32 * PAGE_SIZE,
         )
-    elif tier == "recorder":
-        backend = TraceRecorder(TIERS["xfm-mc"](), name="unit", seed=1)
-    else:
-        backend = TIERS[tier]()
+    if kind == "recorder":
+        return TraceRecorder(TIERS["xfm-mc"](), name="unit", seed=1)
+    return TIERS[kind]()
+
+
+@pytest.mark.parametrize("tier", KINDS)
+def test_accounting_and_maintenance_members(tier):
+    """The protocol members no campaign calls on every tier kind: what a
+    stored page wins back, compaction, and the modeled swap latency."""
+    backend = _make(tier)
     pages = corpus_pages("json-records", 16)
     for index, data in enumerate(pages):
         page = Page(vaddr=index * PAGE_SIZE, data=data)
@@ -159,6 +159,84 @@ def test_accounting_and_maintenance_members(tier):
     assert backend.compact() >= 0
     assert backend.swap_latency_s("in") > 0
     assert backend.swap_latency_s("out") > 0
+
+
+def _counted_traffic(tier):
+    """(read, write) bytes that a concrete tier's byte counters account
+    for, compaction aside."""
+    stats = tier.stats
+    if isinstance(tier, DfmBackend):
+        # One link crossing per page: out on a store, back on a load.
+        return stats.bytes_out_uncompressed, stats.bytes_in_uncompressed
+    # A compressed tier reads the page and writes its blob on a store,
+    # and the reverse on a load. A rejected store has read what it
+    # compressed: the page, or on several DIMMs the first stripe (a
+    # random page's first stripe is already incompressible).
+    reject_read = PAGE_SIZE // len(getattr(tier, "nmas", [tier]))
+    return (
+        stats.bytes_out_uncompressed
+        + stats.bytes_in_compressed
+        + stats.rejected * reject_read,
+        stats.bytes_out_compressed + stats.bytes_in_uncompressed,
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_traffic_reconciles_with_byte_counters(kind):
+    """Every byte of ``traffic`` is a byte the swap counters moved:
+    stores, rejected stores, demand loads, prefetches and compaction, on
+    every tier kind; channel and on-DIMM traffic stay apart, and the
+    registry exports the same fields."""
+    backend = _make(kind)
+    inner = getattr(backend, "inner", backend)
+    tiers = inner.tiers if kind == "pipeline" else [inner]
+    data = corpus_pages("json-records", 40, seed=5)
+    data += corpus_pages("random-bytes", 4, seed=5)
+    pages = [Page(vaddr=i * PAGE_SIZE, data=d) for i, d in enumerate(data)]
+    for page in pages:
+        backend.swap_out(page)
+    stored = [page for page in pages if page.swapped]
+    for page in stored[:6]:
+        backend.swap_in(page)
+    for page in stored[6:10]:
+        backend.promote(page)
+    for page in stored[10::2]:
+        assert backend.invalidate(page.vaddr)
+    stats = backend.stats
+    assert stats.swap_ins == 10
+    assert stats.rejected > 0 or kind == "dfm"
+
+    for tier in tiers:
+        traffic = tier.traffic
+        assert (
+            traffic.channel_read_bytes + traffic.nma_read_bytes,
+            traffic.channel_write_bytes + traffic.nma_write_bytes,
+        ) == _counted_traffic(tier), tier.tier_name
+        # Only an accelerator moves bytes on the DIMM.
+        assert (traffic.nma_bytes > 0) == hasattr(tier, "nmas")
+        assert traffic.total_bytes == traffic.channel_bytes + traffic.nma_bytes
+        for name, value in traffic.as_dict().items():
+            exported = [
+                count
+                for key, count in tier.registry.snapshot().items()
+                if key.split("{")[0] == f"swap.{name}"
+                and (kind != "pipeline" or f"tier={tier.tier_name}" in key)
+            ]
+            assert exported == [value], (tier.tier_name, name)
+
+    before = backend.traffic.as_dict()
+    assert before == TrafficStats.merged(
+        [tier.traffic for tier in tiers]
+    ).as_dict()
+    # Compaction memcpys cross the channel once each way.
+    moved = backend.compact()
+    assert moved > 0 or kind == "dfm"
+    after = backend.traffic.as_dict()
+    assert after == {
+        **before,
+        "channel_read_bytes": before["channel_read_bytes"] + moved,
+        "channel_write_bytes": before["channel_write_bytes"] + moved,
+    }
 
 
 def test_pipeline_is_a_tier():
