@@ -83,7 +83,12 @@ def _arguments() -> Dict[str, Dict[str, object]]:
             help="output directory (codectune: the tables file); trace and "
             "record default to trace-out, ingest to corpus-out",
         ),
+        "workload": dict(help="an end-to-end benchmark workload"),
         "--seed": dict(type=int, default=0, help="campaign/builder seed"),
+        "--seconds": dict(
+            type=float, help="measurement length the run is sized for "
+            "(default: the benchmark's own)",
+        ),
         "--validation": flag("run with the validation checkers on"),
         "--ops": dict(type=int, default=400, help="operation count"),
         "--profile": dict(
@@ -318,6 +323,30 @@ def _cmd_codectune(args) -> int:
     return 0
 
 
+#: The end-to-end benchmark runner of the checkout this package sits in.
+_E2E_RUNNER = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "run.py"
+
+
+def _cmd_profile(args) -> int:
+    """One traced run of an end-to-end workload: the checkout's
+    ``benchmarks/e2e/run.py --trace 1`` in a fresh process, which prints
+    the per-layer table and the result line; its exit status is ours."""
+    import subprocess
+
+    if not _E2E_RUNNER.is_file():
+        return _usage_error(
+            f"profile: no benchmark runner at {_E2E_RUNNER} "
+            "(it needs a source checkout with benchmarks/)"
+        )
+    command = [
+        sys.executable, str(_E2E_RUNNER), "--workload", args.workload,
+        "--seed", str(args.seed), "--trace", "1",
+    ]
+    if args.seconds is not None:
+        command += ["--seconds", repr(args.seconds)]
+    return subprocess.run(command).returncode
+
+
 class Command(NamedTuple):
     """One CLI command: its help line, the arguments it owns (names in
     :func:`_arguments`, in usage order), and the function that runs the
@@ -384,6 +413,10 @@ COMMANDS: Dict[str, Command] = {
         "deterministic overload campaign (steady -> spike -> drain -> "
         "recovery) through the sharded frontend",
         _FLEET_ARGUMENTS, partial(_run_campaign, "fleet"),
+    ),
+    "profile": Command(
+        "one traced end-to-end benchmark run: per-layer host time",
+        ("workload", "--seed", "--seconds"), _cmd_profile,
     ),
 }
 

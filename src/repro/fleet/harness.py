@@ -579,7 +579,7 @@ def format_report(report: Dict[str, object]) -> str:
         f"spent={budget['spent']} refused={budget['refused']} "
         f"fast_fails={budget['fast_fails']}"
     )
-    if report["failover"]:
+    if cfg["kill_shard_at_ns"] is not None:
         lines.append(f"  failover: {report['failover']}")
     lines.append("  slo:")
     for name, summary in report["slo"].items():

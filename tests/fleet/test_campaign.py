@@ -151,12 +151,21 @@ class TestOverloadContract:
         assert "fleet campaign" in text
         assert "verdict" in text
 
+    def test_format_report_has_no_failover_line_without_a_kill(
+        self, spike_reports
+    ):
+        assert "failover" not in format_report(spike_reports[0])
+
 
 class TestFailoverContract:
     def test_killed_shard_relocates_with_zero_loss(self, kill_report):
         failover = kill_report["failover"]
         assert failover["relocated"] > 0
         assert failover["lost"] == 0
+
+    def test_format_report_prints_the_failover_line(self, kill_report):
+        lines = format_report(kill_report).splitlines()
+        assert f"  failover: {kill_report['failover']}" in lines
 
     def test_zero_acknowledged_loss_through_kill(self, kill_report):
         verdict = kill_report["verdict"]

@@ -355,6 +355,60 @@ class TestSloCli:
         assert "repro slo" in capsys.readouterr().out
 
 
+class TestProfileCli:
+    """``profile`` hands its arguments to the checkout's e2e runner in a
+    child process and passes the child's exit status back."""
+
+    @pytest.fixture
+    def launched(self, monkeypatch):
+        commands = []
+
+        def fake_run(command, *args, **kwargs):
+            commands.append(command)
+            return subprocess.CompletedProcess(command, 3)
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        return commands
+
+    def test_arguments_reach_the_runner(self, launched):
+        from repro import __main__ as cli
+
+        assert main(
+            ["profile", "tier_churn", "--seed", "23", "--seconds", "2.5"]
+        ) == 3
+        assert launched == [[
+            sys.executable, str(cli._E2E_RUNNER), "--workload", "tier_churn",
+            "--seed", "23", "--trace", "1", "--seconds", "2.5",
+        ]]
+        assert cli._E2E_RUNNER.parts[-3:] == ("benchmarks", "e2e", "run.py")
+
+    def test_defaults_leave_the_length_to_the_runner(self, launched):
+        assert main(["profile", "xfm_emulator"]) == 3
+        (command,) = launched
+        assert command[2:] == [
+            "--workload", "xfm_emulator", "--seed", "0", "--trace", "1",
+        ]
+
+    def test_workload_is_required(self, launched, capsys):
+        assert main(["profile"]) == 2
+        assert "workload" in capsys.readouterr().err
+        assert launched == []
+
+    def test_missing_benchmarks_is_usage_error(
+        self, launched, monkeypatch, tmp_path, capsys
+    ):
+        from repro import __main__ as cli
+
+        monkeypatch.setattr(cli, "_E2E_RUNNER", tmp_path / "run.py")
+        assert main(["profile", "tier_churn"]) == 2
+        assert "benchmarks/" in capsys.readouterr().err
+        assert launched == []
+
+    def test_list_mentions_profile(self, capsys):
+        assert main([]) == 0
+        assert "repro profile" in capsys.readouterr().out
+
+
 #: A short command line per table campaign (``--out`` is appended).
 #: Chaos at the full profile poisons pages and the fleet's spike burns
 #: its availability SLO, so both leave flight dumps too.
@@ -421,6 +475,7 @@ class TestCommandsOwnTheirOptions:
             ["tiers", "--seed", "1"],
             ["trace", "zswap", "--backend", "dfm"],
             ["record", "kv-cache", "--fault-seed", "2"],
+            ["profile", "tier_churn", "--ops", "5"],
         ],
     )
     def test_foreign_option_is_usage_error(self, argv, capsys):

@@ -1,5 +1,6 @@
 """Synthetic corpus generator tests."""
 
+import random
 import subprocess
 import sys
 import zlib
@@ -22,6 +23,7 @@ from repro.workloads.corpus import (
     xorshift_bytes,
 )
 from tests.hypothesis_settings import fuzz_settings
+from tests.workloads.corpus_reference import REFERENCE
 
 
 class TestDeterminism:
@@ -98,6 +100,203 @@ class TestCompressibilitySpectrum:
     def test_descriptions_exist(self):
         for name in CORPUS_NAMES:
             assert describe_corpus(name)
+
+
+class TestCorpusPinned:
+    """The bytes of every corpus at sizes across page and record edges,
+    taken from the generators as first written (one ``random`` call per
+    draw, now the oracle in ``corpus_reference``): the pin that holds
+    while the generators are reworked for speed."""
+
+    SIZES = (1, 100, 4095, 4096, 10000, 70001, 524288)
+    CRC32 = {
+        "base64-blob": {
+            0: (30677878, 443512010, 1596018874, 1754134744,
+                4028952131, 77642248, 2503925741),
+            11: (3081909835, 3807491865, 1921731968, 1084418651,
+                 2865411975, 1118746230, 53367231),
+            23: (2137352139, 237432490, 2710393338, 723172787,
+                 2882538148, 367269667, 3109319186),
+        },
+        "binary-structs": {
+            0: (3803648100, 2361796731, 1486827846, 1306891289,
+                2749240384, 2472921994, 3818196266),
+            11: (3803648100, 1380132258, 2379450765, 1099350937,
+                 737968851, 4148716793, 2451929634),
+            23: (3803648100, 2393432201, 4060255775, 1610146030,
+                 1117013488, 1283955420, 1392554927),
+        },
+        "csv-table": {
+            0: (2238339752, 3428046102, 2204264937, 3946152826,
+                153446754, 4069444863, 2546712573),
+            11: (2238339752, 228061992, 617581388, 1905926258,
+                 1401383456, 1687676457, 3097276264),
+            23: (2238339752, 3048150976, 477278221, 4252099002,
+                 3514329265, 2684724126, 3877638396),
+        },
+        "db-btree": {
+            0: (2511347954, 261253115, 936624610, 2620505880,
+                4180504767, 3989710997, 3214352681),
+            11: (2511347954, 3968497810, 1557923711, 316956455,
+                 3955275593, 1535786799, 1973020318),
+            23: (2511347954, 1142483767, 3538567058, 3436312538,
+                 2298883719, 3269696500, 3425734505),
+        },
+        "float-matrix": {
+            0: (1231433021, 3936765431, 1664757366, 3714133143,
+                1721767269, 1188655685, 523997752),
+            11: (2363233923, 3432445438, 3761845634, 1731336585,
+                 929222960, 3224604272, 1775284637),
+            23: (3772416878, 595718896, 1391869206, 2430763484,
+                 4269430402, 4081360586, 2011003183),
+        },
+        "heap-pointers": {
+            0: (901431946, 306745489, 3453229677, 3788252786,
+                3830030584, 1976700251, 824434324),
+            11: (1069182125, 926937561, 2334370497, 1055538689,
+                 2758338501, 131741041, 3189609481),
+            23: (4108050209, 3217077989, 2087476408, 398768239,
+                 30469068, 633944735, 1461623006),
+        },
+        "html-markup": {
+            0: (4251816714, 3012475725, 905123173, 3219847283,
+                4079341743, 2911433182, 4044470853),
+            11: (4251816714, 1438601374, 3883824754, 3582481890,
+                 2058366463, 2364148987, 3586173840),
+            23: (4251816714, 81679789, 3879503367, 492783250,
+                 2560324635, 231860130, 1496965580),
+        },
+        "integer-array": {
+            0: (198489425, 1597282340, 2211548139, 3847816694,
+                3536346385, 1612985095, 4054347844),
+            11: (4167943193, 3749886529, 2388915032, 3074184632,
+                 3618444106, 2164445018, 260257158),
+            23: (2137352139, 1794978784, 1633417874, 3428992543,
+                 1857513548, 2701127380, 2580964904),
+        },
+        "json-records": {
+            0: (366298937, 2748686422, 3166165069, 484424906,
+                863552793, 3768958551, 1308054968),
+            11: (366298937, 3298767744, 3418114825, 2121640582,
+                 1717774087, 3035115966, 3178706341),
+            23: (366298937, 4174685445, 4248174572, 2921543109,
+                 1319803091, 3445825773, 4088413623),
+        },
+        "random-bytes": {
+            0: (2366072709, 3106266862, 357562762, 1789527419,
+                2819390441, 4103622540, 1458419971),
+            11: (3856323709, 4167747063, 401666154, 2965897890,
+                 2183574798, 722452437, 449599103),
+            23: (2262612132, 1060024923, 1353930159, 1206720090,
+                 1741502435, 2359096909, 3826112358),
+        },
+        "server-log": {
+            0: (450215437, 1719883491, 4153083647, 3153307253,
+                1689021473, 1072646590, 1387484010),
+            11: (450215437, 3031760263, 3366106545, 3013718763,
+                 2199837968, 3974429376, 1565064437),
+            23: (450215437, 836054280, 3069902469, 1859294825,
+                 3718021179, 877609426, 1003798782),
+        },
+        "source-code": {
+            0: (4239843852, 4126389935, 433284329, 628714420,
+                1977947181, 3426463139, 1014613715),
+            11: (3916222277, 28600163, 2616757407, 2303179036,
+                 59145751, 2026968144, 2201211495),
+            23: (3916222277, 3221499927, 3890411121, 3247019309,
+                 3235667792, 3155240034, 848991630),
+        },
+        "sparse-pages": {
+            0: (2567322570, 1393193108, 2820007077, 2595577390,
+                2215007185, 2158330000, 2463641224),
+            11: (2825434405, 2015629175, 4079682511, 1042656927,
+                 2094468100, 3006364446, 3066378043),
+            23: (3736401077, 850808004, 755385549, 4265621350,
+                 2153528413, 1681850965, 2084999768),
+        },
+        "text-english": {
+            0: (856455061, 3775405875, 3884395700, 610029306,
+                1338663158, 719203358, 4241826500),
+            11: (2852464175, 1872932131, 3446128848, 1869773393,
+                 2172216168, 686392783, 2888270991),
+            23: (3707901625, 2727086837, 1291866332, 4194022735,
+                 995151115, 2580215729, 4094304379),
+        },
+        "xml-config": {
+            0: (4251816714, 1888367373, 1319179719, 3935603804,
+                2859491640, 3058788328, 50658499),
+            11: (4251816714, 2774768975, 3863805625, 3644816466,
+                 487711225, 1203915232, 2953359097),
+            23: (4251816714, 267299880, 4161354042, 690924241,
+                 3218705054, 2906074728, 185180619),
+        },
+        "zero-pages": {
+            0: (3523407757, 2575877834, 3301102941, 3340501009,
+                1295764014, 1572985018, 1969621676),
+            11: (3523407757, 2575877834, 3301102941, 3340501009,
+                 1295764014, 1572985018, 1969621676),
+            23: (3523407757, 2575877834, 3301102941, 3340501009,
+                 1295764014, 1572985018, 1969621676),
+        },
+    }
+
+    def test_every_corpus_is_pinned(self):
+        assert sorted(self.CRC32) == CORPUS_NAMES
+
+    @pytest.mark.parametrize("seed", [0, 11, 23])
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_bytes_are_pinned(self, name, seed):
+        crcs = tuple(
+            zlib.crc32(generate_corpus(name, size, seed)) for size in self.SIZES
+        )
+        assert crcs == self.CRC32[name][seed]
+
+
+#: Sizes either side of the bulk draws' chunk edges: ``_CHUNK_WORDS``
+#: top bytes (random-bytes), half that many 8-byte values (float-matrix),
+#: and several rejection rounds (base64-blob, integer-array).
+_EDGE_SIZES = tuple(
+    k * corpus._CHUNK_WORDS + d for k in (1, 2, 4, 5) for d in (-1, 0, 1)
+)
+_CORPUS_SIZES = st.one_of(
+    st.integers(0, 2 * PAGE_SIZE),
+    st.sampled_from(_EDGE_SIZES),
+    st.integers(0, 10 * corpus._CHUNK_WORDS),
+)
+_CORPUS_SEEDS = st.integers(-(1 << 40), 1 << 64)
+
+
+def _agrees_with_reference(name: str, size: int, seed: int) -> None:
+    """The shipped generator returns the reference's bytes and leaves its
+    ``Random`` where the reference leaves it: the same words, no more."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert corpus._GENERATORS[name](size, ours) == REFERENCE[name](size, theirs)
+    assert ours.getstate() == theirs.getstate()
+
+
+class TestCorpusOracle:
+    """Each generator against its one-call-per-draw reference loop."""
+
+    def test_reference_covers_every_corpus(self):
+        assert sorted(REFERENCE) == CORPUS_NAMES
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_chunk_edges(self, name):
+        for size in (0, 1, 7, 8, 9, 63, 64, 65, 511, 512, 513) + _EDGE_SIZES:
+            _agrees_with_reference(name, size, seed=size)
+
+    @settings(max_examples=60)
+    @given(name=st.sampled_from(CORPUS_NAMES), size=_CORPUS_SIZES,
+           seed=_CORPUS_SEEDS)
+    def test_matches_reference(self, name, size, seed):
+        _agrees_with_reference(name, size, seed)
+
+    @pytest.mark.fuzz
+    @fuzz_settings(max_examples=60)
+    @given(name=st.sampled_from(CORPUS_NAMES), size=_CORPUS_SIZES,
+           seed=_CORPUS_SEEDS)
+    def test_fuzz_matches_reference(self, name, size, seed):
+        _agrees_with_reference(name, size, seed)
 
 
 class TestCampaignPage:
