@@ -9,7 +9,8 @@ tabulates the trade.
 
 from repro.analysis.report import format_table
 from repro.core.backend import XfmBackend
-from repro.dfm import CXL_LINK, DfmBackend, RDMA_LINK
+from repro.dfm.backend import DfmBackend
+from repro.dfm.interconnect import CXL_LINK, RDMA_LINK
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.workloads.corpus import corpus_pages

@@ -198,7 +198,7 @@ def _kernel_swap_telemetry_on() -> Callable[[], None]:
 
 
 def _tier_pipeline_fixture():
-    from repro.tiering import TierPipeline
+    from repro.tiering.pipeline import TierPipeline
 
     pages = _bench_pages()
     pipeline = TierPipeline.build(
@@ -245,7 +245,7 @@ def _kernel_tier_demote_batch() -> Callable[[], None]:
     and placed page by page."""
     from repro.sfm.backend import SfmBackend
     from repro.sfm.page import Page
-    from repro.tiering import TierPipeline
+    from repro.tiering.pipeline import TierPipeline
 
     pages = _bench_pages()
 
@@ -388,7 +388,7 @@ def tier_overhead_ratio(repeats: int = 5) -> float:
     """
     from repro.sfm.backend import SfmBackend
     from repro.sfm.zswap import ZswapFrontend
-    from repro.tiering import TierPipeline
+    from repro.tiering.pipeline import TierPipeline
 
     pages = _bench_pages()
     capacity = len(pages) * PAGE * 4

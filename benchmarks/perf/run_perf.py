@@ -86,7 +86,7 @@ def _measure(args: argparse.Namespace) -> dict:
     trace_dir = getattr(args, "trace_dir", None)
     if not trace_dir:
         return microbench.run_all(args.inner_scale, args.repeats)
-    from repro.telemetry import TelemetrySession
+    from repro.telemetry.session import TelemetrySession
 
     with TelemetrySession(out_dir=trace_dir):
         results = microbench.run_all(args.inner_scale, args.repeats)

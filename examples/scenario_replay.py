@@ -26,7 +26,8 @@ from repro.scenarios import (
     trace_fingerprint,
 )
 from repro.sfm.page import PAGE_SIZE
-from repro.tiering import TierPipeline, make_tier
+from repro.tiering.factory import make_tier
+from repro.tiering.pipeline import TierPipeline
 from repro.tiering.policy import LruDemotion
 from repro.workloads.corpus import corpus_pages
 

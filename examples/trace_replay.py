@@ -12,10 +12,10 @@ Run:  python examples/trace_replay.py
 """
 
 from repro.core.emulator import EmulatorConfig, XfmEmulator
-from repro.sfm import SfmBackend
+from repro.sfm.backend import SfmBackend
 from repro.sfm.controller import ColdScanController
 from repro.sfm.page import PAGE_SIZE
-from repro.workloads import SwapTrace
+from repro.workloads.traces import SwapTrace
 from repro.workloads.aifm import FarMemoryRuntime
 from repro.workloads.webfrontend import WebFrontend, WebFrontendConfig
 

@@ -21,73 +21,49 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure and table.
 """
 
-from repro.compression import (
-    Codec,
-    DeflateCodec,
-    LzFastCodec,
-    ZstdLikeCodec,
-    available_codecs,
-    get_codec,
-)
-from repro.core import (
-    EmulatorConfig,
-    EmulatorReport,
-    MultiChannelLayout,
-    NearMemoryAccelerator,
-    NmaConfig,
-    XfmBackend,
-    XfmDriver,
-    XfmEmulator,
-)
-from repro.costmodel import CostParams, MemoryKind, fig3_series
-from repro.dfm import DfmBackend
-from repro.dram import (
-    AddressMapping,
-    DramDeviceConfig,
-    DramTimings,
-    RefreshScheduler,
-)
-from repro.interference import CorunConfig, SfmMode, simulate_corun
-from repro.sfm import PAGE_SIZE, Page, SfmBackend
-from repro.tiering import FarMemoryTier, SwapOutcome, TierPipeline
-from repro.workloads import CORPUS_NAMES, corpus_pages, generate_corpus
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AddressMapping",
-    "CORPUS_NAMES",
-    "Codec",
-    "CorunConfig",
-    "CostParams",
-    "DeflateCodec",
-    "DfmBackend",
-    "DramDeviceConfig",
-    "DramTimings",
-    "EmulatorConfig",
-    "EmulatorReport",
-    "FarMemoryTier",
-    "LzFastCodec",
-    "MemoryKind",
-    "MultiChannelLayout",
-    "NearMemoryAccelerator",
-    "NmaConfig",
-    "PAGE_SIZE",
-    "Page",
-    "RefreshScheduler",
-    "SfmBackend",
-    "SfmMode",
-    "SwapOutcome",
-    "TierPipeline",
-    "XfmBackend",
-    "XfmDriver",
-    "XfmEmulator",
-    "ZstdLikeCodec",
-    "available_codecs",
-    "corpus_pages",
-    "fig3_series",
-    "generate_corpus",
-    "get_codec",
-    "simulate_corun",
-    "__version__",
-]
+#: The defining module of every public name. ``import repro`` loads none
+#: of them: :func:`__getattr__` imports a name's module on first use, so a
+#: program loads only the subsystems it touches.
+_HOMES = {
+    "repro.compression.base": ("Codec", "available_codecs", "get_codec"),
+    "repro.compression.deflate": ("DeflateCodec",),
+    "repro.compression.lzfast": ("LzFastCodec",),
+    "repro.compression.zstd_like": ("ZstdLikeCodec",),
+    "repro.core.backend": ("XfmBackend",),
+    "repro.core.driver": ("XfmDriver",),
+    "repro.core.emulator": ("EmulatorConfig", "EmulatorReport", "XfmEmulator"),
+    "repro.core.multichannel": ("MultiChannelLayout",),
+    "repro.core.nma": ("NearMemoryAccelerator", "NmaConfig"),
+    "repro.costmodel.breakeven": ("fig3_series",),
+    "repro.costmodel.params": ("CostParams", "MemoryKind"),
+    "repro.dfm.backend": ("DfmBackend",),
+    "repro.dram.address": ("AddressMapping",),
+    "repro.dram.device": ("DramDeviceConfig",),
+    "repro.dram.refresh": ("RefreshScheduler",),
+    "repro.dram.timing": ("DramTimings",),
+    "repro.interference.corun": ("CorunConfig", "SfmMode", "simulate_corun"),
+    "repro.sfm.backend": ("SfmBackend",),
+    "repro.sfm.page": ("PAGE_SIZE", "Page"),
+    "repro.tiering.pipeline": ("TierPipeline",),
+    "repro.tiering.protocol": ("FarMemoryTier", "SwapOutcome"),
+    "repro.workloads.corpus": ("CORPUS_NAMES", "corpus_pages", "generate_corpus"),
+}
+_EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

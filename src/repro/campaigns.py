@@ -8,10 +8,17 @@ to ``trace.json`` and ``metrics.json`` (DESIGN.md §7 lists the files).
 
 from __future__ import annotations
 
-import argparse
 import math
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import ConfigError, ScenarioError
 from repro.fleet import harness
@@ -21,10 +28,11 @@ from repro.sim.context import current, run_context
 from repro.telemetry.session import TelemetrySession
 
 # ``run_fleet`` loads this table, so only the fleet and chaos modules
-# load with it; the other campaigns import theirs when they run.
-
-#: A command's parsed arguments.
-Args = argparse.Namespace
+# load with it (``argparse`` only for type checking); the other
+# campaigns import theirs when they run.
+if TYPE_CHECKING:
+    #: A command's parsed arguments.
+    from argparse import Namespace as Args
 
 
 class Campaign(NamedTuple):

@@ -18,34 +18,7 @@ The pieces mirror §4–§6 of the paper:
   or, in multi-channel mode, several.
 * :mod:`~repro.core.multichannel` — multi-channel mode data layout (Fig. 8/9).
 * :mod:`~repro.core.emulator` — the event-driven emulator behind Fig. 12.
+
+The package imports none of its modules, so loading one loads no
+sibling: import names from the module that defines them.
 """
-
-from repro.core.backend import XfmBackend
-from repro.core.driver import XfmDriver
-from repro.core.emulator import EmulatorConfig, EmulatorReport, XfmEmulator
-from repro.core.multichannel import MultiChannelLayout, MultiChannelReport
-from repro.core.nma import NearMemoryAccelerator, NmaConfig
-from repro.core.refresh_channel import AccessKind, AccessRequest, WindowScheduler
-from repro.core.registers import RegisterFile, Registers
-from repro.core.spm import ScratchpadMemory, SpmTag
-from repro.core.xfm_module import XfmModule
-
-__all__ = [
-    "AccessKind",
-    "AccessRequest",
-    "EmulatorConfig",
-    "EmulatorReport",
-    "MultiChannelLayout",
-    "MultiChannelReport",
-    "NearMemoryAccelerator",
-    "NmaConfig",
-    "RegisterFile",
-    "Registers",
-    "ScratchpadMemory",
-    "SpmTag",
-    "WindowScheduler",
-    "XfmBackend",
-    "XfmDriver",
-    "XfmEmulator",
-    "XfmModule",
-]

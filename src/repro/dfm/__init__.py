@@ -5,20 +5,8 @@ baseline with the same swap surface as the SFM backends: pages move
 *uncompressed* over a serial interconnect (CXL / PCIe / RDMA presets with
 the paper's 88 pJ/B PCIe energy), so swap-ins are fast and CPU-free but
 capacity is what you bought — no compression gain, no elasticity.
+
+The backend is :mod:`~repro.dfm.backend`, the link presets
+:mod:`~repro.dfm.interconnect`. The package imports neither: import
+names from the module that defines them.
 """
-
-from repro.dfm.backend import DfmBackend
-from repro.dfm.interconnect import (
-    CXL_LINK,
-    PCIE4_X8,
-    RDMA_LINK,
-    InterconnectModel,
-)
-
-__all__ = [
-    "CXL_LINK",
-    "DfmBackend",
-    "InterconnectModel",
-    "PCIE4_X8",
-    "RDMA_LINK",
-]

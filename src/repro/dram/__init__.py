@@ -6,61 +6,7 @@ Skylake-style physical address interleaving (§5, Fig. 6a), the all-bank
 auto-refresh schedule (§2.2), per-bank/subarray state, a cycle-approximate
 memory controller in the spirit of gem5's DDR4 interface (§7), and an
 access-energy model.
+
+The package imports none of its modules, so loading one loads no
+sibling: import names from the module that defines them.
 """
-
-from repro.dram.address import AddressMapping, DramCoordinate
-from repro.dram.commands import CommandKind, TimedCommand
-from repro.dram.device import (
-    DDR5_16GB,
-    DDR5_32GB,
-    DDR5_8GB,
-    DEVICE_PRESETS,
-    DramDeviceConfig,
-)
-from repro.dram.energy import AccessEnergyModel
-from repro.dram.refresh import RefreshScheduler, RefreshWindow
-from repro.dram.refresh_policy import (
-    POLICY_ALL_BANK,
-    POLICY_PER_BANK,
-    REFRESH_POLICIES,
-    AllBankRefreshPolicy,
-    PerBankRefreshPolicy,
-    RefreshPolicy,
-    make_refresh_policy,
-)
-from repro.dram.timing import (
-    DDR4_2400,
-    DDR4_3200,
-    DDR5_3200,
-    DDR5_4800,
-    TIMING_PRESETS,
-    DramTimings,
-)
-
-__all__ = [
-    "AccessEnergyModel",
-    "AddressMapping",
-    "AllBankRefreshPolicy",
-    "CommandKind",
-    "DDR4_2400",
-    "DDR4_3200",
-    "DDR5_16GB",
-    "DDR5_32GB",
-    "DDR5_3200",
-    "DDR5_4800",
-    "DDR5_8GB",
-    "DEVICE_PRESETS",
-    "DramCoordinate",
-    "DramDeviceConfig",
-    "DramTimings",
-    "POLICY_ALL_BANK",
-    "POLICY_PER_BANK",
-    "PerBankRefreshPolicy",
-    "REFRESH_POLICIES",
-    "RefreshPolicy",
-    "RefreshScheduler",
-    "RefreshWindow",
-    "TIMING_PRESETS",
-    "TimedCommand",
-    "make_refresh_policy",
-]

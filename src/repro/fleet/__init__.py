@@ -27,29 +27,7 @@ the machinery that decides viability under pressure:
 * :mod:`repro.fleet.harness` — the deterministic ``python -m repro
   fleet`` campaign: phases, SLOs, flight-recorder dumps on burn, and a
   byte-stable JSON report.
+
+The package imports none of its modules, so loading one loads no
+sibling: import names from the module that defines them.
 """
-
-from repro.fleet.admission import AdmissionController, TenantQuota, TokenBucket
-from repro.fleet.brownout import BrownoutConfig, BrownoutController
-from repro.fleet.frontend import FleetFrontend
-from repro.fleet.harness import FleetConfig, format_report, run_fleet
-from repro.fleet.retrybudget import RetryBudget
-from repro.fleet.shard import FleetRequest, FleetShard
-from repro.fleet.traffic import TrafficPhase, generate_arrivals
-
-__all__ = [
-    "AdmissionController",
-    "BrownoutConfig",
-    "BrownoutController",
-    "FleetConfig",
-    "FleetFrontend",
-    "FleetRequest",
-    "FleetShard",
-    "RetryBudget",
-    "TenantQuota",
-    "TokenBucket",
-    "TrafficPhase",
-    "format_report",
-    "generate_arrivals",
-    "run_fleet",
-]

@@ -23,6 +23,8 @@ from typing import Callable, Deque, Dict, FrozenSet, Optional
 from repro.compression.base import CodecSpec
 from repro.compression.deflate import DeflateCodec
 from repro.compression.static_tables import StaticTableRegistry
+from repro.core.backend import XfmBackend
+from repro.dfm.backend import DfmBackend
 from repro.errors import (
     ConfigError,
     CorruptedBlobError,
@@ -30,6 +32,7 @@ from repro.errors import (
     SfmError,
     TierUnavailableError,
 )
+from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE
 from repro.sim import CLOCK as _sim_clock
 from repro.sim.events import EventScheduler
@@ -127,9 +130,6 @@ class FleetShard:
     ) -> None:
         if queue_depth < 1:
             raise ConfigError("queue_depth must be >= 1")
-        from repro.core.backend import XfmBackend
-        from repro.dfm.backend import DfmBackend
-        from repro.sfm.backend import SfmBackend
 
         self.name = name
         self.scheduler = scheduler

@@ -12,39 +12,8 @@ The package mirrors the layering of :mod:`repro.validation`:
 - :mod:`repro.resilience.breaker` — the per-tier closed/open/half-open
   circuit breaker used by :class:`~repro.tiering.pipeline.TierPipeline`.
 - :mod:`repro.resilience.chaos` — the ``python -m repro chaos`` campaign
-  harness (imported lazily; it pulls in the tiering stack).
+  harness (it pulls in the tiering stack).
+
+The package imports none of its modules, so loading one loads no
+sibling: import names from the module that defines them.
 """
-
-from repro.resilience.breaker import (
-    BreakerConfig,
-    BreakerState,
-    CircuitBreaker,
-)
-from repro.resilience.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    corrupt_bytes,
-    fire,
-    injection_enabled,
-)
-from repro.resilience.integrity import BlobRecord, content_digest
-from repro.resilience.retry import BackoffPolicy, retry_with_backoff
-
-__all__ = [
-    "BackoffPolicy",
-    "BlobRecord",
-    "BreakerConfig",
-    "BreakerState",
-    "CircuitBreaker",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "content_digest",
-    "corrupt_bytes",
-    "fire",
-    "injection_enabled",
-    "retry_with_backoff",
-]

@@ -7,13 +7,7 @@ compaction (:mod:`~repro.sfm.zpool`), and a baseline CPU backend implementing
 (:mod:`~repro.sfm.backend`). The XFM backend in
 :mod:`repro.core.backend` wraps the same pool but offloads (de)compression
 to the near-memory accelerator.
+
+The package imports none of its modules, so loading one loads no
+sibling: import names from the module that defines them.
 """
-
-from repro.sfm.backend import SfmBackend
-from repro.sfm.page import PAGE_SIZE, Page
-
-__all__ = [
-    "PAGE_SIZE",
-    "Page",
-    "SfmBackend",
-]

@@ -28,65 +28,7 @@ The layers (see DESIGN.md "Telemetry"):
 
 ``python -m repro trace <workload>`` runs an instrumented workload and
 exports both files; see :mod:`repro.telemetry.runner`.
+
+The package imports none of its modules, so loading one loads no
+sibling: import names from the module that defines them.
 """
-
-from repro.telemetry import flightrec, reasons, spans
-from repro.telemetry.flightrec import FlightRecorder
-from repro.telemetry.quantiles import STANDARD_QUANTILES, QuantileHistogram
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-)
-from repro.telemetry.session import TelemetrySession
-from repro.telemetry.slo import (
-    AvailabilityObjective,
-    LatencyObjective,
-    SloEngine,
-)
-from repro.telemetry.stats import Stats
-from repro.telemetry.trace import (
-    TRACK_CPU,
-    TRACK_DRIVER,
-    TRACK_NMA,
-    TraceEvent,
-    TraceRing,
-    complete,
-    emit,
-    fallback,
-    instant,
-    refresh_track,
-    tracing_enabled,
-)
-
-__all__ = [
-    "AvailabilityObjective",
-    "Counter",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "LatencyObjective",
-    "MetricsRegistry",
-    "QuantileHistogram",
-    "STANDARD_QUANTILES",
-    "SloEngine",
-    "Stats",
-    "TelemetrySession",
-    "TraceEvent",
-    "TraceRing",
-    "TRACK_CPU",
-    "TRACK_DRIVER",
-    "TRACK_NMA",
-    "complete",
-    "default_registry",
-    "emit",
-    "fallback",
-    "flightrec",
-    "instant",
-    "reasons",
-    "refresh_track",
-    "spans",
-    "tracing_enabled",
-]

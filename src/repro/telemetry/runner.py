@@ -221,7 +221,8 @@ def _emulator_workload(session: TelemetrySession) -> Dict[str, object]:
 def tiers_demo(session: TelemetrySession) -> Tuple[dict, object]:
     """The ``tiers`` workload; also returns its pipeline, whose per-tier
     counters the ``tiers`` command renders."""
-    from repro.tiering import LruDemotion, TierPipeline
+    from repro.tiering.pipeline import TierPipeline
+    from repro.tiering.policy import LruDemotion
 
     # Small upper tiers so the demotion cascade actually fires; the DFM
     # floor is large enough to absorb everything that sinks.

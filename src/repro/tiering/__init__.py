@@ -1,26 +1,10 @@
 """Multi-tier far-memory composition (CPU-zswap -> XFM -> DFM).
 
-``FarMemoryTier`` is the structural contract every backend satisfies;
-``TierPipeline`` chains tiers under pluggable admission and demotion
-policies. See DESIGN.md §8.
+``FarMemoryTier`` (:mod:`~repro.tiering.protocol`) is the structural
+contract every backend satisfies; ``TierPipeline``
+(:mod:`~repro.tiering.pipeline`) chains tiers under pluggable admission
+and demotion policies. See DESIGN.md §8.
+
+The package imports none of its modules, so loading one loads no
+sibling: import names from the module that defines them.
 """
-
-from repro.tiering.factory import TIER_KINDS, make_tier
-from repro.tiering.pipeline import TierPipeline
-from repro.tiering.policy import (
-    LruDemotion,
-    NeverDemote,
-    PoolLimitPolicy,
-)
-from repro.tiering.protocol import FarMemoryTier, SwapOutcome
-
-__all__ = [
-    "FarMemoryTier",
-    "LruDemotion",
-    "NeverDemote",
-    "PoolLimitPolicy",
-    "SwapOutcome",
-    "TIER_KINDS",
-    "TierPipeline",
-    "make_tier",
-]

@@ -41,6 +41,8 @@ from collections import OrderedDict
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.core.backend import XfmBackend
+from repro.dfm.backend import DfmBackend
 from repro.errors import (
     ConfigError,
     CorruptedBlobError,
@@ -52,6 +54,7 @@ from repro.resilience.breaker import (
     BreakerState,
     CircuitBreaker,
 )
+from repro.sfm.backend import SfmBackend
 from repro.sfm.metrics import SwapStats, TrafficStats
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.telemetry import flightrec as _flightrec
@@ -281,10 +284,6 @@ class TierPipeline:
         """The canonical 3-tier stack: CPU-zswap -> XFM -> DFM, all
         three homed in one shared registry with ``tier=<name>`` labels.
         """
-        from repro.core.backend import XfmBackend
-        from repro.dfm.backend import DfmBackend
-        from repro.sfm.backend import SfmBackend
-
         registry = registry if registry is not None else MetricsRegistry()
         tiers = [
             SfmBackend(

@@ -5,22 +5,7 @@ These packages stand in for the proprietary inputs of the paper's
 evaluation (Silesia-style corpus files, SPEC CPU 2017, the DataFrame web
 front-end driving AIFM) with deterministic synthetic equivalents — see
 DESIGN.md's substitution table.
+
+The package imports none of its modules, so loading one loads no
+sibling: import names from the module that defines them.
 """
-
-from repro.workloads.corpus import (
-    CORPUS_NAMES,
-    corpus_pages,
-    describe_corpus,
-    generate_corpus,
-    tunable_page,
-)
-from repro.workloads.traces import SwapTrace
-
-__all__ = [
-    "CORPUS_NAMES",
-    "SwapTrace",
-    "corpus_pages",
-    "describe_corpus",
-    "generate_corpus",
-    "tunable_page",
-]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.dfm import CXL_LINK, DfmBackend, PCIE4_X8, RDMA_LINK, InterconnectModel
+from repro.dfm.backend import DfmBackend
+from repro.dfm.interconnect import CXL_LINK, PCIE4_X8, RDMA_LINK, InterconnectModel
 from repro.errors import ConfigError, SfmError
 from repro.sfm.backend import SfmBackend
 from repro.sfm.controller import ColdScanController

@@ -11,7 +11,7 @@ from repro.sfm.backend import SfmBackend
 from repro.sfm.metrics import SwapStats, TrafficStats
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sim.context import run_context
-from repro.tiering import SwapOutcome
+from repro.tiering.protocol import SwapOutcome
 from repro.tiering.pipeline import FAILURE_REASONS, TierPipeline
 
 

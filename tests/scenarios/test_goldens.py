@@ -27,7 +27,7 @@ from repro.scenarios.zoo import (
     load_scenario,
     regenerate_artifacts,
 )
-from repro.tiering import make_tier
+from repro.tiering.factory import make_tier
 
 RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 

@@ -14,7 +14,8 @@ from repro.scenarios.recorder import TraceRecorder
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sim import CLOCK
-from repro.tiering import FarMemoryTier, TierPipeline
+from repro.tiering.pipeline import TierPipeline
+from repro.tiering.protocol import FarMemoryTier
 from repro.workloads.corpus import corpus_pages
 
 

@@ -23,7 +23,7 @@ from repro.scenarios.format import OP_STORE
 from repro.scenarios.replayer import TraceReplayer, replay_trace
 from repro.scenarios.zoo import SCENARIOS, load_scenario
 from repro.sim.context import run_context
-from repro.tiering import TIER_KINDS, make_tier
+from repro.tiering.factory import TIER_KINDS, make_tier
 
 SCENARIO_NAMES = sorted(SCENARIOS)
 

@@ -8,7 +8,7 @@ the same scenario must populate it.
 from repro.scenarios.replayer import TraceReplayer, format_report
 from repro.scenarios.zoo import load_scenario
 from repro.sfm.page import PAGE_SIZE
-from repro.telemetry import TelemetrySession
+from repro.telemetry.session import TelemetrySession
 from repro.telemetry.slo import LatencyObjective, SloEngine
 from repro.tiering.factory import make_tier
 

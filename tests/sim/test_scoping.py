@@ -12,7 +12,7 @@ from repro.scenarios.replayer import TraceReplayer
 from repro.scenarios.zoo import build_scenario, load_scenario
 from repro.sfm.page import PAGE_SIZE
 from repro.sim import CLOCK
-from repro.telemetry import TelemetrySession
+from repro.telemetry.session import TelemetrySession
 from repro.tiering.factory import make_tier
 
 

@@ -8,7 +8,8 @@ import pytest
 from repro.core.emulator import EmulatorConfig, XfmEmulator
 from repro.sfm.page import PAGE_SIZE
 from repro.sim.context import current, run_context
-from repro.telemetry import TelemetrySession, flightrec, trace
+from repro.telemetry import flightrec, trace
+from repro.telemetry.session import TelemetrySession
 from repro.campaigns import CAMPAIGNS, run
 from repro.telemetry.runner import WORKLOADS
 

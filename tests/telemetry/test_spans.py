@@ -2,7 +2,8 @@
 
 from repro.sim import CLOCK
 from repro.sim.context import run_context
-from repro.telemetry import TelemetrySession, spans, trace
+from repro.telemetry import spans, trace
+from repro.telemetry.session import TelemetrySession
 
 
 def _events(ring):

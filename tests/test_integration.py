@@ -5,6 +5,8 @@ runtime -> controller -> backend -> zpool/NMA path, baseline-vs-XFM
 equivalence, and the public API surface.
 """
 
+import importlib
+
 import pytest
 
 import repro
@@ -97,6 +99,27 @@ class TestPublicApi:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+    def test_each_export_is_its_defining_modules_object(self):
+        assert set(repro._EXPORTS) | {"__version__"} == set(repro.__all__)
+        for name, home in repro._EXPORTS.items():
+            value = getattr(repro, name)
+            assert value is getattr(importlib.import_module(home), name)
+            assert getattr(value, "__module__", home) == home, name
+
+    def test_dir_lists_every_export(self):
+        assert set(repro.__all__) <= set(dir(repro))
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from repro import *", namespace)
+        for name in repro.__all__:
+            assert namespace[name] is getattr(repro, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
+        assert not hasattr(repro, "XfmBackendd")
 
     def test_quickstart_docstring_flow(self):
         backend = XfmBackend(capacity_bytes=64 * PAGE_SIZE)

@@ -9,7 +9,7 @@ CPU SFM, single-DIMM XFM, multi-channel XFM, and DFM. This is the
 import pytest
 
 from repro.core.backend import XfmBackend
-from repro.dfm import DfmBackend
+from repro.dfm.backend import DfmBackend
 from repro.sfm.backend import SfmBackend
 from repro.sfm.controller import ColdScanController
 from repro.sfm.page import PAGE_SIZE

@@ -10,12 +10,8 @@ import pytest
 from repro.errors import ConfigError, SfmError
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sim.context import run_context
-from repro.tiering import (
-    LruDemotion,
-    NeverDemote,
-    PoolLimitPolicy,
-    TierPipeline,
-)
+from repro.tiering.pipeline import TierPipeline
+from repro.tiering.policy import LruDemotion, NeverDemote, PoolLimitPolicy
 from repro.tiering.policy import AdmissionPolicy
 from repro.validation.invariants import check_tier_pipeline
 from repro.workloads.corpus import corpus_pages, noise_page
@@ -164,7 +160,7 @@ class TestDemotionPromotion:
                 self._accepts_left = 1
 
             def swap_out(self, page):
-                from repro.tiering import SwapOutcome
+                from repro.tiering.protocol import SwapOutcome
 
                 if self._accepts_left <= 0:
                     return SwapOutcome(accepted=False, reason="pool-full")

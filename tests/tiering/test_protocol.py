@@ -15,7 +15,8 @@ from repro.sfm.backend import SfmBackend
 from repro.sfm.metrics import TrafficStats
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.telemetry.registry import MetricsRegistry
-from repro.tiering import FarMemoryTier, SwapOutcome, TierPipeline
+from repro.tiering.pipeline import TierPipeline
+from repro.tiering.protocol import FarMemoryTier, SwapOutcome
 from repro.workloads.corpus import corpus_pages
 
 TIERS = {

@@ -10,7 +10,8 @@ from repro.resilience.breaker import BreakerConfig
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sfm.page import PAGE_SIZE
 from repro.sim.context import current, run_context
-from repro.telemetry import TelemetrySession, trace
+from repro.telemetry import trace
+from repro.telemetry.session import TelemetrySession
 from repro.telemetry.quantiles import collect_percentiles
 from repro.tiering.pipeline import TierPipeline
 

@@ -13,7 +13,8 @@ from repro.dfm.backend import DfmBackend
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE
 from repro.sfm.zswap import ZswapFrontend
-from repro.tiering import NeverDemote, TierPipeline
+from repro.tiering.pipeline import TierPipeline
+from repro.tiering.policy import NeverDemote
 from repro.workloads.corpus import corpus_pages
 
 TIERS = {

@@ -36,7 +36,8 @@ from repro.resilience.faults import FaultInjector
 from repro.sfm.page import PAGE_SIZE
 from repro.sim import CLOCK
 from repro.sim.context import run_context
-from repro.tiering import LruDemotion, TierPipeline
+from repro.tiering.pipeline import TierPipeline
+from repro.tiering.policy import LruDemotion
 from repro.validation.shadow import ShadowOracle
 from repro.workloads.corpus import page_for
 from tests.hypothesis_settings import fuzz_settings
