@@ -43,6 +43,15 @@ Modes:
         clock reads, breaker checks, latency accounting) and the
         baselines were recorded with it in place, so the gate bounds
         drift from that record.
+    ``calls`` (exact)  Python and C calls per op, counted with a
+        ``sys.setprofile`` hook over a fixed short slice of each of the
+        five end-to-end workloads (``benchmarks/e2e/workloads.py``), each
+        slice in a fresh interpreter. Every count, in total and per
+        top-level ``repro`` package, must equal the ``calls`` record in
+        ``BENCH_perf.json``; on another interpreter minor version than
+        the record's the counts are printed as not comparable. With
+        ``--record`` the fresh counts become the record and the old
+        record's per-op counts move to its ``previous`` entries.
 
 Usage::
 
@@ -52,6 +61,7 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/run_perf.py guard telemetry
     PYTHONPATH=src python benchmarks/perf/run_perf.py guard sim
     PYTHONPATH=src python benchmarks/perf/run_perf.py guard stats
+    PYTHONPATH=src python benchmarks/perf/run_perf.py guard calls [--record]
 """
 
 from __future__ import annotations
@@ -59,15 +69,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import microbench  # noqa: E402  (sibling module, path-injected above)
+import callcount  # noqa: E402  (sibling modules, path-injected above)
+import microbench  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_perf.json"
+E2E_DIR = REPO_ROOT / "benchmarks" / "e2e"
 
 
 def _load(path: Path) -> dict:
@@ -222,6 +235,113 @@ def _sim_ratio(args: argparse.Namespace) -> float:
     return worst
 
 
+# -- the call gate ----------------------------------------------------------
+
+def _count_in_child(name: str) -> dict:
+    """One slice's counts from ``callcount.py`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("callcount.py")), name],
+        env=env, capture_output=True, text=True, timeout=900,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"call gate: slice {name} failed:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _calls_differ(fresh: dict, recorded: dict) -> list:
+    """Every count of one slice that moved from its record."""
+    moved = []
+    for key in ("ops", "python_calls", "c_calls"):
+        if fresh[key] != recorded.get(key):
+            moved.append(f"{key} {recorded.get(key)} -> {fresh[key]}")
+    packages = sorted(set(fresh["by_package"]) | set(recorded.get("by_package", {})))
+    zero = {"python": 0, "c": 0}
+    for package in packages:
+        now = fresh["by_package"].get(package, zero)
+        then = recorded.get("by_package", {}).get(package, zero)
+        for kind in ("python", "c"):
+            if now[kind] != then[kind]:
+                moved.append(f"{package} {kind} calls {then[kind]} -> {now[kind]}")
+    return moved
+
+
+def cmd_calls(args: argparse.Namespace) -> int:
+    version = "%d.%d" % sys.version_info[:2]
+    baseline_path = Path(args.baseline)
+    doc = _load(baseline_path)
+    record = doc.get("calls", {})
+    fresh = {name: _count_in_child(name) for name in callcount.CALL_SLICES}
+    print(f"{'slice':<22}{'ops':>7}{'py calls/op':>13}{'C calls/op':>12}")
+    for name, counts in fresh.items():
+        if "skipped" in counts:
+            print(f"{name:<22}skipped: {counts['skipped']}")
+            continue
+        print(
+            f"{name:<22}{counts['ops']:>7}{counts['python_calls_per_op']:>13.2f}"
+            f"{counts['c_calls_per_op']:>12.2f}"
+        )
+    fresh = {name: c for name, c in fresh.items() if "skipped" not in c}
+    if args.record:
+        slices = {}
+        for name, counts in fresh.items():
+            old = record.get("slices", {}).get(name)
+            if old is not None:
+                counts["previous"] = {
+                    key: old[key]
+                    for key in ("python_calls_per_op", "c_calls_per_op")
+                }
+            slices[name] = counts
+        doc["calls"] = {
+            "python": version,
+            "seed": callcount.CALL_SEED,
+            "description": (
+                "run_perf.py guard calls: Python and C calls per op over a "
+                "short slice of each e2e workload (sys.setprofile hook, one "
+                "fresh interpreter per slice, PYTHONHASHSEED=0). previous = "
+                "the per-op counts of the record this one replaced."
+            ),
+            "slices": slices,
+        }
+        with open(baseline_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"call counts recorded in {baseline_path} (Python {version})")
+        return 0
+    if record.get("python") != version:
+        print(
+            f"calls recorded on Python {record.get('python')}, this is "
+            f"{version}: not comparable"
+        )
+        return 0
+    recorded = record["slices"]
+    failures = {
+        name: ["recorded, but did not run"]
+        for name in recorded if name not in fresh
+    }
+    for name, counts in fresh.items():
+        if name not in recorded:
+            print(f"{name}: no record on Python {version}, not compared")
+            continue
+        moved = _calls_differ(counts, recorded[name])
+        if moved:
+            failures[name] = moved
+    if failures:
+        for name, moved in failures.items():
+            print(f"{name}: " + "; ".join(moved))
+        print(
+            "calls guard FAILED: call counts moved from the record; re-record "
+            "with `guard calls --record` on Python "
+            f"{version} and cite the change"
+        )
+        return 1
+    print("calls guard passed: every count equals the record")
+    return 0
+
+
 #: name -> (default gate, ratio measurement, what it measures, what a
 #: failure means).
 GUARDS = {
@@ -262,6 +382,8 @@ GUARDS = {
 
 
 def cmd_guard(args: argparse.Namespace) -> int:
+    if args.name == "calls":
+        return cmd_calls(args)
     default_gate, measure, what, meaning = GUARDS[args.name]
     gate = default_gate if args.max_overhead is None else args.max_overhead
     overhead = measure(args) - 1.0
@@ -294,12 +416,16 @@ def main(argv=None) -> int:
     check.set_defaults(func=cmd_check)
 
     guard = sub.add_parser("guard", help="assert one overhead stays bounded")
-    guard.add_argument("name", choices=sorted(GUARDS))
+    guard.add_argument("name", choices=sorted(GUARDS) + ["calls"])
     guard.add_argument("--max-overhead", type=float, default=None)
     guard.add_argument("--repeats", type=int, default=3)
     guard.add_argument("--trials", type=int, default=3)
     guard.add_argument("--baseline", default=str(DEFAULT_BASELINE))
     guard.add_argument("--inner-scale", type=float, default=1.0)
+    guard.add_argument(
+        "--record", action="store_true",
+        help="calls only: write the fresh counts as the record",
+    )
     guard.set_defaults(func=cmd_guard)
 
     args = parser.parse_args(argv)

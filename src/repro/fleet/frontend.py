@@ -183,7 +183,7 @@ class FleetFrontend:
     def _on_shard_complete(self, req: FleetRequest) -> None:
         if req.status == "served":
             self._served[req.tenant, req.op].inc()
-            self._lat[req.op].observe(req.latency_ns)
+            self._lat[req.op].observe(req.done_ns - req.arrival_ns)
             if req.op == "store":
                 self.placement[req.key] = req.shard
                 self.admission.on_page_stored(req.tenant)

@@ -260,7 +260,7 @@ class _Campaign:
         tally = self.phase_tallies[phase]
         if req.status == "served":
             tally["served"] += 1
-            self.phase_latencies[phase].append(req.latency_ns)
+            self.phase_latencies[phase].append(req.done_ns - req.arrival_ns)
             if req.op == "store":
                 self.oracle.ack(req.key, req.data)
                 self._release_key(req.tenant, req.key)

@@ -12,6 +12,15 @@ pump at the completion instant. When the pump returns, the clock is
 back at the service start, so later events keep their order. Arrivals
 landing mid-service simply wait in the bounded queue; a full queue
 sheds at submit time with a retry-after hint sized from the backlog.
+
+Under tracing, the pipeline work of each served request is one trace
+window of the ring (:meth:`~repro.telemetry.trace.TraceRing.mark`). It
+closes when the request's completion time is set, before the completion
+hook runs, and the ring keeps it only for one request in
+:data:`TRACE_SAMPLE_EVERY`, a request that was not served, or one that
+finished after its deadline. Tracing stays on inside a dropped window,
+so modelled costs, latency quantiles and the flight recorder, which
+sees every event, do not depend on the sample.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from repro.errors import (
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE
 from repro.sim import CLOCK as _sim_clock
+from repro.sim import context as _context
 from repro.sim.events import EventScheduler
 from repro.telemetry.registry import CounterFamily, MetricsRegistry
 from repro.tiering.pipeline import TierPipeline
@@ -44,6 +54,11 @@ from repro.tiering.policy import LruDemotion, NeverDemote
 #: advancing even for requests whose pipeline work is cache-hit cheap
 #: (and keeps bare, non-traced unit tests from looping at one tick).
 MIN_SERVICE_NS = 200.0
+
+#: A shard's trace keeps the pipeline window of every request whose id
+#: is a multiple of this, and of every request that was not served or
+#: missed its deadline (see the module docstring).
+TRACE_SAMPLE_EVERY = 8
 
 #: Per-shard tier capacities (cpu-zswap and xfm; dfm).
 UPPER_TIER_BYTES = 4 * 1024 * 1024
@@ -194,10 +209,13 @@ class FleetShard:
     def _estimate_ns(self, op: str) -> float:
         return self._store_est_ns if op == "store" else self._load_est_ns
 
-    def backlog_ns(self) -> float:
-        """Rough wait ahead of a new arrival: the remainder of the
-        in-flight request plus the queued service estimates."""
-        in_flight = max(0.0, self.busy_until_ns - _sim_clock.now_ns())
+    def backlog_ns(self, now_ns: Optional[float] = None) -> float:
+        """Rough wait ahead of a new arrival at ``now_ns`` (default: the
+        clock): the remainder of the in-flight request plus the queued
+        service estimates."""
+        if now_ns is None:
+            now_ns = _sim_clock.now_ns()
+        in_flight = max(0.0, self.busy_until_ns - now_ns)
         return in_flight + sum(self._estimate_ns(r.op) for r in self.queue)
 
     def submit(self, req: FleetRequest) -> None:
@@ -246,26 +264,26 @@ class FleetShard:
                 if now + self._estimate_ns(req.op) > req.deadline_ns:
                     req.status = "shed"
                     req.reason = "deadline"
-                    req.retry_after_ns = self.backlog_ns()
+                    req.retry_after_ns = self.backlog_ns(now)
                     req.done_ns = now
                     self.on_complete(req)
                     continue
                 self._serve(req)
-                self.busy_until_ns = _sim_clock.now_ns()
+                self.busy_until_ns = req.done_ns
                 break
             self._schedule_pump()
 
-    def _select_codec(self, req: FleetRequest) -> None:
-        tier0 = self.pipeline.tiers[0]
+    def _serve(self, req: FleetRequest) -> None:
+        ring = _context._current.ring
+        if ring is not None:
+            ring.mark()
+        start_ns = _sim_clock.now_ns()
+        # The brownout codec for degraded tenants, the normal one else.
         if self.degraded and req.tenant in self.degraded_tenants:
-            tier0.codec = self._codec_degraded
+            self.pipeline.tiers[0].codec = self._codec_degraded
             self.degraded_ops += 1
         else:
-            tier0.codec = self._codec_normal
-
-    def _serve(self, req: FleetRequest) -> None:
-        start_ns = _sim_clock.now_ns()
-        self._select_codec(req)
+            self.pipeline.tiers[0].codec = self._codec_normal
         try:
             if req.op == "store":
                 if req.data is None or len(req.data) != PAGE_SIZE:
@@ -292,13 +310,24 @@ class FleetShard:
         except CorruptedBlobError:
             req.status = "failed"
             req.reason = "corrupted"
+        except BaseException:
+            if ring is not None:
+                ring.commit(True)
+            raise
         # Service-time floor: guarantee the timeline strictly advances
         # per served request, even when the pipeline work was free
         # (digest-cache hit, early reject) or tracing is off.
-        elapsed = _sim_clock.now_ns() - start_ns
+        now = _sim_clock.now_ns()
+        elapsed = now - start_ns
         if elapsed < MIN_SERVICE_NS:
-            _sim_clock.advance_ns(MIN_SERVICE_NS - elapsed)
-        req.done_ns = _sim_clock.now_ns()
+            now = _sim_clock.advance_ns(MIN_SERVICE_NS - elapsed)
+        req.done_ns = now
+        if ring is not None:
+            ring.commit(
+                req.rid % TRACE_SAMPLE_EVERY == 0
+                or req.status != "served"
+                or now > req.deadline_ns
+            )
         self.on_complete(req)
 
     # -- degraded mode --------------------------------------------------------

@@ -31,8 +31,7 @@ Ownership rules (see DESIGN.md §11):
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import ConfigError
 
@@ -110,17 +109,32 @@ class SimClock:
         timeline, not travelling within one)."""
         self._ticks = int(state)
 
-    @contextmanager
-    def scoped(self, start_ns: Optional[float] = None) -> Iterator["SimClock"]:
+    def scoped(self, start_ns: Optional[float] = None) -> "ClockScope":
         """Save the clock, optionally jump to ``start_ns``, and restore
         the saved time on exit — nested scopes compose like a stack."""
-        saved = self._ticks
-        if start_ns is not None:
-            self.set_ns(start_ns)
-        try:
-            yield self
-        finally:
-            self._ticks = saved
+        return ClockScope(self, start_ns)
+
+
+class ClockScope:
+    """The context manager :meth:`SimClock.scoped` returns: enter saves
+    the clock's ticks (and jumps to ``start_ns`` when given), exit puts
+    them back, also when the body raises."""
+
+    __slots__ = ("_clock", "_start_ns", "_saved")
+
+    def __init__(self, clock: SimClock, start_ns: Optional[float]) -> None:
+        self._clock = clock
+        self._start_ns = start_ns
+
+    def __enter__(self) -> SimClock:
+        clock = self._clock
+        self._saved = clock._ticks
+        if self._start_ns is not None:
+            clock.set_ns(self._start_ns)
+        return clock
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._clock._ticks = self._saved
 
 
 #: The process-wide shared clock every subsystem schedules against.

@@ -11,7 +11,8 @@ loss — it writes ``flight_<reason>.json`` containing the recent events,
 the simulated time of the trigger, and the delta of every registry
 counter since the recorder was installed. Repeat triggers get numbered
 files (``flight_breaker_open_2.json``) so a cascading failure keeps
-every snapshot.
+every snapshot. Without an ``out_dir`` a trigger only records the dump's
+name (:attr:`FlightRecorder.dump_names`); no document is built.
 
 Trigger sites call :func:`trigger`, which is a no-op (one field read)
 when no recorder is installed, so the failure paths stay dependency-free
@@ -79,8 +80,10 @@ class FlightRecorder:
         self.capacity = capacity
         self.registry = registry
         self.out_dir = out_dir
-        self.dropped = 0
-        self._events: Deque[TraceEvent] = deque()
+        #: The recent events; :func:`~repro.telemetry.trace.emit` appends
+        #: here and counts :attr:`appended`.
+        self.sink: Deque[TraceEvent] = deque(maxlen=capacity)
+        self.appended = 0
         self._baseline: Dict[str, float] = (
             _numeric_snapshot(registry) if registry is not None else {}
         )
@@ -90,19 +93,14 @@ class FlightRecorder:
         self.dumps: List[str] = []
         #: filenames of every dump, whether or not it reached disk.
         self.dump_names: List[str] = []
-        #: every dump document, whether or not it reached disk.
-        self.documents: List[Dict[str, object]] = []
 
-    # -- recording (called from trace.emit) --------------------------------
-
-    def record(self, event: TraceEvent) -> None:
-        if len(self._events) >= self.capacity:
-            self._events.popleft()
-            self.dropped += 1
-        self._events.append(event)
+    @property
+    def dropped(self) -> int:
+        """Events that fell out of the bounded window."""
+        return self.appended - len(self.sink)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self.sink)
 
     # -- dumping -----------------------------------------------------------
 
@@ -124,30 +122,32 @@ class FlightRecorder:
             "reason": reason,
             "detail": dict(detail) if detail else {},
             "t_ns": _sim_clock.now_ns(),
-            "events_recorded": len(self._events),
+            "events_recorded": len(self.sink),
             "events_dropped": self.dropped,
-            "events": [_event_dict(e) for e in self._events],
+            "events": [_event_dict(e) for e in self.sink],
             "metric_deltas": self.metric_deltas(),
         }
 
     def trigger(
         self, reason: str, detail: Optional[Dict[str, object]] = None
     ) -> str:
-        """Capture a dump; write ``flight_<reason>.json`` when an
-        ``out_dir`` is configured. Returns the dump filename."""
+        """Name a dump and, when an ``out_dir`` is configured, build its
+        document and write it as ``flight_<reason>.json``. Returns the
+        dump filename."""
         n = self._dump_counts.get(reason, 0) + 1
         self._dump_counts[reason] = n
         filename = (
             f"flight_{reason}.json" if n == 1 else f"flight_{reason}_{n}.json"
         )
-        doc = self.document(reason, detail)
-        self.documents.append(doc)
         self.dump_names.append(filename)
         if self.out_dir:
             os.makedirs(self.out_dir, exist_ok=True)
             path = os.path.join(self.out_dir, filename)
             with open(path, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
+                json.dump(
+                    self.document(reason, detail), fh, indent=2,
+                    sort_keys=True,
+                )
             self.dumps.append(path)
         return filename
 

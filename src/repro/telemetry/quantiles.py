@@ -96,11 +96,6 @@ class QuantileHistogram:
 
     # -- recording ---------------------------------------------------------
 
-    def _index(self, value: float) -> int:
-        if value <= self.min_value:
-            return 0
-        return 1 + int(math.log(value / self.min_value) * self._inv_log_g)
-
     def _representative(self, index: int) -> float:
         if index == 0:
             return self.min_value
@@ -108,7 +103,11 @@ class QuantileHistogram:
         return self.min_value * self.growth ** (index - 0.5)
 
     def observe(self, value: float) -> None:
-        idx = self._index(value)
+        min_value = self.min_value
+        if value <= min_value:
+            idx = 0
+        else:
+            idx = 1 + int(math.log(value / min_value) * self._inv_log_g)
         self.counts[idx] = self.counts.get(idx, 0) + 1
         self.total += 1
         self.sum += value
@@ -153,8 +152,14 @@ class QuantileHistogram:
         its representative is within the threshold.
         """
         good = 0
+        min_value, growth = self.min_value, self.growth
         for idx, count in self.counts.items():
-            if self._representative(idx) <= threshold:
+            # _representative, inline: this runs once per bucket per tick.
+            if idx == 0:
+                representative = min_value
+            else:
+                representative = min_value * growth ** (idx - 0.5)
+            if representative <= threshold:
                 good += count
         return good
 

@@ -23,8 +23,11 @@ plus any report attached with :meth:`attach_report` and the
 Ring capacity defaults to 65536 events; override per session with the
 ``ring_capacity`` kwarg or process-wide with the ``REPRO_TRACE_RING``
 environment variable (the kwarg wins). Events shed by ring overflow are
-exported as the ``trace.ring_dropped`` registry gauge so a truncated
-trace is visible from ``metrics.json`` alone.
+exported as the ``trace.ring_dropped`` registry gauge, and the events of
+trace windows a sampler left out (a fleet shard keeps one served
+request in :data:`~repro.fleet.shard.TRACE_SAMPLE_EVERY`) as
+``trace.sampled_out``, so a truncated or sampled trace is visible from
+``metrics.json`` alone.
 
 The benchmark harness wraps measured runs in a session so
 ``BENCH_perf.json`` runs can optionally attach traces; every campaign
@@ -119,9 +122,11 @@ class TelemetrySession:
         self._report = (name, document)
 
     def metrics_document(self) -> Dict[str, object]:
-        # Exported as a gauge so downstream consumers of metrics.json /
-        # CSV see truncation without parsing the trace block.
+        # Exported as gauges so downstream consumers of metrics.json /
+        # CSV see truncation and sampling without parsing the trace
+        # block. Set here, at export, so no flight dump moves.
         self.registry.gauge("trace.ring_dropped").set(self.ring.dropped)
+        self.registry.gauge("trace.sampled_out").set(self.ring.sampled_out)
         doc: Dict[str, object] = {
             "schema": 1,
             "registry": self.registry.snapshot(),
@@ -135,6 +140,7 @@ class TelemetrySession:
             "events": len(self.ring),
             "capacity": self.ring.capacity,
             "dropped": self.ring.dropped,
+            "sampled_out": self.ring.sampled_out,
         }
         if self.flight.dumps:
             doc["flight_records"] = list(self.flight.dumps)

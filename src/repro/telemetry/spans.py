@@ -28,18 +28,11 @@ inside it, not wall time.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, NamedTuple, Optional
 
 from repro.sim import context as _context
 from repro.sim.clock import CLOCK as _sim_clock
-from repro.telemetry import trace as _trace
-from repro.telemetry.trace import TraceRing
-
-
-def _new_span_id(ring: TraceRing) -> int:
-    span_id = ring.next_span_id
-    ring.next_span_id = span_id + 1
-    return span_id
+from repro.telemetry.trace import PH_COMPLETE, PH_INSTANT, TraceRing, emit
 
 
 def current_span_id() -> Optional[int]:
@@ -48,31 +41,21 @@ def current_span_id() -> Optional[int]:
     return stack[-1] if stack else None
 
 
-class SpanHandle:
+class SpanHandle(NamedTuple):
     """An open span; pass back to :func:`end` to close and emit it.
     It closes against the open-span stack of the ring that opened it."""
 
-    __slots__ = (
-        "span_id", "parent_id", "name", "track", "start_ns", "args", "ring"
-    )
+    span_id: int
+    parent_id: Optional[int]
+    name: str
+    track: str
+    start_ns: float
+    args: Optional[Dict[str, object]]
+    ring: TraceRing
 
-    def __init__(
-        self,
-        span_id: int,
-        parent_id: Optional[int],
-        name: str,
-        track: str,
-        start_ns: float,
-        args: Optional[Dict[str, object]],
-        ring: TraceRing,
-    ) -> None:
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.track = track
-        self.start_ns = start_ns
-        self.args = args
-        self.ring = ring
+
+#: Builds a :class:`SpanHandle` from its fields without a Python call.
+_new_handle = tuple.__new__
 
 
 def begin(
@@ -82,16 +65,12 @@ def begin(
     open span (if any) and push it on the stack."""
     ring = _context._current.ring
     stack = ring.open_spans
-    span_id = _new_span_id(ring)
-    handle = SpanHandle(
-        span_id=span_id,
-        parent_id=stack[-1] if stack else None,
-        name=name,
-        track=track,
-        start_ns=_sim_clock.now_ns(),
-        args=args,
-        ring=ring,
-    )
+    span_id = ring.next_span_id
+    ring.next_span_id = span_id + 1
+    handle = _new_handle(SpanHandle, (
+        span_id, stack[-1] if stack else None, name, track,
+        _sim_clock.now_ns(), args, ring,
+    ))
     stack.append(span_id)
     return handle
 
@@ -104,23 +83,24 @@ def end(
     Spans close innermost-first; if callers leak an inner span the stack
     is unwound to the handle being closed so the tree stays consistent.
     """
+    span_id = handle.span_id
     stack = handle.ring.open_spans
-    while stack and stack[-1] != handle.span_id:
+    while stack and stack[-1] != span_id:
         stack.pop()
     if stack:
         stack.pop()
-    end_ns = _sim_clock.now_ns()
-    dur_ns = end_ns - handle.start_ns
-    args: Dict[str, object] = {"span": handle.span_id}
-    if handle.parent_id is not None:
-        args["parent"] = handle.parent_id
+    start_ns = handle.start_ns
+    dur_ns = _sim_clock.now_ns() - start_ns
+    parent_id = handle.parent_id
+    args: Dict[str, object] = (
+        {"span": span_id} if parent_id is None
+        else {"span": span_id, "parent": parent_id}
+    )
     if handle.args:
         args.update(handle.args)
     if extra:
         args.update(extra)
-    _trace.complete(
-        handle.name, handle.track, handle.start_ns, dur_ns, args=args
-    )
+    emit(handle.name, PH_COMPLETE, handle.track, start_ns, dur_ns, args)
     return dur_ns
 
 
@@ -152,13 +132,15 @@ def emit_under(
     Returns the allocated span id.
     """
     ring = _context._current.ring
-    span_id = _new_span_id(ring)
-    full: Dict[str, object] = {"span": span_id}
-    if ring.open_spans:
-        full["parent"] = ring.open_spans[-1]
+    span_id = ring.next_span_id
+    ring.next_span_id = span_id + 1
+    stack = ring.open_spans
+    full: Dict[str, object] = (
+        {"span": span_id, "parent": stack[-1]} if stack else {"span": span_id}
+    )
     if args:
         full.update(args)
-    _trace.complete(name, track, start_ns, dur_ns, args=full)
+    emit(name, PH_COMPLETE, track, start_ns, dur_ns, full)
     return span_id
 
 
@@ -169,10 +151,8 @@ def instant_under(
     args: Optional[Dict[str, object]] = None,
 ) -> None:
     """Emit an instant tagged with the innermost open span's id."""
-    full: Dict[str, object] = {}
-    parent = current_span_id()
-    if parent is not None:
-        full["parent"] = parent
+    stack = _context._current.ring.open_spans
+    full: Dict[str, object] = {"parent": stack[-1]} if stack else {}
     if args:
         full.update(args)
-    _trace.instant(name, track, ts_ns=ts_ns, args=full or None)
+    emit(name, PH_INSTANT, track, ts_ns, None, full or None)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from json.encoder import encode_basestring_ascii as _encode
-from typing import Deque, Dict, List, Optional, TextIO
+from typing import Deque, Dict, List, NamedTuple, Optional, TextIO
 
 from repro.errors import ConfigError
 from repro.sim import context as _context
@@ -48,26 +48,20 @@ def refresh_track(channel: int = 0) -> str:
     return f"refresh/ch{channel}"
 
 
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One trace event; converts 1:1 to a Chrome trace-event dict."""
 
-    __slots__ = ("name", "ph", "ts_ns", "track", "dur_ns", "args")
+    name: str
+    ph: str
+    ts_ns: float
+    track: str
+    dur_ns: Optional[float] = None
+    args: Optional[Dict[str, object]] = None
 
-    def __init__(
-        self,
-        name: str,
-        ph: str,
-        ts_ns: float,
-        track: str,
-        dur_ns: Optional[float] = None,
-        args: Optional[Dict[str, object]] = None,
-    ) -> None:
-        self.name = name
-        self.ph = ph
-        self.ts_ns = ts_ns
-        self.track = track
-        self.dur_ns = dur_ns
-        self.args = args
+
+#: Builds a :class:`TraceEvent` from its six fields without a Python
+#: call (the hot path's constructor).
+_new_event = tuple.__new__
 
 
 class TraceRing:
@@ -78,22 +72,55 @@ class TraceRing:
     A ring is also the unit of span numbering: it owns the next span id
     and the stack of open span ids (see :mod:`repro.telemetry.spans`),
     so span ids are unique within one exported trace and a fresh ring
-    starts at id 1."""
+    starts at id 1.
+
+    :meth:`mark` and :meth:`commit` bracket a *trace window*: the events
+    emitted in between are held aside, then either enter the ring or
+    are counted as :attr:`sampled_out`. A dropped window never evicts
+    an event the ring keeps. Windows do not nest."""
 
     def __init__(self, capacity: int = 65536) -> None:
         if capacity < 1:
             raise ConfigError(f"ring capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.dropped = 0
-        self._events: Deque[TraceEvent] = deque()
+        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
+        self._window: List[TraceEvent] = []
+        #: Where :func:`emit` appends: the ring, or the open window.
+        self.sink = self._events
+        #: Events appended and not sampled out (the ring's, the open
+        #: window's and the ones overflow dropped).
+        self.appended = 0
+        #: Events of windows that :meth:`commit` did not keep.
+        self.sampled_out = 0
         self.next_span_id = 1
         self.open_spans: List[int] = []
 
+    @property
+    def dropped(self) -> int:
+        """Events the ring shed to overflow."""
+        return self.appended - len(self._events) - len(self._window)
+
     def append(self, event: TraceEvent) -> None:
-        if len(self._events) >= self.capacity:
-            self._events.popleft()
-            self.dropped += 1
-        self._events.append(event)
+        self.sink.append(event)
+        self.appended += 1
+
+    def mark(self) -> None:
+        """Open a trace window."""
+        if self.sink is self._window:
+            raise ConfigError("trace windows do not nest")
+        self.sink = self._window
+
+    def commit(self, keep: bool) -> None:
+        """Close the open window: its events enter the ring when ``keep``
+        is true and are counted as :attr:`sampled_out` otherwise."""
+        window = self._window
+        if keep:
+            self._events.extend(window)
+        else:
+            self.appended -= len(window)
+            self.sampled_out += len(window)
+        window.clear()
+        self.sink = self._events
 
     def __len__(self) -> int:
         return len(self._events)
@@ -103,7 +130,9 @@ class TraceRing:
 
     def clear(self) -> None:
         self._events.clear()
-        self.dropped = 0
+        self._window.clear()
+        self.sink = self._events
+        self.appended = self.sampled_out = 0
 
 
 def tracing_enabled() -> bool:
@@ -132,18 +161,16 @@ def emit(
     flight = context.flight
     if ring is None and flight is None:
         return
-    event = TraceEvent(
-        name=name,
-        ph=ph,
-        ts_ns=_clock.now_ns() if ts_ns is None else ts_ns,
-        track=track,
-        dur_ns=dur_ns,
-        args=args,
-    )
+    event = _new_event(TraceEvent, (
+        name, ph, _clock.now_ns() if ts_ns is None else ts_ns, track,
+        dur_ns, args,
+    ))
     if ring is not None:
-        ring.append(event)
+        ring.sink.append(event)
+        ring.appended += 1
     if flight is not None:
-        flight.record(event)
+        flight.sink.append(event)
+        flight.appended += 1
 
 
 def instant(
@@ -152,7 +179,7 @@ def instant(
     ts_ns: Optional[float] = None,
     args: Optional[Dict[str, object]] = None,
 ) -> None:
-    emit(name, PH_INSTANT, track, ts_ns=ts_ns, args=args)
+    emit(name, PH_INSTANT, track, ts_ns, None, args)
 
 
 def complete(
@@ -162,7 +189,7 @@ def complete(
     dur_ns: float,
     args: Optional[Dict[str, object]] = None,
 ) -> None:
-    emit(name, PH_COMPLETE, track, ts_ns=start_ns, dur_ns=dur_ns, args=args)
+    emit(name, PH_COMPLETE, track, start_ns, dur_ns, args)
 
 
 def fallback(
@@ -178,7 +205,7 @@ def fallback(
     args: Dict[str, object] = {"reason": reason, "op": op}
     if extra:
         args.update(extra)
-    emit("cpu_fallback", PH_INSTANT, TRACK_CPU, ts_ns=ts_ns, args=args)
+    emit("cpu_fallback", PH_INSTANT, TRACK_CPU, ts_ns, None, args)
 
 
 # -- Chrome trace-event export ---------------------------------------------
@@ -249,7 +276,8 @@ def write_chrome_trace(ring: TraceRing, fh: TextIO) -> None:
     then one line per event in ring order, ``fh.write`` once per
     :data:`_WRITE_CHUNK` events. Parsed with :mod:`json`, the document
     is ``{"traceEvents": [...], "displayTimeUnit": "ns",
-    "otherData": {"dropped_events": <int>}}``.
+    "otherData": {"dropped_events": <int>}}``; ``otherData`` also
+    carries ``sampled_out_events`` when the ring sampled any window out.
     """
     events = ring.events()
     tids: Dict[str, int] = {}
@@ -294,7 +322,10 @@ def write_chrome_trace(ring: TraceRing, fh: TextIO) -> None:
             lines = []
     if lines:
         fh.write(separator + ",\n".join(lines))
+    sampled = (
+        f',"sampled_out_events":{ring.sampled_out}' if ring.sampled_out else ""
+    )
     fh.write(
         '\n],"displayTimeUnit":"ns",'
-        f'"otherData":{{"dropped_events":{ring.dropped}}}}}\n'
+        f'"otherData":{{"dropped_events":{ring.dropped}{sampled}}}}}\n'
     )

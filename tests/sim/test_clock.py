@@ -85,6 +85,25 @@ class TestScoping:
             assert clock.now_ns() == 15.0
         assert clock.now_ns() == 1.0
 
+    def test_nested_scopes_restore_in_order_when_the_inner_raises(self):
+        clock = SimClock(start_ns=1.0)
+        outer = clock.scoped(start_ns=10.0)
+        with outer as entered:
+            assert entered is clock
+            clock.advance_ns(5.0)
+            with pytest.raises(RuntimeError):
+                with clock.scoped(start_ns=100.0):
+                    clock.advance_ns(50.0)
+                    with clock.scoped():
+                        clock.advance_ns(1.0)
+                        raise RuntimeError("boom")
+            assert clock.now_ns() == 15.0
+        assert clock.now_ns() == 1.0
+        # A scope object can be entered again once it has exited.
+        with outer:
+            assert clock.now_ns() == 10.0
+        assert clock.now_ns() == 1.0
+
     def test_scoped_without_start_keeps_current_time(self):
         clock = SimClock(start_ns=9.0)
         with clock.scoped():

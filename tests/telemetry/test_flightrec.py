@@ -77,15 +77,23 @@ class TestTrigger:
         assert rec.trigger(REASON_POISON) == "flight_poison.json"
         assert len(list(tmp_path.glob("flight_*.json"))) == 3
 
-    def test_without_out_dir_documents_kept_no_files_written(self, tmp_path,
-                                                             monkeypatch):
+    def test_without_out_dir_only_the_name_is_recorded(self, tmp_path,
+                                                       monkeypatch):
         monkeypatch.chdir(tmp_path)
         rec = FlightRecorder()
         rec.trigger(REASON_POISON)
         assert rec.dump_names == ["flight_poison.json"]
-        assert len(rec.documents) == 1
         assert rec.dumps == []
         assert list(tmp_path.glob("flight_*.json")) == []
+        # Once an out_dir is set the next dump is built and written, and
+        # its number counts the unwritten one.
+        rec.out_dir = str(tmp_path / "out")
+        rec.trigger(REASON_POISON, {"vaddr": 8192})
+        written = tmp_path / "out" / "flight_poison_2.json"
+        assert rec.dumps == [str(written)]
+        doc = json.loads(written.read_text())
+        assert doc["reason"] == "poison"
+        assert doc["detail"] == {"vaddr": 8192}
 
 
 class TestInstallation:

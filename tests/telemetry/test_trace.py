@@ -12,6 +12,7 @@ from repro.errors import ConfigError
 from repro.sim import CLOCK
 from repro.sim.context import current, run_context
 from repro.telemetry import trace
+from repro.telemetry.flightrec import FlightRecorder
 
 
 @pytest.fixture(autouse=True)
@@ -42,6 +43,85 @@ class TestRing:
         ring.append(trace.TraceEvent("b", "i", 0.0, "cpu"))
         ring.clear()
         assert len(ring) == 0 and ring.dropped == 0
+
+
+def _names(ring):
+    return [e.name for e in ring.events()]
+
+
+class TestWindows:
+    def test_kept_window_enters_the_ring_at_commit(self):
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
+            trace.instant("before", trace.TRACK_CPU)
+            ring.mark()
+            trace.instant("inside", trace.TRACK_CPU)
+            assert _names(ring) == ["before"]
+            ring.commit(True)
+            trace.instant("after", trace.TRACK_CPU)
+        assert _names(ring) == ["before", "inside", "after"]
+        assert ring.sampled_out == 0 and ring.dropped == 0
+
+    def test_dropped_window_is_counted_not_kept(self):
+        ring = trace.TraceRing()
+        with run_context(ring=ring):
+            ring.mark()
+            trace.instant("a", trace.TRACK_CPU)
+            trace.instant("b", trace.TRACK_CPU)
+            ring.commit(False)
+            trace.instant("c", trace.TRACK_CPU)
+        assert _names(ring) == ["c"]
+        assert ring.sampled_out == 2 and ring.dropped == 0
+
+    def test_dropped_window_never_evicts_a_kept_event(self):
+        ring = trace.TraceRing(capacity=2)
+        with run_context(ring=ring):
+            trace.instant("a", trace.TRACK_CPU)
+            trace.instant("b", trace.TRACK_CPU)
+            ring.mark()
+            for i in range(5):
+                trace.instant(f"w{i}", trace.TRACK_CPU)
+            assert ring.dropped == 0
+            ring.commit(False)
+        assert _names(ring) == ["a", "b"]
+        assert ring.dropped == 0 and ring.sampled_out == 5
+
+    def test_kept_window_overflows_like_any_event(self):
+        ring = trace.TraceRing(capacity=2)
+        with run_context(ring=ring):
+            trace.instant("a", trace.TRACK_CPU)
+            ring.mark()
+            trace.instant("w0", trace.TRACK_CPU)
+            trace.instant("w1", trace.TRACK_CPU)
+            ring.commit(True)
+        assert _names(ring) == ["w0", "w1"]
+        assert ring.dropped == 1
+
+    def test_flight_recorder_sees_a_dropped_window(self):
+        ring, flight = trace.TraceRing(), FlightRecorder()
+        with run_context(ring=ring, flight=flight):
+            ring.mark()
+            trace.instant("w", trace.TRACK_CPU)
+            ring.commit(False)
+        assert len(ring) == 0 and len(flight) == 1
+
+    def test_windows_do_not_nest(self):
+        ring = trace.TraceRing()
+        ring.mark()
+        with pytest.raises(ConfigError):
+            ring.mark()
+
+    def test_clear_resets_sampling(self):
+        ring = trace.TraceRing()
+        ring.mark()
+        ring.append(trace.TraceEvent("a", "i", 0.0, "cpu"))
+        ring.commit(False)
+        ring.mark()
+        ring.append(trace.TraceEvent("b", "i", 0.0, "cpu"))
+        ring.clear()
+        assert ring.sampled_out == 0 and ring.dropped == 0
+        ring.append(trace.TraceEvent("c", "i", 0.0, "cpu"))
+        assert _names(ring) == ["c"]
 
 
 class TestEmission:
