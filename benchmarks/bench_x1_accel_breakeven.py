@@ -7,8 +7,12 @@ management cost give ~4%; see EXPERIMENTS.md).
 """
 
 from repro.analysis.report import format_table
-from repro.costmodel import CostParams, integrated_accel_breakeven_promotion
-from repro.costmodel.accel import IntegratedAccelerator, cores_needed_for_sfm
+from repro.costmodel.accel import (
+    IntegratedAccelerator,
+    cores_needed_for_sfm,
+    integrated_accel_breakeven_promotion,
+)
+from repro.costmodel.params import CostParams
 
 
 def test_x1_accel_breakeven(once, emit):

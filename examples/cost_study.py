@@ -10,19 +10,14 @@ Run:  python examples/cost_study.py
 """
 
 from repro.analysis.report import format_table
-from repro.costmodel import (
-    CostParams,
-    MemoryKind,
-    dfm_cost_usd,
-    dfm_emission_kg,
-    integrated_accel_breakeven_promotion,
-    sfm_cost_usd,
-    sfm_emission_kg,
-)
+from repro.costmodel.accel import integrated_accel_breakeven_promotion
 from repro.costmodel.breakeven import (
     sfm_vs_dfm_cost_breakeven,
     sfm_vs_dfm_emission_breakeven,
 )
+from repro.costmodel.capital import dfm_cost_usd, sfm_cost_usd
+from repro.costmodel.carbon import dfm_emission_kg, sfm_emission_kg
+from repro.costmodel.params import CostParams, MemoryKind
 
 
 def cost_landscape(params: CostParams) -> str:

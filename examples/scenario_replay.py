@@ -18,13 +18,10 @@ import random
 import tempfile
 from pathlib import Path
 
-from repro.scenarios import (
-    ScenarioTrace,
-    TraceRecorder,
-    load_scenario,
-    replay_trace,
-    trace_fingerprint,
-)
+from repro.scenarios.format import ScenarioTrace, trace_fingerprint
+from repro.scenarios.recorder import TraceRecorder
+from repro.scenarios.replayer import replay_trace
+from repro.scenarios.zoo import load_scenario
 from repro.sfm.page import PAGE_SIZE
 from repro.tiering.factory import make_tier
 from repro.tiering.pipeline import TierPipeline

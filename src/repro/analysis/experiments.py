@@ -122,11 +122,12 @@ def _fig1_export(data) -> str:
 
 
 def _fig3_compute() -> Dict[str, Any]:
-    from repro.costmodel import CostParams, MemoryKind, fig3_series
     from repro.costmodel.breakeven import (
+        fig3_series,
         sfm_vs_dfm_cost_breakeven,
         sfm_vs_dfm_emission_breakeven,
     )
+    from repro.costmodel.params import CostParams, MemoryKind
 
     params = CostParams()
     return {

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -40,6 +41,11 @@ TABLES_SCHEMA_VERSION = 1
 #: Default artifact shipped with the package (trained on this repo's own
 #: source tree; regenerate with ``python -m repro codectune``).
 DEFAULT_TABLES_PATH = Path(__file__).with_name("data") / "static_tables.json"
+#: Its string form, built once at import. ``pathlib`` splits a path into
+#: its components again for every new ``Path`` (one ``sys.intern`` per
+#: component on Python 3.12), so the first-use load reads the string and
+#: costs the same calls at any checkout depth.
+_DEFAULT_TABLES_FILE = str(DEFAULT_TABLES_PATH)
 
 
 @dataclass(frozen=True)
@@ -261,16 +267,18 @@ class StaticTableRegistry:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "StaticTableRegistry":
-        source = Path(path)
-        if not source.exists():
-            raise ManifestError(f"no static-tables file at {source}")
         try:
-            doc = json.loads(source.read_text(encoding="utf-8"))
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            raise ManifestError(f"no static-tables file at {path}") from None
+        try:
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ManifestError(f"{source} is corrupt JSON: {exc}") from exc
+            raise ManifestError(f"{path} is corrupt JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("schema") != TABLES_SCHEMA_VERSION:
             raise ManifestError(
-                f"{source}: unsupported schema {doc.get('schema')!r} "
+                f"{path}: unsupported schema {doc.get('schema')!r} "
                 f"(expected {TABLES_SCHEMA_VERSION})"
             )
         registry = cls()
@@ -278,7 +286,7 @@ class StaticTableRegistry:
             entry = TableEntry.from_json(entry_doc)
             if entry.domain != domain:
                 raise ManifestError(
-                    f"{source}: entry keyed {domain!r} declares domain "
+                    f"{path}: entry keyed {domain!r} declares domain "
                     f"{entry.domain!r}"
                 )
             registry.register(entry)
@@ -290,7 +298,7 @@ class StaticTableRegistry:
         (callers fall back to dynamic-mode deflate). Each call returns a
         registry of its own; the file is read and parsed once per
         process, and every registry shares its frozen entries."""
-        if not DEFAULT_TABLES_PATH.exists():
+        if not os.path.exists(_DEFAULT_TABLES_FILE):
             return None
         registry = cls()
         for entry in _default_entries():
@@ -303,5 +311,5 @@ def _default_entries() -> Tuple[TableEntry, ...]:
     """The packaged artifact's entries, parsed on first use. A
     :class:`TableEntry` is frozen and its tables are only ever read, so
     the codecs built from them can share them."""
-    registry = StaticTableRegistry.load(DEFAULT_TABLES_PATH)
+    registry = StaticTableRegistry.load(_DEFAULT_TABLES_FILE)
     return tuple(registry.get(domain) for domain in registry.domains())

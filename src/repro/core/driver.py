@@ -87,10 +87,6 @@ class XfmDriver:
         self._sfm_size = sfm_size
         return 0
 
-    @property
-    def sfm_region(self) -> tuple:
-        return self._sfm_base, self._sfm_size
-
     # -- MMIO helpers ------------------------------------------------------------
 
     def _mmio_read(self, register: Registers) -> int:

@@ -14,15 +14,16 @@ Two usage modes:
   XFM backend so swap contents stay verifiable); content that recurs is
   answered from a host-side memo of earlier outputs (see
   :meth:`~NearMemoryAccelerator.compress_page`);
-* **timed** — :meth:`advance` moves PENDING scratchpad entries to
-  COMPLETED according to engine throughput (used by the emulator).
+* **staging** — :meth:`stage_input` reserves a request's input in the
+  scratchpad as PENDING work and :meth:`release` frees it; the XFM
+  backend completes its own entries (:mod:`repro.core.backend`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 from repro.compression.base import Codec
 from repro.compression.deflate import DeflateCodec
@@ -101,13 +102,6 @@ class NearMemoryAccelerator:
         self.spm = ScratchpadMemory(config.spm_bytes)
         self._queue: Deque[OffloadRequest] = deque()
         self._next_id = 1
-        #: Engine-nanoseconds of PENDING work left per entry id.
-        self._work_left_ns: dict = {}
-        self.completed_ops = 0
-        #: Completions the device lost (injected ``nma.drop_completion``
-        #: faults); the entry stays PENDING and finishes on a later
-        #: advance — observable as a stall, never as corruption.
-        self.dropped_completions = 0
         #: Page digest -> codec output, or :data:`_SEEN_ONCE`. Host-side
         #: only: the model charges every compress whether or not the
         #: memo answers it.
@@ -156,59 +150,15 @@ class NearMemoryAccelerator:
         self._sync_registers()
         return request
 
-    # -- timed engine model -------------------------------------------------------
+    # -- scratchpad staging ------------------------------------------------------
 
     def stage_input(self, request: OffloadRequest) -> SpmEntry:
         """Place a request's input into the SPM as PENDING work."""
         entry = self.spm.admit(
             request.input_bytes, writeback_row=request.dest_row
         )
-        time_ns = (
-            self.config.compress_time_ns(request.input_bytes)
-            if request.is_compress
-            else self.config.decompress_time_ns(request.input_bytes)
-        )
-        self._work_left_ns[entry.entry_id] = time_ns
         self._sync_registers()
         return entry
-
-    def advance(self, dt_ns: float, output_bytes_of=None) -> List[SpmEntry]:
-        """Run the engines for ``dt_ns``; returns entries that COMPLETED.
-
-        ``output_bytes_of(entry)`` maps a finishing entry to its output
-        size (compressed blob size or 4 KiB page); defaults to keeping the
-        reservation unchanged.
-        """
-        completed: List[SpmEntry] = []
-        budget = dt_ns
-        # Engines are pipelined per entry; process oldest-first.
-        for entry in self.spm.entries(SpmTag.PENDING):
-            if budget <= 0:
-                break
-            left = self._work_left_ns.get(entry.entry_id, 0.0)
-            spend = min(left, budget)
-            left -= spend
-            budget -= spend
-            if left <= 1e-9:
-                if _faults.injection_enabled():
-                    event = _faults.fire(_faults.NMA_DROP_COMPLETION)
-                    if event is not None:
-                        # Completion lost: leave the entry PENDING with
-                        # no residual work so the next advance retires it.
-                        self.dropped_completions += 1
-                        self._work_left_ns[entry.entry_id] = 0.0
-                        continue
-                del self._work_left_ns[entry.entry_id]
-                out = (
-                    output_bytes_of(entry) if output_bytes_of else None
-                )
-                self.spm.complete(entry.entry_id, output_bytes=out)
-                completed.append(entry)
-                self.completed_ops += 1
-            else:
-                self._work_left_ns[entry.entry_id] = left
-        self._sync_registers()
-        return completed
 
     def release(self, entry_id: int) -> None:
         """Free an SPM entry after writeback."""
@@ -258,10 +208,11 @@ class NearMemoryAccelerator:
         self.registers.device_set(Registers.SP_CAPACITY, self.spm.free_bytes)
         self.registers.device_set(Registers.CRQ_FREE, self.queue_free_slots())
         self.registers.device_set(Registers.CRQ_HEAD, self._next_id - len(self._queue) - 1)
-        status = 0
-        if not self._work_left_ns:
-            status |= 0x1
-        if self.spm.entries(SpmTag.COMPLETED):
-            status |= 0x2
+        status = 0x1  # idle: no SPM entry is PENDING
+        for entry in self.spm.entries():
+            if entry.tag is SpmTag.PENDING:
+                status &= ~0x1
+            else:
+                status |= 0x2  # a COMPLETED entry awaits writeback
         self.registers.device_set(Registers.STATUS, status)
         checkpoint(self)

@@ -105,7 +105,7 @@ class WindowScheduler:
     #: Of those, how many may be random (methodology: 1).
     random_per_ref: int = 1
     #: Randoms are spent on the oldest requests once they have waited this
-    #: many REFs, or immediately when pressure (see :meth:`drain`) demands
+    #: many REFs, or immediately when pressure (see :meth:`drain_window`) demands
     #: it. The default of 0 makes the scheduler work-conserving: conditional
     #: service is still preferred (it is tried first and costs less energy),
     #: but leftover budget is never wasted while fixed-row requests starve.
@@ -161,19 +161,6 @@ class WindowScheduler:
         return request
 
     # -- drain -------------------------------------------------------------
-
-    def drain(
-        self, ref_index: int, pressure: bool = False
-    ) -> List[AccessRequest]:
-        """Execute accesses in the ``ref_index``-th refresh window.
-
-        Legacy entry point: builds the policy's window for ``ref_index``
-        and delegates to :meth:`drain_window` (identical behavior under
-        the default all-bank policy).
-        """
-        return self.drain_window(
-            self.refresh.window(ref_index), pressure=pressure
-        )
 
     def drain_window(
         self, window: RefreshWindow, pressure: bool = False
@@ -295,11 +282,3 @@ class WindowScheduler:
         yield from self._flexible
         for bucket in self._slot_buckets.values():
             yield from bucket
-
-    def oldest_wait_refs(self, ref_index: int) -> int:
-        """Age (in REFs) of the oldest pending fixed-row request."""
-        while self._age_heap and self._age_heap[0][2].served:
-            heapq.heappop(self._age_heap)
-        if not self._age_heap:
-            return 0
-        return ref_index - self._age_heap[0][0]

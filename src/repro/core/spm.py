@@ -65,9 +65,6 @@ class ScratchpadMemory:
     def free_bytes(self) -> int:
         return self.capacity_bytes - self._used
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def can_admit(self, nbytes: int) -> bool:
         return nbytes <= self.free_bytes
 
@@ -167,6 +164,3 @@ class ScratchpadMemory:
             if tag is None or entry.tag is tag
         ]
         return out
-
-    def occupancy(self) -> float:
-        return self._used / self.capacity_bytes

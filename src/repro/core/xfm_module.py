@@ -95,7 +95,9 @@ class XfmModule:
                 row=window.rows.start,
             )
         )
-        executed = self.scheduler.drain(self._ref_index, pressure=pressure)
+        executed = self.scheduler.drain_window(
+            self.scheduler.refresh.window(self._ref_index), pressure=pressure
+        )
         elapsed = 0.0
         for request in executed:
             row = request.row

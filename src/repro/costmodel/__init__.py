@@ -8,21 +8,3 @@ used verbatim; the handful it omits (memory $/GB, CPU purchase price) are
 calibrated so the published break-even claims hold — see
 :mod:`~repro.costmodel.params` and DESIGN.md.
 """
-
-from repro.costmodel.accel import integrated_accel_breakeven_promotion
-from repro.costmodel.breakeven import breakeven_years, fig3_series
-from repro.costmodel.capital import dfm_cost_usd, sfm_cost_usd
-from repro.costmodel.carbon import dfm_emission_kg, sfm_emission_kg
-from repro.costmodel.params import CostParams, MemoryKind
-
-__all__ = [
-    "CostParams",
-    "MemoryKind",
-    "breakeven_years",
-    "dfm_cost_usd",
-    "dfm_emission_kg",
-    "fig3_series",
-    "integrated_accel_breakeven_promotion",
-    "sfm_cost_usd",
-    "sfm_emission_kg",
-]

@@ -45,11 +45,6 @@ class TokenBucket:
         )
         self._last_ns = now
 
-    @property
-    def tokens(self) -> float:
-        self._refill()
-        return self._tokens
-
     def try_take(self, n: float = 1.0) -> bool:
         self._refill()
         if self._tokens >= n:

@@ -21,7 +21,7 @@ pages lived on a dead shard and relocate them to siblings.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigError, OverloadError, ReproError
 from repro.fleet.admission import AdmissionController, TenantQuota
@@ -96,9 +96,6 @@ class FleetFrontend:
         self._live = {name: name.encode("ascii") for name in shard_names}
 
     # -- routing --------------------------------------------------------------
-
-    def live_shards(self) -> List[str]:
-        return list(self._live)
 
     def route(self, key: int) -> str:
         """The live shard with the highest :func:`rendezvous_score` for

@@ -128,10 +128,6 @@ class FleetRequest:
     done_ns: float = 0.0
     result: Optional[bytes] = field(default=None, repr=False)
 
-    @property
-    def latency_ns(self) -> float:
-        return self.done_ns - self.arrival_ns
-
 
 class FleetShard:
     """Bounded-queue serving wrapper around one TierPipeline."""

@@ -6,15 +6,3 @@ reproduced here as component-inventory models: the roll-ups regenerate the
 published tables, and the per-component breakdowns make the ablations
 (e.g. SPM size vs BRAM) computable.
 """
-
-from repro.hwmodel.cacti import BankModModel
-from repro.hwmodel.energy import SwapEnergyModel
-from repro.hwmodel.fpga import FpgaComponent, FpgaDesign, xfm_fpga_design
-
-__all__ = [
-    "BankModModel",
-    "FpgaComponent",
-    "FpgaDesign",
-    "SwapEnergyModel",
-    "xfm_fpga_design",
-]

@@ -9,24 +9,3 @@
   workloads co-running with SFM antagonists under Baseline-CPU,
   Host-Lockout-NMA, and XFM configurations.
 """
-
-from repro.interference.bandwidth import MemorySystem
-from repro.interference.cache import SetAssociativeCache, shared_llc_shares
-from repro.interference.corun import (
-    AntagonistConfig,
-    CorunConfig,
-    CorunResult,
-    SfmMode,
-    simulate_corun,
-)
-
-__all__ = [
-    "AntagonistConfig",
-    "CorunConfig",
-    "CorunResult",
-    "MemorySystem",
-    "SetAssociativeCache",
-    "SfmMode",
-    "shared_llc_shares",
-    "simulate_corun",
-]

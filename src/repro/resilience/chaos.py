@@ -57,7 +57,6 @@ TRANSIENT_PROFILE: Tuple[FaultSpec, ...] = (
     FaultSpec(_faults.DFM_LINK_ERROR, probability=0.05),
     FaultSpec(_faults.DFM_LATENCY_SPIKE, probability=0.03, magnitude=8.0),
     FaultSpec(_faults.NMA_TIMEOUT, probability=0.03),
-    FaultSpec(_faults.NMA_DROP_COMPLETION, probability=0.02),
     FaultSpec(_faults.DRIVER_LOST_DOORBELL, probability=0.02),
     FaultSpec(_faults.DRIVER_REG_CORRUPTION, probability=0.01),
     FaultSpec(_faults.DRIVER_SPM_FULL, probability=0.03),

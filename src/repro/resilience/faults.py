@@ -38,8 +38,6 @@ from repro.sim import context as _context
 SPM_READ_FLIP = "spm.read_flip"
 #: NMA: a (de)compression operation stalls past its deadline.
 NMA_TIMEOUT = "nma.timeout"
-#: NMA: a completed operation's completion is dropped (entry stays PENDING).
-NMA_DROP_COMPLETION = "nma.drop_completion"
 #: Driver: a doorbell write is lost before the device sees it.
 DRIVER_LOST_DOORBELL = "driver.lost_doorbell"
 #: Driver: an MMIO register read returns a corrupted value.
@@ -60,7 +58,6 @@ DFM_LATENCY_SPIKE = "dfm.latency_spike"
 ALL_SITES: Tuple[str, ...] = (
     SPM_READ_FLIP,
     NMA_TIMEOUT,
-    NMA_DROP_COMPLETION,
     DRIVER_LOST_DOORBELL,
     DRIVER_REG_CORRUPTION,
     DRIVER_SPM_FULL,

@@ -7,65 +7,3 @@ backend or pipeline config under the simulated clock;
 :func:`ingest_tree` page-ifies a real file tree into a digest-verified
 corpus; :data:`SCENARIOS` is the shipped library of replayable traces.
 """
-
-from repro.scenarios.format import (
-    OP_INVALIDATE,
-    OP_LOAD,
-    OP_PROMOTE,
-    OP_STORE,
-    OPS,
-    ORIGIN_UPWARD,
-    TRACE_FORMAT_VERSION,
-    ScenarioTrace,
-    TraceEvent,
-    digest_hex,
-    trace_fingerprint,
-)
-from repro.scenarios.ingest import (
-    MANIFEST_VERSION,
-    CorpusManifest,
-    IngestConfig,
-    ingest_tree,
-)
-from repro.scenarios.recorder import TraceRecorder
-from repro.scenarios.replayer import (
-    ReplayReport,
-    TraceReplayer,
-    format_report,
-    replay_trace,
-)
-from repro.scenarios.zoo import (
-    SCENARIOS,
-    build_scenario,
-    load_scenario,
-    regenerate_artifacts,
-    scenario_path,
-)
-
-__all__ = [
-    "CorpusManifest",
-    "IngestConfig",
-    "MANIFEST_VERSION",
-    "OP_INVALIDATE",
-    "OP_LOAD",
-    "OP_PROMOTE",
-    "OP_STORE",
-    "OPS",
-    "ORIGIN_UPWARD",
-    "ReplayReport",
-    "SCENARIOS",
-    "ScenarioTrace",
-    "TRACE_FORMAT_VERSION",
-    "TraceEvent",
-    "TraceRecorder",
-    "TraceReplayer",
-    "build_scenario",
-    "digest_hex",
-    "format_report",
-    "ingest_tree",
-    "load_scenario",
-    "regenerate_artifacts",
-    "replay_trace",
-    "scenario_path",
-    "trace_fingerprint",
-]

@@ -166,9 +166,6 @@ class ScenarioTrace:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
-    def count(self, op: str) -> int:
-        return sum(1 for event in self.events if event.op == op)
-
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> Path:

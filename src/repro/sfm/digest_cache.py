@@ -64,8 +64,3 @@ class DigestPageCache:
         if len(entries) > self.max_entries:
             entries.popitem(last=False)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, digest: bytes) -> bool:
-        return digest in self._entries

@@ -67,33 +67,6 @@ class SwapStats(Stats):
     __slots__ = tuple(_FIELDS)
 
     @property
-    def digest_cache_hit_rate(self) -> float:
-        """Fraction of digest-cache *lookups* that hit.
-
-        The denominator is cache lookups (hits + misses), not swap-outs:
-        same-filled pages bypass the backend entirely in the zswap
-        frontend, and runs with the cache disabled perform no lookups at
-        all, so neither appears here. For the share of swap-out attempts
-        that consulted the cache, see :attr:`digest_cache_lookup_rate`.
-        """
-        total = self.digest_cache_hits + self.digest_cache_misses
-        return self.digest_cache_hits / total if total else 0.0
-
-    @property
-    def digest_cache_lookup_rate(self) -> float:
-        """Fraction of swap-out attempts that consulted the digest cache.
-
-        Attempts = accepted swap-outs + rejected ones; lookups = hits +
-        misses. This is 1.0 when the cache is enabled (every backend
-        swap-out hashes the page first) and 0.0 when it is disabled —
-        the honest companion to :attr:`digest_cache_hit_rate`, whose
-        denominator excludes non-lookups.
-        """
-        attempts = self.swap_outs + self.rejected
-        lookups = self.digest_cache_hits + self.digest_cache_misses
-        return lookups / attempts if attempts else 0.0
-
-    @property
     def mean_compression_ratio(self) -> float:
         if not self.bytes_out_compressed:
             return 0.0
@@ -102,18 +75,6 @@ class SwapStats(Stats):
     @property
     def total_cpu_cycles(self) -> float:
         return self.cpu_compress_cycles + self.cpu_decompress_cycles
-
-    @property
-    def fallback_fraction(self) -> float:
-        """Fraction of (de)compressions the CPU had to perform (Fig. 12)."""
-        fallbacks = (
-            self.cpu_fallback_compressions + self.cpu_fallback_decompressions
-        )
-        offloads = (
-            self.offloaded_compressions + self.offloaded_decompressions
-        )
-        total = fallbacks + offloads
-        return fallbacks / total if total else 0.0
 
 
 class TrafficStats(Stats):

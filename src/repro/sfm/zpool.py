@@ -166,11 +166,6 @@ class Zpool:
         """Total payload bytes currently stored."""
         return self._stored_bytes
 
-    def occupancy(self) -> float:
-        """Stored payload over the pool's slab footprint."""
-        footprint = self.used_slabs() * self.slab_size
-        return self.stored_bytes() / footprint if footprint else 0.0
-
     def fragmentation(self) -> float:
         """Fraction of slab footprint that is neither payload nor a usable
         whole free slab — the space compaction can win back."""

@@ -281,6 +281,3 @@ class ZswapFrontend:
         for swap, offset in keys:
             self.invalidate_page(swap, offset)
         return len(keys)
-
-    def __contains__(self, key: Tuple[int, int]) -> bool:
-        return key in self._pages or key in self._same_filled

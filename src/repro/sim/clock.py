@@ -22,7 +22,7 @@ Ownership rules (see DESIGN.md §11):
 * **Set** (:meth:`SimClock.set_ns`) is reserved for timeline *owners*:
   the event scheduler (which only ever moves it forward), the trace
   replayer, the run context. Owners that borrow the clock must scope
-  themselves with :meth:`SimClock.scoped`, save/restore, or
+  themselves with :meth:`SimClock.scoped` or
   ``run_context(clock_ns=...)`` (:mod:`repro.sim.context`) so nesting
   composes — ``TraceReplayer`` and ``TelemetrySession`` do. So does an
   event callback that models work: the next event must not find the
@@ -50,7 +50,7 @@ def ticks_to_ns(ticks: int) -> float:
 
 
 class SimClock:
-    """Integer-tick simulated clock with save/restore scoping."""
+    """Integer-tick simulated clock with :meth:`scoped` save/restore."""
 
     __slots__ = ("_ticks",)
 
@@ -71,8 +71,8 @@ class SimClock:
 
     def set_ns(self, t_ns: float) -> None:
         """Jump the clock to ``t_ns`` (timeline owners only; see module
-        docstring). Borrowers must pair this with :meth:`scoped` or
-        save/restore so the outer timeline resumes intact."""
+        docstring). Borrowers must pair this with :meth:`scoped` so the outer
+        timeline resumes intact."""
         self._ticks = ns_to_ticks(t_ns)
 
     def set_ticks(self, ticks: int) -> None:
@@ -89,25 +89,7 @@ class SimClock:
         self._ticks += ns_to_ticks(dt_ns)
         return self._ticks / TICKS_PER_NS
 
-    def advance_ticks(self, dticks: int) -> int:
-        if dticks < 0:
-            raise ConfigError(
-                f"simulated clock only advances forward, got {dticks} ticks"
-            )
-        self._ticks += dticks
-        return self._ticks
-
     # -- scoping -------------------------------------------------------------
-
-    def save(self) -> int:
-        """Opaque state token for :meth:`restore` (the exact tick count)."""
-        return self._ticks
-
-    def restore(self, state: int) -> None:
-        """Return to a previously saved state; restores may rewind — this
-        is the one sanctioned way time goes backwards (ending a borrowed
-        timeline, not travelling within one)."""
-        self._ticks = int(state)
 
     def scoped(self, start_ns: Optional[float] = None) -> "ClockScope":
         """Save the clock, optionally jump to ``start_ns``, and restore

@@ -99,9 +99,6 @@ class FlightRecorder:
         """Events that fell out of the bounded window."""
         return self.appended - len(self.sink)
 
-    def __len__(self) -> int:
-        return len(self.sink)
-
     # -- dumping -----------------------------------------------------------
 
     def metric_deltas(self) -> Dict[str, float]:

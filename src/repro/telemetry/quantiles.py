@@ -24,7 +24,7 @@ bounds the relative error. ``p50/p90/p99/p999`` come pre-packaged via
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ConfigError
 
@@ -193,12 +193,6 @@ class QuantileHistogram:
         self.sum += other.sum
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
-
-
-def observe_many(hist: QuantileHistogram, values: Iterable[float]) -> None:
-    """Bulk-record helper for replay post-processing."""
-    for value in values:
-        hist.observe(value)
 
 
 def collect_percentiles(registry, metric: str = "op_latency_ns") -> list:

@@ -11,16 +11,13 @@ read counts back through :meth:`MetricsRegistry.value` and
 
 Metrics are keyed by ``(name, labels)`` so one registry can hold the
 same series for several components (e.g. per-DIMM driver counters with a
-``dimm=<i>`` label). Snapshots export as a plain dict, JSON, or CSV.
-
-There is one process-wide default registry (:func:`default_registry`)
-for ad-hoc counters; systems that need isolation (every backend, every
-:class:`~repro.telemetry.session.TelemetrySession`) create their own.
+``dimm=<i>`` label). Snapshots export as a plain dict. Every backend
+and every :class:`~repro.telemetry.session.TelemetrySession` creates its
+own registry.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -108,12 +105,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
 
     def snapshot(self) -> float:
         return self.value
@@ -275,28 +266,6 @@ class MetricsRegistry:
             out[key] = metric.snapshot()
         return out
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def to_csv(self) -> str:
-        """``metric,value`` rows; histograms flatten to bucket columns."""
-        lines = ["metric,value"]
-        for key, value in self.snapshot().items():
-            if isinstance(value, dict) and value.get("kind") == "quantile":
-                for label, q in value["quantiles"].items():
-                    lines.append(f"{key}|{label},{q}")
-                lines.append(f"{key}|count,{value['count']}")
-                lines.append(f"{key}|sum,{value['sum']}")
-            elif isinstance(value, dict):  # fixed-bucket histogram
-                for bound, count in zip(
-                    value["buckets"] + ["+inf"], value["counts"]
-                ):
-                    lines.append(f"{key}|le={bound},{count}")
-                lines.append(f"{key}|sum,{value['sum']}")
-            else:
-                lines.append(f"{key},{value}")
-        return "\n".join(lines) + "\n"
-
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other``'s counters/histograms into this registry
         (gauges take the other's latest value)."""
@@ -330,11 +299,3 @@ class MetricsRegistry:
                 mine.total += metric.total
                 mine.sum += metric.sum
         return self
-
-
-#: Process-wide default registry for ad-hoc counters.
-_DEFAULT = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    return _DEFAULT

@@ -27,8 +27,7 @@ inside it, not wall time.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.sim import context as _context
 from repro.sim.clock import CLOCK as _sim_clock
@@ -102,18 +101,6 @@ def end(
         args.update(extra)
     emit(handle.name, PH_COMPLETE, handle.track, start_ns, dur_ns, args)
     return dur_ns
-
-
-@contextmanager
-def span(
-    name: str, track: str, args: Optional[Dict[str, object]] = None
-) -> Iterator[SpanHandle]:
-    """Scoped span; closes (and emits) on exit, including on error."""
-    handle = begin(name, track, args)
-    try:
-        yield handle
-    finally:
-        end(handle)
 
 
 def emit_under(

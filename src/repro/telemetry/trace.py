@@ -100,10 +100,6 @@ class TraceRing:
         """Events the ring shed to overflow."""
         return self.appended - len(self._events) - len(self._window)
 
-    def append(self, event: TraceEvent) -> None:
-        self.sink.append(event)
-        self.appended += 1
-
     def mark(self) -> None:
         """Open a trace window."""
         if self.sink is self._window:
@@ -127,12 +123,6 @@ class TraceRing:
 
     def events(self) -> List[TraceEvent]:
         return list(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()
-        self._window.clear()
-        self.sink = self._events
-        self.appended = self.sampled_out = 0
 
 
 def tracing_enabled() -> bool:

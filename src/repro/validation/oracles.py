@@ -168,7 +168,10 @@ def replay_batch_optimistic(
                     ref,
                     nbytes=op.nbytes,
                 )
-        _record(result, scheduler.drain(ref, pressure=pressure), ref)
+        executed = scheduler.drain_window(
+            scheduler.refresh.window(ref), pressure=pressure
+        )
+        _record(result, executed, ref)
     return result
 
 

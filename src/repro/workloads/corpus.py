@@ -470,33 +470,6 @@ _GENERATORS: Dict[str, Callable[[int, random.Random], bytes]] = {
 #: The sixteen corpora, matching the paper's "16 corpus files" (Fig. 8, §8).
 CORPUS_NAMES = sorted(_GENERATORS)
 
-_DESCRIPTIONS = {
-    "text-english": "natural-language-like text (bigram word walk)",
-    "source-code": "C-like source with heavy identifier reuse",
-    "server-log": "timestamped server log lines",
-    "json-records": "fixed-schema JSON documents",
-    "csv-table": "numeric CSV with correlated columns",
-    "html-markup": "repetitive nested HTML",
-    "binary-structs": "packed fixed-layout C structs",
-    "heap-pointers": "pointer-rich 64-bit heap pages",
-    "integer-array": "monotone int64 arrays (small deltas)",
-    "float-matrix": "smooth float64 matrices",
-    "db-btree": "database B-tree pages with sorted keys",
-    "zero-pages": "all-zero pages",
-    "sparse-pages": "mostly-zero pages with initialized islands",
-    "random-bytes": "uniform random (incompressible floor)",
-    "base64-blob": "base64-alphabet high-entropy data",
-    "xml-config": "repetitive XML configuration",
-}
-
-
-def describe_corpus(name: str) -> str:
-    """One-line description of a corpus category."""
-    try:
-        return _DESCRIPTIONS[name]
-    except KeyError:
-        raise ConfigError(f"unknown corpus {name!r}") from None
-
 
 def generate_corpus(name: str, size: int, seed: int = 0) -> bytes:
     """Generate ``size`` bytes of the named corpus, deterministically."""

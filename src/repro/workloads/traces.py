@@ -98,28 +98,6 @@ class SwapTrace:
             event.compressed_len for event in outs
         )
 
-    # -- interop -------------------------------------------------------------
-
-    @classmethod
-    def from_scenario(cls, scenario) -> "SwapTrace":
-        """Project a :class:`repro.scenarios.format.ScenarioTrace` onto
-        this legacy §7 artifact: stores become swap-outs, loads and
-        promotes become swap-ins (both move a page toward the CPU),
-        invalidates carry no bandwidth and are dropped. Simulated
-        nanoseconds become seconds."""
-        trace = cls()
-        for event in scenario:
-            if event.op == "store":
-                kind = SWAP_OUT
-            elif event.op in ("load", "promote"):
-                kind = SWAP_IN
-            else:
-                continue
-            trace.record(
-                event.t_ns * 1e-9, kind, event.vaddr, event.compressed_len
-            )
-        return trace
-
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> None:

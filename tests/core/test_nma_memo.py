@@ -107,7 +107,6 @@ def test_evicted_content_starts_over_as_seen_once():
     for n in range(COMPRESS_MEMO_ENTRIES):
         page = n.to_bytes(4, "big") + first[4:]
         nma.compress_page(page, page_digest(page))
-    assert len(nma._compress_memo) == COMPRESS_MEMO_ENTRIES
-    assert digest not in nma._compress_memo
+    assert nma._compress_memo.get(digest) is None
     assert nma.compress_page(first, digest) == _REFERENCE[0]
     assert nma._compress_memo.get(digest) == b""

@@ -82,7 +82,7 @@ class TestScratchpad:
         entry = spm.admit(3000)
         spm.release(entry.entry_id)
         assert spm.used_bytes == 0
-        assert len(spm) == 0
+        assert spm.entries() == []
 
     def test_unknown_entry_rejected(self):
         spm = ScratchpadMemory(capacity_bytes=8192)
@@ -103,7 +103,7 @@ class TestScratchpad:
         spm.admit(4000)
         spm.release(a.entry_id)
         assert spm.peak_used == 8000
-        assert spm.occupancy() == pytest.approx(4000 / 8192)
+        assert spm.used_bytes == 4000
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigError):

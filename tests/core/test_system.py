@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.backend import XfmBackend
 from repro.core.nma import NearMemoryAccelerator
+from repro.core.registers import Registers
 from repro.errors import ConfigError, SfmError
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.workloads.corpus import corpus_pages
@@ -164,7 +165,10 @@ class TestAccounting:
 
     def test_dimm_regions_isolated(self, backend):
         assert backend.capacity_bytes == 128 * PAGE_SIZE
-        regions = [driver.sfm_region for driver in backend.drivers]
+        regions = [
+            (nma.registers[Registers.SFM_BASE], nma.registers[Registers.SFM_SIZE])
+            for nma in backend.nmas
+        ]
         assert sum(size for _, size in regions) == 128 * PAGE_SIZE
         bases = sorted(base for base, _ in regions)
         assert all(
@@ -173,7 +177,9 @@ class TestAccounting:
 
     def test_dimm_builder(self):
         backend = XfmBackend(capacity_bytes=32 * PAGE_SIZE, num_dimms=4)
-        assert backend.drivers[2].sfm_region == (2 << 40, 8 * PAGE_SIZE)
+        registers = backend.nmas[2].registers
+        assert registers[Registers.SFM_BASE] == 2 << 40
+        assert registers[Registers.SFM_SIZE] == 8 * PAGE_SIZE
         assert len({id(nma) for nma in backend.nmas}) == 4
         for nma, driver in zip(backend.nmas, backend.drivers):
             assert driver.nma is nma

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.backend import XfmBackend
 from repro.core.nma import NearMemoryAccelerator, NmaConfig
+from repro.core.registers import Registers
 from repro.errors import CorruptedBlobError
 from repro.resilience.chaos import TRANSIENT_PROFILE
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
@@ -145,9 +146,9 @@ class TestDropInCompatibility:
         assert backend.xfm_compact() >= 0
 
     def test_driver_region_configured(self, backend):
-        base, size = backend.drivers[0].sfm_region
-        assert base == 0
-        assert size == backend.capacity_bytes
+        registers = backend.nmas[0].registers
+        assert registers[Registers.SFM_BASE] == 0
+        assert registers[Registers.SFM_SIZE] == backend.capacity_bytes
 
 
 #: Compressible and incompressible pages for swap sequences.

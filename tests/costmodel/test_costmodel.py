@@ -2,23 +2,25 @@
 
 import pytest
 
-from repro.costmodel import (
-    CostParams,
-    MemoryKind,
-    breakeven_years,
-    dfm_cost_usd,
-    dfm_emission_kg,
-    fig3_series,
+from repro.costmodel.accel import (
+    IntegratedAccelerator,
+    cores_needed_for_sfm,
     integrated_accel_breakeven_promotion,
-    sfm_cost_usd,
-    sfm_emission_kg,
 )
-from repro.costmodel.accel import IntegratedAccelerator, cores_needed_for_sfm
 from repro.costmodel.breakeven import (
+    breakeven_years,
+    fig3_series,
     sfm_vs_dfm_cost_breakeven,
     sfm_vs_dfm_emission_breakeven,
 )
-from repro.costmodel.capital import dfm_idle_energy_kwh, sfm_cpu_cost_usd
+from repro.costmodel.capital import (
+    dfm_cost_usd,
+    dfm_idle_energy_kwh,
+    sfm_cost_usd,
+    sfm_cpu_cost_usd,
+)
+from repro.costmodel.carbon import dfm_emission_kg, sfm_emission_kg
+from repro.costmodel.params import CostParams, MemoryKind
 from repro.errors import ConfigError
 
 

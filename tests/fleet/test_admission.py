@@ -32,7 +32,8 @@ class TestTokenBucket:
         with CLOCK.scoped(start_ns=0.0):
             bucket = TokenBucket(rate_per_s=1000.0, burst=2.0)
             CLOCK.advance_ns(60e9)  # a simulated minute of idle
-            assert bucket.tokens == pytest.approx(2.0)
+            # Exactly one token short of 3: the bucket holds 2.
+            assert bucket.retry_after_ns(3.0) == pytest.approx(1e6)
 
     def test_retry_after_names_the_refill_instant(self):
         with CLOCK.scoped(start_ns=0.0):
@@ -54,11 +55,12 @@ class TestTokenBucket:
             CLOCK.set_ns(0.5e6)
             with CLOCK.scoped():
                 CLOCK.advance_ns(1.5e6)  # earns 2 tokens by 2e6
-                assert bucket.tokens == pytest.approx(2.0)
+                # One token short of 3, i.e. 2 held, at each read.
+                assert bucket.retry_after_ns(3.0) == pytest.approx(1e6)
             assert CLOCK.now_ns() == 0.5e6
-            assert bucket.tokens == pytest.approx(2.0)
+            assert bucket.retry_after_ns(3.0) == pytest.approx(1e6)
             CLOCK.set_ns(2e6)  # the next event reaches the same instant
-            assert bucket.tokens == pytest.approx(2.0)
+            assert bucket.retry_after_ns(3.0) == pytest.approx(1e6)
 
     def test_validates(self):
         with pytest.raises(ConfigError):

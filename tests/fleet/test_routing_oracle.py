@@ -31,6 +31,10 @@ def _reference(key: int, live) -> str:
     return max(live, key=lambda name: rendezvous_score(key, name))
 
 
+def _alive(frontend):
+    return [name for name, shard in frontend.shards.items() if shard.alive]
+
+
 @pytest.mark.parametrize("shards", range(1, 9))
 def test_route_matches_reference_through_every_kill(shards):
     # Also the HRW property, kill after kill: a kill re-routes exactly
@@ -41,7 +45,7 @@ def test_route_matches_reference_through_every_kill(shards):
         live = [f"shard-{i}" for i in range(shards)]
         before, victim = None, None
         for next_victim in kills + [None]:
-            assert frontend.live_shards() == live
+            assert _alive(frontend) == live
             if not live:
                 break
             homes = {key: frontend.route(key) for key in KEYS}
@@ -60,7 +64,7 @@ def test_killed_shard_leaves_the_live_set_at_once():
     with CLOCK.scoped(start_ns=0.0):
         frontend = _frontend(4)
         frontend.kill_shard("shard-1")
-        assert frontend.live_shards() == ["shard-0", "shard-2", "shard-3"]
+        assert _alive(frontend) == ["shard-0", "shard-2", "shard-3"]
         assert all(frontend.route(key) != "shard-1" for key in KEYS)
 
 

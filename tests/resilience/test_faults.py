@@ -149,4 +149,4 @@ class TestCorruptBytes:
 
 def test_all_sites_registry_is_complete():
     """Every documented site constant is in ALL_SITES exactly once."""
-    assert len(set(ALL_SITES)) == len(ALL_SITES) == 11
+    assert len(set(ALL_SITES)) == len(ALL_SITES) == 10

@@ -26,7 +26,6 @@ from repro.scenarios.format import (
 )
 from repro.sfm.page import PAGE_SIZE
 from repro.workloads.corpus import corpus_pages
-from repro.workloads.traces import SWAP_IN, SWAP_OUT, SwapTrace
 
 
 def _sample_trace(num_pages: int = 3, name: str = "sample") -> ScenarioTrace:
@@ -102,14 +101,6 @@ class TestRoundTrip:
         assert trace_fingerprint(_sample_trace(num_pages=2)) != (
             trace_fingerprint(_sample_trace(num_pages=3))
         )
-
-    def test_to_swap_trace_bridge(self):
-        swap = SwapTrace.from_scenario(_sample_trace())
-        # 3 stores -> outs, 1 load -> in, invalidate dropped.
-        assert swap.count(SWAP_OUT) == 3
-        assert swap.count(SWAP_IN) == 1
-        assert swap.events[0].time_s == pytest.approx(1e-6)
-        assert swap.events[0].compressed_len == 1024
 
 
 def _rewrite(path, mutate):

@@ -59,7 +59,7 @@ class TestDifferentialMatrix:
         assert report.missing_pages == 0, (scenario, backend)
         assert report.clean
         assert report.events == len(trace)
-        assert report.stores == trace.count(OP_STORE)
+        assert report.stores == sum(event.op == OP_STORE for event in trace)
         assert report.bytes_moved > 0
 
 

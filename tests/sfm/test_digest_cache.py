@@ -45,10 +45,9 @@ class TestDigestPageCache:
         cache.put(b"b", b"blob-b")
         assert cache.get(b"a") == b"blob-a"  # refreshes a's position
         cache.put(b"c", b"blob-c")  # evicts b, the LRU entry
-        assert b"b" not in cache
+        assert cache.get(b"b") is None
         assert cache.get(b"a") == b"blob-a"
         assert cache.get(b"c") == b"blob-c"
-        assert len(cache) == 2
 
     def test_put_refreshes_existing_key(self):
         cache = DigestPageCache(max_entries=2)
@@ -57,7 +56,7 @@ class TestDigestPageCache:
         cache.put(b"a", b"new")
         cache.put(b"c", b"blob-c")  # must evict b, not the refreshed a
         assert cache.get(b"a") == b"new"
-        assert b"b" not in cache
+        assert cache.get(b"b") is None
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ConfigError):
@@ -77,7 +76,6 @@ class TestBackendHitMissAccounting:
         backend.swap_out(_page(PAGE_SIZE, bytes(data)))
         assert backend.stats.digest_cache_misses == 1
         assert backend.stats.digest_cache_hits == 1
-        assert backend.stats.digest_cache_hit_rate == pytest.approx(0.5)
 
     def test_hit_reuses_exact_blob_and_skips_compressor(
         self, backend, json_pages
@@ -122,7 +120,6 @@ class TestBackendHitMissAccounting:
         backend.swap_out(_page(PAGE_SIZE, json_pages[0]))
         assert backend.stats.digest_cache_hits == 0
         assert backend.stats.digest_cache_misses == 0
-        assert backend.stats.digest_cache_hit_rate == 0.0
 
     def test_incompressible_result_is_cached_too(self, backend, random_pages):
         """A repeated incompressible page is rejected both times but only
@@ -229,6 +226,7 @@ class TestZswapInteraction:
         assert front.stats.same_filled_pages == 3
         assert backend.stats.digest_cache_hits == 0
         assert backend.stats.digest_cache_misses == 0
-        assert len(backend.page_cache) == 0
+        for page in (zero_page, ones_page):
+            assert backend.page_cache.get(page_digest(page)) is None
         assert front.load(0, 1) == zero_page
         assert front.load(0, 3) == ones_page

@@ -122,9 +122,9 @@ class TestAccounting:
         assert pool.stored_bytes() == 300
 
     def test_occupancy_and_fragmentation(self, pool):
-        assert pool.occupancy() == 0.0
+        assert pool.fragmentation() == 0.0
         pool.store(b"a" * 2048)
-        assert pool.occupancy() == pytest.approx(0.5)
+        assert pool.stored_bytes() == pool.used_slabs() * pool.slab_size // 2
         assert pool.fragmentation() == pytest.approx(0.5)
 
     def test_entry_snapshot(self, pool):

@@ -21,9 +21,10 @@ def frontend():
 class TestStoreLoad:
     def test_store_then_load(self, frontend, json_pages):
         assert frontend.store(0, 7, json_pages[0])
-        assert (0, 7) in frontend
+        assert frontend.stats.stored_pages == 1
         assert frontend.load(0, 7) == json_pages[0]
-        assert (0, 7) not in frontend
+        assert frontend.stats.stored_pages == 0
+        assert frontend.load(0, 7) is None  # loads are exclusive
         assert frontend.stats.loads == 1
 
     def test_load_unknown_returns_none(self, frontend):

@@ -20,11 +20,9 @@ from repro.tiering.factory import make_tier
 def _pinned_clock():
     """Park the shared clock at a sentinel and verify every test leaves
     it exactly where it found it."""
-    state = CLOCK.save()
-    CLOCK.set_ns(1_234_567.0)
-    yield
-    assert CLOCK.now_ns() == 1_234_567.0, "test leaked clock state"
-    CLOCK.restore(state)
+    with CLOCK.scoped(start_ns=1_234_567.0):
+        yield
+        assert CLOCK.now_ns() == 1_234_567.0, "test leaked clock state"
 
 
 class TestSessionScoping:

@@ -9,7 +9,6 @@ from repro.telemetry.quantiles import (
     STANDARD_QUANTILES,
     QuantileHistogram,
     collect_percentiles,
-    observe_many,
 )
 from repro.telemetry.registry import MetricsRegistry
 
@@ -26,7 +25,8 @@ class TestRecording:
 
     def test_counts_sum_min_max(self):
         h = QuantileHistogram("h")
-        observe_many(h, [1.0, 10.0, 100.0])
+        for value in [1.0, 10.0, 100.0]:
+            h.observe(value)
         assert h.total == 3
         assert h.sum == 111.0
         assert h.min == 1.0
@@ -35,7 +35,8 @@ class TestRecording:
 
     def test_values_at_or_below_min_value_share_bucket_zero(self):
         h = QuantileHistogram("h", min_value=10.0)
-        observe_many(h, [0.001, 5.0, 10.0])
+        for value in [0.001, 5.0, 10.0]:
+            h.observe(value)
         assert h.counts == {0: 3}
 
     def test_invalid_config_rejected(self):
@@ -60,7 +61,8 @@ class TestAccuracy:
         rng = random.Random(7)
         values = [rng.lognormvariate(10, 1.5) for _ in range(5000)]
         h = QuantileHistogram("h", relative_error=0.01)
-        observe_many(h, values)
+        for value in values:
+            h.observe(value)
         ordered = sorted(values)
         for _, q in STANDARD_QUANTILES:
             exact = ordered[
@@ -71,13 +73,15 @@ class TestAccuracy:
 
     def test_extremes_clamped_to_observed_range(self):
         h = QuantileHistogram("h")
-        observe_many(h, [5.0, 7.0, 9.0])
+        for value in [5.0, 7.0, 9.0]:
+            h.observe(value)
         assert h.value_at_quantile(0.0) >= 5.0
         assert h.value_at_quantile(1.0) <= 9.0
 
     def test_count_below(self):
         h = QuantileHistogram("h", min_value=1.0)
-        observe_many(h, [1.0, 50.0, 5000.0])
+        for value in [1.0, 50.0, 5000.0]:
+            h.observe(value)
         assert h.count_below(0.5) == 0  # bucket-0 representative is 1.0
         assert h.count_below(1.0) == 1
         assert h.count_below(100.0) == 2
@@ -88,8 +92,10 @@ class TestMerge:
     def test_merge_sums_buckets_and_stats(self):
         a = QuantileHistogram("h")
         b = QuantileHistogram("h")
-        observe_many(a, [10.0, 20.0])
-        observe_many(b, [30.0, 40.0])
+        for value in [10.0, 20.0]:
+            a.observe(value)
+        for value in [30.0, 40.0]:
+            b.observe(value)
         a.merge_from(b)
         assert a.total == 4
         assert a.sum == 100.0
@@ -110,9 +116,12 @@ class TestMerge:
         values = [rng.uniform(1, 1e6) for _ in range(400)]
         whole = QuantileHistogram("h")
         left, right = QuantileHistogram("h"), QuantileHistogram("h")
-        observe_many(whole, values)
-        observe_many(left, values[:200])
-        observe_many(right, values[200:])
+        for value in values:
+            whole.observe(value)
+        for value in values[:200]:
+            left.observe(value)
+        for value in values[200:]:
+            right.observe(value)
         left.merge_from(right)
         assert left.counts == whole.counts
         assert left.total == whole.total
@@ -121,7 +130,8 @@ class TestMerge:
 class TestSnapshotAndCollect:
     def test_snapshot_shape(self):
         h = QuantileHistogram("h")
-        observe_many(h, [2.0, 4.0])
+        for value in [2.0, 4.0]:
+            h.observe(value)
         snap = h.snapshot()
         assert snap["kind"] == "quantile"
         assert snap["count"] == 2

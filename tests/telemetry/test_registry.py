@@ -8,10 +8,8 @@ from repro.errors import ConfigError
 from repro.telemetry.quantiles import QuantileHistogram
 from repro.telemetry.registry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
 )
 
 
@@ -58,15 +56,6 @@ class TestReads:
         assert reg.snapshot() == before
 
 
-class TestGauge:
-    def test_set_inc_dec(self):
-        g = Gauge("g")
-        g.set(10)
-        g.inc(5)
-        g.dec(3)
-        assert g.snapshot() == 12
-
-
 class TestHistogram:
     def test_bucket_placement(self):
         h = Histogram("h", buckets=(10, 20, 30))
@@ -109,29 +98,14 @@ class TestSnapshotExport:
         assert reg.snapshot()["dram.row_hits{rank=0}"] == 3
         owner.row_hits = 9  # point-in-time: next snapshot sees updates
         assert reg.snapshot()["dram.row_hits{rank=0}"] == 9
-        assert "dram.row_hits{rank=0},9" in reg.to_csv()
 
     def test_json_round_trips(self):
         reg = MetricsRegistry()
         reg.counter("a").inc(2)
         reg.histogram("h", buckets=(1,)).observe(0.5)
-        doc = json.loads(reg.to_json())
+        doc = json.loads(json.dumps(reg.snapshot()))
         assert doc["a"] == 2
         assert doc["h"]["counts"] == [1, 0]
-
-    def test_csv_flattens_histograms(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc()
-        h = reg.histogram("h", buckets=(10,))
-        h.observe(5)
-        h.observe(50)
-        csv = reg.to_csv()
-        assert "metric,value" in csv
-        assert "a,1" in csv
-        assert "h|le=10.0,1" in csv
-        assert "h|le=+inf,1" in csv
-        assert "h|sum,55.0" in csv
-
 
 class TestQuantileKind:
     def test_registry_dedupes_and_types_quantiles(self):
@@ -151,21 +125,9 @@ class TestQuantileKind:
         assert snap["count"] == 1
         assert set(snap["quantiles"]) == {"p50", "p90", "p99", "p999"}
 
-    def test_csv_flattens_quantiles(self):
-        reg = MetricsRegistry()
-        q = reg.quantile("lat", op="store")
-        q.observe(100.0)
-        q.observe(200.0)
-        csv = reg.to_csv()
-        assert "lat{op=store}|count,2" in csv
-        assert "lat{op=store}|sum,300.0" in csv
-        assert any(
-            line.startswith("lat{op=store}|p50,") for line in csv.splitlines()
-        )
-
 
 class TestCsvAndSnapshotDeterminism:
-    """Flattening shape guarantees: bucket order, overflow bin, stable
+    """Snapshot shape guarantees: bucket order, overflow bin, stable
     label keys across repeated exports."""
 
     def test_histogram_rows_in_bucket_order_with_overflow_last(self):
@@ -173,17 +135,10 @@ class TestCsvAndSnapshotDeterminism:
         h = reg.histogram("h", buckets=(10, 20, 30))
         for value in (5, 15, 25, 31, 1000):
             h.observe(value)
-        lines = [
-            line for line in reg.to_csv().splitlines()
-            if line.startswith("h|")
-        ]
-        assert lines == [
-            "h|le=10.0,1",
-            "h|le=20.0,1",
-            "h|le=30.0,1",
-            "h|le=+inf,2",
-            "h|sum,1076.0",
-        ]
+        snap = reg.snapshot()["h"]
+        assert snap["buckets"] == [10.0, 20.0, 30.0]
+        assert snap["counts"] == [1, 1, 1, 2]
+        assert snap["sum"] == 1076.0
 
     def test_label_keys_are_sorted_and_deterministic(self):
         reg = MetricsRegistry()
@@ -198,7 +153,6 @@ class TestCsvAndSnapshotDeterminism:
         reg.counter("a", tier="xfm").inc(3)
         reg.histogram("h", buckets=(10,), tier="xfm").observe(50)
         reg.quantile("q", tier="xfm").observe(7.0)
-        assert reg.to_csv() == reg.to_csv()
         assert reg.snapshot() == reg.snapshot()
 
 
@@ -252,7 +206,3 @@ class TestMerge:
         b.quantile("q", tier="dfm").observe(42.0)
         a.merge(b)
         assert a.quantile("q", tier="dfm").total == 1
-
-
-def test_default_registry_is_shared():
-    assert default_registry() is default_registry()

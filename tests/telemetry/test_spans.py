@@ -14,9 +14,9 @@ class TestNesting:
     def test_child_records_parent_id(self):
         ring = trace.TraceRing()
         with run_context(ring=ring):
-            with spans.span("outer", "tier") as outer:
-                with spans.span("inner", "tier"):
-                    pass
+            outer = spans.begin("outer", "tier")
+            spans.end(spans.begin("inner", "tier"))
+            spans.end(outer)
         by_id = _events(ring)
         inner = next(
             e for e in by_id.values() if e.name == "inner"
@@ -28,11 +28,12 @@ class TestNesting:
     def test_siblings_share_parent_but_not_ids(self):
         ring = trace.TraceRing()
         with run_context(ring=ring):
-            with spans.span("outer", "tier") as outer:
-                with spans.span("a", "tier") as a:
-                    pass
-                with spans.span("b", "tier") as b:
-                    pass
+            outer = spans.begin("outer", "tier")
+            a = spans.begin("a", "tier")
+            spans.end(a)
+            b = spans.begin("b", "tier")
+            spans.end(b)
+            spans.end(outer)
         assert a.span_id != b.span_id
         by_id = _events(ring)
         assert by_id[a.span_id].args["parent"] == outer.span_id
@@ -71,8 +72,9 @@ class TestLeafStamping:
     def test_emit_under_parents_to_open_span(self):
         ring = trace.TraceRing()
         with run_context(ring=ring):
-            with spans.span("store", "tier") as store:
-                leaf = spans.emit_under("cpu_compress", "cpu", 0.0, 10.0)
+            store = spans.begin("store", "tier")
+            leaf = spans.emit_under("cpu_compress", "cpu", 0.0, 10.0)
+            spans.end(store)
         by_id = _events(ring)
         assert by_id[leaf].args["parent"] == store.span_id
         assert by_id[leaf].name == "cpu_compress"
@@ -86,8 +88,9 @@ class TestLeafStamping:
     def test_instant_under_tags_parent(self):
         ring = trace.TraceRing()
         with run_context(ring=ring):
-            with spans.span("store", "tier") as store:
-                spans.instant_under("poison_page", "tier")
+            store = spans.begin("store", "tier")
+            spans.instant_under("poison_page", "tier")
+            spans.end(store)
         instant = next(e for e in ring.events() if e.name == "poison_page")
         assert instant.args["parent"] == store.span_id
 
@@ -95,23 +98,23 @@ class TestLeafStamping:
 class TestDeterminism:
     def test_fresh_ring_starts_at_id_1(self):
         with run_context(ring=trace.TraceRing()):
-            with spans.span("a", "tier") as first:
-                pass
-            with spans.span("b", "tier") as second:
-                pass
+            first = spans.begin("a", "tier")
+            spans.end(first)
+            second = spans.begin("b", "tier")
+            spans.end(second)
         with run_context(ring=trace.TraceRing()):
-            with spans.span("a", "tier") as again:
-                pass
+            again = spans.begin("a", "tier")
+            spans.end(again)
         assert first.span_id == again.span_id == 1
         assert second.span_id == 2
 
     def test_session_entry_resets_ids(self):
         with TelemetrySession():
-            with spans.span("a", "tier") as first:
-                pass
+            first = spans.begin("a", "tier")
+            spans.end(first)
         with TelemetrySession():
-            with spans.span("a", "tier") as again:
-                pass
+            again = spans.begin("a", "tier")
+            spans.end(again)
         assert first.span_id == again.span_id == 1
 
 

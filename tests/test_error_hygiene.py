@@ -25,6 +25,10 @@ in ``tests/hypothesis_settings.py`` — nothing imports the retired
 ``FUZZ_TIME_BUDGET_S`` or sets ``derandomize``/``database``. Nothing
 calls the builtin ``hash``: it is salted per process.
 
+Fault-site hygiene: every site in ``ALL_SITES`` is fired somewhere in
+``src/repro`` outside the injector, so a profile that schedules a site
+schedules something that can happen.
+
 Pipeline hygiene: in ``tiering/pipeline.py`` a tier's ``swap_in`` or
 ``promote`` is called only from ``TierPipeline._take``, and a tier's
 ``swap_latency_s`` only from the op timer ``_timed``, so error
@@ -176,7 +180,7 @@ def test_no_adhoc_clock_state_outside_sim():
 #: A call that moves the simulated clock (a method ``def`` does not
 #: match: it has no leading dot).
 _CLOCK_WRITE = re.compile(
-    r"\.(?:advance_ns|advance_ticks|set_ns|set_ticks|restore)\s*\("
+    r"\.(?:advance_ns|set_ns|set_ticks)\s*\("
 )
 
 #: Files allowed to move the clock: the clock, the event core and the
@@ -391,3 +395,64 @@ def test_modelled_latency_is_queried_only_by_the_op_timer():
         "_timed", "swap_latency_s"
     ], calls
     assert [name for name, _ in calls].count("_timed") == 1, calls
+
+
+# -- every scheduled fault site can fire ---------------------------------------
+
+
+def _fault_site_names():
+    """The constant names listed in ``resilience/faults.py``'s
+    ``ALL_SITES``."""
+    path = SRC / "resilience" / "faults.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        target = getattr(node, "target", None) or (
+            node.targets[0] if isinstance(node, ast.Assign) else None
+        )
+        if isinstance(target, ast.Name) and target.id == "ALL_SITES":
+            return [element.id for element in node.value.elts]
+    raise AssertionError("ALL_SITES not found in resilience/faults.py")
+
+
+def _called_name(call):
+    return getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+
+
+def _fired_site_names():
+    """The site constant of each ``fire(...)`` call in ``src/repro``
+    (the injector's own module excluded) whose enclosing ``def`` some
+    code in ``src/repro`` calls by name: a ``fire`` inside a def that
+    only tests call is not a way for a program to draw the site."""
+    firing = []  # (site constant, name of the def around the call)
+    called = set()
+    for path in _all_src_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        called.update(
+            _called_name(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        )
+        if path.relative_to(SRC).as_posix() == "resilience/faults.py":
+            continue
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and node.args
+                        and _called_name(node) == "fire"):
+                    site = node.args[0]
+                    firing.append((
+                        getattr(site, "attr", None) or getattr(site, "id", None),
+                        func.name,
+                    ))
+    return {site for site, func in firing if func in called}
+
+
+def test_every_fault_site_is_fired_somewhere():
+    """A site no program can reach draws nothing: a profile can schedule
+    it and no report ever lists it."""
+    sites = _fault_site_names()
+    fired = _fired_site_names()
+    unfired = [site for site in sites if site not in fired]
+    assert sites and not unfired, (
+        "fault sites in ALL_SITES with no fire() call in a def that "
+        "src/repro calls: " + ", ".join(unfired)
+    )

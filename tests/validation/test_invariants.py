@@ -172,7 +172,6 @@ def test_nma_register_mirror_desync_is_caught():
     with run_context(validation=True):
         request = nma.submit(True, source_row=1, dest_row=None, input_bytes=4096)
         nma.stage_input(request)
-        nma.advance(1e9)
         # Device-side mirror lies about SPM capacity -> caught.
         nma.registers.device_set(Registers.SP_CAPACITY, 12345)
         with pytest.raises(InvariantViolation):
@@ -184,11 +183,14 @@ def test_nma_lifecycle_under_validation():
     with run_context(validation=True):
         for i in range(4):
             nma.submit(True, source_row=i, dest_row=None, input_bytes=4096)
+        staged = []
         while (request := nma.pop_request()) is not None:
-            nma.stage_input(request)
-        for entry in nma.advance(1e9, output_bytes_of=lambda e: 1024):
+            staged.append(nma.stage_input(request))
+        for entry in staged:
+            nma.spm.complete(entry.entry_id, output_bytes=1024)
             nma.release(entry.entry_id)
-    assert nma.completed_ops == 4
+    assert nma.spm.admissions == 4
+    assert nma.spm.used_bytes == 0
     assert nma.registers[Registers.SP_CAPACITY] == nma.spm.free_bytes
 
 

@@ -16,7 +16,6 @@ from repro.workloads.corpus import (
     CORPUS_NAMES,
     PAGE_SIZE,
     corpus_pages,
-    describe_corpus,
     generate_corpus,
     noise_page,
     page_for,
@@ -65,8 +64,6 @@ class TestSizes:
     def test_unknown_corpus_rejected(self):
         with pytest.raises(ConfigError):
             generate_corpus("silesia", 100)
-        with pytest.raises(ConfigError):
-            describe_corpus("silesia")
 
 
 class TestCompressibilitySpectrum:
@@ -96,10 +93,6 @@ class TestCompressibilitySpectrum:
         for name in ("heap-pointers", "binary-structs", "integer-array"):
             page = generate_corpus(name, 4096, seed=3)
             assert 1.3 < compression_ratio(page, codec) < 30.0, name
-
-    def test_descriptions_exist(self):
-        for name in CORPUS_NAMES:
-            assert describe_corpus(name)
 
 
 class TestCorpusPinned:
