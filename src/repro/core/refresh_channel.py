@@ -228,6 +228,12 @@ class WindowScheduler:
 
         # (3) randoms for the oldest requests, subarray conflicts avoided.
         age_heap = self._age_heap
+        if not random_budget:
+            # No random slot to pop served entries below: drop them off
+            # the top, or a scheduler that never serves randoms keeps
+            # one entry per fixed-row access it ever served.
+            while age_heap and age_heap[0][2].served:
+                heapq.heappop(age_heap)
         while budget and random_budget and age_heap:
             enqueued_ref, _, request = age_heap[0]
             if request.served:

@@ -36,12 +36,15 @@ from repro.fleet.admission import TenantQuota
 from repro.fleet.frontend import FleetFrontend
 from repro.fleet.shard import FleetRequest
 from repro.fleet.traffic import (
+    OPS,
     TENANT_KEY_STRIDE,
+    ArrivalColumns,
     TrafficPhase,
     generate_arrivals,
     page_for,
 )
 from repro.sim import CLOCK as _sim_clock
+from repro.sim.clock import ns_to_ticks
 from repro.sim.events import EventScheduler
 from repro.telemetry import flightrec as _flightrec
 from repro.telemetry.session import TelemetrySession
@@ -219,6 +222,36 @@ class _Campaign:
     def _release_key(self, tenant: str, key: int) -> None:
         self.live_keys[tenant].append(key)
 
+    # -- open-loop arrivals --------------------------------------------------
+
+    def start_arrivals(self, arrivals: ArrivalColumns) -> None:
+        """Schedule the first of ``arrivals``; each schedules the next
+        when it fires. Their sequence numbers are reserved here, so
+        every tie with another event breaks as it would if all of them
+        were scheduled now."""
+        self._arrivals = arrivals
+        self._arrival_count = len(arrivals)
+        self._arrival_seq = self.scheduler.reserve(self._arrival_count)
+        self._next_arrival = 0
+        if self._arrival_count:
+            self.scheduler.schedule_at_ticks(
+                ns_to_ticks(arrivals.t_ns[0]), self._arrive,
+                seq=self._arrival_seq,
+            )
+
+    def _arrive(self) -> None:
+        arrivals = self._arrivals
+        index = self._next_arrival
+        self._next_arrival = following = index + 1
+        if following < self._arrival_count:
+            self.scheduler.schedule_at_ticks(
+                ns_to_ticks(arrivals.t_ns[following]), self._arrive,
+                seq=self._arrival_seq + following,
+            )
+        self.arrival(
+            arrivals.tenants[arrivals.tenant[index]], OPS[arrivals.op[index]]
+        )
+
     # -- request lifecycle ---------------------------------------------------
 
     def arrival(self, tenant: str, op: str) -> None:
@@ -371,11 +404,7 @@ def drive(config: FleetConfig, session: TelemetrySession) -> Dict[str, object]:
         seed=config.seed,
         diurnal_amplitude=DIURNAL_AMPLITUDE,
     )
-    for arrival in arrivals:
-        scheduler.schedule(
-            arrival.t_ns,
-            lambda a=arrival: campaign.arrival(a.tenant, a.op),
-        )
+    campaign.start_arrivals(arrivals)
     scheduler.schedule_after(
         campaign.frontend.brownout.config.window_ns, campaign.tick
     )
@@ -403,7 +432,9 @@ def drive(config: FleetConfig, session: TelemetrySession) -> Dict[str, object]:
     # Every acknowledged page must still come back byte-identical
     # through the (post-failover) fleet.
     sweep = campaign.oracle.sweep(campaign.frontend.lookup)
-    report = _build_report(config, campaign, sweep, failover_stats, arrivals)
+    report = _build_report(
+        config, campaign, sweep, failover_stats, len(arrivals)
+    )
     session.annotate("fleet", report["verdict"])
     # Break the fleet's callback cycles: the campaign, its fleet and the
     # session's ring are freed as soon as the caller drops them.
@@ -416,7 +447,7 @@ def _build_report(
     campaign: _Campaign,
     sweep: Dict[str, int],
     failover_stats: Dict[str, int],
-    arrivals: List[object],
+    arrivals: int,
 ) -> Dict[str, object]:
     frontend, oracle = campaign.frontend, campaign.oracle
     # Per-tenant, per-reason, retry, brownout and relocation counts are
@@ -474,7 +505,7 @@ def _build_report(
             "brownout": True,
             "kill_shard_at_ns": config.kill_shard_at_ns,
         },
-        "arrivals": len(arrivals),
+        "arrivals": arrivals,
         "phases": phases,
         "tenants": tenants,
         "fairness": {

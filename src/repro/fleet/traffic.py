@@ -3,11 +3,12 @@
 Open-loop is the property that makes overload *real*: arrivals are
 scheduled from an external Poisson process that does not slow down when
 the service struggles (closed-loop generators self-throttle and hide
-the very overload this PR exists to survive). The whole arrival
-timeline is generated up front from one seeded RNG — a pure function of
-the config — and scheduled as events on the shared
-:class:`~repro.sim.events.EventScheduler`, so a campaign is
-byte-reproducible.
+the very overload the fleet exists to survive). The arrival timeline
+is drawn from one seeded RNG — a pure function of the config — into
+compact columns (:class:`ArrivalColumns`), and the harness turns it
+into events on the shared :class:`~repro.sim.events.EventScheduler`
+one at a time, each arrival scheduling the next when it fires, so a
+campaign is byte-reproducible without holding an event per arrival.
 
 Shape knobs: a piecewise-constant phase rate curve (steady / spike /
 recovery), an optional diurnal sinusoid multiplying it, per-tenant
@@ -19,8 +20,9 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ConfigError
 
@@ -45,14 +47,24 @@ class TrafficPhase:
             raise ConfigError("phase needs positive duration and multiplier")
 
 
-@dataclass(frozen=True)
-class Arrival:
-    """One scheduled request-to-be: everything but the page bytes."""
+#: Values of :attr:`ArrivalColumns.op`: index 0 is a load, 1 a store.
+OPS = ("load", "store")
 
-    t_ns: float
-    tenant: str
-    op: str
-    phase: str
+
+@dataclass(frozen=True)
+class ArrivalColumns:
+    """The arrival schedule in time order, one column per field, so a
+    campaign holds a few bytes per request-to-be instead of an object.
+    Arrival ``i`` comes at ``t_ns[i]`` from ``tenants[tenant[i]]`` and
+    is an ``OPS[op[i]]``."""
+
+    tenants: Tuple[str, ...]
+    t_ns: array
+    tenant: array
+    op: array
+
+    def __len__(self) -> int:
+        return len(self.t_ns)
 
 
 def generate_arrivals(
@@ -63,7 +75,7 @@ def generate_arrivals(
     seed: int,
     diurnal_amplitude: float = 0.0,
     diurnal_period_ns: float = 50e6,
-) -> List[Arrival]:
+) -> ArrivalColumns:
     """The full arrival schedule, sorted by time.
 
     Inter-arrival gaps are exponential at the *instantaneous* rate
@@ -82,9 +94,11 @@ def generate_arrivals(
     if not 0.0 <= diurnal_amplitude < 1.0:
         raise ConfigError("diurnal_amplitude must be in [0, 1)")
     rng = random.Random(seed)
-    tenants = sorted(tenant_shares)
+    tenants = tuple(sorted(tenant_shares))
+    indices = range(len(tenants))
     weights = [tenant_shares[t] for t in tenants]
-    arrivals: List[Arrival] = []
+    arrivals = ArrivalColumns(tenants, array("d"), array("I"), array("B"))
+    times, tenant_column, op_column = arrivals.t_ns, arrivals.tenant, arrivals.op
     t = 0.0
     phase_start = 0.0
     for phase in phases:
@@ -101,10 +115,8 @@ def generate_arrivals(
             t += rng.expovariate(rate_per_ns)
             if t >= phase_end:
                 break
-            tenant = rng.choices(tenants, weights=weights)[0]
-            op = "store" if rng.random() < store_fraction else "load"
-            arrivals.append(
-                Arrival(t_ns=t, tenant=tenant, op=op, phase=phase.name)
-            )
+            times.append(t)
+            tenant_column.append(rng.choices(indices, weights=weights)[0])
+            op_column.append(rng.random() < store_fraction)
         phase_start = phase_end
     return arrivals

@@ -139,21 +139,28 @@ class SfmBackend:
         digest = page_digest(page.data)
         page_cache = self.page_cache
         cached = None if page_cache is None else page_cache.get(digest)
+        max_blob_len = int(PAGE_SIZE * self.max_stored_fraction)
         if cached is not None:
             # Identical content was compressed before: reuse the blob
             # (and its digest, once it was stored) and pay only the
             # hash, not the compressor.
-            blob, blob_digest = cached
+            blob_len, blob, blob_digest = cached
             self.stats.digest_cache_hits += 1
             cycles = DIGEST_CYCLES_PER_BYTE * PAGE_SIZE
         else:
             if page_cache is not None:
                 self.stats.digest_cache_misses += 1
             blob = self._compress(page.data)
+            blob_len = len(blob)
             blob_digest = None
             cycles = self.codec.spec.compress_cycles_per_byte * PAGE_SIZE
             if page_cache is not None:
-                page_cache.put(digest, (blob, None))
+                # A blob too large to store is cached as its verdict
+                # alone: a hit on it only needs the length to refuse.
+                page_cache.put(
+                    digest,
+                    (blob_len, blob if blob_len <= max_blob_len else None, None),
+                )
         self.stats.cpu_compress_cycles += cycles
         if _trace.tracing_enabled():
             dur_ns = cycles / self.cpu_freq_hz * 1e9
@@ -169,7 +176,7 @@ class SfmBackend:
         # O3: the cold page is read from DRAM, the blob written back.
         self.traffic.channel_read_bytes += PAGE_SIZE
 
-        if len(blob) > int(PAGE_SIZE * self.max_stored_fraction):
+        if blob_len > max_blob_len:
             self.stats.rejected += 1
             return SwapOutcome(
                 accepted=False, reason="incompressible", cpu_cycles=cycles
@@ -181,15 +188,15 @@ class SfmBackend:
             return SwapOutcome(
                 accepted=False, reason="pool-full", cpu_cycles=cycles
             )
-        self.traffic.channel_write_bytes += len(blob)
+        self.traffic.channel_write_bytes += blob_len
         if blob_digest is None:
             # Only a stored blob is hashed, and only once per cached entry.
             blob_digest = content_digest(blob)
             if page_cache is not None:
-                page_cache.put(digest, (blob, blob_digest))
+                page_cache.put(digest, (blob_len, blob, blob_digest))
         self._commit(page, handle, blob, digest, blob_digest)
         return SwapOutcome(
-            accepted=True, compressed_len=len(blob), cpu_cycles=cycles
+            accepted=True, compressed_len=blob_len, cpu_cycles=cycles
         )
 
     def _compress(self, data: bytes) -> bytes:

@@ -8,7 +8,9 @@ idea to *any* repeated page content at the backend: the compressed blob
 is cached under a digest of the uncompressed page, so storing a page
 whose exact bytes were compressed before skips the compressor entirely
 and reuses the blob. Beside the blob the SFM backend keeps the blob's
-own digest, so a hit hashes nothing but the page.
+own digest, so a hit hashes nothing but the page, and for a blob it
+refuses as incompressible it keeps only the length, the verdict a hit
+needs.
 
 Content addressing makes invalidation free: a mutated page hashes to a
 different key and simply misses, so no store/invalidate bookkeeping can
@@ -38,7 +40,8 @@ DIGEST_CYCLES_PER_BYTE = 2.0
 
 class DigestPageCache:
     """Bounded LRU map: page digest -> what its owner cached for it (the
-    SFM backend: ``(blob, blob digest)``; the NMA memo: a blob)."""
+    SFM backend: ``(blob length, blob, blob digest)``, with no blob kept
+    for one too large to store; the NMA memo: a blob)."""
 
     def __init__(self, max_entries: int = 1024) -> None:
         if max_entries < 1:

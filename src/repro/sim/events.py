@@ -6,7 +6,10 @@ the order they were scheduled (a monotone sequence number breaks heap
 ties), so a run is a pure function of the schedule regardless of heap
 internals or hash order. The heap holds ``(ticks, seq, fn)`` tuples, so
 ordering is a C tuple compare; ``seq`` is unique, so the callback
-itself is never compared.
+itself is never compared. :meth:`EventScheduler.reserve` hands out a
+block of sequence numbers up front, so a stream whose events are
+scheduled one at a time (each when the previous one fires) keeps the
+tie order it would have had if all were scheduled at once.
 
 Event lifecycle (see DESIGN.md §11):
 
@@ -49,16 +52,34 @@ class EventScheduler:
 
     # -- enqueue -------------------------------------------------------------
 
-    def schedule_at_ticks(self, ticks: int, fn: Callable[[], None]) -> None:
+    def reserve(self, n: int) -> int:
+        """Set aside ``n`` sequence numbers and return the first; the
+        block is passed back one at a time as ``schedule_at_ticks``'s
+        ``seq``."""
+        if n < 0:
+            raise ConfigError(f"cannot reserve {n} sequence numbers")
+        first = self._seq
+        self._seq = first + n
+        return first
+
+    def schedule_at_ticks(
+        self, ticks: int, fn: Callable[[], None], *, seq: Optional[int] = None
+    ) -> None:
         """Exact-tick scheduling (refresh policies compute integer window
-        starts and must not round-trip them through floats)."""
+        starts and must not round-trip them through floats). ``seq``, a
+        number from :meth:`reserve`, breaks ties in place of the next
+        free one; each reserved number is used at most once."""
         if ticks < self.clock.now_ticks():
             raise ConfigError(
                 f"cannot schedule event in the past: t={ticks_to_ns(ticks)}"
                 f" ns < now={self.clock.now_ns()} ns"
             )
-        heapq.heappush(self._heap, (ticks, self._seq, fn))
-        self._seq += 1
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
+        elif not 0 <= seq < self._seq:
+            raise ConfigError(f"sequence number {seq} was not handed out")
+        heapq.heappush(self._heap, (ticks, seq, fn))
 
     def schedule(self, t_ns: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` at absolute simulated time ``t_ns``."""

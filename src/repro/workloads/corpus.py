@@ -54,7 +54,7 @@ import string
 import struct
 import zlib
 from itertools import accumulate, islice
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigError
 
@@ -543,6 +543,10 @@ def noise_page(state: int) -> bytes:
 
 #: ``j % 251`` for j < 251 + 64: every 64-byte window of the 251-cycle.
 _RAMP = bytes(j % 251 for j in range(251 + 64))
+#: ``page_for``'s compressible page per unit start, built on first use:
+#: a campaign stores tens of thousands of pages with only 251 contents,
+#: and every store of one content shares this one object.
+_UNIT_PAGES: List[Optional[bytes]] = [None] * 251
 
 
 def page_for(seed: int, key: int) -> bytes:
@@ -554,13 +558,19 @@ def page_for(seed: int, key: int) -> bytes:
     The bytes are the contract, not the construction: a noise page is
     ``xorshift_bytes`` of a 32-bit hash of ``(seed, key)``, built by
     :func:`noise_page`, and the unit is ``(seed + key * 7 + j) % 251``
-    for j < 64, sliced from ``_RAMP``."""
+    for j < 64, sliced from ``_RAMP``. Every compressible page with the
+    same unit is one shared object (``_UNIT_PAGES``)."""
     if key % 5 == 4:
         return noise_page(
             ((seed * 1_000_003 + key) * 2654435761 + 1) & 0xFFFFFFFF
         )
     start = (seed + key * 7) % 251
-    return _RAMP[start : start + 64] * (PAGE_SIZE // 64)
+    page = _UNIT_PAGES[start]
+    if page is None:
+        page = _UNIT_PAGES[start] = _RAMP[start : start + 64] * (
+            PAGE_SIZE // 64
+        )
+    return page
 
 
 def tunable_page(

@@ -183,6 +183,40 @@ class TestBookkeepingStaysBounded:
         assert _drain(scheduler, 3000) == []
         assert not scheduler._age_heap and not scheduler._slot_buckets
 
+    def test_no_random_budget_still_drops_served_entries(self):
+        """With ``random_per_ref=0`` no random pass ever runs, so the
+        served fixed-row entries must leave the age heap another way:
+        two reads per window for 20 000 windows once left 40 000."""
+        from repro.validation.invariants import check_window_scheduler
+
+        scheduler = _scheduler(accesses_per_ref=3, random_per_ref=0)
+        largest = 0
+        for ref in range(20_000):
+            for _ in range(2):
+                scheduler.submit(
+                    AccessKind.READ, _row_for_slot(ref % 8192), current_ref=ref
+                )
+            largest = max(largest, len(scheduler._age_heap))
+            assert len(_drain(scheduler, ref)) == 2
+            if ref % 1000 == 0:
+                check_window_scheduler(scheduler)
+        assert scheduler.pending_count == 0
+        assert largest == 2 and not scheduler._age_heap
+
+    def test_no_random_budget_keeps_pending_entries(self):
+        """Pruning stops at the first pending entry: a request waiting
+        for its slot stays reachable through the heap."""
+        from repro.validation.invariants import check_window_scheduler
+
+        scheduler = _scheduler(accesses_per_ref=3, random_per_ref=0)
+        waiting = scheduler.submit(AccessKind.READ, _row_for_slot(50), 0)
+        scheduler.submit(AccessKind.READ, _row_for_slot(1), 0)
+        _drain(scheduler, 1)
+        check_window_scheduler(scheduler)
+        assert [entry[2] for entry in scheduler._age_heap][0] is waiting
+        (served,) = _drain(scheduler, 50)
+        assert served is waiting and not scheduler._age_heap
+
     def test_random_service_removes_the_request_it_serves(self):
         """Two equal-looking requests in one bucket: removal is by
         identity, so the younger twin stays queued."""

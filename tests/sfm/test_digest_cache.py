@@ -9,6 +9,8 @@ entirely, as in the kernel).
 
 import pytest
 
+from repro.core.backend import XfmBackend
+from repro.core.nma import NearMemoryAccelerator, NmaConfig
 from repro.errors import ConfigError
 from repro.sfm.backend import SfmBackend
 from repro.resilience.integrity import (
@@ -19,6 +21,7 @@ from repro.resilience.integrity import (
 from repro.sfm.digest_cache import DIGEST_CYCLES_PER_BYTE, DigestPageCache
 from repro.sfm.page import PAGE_SIZE, Page
 from repro.sfm.zswap import ZswapFrontend
+from repro.tiering.protocol import SwapOutcome
 
 
 def _page(vaddr, data):
@@ -134,6 +137,65 @@ class TestBackendHitMissAccounting:
         assert backend.stats.digest_cache_hits == 1
 
 
+class TestRefusedBlobVerdict:
+    """A blob refused as incompressible is cached as its length alone:
+    a hit on it refuses exactly as a hit on the kept blob did."""
+
+    def _refuse_twice(self, backend, data, swap_out):
+        limit = int(PAGE_SIZE * backend.max_stored_fraction)
+        first = swap_out(_page(0, data))
+        cycles = backend.stats.cpu_compress_cycles
+        second = swap_out(_page(PAGE_SIZE, data))
+        assert first == SwapOutcome(
+            accepted=False, reason="incompressible",
+            cpu_cycles=backend.codec.spec.compress_cycles_per_byte * PAGE_SIZE,
+        )
+        assert second == SwapOutcome(
+            accepted=False, reason="incompressible",
+            cpu_cycles=DIGEST_CYCLES_PER_BYTE * PAGE_SIZE,
+        )
+        assert backend.stats.cpu_compress_cycles - cycles == (
+            DIGEST_CYCLES_PER_BYTE * PAGE_SIZE
+        )
+        assert backend.stats.rejected == 2
+        assert backend.stats.digest_cache_misses == 1
+        assert backend.stats.digest_cache_hits == 1
+        blob_len, blob, blob_digest = backend.page_cache.get(page_digest(data))
+        assert blob_len > limit and blob is None and blob_digest is None
+        assert backend.traffic.channel_write_bytes == 0
+        assert not backend.index
+
+    def test_hit_on_a_refused_entry(self, backend, random_pages):
+        self._refuse_twice(backend, random_pages[0], backend.swap_out)
+
+    def test_hit_on_a_refused_entry_through_the_xfm_cpu_fallback(
+        self, random_pages
+    ):
+        nma = NearMemoryAccelerator(NmaConfig(crq_depth=1))
+        backend = XfmBackend(capacity_bytes=64 * PAGE_SIZE, nma=nma)
+        nma.submit(True, 0, None, PAGE_SIZE)  # every offload falls back
+        self._refuse_twice(backend, random_pages[0], backend.xfm_swap_out)
+        assert backend.stats.cpu_fallback_compressions == 2
+
+    def test_no_entry_keeps_a_blob_too_large_to_store(
+        self, backend, json_pages, random_pages
+    ):
+        limit = int(PAGE_SIZE * backend.max_stored_fraction)
+        for round_ in range(2):
+            for i, data in enumerate(random_pages + json_pages):
+                backend.swap_out(_page((round_ * 64 + i) * PAGE_SIZE, data))
+        assert backend.stats.digest_cache_hits == len(
+            random_pages + json_pages
+        )
+        assert backend.stats.rejected == 2 * len(random_pages)
+        kept = [
+            blob for _, blob, _ in backend.page_cache._entries.values()
+            if blob is not None
+        ]
+        assert len(kept) == len(json_pages)
+        assert max(map(len, kept)) <= limit
+
+
 class TestCachedBlobDigest:
     """A cache entry keeps its blob's digest beside the blob, so a hit
     hashes only the page; the record it commits must still name the
@@ -164,7 +226,7 @@ class TestCachedBlobDigest:
                 break
         assert refused is not None
         digest = page_digest(refused)
-        assert backend.page_cache.get(digest)[1] is None  # never stored
+        assert backend.page_cache.get(digest)[2] is None  # never stored
         backend.invalidate(0)
         page = _page(99 * PAGE_SIZE, refused)
         hits = backend.stats.digest_cache_hits
@@ -173,7 +235,9 @@ class TestCachedBlobDigest:
         record = backend.index[page.vaddr]
         pooled = backend.zpool.load(record.handle)
         assert record.blob_digest == content_digest(pooled)
-        assert backend.page_cache.get(digest) == (pooled, record.blob_digest)
+        assert backend.page_cache.get(digest) == (
+            len(pooled), pooled, record.blob_digest
+        )
         assert backend.swap_in(page) == refused
 
 

@@ -155,3 +155,83 @@ class TestHorizons:
             events.schedule(float(t), lambda: None)
         assert events.run(max_events=4) == 4
         assert len(events) == 6
+
+
+def _fire_order(stream, others, streamed):
+    """Fire a sorted tick ``stream`` beside ``others`` (tick, tag) events
+    scheduled after it; every third stream event schedules a child at
+    its own tick. ``streamed`` schedules each stream event when the one
+    before it fires, from a reserved block of sequence numbers, instead
+    of all of them up front."""
+    events = EventScheduler(clock=SimClock())
+    fired = []
+
+    def arrive(i):
+        fired.append(("stream", i))
+        if i % 3 == 0:
+            events.schedule_at_ticks(
+                stream[i], lambda i=i: fired.append(("child", i))
+            )
+
+    events.schedule_at_ticks(stream[0], lambda: fired.append(("before", 0)))
+    if streamed:
+        first = events.reserve(len(stream))
+
+        def fire(i):
+            if i + 1 < len(stream):
+                events.schedule_at_ticks(
+                    stream[i + 1], lambda: fire(i + 1), seq=first + i + 1
+                )
+            arrive(i)
+
+        events.schedule_at_ticks(stream[0], lambda: fire(0), seq=first)
+    else:
+        for i, ticks in enumerate(stream):
+            events.schedule_at_ticks(ticks, lambda i=i: arrive(i))
+    for ticks, tag in others:
+        events.schedule_at_ticks(ticks, lambda tag=tag: fired.append(tag))
+    events.run()
+    return fired
+
+
+class TestReservedSequence:
+    """A stream scheduled one event at a time from ``reserve``d sequence
+    numbers pops exactly as the same stream scheduled up front."""
+
+    def test_ties_break_as_if_scheduled_up_front(self):
+        stream = [10, 20, 20, 30]
+        others = [(20, ("other", 20)), (30, ("other", 30))]
+        expected = [
+            ("before", 0), ("stream", 0), ("child", 0), ("stream", 1),
+            ("stream", 2), ("other", 20), ("stream", 3), ("other", 30),
+            ("child", 3),
+        ]
+        assert _fire_order(stream, others, streamed=False) == expected
+        assert _fire_order(stream, others, streamed=True) == expected
+
+    def test_seeded_streams_with_ties(self):
+        rng = random.Random(53)
+        for _ in range(25):
+            stream = sorted(rng.randrange(12) for _ in range(30))
+            others = [
+                (rng.randrange(12), ("other", n)) for n in range(15)
+            ]
+            assert _fire_order(stream, others, streamed=True) == (
+                _fire_order(stream, others, streamed=False)
+            )
+
+    def test_reserve_hands_out_a_block(self, events):
+        events.schedule(1.0, lambda: None)
+        assert events.reserve(3) == 1
+        assert events.reserve(0) == 4
+        events.schedule(1.0, lambda: None)
+        assert [seq for _, seq, _ in sorted(events._heap)] == [0, 4]
+
+    def test_unreserved_sequence_numbers_raise(self, events):
+        with pytest.raises(ConfigError):
+            events.reserve(-1)
+        first = events.reserve(2)
+        with pytest.raises(ConfigError, match="not handed out"):
+            events.schedule_at_ticks(5, lambda: None, seq=first + 2)
+        with pytest.raises(ConfigError, match="not handed out"):
+            events.schedule_at_ticks(5, lambda: None, seq=-1)

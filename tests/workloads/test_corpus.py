@@ -382,6 +382,18 @@ class TestPageForOracle:
             for key in range(base, base + 5):
                 assert page_for(seed, key) == _loop_page_for(seed, key)
 
+    def test_compressible_pages_are_shared(self):
+        """A campaign's compressible pages are 251 contents: each one is
+        a single object however many keys store it."""
+        compressible = {}
+        for key in range(10_000):
+            page = page_for(23, key)
+            assert page == _loop_page_for(23, key)
+            if key % 5 != 4:
+                compressible[id(page)] = page
+        assert len(compressible) <= 251
+        assert len(set(compressible.values())) == len(compressible)
+
     @settings(max_examples=60)
     @given(seed=_SEEDS, key=_KEYS)
     def test_matches_loop_construction(self, seed, key):
@@ -400,6 +412,7 @@ class TestBasisIsLazy:
             "import repro.fleet.harness, repro.resilience.chaos\n"
             "from repro.workloads import corpus\n"
             "assert corpus._BASIS == [], 'basis built at import'\n"
+            "assert not any(corpus._UNIT_PAGES), 'pages built at import'\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True
