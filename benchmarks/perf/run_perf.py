@@ -48,10 +48,11 @@ Modes:
         five end-to-end workloads (``benchmarks/e2e/workloads.py``), each
         slice in a fresh interpreter. Every count, in total and per
         top-level ``repro`` package, must equal the ``calls`` record in
-        ``BENCH_perf.json``; on another interpreter minor version than
-        the record's the counts are printed as not comparable. With
-        ``--record`` the fresh counts become the record and the old
-        record's per-op counts move to its ``previous`` entries.
+        ``BENCH_perf.json`` for the running interpreter's minor version
+        (one record per version); on a version with no record the counts
+        are printed as not comparable. With ``--record`` the fresh counts
+        become this version's record and the old record's per-op counts
+        move to its ``previous`` entries.
 
 Usage::
 
@@ -273,7 +274,7 @@ def cmd_calls(args: argparse.Namespace) -> int:
     version = "%d.%d" % sys.version_info[:2]
     baseline_path = Path(args.baseline)
     doc = _load(baseline_path)
-    record = doc.get("calls", {})
+    records = doc.get("calls", {}).get("by_python", {})
     fresh = {name: _count_in_child(name) for name in callcount.CALL_SLICES}
     print(f"{'slice':<22}{'ops':>7}{'py calls/op':>13}{'C calls/op':>12}")
     for name, counts in fresh.items():
@@ -288,36 +289,37 @@ def cmd_calls(args: argparse.Namespace) -> int:
     if args.record:
         slices = {}
         for name, counts in fresh.items():
-            old = record.get("slices", {}).get(name)
+            old = records.get(version, {}).get(name)
             if old is not None:
                 counts["previous"] = {
                     key: old[key]
                     for key in ("python_calls_per_op", "c_calls_per_op")
                 }
             slices[name] = counts
+        records[version] = slices
         doc["calls"] = {
-            "python": version,
             "seed": callcount.CALL_SEED,
             "description": (
                 "run_perf.py guard calls: Python and C calls per op over a "
                 "short slice of each e2e workload (sys.setprofile hook, one "
-                "fresh interpreter per slice, PYTHONHASHSEED=0). previous = "
-                "the per-op counts of the record this one replaced."
+                "fresh interpreter per slice, PYTHONHASHSEED=0), one record "
+                "per interpreter minor version. previous = the per-op "
+                "counts of the record this one replaced."
             ),
-            "slices": slices,
+            "by_python": records,
         }
         with open(baseline_path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"call counts recorded in {baseline_path} (Python {version})")
         return 0
-    if record.get("python") != version:
+    if version not in records:
         print(
-            f"calls recorded on Python {record.get('python')}, this is "
-            f"{version}: not comparable"
+            f"calls recorded on Python {', '.join(sorted(records))}, this "
+            f"is {version}: not comparable"
         )
         return 0
-    recorded = record["slices"]
+    recorded = records[version]
     failures = {
         name: ["recorded, but did not run"]
         for name in recorded if name not in fresh

@@ -7,46 +7,26 @@ random access budgets per tRFC, SPM reservation with the driver's lazy
 upper-bound tracking, Compress_Request_Queue back-pressure, and
 ``CPU_Fallback`` when resources are exhausted.
 
-Pipeline per offload (Fig. 10):
-
-1. *arrival* — the backend reserves SPM (driver upper bound) and a CRQ
-   slot; failure of either is a CPU fallback.
-2. *read* — the input is fetched during a refresh window. Compression
-   reads are *slot-flexible*: cold candidates vastly outnumber the access
-   budget (30% of memory is cold in Google's fleet, §3.1), so the
-   controller always has candidates whose rows are refreshing right now —
-   conditional by construction. Decompression (prefetch) reads target the
-   *fixed* rows where the blobs live: they are served conditionally when
-   their refresh slot comes up, or by the budgeted random slots
-   (1 per tRFC) when the scheduler has leftover budget — this is why the
-   random-access rate scales with the promotion rate (Fig. 12).
-3. *engine* — (de)compression runs between windows (engine throughput far
-   exceeds the side channel's bandwidth, §8).
-4. *writeback* — compressed blobs are placement-flexible and coalesce into
-   4 KiB groups written into whatever rows are refreshing; decompressed
-   pages go to freshly allocated frames, also placement-flexible.
-5. *release* — SPM bytes return on writeback completion.
+The pipeline itself (Fig. 10) is one rank's
+:class:`~repro.core.refresh_channel.XfmDevice`; the emulator generates
+its arrivals and feeds it the refresh windows as they fire.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro._units import SECONDS_PER_MINUTE
-from repro.core.refresh_channel import AccessKind, WindowScheduler
+from repro.core.refresh_channel import XfmDevice
 from repro.dram.device import DDR5_32GB, PAGE_SIZE, DramDeviceConfig, timings_for_device
 from repro.dram.energy import AccessEnergyModel
 from repro.dram.refresh import RefreshScheduler, make_refresh_policy
 from repro.dram.timing import DramTimings
 from repro.errors import ConfigError
 from repro.sim import CLOCK as _sim_clock, EventScheduler
-from repro.telemetry import reasons, trace as _trace
-from repro.validation.hooks import checkpoint, validation_enabled
 
 
 @dataclass(frozen=True)
@@ -185,15 +165,9 @@ class XfmEmulator:
                 config.refresh_policy, self.device, self.timings
             ),
         )
-        self.scheduler = self._new_scheduler()
         self.energy_model = AccessEnergyModel()
-
-    def _new_scheduler(self) -> WindowScheduler:
-        return WindowScheduler(
-            refresh=self.refresh,
-            accesses_per_ref=self.config.accesses_per_ref,
-            random_per_ref=self.config.random_per_ref,
-        )
+        #: The last run's device (None before the first run).
+        self.xfm_device: Optional[XfmDevice] = None
 
     def _spawn_rngs(self) -> tuple:
         """Independent child streams derived from ``cfg.seed`` via
@@ -279,219 +253,45 @@ class XfmEmulator:
         if isinstance(decomp_arrivals, np.ndarray):
             decomp_arrivals = _arrival_counts(decomp_arrivals)
         num_refs = len(comp_arrivals)
-        rows = self.device.rows_per_bank
-
-        spm_capacity = cfg.spm_bytes
-        spm_used = 0
-        spm_peak = 0
-        crq_used = 0
-
-        # An op is ``(op_id, is_compress, arrival_ref)`` and holds one
-        # page of SPM (its input or output page) from admission to
-        # writeback. It rides its read request as the request's owner; a
-        # writeback's owner is the list of ops it completes.
-        next_op = 1
-        #: compress ops whose blobs await writeback grouping.
-        flex_buffer: Deque[tuple] = deque()
-        flex_buffer_bytes = 0
-
-        total_ops = 0
-        fallbacks = 0
-        fallbacks_spm = 0
-        fallbacks_queue = 0
-        completed = 0
-        conditional = 0
-        random_count = 0
-        moved_bytes = 0
-        energy = 0.0
-        energy_all_random = 0.0
-        energy_all_conditional = 0.0
-        latency_refs_sum = 0.0
-        latency_samples = array("q")
-
-        blob = cfg.blob_bytes
-        group_limit = PAGE_SIZE
-        crq_depth = cfg.crq_depth
-        pressure_threshold = cfg.pressure_threshold
-        trace_on = _trace.tracing_enabled()
-        # A fresh scheduler per run: the requests an earlier run left
-        # queued carry that run's ops, not this one's.
-        scheduler = self.scheduler = self._new_scheduler()
-        submit = scheduler.submit
-        drain_window = scheduler.drain_window
-        READ, WRITE = AccessKind.READ, AccessKind.WRITE
         per_trefi = self.refresh.policy.windows_per_trefi
-        banked = per_trefi > 1
-        num_banks = per_trefi
-        nma_access_j = self.energy_model.nma_page_access_j
-        #: nbytes -> (random, conditional) access energy; a run moves a
-        #: handful of distinct sizes (page, blob, blob groups).
-        access_energy: Dict[int, tuple] = {}
+        # A fresh device per run: the requests an earlier run left
+        # queued carry that run's ops, not this one's.
+        device = self.xfm_device = XfmDevice(
+            self.refresh,
+            cfg.accesses_per_ref,
+            cfg.random_per_ref,
+            cfg.spm_bytes,
+            cfg.crq_depth,
+            cfg.blob_bytes,
+            cfg.pressure_threshold,
+            self.energy_model.nma_page_access_j,
+            rng,
+        )
+        process_window = device.process_window
 
-        def inject_arrivals(ref: int) -> None:
-            """Admit this tREFI interval's offload arrivals (SPM + CRQ
-            admission control; either failing is a CPU fallback)."""
-            nonlocal total_ops, fallbacks, fallbacks_spm, fallbacks_queue
-            nonlocal spm_used, spm_peak, crq_used, next_op
-            for is_compress, count in (
-                (True, comp_arrivals[ref]),
-                (False, decomp_arrivals[ref]),
-            ):
-                for _ in range(count):
-                    total_ops += 1
-                    if spm_used + PAGE_SIZE > spm_capacity:
-                        fallbacks += 1
-                        fallbacks_spm += 1
-                        if trace_on:
-                            _trace.fallback(
-                                reasons.SPM_FULL,
-                                "compress" if is_compress else "decompress",
-                                ref=ref,
-                            )
-                        continue
-                    if crq_used >= crq_depth:
-                        fallbacks += 1
-                        fallbacks_queue += 1
-                        if trace_on:
-                            _trace.fallback(
-                                reasons.QUEUE_FULL,
-                                "compress" if is_compress else "decompress",
-                                ref=ref,
-                            )
-                        continue
-                    spm_used += PAGE_SIZE
-                    if spm_used > spm_peak:
-                        spm_peak = spm_used
-                    crq_used += 1
-                    op = (next_op, is_compress, ref)
-                    next_op += 1
-                    if is_compress:
-                        # Cold candidates are abundant: the controller picks
-                        # one whose row is refreshing -> slot-flexible.
-                        request = submit(READ, None, ref, PAGE_SIZE, None, op)
-                    else:
-                        # The blob's location is fixed.
-                        row = int(rng.integers(0, rows))
-                        # Per-bank windows serve fixed rows only in the
-                        # refreshing bank, so the blob's bank matters;
-                        # the extra draw happens only under a banked
-                        # policy (the all-bank RNG stream is untouched).
-                        bank = (
-                            int(rng.integers(0, num_banks)) if banked else None
-                        )
-                        request = submit(READ, row, ref, blob, bank, op)
-                    if trace_on:
-                        _trace.instant(
-                            "offload_enqueue",
-                            _trace.TRACK_NMA,
-                            args={
-                                "op_id": op[0],
-                                "kind": "compress"
-                                if is_compress
-                                else "decompress",
-                                "request_id": request.request_id,
-                            },
-                        )
-
-        last_bin = -1
-
-        def process_window(window) -> Optional[int]:
-            """One refresh window fired by the event core: admit the new
-            tREFI bin's arrivals (first window of the bin), drain the
-            window, coalesce writebacks, checkpoint invariants — the
-            exact sequence the legacy per-REF loop ran inline. Returns
-            the next window index this run needs (None = the next one)."""
-            nonlocal last_bin, spm_used, crq_used, flex_buffer_bytes
-            nonlocal completed, conditional, random_count, moved_bytes
-            nonlocal energy, energy_all_random, energy_all_conditional
-            nonlocal latency_refs_sum
-            ref = window.ref_index // per_trefi
-            if ref != last_bin:
-                last_bin = ref
-                inject_arrivals(ref)
-            # -- drain one refresh window ----------------------------------
-            pressure = spm_used / spm_capacity >= pressure_threshold
-            for request in drain_window(window, pressure):
-                nbytes = request.nbytes
-                moved_bytes += nbytes
-                joules = access_energy.get(nbytes)
-                if joules is None:
-                    joules = access_energy[nbytes] = (
-                        nma_access_j(nbytes, conditional=False),
-                        nma_access_j(nbytes, conditional=True),
-                    )
-                random_j, conditional_j = joules
-                energy_all_random += random_j
-                energy_all_conditional += conditional_j
-                if request.conditional:
-                    energy += conditional_j
-                    conditional += 1
-                else:
-                    energy += random_j
-                    random_count += 1
-
-                if request.kind is READ:
-                    # Read done -> engine (fast, §8) -> schedule writeback
-                    # at the next window.
-                    op = request.owner
-                    crq_used -= 1
-                    if op[1]:
-                        flex_buffer.append(op)
-                        flex_buffer_bytes += blob
-                    else:
-                        # The promoted page lands in a freshly allocated
-                        # frame: placement-flexible writeback.
-                        submit(WRITE, None, ref, PAGE_SIZE, None, [op])
-                    continue
-                for op_id, is_compress, arrival_ref in request.owner:
-                    spm_used -= PAGE_SIZE
-                    completed += 1
-                    latency = ref - arrival_ref
-                    latency_refs_sum += latency
-                    latency_samples.append(latency)
-                    if trace_on:
-                        _trace.instant(
-                            "offload_complete",
-                            _trace.TRACK_NMA,
-                            args={
-                                "op_id": op_id,
-                                "kind": "compress"
-                                if is_compress
-                                else "decompress",
-                                "latency_refs": latency,
-                            },
-                        )
-
-            # -- coalesce compressed blobs into flexible writebacks ---------
-            while flex_buffer_bytes >= group_limit or (
-                flex_buffer and pressure
-            ):
-                group: List[tuple] = []
-                group_bytes = 0
-                while flex_buffer and group_bytes + blob <= group_limit:
-                    group.append(flex_buffer.popleft())
-                    group_bytes += blob
-                if not group:
-                    break
-                flex_buffer_bytes -= group_bytes
-                submit(WRITE, None, ref, group_bytes, None, group)
-
-            if validation_enabled():
-                checkpoint(scheduler)
-                self._check_window_state(
-                    spm_used=spm_used,
-                    crq_used=crq_used,
-                    flex_buffer=flex_buffer,
-                    flex_buffer_bytes=flex_buffer_bytes,
-                    ref=ref,
+        def on_window(window) -> Optional[int]:
+            """One refresh window fired by the event core: the device
+            serves it, with the tREFI bin's arrivals on the bin's first
+            window. Every bin is entered at its first window: the stream
+            moves one window on, or jumps to the first window of the bin
+            named below. Returns the next window index this run needs
+            (None = the next one)."""
+            index = window.ref_index
+            ref = index // per_trefi
+            if index == ref * per_trefi:
+                pending = process_window(
+                    window, ref, comp_arrivals[ref], decomp_arrivals[ref]
                 )
+            else:
+                pending = process_window(window, ref)
 
             # -- next-event time advance -----------------------------------
             # With nothing queued, no window before the next arrival can
             # change state: arrivals enter only on a bin's first window,
             # SPM occupancy (hence ``pressure``) only rises there, and
-            # the coalesce loop above has already run to its fixed point.
-            if scheduler.pending_count:
+            # the device's coalesce loop has already run to its fixed
+            # point.
+            if pending:
                 return None
             ref += 1
             while ref < num_refs and not (
@@ -509,13 +309,16 @@ class XfmEmulator:
         horizon_ns = num_refs * self.timings.trefi_ns
         with _sim_clock.scoped(start_ns=0.0):
             events = EventScheduler(clock=_sim_clock)
-            self.refresh.schedule_windows(events, horizon_ns, process_window)
+            self.refresh.schedule_windows(events, horizon_ns, on_window)
             events.run()
 
         # Flush: remaining in-flight ops are neither fallbacks nor
         # completions; exclude them from latency statistics.
+        latency_samples = device.latency_refs
+        completed = len(latency_samples)
+        fallbacks = device.fallbacks_spm + device.fallbacks_queue
         mean_latency_ms = (
-            latency_refs_sum * (self.timings.trefi_ns / 1e6) / completed
+            sum(latency_samples) * (self.timings.trefi_ns / 1e6) / completed
             if completed
             else 0.0
         )
@@ -530,76 +333,22 @@ class XfmEmulator:
                 percentiles[percentile] = float(value * refs_to_ms)
         return EmulatorReport(
             config=cfg,
-            total_ops=total_ops,
+            total_ops=device.admitted + fallbacks,
             fallback_ops=fallbacks,
             completed_ops=completed,
-            conditional_accesses=conditional,
-            random_accesses=random_count,
-            spm_peak_bytes=spm_peak,
-            nma_bytes_moved=moved_bytes,
+            conditional_accesses=device.conditional,
+            random_accesses=device.random_accesses,
+            spm_peak_bytes=device.spm_peak,
+            nma_bytes_moved=device.moved_bytes,
             sim_time_s=num_refs * (self.timings.trefi_ns / 1e9),
-            nma_energy_j=energy,
-            all_conditional_energy_j=energy_all_conditional,
-            all_random_energy_j=energy_all_random,
+            nma_energy_j=device.energy_j,
+            all_conditional_energy_j=device.all_conditional_energy_j,
+            all_random_energy_j=device.all_random_energy_j,
             mean_latency_ms=mean_latency_ms,
             latency_percentiles_ms=percentiles,
-            fallback_spm_full=fallbacks_spm,
-            fallback_queue_full=fallbacks_queue,
+            fallback_spm_full=device.fallbacks_spm,
+            fallback_queue_full=device.fallbacks_queue,
         )
-
-    def _check_window_state(
-        self,
-        spm_used: int,
-        crq_used: int,
-        flex_buffer,
-        flex_buffer_bytes: int,
-        ref: int,
-    ) -> None:
-        """Per-window resource-accounting invariants (validation mode).
-
-        The SPM/CRQ counters are the emulator's whole resource model —
-        a drift here silently shifts every fallback curve in Fig. 12.
-        They are recounted from where the ops actually are: a queued
-        read (which also holds the op's CRQ slot), the flex buffer, or
-        a queued writeback group.
-        """
-        from repro.validation.invariants import InvariantViolation
-
-        cfg = self.config
-        if not 0 <= spm_used <= cfg.spm_bytes:
-            raise InvariantViolation(
-                f"emulator: SPM occupancy {spm_used} outside "
-                f"[0, {cfg.spm_bytes}] at REF {ref}"
-            )
-        if not 0 <= crq_used <= cfg.crq_depth:
-            raise InvariantViolation(
-                f"emulator: CRQ occupancy {crq_used} outside "
-                f"[0, {cfg.crq_depth}] at REF {ref}"
-            )
-        if flex_buffer_bytes != len(flex_buffer) * cfg.blob_bytes:
-            raise InvariantViolation(
-                f"emulator: flex buffer accounts {flex_buffer_bytes} bytes "
-                f"for {len(flex_buffer)} blobs of {cfg.blob_bytes} at "
-                f"REF {ref}"
-            )
-        reads = writing = 0
-        for request in self.scheduler.queued():
-            if request.kind is AccessKind.READ:
-                reads += 1
-            else:
-                writing += len(request.owner)
-        if reads != crq_used:
-            raise InvariantViolation(
-                f"emulator: {reads} reads queued but CRQ counter says "
-                f"{crq_used} at REF {ref}"
-            )
-        in_flight = reads + len(flex_buffer) + writing
-        if in_flight * PAGE_SIZE != spm_used:
-            raise InvariantViolation(
-                f"emulator: {in_flight} ops in flight reserve "
-                f"{in_flight * PAGE_SIZE} bytes but SPM counter says "
-                f"{spm_used} at REF {ref}"
-            )
 
 
 def fallback_sweep(

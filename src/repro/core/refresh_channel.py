@@ -16,24 +16,34 @@ execution record: :meth:`WindowScheduler.drain_window` marks it
 (``conditional``, ``served_ref``) and returns it, and the submitter's
 ``owner`` payload rides along, so no per-access record or side table
 is built.
+
+:class:`XfmDevice` is one rank's offload pipeline served through those
+windows; the emulator (:mod:`repro.core.emulator`) drives it.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
+from repro.dram.device import PAGE_SIZE
 from repro.dram.refresh import RefreshScheduler, RefreshWindow
 from repro.errors import ConfigError
-from repro.telemetry import trace as _trace
+from repro.telemetry import reasons, trace as _trace
+from repro.validation.hooks import checkpoint
 
 
 class AccessKind(enum.Enum):
     READ = "read"
     WRITE = "write"
+
+
+# Module-level aliases: an enum member lookup on the class costs ~0.1 us.
+READ, WRITE = AccessKind.READ, AccessKind.WRITE
 
 
 class AccessRequest:
@@ -288,3 +298,253 @@ class WindowScheduler:
         yield from self._flexible
         for bucket in self._slot_buckets.values():
             yield from bucket
+
+
+@dataclass
+class XfmDevice:
+    """One rank's offload pipeline as a refresh-window server.
+
+    Pipeline per offload (Fig. 10):
+
+    1. *arrival* — the backend reserves SPM (driver upper bound) and a
+       CRQ slot; failure of either is a CPU fallback.
+    2. *read* — the input is fetched during a refresh window. Compression
+       reads are *slot-flexible*: cold candidates vastly outnumber the
+       access budget (30% of memory is cold in Google's fleet, §3.1), so
+       the controller always has candidates whose rows are refreshing
+       right now — conditional by construction. Decompression (prefetch)
+       reads target the *fixed* rows where the blobs live: they are
+       served conditionally when their refresh slot comes up, or by the
+       budgeted random slots (1 per tRFC) when the scheduler has leftover
+       budget — this is why the random-access rate scales with the
+       promotion rate (Fig. 12).
+    3. *engine* — (de)compression runs between windows (engine throughput
+       far exceeds the side channel's bandwidth, §8).
+    4. *writeback* — compressed blobs are placement-flexible and coalesce
+       into 4 KiB groups written into whatever rows are refreshing;
+       decompressed pages go to freshly allocated frames, also
+       placement-flexible.
+    5. *release* — SPM bytes return on writeback completion.
+
+    An op is ``(op_id, is_compress, arrival_ref)`` and holds one page of
+    SPM (its input or output page) from admission to writeback. It rides
+    its read request as the request's owner; a writeback's owner is the
+    list of ops it completes. The device neither schedules events nor
+    moves the clock: its driver calls :meth:`process_window` for each
+    window it fires and reads the counters below when it is done.
+    """
+
+    refresh: RefreshScheduler
+    accesses_per_ref: int
+    random_per_ref: int
+    spm_bytes: int
+    crq_depth: int
+    blob_bytes: int
+    #: SPM occupancy above which randoms fire eagerly.
+    pressure_threshold: float
+    #: ``(nbytes, conditional=...) -> joules`` of one NMA access.
+    access_energy_j: Callable[..., float]
+    #: Draws a fixed-row decompression's row (and, under a banked
+    #: policy, its bank): anything with numpy's ``integers``.
+    rng: Any
+
+    scheduler: WindowScheduler = field(init=False)
+    trace_on: bool = field(init=False)
+    spm_used: int = field(default=0, init=False)
+    spm_peak: int = field(default=0, init=False)
+    crq_used: int = field(default=0, init=False)
+    #: Ops admitted so far; the last admitted op's id.
+    admitted: int = field(default=0, init=False)
+    fallbacks_spm: int = field(default=0, init=False)
+    fallbacks_queue: int = field(default=0, init=False)
+    #: compress ops whose blobs await writeback grouping.
+    flex_buffer: Deque[tuple] = field(default_factory=deque, init=False)
+    flex_buffer_bytes: int = field(default=0, init=False)
+    conditional: int = field(default=0, init=False)
+    random_accesses: int = field(default=0, init=False)
+    moved_bytes: int = field(default=0, init=False)
+    energy_j: float = field(default=0.0, init=False)
+    all_random_energy_j: float = field(default=0.0, init=False)
+    all_conditional_energy_j: float = field(default=0.0, init=False)
+    #: Completion latency of each completed op, in REFs.
+    latency_refs: array = field(default_factory=lambda: array("q"), init=False)
+    #: nbytes -> (random, conditional) access energy; a run moves a
+    #: handful of distinct sizes (page, blob, blob groups).
+    _access_energy: Dict[int, tuple] = field(default_factory=dict, init=False)
+
+    def __post_init__(self) -> None:
+        self.scheduler = WindowScheduler(
+            self.refresh, self.accesses_per_ref, self.random_per_ref
+        )
+        self.trace_on = _trace.tracing_enabled()
+
+    def process_window(
+        self,
+        window: RefreshWindow,
+        ref: int,
+        compressions: int = 0,
+        decompressions: int = 0,
+    ) -> int:
+        """One refresh window of tREFI interval ``ref``: admit the
+        arrivals that came with it, drain the window, coalesce
+        writebacks, checkpoint invariants. Returns the number of
+        accesses still queued."""
+        scheduler = self.scheduler
+        submit = scheduler.submit
+        trace_on = self.trace_on
+        blob = self.blob_bytes
+        spm_capacity = self.spm_bytes
+        spm_used = self.spm_used
+        crq_used = self.crq_used
+        # -- admission: SPM + CRQ; either failing is a CPU fallback ------
+        if compressions or decompressions:
+            crq_depth = self.crq_depth
+            spm_peak = self.spm_peak
+            admitted = self.admitted
+            rng = self.rng
+            rows = self.refresh.device.rows_per_bank
+            num_banks = self.refresh.policy.windows_per_trefi
+            banked = num_banks > 1
+            for is_compress, count in (
+                (True, compressions),
+                (False, decompressions),
+            ):
+                for _ in range(count):
+                    if spm_used + PAGE_SIZE > spm_capacity:
+                        self.fallbacks_spm += 1
+                        if trace_on:
+                            _trace.fallback(
+                                reasons.SPM_FULL,
+                                "compress" if is_compress else "decompress",
+                                ref=ref,
+                            )
+                        continue
+                    if crq_used >= crq_depth:
+                        self.fallbacks_queue += 1
+                        if trace_on:
+                            _trace.fallback(
+                                reasons.QUEUE_FULL,
+                                "compress" if is_compress else "decompress",
+                                ref=ref,
+                            )
+                        continue
+                    spm_used += PAGE_SIZE
+                    if spm_used > spm_peak:
+                        spm_peak = spm_used
+                    crq_used += 1
+                    admitted += 1
+                    op = (admitted, is_compress, ref)
+                    if is_compress:
+                        # Cold candidates are abundant: the controller picks
+                        # one whose row is refreshing -> slot-flexible.
+                        request = submit(READ, None, ref, PAGE_SIZE, None, op)
+                    else:
+                        # The blob's location is fixed.
+                        row = int(rng.integers(0, rows))
+                        # Per-bank windows serve fixed rows only in the
+                        # refreshing bank, so the blob's bank matters;
+                        # the extra draw happens only under a banked
+                        # policy (the all-bank RNG stream is untouched).
+                        bank = (
+                            int(rng.integers(0, num_banks)) if banked else None
+                        )
+                        request = submit(READ, row, ref, blob, bank, op)
+                    if trace_on:
+                        _trace.instant(
+                            "offload_enqueue",
+                            _trace.TRACK_NMA,
+                            args={
+                                "op_id": op[0],
+                                "kind": "compress"
+                                if is_compress
+                                else "decompress",
+                                "request_id": request.request_id,
+                            },
+                        )
+            self.spm_peak = spm_peak
+            self.admitted = admitted
+
+        # -- drain one refresh window --------------------------------------
+        pressure = spm_used / spm_capacity >= self.pressure_threshold
+        flex_buffer = self.flex_buffer
+        flex_buffer_bytes = self.flex_buffer_bytes
+        latency_refs = self.latency_refs
+        access_energy = self._access_energy
+        conditional = self.conditional
+        random_count = self.random_accesses
+        moved_bytes = self.moved_bytes
+        energy = self.energy_j
+        energy_all_random = self.all_random_energy_j
+        energy_all_conditional = self.all_conditional_energy_j
+        for request in scheduler.drain_window(window, pressure):
+            nbytes = request.nbytes
+            moved_bytes += nbytes
+            joules = access_energy.get(nbytes)
+            if joules is None:
+                nma_access_j = self.access_energy_j
+                joules = access_energy[nbytes] = (
+                    nma_access_j(nbytes, conditional=False),
+                    nma_access_j(nbytes, conditional=True),
+                )
+            random_j, conditional_j = joules
+            energy_all_random += random_j
+            energy_all_conditional += conditional_j
+            if request.conditional:
+                energy += conditional_j
+                conditional += 1
+            else:
+                energy += random_j
+                random_count += 1
+
+            if request.kind is READ:
+                # Read done -> engine (fast, §8) -> schedule writeback
+                # at the next window.
+                op = request.owner
+                crq_used -= 1
+                if op[1]:
+                    flex_buffer.append(op)
+                    flex_buffer_bytes += blob
+                else:
+                    # The promoted page lands in a freshly allocated
+                    # frame: placement-flexible writeback.
+                    submit(WRITE, None, ref, PAGE_SIZE, None, [op])
+                continue
+            for op_id, is_compress, arrival_ref in request.owner:
+                spm_used -= PAGE_SIZE
+                latency = ref - arrival_ref
+                latency_refs.append(latency)
+                if trace_on:
+                    _trace.instant(
+                        "offload_complete",
+                        _trace.TRACK_NMA,
+                        args={
+                            "op_id": op_id,
+                            "kind": "compress"
+                            if is_compress
+                            else "decompress",
+                            "latency_refs": latency,
+                        },
+                    )
+        self.conditional = conditional
+        self.random_accesses = random_count
+        self.moved_bytes = moved_bytes
+        self.energy_j = energy
+        self.all_random_energy_j = energy_all_random
+        self.all_conditional_energy_j = energy_all_conditional
+
+        # -- coalesce compressed blobs into flexible writebacks -------------
+        while flex_buffer_bytes >= PAGE_SIZE or (flex_buffer and pressure):
+            group: List[tuple] = []
+            group_bytes = 0
+            while flex_buffer and group_bytes + blob <= PAGE_SIZE:
+                group.append(flex_buffer.popleft())
+                group_bytes += blob
+            if not group:
+                break
+            flex_buffer_bytes -= group_bytes
+            submit(WRITE, None, ref, group_bytes, None, group)
+        self.flex_buffer_bytes = flex_buffer_bytes
+        self.spm_used = spm_used
+        self.crq_used = crq_used
+        checkpoint(self)
+        return scheduler.pending_count

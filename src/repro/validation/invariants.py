@@ -19,6 +19,9 @@ Each checker takes one live object and raises :class:`InvariantViolation`
 * :func:`check_window_scheduler` — no served request is still queued,
   every queued fixed-row request has an age-heap entry, the pending
   counter matches the queued requests, budgets within configured bounds;
+* :func:`check_xfm_device` — SPM and CRQ occupancy within capacity and
+  equal to a recount from the queued requests and the flex buffer, whose
+  byte count matches its blobs;
 * :func:`check_xfm_module` — after each window the rank must look
   untouched to the host and the command trace must be time-ordered;
 * :func:`check_tier_pipeline` — the pipeline's placement map, per-tier
@@ -34,10 +37,11 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.core.nma import NearMemoryAccelerator
-from repro.core.refresh_channel import WindowScheduler
+from repro.core.refresh_channel import AccessKind, WindowScheduler, XfmDevice
 from repro.core.registers import RegisterFile, Registers
 from repro.core.spm import ScratchpadMemory, SpmTag
 from repro.core.xfm_module import XfmModule
+from repro.dram.device import PAGE_SIZE
 from repro.errors import ReproError
 from repro.sfm.backend import SfmBackend
 from repro.sfm.zpool import Zpool
@@ -309,6 +313,51 @@ def check_window_scheduler(scheduler: WindowScheduler) -> None:
     )
 
 
+def check_xfm_device(device: XfmDevice) -> None:
+    """Per-window resource accounting of one rank's offload pipeline.
+
+    The SPM/CRQ counters are the device's whole resource model — a
+    drift here silently shifts every fallback curve in Fig. 12. They are
+    recounted from where the ops actually are: a queued read (which also
+    holds the op's CRQ slot), the flex buffer, or a queued writeback
+    group.
+    """
+    check_window_scheduler(device.scheduler)
+    spm_used, crq_used = device.spm_used, device.crq_used
+    _require(
+        0 <= spm_used <= device.spm_bytes,
+        f"xfm_device: SPM occupancy {spm_used} outside "
+        f"[0, {device.spm_bytes}]",
+    )
+    _require(
+        0 <= crq_used <= device.crq_depth,
+        f"xfm_device: CRQ occupancy {crq_used} outside "
+        f"[0, {device.crq_depth}]",
+    )
+    flex_buffer = device.flex_buffer
+    _require(
+        device.flex_buffer_bytes == len(flex_buffer) * device.blob_bytes,
+        f"xfm_device: flex buffer accounts {device.flex_buffer_bytes} "
+        f"bytes for {len(flex_buffer)} blobs of {device.blob_bytes}",
+    )
+    reads = writing = 0
+    for request in device.scheduler.queued():
+        if request.kind is AccessKind.READ:
+            reads += 1
+        else:
+            writing += len(request.owner)
+    _require(
+        reads == crq_used,
+        f"xfm_device: {reads} reads queued but CRQ counter says {crq_used}",
+    )
+    in_flight = reads + len(flex_buffer) + writing
+    _require(
+        in_flight * PAGE_SIZE == spm_used,
+        f"xfm_device: {in_flight} ops in flight reserve "
+        f"{in_flight * PAGE_SIZE} bytes but SPM counter says {spm_used}",
+    )
+
+
 # -- protocol-checked module -------------------------------------------------
 
 
@@ -377,5 +426,6 @@ hooks.register_checker(ScratchpadMemory, check_spm)
 hooks.register_checker(NearMemoryAccelerator, check_nma)
 hooks.register_checker(RegisterFile, check_register_file)
 hooks.register_checker(WindowScheduler, check_window_scheduler)
+hooks.register_checker(XfmDevice, check_xfm_device)
 hooks.register_checker(XfmModule, check_xfm_module)
 hooks.register_checker(TierPipeline, check_tier_pipeline)

@@ -11,7 +11,7 @@ precise diff on disagreement:
 
 * **emulator vs xfm_module** — the optimistic refresh-window engine
   (:class:`~repro.core.refresh_channel.WindowScheduler` driven exactly
-  the way :class:`~repro.core.emulator.XfmEmulator` drives it) and the
+  the way :class:`~repro.core.refresh_channel.XfmDevice` drives it) and the
   FSM-protocol-checked :class:`~repro.core.xfm_module.XfmModule` replay
   the *same* offload batch; they must service the same requests in the
   same windows with the same conditional/random split, and the module
@@ -151,7 +151,7 @@ def replay_batch_optimistic(
 ) -> ReplayResult:
     """The emulator's engine: a bare :class:`WindowScheduler` over a
     :class:`RefreshScheduler`, no bank state machines — exactly the
-    optimistic path :meth:`XfmEmulator._simulate` drives."""
+    optimistic path :meth:`XfmDevice.process_window` drives."""
     timings = timings if timings is not None else timings_for_device(device)
     scheduler = WindowScheduler(
         refresh=RefreshScheduler(device, timings),

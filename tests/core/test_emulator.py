@@ -109,7 +109,7 @@ class TestAccounting:
         emulator = XfmEmulator(EmulatorConfig(sim_time_s=0.02, seed=7))
         with run_context(validation=True):
             first = emulator.run()
-            assert emulator.scheduler.pending_count
+            assert emulator.xfm_device.scheduler.pending_count
             assert emulator.run() == first
 
     def test_bandwidth_positive(self):

@@ -25,8 +25,14 @@ CEILINGS = {
     "repro.fleet.harness": 64,
     "repro.tiering.pipeline": 50,
 }
-#: Entry modules of the tier and fleet stacks; none of them needs numpy.
-NUMPY_FREE = ("repro", "repro.fleet.harness", "repro.tiering.pipeline")
+#: Entry modules of the tier and fleet stacks, and the module of the
+#: ``XfmDevice`` a tier can offload through; none of them needs numpy.
+NUMPY_FREE = (
+    "repro",
+    "repro.core.refresh_channel",
+    "repro.fleet.harness",
+    "repro.tiering.pipeline",
+)
 
 
 def _loaded(module: str, then: str = ""):
