@@ -262,7 +262,7 @@ class XfmBackend(SfmBackend):
                 return self._fallback_compress(page, exc)
             if segment is None:
                 self.stats.rejected += 1
-                return SwapOutcome(accepted=False, reason="incompressible")
+                return SwapOutcome(False, "incompressible")
             requests.append(request)
             segments.append(segment)
         blob = self.layout.pack(segments)
@@ -270,7 +270,7 @@ class XfmBackend(SfmBackend):
             handle = self.zpool.store(blob)
         except ZpoolFullError:
             self.stats.rejected += 1
-            return SwapOutcome(accepted=False, reason="pool-full")
+            return SwapOutcome(False, "pool-full")
         self.traffic.nma_write_bytes += len(blob)
         self.stats.offloaded_compressions += 1
         if len(segments) > 1:
@@ -292,7 +292,7 @@ class XfmBackend(SfmBackend):
                     },
                 )
             self._lat_store.observe(dur_ns)
-        return SwapOutcome(accepted=True, compressed_len=len(blob))
+        return SwapOutcome(True, "ok", len(blob))
 
     # -- swap-in: CPU by default, offload for prefetch ------------------------
 

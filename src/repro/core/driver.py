@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.nma import NearMemoryAccelerator, OffloadRequest
-from repro.core.registers import Registers
+from repro.core.registers import SP_CAPACITY, Registers
 from repro.errors import (
     ConfigError,
     DeviceFault,
@@ -114,10 +114,10 @@ class XfmDriver:
         than letting a garbage capacity steer placement.
         """
         capacity = self.nma.spm.capacity_bytes
-        free = self._mmio_read(Registers.SP_CAPACITY)
+        free = self._mmio_read(SP_CAPACITY)
         if not 0 <= free <= capacity:
             self.stats.corrupt_register_reads += 1
-            free = self._mmio_read(Registers.SP_CAPACITY)
+            free = self._mmio_read(SP_CAPACITY)
             if not 0 <= free <= capacity:
                 self.stats.device_faults += 1
                 raise DeviceFault(

@@ -27,8 +27,14 @@ from typing import Deque, Optional
 
 from repro.compression.base import Codec
 from repro.compression.deflate import DeflateCodec
-from repro.core.registers import RegisterFile, Registers
-from repro.core.spm import ScratchpadMemory, SpmEntry, SpmTag
+from repro.core.registers import (
+    CRQ_FREE,
+    CRQ_HEAD,
+    SP_CAPACITY,
+    STATUS,
+    RegisterFile,
+)
+from repro.core.spm import PENDING, ScratchpadMemory, SpmEntry
 from repro.errors import ConfigError, DeviceFault, QueueFullError
 from repro.resilience import faults as _faults
 from repro.sfm.digest_cache import DigestPageCache
@@ -205,14 +211,14 @@ class NearMemoryAccelerator:
     # -- register mirror -----------------------------------------------------------
 
     def _sync_registers(self) -> None:
-        self.registers.device_set(Registers.SP_CAPACITY, self.spm.free_bytes)
-        self.registers.device_set(Registers.CRQ_FREE, self.queue_free_slots())
-        self.registers.device_set(Registers.CRQ_HEAD, self._next_id - len(self._queue) - 1)
+        self.registers.device_set(SP_CAPACITY, self.spm.free_bytes)
+        self.registers.device_set(CRQ_FREE, self.queue_free_slots())
+        self.registers.device_set(CRQ_HEAD, self._next_id - len(self._queue) - 1)
         status = 0x1  # idle: no SPM entry is PENDING
         for entry in self.spm.entries():
-            if entry.tag is SpmTag.PENDING:
+            if entry.tag is PENDING:
                 status &= ~0x1
             else:
                 status |= 0x2  # a COMPLETED entry awaits writeback
-        self.registers.device_set(Registers.STATUS, status)
+        self.registers.device_set(STATUS, status)
         checkpoint(self)

@@ -39,6 +39,14 @@ class Registers(enum.IntEnum):
     STATUS = 0x38
 
 
+# Module-level aliases of the registers the device mirrors on every
+# queue and SPM change (an enum-class attribute lookup costs ~10x a
+# global read).
+SP_CAPACITY, CRQ_HEAD, CRQ_FREE, STATUS = (
+    Registers.SP_CAPACITY, Registers.CRQ_HEAD, Registers.CRQ_FREE,
+    Registers.STATUS,
+)
+
 _READ_ONLY = {
     Registers.SP_CAPACITY,
     Registers.CRQ_HEAD,

@@ -26,6 +26,11 @@ class SpmTag(enum.Enum):
     COMPLETED = "completed"
 
 
+# Module-level aliases: every offload tags its entries, and an
+# enum-class attribute lookup costs ~10x a global read.
+PENDING, COMPLETED = SpmTag.PENDING, SpmTag.COMPLETED
+
+
 @dataclass
 class SpmEntry:
     """One staged operation's buffer reservation."""
@@ -90,7 +95,7 @@ class ScratchpadMemory:
         entry = SpmEntry(
             entry_id=self._next_id,
             nbytes=nbytes,
-            tag=SpmTag.PENDING,
+            tag=PENDING,
             writeback_row=writeback_row,
             payload=payload,
         )
@@ -111,7 +116,7 @@ class ScratchpadMemory:
         """Mark an entry COMPLETED, optionally resizing to the output size
         (a compressed blob is smaller than the input page)."""
         entry = self._get(entry_id)
-        if entry.tag is SpmTag.COMPLETED:
+        if entry.tag is COMPLETED:
             raise ConfigError(f"entry {entry_id} already completed")
         if output_bytes is not None:
             if output_bytes <= 0:
@@ -121,7 +126,7 @@ class ScratchpadMemory:
             self.peak_used = max(self.peak_used, self._used)
         if payload is not None:
             entry.payload = payload
-        entry.tag = SpmTag.COMPLETED
+        entry.tag = COMPLETED
         checkpoint(self)
         return entry
 

@@ -119,7 +119,7 @@ class DfmBackend:
             raise SfmError(f"page 0x{page.vaddr:x} has no resident data")
         if self.stored_pages() >= self.capacity_pages:
             self.stats.rejected += 1
-            return SwapOutcome(accepted=False, reason="pool-full")
+            return SwapOutcome(False, "pool-full")
         try:
             self._link_transfer("store")
         except DeviceFault:
@@ -127,14 +127,14 @@ class DfmBackend:
             # resident — report a rejection so a pipeline can route the
             # store to another tier instead of crashing.
             self.stats.rejected += 1
-            return SwapOutcome(accepted=False, reason="link-error")
+            return SwapOutcome(False, "link-error")
         self._pool[page.vaddr] = page.data
         page.swapped = True
         page.data = None
         self.stats.swap_outs += 1
         self.stats.bytes_out_uncompressed += PAGE_SIZE
         self.stats.bytes_out_compressed += PAGE_SIZE  # ratio 1.0
-        return SwapOutcome(accepted=True, compressed_len=PAGE_SIZE)
+        return SwapOutcome(True, "ok", PAGE_SIZE)
 
     def swap_in(self, page: Page) -> bytes:
         """Fetch a page back over the link.

@@ -44,6 +44,13 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
+# Module-level aliases: every tier operation tests the state, and an
+# enum-class attribute lookup costs ~10x a global read.
+CLOSED, OPEN, HALF_OPEN = (
+    BreakerState.CLOSED, BreakerState.OPEN, BreakerState.HALF_OPEN
+)
+
+
 @dataclass(frozen=True)
 class BreakerConfig:
     """Tuning knobs; defaults sized for the 3-tier chaos workload."""
@@ -98,7 +105,7 @@ class CircuitBreaker:
         self.config = config or BreakerConfig()
         self.on_transition = on_transition
         self.on_probe = on_probe
-        self.state = BreakerState.CLOSED
+        self.state = CLOSED
         self.consecutive_failures = 0
         self.probe_successes = 0
         #: Lifetime HALF_OPEN probe outcomes (never reset on transition,
@@ -110,9 +117,9 @@ class CircuitBreaker:
         self._outcomes: Deque[bool] = deque(maxlen=self.config.window)
         #: state-name -> number of entries into that state.
         self.transitions: Dict[str, int] = {
-            BreakerState.OPEN.value: 0,
-            BreakerState.HALF_OPEN.value: 0,
-            BreakerState.CLOSED.value: 0,
+            OPEN.value: 0,
+            HALF_OPEN.value: 0,
+            CLOSED.value: 0,
         }
 
     # -- queries -----------------------------------------------------------
@@ -132,15 +139,15 @@ class CircuitBreaker:
         checked instead. Either way, once the cool-down elapses the
         breaker goes HALF_OPEN and that call is admitted as a probe.
         """
-        if self.state is BreakerState.OPEN:
+        if self.state is OPEN:
             if self.config.cooldown_ns is not None:
                 if _sim_clock.now_ns() >= self._cooldown_until_ns:
-                    self._transition(BreakerState.HALF_OPEN)
+                    self._transition(HALF_OPEN)
                     return True
                 return False
             self._cooldown_remaining -= 1
             if self._cooldown_remaining <= 0:
-                self._transition(BreakerState.HALF_OPEN)
+                self._transition(HALF_OPEN)
                 return True
             return False
         return True
@@ -148,25 +155,25 @@ class CircuitBreaker:
     def record_success(self) -> None:
         self._outcomes.append(True)
         self.consecutive_failures = 0
-        if self.state is BreakerState.HALF_OPEN:
+        if self.state is HALF_OPEN:
             self.probe_successes += 1
             self.probe_successes_total += 1
             if self.on_probe is not None:
                 self.on_probe(self, True)
             if self.probe_successes >= self.config.probes_to_close:
-                self._transition(BreakerState.CLOSED)
+                self._transition(CLOSED)
 
     def record_failure(self) -> None:
         self._outcomes.append(False)
         self.consecutive_failures += 1
-        if self.state is BreakerState.HALF_OPEN:
+        if self.state is HALF_OPEN:
             self.probe_failures_total += 1
             if self.on_probe is not None:
                 self.on_probe(self, False)
-            self._transition(BreakerState.OPEN)
+            self._transition(OPEN)
             return
-        if self.state is BreakerState.CLOSED and self._should_trip():
-            self._transition(BreakerState.OPEN)
+        if self.state is CLOSED and self._should_trip():
+            self._transition(OPEN)
 
     def _should_trip(self) -> bool:
         if self.consecutive_failures >= self.config.failure_threshold:
@@ -183,14 +190,14 @@ class CircuitBreaker:
             return
         self.state = new
         self.transitions[new.value] += 1
-        if new is BreakerState.OPEN:
+        if new is OPEN:
             self._cooldown_remaining = self.config.cooldown_ops
             if self.config.cooldown_ns is not None:
                 self._cooldown_until_ns = (
                     _sim_clock.now_ns() + self.config.cooldown_ns
                 )
             self.probe_successes = 0
-        elif new is BreakerState.HALF_OPEN:
+        elif new is HALF_OPEN:
             self.probe_successes = 0
         else:  # CLOSED
             self.consecutive_failures = 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import base64
 import gzip
+import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.errors import ConfigError, TraceFormatError, TraceVersionError
-from repro.resilience.integrity import page_digest
 from repro.sfm.page import PAGE_SIZE
 
 #: Newest trace format this build reads and the version it writes.
@@ -56,8 +56,13 @@ ORIGIN_UPWARD = "upward"
 
 
 def digest_hex(data: bytes) -> str:
-    """Content digest used throughout the trace format (blake2b-128)."""
-    return page_digest(data).hex()
+    """Content digest used throughout the trace format (blake2b-128).
+
+    Part of the on-disk format, so deliberately its own hash: the
+    in-memory integrity digests (:mod:`repro.resilience.integrity`) may
+    change without moving a shipped trace's page keys or fingerprint.
+    """
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -334,8 +339,6 @@ def trace_fingerprint(trace: ScenarioTrace) -> str:
     """Digest over the logical content (header fields, events, page
     digests) — stable across serializations, used by CI's record ->
     replay -> compare step."""
-    import hashlib
-
     h = hashlib.blake2b(digest_size=16)
     h.update(
         _dumps(

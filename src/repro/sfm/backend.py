@@ -65,6 +65,9 @@ class SfmBackend:
         self.codec = codec if codec is not None else ZstdLikeCodec()
         self.cpu_freq_hz = cpu_freq_hz
         self.zpool = Zpool(capacity_bytes)
+        #: The pool's capacity, fixed for life: a plain field, read by
+        #: every demotion-pressure test.
+        self.capacity_bytes = self.zpool.capacity_bytes
         #: vaddr -> the stored page's one record: its pool handle and the
         #: digests checked on every swap-in, so a corrupted blob is
         #: detected before (and after) decompression instead of
@@ -98,23 +101,18 @@ class SfmBackend:
 
     # -- capacity ------------------------------------------------------------
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.zpool.capacity_bytes
-
     def stored_pages(self) -> int:
         return len(self.index)
 
     def used_bytes(self) -> int:
         """Pool footprint: slabs consumed times slab size."""
-        return self.zpool.used_slabs() * self.zpool.slab_size
+        return self.zpool.footprint_bytes
 
     def effective_bytes_freed(self) -> int:
         """Resident bytes released minus pool footprint consumed — the
         memory SFM actually wins back."""
         resident_released = self.stored_pages() * PAGE_SIZE
-        footprint = self.zpool.used_slabs() * self.zpool.slab_size
-        return resident_released - footprint
+        return resident_released - self.zpool.footprint_bytes
 
     def contains(self, vaddr: int) -> bool:
         return vaddr in self.index
@@ -178,16 +176,12 @@ class SfmBackend:
 
         if blob_len > max_blob_len:
             self.stats.rejected += 1
-            return SwapOutcome(
-                accepted=False, reason="incompressible", cpu_cycles=cycles
-            )
+            return SwapOutcome(False, "incompressible", 0, cycles)
         try:
             handle = self.zpool.store(blob)
         except ZpoolFullError:
             self.stats.rejected += 1
-            return SwapOutcome(
-                accepted=False, reason="pool-full", cpu_cycles=cycles
-            )
+            return SwapOutcome(False, "pool-full", 0, cycles)
         self.traffic.channel_write_bytes += blob_len
         if blob_digest is None:
             # Only a stored blob is hashed, and only once per cached entry.
@@ -195,9 +189,7 @@ class SfmBackend:
             if page_cache is not None:
                 page_cache.put(digest, (blob_len, blob, blob_digest))
         self._commit(page, handle, blob, digest, blob_digest)
-        return SwapOutcome(
-            accepted=True, compressed_len=blob_len, cpu_cycles=cycles
-        )
+        return SwapOutcome(True, "ok", blob_len, cycles)
 
     def _compress(self, data: bytes) -> bytes:
         return self.codec.compress(data)
@@ -220,11 +212,7 @@ class SfmBackend:
         swap-out; the tail of every accepted store path. ``digest`` is
         the page's :func:`page_digest`, ``blob_digest`` the blob's
         :func:`content_digest`."""
-        self.index[page.vaddr] = BlobRecord(
-            handle=handle,
-            blob_digest=blob_digest,
-            page_digest=digest,
-        )
+        self.index[page.vaddr] = BlobRecord(handle, blob_digest, digest)
         page.swapped = True
         page.data = None
         self.stats.swap_outs += 1

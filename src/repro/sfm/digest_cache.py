@@ -15,7 +15,7 @@ needs.
 Content addressing makes invalidation free: a mutated page hashes to a
 different key and simply misses, so no store/invalidate bookkeeping can
 ever serve stale bytes. The only failure mode is a digest collision;
-with a 128-bit unkeyed BLAKE2b digest this is negligible for accidental
+with a 128-bit SHA-256 prefix this is negligible for accidental
 duplicates (the same trade-off content-addressed storage systems make).
 The key is the page's integrity digest,
 :func:`repro.resilience.integrity.page_digest`.
@@ -32,9 +32,12 @@ from typing import Any, Optional
 
 from repro.errors import ConfigError
 
-#: Cycles/byte charged for hashing a page on the hit path (BLAKE2b runs
-#: ~2 cycles/byte on a server core; the miss path's hash cost is noise
-#: against the compressor and is folded into its cycles/byte figure).
+#: Cycles/byte charged for hashing a page on the hit path: the page
+#: digest is SHA-256, which a server core's SHA extensions run at ~2
+#: cycles/byte. It models that hardware hash, not the host's, and is
+#: deliberately unchanged from when the digest was BLAKE2b.
+#: The miss path's hash cost is noise against the compressor and is
+#: folded into its cycles/byte figure.
 DIGEST_CYCLES_PER_BYTE = 2.0
 
 

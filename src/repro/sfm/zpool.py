@@ -21,12 +21,16 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, EntryNotFoundError, ZpoolFullError
 from repro.resilience import faults as _faults
 from repro.sfm.page import PAGE_SIZE
 from repro.validation.hooks import checkpoint
+
+
+_gap_length = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ class _Slab:
             if tail:
                 gaps.insert(index + 1, (end, tail))
         if gap_length == self.largest_gap:
-            self.largest_gap = max((gap for _, gap in gaps), default=0)
+            self.largest_gap = max(map(_gap_length, gaps), default=0)
 
     def remove(self, handle: int) -> None:
         """Forget an object, merging its bytes into the gaps beside it."""
@@ -134,6 +138,7 @@ class Zpool:
             )
         self.slab_size = slab_size
         self.max_slabs = capacity_bytes // slab_size
+        self.capacity_bytes = self.max_slabs * slab_size
         self._slabs: List[Optional[_Slab]] = []
         #: Max-tree over slab slots: leaf ``leaves + i`` holds slot i's
         #: ``largest_gap`` (-1 for a released or unused slot), node ``n``
@@ -144,9 +149,10 @@ class Zpool:
         self._released: List[int] = []
         self._locator: Dict[int, Tuple[int, int, int]] = {}
         self._next_handle = 1
-        #: Live slabs and payload bytes, maintained where slabs and
-        #: entries come and go (both are read on every swap).
-        self._used_slabs = 0
+        #: Live slabs times ``slab_size``, and payload bytes, maintained
+        #: where slabs and entries come and go (both are read on every
+        #: swap, the footprint by every demotion-pressure test).
+        self.footprint_bytes = 0
         self._stored_bytes = 0
         self.compaction_memcpy_bytes = 0
         self.compactions = 0
@@ -155,12 +161,8 @@ class Zpool:
 
     # -- capacity accounting ---------------------------------------------------
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.max_slabs * self.slab_size
-
     def used_slabs(self) -> int:
-        return self._used_slabs
+        return self.footprint_bytes // self.slab_size
 
     def stored_bytes(self) -> int:
         """Total payload bytes currently stored."""
@@ -169,7 +171,7 @@ class Zpool:
     def fragmentation(self) -> float:
         """Fraction of slab footprint that is neither payload nor a usable
         whole free slab — the space compaction can win back."""
-        footprint = self.used_slabs() * self.slab_size
+        footprint = self.footprint_bytes
         if not footprint:
             return 0.0
         return 1.0 - self.stored_bytes() / footprint
@@ -238,11 +240,11 @@ class Zpool:
         if self._released:
             index = heapq.heappop(self._released)
             self._slabs[index] = _Slab(self.slab_size)
-            self._used_slabs += 1
+            self.footprint_bytes += self.slab_size
             return index, 0
         if len(self._slabs) < self.max_slabs:
             self._slabs.append(_Slab(self.slab_size))
-            self._used_slabs += 1
+            self.footprint_bytes += self.slab_size
             if len(self._slabs) > len(self._tree) >> 1:
                 self._reindex()
             return len(self._slabs) - 1, 0
@@ -251,16 +253,17 @@ class Zpool:
     def _set_leaf(self, index: int, largest_gap: int) -> None:
         tree = self._tree
         node = (len(tree) >> 1) + index
-        tree[node] = largest_gap
-        node >>= 1
-        while node:
-            left = tree[2 * node]
-            right = tree[2 * node + 1]
-            value = left if left > right else right
+        tree[node] = value = largest_gap
+        while node > 1:
+            # ``value`` is ``tree[node]``: the parent is its larger
+            # sibling, and an unchanged parent leaves every ancestor.
+            sibling = tree[node ^ 1]
+            if sibling > value:
+                value = sibling
+            node >>= 1
             if tree[node] == value:
                 break
             tree[node] = value
-            node >>= 1
 
     def _reindex(self) -> None:
         """Rebuild the max-tree from the slabs, sized to hold every slot."""
@@ -318,7 +321,7 @@ class Zpool:
 
     def _release_slab(self, index: int) -> None:
         self._slabs[index] = None
-        self._used_slabs -= 1
+        self.footprint_bytes -= self.slab_size
         heapq.heappush(self._released, index)
         self._set_leaf(index, -1)
 

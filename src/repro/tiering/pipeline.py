@@ -457,9 +457,7 @@ class TierPipeline:
                     # Treat an outright-unreachable tier as a failing
                     # reject and keep falling through.
                     self._record_tier_error(index)
-                    tier_outcome = SwapOutcome(
-                        accepted=False, reason="device-fault"
-                    )
+                    tier_outcome = SwapOutcome(False, "device-fault")
                 if tier_outcome.accepted:
                     self.breakers[index].record_success()
                     self._where[page.vaddr] = index
@@ -477,8 +475,7 @@ class TierPipeline:
             if trace_on:
                 self._store_instant(index, refusal, page)
         return (
-            SwapOutcome(accepted=False, reason="all-tiers-rejected",
-                        cpu_cycles=cpu_cycles),
+            SwapOutcome(False, "all-tiers-rejected", 0, cpu_cycles),
             -1,
         )
 

@@ -64,6 +64,8 @@ class LruDemotion(DemotionPolicy):
             raise ConfigError("watermark_fraction must be in (0, 1]")
 
     def should_demote(self, tier) -> bool:
+        # One read per tier: every backend's ``used_bytes()`` returns a
+        # maintained footprint and its ``capacity_bytes`` is a field.
         return tier.used_bytes() > self.watermark_fraction * tier.capacity_bytes
 
 

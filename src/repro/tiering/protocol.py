@@ -16,8 +16,7 @@ type; every backend and caller imports it from :mod:`repro.tiering`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, NamedTuple, Protocol, runtime_checkable
 
 from repro.sfm.page import PAGE_SIZE, Page
 
@@ -25,8 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sfm.metrics import SwapStats, TrafficStats
 
 
-@dataclass(frozen=True)
-class SwapOutcome:
+class SwapOutcome(NamedTuple):
     """Result of one swap-out attempt.
 
     Rejections (``accepted=False``) are control-plane signals, not

@@ -1,5 +1,5 @@
 """Hygiene lints: typed errors in device layers, one clock for the stack,
-one property-test engine, one way out of a tier.
+one property-test engine, one way out of a tier, one integrity digest.
 
 Error hygiene: the resilience layer's recovery logic dispatches on the
 :mod:`repro.errors` hierarchy (``DeviceFault`` retries, ``SfmError``
@@ -33,6 +33,10 @@ Pipeline hygiene: in ``tiering/pipeline.py`` a tier's ``swap_in`` or
 ``promote`` is called only from ``TierPipeline._take``, and a tier's
 ``swap_latency_s`` only from the op timer ``_timed``, so error
 accounting and the lazy modelled-latency query each live in one place.
+
+Digest hygiene: :mod:`hashlib` is called only at the sites
+``HASH_SITES`` names, so the tier path's page and blob digests stay the
+two functions of ``resilience/integrity.py``.
 """
 
 import ast
@@ -456,3 +460,96 @@ def test_every_fault_site_is_fired_somewhere():
         "fault sites in ALL_SITES with no fire() call in a def that "
         "src/repro calls: " + ", ".join(unfired)
     )
+
+
+# -- one integrity digest ------------------------------------------------------
+
+#: Every ``def`` in ``src/repro`` that calls a :mod:`hashlib` hash, and
+#: why. The tier path's integrity digests are the two functions of
+#: ``resilience/integrity.py``; a second hash on that path would hash
+#: each page twice. The other sites are not integrity digests.
+HASH_SITES = {
+    "resilience/integrity.py:page_digest": "integrity digest (SHA-256/128)",
+    "resilience/integrity.py:content_digest": "integrity digest (SHA-256/64)",
+    "scenarios/format.py:digest_hex": "on-disk trace page key (BLAKE2b-128)",
+    "scenarios/format.py:trace_fingerprint": "on-disk trace fingerprint",
+    "resilience/faults.py:_site_seed": "fault-site seeding",
+    "resilience/faults.py:_event_salt": "fault-site seeding",
+    "fleet/frontend.py:rendezvous_score": "fleet routing",
+    "fleet/frontend.py:FleetFrontend.route": "fleet routing",
+    "compression/_native.py:load": "native-kernel cache key",
+    "compression/deflate.py:StaticTableSet.__init__": "static table id",
+    "validation/generators.py:case_seed": "fuzz case seeding",
+}
+
+
+def _hash_call_sites(tree):
+    """Qualified name of the ``def`` around each call of a hashlib
+    constructor, whether reached as ``hashlib.<name>`` (under any alias)
+    or imported by name from :mod:`hashlib`."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "hashlib")
+        elif isinstance(node, ast.ImportFrom) and node.module == "hashlib":
+            names.update(alias.asname or alias.name for alias in node.names)
+
+    def is_hash(call):
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id in names
+        return (isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id in modules)
+
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and is_hash(child):
+                sites.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, [])
+    return sites
+
+
+@functools.lru_cache(maxsize=1)
+def _hash_sites():
+    found = {}
+    for path in _all_src_files():
+        rel = path.relative_to(SRC).as_posix()
+        for scope in _hash_call_sites(ast.parse(path.read_text("utf-8"))):
+            found[f"{rel}:{scope}"] = found.get(f"{rel}:{scope}", 0) + 1
+    return found
+
+
+def test_hashes_are_called_only_at_named_sites():
+    """``hashlib.blake2b``/``hashlib.sha256`` (or any hashlib hash) run
+    only where :data:`HASH_SITES` names a reason."""
+    unnamed = sorted(set(_hash_sites()) - set(HASH_SITES))
+    assert not unnamed, (
+        "hashlib called outside HASH_SITES (the tier path hashes through "
+        "repro.resilience.integrity):\n" + "\n".join(unnamed)
+    )
+
+
+def test_hash_sites_are_tight():
+    """Every named site still hashes: a stale entry would leave room
+    for a second digest."""
+    stale = sorted(set(HASH_SITES) - set(_hash_sites()))
+    assert not stale, f"HASH_SITES entries that no longer hash: {stale}"
+
+
+def test_hash_lint_sees_every_spelling():
+    tree = ast.parse(
+        "import hashlib as h\nfrom hashlib import sha256\n"
+        "class C:\n    def f(self):\n        return h.blake2b(b'')\n"
+        "def g():\n    return sha256(b'')\n"
+    )
+    assert _hash_call_sites(tree) == ["C.f", "g"]
