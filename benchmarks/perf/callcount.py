@@ -6,7 +6,17 @@ prints one JSON object: the slice's op count, its Python calls
 (``call`` events of a ``sys.setprofile`` hook, generator resumptions
 included) attributed to the callee's file, its C calls (``c_call``)
 attributed to the caller's, both in total and per top-level ``repro``
-package (``other`` for everything outside it). The slice is set up from
+package (``other`` for everything outside it). Only what raises a
+profiler event counts: a call to a builtin function
+(``hashlib.sha256(...)``, ``len``, ``heapq.heappush``) is a C call, but
+a call to a type (``hashlib.blake2b(...)``, ``int(...)``, a
+``NamedTuple`` or a dataclass) and a slot wrapper such as
+``object.__setattr__`` are counted nowhere. What a type call runs
+inside counts on its own terms: a ``NamedTuple``'s generated
+``__new__`` is one Python call and its ``tuple.__new__`` one C call
+(under ``other``), while a frozen dataclass's field stores count
+nothing. So swapping one kind for the other can move the C count
+while the work falls. The slice is set up from
 ``benchmarks/e2e/workloads.py``, which is imported as is, and only its
 ``run`` is counted. ``run_perf.py guard calls`` runs each slice through
 this script in a fresh interpreter, so one-time costs (imports, the

@@ -34,7 +34,7 @@ from repro.errors import (
     SpmFullError,
     ZpoolFullError,
 )
-from repro.resilience.integrity import content_digest, page_digest
+from repro.resilience.integrity import content_digest
 from repro.resilience.retry import retry_with_backoff
 from repro.sfm.backend import SfmBackend
 from repro.sfm.page import PAGE_SIZE, Page
@@ -249,7 +249,7 @@ class XfmBackend(SfmBackend):
             raise SfmError(f"page 0x{page.vaddr:x} has no resident data")
         # One page hash per store: the NMA memo key and the record's
         # page digest.
-        digest = page_digest(page.data)
+        digest = self._store_digest(page.data)
         row = self._row_of(page.vaddr)
         stripes = self.layout.split(page.data)
         requests, segments = [], []

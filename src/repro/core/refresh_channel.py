@@ -130,6 +130,8 @@ class WindowScheduler:
     _flexible: Deque[AccessRequest] = field(default_factory=deque, init=False)
     _next_id: int = field(default=1, init=False)
     pending_count: int = field(default=0, init=False)
+    #: Per-window access budget under the refresh policy, fixed for life.
+    _window_budget: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.accesses_per_ref < 1:
@@ -138,6 +140,8 @@ class WindowScheduler:
             raise ConfigError(
                 "random_per_ref must be within [0, accesses_per_ref]"
             )
+        policy = self.refresh.policy
+        self._window_budget = policy.access_budget(self.accesses_per_ref)
 
     # -- enqueue -----------------------------------------------------------
 
@@ -188,7 +192,7 @@ class WindowScheduler:
         policy-scaled share.
         """
         ref_index = window.ref_index
-        budget = self.refresh.policy.access_budget(self.accesses_per_ref)
+        budget = self._window_budget
         random_budget = min(self.random_per_ref, budget)
         served: List[AccessRequest] = []
 

@@ -100,9 +100,10 @@ class RefreshScheduler:
     def ref_slot_for_row(self, row: int) -> int:
         """Which REF slot (0..8191 within a retention cycle) refreshes
         ``row``."""
-        if not 0 <= row < self.device.rows_per_bank:
+        policy = self.policy
+        if not 0 <= row < policy.rows_per_bank:
             raise ConfigError(f"row {row} out of range")
-        return row // self.rows_per_ref
+        return row // policy.rows_per_ref
 
     def next_ref_for_row(self, row: int, current_ref: int) -> int:
         """First REF index >= ``current_ref`` whose window covers ``row``."""
@@ -229,11 +230,12 @@ class RefreshScheduler:
         event and build no window, but still count towards the return
         value and still emit their ``ref_window`` span, in index order.
         An index at or beyond the horizon ends the stream. Windows
-        chain lazily (each event schedules exactly one successor, at the
-        index the consumer answered), so the heap stays O(1) regardless
-        of horizon length. A consumer that models work runs it inside
-        ``CLOCK.scoped()``: the successor is scheduled at the window's
-        own tick, after the consumer returns.
+        chain lazily: each event returns its one successor's tick (the
+        index the consumer answered) to the drain loop, which runs it
+        at once when nothing else is due first, so the heap stays O(1)
+        regardless of horizon length. A consumer that models work runs
+        it inside ``CLOCK.scoped()``: the successor is taken from the
+        window's own tick, after the consumer returns.
         """
         policy = self.policy
         end_index = policy.first_index_at_or_after_ticks(ns_to_ticks(until_ns))
@@ -241,11 +243,10 @@ class RefreshScheduler:
             return 0
         start_ticks = policy.start_ticks
         window_of = policy.window
-        schedule = events.schedule_at_ticks
         tracing_enabled = _trace.tracing_enabled
         index = start_index
 
-        def fire() -> None:
+        def fire() -> Optional[int]:
             nonlocal index
             window = window_of(index)
             if tracing_enabled():
@@ -260,10 +261,9 @@ class RefreshScheduler:
                     for skipped in range(index, wanted):
                         self.trace_window(skipped, channel)
                 index = wanted
-            if index < end_index:
-                schedule(start_ticks(index), fire)
+            return start_ticks(index) if index < end_index else None
 
-        schedule(start_ticks(start_index), fire)
+        events.schedule_at_ticks(start_ticks(start_index), fire)
         return end_index - start_index
 
     # -- aggregate refresh math ----------------------------------------------

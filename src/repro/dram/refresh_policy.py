@@ -118,11 +118,12 @@ class RefreshPolicy:
         #: from this by integer multiplication, never float accumulation.
         self.trefi_ticks = ns_to_ticks(timings.trefi_ns)
         #: Windows per tREFI interval and the length of each. Plain
-        #: attributes, like the two below: :meth:`window` runs once per
-        #: fired window and reads all of them.
+        #: attributes, like the three below: :meth:`window` runs once per
+        #: fired window, ``ref_slot_for_row`` once per fixed-row access.
         self.windows_per_trefi = windows_per_trefi
         self.duration_ns = duration_ns
         self.rows_per_ref = device.rows_refreshed_per_trfc
+        self.rows_per_bank = device.rows_per_bank
         self.refs_per_retention = REF_COMMANDS_PER_RETENTION
 
     # -- subclass API --------------------------------------------------------

@@ -12,7 +12,7 @@ swap-in) — overheads O2/O3 of §3.2 that XFM later removes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compression.base import Codec
 from repro.compression.zstd_like import ZstdLikeCodec
@@ -98,6 +98,8 @@ class SfmBackend:
         self.page_cache: Optional[DigestPageCache] = (
             DigestPageCache(page_cache_entries) if page_cache_entries else None
         )
+        #: (page, digest) of the last verified swap-in: equal re-stores reuse it.
+        self._verified: Tuple[Optional[bytes], bytes] = (None, b"")
 
     # -- capacity ------------------------------------------------------------
 
@@ -134,7 +136,7 @@ class SfmBackend:
             raise SfmError(f"page 0x{page.vaddr:x} has no resident data")
 
         # One hash per store: the cache key and the record's page digest.
-        digest = page_digest(page.data)
+        digest = self._store_digest(page.data)
         page_cache = self.page_cache
         cached = None if page_cache is None else page_cache.get(digest)
         max_blob_len = int(PAGE_SIZE * self.max_stored_fraction)
@@ -190,6 +192,12 @@ class SfmBackend:
                 page_cache.put(digest, (blob_len, blob, blob_digest))
         self._commit(page, handle, blob, digest, blob_digest)
         return SwapOutcome(True, "ok", blob_len, cycles)
+
+    def _store_digest(self, data: bytes) -> bytes:
+        last, digest = self._verified
+        if type(data) is bytes and (data is last or data == last):
+            return digest
+        return page_digest(data)
 
     def _compress(self, data: bytes) -> bytes:
         return self.codec.compress(data)
@@ -331,6 +339,8 @@ class SfmBackend:
                 f"page 0x{page.vaddr:x} decoded to different contents",
                 vaddr=page.vaddr,
             )
+        if type(data) is bytes:
+            self._verified = (data, record.page_digest)
         cycles = self.codec.spec.decompress_cycles_per_byte * PAGE_SIZE
         self.stats.cpu_decompress_cycles += cycles
         if _trace.tracing_enabled():

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.backend import XfmBackend
 from repro.core.nma import NearMemoryAccelerator, NmaConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CorruptedBlobError
 from repro.sfm.backend import SfmBackend
 from repro.resilience.integrity import (
     DIGEST_SIZE,
@@ -239,6 +239,87 @@ class TestCachedBlobDigest:
             len(pooled), pooled, record.blob_digest
         )
         assert backend.swap_in(page) == refused
+
+
+class TestVerifiedDigestReuse:
+    """A swap-in verifies its page's digest; re-storing equal bytes
+    reuses it instead of hashing the page again. Only equal ``bytes``
+    qualify, and the swap-in's checks all still run."""
+
+    @pytest.fixture
+    def store_hashes(self, monkeypatch):
+        import repro.sfm.backend as sfm_backend
+
+        hashed = []
+
+        def counting(data):
+            hashed.append(bytes(data))
+            return page_digest(data)
+
+        monkeypatch.setattr(sfm_backend, "page_digest", counting)
+        return hashed
+
+    @pytest.mark.parametrize("kind", ["cpu", "xfm"])
+    def test_fault_and_reuse_hashes_the_page_once(
+        self, kind, store_hashes, json_pages
+    ):
+        backend = (
+            SfmBackend(capacity_bytes=64 * PAGE_SIZE)
+            if kind == "cpu"
+            else XfmBackend(capacity_bytes=64 * PAGE_SIZE)
+        )
+        data = json_pages[0]
+        page = _page(0, data)
+        assert backend.swap_out(page).accepted
+        assert store_hashes == [data]
+        for _ in range(3):
+            assert backend.swap_in(page) == data
+            page.data = bytes(page.data)  # equal bytes, another object
+            assert backend.swap_out(page).accepted
+            assert backend.index[0].page_digest == page_digest(data)
+        assert store_hashes == [data]
+        assert backend.swap_in(page) == data
+
+    def test_other_bytes_are_hashed(self, backend, store_hashes, json_pages):
+        first, second = json_pages[:2]
+        page = _page(0, first)
+        backend.swap_out(page)
+        backend.swap_in(page)
+        other = _page(PAGE_SIZE, second)
+        assert backend.swap_out(other).accepted
+        assert backend.index[PAGE_SIZE].page_digest == page_digest(second)
+        assert store_hashes == [first, second]
+        assert backend.swap_in(other) == second
+
+    def test_an_equal_bytearray_is_hashed(
+        self, backend, store_hashes, json_pages
+    ):
+        data = json_pages[0]
+        page = _page(0, data)
+        backend.swap_out(page)
+        backend.swap_in(page)
+        page.data = bytearray(data)
+        assert backend.swap_out(page).accepted
+        assert store_hashes == [data, data]
+
+    def test_a_failed_verification_is_not_reused(
+        self, backend, store_hashes, json_pages
+    ):
+        first, second = json_pages[:2]
+        page = _page(0, first)
+        backend.swap_out(page)
+        backend.swap_in(page)
+        other = _page(PAGE_SIZE, second)
+        backend.swap_out(other)
+        # Corrupt the stored blob: the swap-in fails, and the digest it
+        # was checking against is not kept for the next store.
+        record = backend.index[PAGE_SIZE]
+        backend.index[PAGE_SIZE] = record._replace(page_digest=bytes(16))
+        with pytest.raises(CorruptedBlobError):
+            backend.swap_in(other)
+        backend.swap_out(_page(2 * PAGE_SIZE, second))
+        assert store_hashes == [first, second, second]
+        assert backend.index[2 * PAGE_SIZE].page_digest == page_digest(second)
 
 
 def _resident(backend, vaddr):
