@@ -269,21 +269,20 @@ class XfmEmulator:
         )
         process_window = device.process_window
 
-        def on_window(window) -> Optional[int]:
-            """One refresh window fired by the event core: the device
-            serves it, with the tREFI bin's arrivals on the bin's first
-            window. Every bin is entered at its first window: the stream
-            moves one window on, or jumps to the first window of the bin
-            named below. Returns the next window index this run needs
-            (None = the next one)."""
-            index = window.ref_index
+        def on_window(index: int) -> Optional[int]:
+            """Refresh window ``index``, fired by the event core: the
+            device serves it, with the tREFI bin's arrivals on the bin's
+            first window. Every bin is entered at its first window: the
+            stream moves one window on, or jumps to the first window of
+            the bin named below. Returns the next window index this run
+            needs (None = the next one)."""
             ref = index // per_trefi
             if index == ref * per_trefi:
                 pending = process_window(
-                    window, ref, comp_arrivals[ref], decomp_arrivals[ref]
+                    index, ref, comp_arrivals[ref], decomp_arrivals[ref]
                 )
             else:
-                pending = process_window(window, ref)
+                pending = process_window(index, ref)
 
             # -- next-event time advance -----------------------------------
             # With nothing queued, no window before the next arrival can
@@ -302,8 +301,8 @@ class XfmEmulator:
 
         # -- event loop: windows arrive as scheduled events --------------
         # The refresh policy publishes its window stream onto the shared
-        # discrete-event core; the NMA side consumes windows as they
-        # fire instead of deriving them arithmetically. The clock scope
+        # discrete-event core; the NMA side consumes window indices as
+        # they fire instead of iterating over windows. The clock scope
         # keeps the emulator's borrowed timeline from leaking into the
         # caller's (simulation runs are nestable like replays).
         horizon_ns = num_refs * self.timings.trefi_ns

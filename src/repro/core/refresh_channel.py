@@ -8,7 +8,9 @@ being refreshed (the row is open in its local row buffer anyway) and
 latches, budgeted by unused TRR slots — one per REF in the paper's
 methodology).
 
-:class:`WindowScheduler` keeps one deque per REF slot, so an all-bank
+:class:`WindowScheduler` takes a window as its index in the refresh
+stream and works its REF slot, refreshing bank and busy subarrays out
+from that index. It keeps one deque per REF slot, so an all-bank
 window pops each conditional match in O(1) from the front of its slot's
 deque, and serves randoms oldest-first from a lazily pruned age heap
 when budget remains. A served :class:`AccessRequest` is its own
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.dram.device import PAGE_SIZE
-from repro.dram.refresh import RefreshScheduler, RefreshWindow
+from repro.dram.refresh import RefreshScheduler
 from repro.errors import ConfigError
 from repro.telemetry import reasons, trace as _trace
 from repro.validation.hooks import checkpoint
@@ -132,6 +134,11 @@ class WindowScheduler:
     pending_count: int = field(default=0, init=False)
     #: Per-window access budget under the refresh policy, fixed for life.
     _window_budget: int = field(default=0, init=False)
+    #: (windows/tREFI, slots/retention, rows/REF, rows/subarray): the
+    #: policy constants a window index's geometry derives from.
+    _geometry: Tuple[int, int, int, int] = field(default=(), init=False)
+    #: Read once, like the refresh stream's.
+    _trace_on: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         if self.accesses_per_ref < 1:
@@ -142,6 +149,13 @@ class WindowScheduler:
             )
         policy = self.refresh.policy
         self._window_budget = policy.access_budget(self.accesses_per_ref)
+        self._geometry = (
+            policy.windows_per_trefi,
+            policy.refs_per_retention,
+            policy.rows_per_ref,
+            policy.device.rows_per_subarray,
+        )
+        self._trace_on = _trace.tracing_enabled()
 
     # -- enqueue -----------------------------------------------------------
 
@@ -177,10 +191,11 @@ class WindowScheduler:
     # -- drain -------------------------------------------------------------
 
     def drain_window(
-        self, window: RefreshWindow, pressure: bool = False
+        self, ref_index: int, pressure: bool = False
     ) -> List[AccessRequest]:
-        """Execute up to the window's access budget during ``window`` and
-        return the served requests in execution order.
+        """Execute up to the window's access budget during window
+        ``ref_index`` of the refresh policy and return the served
+        requests in execution order.
 
         Priority: (1) placement-flexible writebacks (conditional by
         construction), (2) row-matching conditional accesses — restricted
@@ -189,9 +204,13 @@ class WindowScheduler:
         ``pressure`` is set (SPM high-watermark), otherwise only past
         ``random_age_refs``. All-bank windows get the full
         ``accesses_per_ref`` budget; shorter per-bank windows get the
-        policy-scaled share.
+        policy-scaled share. The window's REF slot, refreshing bank and
+        busy subarrays are worked out from ``ref_index``; they equal
+        ``policy.window(ref_index)``'s ``slot``, ``bank`` and ``rows``.
         """
-        ref_index = window.ref_index
+        per_trefi, refs_per_retention, rows_per_ref, per_subarray = (
+            self._geometry
+        )
         budget = self._window_budget
         random_budget = min(self.random_per_ref, budget)
         served: List[AccessRequest] = []
@@ -207,14 +226,10 @@ class WindowScheduler:
             budget -= 1
 
         # (2) conditional matches for this window's slot (and bank).
-        slot = (
-            window.slot
-            if window.slot is not None
-            else ref_index % self.refresh.refs_per_retention
-        )
+        slot = (ref_index // per_trefi) % refs_per_retention
         bucket = self._slot_buckets.get(slot)
         if bucket:
-            if window.bank is None:
+            if per_trefi == 1:
                 while budget and bucket:
                     request = bucket.popleft()
                     request.served = True
@@ -225,10 +240,11 @@ class WindowScheduler:
             else:
                 # Per-bank window: only requests in the refreshing bank
                 # (or bank-agnostic ones) are conditional right now.
+                bank = ref_index % per_trefi
                 position = 0
                 while budget and position < len(bucket):
                     request = bucket[position]
-                    if request.bank not in (None, window.bank):
+                    if request.bank not in (None, bank):
                         position += 1
                         continue
                     del bucket[position]
@@ -240,7 +256,9 @@ class WindowScheduler:
             if not bucket:
                 del self._slot_buckets[slot]
 
-        # (3) randoms for the oldest requests, subarray conflicts avoided.
+        # (3) randoms for the oldest requests, subarray conflicts avoided:
+        # the window's rows are contiguous, so its busy subarrays run from
+        # its first row's to its last row's (rank-wide on per-bank too).
         age_heap = self._age_heap
         if not random_budget:
             # No random slot to pop served entries below: drop them off
@@ -256,8 +274,12 @@ class WindowScheduler:
             old_enough = ref_index - enqueued_ref >= self.random_age_refs
             if not (pressure or old_enough):
                 break
-            assert request.row is not None
-            if not self.refresh.random_allowed_in_window(request.row, window):
+            first_row = slot * rows_per_ref
+            if (
+                first_row // per_subarray
+                <= request.row // per_subarray
+                <= (first_row + rows_per_ref - 1) // per_subarray
+            ):
                 # Subarray conflict with a refreshing row: the reorder
                 # logic defers this request to the next window.
                 break
@@ -270,7 +292,7 @@ class WindowScheduler:
             random_budget -= 1
 
         self.pending_count -= len(served)
-        if served and _trace.tracing_enabled():
+        if served and self._trace_on:
             # Pure emission: the window placement decisions above are
             # unchanged whether or not a trace ring is attached.
             for request in served:
@@ -384,13 +406,13 @@ class XfmDevice:
 
     def process_window(
         self,
-        window: RefreshWindow,
+        index: int,
         ref: int,
         compressions: int = 0,
         decompressions: int = 0,
     ) -> int:
-        """One refresh window of tREFI interval ``ref``: admit the
-        arrivals that came with it, drain the window, coalesce
+        """Refresh window ``index``, of tREFI interval ``ref``: admit
+        the arrivals that came with it, drain the window, coalesce
         writebacks, checkpoint invariants. Returns the number of
         accesses still queued."""
         scheduler = self.scheduler
@@ -480,7 +502,7 @@ class XfmDevice:
         energy = self.energy_j
         energy_all_random = self.all_random_energy_j
         energy_all_conditional = self.all_conditional_energy_j
-        for request in scheduler.drain_window(window, pressure):
+        for request in scheduler.drain_window(index, pressure):
             nbytes = request.nbytes
             moved_bytes += nbytes
             joules = access_energy.get(nbytes)

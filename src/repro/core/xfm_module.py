@@ -96,7 +96,7 @@ class XfmModule:
             )
         )
         executed = self.scheduler.drain_window(
-            self.scheduler.refresh.window(self._ref_index), pressure=pressure
+            self._ref_index, pressure=pressure
         )
         elapsed = 0.0
         for request in executed:

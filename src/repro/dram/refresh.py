@@ -11,8 +11,9 @@ same work into staggered per-bank windows. :class:`RefreshScheduler`
 exposes the REF mapping both ways — which rows a given REF refreshes,
 and which REF will next refresh a given row — which is exactly what
 XFM's conditional-access scheduling needs, and it can publish its
-window stream as events on a :class:`repro.sim.EventScheduler` so
-consumers react to windows instead of deriving them arithmetically.
+window stream as events on a :class:`repro.sim.EventScheduler`, each
+handing its consumer the window's index, so consumers react to windows
+as they fire instead of iterating over them.
 
 Target Row Refresh (TRR) slots ride on each REF; when unused by
 Rowhammer mitigation they are available to XFM for *random* accesses
@@ -138,27 +139,6 @@ class RefreshScheduler:
         }
         return self.device.subarray_of_row(row) not in busy
 
-    def random_allowed_in_window(
-        self, row: int, window: RefreshWindow
-    ) -> bool:
-        """Window-scoped form of :meth:`random_access_allowed`: the busy
-        subarrays are exactly the window's refreshing rows (identical
-        for all-bank windows; per-bank windows only occupy one bank's
-        subarrays, but the conservative rank-wide rule is kept so the
-        reorder logic never depends on bank mapping). A window's rows
-        are contiguous, so its busy subarrays are the range from its
-        first row's subarray to its last row's."""
-        subarray = self.device.subarray_of_row(row)
-        rows = window.rows
-        if not rows:
-            return True
-        per_subarray = self.device.rows_per_subarray
-        return not (
-            rows.start // per_subarray
-            <= subarray
-            <= (rows.stop - 1) // per_subarray
-        )
-
     # -- stateful iteration --------------------------------------------------
 
     @property
@@ -169,24 +149,18 @@ class RefreshScheduler:
         """Advance to the next window and return it."""
         window = self.window(self._ref_count)
         self._ref_count += 1
-        self.trace_window(window.ref_index, window=window)
+        self.trace_window(window.ref_index)
         return window
 
-    def trace_window(
-        self,
-        ref_index: Optional[int] = None,
-        channel: int = 0,
-        window: Optional[RefreshWindow] = None,
-    ) -> None:
-        """Emit the per-window timeline span.
+    def trace_window(self, ref_index: int, channel: int = 0) -> None:
+        """Emit window ``ref_index``'s timeline span.
 
         No-op unless tracing is enabled; pure emission, never touches
         scheduler state (the validation oracles drive this class too).
         """
         if not _trace.tracing_enabled():
             return
-        if window is None:
-            window = self.window(ref_index)
+        window = self.window(ref_index)
         args = {
             "ref_index": window.ref_index,
             "row_start": window.rows.start,
@@ -198,9 +172,7 @@ class RefreshScheduler:
             "ref_window",
             _trace.refresh_track(channel),
             window.start_ns,
-            window.duration_ns
-            if window.duration_ns is not None
-            else self.timings.trfc_ns,
+            window.duration_ns,
             args=args,
         )
 
@@ -213,7 +185,7 @@ class RefreshScheduler:
         self,
         events: EventScheduler,
         until_ns: float,
-        on_window: Callable[[RefreshWindow], Optional[int]],
+        on_window: Callable[[int], Optional[int]],
         start_index: int = 0,
         channel: int = 0,
     ) -> int:
@@ -222,42 +194,43 @@ class RefreshScheduler:
 
         Next-event time advance (DESIGN.md §11): a window fires as a
         scheduled event at its exact tick start, traces itself, and
-        hands the :class:`RefreshWindow` to ``on_window``, whose return
-        value names the earliest window index the consumer needs next.
+        hands its index to ``on_window``, which asks ``policy.window``
+        for the geometry when it needs it; no :class:`RefreshWindow` is
+        built for a window the stream fires untraced. The consumer's
+        return value names the earliest window index it needs next.
         ``None`` (or any index not past this one) means the next
         window. A later index promises that the windows in between
         would change nothing the consumer can observe; they fire no
-        event and build no window, but still count towards the return
-        value and still emit their ``ref_window`` span, in index order.
-        An index at or beyond the horizon ends the stream. Windows
-        chain lazily: each event returns its one successor's tick (the
-        index the consumer answered) to the drain loop, which runs it
-        at once when nothing else is due first, so the heap stays O(1)
-        regardless of horizon length. A consumer that models work runs
-        it inside ``CLOCK.scoped()``: the successor is taken from the
-        window's own tick, after the consumer returns.
+        event, but still count towards the return value and still emit
+        their ``ref_window`` span, in index order. An index at or
+        beyond the horizon ends the stream. Windows chain lazily: each
+        event returns its one successor's tick (the index the consumer
+        answered) to the drain loop, which runs it at once when nothing
+        else is due first, so the heap stays O(1) regardless of horizon
+        length. A consumer that models work runs it inside
+        ``CLOCK.scoped()``: the successor is taken from the window's own
+        tick, after the consumer returns. Whether to trace is read once,
+        when the stream is scheduled.
         """
         policy = self.policy
         end_index = policy.first_index_at_or_after_ticks(ns_to_ticks(until_ns))
         if end_index <= start_index:
             return 0
         start_ticks = policy.start_ticks
-        window_of = policy.window
-        tracing_enabled = _trace.tracing_enabled
+        trace_on = _trace.tracing_enabled()
         index = start_index
 
         def fire() -> Optional[int]:
             nonlocal index
-            window = window_of(index)
-            if tracing_enabled():
-                self.trace_window(window=window, channel=channel)
-            wanted = on_window(window)
+            if trace_on:
+                self.trace_window(index, channel)
+            wanted = on_window(index)
             index += 1
             if wanted is not None and wanted > index:
                 # The consumer skips ahead: account the windows in
                 # between.
                 wanted = min(wanted, end_index)
-                if tracing_enabled():
+                if trace_on:
                     for skipped in range(index, wanted):
                         self.trace_window(skipped, channel)
                 index = wanted

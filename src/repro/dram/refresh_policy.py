@@ -71,8 +71,9 @@ class RefreshWindow(NamedTuple):
     ``bank`` is None for all-bank windows (the whole rank is locked) and
     the refreshing bank index for per-bank windows. ``slot`` is the REF
     slot within the retention cycle whose rows this window refreshes.
-    Immutable; a tuple rather than a frozen dataclass because one is
-    built for every window the refresh stream fires.
+    Built on request by :meth:`RefreshPolicy.window`: the refresh stream
+    hands its consumer the window index, and the consumers on its hot
+    path work the geometry out from that index.
     """
 
     ref_index: int
@@ -81,14 +82,14 @@ class RefreshWindow(NamedTuple):
     #: window.
     rows: range
     #: Exact integer-tick start (repro.sim ticks); ``start_ns`` is its
-    #: float rendering. None only for hand-built legacy windows.
-    start_ticks: Optional[int] = None
+    #: float rendering.
+    start_ticks: int
     #: Window length: tRFC (all-bank) or ~tRFCpb (per-bank).
-    duration_ns: Optional[float] = None
+    duration_ns: float
     #: Refreshing bank, or None when every bank refreshes (all-bank).
-    bank: Optional[int] = None
+    bank: Optional[int]
     #: REF slot (0..8191) within the retention cycle.
-    slot: Optional[int] = None
+    slot: int
 
 
 class RefreshPolicy:
@@ -118,8 +119,8 @@ class RefreshPolicy:
         #: from this by integer multiplication, never float accumulation.
         self.trefi_ticks = ns_to_ticks(timings.trefi_ns)
         #: Windows per tREFI interval and the length of each. Plain
-        #: attributes, like the three below: :meth:`window` runs once per
-        #: fired window, ``ref_slot_for_row`` once per fixed-row access.
+        #: attributes, like the three below: ``WindowScheduler`` reads
+        #: them once, ``ref_slot_for_row`` once per fixed-row access.
         self.windows_per_trefi = windows_per_trefi
         self.duration_ns = duration_ns
         self.rows_per_ref = device.rows_refreshed_per_trfc

@@ -147,9 +147,9 @@ def _zswap_workload(session: TelemetrySession) -> Dict[str, object]:
     # per-bank slice otherwise).
     last_bin = -1
 
-    def on_window(window) -> None:
+    def on_window(index: int) -> None:
         nonlocal last_bin
-        ref = refresh.policy.trefi_bin(window.ref_index)
+        ref = refresh.policy.trefi_bin(index)
         if ref != last_bin:
             last_bin = ref
             # The body's modelled costs borrow the window's timeline.

@@ -168,9 +168,7 @@ def replay_batch_optimistic(
                     ref,
                     nbytes=op.nbytes,
                 )
-        executed = scheduler.drain_window(
-            scheduler.refresh.window(ref), pressure=pressure
-        )
+        executed = scheduler.drain_window(ref, pressure=pressure)
         _record(result, executed, ref)
     return result
 

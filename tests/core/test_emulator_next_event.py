@@ -99,9 +99,9 @@ def _count_drains(monkeypatch):
     drained = []
     drain_window = WindowScheduler.drain_window
 
-    def counting(self, window, pressure=False):
-        drained.append(window.ref_index)
-        return drain_window(self, window, pressure=pressure)
+    def counting(self, ref_index, pressure=False):
+        drained.append(ref_index)
+        return drain_window(self, ref_index, pressure=pressure)
 
     monkeypatch.setattr(WindowScheduler, "drain_window", counting)
     return drained

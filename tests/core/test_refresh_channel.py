@@ -1,11 +1,17 @@
-"""Refresh-window scheduler tests: budgets, conditional matching, randoms."""
+"""Refresh-window scheduler tests: budgets, conditional matching,
+randoms, and the window geometry ``drain_window`` works out from a
+window index."""
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from repro.core.refresh_channel import AccessKind, WindowScheduler
-from repro.dram.device import DDR5_32GB, timings_for_device
-from repro.dram.refresh import RefreshScheduler
+from repro.dram.device import DDR5_32GB, ROWS_PER_SUBARRAY, timings_for_device
+from repro.dram.refresh import RefreshScheduler, make_refresh_policy
+from repro.dram.refresh_policy import REFRESH_POLICIES
 from repro.errors import ConfigError
+from tests.hypothesis_settings import fuzz_settings
 
 
 def _scheduler(accesses_per_ref=3, random_per_ref=1, random_age_refs=0):
@@ -20,9 +26,7 @@ def _scheduler(accesses_per_ref=3, random_per_ref=1, random_age_refs=0):
 
 def _drain(scheduler, ref_index, pressure=False):
     """Serve the ``ref_index``-th window of the scheduler's own policy."""
-    return scheduler.drain_window(
-        scheduler.refresh.window(ref_index), pressure=pressure
-    )
+    return scheduler.drain_window(ref_index, pressure=pressure)
 
 
 def _row_for_slot(slot):
@@ -229,3 +233,96 @@ class TestBookkeepingStaysBounded:
         assert not executed[0].conditional
         assert list(scheduler._slot_buckets[9]) == [second]
         assert scheduler._slot_buckets[9][0] is second
+
+
+# -- window geometry from the index -------------------------------------------
+
+TIMINGS = timings_for_device(DDR5_32GB)
+ROWS_PER_REF = DDR5_32GB.rows_refreshed_per_trfc
+
+#: One fixed-row request against one window: the window index (early
+#: ones and ones past 10**6, across many retention cycles), optionally
+#: moved to the first or last REF slot of its subarray (``edge``), the
+#: row as an offset from the window's first row (inside its rows, near
+#: them, or None for a row drawn from the whole bank), and the
+#: request's bank as a shift from the refreshing bank (None:
+#: bank-agnostic).
+_geometry_cases = st.fixed_dictionaries(
+    {
+        "index": st.one_of(
+            st.integers(0, 3 * 8192), st.integers(10**6, 4 * 10**7)
+        ),
+        "edge": st.sampled_from((None, 0, -1)),
+        "offset": st.one_of(
+            st.integers(0, ROWS_PER_REF - 1),
+            st.integers(-2 * ROWS_PER_SUBARRAY, 2 * ROWS_PER_SUBARRAY),
+            st.none(),
+        ),
+        "anywhere": st.integers(0, DDR5_32GB.rows_per_bank - 1),
+        "bank_shift": st.one_of(st.none(), st.integers(0, 2)),
+    }
+)
+
+
+def _check_window_geometry(policy_name, case):
+    """A request is served conditionally iff its row is in the slot and
+    bank of ``policy.window(index)``, else randomly iff its subarray is
+    not one of the window rows' subarrays; on all-bank windows that
+    verdict is ``random_access_allowed``'s set definition."""
+    refresh = RefreshScheduler(
+        DDR5_32GB,
+        TIMINGS,
+        policy=make_refresh_policy(policy_name, DDR5_32GB, TIMINGS),
+    )
+    device = refresh.device
+    per_trefi = refresh.policy.windows_per_trefi
+    index = case["index"]
+    if case["edge"] is not None:
+        slots = ROWS_PER_SUBARRAY // ROWS_PER_REF
+        ref = index // per_trefi
+        ref += case["edge"] % slots - ref % slots
+        index = ref * per_trefi + index % per_trefi
+    window = refresh.policy.window(index)
+    row = (
+        case["anywhere"]
+        if case["offset"] is None
+        else (window.rows.start + case["offset"]) % device.rows_per_bank
+    )
+    bank = (
+        None
+        if case["bank_shift"] is None
+        else ((window.bank or 0) + case["bank_shift"]) % device.banks_per_chip
+    )
+    conditional = refresh.ref_slot_for_row(row) == window.slot and (
+        window.bank is None or bank in (None, window.bank)
+    )
+    busy = {device.subarray_of_row(r) for r in window.rows}
+    random_ok = device.subarray_of_row(row) not in busy
+    note(f"window={window} row={row} bank={bank}")
+    if window.bank is None:
+        assert random_ok == refresh.random_access_allowed(row, index)
+    scheduler = WindowScheduler(refresh, accesses_per_ref=1, random_per_ref=1)
+    request = scheduler.submit(AccessKind.READ, row, index, bank=bank)
+    served = scheduler.drain_window(index, pressure=True)
+    assert served == ([request] if conditional or random_ok else [])
+    assert request.conditional == conditional
+    assert request.served_ref == (index if served else -1)
+
+
+class TestWindowGeometry:
+    """``drain_window`` takes the slot, the refreshing bank and the busy
+    subarrays from the window index; they must equal the reference
+    geometry ``policy.window(index)`` spells out."""
+
+    @pytest.mark.parametrize("policy_name", REFRESH_POLICIES)
+    @settings(max_examples=150)
+    @given(case=_geometry_cases)
+    def test_index_arithmetic_is_policy_window(self, policy_name, case):
+        _check_window_geometry(policy_name, case)
+
+    @pytest.mark.fuzz
+    @pytest.mark.parametrize("policy_name", REFRESH_POLICIES)
+    @fuzz_settings(max_examples=150)
+    @given(case=_geometry_cases)
+    def test_fuzz_index_arithmetic_is_policy_window(self, policy_name, case):
+        _check_window_geometry(policy_name, case)

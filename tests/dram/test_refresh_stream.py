@@ -27,16 +27,15 @@ def _refresh(policy_name):
     )
 
 
-def _run_stream(refresh, until_ns, answer=lambda window: None, start_index=0):
+def _run_stream(refresh, until_ns, answer=lambda index: None, start_index=0):
     """Drain one stream; returns (declared count, fired (index, tick)s)."""
     clock = SimClock()
     events = EventScheduler(clock=clock)
     fired = []
 
-    def on_window(window):
-        assert clock.now_ticks() == window.start_ticks
-        fired.append((window.ref_index, window.start_ticks))
-        return answer(window)
+    def on_window(index):
+        fired.append((index, clock.now_ticks()))
+        return answer(index)
 
     count = refresh.schedule_windows(
         events, until_ns, on_window, start_index=start_index
@@ -116,7 +115,7 @@ class TestConsumerAnswer:
         refresh = _refresh(policy_name)
         jumps = {0: 7, 7: 8, 9: 31}
         count, fired = _run_stream(
-            refresh, self.HORIZON_NS, lambda w: jumps.get(w.ref_index)
+            refresh, self.HORIZON_NS, jumps.get
         )
         assert count == 40 * refresh.policy.windows_per_trefi
         assert [index for index, _ in fired] == [0, 7, 8, 9] + list(
@@ -127,10 +126,10 @@ class TestConsumerAnswer:
     @pytest.mark.parametrize(
         "answer",
         [
-            lambda w: 0,  # a past index
-            lambda w: w.ref_index,  # the current one
-            lambda w: w.ref_index + 1,  # the next one, spelled out
-            lambda w: -3,
+            lambda index: 0,  # a past index
+            lambda index: index,  # the current one
+            lambda index: index + 1,  # the next one, spelled out
+            lambda index: -3,
         ],
     )
     def test_past_or_current_index_means_the_next_window(
@@ -150,7 +149,7 @@ class TestConsumerAnswer:
         count, fired = _run_stream(
             refresh,
             self.HORIZON_NS,
-            lambda w: total + overshoot if w.ref_index == 4 else None,
+            lambda index: total + overshoot if index == 4 else None,
         )
         assert count == total
         assert [index for index, _ in fired] == [0, 1, 2, 3, 4]
@@ -164,7 +163,7 @@ class TestConsumerAnswer:
         events = EventScheduler(clock=clock)
         seen = []
 
-        def on_window(window):
+        def on_window(index):
             seen.append(clock.now_ticks())
             with clock.scoped():
                 clock.advance_ns(2.5 * TIMINGS.trefi_ns)
@@ -178,7 +177,7 @@ class TestConsumerAnswer:
         clock = SimClock()
         events = EventScheduler(clock=clock)
 
-        def on_window(window):
+        def on_window(index):
             clock.advance_ns(2.5 * TIMINGS.trefi_ns)
 
         refresh.schedule_windows(events, 6 * TIMINGS.trefi_ns, on_window)
@@ -195,7 +194,7 @@ class TestSkippedWindowsAreAccounted:
         ring = trace.TraceRing()
         with run_context(ring=ring):
             count, fired = _run_stream(
-                refresh, horizon_ns, lambda w: jumps.get(w.ref_index)
+                refresh, horizon_ns, jumps.get
             )
         assert [index for index, _ in fired] == [0, 1, 9, 10]
         spans = [e for e in ring.events() if e.name == "ref_window"]
@@ -210,21 +209,3 @@ class TestSkippedWindowsAreAccounted:
             for e in every_window.events()
         ]
 
-
-class TestSubarrayConflictArithmetic:
-    @pytest.mark.parametrize("policy_name", REFRESH_POLICIES)
-    def test_range_test_equals_the_set_definition(self, policy_name):
-        refresh = _refresh(policy_name)
-        device = refresh.device
-        rng = random.Random(12)
-        for _ in range(400):
-            window = refresh.window(rng.randrange(0, 10_000_000))
-            busy = {device.subarray_of_row(r) for r in window.rows}
-            near = window.rows.start + rng.randrange(
-                -2 * device.rows_per_subarray, 2 * device.rows_per_subarray
-            )
-            for row in (rng.randrange(device.rows_per_bank), near):
-                if 0 <= row < device.rows_per_bank:
-                    assert refresh.random_allowed_in_window(row, window) == (
-                        device.subarray_of_row(row) not in busy
-                    )

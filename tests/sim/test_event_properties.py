@@ -184,10 +184,10 @@ def check_window_stream(case):
     events = EventScheduler(clock=clock)
     delivered = []
 
-    def on_window(window):
-        assert clock.now_ticks() == window.start_ticks
-        delivered.append(window.ref_index)
-        return answer(len(delivered) - 1, window.ref_index)
+    def on_window(index):
+        assert clock.now_ticks() == policy.start_ticks(index)
+        delivered.append(index)
+        return answer(len(delivered) - 1, index)
 
     ring = trace.TraceRing()
     with run_context(ring=ring):

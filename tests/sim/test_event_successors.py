@@ -122,19 +122,19 @@ def _drive(case, reference):
     def note(tag):
         return lambda: log.append((tag, clock.now_ticks()))
 
-    def on_window(window):
+    def on_window(index):
         n = len(windows)
-        windows.append(window.ref_index)
-        log.append(("window", window.ref_index, clock.now_ticks()))
+        windows.append(index)
+        log.append(("window", index, clock.now_ticks()))
         with clock.scoped():  # modelled work in a borrowed timeline
             clock.set_ticks(clock.now_ticks() + trefi_ticks)
-        if window.ref_index in case["inside"]:
+        if index in case["inside"]:
             events.schedule_at_ticks(
-                clock.now_ticks(), note(("inside", window.ref_index))
+                clock.now_ticks(), note(("inside", index))
             )
         answers = case["answers"]
         if n < len(answers) and answers[n] is not None:
-            return window.ref_index + 1 + answers[n]
+            return index + 1 + answers[n]
         return None
 
     events.schedule(0.0, note("first"))
@@ -250,7 +250,7 @@ def _stream(policy_name, windows):
     count = refresh.schedule_windows(
         events,
         ticks_to_ns(refresh.policy.start_ticks(windows)),
-        lambda window: delivered.append(window.ref_index),
+        delivered.append,
     )
     assert count == windows
     return refresh.policy, clock, events, delivered
@@ -298,7 +298,7 @@ def test_consumer_leaving_the_clock_past_its_successor_raises():
     clock = SimClock()
     events = EventScheduler(clock=clock)
 
-    def on_window(window):
+    def on_window(index):
         clock.advance_ns(2.5 * TIMINGS.trefi_ns)  # not in a borrowed timeline
 
     refresh.schedule_windows(events, 6 * TIMINGS.trefi_ns, on_window)
@@ -340,7 +340,7 @@ def test_partial_wrapped_callback_still_chains():
     count = refresh.schedule_windows(
         events,
         7 * TIMINGS.trefi_ns,
-        lambda window: delivered.append(window.ref_index),
+        delivered.append,
     )
     assert events.run() == count
     assert delivered == list(range(count))
